@@ -53,7 +53,7 @@ func main() {
 	ioShare := flag.Float64("io", 1.0, "VM I/O share")
 	tpch := flag.Bool("tpch", false, "preload the TPC-H-like database (tiny scale)")
 	command := flag.String("c", "", "execute this SQL instead of reading stdin")
-	explain := flag.Bool("explain", false, "print the plan of every SELECT before running it")
+	explain := flag.Bool("explain", false, "print the plan of every SELECT, and the victim-scan plan of every UPDATE/DELETE, before running it")
 	walDir := flag.String("wal", "", "durable mode: open (recovering if needed) the database in this directory")
 	ckptEvery := flag.Int("checkpoint-every", 0, "in durable mode, checkpoint after every N statements (0 = only on explicit CHECKPOINT)")
 	var oflags obs.Flags
@@ -170,6 +170,13 @@ func runStatement(s *engine.Session, stmt string, explain bool) error {
 		}
 		fmt.Printf("(%d rows)\n", len(rows))
 	default:
+		if explain && (strings.HasPrefix(upper, "UPDATE") || strings.HasPrefix(upper, "DELETE")) {
+			out, err := s.Explain(stmt)
+			if err != nil {
+				return err
+			}
+			fmt.Print(out)
+		}
 		n, err := s.Exec(stmt)
 		if err != nil {
 			return err

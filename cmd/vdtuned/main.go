@@ -28,6 +28,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -163,9 +164,15 @@ func main() {
 		fail("%v", err)
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	// Bind before reporting readiness: clients (and the process-level
+	// tests) connect as soon as they read the "listening on" line.
+	lis, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fail("listen: %v", err)
+	}
+	httpSrv := &http.Server{Handler: srv.Handler()}
 	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
+	go func() { errc <- httpSrv.Serve(lis) }()
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)

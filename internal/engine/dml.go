@@ -3,74 +3,92 @@ package engine
 import (
 	"fmt"
 
-	"dbvirt/internal/catalog"
 	"dbvirt/internal/executor"
+	"dbvirt/internal/obs"
+	"dbvirt/internal/optimizer"
 	"dbvirt/internal/plan"
 	"dbvirt/internal/sql"
 	"dbvirt/internal/storage"
 	"dbvirt/internal/types"
 )
 
-// The engine supports scan-based DELETE and UPDATE: the table is scanned,
-// the WHERE predicate evaluated per row (against the statement's snapshot),
-// and qualifying rows deleted or rewritten through the transaction machinery
-// in txn.go, which handles index maintenance, undo, and WAL logging. A
-// Database is still single-writer — snapshots serve isolation and crash
-// recovery, not write-write concurrency — and statistics go stale until the
-// next ANALYZE, as in any real system.
+// DELETE and UPDATE find their victims the way a SELECT finds its rows: the
+// statement's WHERE (and an UPDATE's SET expressions) is bound once as a
+// single-relation query, the optimizer chooses the access path under the
+// session's Params — an IndexScan when the predicate is selective on an
+// indexed column, a SeqScan otherwise — and executor.ScanLeaf runs it
+// against the statement's snapshot. Qualifying rows are then deleted or
+// rewritten through the transaction machinery in txn.go, which handles index
+// maintenance, undo, and WAL logging. Statistics go stale until the next
+// ANALYZE, as in any real system.
 
-// bindTablePredicate binds a WHERE expression against a single table by
-// constructing the equivalent single-relation query.
-func (s *Session) bindTablePredicate(table string, where sql.Expr) (*catalog.Table, func(plan.Row) (bool, error), error) {
-	t, err := s.DB.Catalog.Table(table)
-	if err != nil {
-		return nil, nil, err
-	}
-	if where == nil {
-		return t, func(plan.Row) (bool, error) { return true, nil }, nil
-	}
-	sel := &sql.SelectStmt{
-		Items: []sql.SelectItem{{Star: true}},
+var (
+	mVictimScanIndex = obs.Global.Counter("engine.dml.victim_scan.index")
+	mVictimScanSeq   = obs.Global.Counter("engine.dml.victim_scan.seq")
+	mVictims         = obs.Global.Counter("engine.dml.victims")
+)
+
+// planVictimScan binds `SELECT items FROM table WHERE where` and optimizes
+// it under the session's parameters. The returned plan's Root is the scan
+// subtree alone (the projection is stripped: victims are whole tuples), and
+// its Query.Select holds the bound items.
+func (s *Session) planVictimScan(table string, where sql.Expr, items []sql.SelectItem) (*optimizer.Plan, error) {
+	q, err := plan.Bind(&sql.SelectStmt{
+		Items: items,
 		From:  []sql.FromItem{&sql.TableRef{Table: table}},
 		Where: where,
-	}
-	q, err := plan.Bind(sel, s.DB.Catalog)
+	}, s.DB.Catalog)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	evs := make([]plan.Evaluator, len(q.Where))
-	for i, c := range q.Where {
-		evs[i], err = plan.Compile(c.E, plan.SingleRel(0), s.VM)
-		if err != nil {
-			return nil, nil, err
-		}
+	if q.Grouped {
+		return nil, fmt.Errorf("engine: aggregates are not allowed in UPDATE or DELETE")
 	}
-	pred := func(row plan.Row) (bool, error) {
-		for _, ev := range evs {
-			v, err := ev(row)
-			if err != nil {
-				return false, err
-			}
-			if !plan.Truthy(v) {
-				return false, nil
-			}
-		}
-		return true, nil
+	pl, err := optimizer.Optimize(q, s.Params)
+	if err != nil {
+		return nil, err
 	}
-	return t, pred, nil
+	proj, ok := pl.Root.(*optimizer.Project)
+	if !ok {
+		return nil, fmt.Errorf("engine: unexpected victim-scan plan root %T", pl.Root)
+	}
+	pl.Root = proj.Input
+	return pl, nil
+}
+
+var starItem = []sql.SelectItem{{Star: true}}
+
+// setItems returns an UPDATE's SET expressions as a select list.
+func setItems(upd *sql.UpdateStmt) []sql.SelectItem {
+	items := make([]sql.SelectItem, len(upd.Sets))
+	for i, sc := range upd.Sets {
+		items[i] = sql.SelectItem{Expr: sc.Value}
+	}
+	return items
+}
+
+// explainDML renders the victim-scan plan of an UPDATE or DELETE under a
+// "<verb> on <table>" header.
+func (s *Session) explainDML(verb, table string, where sql.Expr, items []sql.SelectItem) (string, error) {
+	pl, err := s.planVictimScan(table, where, items)
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("%s on %s\n%s", verb, pl.Query.Rels[0].Name, pl.Explain()), nil
 }
 
 // execDelete removes all rows matching the predicate, maintaining every
 // index, and returns the number of rows deleted.
 func (s *Session) execDelete(del *sql.DeleteStmt) (int64, error) {
-	t, pred, err := s.bindTablePredicate(del.Table, del.Where)
+	pl, err := s.planVictimScan(del.Table, del.Where, starItem)
 	if err != nil {
 		return 0, err
 	}
-	victims, err := s.collectVictims(t, pred)
+	victims, err := s.collectVictims(pl)
 	if err != nil {
 		return 0, err
 	}
+	t := pl.Query.Rels[0].Table
 	for _, v := range victims {
 		if err := s.txnDelete(t, v.tid, v.tup); err != nil {
 			return 0, err
@@ -85,28 +103,27 @@ type dmlVictim struct {
 	tup storage.Tuple
 }
 
-// collectVictims scans a table and returns the rows visible to the current
-// transaction's snapshot that match the predicate. Victims are collected
-// before any mutation: the heap must not change mid-scan, and a statement
-// must not see its own inserts (the Halloween problem).
-func (s *Session) collectVictims(t *catalog.Table, pred func(plan.Row) (bool, error)) ([]dmlVictim, error) {
-	vis := s.DB.mvcc.visibility(s.txn.snap)
+// collectVictims runs the victim scan and returns the rows visible to the
+// current transaction's snapshot that match the predicate. Victims are
+// collected before any mutation: the heap and index must not change
+// mid-scan, and a statement must not see its own inserts (the Halloween
+// problem).
+func (s *Session) collectVictims(pl *optimizer.Plan) ([]dmlVictim, error) {
+	leaf := pl.Root
+	if f, ok := leaf.(*optimizer.FilterNode); ok {
+		leaf = f.Input
+	}
+	if _, ok := leaf.(*optimizer.IndexScan); ok {
+		mVictimScanIndex.Inc()
+	} else {
+		mVictimScanSeq.Inc()
+	}
 	var victims []dmlVictim
-	fid := t.Heap.FileID()
-	err := t.Heap.Scan(s.Pool, func(tid storage.TID, tup storage.Tuple) error {
-		if vis != nil && !vis(fid, tid) {
-			return nil
-		}
-		s.VM.AccountCPU(executor.OpsPerTuple)
-		ok, err := pred(plan.Row(tup))
-		if err != nil {
-			return err
-		}
-		if ok {
-			victims = append(victims, dmlVictim{tid: tid, tup: tup.Clone()})
-		}
+	err := executor.ScanLeaf(pl.Root, s.execContext(), func(tid storage.TID, tup storage.Tuple) error {
+		victims = append(victims, dmlVictim{tid: tid, tup: tup})
 		return nil
 	})
+	mVictims.Add(int64(len(victims)))
 	return victims, err
 }
 
@@ -114,11 +131,11 @@ func (s *Session) collectVictims(t *catalog.Table, pred func(plan.Row) (bool, er
 // deleted and re-inserted (possibly at a new TID), with index maintenance
 // on both sides.
 func (s *Session) execUpdate(upd *sql.UpdateStmt) (int64, error) {
-	t, pred, err := s.bindTablePredicate(upd.Table, upd.Where)
+	pl, err := s.planVictimScan(upd.Table, upd.Where, setItems(upd))
 	if err != nil {
 		return 0, err
 	}
-	// Bind SET expressions over the table's row.
+	t := pl.Query.Rels[0].Table
 	type setter struct {
 		col  int
 		ev   plan.Evaluator
@@ -126,7 +143,7 @@ func (s *Session) execUpdate(upd *sql.UpdateStmt) (int64, error) {
 	}
 	setters := make([]setter, 0, len(upd.Sets))
 	seen := map[int]bool{}
-	for _, sc := range upd.Sets {
+	for i, sc := range upd.Sets {
 		ci := t.Schema.ColIndex(sc.Column)
 		if ci < 0 {
 			return 0, fmt.Errorf("engine: table %q has no column %q", upd.Table, sc.Column)
@@ -135,22 +152,19 @@ func (s *Session) execUpdate(upd *sql.UpdateStmt) (int64, error) {
 			return 0, fmt.Errorf("engine: column %q assigned twice", sc.Column)
 		}
 		seen[ci] = true
-		bound, err := s.bindScalarOnTable(upd.Table, sc.Value)
-		if err != nil {
-			return 0, err
-		}
+		bound := pl.Query.Select[i].E
 		kind := t.Schema.Cols[ci].Kind
 		if bk := bound.ResultKind(); bk != types.KindNull && !types.Compatible(bk, kind) {
 			return 0, fmt.Errorf("engine: cannot assign %s to %s column %q", bk, kind, sc.Column)
 		}
-		ev, err := plan.Compile(bound, plan.SingleRel(0), s.VM)
+		ev, err := plan.Compile(bound, pl.Root.Layout(), s.VM)
 		if err != nil {
 			return 0, err
 		}
 		setters = append(setters, setter{col: ci, ev: ev, kind: kind})
 	}
 
-	victims, err := s.collectVictims(t, pred)
+	victims, err := s.collectVictims(pl)
 	if err != nil {
 		return 0, err
 	}
@@ -172,17 +186,4 @@ func (s *Session) execUpdate(upd *sql.UpdateStmt) (int64, error) {
 		}
 	}
 	return int64(len(victims)), nil
-}
-
-// bindScalarOnTable binds a scalar expression in the scope of one table.
-func (s *Session) bindScalarOnTable(table string, e sql.Expr) (plan.Expr, error) {
-	sel := &sql.SelectStmt{
-		Items: []sql.SelectItem{{Expr: e}},
-		From:  []sql.FromItem{&sql.TableRef{Table: table}},
-	}
-	q, err := plan.Bind(sel, s.DB.Catalog)
-	if err != nil {
-		return nil, err
-	}
-	return q.Select[0].E, nil
 }

@@ -131,8 +131,10 @@ func (s *Session) execContext() *executor.Context {
 	}
 }
 
-// Exec runs a DDL/DML statement (CREATE TABLE, CREATE INDEX, INSERT,
-// ANALYZE) and returns the number of rows affected.
+// Exec runs any statement that returns no rows — DDL (CREATE TABLE, CREATE
+// INDEX), DML (INSERT, UPDATE, DELETE), transaction control (BEGIN, COMMIT,
+// ROLLBACK), CHECKPOINT and ANALYZE — and returns the number of rows
+// affected. SELECT and EXPLAIN go through Query and Explain.
 func (s *Session) Exec(src string) (int64, error) {
 	stmt, err := sql.Parse(src)
 	if err != nil {
@@ -365,10 +367,19 @@ func (s *Session) QueryRows(src string) ([]plan.Row, []string, error) {
 	return rows, res.Columns, err
 }
 
-// Explain returns the plan of a SELECT (or EXPLAIN SELECT) as text.
+// Explain returns the plan of a SELECT (or EXPLAIN SELECT) as text. For an
+// UPDATE or DELETE it returns the victim-scan plan — the access path the
+// write would take — under an "Update on t" / "Delete on t" header, without
+// executing anything.
 func (s *Session) Explain(src string) (string, error) {
 	trimmed := strings.TrimSpace(src)
 	if stmt, err := sql.Parse(trimmed); err == nil {
+		switch x := stmt.(type) {
+		case *sql.UpdateStmt:
+			return s.explainDML("Update", x.Table, x.Where, setItems(x))
+		case *sql.DeleteStmt:
+			return s.explainDML("Delete", x.Table, x.Where, starItem)
+		}
 		if ex, ok := stmt.(*sql.ExplainStmt); ok {
 			q, err := plan.Bind(ex.Query, s.DB.Catalog)
 			if err != nil {

@@ -1,11 +1,69 @@
 package executor
 
 import (
+	"fmt"
+
 	"dbvirt/internal/index"
 	"dbvirt/internal/optimizer"
 	"dbvirt/internal/plan"
 	"dbvirt/internal/storage"
 )
+
+// tidScanner is a base-table scan: besides the iterator contract it can
+// report where each qualifying row lives. The scan sequence — visibility
+// check, CPU charges, heap fetch, pushed-down filter — exists once, in
+// next; Next drops the TID for SELECT plans, ScanLeaf keeps it for DML.
+type tidScanner interface {
+	iterator
+	next() (storage.TID, plan.Row, bool, error)
+}
+
+// ScanLeaf runs a single-table access path and calls fn with the TID and
+// tuple of every visible row that passes the node's filters. The node is a
+// SeqScan or IndexScan, optionally under the FilterNode the optimizer puts
+// above a leaf for relation-free conjuncts. UPDATE and DELETE collect their
+// victims through it, so they charge the VM exactly what the SELECT with
+// the same WHERE charges. Tuples passed to fn are freshly decoded and may
+// be retained.
+func ScanLeaf(n optimizer.Node, ctx *Context, fn func(storage.TID, storage.Tuple) error) error {
+	var above []plan.Conjunct
+	if f, ok := n.(*optimizer.FilterNode); ok {
+		above, n = f.Conds, f.Input
+	}
+	post, err := compileConjuncts(above, n.Layout(), ctx.VM)
+	if err != nil {
+		return err
+	}
+	var it tidScanner
+	switch x := n.(type) {
+	case *optimizer.SeqScan:
+		it, err = newSeqScanIter(x, ctx)
+	case *optimizer.IndexScan:
+		it, err = newIndexScanIter(x, ctx)
+	default:
+		return fmt.Errorf("executor: ScanLeaf: %T is not a base-table scan", n)
+	}
+	if err != nil {
+		return err
+	}
+	defer it.Close()
+	for {
+		tid, row, ok, err := it.next()
+		if err != nil || !ok {
+			return err
+		}
+		pass, err := post(row)
+		if err != nil {
+			return err
+		}
+		if !pass {
+			continue
+		}
+		if err := fn(tid, storage.Tuple(row)); err != nil {
+			return err
+		}
+	}
+}
 
 // seqScanIter scans a heap file sequentially with pushed-down filters.
 type seqScanIter struct {
@@ -16,7 +74,7 @@ type seqScanIter struct {
 	closed bool
 }
 
-func newSeqScanIter(n *optimizer.SeqScan, ctx *Context) (iterator, error) {
+func newSeqScanIter(n *optimizer.SeqScan, ctx *Context) (*seqScanIter, error) {
 	pred, err := compileConjuncts(n.Filter, n.Layout(), ctx.VM)
 	if err != nil {
 		return nil, err
@@ -29,12 +87,12 @@ func newSeqScanIter(n *optimizer.SeqScan, ctx *Context) (iterator, error) {
 	}, nil
 }
 
-func (s *seqScanIter) Next() (plan.Row, bool, error) {
+func (s *seqScanIter) next() (storage.TID, plan.Row, bool, error) {
 	fid := s.node.Rel.Table.Heap.FileID()
 	for {
 		tid, tup, ok, err := s.heapIt.Next()
 		if err != nil || !ok {
-			return nil, false, err
+			return storage.TID{}, nil, false, err
 		}
 		if s.ctx.Vis != nil && !s.ctx.Vis(fid, tid) {
 			continue
@@ -43,12 +101,17 @@ func (s *seqScanIter) Next() (plan.Row, bool, error) {
 		row := plan.Row(tup)
 		pass, err := s.pred(row)
 		if err != nil {
-			return nil, false, err
+			return storage.TID{}, nil, false, err
 		}
 		if pass {
-			return row, true, nil
+			return tid, row, true, nil
 		}
 	}
+}
+
+func (s *seqScanIter) Next() (plan.Row, bool, error) {
+	_, row, ok, err := s.next()
+	return row, ok, err
 }
 
 func (s *seqScanIter) Close() {
@@ -68,7 +131,7 @@ type indexScanIter struct {
 	closed  bool
 }
 
-func newIndexScanIter(n *optimizer.IndexScan, ctx *Context) (iterator, error) {
+func newIndexScanIter(n *optimizer.IndexScan, ctx *Context) (*indexScanIter, error) {
 	pred, err := compileConjuncts(n.Filter, n.Layout(), ctx.VM)
 	if err != nil {
 		return nil, err
@@ -92,12 +155,12 @@ func newIndexScanIter(n *optimizer.IndexScan, ctx *Context) (iterator, error) {
 	return &indexScanIter{ctx: ctx, node: n, rangeIt: it, pred: pred, hint: hint}, nil
 }
 
-func (s *indexScanIter) Next() (plan.Row, bool, error) {
+func (s *indexScanIter) next() (storage.TID, plan.Row, bool, error) {
 	fid := s.node.Rel.Table.Heap.FileID()
 	for {
 		_, tid, ok, err := s.rangeIt.Next()
 		if err != nil || !ok {
-			return nil, false, err
+			return storage.TID{}, nil, false, err
 		}
 		s.ctx.VM.AccountCPU(OpsPerIndexTuple)
 		if s.ctx.Vis != nil && !s.ctx.Vis(fid, tid) {
@@ -105,18 +168,23 @@ func (s *indexScanIter) Next() (plan.Row, bool, error) {
 		}
 		tup, err := s.node.Rel.Table.Heap.GetAt(s.ctx.Pool, tid, s.hint)
 		if err != nil {
-			return nil, false, err
+			return storage.TID{}, nil, false, err
 		}
 		s.ctx.VM.AccountCPU(OpsPerTuple)
 		row := plan.Row(tup)
 		pass, err := s.pred(row)
 		if err != nil {
-			return nil, false, err
+			return storage.TID{}, nil, false, err
 		}
 		if pass {
-			return row, true, nil
+			return tid, row, true, nil
 		}
 	}
+}
+
+func (s *indexScanIter) Next() (plan.Row, bool, error) {
+	_, row, ok, err := s.next()
+	return row, ok, err
 }
 
 func (s *indexScanIter) Close() {

@@ -472,6 +472,39 @@ func TestImpossibleIndexRange(t *testing.T) {
 	}
 }
 
+// TestEmptyIndexRangeKeepsItsBounds pins the range an index scan carries
+// when the absorbed conjuncts cannot hold on an integer key: the bounds
+// must describe an empty interval (Lo > Hi), never an open one — the
+// absorbed conjuncts are no longer in the residual filter, so an unbounded
+// scan would return every row.
+func TestEmptyIndexRangeKeepsItsBounds(t *testing.T) {
+	cat := fixture(t)
+	for _, where := range []string{
+		"o_orderkey = 2.5",
+		"2.5 = o_orderkey",
+		"o_orderkey > 1.5 AND o_orderkey < 1.9",
+		"o_orderkey BETWEEN 1.5 AND 1.9",
+		"o_orderkey >= 10 AND o_orderkey <= 5",
+		"o_orderkey = 2.5 AND o_orderkey >= 0",
+	} {
+		pl := planFor(t, cat, "SELECT o_total FROM orders WHERE "+where, DefaultParams())
+		is, ok := findNode[*IndexScan](pl.Root)
+		if !ok {
+			t.Errorf("%s: expected an index scan:\n%s", where, pl.Explain())
+			continue
+		}
+		if is.Lo == nil || is.Hi == nil || is.Lo.Key <= is.Hi.Key {
+			t.Errorf("%s: index range is not empty:\n%s", where, pl.Explain())
+		}
+		if len(is.Filter) != 0 {
+			t.Errorf("%s: absorbed conjuncts left in the residual: %v", where, is.Filter)
+		}
+		if is.Rows() != 0 {
+			t.Errorf("%s: empty range estimates %g rows", where, is.Rows())
+		}
+	}
+}
+
 func TestDistinctPlanning(t *testing.T) {
 	cat := fixture(t)
 	pl := planFor(t, cat, "SELECT DISTINCT c_mktsegment FROM customer", DefaultParams())

@@ -11,11 +11,12 @@ import (
 )
 
 // keyRange is an int64 interval extracted from predicates on an indexed
-// column, together with which conjuncts it absorbed.
+// column, together with which conjuncts it absorbed. Contradictory
+// predicates (col = 2.5 on an int column, col >= 10 AND col <= 5) leave
+// lo > hi: an empty range, which the index scan probes and finds empty.
 type keyRange struct {
-	lo, hi     *Bound
-	used       map[int]bool // conjunct list indexes absorbed by the range
-	impossible bool         // contradictory (e.g. col = 2.5 on an int column)
+	lo, hi *Bound
+	used   map[int]bool // conjunct list indexes absorbed by the range
 }
 
 func (r *keyRange) tightenLo(k int64) {
@@ -108,13 +109,9 @@ func ceilToInt(v float64) int64  { return int64(math.Ceil(v)) }
 func absorbOp(r *keyRange, op sql.BinaryOp, v float64) {
 	switch op {
 	case sql.OpEq:
-		if v != math.Trunc(v) {
-			r.impossible = true
-			return
-		}
-		k := int64(v)
-		r.tightenLo(k)
-		r.tightenHi(k)
+		// col >= v AND col <= v: a non-integral v yields lo > hi.
+		r.tightenLo(ceilToInt(v))
+		r.tightenHi(floorToInt(v))
 	case sql.OpLt:
 		r.tightenHi(ceilToInt(v) - 1)
 	case sql.OpLe:
@@ -129,9 +126,6 @@ func absorbOp(r *keyRange, op sql.BinaryOp, v float64) {
 // rangeSelectivity estimates the fraction of rows inside the key range
 // using the column's statistics.
 func rangeSelectivity(rel *plan.Rel, ix *catalog.Index, r keyRange, q *plan.Query) float64 {
-	if r.impossible {
-		return 0
-	}
 	if r.lo != nil && r.hi != nil && r.lo.Key > r.hi.Key {
 		return 0
 	}
@@ -179,7 +173,7 @@ func bestAccessPath(rel *plan.Rel, conjs []plan.Conjunct, pc *planCtx, p Params,
 	ch.consider(newSeqScan(rel, conjs, pc, p))
 	for _, ix := range rel.Table.Indexes {
 		r := extractRange(rel, ix, conjs)
-		if !r.bounded() && !r.impossible {
+		if !r.bounded() {
 			continue
 		}
 		var residual []plan.Conjunct
