@@ -2,6 +2,7 @@ package executor
 
 import (
 	"fmt"
+	"math"
 
 	"dbvirt/internal/obs"
 	"dbvirt/internal/optimizer"
@@ -32,33 +33,60 @@ var (
 	mPagesSkipped   = obs.Global.Counter("executor.batch.pages_skipped")
 	mBlocksDecoded  = obs.Global.Counter("executor.batch.blocks_decoded")
 	mBlockCacheHits = obs.Global.Counter("executor.batch.block_cache_hits")
+	// mIndexTuples counts heap tuples fetched through an index by vIndexScan
+	// and vIndexNLJoin (one buffer-pool fetch each).
+	mIndexTuples = obs.Global.Counter("executor.batch.index_tuples")
+	// mLimitStops counts scans that a row budget ended before their input
+	// did — the early stops LIMIT buys.
+	mLimitStops = obs.Global.Counter("executor.batch.limit_stops")
 )
 
+// noBudget is the NextBatch argument of a consumer that drains its input.
+const noBudget = math.MaxInt
+
 // batchIterator is the vectorized operator interface. NextBatch returns a
-// non-empty batch or ok=false at end of stream. Returned batches (and any
-// column vectors they alias) are valid until the next NextBatch or Close
-// call. The batch executor assumes results are drained: operators may do
-// work ahead of what has been consumed, and totals converge once the root
-// is exhausted. Plans that can legitimately stop early (LIMIT) run their
-// whole subtree on the row-at-a-time executor behind an adapter, so
-// early-stop charge semantics are exactly the legacy ones.
+// non-empty batch of at most budget (≥ 1) live rows, or ok=false at end of
+// stream. Returned batches (and any column vectors they alias) are valid
+// until the next NextBatch or Close call.
+//
+// A consumer that drains its input passes noBudget, and the operator may
+// then work ahead of what has been consumed: totals converge once the root
+// is exhausted. A finite budget means the consumer may never ask again once
+// it holds that many rows (LIMIT), so the operator must have charged the
+// VM and touched the buffer pool exactly as the row executor has after
+// producing the rows returned so far. Returning fewer rows than the budget
+// commits the consumer to pull again, so work the row executor does before
+// its next row may already be done. The rule per operator kind:
+//
+//   - an operator whose output is a subset of its input, in order (the
+//     scans' own filters, vFilter, vDistinct), and a 1:1 operator (vProject,
+//     vSubquery) pass the budget down unchanged: n survivors need at least
+//     n inputs, so a window of n input rows never overshoots;
+//   - an operator that charges per emitted row (vSort, vHashAgg) emits no
+//     more than the budget;
+//   - a join pulls its streaming input one row at a time while the budget
+//     is finite and tests at most that many candidate pairs per call.
 type batchIterator interface {
-	NextBatch() (*plan.Batch, bool, error)
+	NextBatch(budget int) (*plan.Batch, bool, error)
 	Close()
 }
 
-// vbuild constructs the batch operator tree for a plan node. Vectorized
-// operators are wrapped with a statBatch when statistics are collected;
-// nodes that run as legacy subtrees get their statistics from the legacy
-// statIter wrapping inside build().
+// vbuild constructs the batch operator tree for a plan node, wrapping each
+// operator with a statBatch when statistics are collected.
 func vbuild(n optimizer.Node, ctx *Context) (batchIterator, error) {
 	var (
-		it  batchIterator
-		err error
+		it     batchIterator
+		err    error
+		before vm.Usage
 	)
+	if ctx.Stats != nil {
+		before = ctx.VM.Snapshot()
+	}
 	switch x := n.(type) {
 	case *optimizer.SeqScan:
 		it, err = newVSeqScan(x, ctx)
+	case *optimizer.IndexScan:
+		it, err = newVIndexScan(x, ctx)
 	case *optimizer.SubqueryScan:
 		it, err = newVSubquery(x, ctx)
 	case *optimizer.FilterNode:
@@ -67,6 +95,8 @@ func vbuild(n optimizer.Node, ctx *Context) (batchIterator, error) {
 		it, err = newVProject(x, ctx)
 	case *optimizer.Distinct:
 		it, err = newVDistinct(x, ctx)
+	case *optimizer.Limit:
+		it, err = newVLimit(x, ctx)
 	case *optimizer.Sort:
 		it, err = newVSort(x, ctx)
 	case *optimizer.HashAgg:
@@ -75,16 +105,10 @@ func vbuild(n optimizer.Node, ctx *Context) (batchIterator, error) {
 		it, err = newVHashJoin(x, ctx)
 	case *optimizer.NLJoin:
 		it, err = newVNLJoin(x, ctx)
-	case *optimizer.IndexScan, *optimizer.MergeJoin, *optimizer.IndexNLJoin, *optimizer.Limit:
-		// These run as legacy row iterators (index access is inherently
-		// per-tuple; LIMIT needs exact early-stop semantics). build()
-		// already attaches per-node statistics to the whole subtree, so the
-		// adapter is not wrapped again.
-		inner, aerr := build(n, ctx)
-		if aerr != nil {
-			return nil, aerr
-		}
-		return &batchAdapter{it: inner, width: n.Width()}, nil
+	case *optimizer.IndexNLJoin:
+		it, err = newVIndexNLJoin(x, ctx)
+	case *optimizer.MergeJoin:
+		it, err = newVMergeJoin(x, ctx)
 	default:
 		return nil, fmt.Errorf("executor: unknown plan node %T", n)
 	}
@@ -92,43 +116,10 @@ func vbuild(n optimizer.Node, ctx *Context) (batchIterator, error) {
 		return nil, err
 	}
 	if ctx.Stats != nil {
-		it = &statBatch{inner: it, stats: ctx.Stats.register(n), vm: ctx.VM}
+		it = &statBatch{inner: it, stats: ctx.Stats.opened(n, ctx.VM.Since(before)), vm: ctx.VM}
 	}
 	return it, nil
 }
-
-// batchAdapter exposes a legacy row iterator as a batch source, buffering
-// up to BatchSize rows per call.
-type batchAdapter struct {
-	it    iterator
-	width int
-	out   plan.Batch
-	done  bool
-}
-
-func (a *batchAdapter) NextBatch() (*plan.Batch, bool, error) {
-	if a.done {
-		return nil, false, nil
-	}
-	a.out.Reset(a.width)
-	for a.out.N < plan.BatchSize {
-		row, ok, err := a.it.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			a.done = true
-			break
-		}
-		a.out.AppendRow(row)
-	}
-	if a.out.N == 0 {
-		return nil, false, nil
-	}
-	return &a.out, true, nil
-}
-
-func (a *batchAdapter) Close() { a.it.Close() }
 
 // statBatch attributes per-node rows and VM usage for EXPLAIN ANALYZE in
 // batch mode. Row counts are exact — the full batch length is added, never
@@ -140,9 +131,9 @@ type statBatch struct {
 	vm    *vm.VM
 }
 
-func (s *statBatch) NextBatch() (*plan.Batch, bool, error) {
+func (s *statBatch) NextBatch(budget int) (*plan.Batch, bool, error) {
 	before := s.vm.Snapshot()
-	b, ok, err := s.inner.NextBatch()
+	b, ok, err := s.inner.NextBatch(budget)
 	s.stats.Usage = s.stats.Usage.Add(s.vm.Since(before))
 	if ok {
 		s.stats.Rows += int64(b.Len())
@@ -186,7 +177,7 @@ func (r *batchRowIter) Next() (plan.Row, bool, error) {
 			r.b.ReadRow(i, r.out)
 			return r.out, true, nil
 		}
-		b, ok, err := r.in.NextBatch()
+		b, ok, err := r.in.NextBatch(noBudget)
 		if err != nil || !ok {
 			return nil, false, err
 		}

@@ -158,11 +158,15 @@ func Run(p *optimizer.Plan, ctx *Context) (*Result, error) {
 // build constructs the iterator tree for a plan node, wrapping it with a
 // row counter when the context collects statistics.
 func build(n optimizer.Node, ctx *Context) (iterator, error) {
-	it, err := buildRaw(n, ctx)
-	if err != nil || ctx.Stats == nil {
-		return it, err
+	if ctx.Stats == nil {
+		return buildRaw(n, ctx)
 	}
-	return &statIter{inner: it, stats: ctx.Stats.register(n), vm: ctx.VM}, nil
+	before := ctx.VM.Snapshot()
+	it, err := buildRaw(n, ctx)
+	if err != nil {
+		return nil, err
+	}
+	return &statIter{inner: it, stats: ctx.Stats.opened(n, ctx.VM.Since(before)), vm: ctx.VM}, nil
 }
 
 func buildRaw(n optimizer.Node, ctx *Context) (iterator, error) {

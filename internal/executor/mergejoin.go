@@ -40,6 +40,12 @@ func newMergeJoinIter(n *optimizer.MergeJoin, ctx *Context) (iterator, error) {
 		left.Close()
 		return nil, err
 	}
+	return mergeJoinOver(n, ctx, left, right)
+}
+
+// mergeJoinOver runs the merge over two already-built row sources, which it
+// owns from here on.
+func mergeJoinOver(n *optimizer.MergeJoin, ctx *Context, left, right iterator) (*mergeJoinIter, error) {
 	residual, err := compileConjuncts(n.Residual, n.Layout(), ctx.VM)
 	if err != nil {
 		left.Close()
@@ -51,6 +57,71 @@ func newMergeJoinIter(n *optimizer.MergeJoin, ctx *Context) (iterator, error) {
 		combined: make(plan.Row, n.Width()),
 	}, nil
 }
+
+// vMergeJoin is the merge join of the batch executor. How far a merge reads
+// into each input depends on the data — it stops as soon as one side runs
+// out — and every operator charges for each row it hands over, so neither
+// input can be pulled a batch ahead without charging rows the tuple
+// executor never asks for. Both inputs are therefore pulled one row at a
+// time (budget 1 makes each child exact to the row), the merge itself is
+// mergeJoinIter's, and only the output is batched.
+type vMergeJoin struct {
+	merge *mergeJoinIter
+	out   plan.Batch
+}
+
+func newVMergeJoin(n *optimizer.MergeJoin, ctx *Context) (batchIterator, error) {
+	left, err := vbuild(n.Left, ctx)
+	if err != nil {
+		return nil, err
+	}
+	right, err := vbuild(n.Right, ctx)
+	if err != nil {
+		left.Close()
+		return nil, err
+	}
+	merge, err := mergeJoinOver(n, ctx, &rowPuller{in: left}, &rowPuller{in: right})
+	if err != nil {
+		return nil, err
+	}
+	return &vMergeJoin{merge: merge}, nil
+}
+
+func (j *vMergeJoin) NextBatch(budget int) (*plan.Batch, bool, error) {
+	budget = min(budget, plan.BatchSize)
+	j.out.Reset(j.merge.node.Width())
+	for j.out.N < budget {
+		row, ok, err := j.merge.Next()
+		if err != nil {
+			return nil, false, err
+		}
+		if !ok {
+			break
+		}
+		j.out.AppendRow(row)
+	}
+	return &j.out, j.out.N > 0, nil
+}
+
+func (j *vMergeJoin) Close() { j.merge.Close() }
+
+// rowPuller reads a batch operator one row per call.
+type rowPuller struct {
+	in  batchIterator
+	row plan.Row
+}
+
+func (p *rowPuller) Next() (plan.Row, bool, error) {
+	b, ok, err := p.in.NextBatch(1)
+	if err != nil || !ok {
+		return nil, false, err
+	}
+	p.row = growVals(p.row, len(b.Cols))
+	b.ReadRow(b.RowIdx(0), p.row)
+	return p.row, true, nil
+}
+
+func (p *rowPuller) Close() { p.in.Close() }
 
 // keyCompare orders two rows by the join keys; a NULL key orders the row
 // as "advance me" (NULLs never join). ok=false marks a NULL key on side a

@@ -136,14 +136,7 @@ func newIndexScanIter(n *optimizer.IndexScan, ctx *Context) (*indexScanIter, err
 	if err != nil {
 		return nil, err
 	}
-	lo := int64(-1 << 62)
-	hi := int64(1<<62 - 1)
-	if n.Lo != nil {
-		lo = n.Lo.Key
-	}
-	if n.Hi != nil {
-		hi = n.Hi.Key
-	}
+	lo, hi := indexRange(n)
 	it, err := n.Index.Tree.SeekRange(ctx.Pool, lo, hi)
 	if err != nil {
 		return nil, err

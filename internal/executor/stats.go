@@ -49,14 +49,19 @@ func (c *StatsCollector) For(n optimizer.Node) *NodeStats {
 	return c.byNode[n]
 }
 
-// register returns the stats cell for a node, creating it on first use.
-func (c *StatsCollector) register(n optimizer.Node) *NodeStats {
+// opened returns the stats cell for a node whose operator has just been
+// built, creating it on first use. building is what constructing the
+// operator (and, inside it, its children) charged the VM — an index scan
+// descends its B+-tree when it is built — so that a node's inclusive usage
+// leaves out nothing its subtree did.
+func (c *StatsCollector) opened(n optimizer.Node, building vm.Usage) *NodeStats {
 	st, ok := c.byNode[n]
 	if !ok {
 		st = &NodeStats{}
 		c.byNode[n] = st
 	}
 	st.Loops++
+	st.Usage = st.Usage.Add(building)
 	return st
 }
 

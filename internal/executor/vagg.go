@@ -38,7 +38,7 @@ func (s *vSort) buildRows() error {
 	defer input.Close()
 	var bytes int64
 	for {
-		b, ok, err := input.NextBatch()
+		b, ok, err := input.NextBatch(noBudget)
 		if err != nil {
 			return err
 		}
@@ -46,8 +46,11 @@ func (s *vSort) buildRows() error {
 			break
 		}
 		sel := liveSel(b, &s.selBuf)
-		for _, i := range sel {
-			r := make(plan.Row, len(b.Cols))
+		// One slab per input batch instead of one allocation per row.
+		w := len(b.Cols)
+		slab := make([]types.Value, len(sel)*w)
+		for k, i := range sel {
+			r := plan.Row(slab[k*w : (k+1)*w : (k+1)*w])
 			b.ReadRow(i, r)
 			s.rows = append(s.rows, r)
 			bytes += rowBytes(r)
@@ -101,7 +104,7 @@ func (s *vSort) buildRows() error {
 	return nil
 }
 
-func (s *vSort) NextBatch() (*plan.Batch, bool, error) {
+func (s *vSort) NextBatch(budget int) (*plan.Batch, bool, error) {
 	if s.err != nil {
 		return nil, false, s.err
 	}
@@ -114,10 +117,9 @@ func (s *vSort) NextBatch() (*plan.Batch, bool, error) {
 	if s.pos >= len(s.rows) {
 		return nil, false, nil
 	}
-	n := len(s.rows) - s.pos
-	if n > plan.BatchSize {
-		n = plan.BatchSize
-	}
+	// The per-row emission charge follows the rows actually emitted, so a
+	// row budget caps the batch.
+	n := min(len(s.rows)-s.pos, plan.BatchSize, budget)
 	s.out.Reset(len(s.rows[s.pos]))
 	for i := 0; i < n; i++ {
 		s.out.AppendRow(s.rows[s.pos+i])
@@ -149,11 +151,12 @@ type vHashAgg struct {
 	// linear scan over one-or-few-character keys beats hashing the pair.
 	pairList []*groupEntry
 	order    []*groupEntry
-	pos       int
-	built     bool
+	pos      int
+	built    bool
 
 	selBuf     []int
 	keyScratch []byte
+	rowBuf     plan.Row
 	out        plan.Batch
 }
 
@@ -319,7 +322,7 @@ func (a *vHashAgg) buildGroups() error {
 	var ptrs []*groupEntry
 	perRow := float64(len(keyEvs))*OpsPerHash + float64(len(a.node.Aggs))*plan.OpsPerOperator
 	for {
-		b, ok, err := input.NextBatch()
+		b, ok, err := input.NextBatch(noBudget)
 		if err != nil {
 			return err
 		}
@@ -460,7 +463,7 @@ func (a *vHashAgg) buildGroups() error {
 	return nil
 }
 
-func (a *vHashAgg) NextBatch() (*plan.Batch, bool, error) {
+func (a *vHashAgg) NextBatch(budget int) (*plan.Batch, bool, error) {
 	if !a.built {
 		if err := a.buildGroups(); err != nil {
 			return nil, false, err
@@ -471,16 +474,18 @@ func (a *vHashAgg) NextBatch() (*plan.Batch, bool, error) {
 	}
 	width := len(a.node.GroupBy) + len(a.node.Aggs)
 	a.out.Reset(width)
+	// OpsPerTuple is charged per emitted group, so a row budget caps the
+	// batch.
+	budget = min(budget, plan.BatchSize)
 	emitted := 0
-	row := make(plan.Row, 0, width)
-	for a.pos < len(a.order) && emitted < plan.BatchSize {
+	for a.pos < len(a.order) && emitted < budget {
 		g := a.order[a.pos]
 		a.pos++
-		row = row[:0]
-		row = append(row, g.keys...)
+		row := append(a.rowBuf[:0], g.keys...)
 		for i := range g.states {
 			row = append(row, g.states[i].result(&a.node.Aggs[i]))
 		}
+		a.rowBuf = row
 		a.out.AppendRow(row)
 		emitted++
 	}

@@ -185,6 +185,9 @@ func residualCols(conjs []plan.Conjunct, lay plan.Layout, width int) []int {
 // vectorized cascade, and passing pairs are emitted in the tuple
 // executor's order (each probe row's bucket matches, then its LEFT null
 // extension) by gathering directly from the probe batch and build rows.
+//
+// Under a row budget the probe side is pulled one row at a time and that
+// row's bucket is tested budget candidates per call (see probeWindow).
 type vHashJoin struct {
 	ctx       *Context
 	node      *optimizer.HashJoin
@@ -211,9 +214,65 @@ type vHashJoin struct {
 	// emit, when non-nil, flags the output columns the consumer reads;
 	// the rest are left empty (see colPruner).
 	emit []bool
+	win  probeWindow
 }
 
-func (j *vHashJoin) pruneOutput(needed []bool) { j.emit = needed }
+// pruneOutput records the columns the consumer reads and tells the probe
+// input which of its columns the join still needs: the emitted ones plus
+// those its keys and residual read.
+func (j *vHashJoin) pruneOutput(needed []bool) {
+	j.emit = needed
+	p, ok := j.left.(colPruner)
+	if !ok {
+		return
+	}
+	leftW := j.node.Left.Width()
+	set := make(map[int]struct{})
+	for _, e := range j.node.LeftKeys {
+		if !exprCols(e, j.node.Left.Layout(), set) {
+			return
+		}
+	}
+	sub := append([]bool(nil), needed[:leftW]...)
+	for c := range set {
+		sub[c] = true
+	}
+	for _, c := range j.resCols {
+		if c < leftW {
+			sub[c] = true
+		}
+	}
+	p.pruneOutput(sub)
+}
+
+// probeWindow is the state a hash join keeps between calls while it runs
+// under a row budget. The probe batch then holds a single row; when its
+// bucket has more candidates than the budget allows testing at once, the
+// batch is held and the bucket resumed on the next call.
+type probeWindow struct {
+	hold    *plan.Batch // probe batch with candidates left to test; nil = pull the next one
+	skip    int         // candidates of the held row already tested
+	matched bool        // the held row has passed the residual at least once
+}
+
+// pullSize is what a join asks of its streaming input: everything when
+// results are drained, one row at a time under a budget, because a single
+// input row may already fill it.
+func pullSize(budget int) int {
+	if budget == noBudget {
+		return noBudget
+	}
+	return 1
+}
+
+// clip narrows a single probe row's bucket to the candidates this call may
+// test, and reports whether some are left for the next call.
+func (w *probeWindow) clip(n, budget int) (from, to int, more bool) {
+	from = w.skip
+	to = from + min(n-from, budget)
+	w.skip = to
+	return from, to, to < n
+}
 
 func newVHashJoin(n *optimizer.HashJoin, ctx *Context) (batchIterator, error) {
 	if n.BuildOuter {
@@ -267,7 +326,7 @@ func (j *vHashJoin) buildTable() error {
 	defer right.Close()
 	var bytes int64
 	for {
-		b, ok, err := right.NextBatch()
+		b, ok, err := right.NextBatch(noBudget)
 		if err != nil {
 			return err
 		}
@@ -329,7 +388,7 @@ func (j *vHashJoin) fillCand(b *plan.Batch, leftW, width int) {
 	}
 }
 
-func (j *vHashJoin) NextBatch() (*plan.Batch, bool, error) {
+func (j *vHashJoin) NextBatch(budget int) (*plan.Batch, bool, error) {
 	if j.done {
 		return nil, false, nil
 	}
@@ -341,21 +400,30 @@ func (j *vHashJoin) NextBatch() (*plan.Batch, bool, error) {
 	leftW := j.node.Left.Width()
 	width := j.node.Width()
 	for {
-		b, ok, err := j.left.NextBatch()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			j.done = true
-			return nil, false, nil
+		b := j.win.hold
+		fresh := b == nil
+		if fresh {
+			var ok bool
+			var err error
+			b, ok, err = j.left.NextBatch(pullSize(budget))
+			if err != nil {
+				return nil, false, err
+			}
+			if !ok {
+				j.done = true
+				return nil, false, nil
+			}
+			j.win = probeWindow{}
 		}
 		sel := liveSel(b, &j.selBuf)
 		n := len(sel)
-		j.ctx.VM.AccountCPU(float64(len(j.leftKeys)) * OpsPerHash * float64(n))
-		for i, ev := range j.leftKeys {
-			j.keyCols[i] = growVals(j.keyCols[i], n)
-			if err := ev(b, sel, j.keyCols[i]); err != nil {
-				return nil, false, err
+		if fresh {
+			j.ctx.VM.AccountCPU(float64(len(j.leftKeys)) * OpsPerHash * float64(n))
+			for i, ev := range j.leftKeys {
+				j.keyCols[i] = growVals(j.keyCols[i], n)
+				if err := ev(b, sel, j.keyCols[i]); err != nil {
+					return nil, false, err
+				}
 			}
 		}
 		// Expand each probe row against its bucket into candidate pairs.
@@ -365,13 +433,20 @@ func (j *vHashJoin) NextBatch() (*plan.Batch, bool, error) {
 			j.candStart = make([]int, n+1)
 		}
 		j.candStart = j.candStart[:n+1]
+		more := false
 		for k, i := range sel {
 			j.candStart[k] = len(j.candRows)
 			kb := j.keyBuf[:len(j.leftKeys)]
 			for c := range j.leftKeys {
 				kb[c] = j.keyCols[c][k]
 			}
-			for _, buildRow := range j.table.lookup(kb) {
+			bucket := j.table.lookup(kb)
+			if budget != noBudget {
+				var from, to int
+				from, to, more = j.win.clip(len(bucket), budget)
+				bucket = bucket[from:to]
+			}
+			for _, buildRow := range bucket {
 				j.candRows = append(j.candRows, buildRow)
 				j.candProbe = append(j.candProbe, i)
 			}
@@ -414,7 +489,7 @@ func (j *vHashJoin) NextBatch() (*plan.Batch, bool, error) {
 		emitted := 0
 		for k := range sel {
 			i := sel[k]
-			rowMatched := false
+			rowMatched := j.win.matched
 			for c := j.candStart[k]; c < j.candStart[k+1]; c++ {
 				if len(pass) > 0 && !pass[c] {
 					continue
@@ -442,6 +517,11 @@ func (j *vHashJoin) NextBatch() (*plan.Batch, bool, error) {
 				}
 				emitted++
 			}
+			if more {
+				j.win.hold, j.win.matched = b, rowMatched
+				break
+			}
+			j.win.hold = nil
 			if !rowMatched && j.node.Type == sql.LeftJoin {
 				if j.emit == nil {
 					for col := 0; col < leftW; col++ {
@@ -509,6 +589,7 @@ type vHashJoinOuter struct {
 	rightDone bool
 	tailIdx   int
 	done      bool
+	win       probeWindow
 }
 
 func (j *vHashJoinOuter) pruneOutput(needed []bool) { j.emit = needed }
@@ -562,7 +643,7 @@ func (j *vHashJoinOuter) buildTable() error {
 	defer left.Close()
 	var bytes int64
 	for {
-		b, ok, err := left.NextBatch()
+		b, ok, err := left.NextBatch(noBudget)
 		if err != nil {
 			return err
 		}
@@ -624,7 +705,7 @@ func (j *vHashJoinOuter) fillCand(b *plan.Batch, leftW, width int) {
 	}
 }
 
-func (j *vHashJoinOuter) NextBatch() (*plan.Batch, bool, error) {
+func (j *vHashJoinOuter) NextBatch(budget int) (*plan.Batch, bool, error) {
 	if j.done {
 		return nil, false, nil
 	}
@@ -637,34 +718,54 @@ func (j *vHashJoinOuter) NextBatch() (*plan.Batch, bool, error) {
 	width := j.node.Width()
 	comb := j.rowBuf[:width]
 	for !j.rightDone {
-		b, ok, err := j.right.NextBatch()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			j.rightDone = true
-			break
+		b := j.win.hold
+		fresh := b == nil
+		if fresh {
+			var ok bool
+			var err error
+			b, ok, err = j.right.NextBatch(pullSize(budget))
+			if err != nil {
+				return nil, false, err
+			}
+			if !ok {
+				j.rightDone = true
+				break
+			}
+			j.win = probeWindow{}
 		}
 		sel := liveSel(b, &j.selBuf)
 		n := len(sel)
-		j.ctx.VM.AccountCPU(float64(len(j.rightKeys)) * OpsPerHash * float64(n))
-		for i, ev := range j.rightKeys {
-			j.keyCols[i] = growVals(j.keyCols[i], n)
-			if err := ev(b, sel, j.keyCols[i]); err != nil {
-				return nil, false, err
+		if fresh {
+			j.ctx.VM.AccountCPU(float64(len(j.rightKeys)) * OpsPerHash * float64(n))
+			for i, ev := range j.rightKeys {
+				j.keyCols[i] = growVals(j.keyCols[i], n)
+				if err := ev(b, sel, j.keyCols[i]); err != nil {
+					return nil, false, err
+				}
 			}
 		}
 		j.candEnt = j.candEnt[:0]
 		j.candProbe = j.candProbe[:0]
+		more := false
 		for k, i := range sel {
 			kb := j.keyBuf[:len(j.rightKeys)]
 			for c := range j.rightKeys {
 				kb[c] = j.keyCols[c][k]
 			}
-			for _, e := range j.table.lookup(kb) {
+			bucket := j.table.lookup(kb)
+			if budget != noBudget {
+				var from, to int
+				from, to, more = j.win.clip(len(bucket), budget)
+				bucket = bucket[from:to]
+			}
+			for _, e := range bucket {
 				j.candEnt = append(j.candEnt, e)
 				j.candProbe = append(j.candProbe, i)
 			}
+		}
+		j.win.hold = nil
+		if more {
+			j.win.hold = b
 		}
 		candN := len(j.candEnt)
 
@@ -733,7 +834,8 @@ func (j *vHashJoinOuter) NextBatch() (*plan.Batch, bool, error) {
 		j.out.Reset(width)
 		pruneOut(&j.out, j.emit)
 		emitted := 0
-		for j.tailIdx < len(j.allRows) && emitted < plan.BatchSize {
+		budget = min(budget, plan.BatchSize)
+		for j.tailIdx < len(j.allRows) && emitted < budget {
 			e := j.allRows[j.tailIdx]
 			j.tailIdx++
 			if e.matched {
@@ -799,6 +901,7 @@ type vNLJoin struct {
 	candSel []int
 	rowBuf  plan.Row
 	out     plan.Batch
+	win     probeWindow // skip and matched only: the outer row is held by k
 }
 
 func newVNLJoin(n *optimizer.NLJoin, ctx *Context) (batchIterator, error) {
@@ -826,7 +929,7 @@ func (j *vNLJoin) load() error {
 	defer inner.Close()
 	var selBuf []int
 	for {
-		b, ok, err := inner.NextBatch()
+		b, ok, err := inner.NextBatch(noBudget)
 		if err != nil {
 			return err
 		}
@@ -862,7 +965,7 @@ func (j *vNLJoin) load() error {
 	return nil
 }
 
-func (j *vNLJoin) NextBatch() (*plan.Batch, bool, error) {
+func (j *vNLJoin) NextBatch(budget int) (*plan.Batch, bool, error) {
 	if j.done {
 		return nil, false, nil
 	}
@@ -876,7 +979,7 @@ func (j *vNLJoin) NextBatch() (*plan.Batch, bool, error) {
 	comb := j.rowBuf[:width]
 	for {
 		if j.b == nil || j.k >= len(j.sel) {
-			b, ok, err := j.outer.NextBatch()
+			b, ok, err := j.outer.NextBatch(pullSize(budget))
 			if err != nil {
 				return nil, false, err
 			}
@@ -889,15 +992,27 @@ func (j *vNLJoin) NextBatch() (*plan.Batch, bool, error) {
 			j.k = 0
 		}
 		// One outer row per iteration bounds candidate memory to the inner
-		// size; the output batch carries that row's matches.
+		// size; the output batch carries that row's matches. Under a row
+		// budget the row's inner list is tested budget candidates per call.
 		i := j.sel[j.k]
-		j.k++
-		candN := len(j.inner)
+		from, to, more := 0, len(j.inner), false
+		if budget != noBudget {
+			from, to, more = j.win.clip(len(j.inner), budget)
+		}
+		if !more {
+			j.k++
+		}
+		candN := to - from
 		if len(j.node.On) == 0 {
 			j.ctx.VM.AccountCPU(plan.OpsPerOperator * float64(candN))
 		}
 		var surv []int
 		if candN > 0 {
+			j.candSel = growSel(j.candSel, candN)
+			for c := range j.candSel {
+				j.candSel[c] = from + c
+			}
+			surv = j.candSel
 			if len(j.pred.evs) > 0 {
 				// Assemble the candidate batch: referenced outer columns are
 				// this row's value broadcast, inner columns alias the
@@ -907,12 +1022,12 @@ func (j *vNLJoin) NextBatch() (*plan.Batch, bool, error) {
 				}
 				j.cand.Cols = j.cand.Cols[:width]
 				j.cand.Sel = nil
-				j.cand.N = candN
+				j.cand.N = len(j.inner)
 				for _, c := range j.resCols {
 					if c < outerW {
 						v := j.b.Value(i, c)
 						buf := j.outerBufs[c]
-						for x := range buf {
+						for x := from; x < to; x++ {
 							buf[x] = v
 						}
 						j.cand.Cols[c] = types.Vec{Any: buf}
@@ -920,21 +1035,11 @@ func (j *vNLJoin) NextBatch() (*plan.Batch, bool, error) {
 						j.cand.Cols[c] = types.Vec{Any: j.innerCols[c]}
 					}
 				}
-				j.candSel = growSel(j.candSel, candN)
-				for c := range j.candSel {
-					j.candSel[c] = c
-				}
 				var err error
-				surv, err = j.pred.apply(&j.cand, j.candSel)
+				surv, err = j.pred.apply(&j.cand, surv)
 				if err != nil {
 					return nil, false, err
 				}
-			} else {
-				j.candSel = growSel(j.candSel, candN)
-				for c := range j.candSel {
-					j.candSel[c] = c
-				}
-				surv = j.candSel
 			}
 		}
 		j.out.Reset(width)
@@ -947,14 +1052,20 @@ func (j *vNLJoin) NextBatch() (*plan.Batch, bool, error) {
 				j.out.AppendRow(comb)
 			}
 		}
-		if j.out.N == 0 && j.node.Type == sql.LeftJoin {
-			for c := 0; c < outerW; c++ {
-				comb[c] = j.b.Value(i, c)
+		matched := j.win.matched || len(surv) > 0
+		if more {
+			j.win.matched = matched
+		} else {
+			j.win = probeWindow{}
+			if !matched && j.node.Type == sql.LeftJoin {
+				for c := 0; c < outerW; c++ {
+					comb[c] = j.b.Value(i, c)
+				}
+				for c := outerW; c < width; c++ {
+					comb[c] = types.Null
+				}
+				j.out.AppendRow(comb)
 			}
-			for c := outerW; c < width; c++ {
-				comb[c] = types.Null
-			}
-			j.out.AppendRow(comb)
 		}
 		if j.out.N > 0 {
 			j.ctx.VM.AccountCPU(OpsPerTuple * float64(j.out.N))

@@ -131,8 +131,8 @@ func zoneAllFail(zc *zoneConj, z *storage.Zone) bool {
 		if !ok1 || !ok2 || !ok3 || !ok4 {
 			return false
 		}
-		inside := cMinLo >= 0 && cMaxHi <= 0  // all values within [lo, hi]
-		outside := cMaxLo < 0 || cMinHi > 0   // all values outside [lo, hi]
+		inside := cMinLo >= 0 && cMaxHi <= 0 // all values within [lo, hi]
+		outside := cMaxLo < 0 || cMinHi > 0  // all values outside [lo, hi]
 		if z.Nulls > 0 {
 			// NULL rows fail BETWEEN but pass NOT BETWEEN only as NULL
 			// (not true), so they fail either form; the non-null rows
@@ -198,8 +198,8 @@ func zoneAllPass(zc *zoneConj, z *storage.Zone) bool {
 	return false
 }
 
-// vSeqScan is the vectorized sequential scan. Each NextBatch pins one heap
-// page (the same Fetch/Unpin sequence as the tuple scan), reads its cached
+// vSeqScan is the vectorized sequential scan. It pins one heap page at a
+// time (the same Fetch/Unpin sequence as the tuple scan), reads its cached
 // columnar block, and either:
 //
 //   - skips the page: if the zone maps prove that every live row passes
@@ -211,6 +211,12 @@ func zoneAllPass(zc *zoneConj, z *storage.Zone) bool {
 //
 // Skipping is charge-transparent: the page is still fetched (identical
 // simulated I/O and buffer state); only the host-side row work disappears.
+//
+// Under a row budget of n the scan works through the page in windows of at
+// most n visible rows: n survivors need at least n examined rows, so no
+// window charges a row the tuple scan would not have reached, and no later
+// page is fetched once the budget is met. A page the zone maps reject is
+// still skipped whole — the tuple scan finds no survivor on it either.
 type vSeqScan struct {
 	ctx    *Context
 	node   *optimizer.SeqScan
@@ -224,13 +230,13 @@ type vSeqScan struct {
 	verd    []int8
 	rowPred func(plan.Row) (bool, error) // for irregular blocks
 
-	b       plan.Batch
-	selBuf  []int
-	err     error
-	irrRows []plan.Row
-	irrIdx  int
-	irrOut  plan.Batch
-	closed  bool
+	blk      *storage.ColBlock // the pinned page's block; nil before the first page and between pages
+	pos      int               // first row of blk not yet examined
+	b        plan.Batch
+	selBuf   []int
+	irrOut   plan.Batch
+	budgeted bool // some NextBatch call carried a finite budget
+	closed   bool
 }
 
 func newVSeqScan(n *optimizer.SeqScan, ctx *Context) (batchIterator, error) {
@@ -278,11 +284,11 @@ const (
 )
 
 // pageVerdicts classifies every analyzable conjunct against the page's
-// zones. Verdicts are usable at any cascade position: a decided conjunct's
-// evaluation is replaced by its exact bulk charge (the per-row cost of
-// these forms is statically known), so the cascade's totals stay
+// zones into s.verd. Verdicts are usable at any cascade position: a decided
+// conjunct's evaluation is replaced by its exact bulk charge (the per-row
+// cost of these forms is statically known), so the cascade's totals stay
 // bit-identical to scalar evaluation.
-func (s *vSeqScan) pageVerdicts(blk *storage.ColBlock) []int8 {
+func (s *vSeqScan) pageVerdicts(blk *storage.ColBlock) {
 	if cap(s.verd) < len(s.zones) {
 		s.verd = make([]int8, len(s.zones))
 	}
@@ -306,7 +312,6 @@ func (s *vSeqScan) pageVerdicts(blk *storage.ColBlock) []int8 {
 			s.verd[i] = vAllPass
 		}
 	}
-	return s.verd
 }
 
 // zoneSkip walks the conjunct verdicts from the front. If some conjunct
@@ -367,171 +372,157 @@ func (s *vSeqScan) applyCascade(b *plan.Batch, sel []int, verd []int8) ([]int, e
 	return cur, nil
 }
 
-func (s *vSeqScan) NextBatch() (*plan.Batch, bool, error) {
-	// Drain buffered rows of an irregular page first (pin still held).
-	if s.irrIdx < len(s.irrRows) {
-		row := s.irrRows[s.irrIdx]
-		s.irrIdx++
-		s.irrOut.Reset(len(row))
-		s.irrOut.AppendRow(row)
-		return &s.irrOut, true, nil
+func (s *vSeqScan) NextBatch(budget int) (*plan.Batch, bool, error) {
+	if budget != noBudget {
+		s.budgeted = true
 	}
-	if s.err != nil {
-		// A decode error surfaces after the page's earlier rows have been
-		// emitted; the tuple iterator unpins before erroring, so do the
-		// same here.
-		s.unpin()
-		err := s.err
-		s.err = nil
-		s.closed = true
-		return nil, false, err
-	}
-	if s.closed {
-		return nil, false, nil
-	}
-	for {
-		if s.pinned {
-			s.unpin()
-			s.pageNo++
+	for !s.closed {
+		if s.blk == nil {
+			if s.pinned {
+				s.unpin()
+				s.pageNo++
+			}
+			if s.pageNo >= s.pages {
+				s.closed = true
+				break
+			}
+			s.id = storage.PageID{File: s.node.Rel.Table.Heap.FileID(), Page: s.pageNo}
+			data, err := s.ctx.Pool.Fetch(s.id, storage.SeqHint)
+			if err != nil {
+				s.closed = true
+				return nil, false, err
+			}
+			s.pinned = true
+			s.blk, s.pos = s.block(data), 0
+			s.pageVerdicts(s.blk)
 		}
-		if s.pageNo >= s.pages {
-			s.closed = true
-			return nil, false, nil
-		}
-		s.id = storage.PageID{File: s.node.Rel.Table.Heap.FileID(), Page: s.pageNo}
-		data, err := s.ctx.Pool.Fetch(s.id, storage.SeqHint)
-		if err != nil {
-			s.closed = true
-			return nil, false, err
-		}
-		s.pinned = true
-		blk := s.block(data)
-		b, emitted, err := s.processBlock(blk)
+		b, err := s.processBlock(budget)
 		if err != nil {
 			return nil, false, err
 		}
-		if emitted {
+		if b != nil {
 			return b, true, nil
 		}
-		if s.err != nil {
-			// Error block with no rows before the bad slot: fail now, with
-			// the unpin-first ordering of the tuple scan.
-			s.unpin()
-			err := s.err
-			s.err = nil
-			s.closed = true
-			return nil, false, err
-		}
 	}
+	return nil, false, nil
 }
 
-// processBlock charges and filters one page. It returns the page's batch
-// when any rows survive; otherwise the caller advances to the next page.
-func (s *vSeqScan) processBlock(blk *storage.ColBlock) (*plan.Batch, bool, error) {
-	if blk.Err != nil {
-		// Decode error partway through the page: emit the decoded prefix
-		// row by row (it may be irregular), then surface the error.
-		s.err = blk.Err
-		if blk.RowData != nil {
-			return s.processIrregular(blk)
-		}
-		if blk.Rows == 0 {
-			return nil, false, nil
-		}
-	}
+// processBlock charges and filters the next window of the pinned page: all
+// of it without a budget, else its next budget visible rows. It returns the
+// window's survivors as a batch, or nil when there are none (the caller
+// then continues with the next window or page).
+func (s *vSeqScan) processBlock(budget int) (*plan.Batch, error) {
+	blk := s.blk
 	if blk.RowData != nil {
-		return s.processIrregular(blk)
+		return s.nextIrregular()
 	}
-	if blk.Rows == 0 {
-		return nil, false, nil
+	if s.pos >= blk.Rows {
+		return nil, s.endPage()
 	}
-	verd := s.pageVerdicts(blk)
-	if s.ctx.Vis == nil {
+	vis := s.ctx.Vis
+	if s.pos == 0 && vis == nil {
 		// The page-skip bulk charge covers every live row; with a
 		// visibility filter only the visible subset is charged, so the
 		// skip is disabled and the cascade handles the page (its bulk
 		// verdicts charge per survivor, which stays exact).
-		if skip, charge := s.zoneSkip(blk, verd); skip {
+		if skip, charge := s.zoneSkip(blk, s.verd); skip {
 			s.ctx.VM.AccountCPU(charge)
 			mPagesSkipped.Inc()
-			return nil, false, nil
+			s.pos = blk.Rows
+			return nil, nil
 		}
 	}
 	s.b.Cols = blk.Cols
 	s.b.N = blk.Rows
 	s.b.Sel = nil
+	// sel is the window's rows; nil stands for the whole page.
 	var sel []int
-	if s.ctx.Vis != nil {
-		sel = s.visibleSel(blk)
-		s.ctx.VM.AccountCPU(OpsPerTuple * float64(len(sel)))
-		if len(sel) == 0 {
-			return nil, false, nil
+	n := blk.Rows
+	whole := s.pos == 0 && budget >= blk.Rows
+	switch {
+	case vis != nil:
+		// Visibility is matched on slot numbers exactly as the tuple scan
+		// does, before any per-tuple charge.
+		sel = growSel(s.selBuf, blk.Rows)[:0]
+		fid := s.node.Rel.Table.Heap.FileID()
+		i := s.pos
+		for ; i < blk.Rows && len(sel) < budget; i++ {
+			if vis(fid, storage.TID{Page: s.pageNo, Slot: blk.Slots[i]}) {
+				sel = append(sel, i)
+			}
 		}
-	} else {
-		s.ctx.VM.AccountCPU(OpsPerTuple * float64(blk.Rows))
+		s.pos, n = i, len(sel)
+		s.selBuf = sel[:cap(sel)]
+	case whole:
+		s.pos = blk.Rows
+	default:
+		n = min(blk.Rows-s.pos, budget)
+		sel = growSel(s.selBuf, n)
+		for k := range sel {
+			sel[k] = s.pos + k
+		}
+		s.selBuf = sel
+		s.pos += n
+	}
+	s.ctx.VM.AccountCPU(OpsPerTuple * float64(n))
+	if n == 0 {
+		return nil, nil
 	}
 	if len(s.conj.evs) > 0 {
 		if sel == nil {
 			sel = liveSel(&s.b, &s.selBuf)
 		}
-		filtered, err := s.applyCascade(&s.b, sel, verd)
-		if err != nil {
-			return nil, false, err
+		var err error
+		if sel, err = s.applyCascade(&s.b, sel, s.verd); err != nil {
+			return nil, err
 		}
-		if len(filtered) == 0 {
-			return nil, false, nil
+		if len(sel) == 0 {
+			return nil, nil
 		}
-		sel = filtered
 	}
 	if sel != nil && len(sel) < blk.Rows {
 		s.b.Sel = sel
 	}
-	return &s.b, true, nil
+	return &s.b, nil
 }
 
-// visibleSel builds the selection of rows visible under the context's
-// snapshot, matching slot numbers against the visibility filter exactly as
-// the tuple-at-a-time scan does.
-func (s *vSeqScan) visibleSel(blk *storage.ColBlock) []int {
-	sel := growSel(s.selBuf, blk.Rows)[:0]
-	fid := s.node.Rel.Table.Heap.FileID()
-	for i := 0; i < blk.Rows; i++ {
-		if s.ctx.Vis(fid, storage.TID{Page: s.pageNo, Slot: blk.Slots[i]}) {
-			sel = append(sel, i)
-		}
+// endPage leaves the exhausted page. A decode error partway through the
+// page surfaces here, after the rows before the bad slot have been emitted
+// and with the page already unpinned, as in the tuple scan.
+func (s *vSeqScan) endPage() error {
+	err := s.blk.Err
+	s.blk = nil
+	if err != nil {
+		s.unpin()
+		s.closed = true
 	}
-	s.selBuf = sel[:cap(sel)]
-	return sel
+	return err
 }
 
-// processIrregular runs the scalar path over a row-decoded page, buffering
-// the passing rows for one-per-batch emission (their widths may differ).
-func (s *vSeqScan) processIrregular(blk *storage.ColBlock) (*plan.Batch, bool, error) {
-	s.irrRows = s.irrRows[:0]
-	s.irrIdx = 0
+// nextIrregular runs the scalar path over a row-decoded page, emitting the
+// next passing row as a batch of its own (the rows' widths may differ).
+func (s *vSeqScan) nextIrregular() (*plan.Batch, error) {
+	blk := s.blk
 	fid := s.node.Rel.Table.Heap.FileID()
-	for ri, tup := range blk.RowData {
+	for s.pos < len(blk.RowData) {
+		ri := s.pos
+		s.pos++
 		if s.ctx.Vis != nil && !s.ctx.Vis(fid, storage.TID{Page: s.pageNo, Slot: blk.Slots[ri]}) {
 			continue
 		}
 		s.ctx.VM.AccountCPU(OpsPerTuple)
-		row := plan.Row(tup)
+		row := plan.Row(blk.RowData[ri])
 		pass, err := s.rowPred(row)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		if pass {
-			s.irrRows = append(s.irrRows, row)
+			s.irrOut.Reset(len(row))
+			s.irrOut.AppendRow(row)
+			return &s.irrOut, nil
 		}
 	}
-	if len(s.irrRows) == 0 {
-		return nil, false, nil
-	}
-	row := s.irrRows[s.irrIdx]
-	s.irrIdx++
-	s.irrOut.Reset(len(row))
-	s.irrOut.AppendRow(row)
-	return &s.irrOut, true, nil
+	return nil, s.endPage()
 }
 
 func (s *vSeqScan) unpin() {
@@ -542,6 +533,9 @@ func (s *vSeqScan) unpin() {
 }
 
 func (s *vSeqScan) Close() {
+	if s.budgeted && !s.closed {
+		mLimitStops.Inc()
+	}
 	s.unpin()
 	s.closed = true
 }
@@ -562,8 +556,8 @@ func newVSubquery(n *optimizer.SubqueryScan, ctx *Context) (batchIterator, error
 	return &vSubquery{input: input, visible: n.Visible}, nil
 }
 
-func (s *vSubquery) NextBatch() (*plan.Batch, bool, error) {
-	b, ok, err := s.input.NextBatch()
+func (s *vSubquery) NextBatch(budget int) (*plan.Batch, bool, error) {
+	b, ok, err := s.input.NextBatch(budget)
 	if err != nil || !ok {
 		return nil, false, err
 	}
@@ -601,9 +595,9 @@ func newVFilter(n *optimizer.FilterNode, ctx *Context) (batchIterator, error) {
 	return &vFilter{input: input, conj: conj}, nil
 }
 
-func (f *vFilter) NextBatch() (*plan.Batch, bool, error) {
+func (f *vFilter) NextBatch(budget int) (*plan.Batch, bool, error) {
 	for {
-		b, ok, err := f.input.NextBatch()
+		b, ok, err := f.input.NextBatch(budget)
 		if err != nil || !ok {
 			return nil, false, err
 		}
@@ -647,9 +641,9 @@ func newVProject(n *optimizer.Project, ctx *Context) (batchIterator, error) {
 	return &vProject{input: input, evs: evs}, nil
 }
 
-func (p *vProject) NextBatch() (*plan.Batch, bool, error) {
+func (p *vProject) NextBatch(budget int) (*plan.Batch, bool, error) {
 	for {
-		b, ok, err := p.input.NextBatch()
+		b, ok, err := p.input.NextBatch(budget)
 		if err != nil || !ok {
 			return nil, false, err
 		}
@@ -671,6 +665,36 @@ func (p *vProject) NextBatch() (*plan.Batch, bool, error) {
 }
 
 func (p *vProject) Close() { p.input.Close() }
+
+// vLimit truncates the stream. It hands its remaining count down as the
+// row budget, so everything below it stops where the tuple executor's
+// LIMIT stops pulling.
+type vLimit struct {
+	input batchIterator
+	left  int64
+}
+
+func newVLimit(n *optimizer.Limit, ctx *Context) (batchIterator, error) {
+	input, err := vbuild(n.Input, ctx)
+	if err != nil {
+		return nil, err
+	}
+	return &vLimit{input: input, left: n.N}, nil
+}
+
+func (l *vLimit) NextBatch(budget int) (*plan.Batch, bool, error) {
+	if l.left <= 0 {
+		return nil, false, nil
+	}
+	b, ok, err := l.input.NextBatch(int(min(int64(budget), l.left)))
+	if err != nil || !ok {
+		return nil, false, err
+	}
+	l.left -= int64(b.Len())
+	return b, true, nil
+}
+
+func (l *vLimit) Close() { l.input.Close() }
 
 // vDistinct removes duplicate rows over the leading visible columns,
 // narrowing the selection to first occurrences.
@@ -698,9 +722,9 @@ func newVDistinct(n *optimizer.Distinct, ctx *Context) (batchIterator, error) {
 	}, nil
 }
 
-func (d *vDistinct) NextBatch() (*plan.Batch, bool, error) {
+func (d *vDistinct) NextBatch(budget int) (*plan.Batch, bool, error) {
 	for {
-		b, ok, err := d.input.NextBatch()
+		b, ok, err := d.input.NextBatch(budget)
 		if err != nil || !ok {
 			return nil, false, err
 		}

@@ -62,6 +62,53 @@ type colBuilder struct {
 	zone Zone
 }
 
+// widen extends an ordered zone's range to cover the non-null value v, or
+// marks the zone unordered when v does not compare with it.
+func (z *Zone) widen(v types.Value) {
+	// A column is almost always one kind: compare payloads directly, with
+	// types.Compare's outcomes (NaN moves neither bound).
+	if v.Kind == z.Min.Kind && v.Kind == z.Max.Kind {
+		switch v.Kind {
+		case types.KindInt, types.KindDate, types.KindBool:
+			if v.I < z.Min.I {
+				z.Min = v
+			}
+			if v.I > z.Max.I {
+				z.Max = v
+			}
+			return
+		case types.KindFloat:
+			if v.F < z.Min.F {
+				z.Min = v
+			}
+			if v.F > z.Max.F {
+				z.Max = v
+			}
+			return
+		case types.KindString:
+			if v.S < z.Min.S {
+				z.Min = v
+			}
+			if v.S > z.Max.S {
+				z.Max = v
+			}
+			return
+		}
+	}
+	cMin, ok1 := types.Compare(v, z.Min)
+	cMax, ok2 := types.Compare(v, z.Max)
+	if !ok1 || !ok2 {
+		z.Ordered = false
+		return
+	}
+	if cMin < 0 {
+		z.Min = v
+	}
+	if cMax > 0 {
+		z.Max = v
+	}
+}
+
 func (cb *colBuilder) appendVal(v types.Value) {
 	if v.IsNull() {
 		cb.zone.Nulls++
@@ -70,22 +117,7 @@ func (cb *colBuilder) appendVal(v types.Value) {
 		if cb.zone.NonNulls == 1 {
 			cb.zone.Min, cb.zone.Max, cb.zone.Ordered = v, v, true
 		} else if cb.zone.Ordered {
-			if c, ok := types.Compare(v, cb.zone.Min); ok {
-				if c < 0 {
-					cb.zone.Min = v
-				}
-			} else {
-				cb.zone.Ordered = false
-			}
-			if cb.zone.Ordered {
-				if c, ok := types.Compare(v, cb.zone.Max); ok {
-					if c > 0 {
-						cb.zone.Max = v
-					}
-				} else {
-					cb.zone.Ordered = false
-				}
-			}
+			cb.zone.widen(v)
 		}
 	}
 

@@ -60,48 +60,73 @@ func DecodeTuple(buf []byte) (Tuple, error) {
 	if len(buf) < 2 {
 		return nil, fmt.Errorf("storage: tuple too short (%d bytes)", len(buf))
 	}
+	t := make(Tuple, binary.LittleEndian.Uint16(buf))
+	if err := DecodeFields(buf, nil, t); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// DecodeFields decodes the fields of an encoded tuple that need selects
+// (every field when need is nil) into dst, which must have one entry per
+// field. A field that is not needed is stepped over without being
+// materialized — no string is allocated for it — and its dst entry is left
+// as it was.
+func DecodeFields(buf []byte, need []bool, dst []types.Value) error {
+	if len(buf) < 2 {
+		return fmt.Errorf("storage: tuple too short (%d bytes)", len(buf))
+	}
 	n := int(binary.LittleEndian.Uint16(buf))
-	t := make(Tuple, 0, n)
+	if n != len(dst) {
+		return fmt.Errorf("storage: tuple has %d fields, want %d", n, len(dst))
+	}
 	off := 2
 	for i := 0; i < n; i++ {
 		if off >= len(buf) {
-			return nil, fmt.Errorf("storage: truncated tuple at field %d", i)
+			return fmt.Errorf("storage: truncated tuple at field %d", i)
 		}
 		kind := types.Kind(buf[off])
 		off++
-		var v types.Value
+		want := need == nil || need[i]
 		switch kind {
 		case types.KindNull:
-			v = types.Null
+			if want {
+				dst[i] = types.Null
+			}
 		case types.KindInt, types.KindDate, types.KindBool:
 			if off+8 > len(buf) {
-				return nil, fmt.Errorf("storage: truncated tuple at field %d", i)
+				return fmt.Errorf("storage: truncated tuple at field %d", i)
 			}
-			v = types.Value{Kind: kind, I: int64(binary.LittleEndian.Uint64(buf[off:]))}
+			if want {
+				dst[i] = types.Value{Kind: kind, I: int64(binary.LittleEndian.Uint64(buf[off:]))}
+			}
 			off += 8
 		case types.KindFloat:
 			if off+8 > len(buf) {
-				return nil, fmt.Errorf("storage: truncated tuple at field %d", i)
+				return fmt.Errorf("storage: truncated tuple at field %d", i)
 			}
-			v = types.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(buf[off:])))
+			if want {
+				dst[i] = types.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(buf[off:])))
+			}
 			off += 8
 		case types.KindString:
 			if off+2 > len(buf) {
-				return nil, fmt.Errorf("storage: truncated tuple at field %d", i)
+				return fmt.Errorf("storage: truncated tuple at field %d", i)
 			}
 			l := int(binary.LittleEndian.Uint16(buf[off:]))
 			off += 2
 			if off+l > len(buf) {
-				return nil, fmt.Errorf("storage: truncated string at field %d", i)
+				return fmt.Errorf("storage: truncated string at field %d", i)
 			}
-			v = types.NewString(string(buf[off : off+l]))
+			if want {
+				dst[i] = types.NewString(string(buf[off : off+l]))
+			}
 			off += l
 		default:
-			return nil, fmt.Errorf("storage: unknown kind %d at field %d", kind, i)
+			return fmt.Errorf("storage: unknown kind %d at field %d", kind, i)
 		}
-		t = append(t, v)
 	}
-	return t, nil
+	return nil
 }
 
 // Clone returns a deep-enough copy of the tuple (values are immutable, so

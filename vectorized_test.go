@@ -80,6 +80,42 @@ func diffCorpus() []struct{ name, src string } {
 		{"proj_arith", "SELECT o_orderkey + 1, o_totalprice * 2.0 FROM orders WHERE o_orderkey < 50 ORDER BY 1"},
 		{"order_limit", "SELECT o_orderkey FROM orders ORDER BY o_totalprice DESC LIMIT 7"},
 		{"empty_agg", "SELECT sum(o_totalprice), count(*) FROM orders WHERE o_orderkey < 0"},
+		// LIMIT without a Sort below it: the row budget reaches the scans
+		// and joins, which must stop charging exactly where the tuple
+		// executor stops pulling.
+		{"limit_seq_midpage", "SELECT l_orderkey, l_quantity FROM lineitem WHERE l_quantity > 30 LIMIT 10"},
+		{"limit_index_range", "SELECT o_orderkey, o_totalprice FROM orders WHERE o_orderkey >= 100 AND o_orderkey < 130 AND o_totalprice > 100.0 LIMIT 10"},
+		{"limit_index_open", "SELECT o_orderkey, o_totalprice FROM orders WHERE o_orderkey >= 900 LIMIT 10"},
+		{"limit_group", "SELECT o_custkey, count(*) FROM orders GROUP BY o_custkey LIMIT 5"},
+		{"limit_distinct", "SELECT DISTINCT o_orderpriority FROM orders LIMIT 3"},
+		{"limit_hash_join", "SELECT c_name, o_orderkey FROM customer, orders WHERE c_custkey = o_custkey LIMIT 15"},
+		{"limit_hash_join_residual", "SELECT c_name, o_orderkey FROM customer, orders WHERE c_custkey = o_custkey AND c_acctbal < o_totalprice LIMIT 15"},
+		{"limit_build_outer", "SELECT c_custkey, o_orderkey FROM customer LEFT OUTER JOIN orders ON c_custkey = o_custkey LIMIT 20"},
+		{"limit_build_outer_tail", "SELECT c_custkey, o_orderkey FROM customer LEFT OUTER JOIN orders ON c_custkey = o_custkey AND o_orderkey < 50 LIMIT 180"},
+		{"limit_nl_join", "SELECT c_custkey, o_orderkey FROM customer, orders WHERE c_custkey < o_custkey AND o_custkey < 5 LIMIT 7"},
+		{"limit_nl_left", "SELECT a, c_custkey FROM nulls LEFT JOIN customer ON a > c_custkey AND c_custkey < 3 LIMIT 4"},
+		{"limit_derived", "SELECT c_count FROM (SELECT o_custkey, count(*) AS c_count FROM orders GROUP BY o_custkey LIMIT 20) oc WHERE c_count > 1"},
+		{"limit_filter_derived", "SELECT k FROM (SELECT o_orderkey AS k, o_totalprice AS p FROM orders) d WHERE p > 1000.0 LIMIT 9"},
+		{"limit_zero", "SELECT o_orderkey FROM orders LIMIT 0"},
+		{"limit_beyond_rows", "SELECT c_custkey FROM customer LIMIT 100000"},
+	}
+	// The same budget at sizes that end inside a page, inside one probe
+	// row's bucket (self-join buckets hold several orders), between probe
+	// rows, in a LEFT join's null extensions, and past the last row.
+	for _, shape := range []struct{ name, src string }{
+		{"scan", "SELECT l_orderkey FROM lineitem WHERE l_discount > 0.05"},
+		{"index", "SELECT o_orderkey FROM orders WHERE o_orderkey >= 700 AND o_orderkey < 900 AND o_totalprice > 500.0"},
+		{"distinct", "SELECT DISTINCT o_custkey FROM orders"},
+		{"self_join", "SELECT a.o_orderkey, b.o_orderkey FROM orders a, orders b WHERE a.o_custkey = b.o_custkey AND a.o_orderkey < b.o_orderkey"},
+		{"left_probe", "SELECT o_orderkey, c_name FROM orders LEFT JOIN customer ON o_custkey = c_custkey AND c_acctbal > 5000.0"},
+		{"left_build_outer", "SELECT c_custkey, o_orderkey FROM customer LEFT OUTER JOIN orders ON c_custkey = o_custkey AND o_totalprice > 3000.0"},
+		{"nl", "SELECT c_custkey, o_orderkey FROM customer, orders WHERE c_custkey < o_custkey AND o_custkey < 5"},
+		{"nl_left", "SELECT a, c_custkey FROM nulls LEFT JOIN customer ON a > c_custkey AND c_custkey < 6"},
+	} {
+		for _, n := range []int{1, 2, 3, 17, 230, 2500} {
+			corpus = append(corpus, struct{ name, src string }{
+				fmt.Sprintf("limit%d_%s", n, shape.name), fmt.Sprintf("%s LIMIT %d", shape.src, n)})
+		}
 	}
 	var names []string
 	for name := range workload.Queries() {
@@ -126,11 +162,34 @@ func usageString(u vm.Usage) string {
 // key and the VM usage / buffer-pool deltas it caused.
 func runDiffQuery(t *testing.T, s *engine.Session, src string) (string, vm.Usage, buffer.Stats) {
 	t.Helper()
+	return measured(t, s, src, func() ([]plan.Row, error) {
+		rows, _, err := s.QueryRows(src)
+		return rows, err
+	})
+}
+
+// runDiffPlan is runDiffQuery for an already-optimized plan, executed in
+// the session's executor mode under the plan's own work_mem.
+func runDiffPlan(t *testing.T, s *engine.Session, pl *optimizer.Plan) (string, vm.Usage, buffer.Stats) {
+	t.Helper()
+	return measured(t, s, pl.Explain(), func() ([]plan.Row, error) {
+		res, err := executor.Run(pl, &executor.Context{
+			Pool: s.Pool, VM: s.VM, WorkMemBytes: pl.Params.WorkMemBytes, Mode: s.Config.Executor,
+		})
+		if err != nil {
+			return nil, err
+		}
+		return res.Collect()
+	})
+}
+
+func measured(t *testing.T, s *engine.Session, what string, run func() ([]plan.Row, error)) (string, vm.Usage, buffer.Stats) {
+	t.Helper()
 	before := s.VM.Snapshot()
 	poolBefore := s.Pool.Stats()
-	rows, _, err := s.QueryRows(src)
+	rows, err := run()
 	if err != nil {
-		t.Fatalf("query %q: %v", src, err)
+		t.Fatalf("query %q: %v", what, err)
 	}
 	used := s.VM.Since(before)
 	pa := s.Pool.Stats()
@@ -157,6 +216,9 @@ func TestVectorizedDifferential(t *testing.T) {
 		{"default", engine.DefaultConfig()},
 		{"spill", engine.Config{BufferFrac: 0.75, WorkMemFrac: 0.0001}},
 		{"smallpool", engine.Config{BufferFrac: 0.05, WorkMemFrac: 0.15}},
+		// A dozen frames: every table exceeds the pool, so a scan that
+		// read one page past the tuple executor's stop shows in the stats.
+		{"tinypool", engine.Config{BufferFrac: 0.003, WorkMemFrac: 0.15}},
 	}
 	for _, c := range configs {
 		t.Run(c.name, func(t *testing.T) {
@@ -169,21 +231,51 @@ func TestVectorizedDifferential(t *testing.T) {
 			}
 
 			batchRowsBefore := obs.Global.Counter("executor.batch.rows").Value()
-			for _, q := range diffCorpus() {
-				rt, ut, pt := runDiffQuery(t, st, q.src)
-				rb, ub, pb := runDiffQuery(t, sb, q.src)
-				if rt != rb {
-					t.Errorf("%s: rows diverge\ntuple:\n%s\nbatch:\n%s", q.name, rt, rb)
-				}
-				if !usageEqual(ut, ub) {
-					t.Errorf("%s: usage diverges\ntuple %s\nbatch %s", q.name, usageString(ut), usageString(ub))
-				}
-				if pt != pb {
-					t.Errorf("%s: pool stats diverge\ntuple %+v\nbatch %+v", q.name, pt, pb)
+			sweep := func(phase string) {
+				for _, q := range diffCorpus() {
+					rt, ut, pt := runDiffQuery(t, st, q.src)
+					rb, ub, pb := runDiffQuery(t, sb, q.src)
+					if rt != rb {
+						t.Errorf("%s%s: rows diverge\ntuple:\n%s\nbatch:\n%s", phase, q.name, rt, rb)
+					}
+					if !usageEqual(ut, ub) {
+						t.Errorf("%s%s: usage diverges\ntuple %s\nbatch %s", phase, q.name, usageString(ut), usageString(ub))
+					}
+					if pt != pb {
+						t.Errorf("%s%s: pool stats diverge\ntuple %+v\nbatch %+v", phase, q.name, pt, pb)
+					}
 				}
 			}
+			sweep("")
 			if d := obs.Global.Counter("executor.batch.rows").Value() - batchRowsBefore; d == 0 {
 				t.Error("batch executor did not run: executor.batch.rows unchanged")
+			}
+
+			// Again inside an open transaction with pending inserts and
+			// deletes, so every scan (budgeted or not, heap or index) runs
+			// with a non-nil visibility filter and has versions to hide.
+			for _, s := range []*engine.Session{st, sb} {
+				for _, q := range []string{
+					"BEGIN",
+					"DELETE FROM orders WHERE o_orderkey BETWEEN 101 AND 112",
+					"DELETE FROM orders WHERE o_orderkey >= 990",
+					"DELETE FROM lineitem WHERE l_quantity > 45",
+					"DELETE FROM customer WHERE c_custkey IN (3, 5, 40)",
+					"UPDATE orders SET o_totalprice = o_totalprice + 1.0 WHERE o_orderkey BETWEEN 120 AND 125",
+					`INSERT INTO orders VALUES (100000, 7, 'O', 4242.0, date '1995-01-01', '1-URGENT', 'pending insert'),
+						(100001, 9, 'F', 17.5, date '1993-08-01', '5-LOW', 'pending insert')`,
+					"DELETE FROM nulls WHERE a = 4",
+				} {
+					if _, err := s.Exec(q); err != nil {
+						t.Fatalf("txn setup %q: %v", q, err)
+					}
+				}
+			}
+			sweep("in txn: ")
+			for _, s := range []*engine.Session{st, sb} {
+				if _, err := s.Exec("ROLLBACK"); err != nil {
+					t.Fatal(err)
+				}
 			}
 		})
 	}
@@ -201,9 +293,16 @@ func TestExplainAnalyzeRowsExact(t *testing.T) {
 	actualRE := regexp.MustCompile(`rows=(\d+) loops=(\d+)`)
 	totalRE := regexp.MustCompile(`actual: (\d+) rows`)
 
-	queries := []string{"Q1", "Q3", "Q4", "Q6", "Q13", "Q13FULL", "QPOINT"}
-	for _, name := range queries {
-		src := workload.Query(name)
+	queries := map[string]string{
+		// A budgeted index scan: every node stops at the tenth row.
+		"index_limit": "SELECT o_orderkey, o_totalprice FROM orders WHERE o_orderkey >= 900 LIMIT 10",
+		// A Sort under LIMIT reports the rows it handed over, not its input.
+		"sort_limit": "SELECT o_orderkey FROM orders ORDER BY o_totalprice DESC LIMIT 7",
+	}
+	for _, name := range []string{"Q1", "Q3", "Q4", "Q6", "Q13", "Q13FULL", "QPOINT"} {
+		queries[name] = workload.Query(name)
+	}
+	for name, src := range queries {
 		outT, err := st.ExplainAnalyze(src)
 		if err != nil {
 			t.Fatalf("%s tuple: %v", name, err)
@@ -224,7 +323,71 @@ func TestExplainAnalyzeRowsExact(t *testing.T) {
 		if tT, tB := totalRE.FindString(outT), totalRE.FindString(outB); tT != tB {
 			t.Errorf("%s: total rows diverge: tuple %q, batch %q", name, tT, tB)
 		}
+		want := map[string]string{
+			"index_limit": "[rows=10 loops=1 rows=10 loops=1 rows=10 loops=1]",
+			"sort_limit":  "[rows=7 loops=1 rows=7 loops=1 rows=1000 loops=1 rows=1000 loops=1]",
+		}[name]
+		if want != "" && fmt.Sprint(rowsB) != want {
+			t.Errorf("%s: per-node actuals %v, want %s\n%s", name, rowsB, want, outB)
+		}
+
+		// Per-node usage: every node's inclusive VM usage is the same in
+		// both modes, and the root's is the whole statement's.
+		statsT, totalT := runWithStats(t, st, src)
+		statsB, totalB := runWithStats(t, sb, src)
+		if !usageEqual(totalT, totalB) {
+			t.Errorf("%s: statement usage diverges\ntuple %s\nbatch %s", name, usageString(totalT), usageString(totalB))
+		}
+		if len(statsT) != len(statsB) {
+			t.Fatalf("%s: %d nodes ran in tuple mode, %d in batch mode", name, len(statsT), len(statsB))
+		}
+		// A node's usage is a sum of VM-clock deltas, so its seconds carry
+		// rounding; the counters under them are exact.
+		counters := func(u vm.Usage) [4]float64 {
+			return [4]float64{u.CPUOps, float64(u.SeqReads), float64(u.RandReads), float64(u.Writes)}
+		}
+		for i := range statsT {
+			nt, nb := statsT[i], statsB[i]
+			if nt.Rows != nb.Rows || nt.Loops != nb.Loops || counters(nt.Usage) != counters(nb.Usage) {
+				t.Errorf("%s node %d: tuple rows=%d loops=%d %s\nbatch rows=%d loops=%d %s", name, i,
+					nt.Rows, nt.Loops, usageString(nt.Usage), nb.Rows, nb.Loops, usageString(nb.Usage))
+			}
+		}
+		if counters(statsB[0].Usage) != counters(totalB) {
+			t.Errorf("%s: root node usage %s, statement total %s", name, usageString(statsB[0].Usage), usageString(totalB))
+		}
 	}
+}
+
+// runWithStats executes src with per-node statistics and returns them in
+// plan order (root first) with the statement's total VM usage.
+func runWithStats(t *testing.T, s *engine.Session, src string) ([]executor.NodeStats, vm.Usage) {
+	t.Helper()
+	pl, err := s.Plan(src, s.Params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := &executor.Context{
+		Pool: s.Pool, VM: s.VM, WorkMemBytes: s.Params.WorkMemBytes, Mode: s.Config.Executor,
+		Stats: executor.NewStatsCollector(),
+	}
+	before := s.VM.Snapshot()
+	res, err := executor.Run(pl, ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := res.Collect(); err != nil {
+		t.Fatal(err)
+	}
+	total := s.VM.Since(before)
+	var stats []executor.NodeStats
+	pl.ExplainAnnotated(func(n optimizer.Node) string {
+		if st := ctx.Stats.For(n); st != nil {
+			stats = append(stats, *st)
+		}
+		return ""
+	})
+	return stats, total
 }
 
 // zoneSetup creates a clustered table whose pages carry tight zone
@@ -364,20 +527,51 @@ var latticeQueries = []struct{ name, src string }{
 	{"derived", `SELECT c_count, count(*) FROM
 		(SELECT o_custkey, count(*) AS c_count FROM orders GROUP BY o_custkey) oc
 		GROUP BY c_count`},
+	// Two key ranges on indexed join columns: across the lattice the plan
+	// moves between hash, merge (over index scans or sorts) and index
+	// nested-loops joins.
+	{"keyrange_join", `SELECT count(*) FROM orders, lineitem
+		WHERE o_orderkey = l_orderkey AND o_orderkey BETWEEN 100 AND 400 AND l_orderkey BETWEEN 100 AND 400`},
+	{"keyrange_join_limit", `SELECT o_orderkey, l_quantity FROM orders, lineitem
+		WHERE o_orderkey = l_orderkey AND o_orderkey BETWEEN 100 AND 400 AND l_orderkey BETWEEN 100 AND 400
+		LIMIT 25`},
+	{"join_limit", `SELECT o_orderkey, l_quantity FROM orders, lineitem
+		WHERE o_orderkey = l_orderkey AND l_quantity > 10.0 LIMIT 12`},
+	{"index_limit", `SELECT o_orderkey, o_totalprice FROM orders WHERE o_orderkey >= 900 LIMIT 10`},
+	// Index nested loops whose outer side is itself an index scan or an
+	// index nested loop: the probes interleave with the outer's fetches.
+	{"probe_from_index", `SELECT o_orderkey, l_quantity FROM orders, lineitem
+		WHERE o_orderkey = l_orderkey AND o_orderkey BETWEEN 100 AND 400`},
+	{"probe_stacked", `SELECT c_custkey, o_orderkey, l_quantity FROM customer, orders, lineitem
+		WHERE c_custkey = o_custkey AND o_orderkey = l_orderkey AND c_custkey BETWEEN 10 AND 30`},
 }
 
 // TestLatticeCostParity sweeps the full allocation lattice and requires
 // the estimated plan costs — and therefore every cost ranking derived
 // from them — to be bit-identical between the tuple-mode and batch-mode
 // engines, and the chosen plans byte-identical. For a third of the
-// lattice it additionally executes the query under the lattice's
-// work_mem and requires bit-identical actual usage.
+// lattice it additionally executes that lattice point's own plan on both
+// engines and requires identical rows, bit-identical actual usage and
+// equal buffer-pool events — which is where the access paths and join
+// methods the session-default parameters never pick get their parity
+// check, so the test fails unless each of them was executed.
 func TestLatticeCostParity(t *testing.T) {
-	st := modeSession(t, executor.ModeTuple, engine.DefaultConfig())
-	sb := modeSession(t, executor.ModeBatch, engine.DefaultConfig())
+	// A pool of a dozen frames, far below any table here, makes the order
+	// of buffer-pool events matter: an operator that fetched ahead of the
+	// tuple executor would evict different pages and read a different
+	// number back.
+	t.Run("default", func(t *testing.T) { latticeCostParity(t, engine.DefaultConfig()) })
+	t.Run("tinypool", func(t *testing.T) { latticeCostParity(t, engine.Config{BufferFrac: 0.003, WorkMemFrac: 0.15}) })
+}
+
+func latticeCostParity(t *testing.T, cfg engine.Config) {
+	st := modeSession(t, executor.ModeTuple, cfg)
+	sb := modeSession(t, executor.ModeBatch, cfg)
 	diffSetup(t, st)
 	diffSetup(t, sb)
+	t.Logf("buffer pool: %d frames", sb.Pool.NumFrames())
 
+	executed := map[string]int{}
 	lattice := latticeParams()
 	for _, q := range latticeQueries {
 		secs := make([]float64, len(lattice))
@@ -405,20 +599,24 @@ func TestLatticeCostParity(t *testing.T) {
 			secs[i] = pt.EstimatedSeconds()
 
 			if i%3 == 0 {
-				// Execute under this lattice point's work_mem on both engines.
-				saveT, saveB := st.Params, sb.Params
-				st.Params.WorkMemBytes = p.WorkMemBytes
-				sb.Params.WorkMemBytes = p.WorkMemBytes
-				rt, ut, _ := runDiffQuery(t, st, q.src)
-				rb, ub, _ := runDiffQuery(t, sb, q.src)
-				st.Params, sb.Params = saveT, saveB
+				// Execute this lattice point's own plan on both engines.
+				rt, ut, ppt := runDiffPlan(t, st, pt)
+				rb, ub, ppb := runDiffPlan(t, sb, pb)
 				if rt != rb {
-					t.Fatalf("%s lattice[%d]: executed rows diverge", q.name, i)
+					t.Fatalf("%s lattice[%d]: executed rows diverge\n%s", q.name, i, pt.Explain())
 				}
 				if !usageEqual(ut, ub) {
-					t.Fatalf("%s lattice[%d]: executed usage diverges\ntuple %s\nbatch %s",
-						q.name, i, usageString(ut), usageString(ub))
+					t.Fatalf("%s lattice[%d]: executed usage diverges\ntuple %s\nbatch %s\n%s",
+						q.name, i, usageString(ut), usageString(ub), pt.Explain())
 				}
+				if ppt != ppb {
+					t.Fatalf("%s lattice[%d]: pool stats diverge\ntuple %+v\nbatch %+v\n%s",
+						q.name, i, ppt, ppb, pt.Explain())
+				}
+				pt.ExplainAnnotated(func(n optimizer.Node) string {
+					executed[fmt.Sprintf("%T", n)]++
+					return ""
+				})
 			}
 		}
 		// The ranking of allocations by estimated time is the referee the
@@ -429,6 +627,75 @@ func TestLatticeCostParity(t *testing.T) {
 		}
 		sort.SliceStable(rank, func(a, b int) bool { return secs[rank[a]] < secs[rank[b]] })
 		_ = rank // identical by construction given equal seconds; kept for clarity
+	}
+	t.Logf("executed operators: %v", executed)
+	for _, op := range []string{"IndexScan", "IndexNLJoin", "MergeJoin", "Limit", "HashJoin", "Sort"} {
+		if executed["*optimizer."+op] == 0 {
+			t.Errorf("no executed lattice plan contained a %s: it ran under no parity check", op)
+		}
+	}
+}
+
+// TestOpenIndexRangeReachesInt64Ends is the regression test for open-ended
+// index ranges: a missing bound used to be replaced by ±2^62, so keys
+// beyond it were dropped by IndexScan (and by the UPDATE/DELETE victim
+// scans planned through it) while SeqScan returned them.
+func TestOpenIndexRangeReachesInt64Ends(t *testing.T) {
+	for _, mode := range []executor.Mode{executor.ModeTuple, executor.ModeBatch} {
+		s := modeSession(t, mode, engine.DefaultConfig())
+		exec := func(q string) int64 {
+			t.Helper()
+			n, err := s.Exec(q)
+			if err != nil {
+				t.Fatalf("mode %d: %q: %v", mode, q, err)
+			}
+			return n
+		}
+		exec("CREATE TABLE big (k INT, v INT)")
+		var vals []string
+		for i := 0; i < 30000; i++ {
+			vals = append(vals, fmt.Sprintf("(%d, 0)", i))
+		}
+		exec("INSERT INTO big VALUES " + strings.Join(vals, ", "))
+		exec("INSERT INTO big VALUES (5000000000000000000, 0), (-5000000000000000000, 0)")
+		exec("CREATE INDEX big_k ON big (k)")
+		exec("ANALYZE big")
+		s.Params.RandomPageCost = 0.01 // index access wins every range
+
+		for _, q := range []string{
+			"SELECT k FROM big WHERE k >= 29995",
+			"SELECT k FROM big WHERE k <= 3",
+			"UPDATE big SET v = 1 WHERE k >= 29995",
+			"DELETE FROM big WHERE k <= 3",
+		} {
+			expl, err := s.Explain(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(expl, "IndexScan") {
+				t.Fatalf("mode %d: %q is not planned as an IndexScan:\n%s", mode, q, expl)
+			}
+		}
+		count := func(q string) int {
+			t.Helper()
+			rows, _, err := s.QueryRows(q)
+			if err != nil {
+				t.Fatalf("mode %d: %q: %v", mode, q, err)
+			}
+			return len(rows)
+		}
+		if n := count("SELECT k FROM big WHERE k >= 29995"); n != 6 {
+			t.Errorf("mode %d: k >= 29995 returned %d rows, want 6 (5 + the 5e18 outlier)", mode, n)
+		}
+		if n := count("SELECT k FROM big WHERE k <= 3"); n != 5 {
+			t.Errorf("mode %d: k <= 3 returned %d rows, want 5 (4 + the -5e18 outlier)", mode, n)
+		}
+		if n := exec("UPDATE big SET v = 1 WHERE k >= 29995"); n != 6 {
+			t.Errorf("mode %d: UPDATE touched %d rows, want 6", mode, n)
+		}
+		if n := exec("DELETE FROM big WHERE k <= 3"); n != 5 {
+			t.Errorf("mode %d: DELETE removed %d rows, want 5", mode, n)
+		}
 	}
 }
 
@@ -456,5 +723,28 @@ func TestBatchModeIsDefault(t *testing.T) {
 	}
 	if obs.Global.Counter("executor.batch.batches").Value() == batches {
 		t.Error("executor.batch.batches did not advance under the default mode")
+	}
+
+	// Index access and LIMIT run on the batch path too: an index scan
+	// counts the heap tuples it fetches without touching the per-page block
+	// counters, and a LIMIT that is met early counts the scan it stopped.
+	diffSetup(t, s)
+	counter := func(name string) int64 { return obs.Global.Counter("executor.batch." + name).Value() }
+	tuples, hits, decoded := counter("index_tuples"), counter("block_cache_hits"), counter("blocks_decoded")
+	if _, _, err := s.QueryRows(workload.Query("Q6")); err != nil {
+		t.Fatal(err)
+	}
+	if counter("index_tuples") == tuples {
+		t.Error("executor.batch.index_tuples did not advance on Q6's index scan")
+	}
+	if counter("block_cache_hits") != hits || counter("blocks_decoded") != decoded {
+		t.Error("per-tuple index fetches moved the per-page block counters")
+	}
+	stops := counter("limit_stops")
+	if _, _, err := s.QueryRows("SELECT o_orderkey FROM orders WHERE o_orderkey >= 900 LIMIT 10"); err != nil {
+		t.Fatal(err)
+	}
+	if counter("limit_stops") != stops+1 {
+		t.Errorf("executor.batch.limit_stops advanced by %d on a LIMIT met early, want 1", counter("limit_stops")-stops)
 	}
 }
