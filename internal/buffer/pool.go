@@ -35,10 +35,17 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-type frame struct {
-	id       storage.PageID
-	data     storage.PageData
-	pins     int
+// Frame is one page slot of a pool and, to the caller of Pin, the handle on
+// the pin it took.
+type Frame struct {
+	id   storage.PageID
+	data storage.PageData
+	pins int
+	// loaded is false while data still holds the bytes of the frame's
+	// previous page: Pin takes the frame without reading the disk, and
+	// whoever first needs the bytes (Data, and through it Fetch) reads
+	// them. Only a loaded frame can be dirty.
+	loaded   bool
 	dirty    bool
 	refBit   bool
 	occupied bool
@@ -49,7 +56,7 @@ type frame struct {
 type Pool struct {
 	disk   *storage.DiskManager
 	vm     *vm.VM
-	frames []frame
+	frames []Frame
 	table  map[storage.PageID]int
 	hand   int
 	stats  Stats
@@ -63,7 +70,7 @@ func NewPool(disk *storage.DiskManager, v *vm.VM, numFrames int) (*Pool, error) 
 	return &Pool{
 		disk:   disk,
 		vm:     v,
-		frames: make([]frame, numFrames),
+		frames: make([]Frame, numFrames),
 		table:  make(map[storage.PageID]int, numFrames),
 	}, nil
 }
@@ -90,21 +97,37 @@ func (p *Pool) VM() *vm.VM { return p.vm }
 
 // Fetch pins the page and returns its data, reading it from disk on a miss.
 func (p *Pool) Fetch(id storage.PageID, hint storage.AccessHint) (*storage.PageData, error) {
+	f, err := p.Pin(id, hint)
+	if err != nil {
+		return nil, err
+	}
+	data, err := p.Data(f)
+	if err != nil {
+		p.Release(f)
+	}
+	return data, err
+}
+
+// Pin pins the page like Fetch — the same hit or miss, the same eviction
+// and write-back, the same charges to the VM, in the same order — but
+// leaves the page's bytes on disk until Data asks for them. A reader that
+// holds the page's decoded form already (a cached column block) never
+// does, and so never pays for the copy. A page that does not exist is an
+// error and takes no frame.
+func (p *Pool) Pin(id storage.PageID, hint storage.AccessHint) (*Frame, error) {
 	if idx, ok := p.table[id]; ok {
 		f := &p.frames[idx]
 		f.pins++
 		f.refBit = true
 		p.stats.Hits++
 		p.vm.AccountCPU(HitCPUOps)
-		return &f.data, nil
+		return f, nil
+	}
+	if err := p.disk.Probe(id); err != nil {
+		return nil, err
 	}
 	idx, err := p.victim()
 	if err != nil {
-		return nil, err
-	}
-	f := &p.frames[idx]
-	if err := p.disk.ReadPage(id, &f.data); err != nil {
-		f.occupied = false
 		return nil, err
 	}
 	p.stats.Misses++
@@ -114,13 +137,35 @@ func (p *Pool) Fetch(id storage.PageID, hint storage.AccessHint) (*storage.PageD
 	default:
 		p.vm.AccountSeqRead(1)
 	}
+	f := &p.frames[idx]
 	f.id = id
 	f.pins = 1
+	f.loaded = false
 	f.dirty = false
 	f.refBit = true
 	f.occupied = true
 	p.table[id] = idx
+	return f, nil
+}
+
+// Data returns the bytes of a pinned page, reading them from disk if no one
+// has needed them since the page entered the pool.
+func (p *Pool) Data(f *Frame) (*storage.PageData, error) {
+	if !f.loaded {
+		if err := p.disk.ReadPage(f.id, &f.data); err != nil {
+			return nil, err
+		}
+		f.loaded = true
+	}
 	return &f.data, nil
+}
+
+// Release drops a pin taken by Pin; the page was not modified.
+func (p *Pool) Release(f *Frame) {
+	if f.pins <= 0 {
+		panic(fmt.Sprintf("buffer: Release of unpinned page %s", f.id))
+	}
+	f.pins--
 }
 
 // Unpin releases one pin on the page, marking the frame dirty if the
@@ -134,6 +179,9 @@ func (p *Pool) Unpin(id storage.PageID, dirty bool) {
 	f := &p.frames[idx]
 	if f.pins <= 0 {
 		panic(fmt.Sprintf("buffer: Unpin of unpinned page %s", id))
+	}
+	if dirty && !f.loaded {
+		panic(fmt.Sprintf("buffer: dirty Unpin of page %s, whose bytes were never read", id))
 	}
 	f.pins--
 	if dirty {
@@ -158,6 +206,7 @@ func (p *Pool) Allocate(fid storage.FileID) (storage.PageID, *storage.PageData, 
 	f.data = storage.PageData{}
 	f.id = id
 	f.pins = 1
+	f.loaded = true
 	f.dirty = true // a new page must reach disk even if never re-dirtied
 	f.refBit = true
 	f.occupied = true

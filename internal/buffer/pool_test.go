@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"math/rand"
 	"testing"
 
 	"dbvirt/internal/storage"
@@ -324,4 +325,188 @@ func mustPanic(t *testing.T, fn func()) {
 		}
 	}()
 	fn()
+}
+
+// TestPinIsFetchWithoutTheBytes drives two pools over identical disks with
+// one random sequence of reads, writes, allocations and flushes; the first
+// reads through Fetch, the twin through Pin — asking for the bytes with
+// Data only some of the time, and always before writing. After every step
+// the two must agree on everything but the bytes nobody asked for: event
+// counters, the VM's usage, which pages are resident and pinned, and the
+// clock hand. At the end the disks must hold the same bytes: a frame whose
+// bytes were never read is never dirty, so it is never written back.
+func TestPinIsFetchWithoutTheBytes(t *testing.T) {
+	const frames, pages = 5, 12
+	fetchPool, f := setup(t, frames, pages)
+	pinPool, f2 := setup(t, frames, pages)
+	if f != f2 {
+		t.Fatalf("file ids differ: %d, %d", f, f2)
+	}
+	rng := rand.New(rand.NewSource(11))
+	type pin struct {
+		id    storage.PageID
+		frame *Frame // the twin's handle; nil when it pinned by Fetch or Allocate
+	}
+	var pins []pin
+	numPages := uint32(pages)
+	for step := 0; step < 5000; step++ {
+		switch op := rng.Intn(10); {
+		case op < 5: // read a page, sometimes one that does not exist
+			id := storage.PageID{File: f, Page: uint32(rng.Intn(int(numPages) + 1))}
+			hint := storage.AccessHint(rng.Intn(2))
+			_, err := fetchPool.Fetch(id, hint)
+			fr, err2 := pinPool.Pin(id, hint)
+			if (err == nil) != (err2 == nil) {
+				t.Fatalf("step %d: Fetch(%s) = %v, Pin = %v", step, id, err, err2)
+			}
+			if err != nil {
+				continue
+			}
+			if rng.Intn(3) == 0 {
+				if _, err := pinPool.Data(fr); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pins = append(pins, pin{id, fr})
+		case op < 8 && len(pins) > 0: // drop a pin, sometimes after writing
+			k := rng.Intn(len(pins))
+			p := pins[k]
+			pins = append(pins[:k], pins[k+1:]...)
+			dirty := rng.Intn(3) == 0
+			if dirty {
+				// Both write the same byte through the pin they hold.
+				b := byte(rng.Intn(256))
+				data, err := fetchPool.Fetch(p.id, storage.SeqHint)
+				if err != nil {
+					t.Fatal(err)
+				}
+				data[1] = b
+				fetchPool.Unpin(p.id, false)
+				if data, err = pinPool.Fetch(p.id, storage.SeqHint); err != nil {
+					t.Fatal(err)
+				}
+				data[1] = b
+				pinPool.Unpin(p.id, false)
+			}
+			fetchPool.Unpin(p.id, dirty)
+			if p.frame != nil && !dirty {
+				pinPool.Release(p.frame)
+			} else {
+				pinPool.Unpin(p.id, dirty)
+			}
+		case op == 8:
+			id, _, err := fetchPool.Allocate(f)
+			id2, _, err2 := pinPool.Allocate(f)
+			if (err == nil) != (err2 == nil) || id != id2 {
+				t.Fatalf("step %d: Allocate = %s, %v; twin %s, %v", step, id, err, id2, err2)
+			}
+			// A failed Allocate has grown the file all the same.
+			numPages = fetchPool.NumPages(f)
+			if err == nil {
+				pins = append(pins, pin{id: id})
+			}
+		default:
+			if err := fetchPool.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+			if err := pinPool.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if a, b := fetchPool.Stats(), pinPool.Stats(); a != b {
+			t.Fatalf("step %d: stats %+v, twin %+v", step, a, b)
+		}
+		if a, b := fetchPool.VM().Snapshot(), pinPool.VM().Snapshot(); a != b {
+			t.Fatalf("step %d: VM usage %+v, twin %+v", step, a, b)
+		}
+		if fetchPool.hand != pinPool.hand || fetchPool.PinnedCount() != pinPool.PinnedCount() {
+			t.Fatalf("step %d: hand %d pinned %d, twin hand %d pinned %d", step,
+				fetchPool.hand, fetchPool.PinnedCount(), pinPool.hand, pinPool.PinnedCount())
+		}
+		for pg := uint32(0); pg < numPages; pg++ {
+			id := storage.PageID{File: f, Page: pg}
+			if fetchPool.Resident(id) != pinPool.Resident(id) {
+				t.Fatalf("step %d: page %s resident %v, twin %v", step, id, fetchPool.Resident(id), pinPool.Resident(id))
+			}
+		}
+		for i := range pinPool.frames {
+			if fr := &pinPool.frames[i]; fr.dirty && !fr.loaded {
+				t.Fatalf("step %d: frame %d is dirty but its bytes were never read", step, i)
+			}
+		}
+	}
+	for _, pool := range []*Pool{fetchPool, pinPool} {
+		if err := pool.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for pg := uint32(0); pg < numPages; pg++ {
+		id := storage.PageID{File: f, Page: pg}
+		var a, b storage.PageData
+		if err := fetchPool.disk.ReadPage(id, &a); err != nil {
+			t.Fatal(err)
+		}
+		if err := pinPool.disk.ReadPage(id, &b); err != nil {
+			t.Fatal(err)
+		}
+		if a != b {
+			t.Fatalf("page %s differs between the two disks", id)
+		}
+	}
+}
+
+func TestPinDefersTheRead(t *testing.T) {
+	p, f := setup(t, 1, 3)
+	page := func(n uint32) storage.PageID { return storage.PageID{File: f, Page: n} }
+
+	// A page that does not exist: an error, no frame taken, no pin left.
+	if _, err := p.Fetch(page(0), storage.SeqHint); err != nil {
+		t.Fatal(err)
+	}
+	p.Unpin(page(0), false)
+	before := p.Stats()
+	if _, err := p.Pin(page(3), storage.SeqHint); err == nil {
+		t.Fatal("Pin of a nonexistent page succeeded")
+	}
+	if p.Stats() != before || p.PinnedCount() != 0 || !p.Resident(page(0)) || p.Resident(page(3)) {
+		t.Fatalf("failed Pin left a trace: stats %+v (before %+v), %d pinned", p.Stats(), before, p.PinnedCount())
+	}
+
+	// Pin evicts page 0 but leaves its bytes in the frame; Fetch of the
+	// pinned page must still return the disk's.
+	fr, err := p.Pin(page(1), storage.SeqHint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fr.loaded {
+		t.Fatal("Pin read the page")
+	}
+	p.Release(fr)
+	data, err := p.Fetch(page(1), storage.SeqHint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data[0] != 1 {
+		t.Fatalf("Fetch after Pin returned byte %d, want page 1's", data[0])
+	}
+	p.Unpin(page(1), false)
+
+	// A frame whose bytes were never read cannot be marked dirty, and its
+	// eviction writes nothing back.
+	if _, err = p.Pin(page(2), storage.SeqHint); err != nil {
+		t.Fatal(err)
+	}
+	mustPanic(t, func() { p.Unpin(page(2), true) })
+	p.Unpin(page(2), false)
+	if _, err := p.Fetch(page(0), storage.SeqHint); err != nil {
+		t.Fatal(err)
+	}
+	p.Unpin(page(0), false)
+	if wb := p.Stats().WriteBacks; wb != 0 {
+		t.Fatalf("%d write-backs, want 0", wb)
+	}
+	var onDisk storage.PageData
+	if err := p.disk.ReadPage(page(2), &onDisk); err != nil || onDisk[0] != 2 {
+		t.Fatalf("page 2 on disk: byte %d, err %v", onDisk[0], err)
+	}
 }

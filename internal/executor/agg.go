@@ -17,8 +17,7 @@ type aggState struct {
 	sumI   int64
 	sumF   float64
 	anyF   bool
-	minMax types.Value
-	hasVal bool
+	minMax *types.Value // MIN/MAX: the extreme so far, nil before the first value
 }
 
 func (a *aggState) add(spec *plan.AggSpec, v types.Value) {
@@ -35,19 +34,13 @@ func (a *aggState) add(spec *plan.AggSpec, v types.Value) {
 		} else {
 			a.sumI += v.I
 		}
-	case sql.AggMin:
-		if !a.hasVal {
-			a.minMax = v
-			a.hasVal = true
-		} else if c, ok := types.Compare(v, a.minMax); ok && c < 0 {
-			a.minMax = v
-		}
-	case sql.AggMax:
-		if !a.hasVal {
-			a.minMax = v
-			a.hasVal = true
-		} else if c, ok := types.Compare(v, a.minMax); ok && c > 0 {
-			a.minMax = v
+	case sql.AggMin, sql.AggMax:
+		if a.minMax == nil {
+			a.minMax = new(types.Value)
+			*a.minMax = v
+		} else if c, ok := types.Compare(v, *a.minMax); ok &&
+			((spec.Func == sql.AggMin && c < 0) || (spec.Func == sql.AggMax && c > 0)) {
+			*a.minMax = v
 		}
 	}
 }
@@ -70,10 +63,10 @@ func (a *aggState) result(spec *plan.AggSpec) types.Value {
 		}
 		return types.NewFloat((a.sumF + float64(a.sumI)) / float64(a.count))
 	case sql.AggMin, sql.AggMax:
-		if !a.hasVal {
+		if a.minMax == nil {
 			return types.Null
 		}
-		return a.minMax
+		return *a.minMax
 	default:
 		return types.Null
 	}

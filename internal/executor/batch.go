@@ -7,7 +7,6 @@ import (
 	"dbvirt/internal/obs"
 	"dbvirt/internal/optimizer"
 	"dbvirt/internal/plan"
-	"dbvirt/internal/types"
 	"dbvirt/internal/vm"
 )
 
@@ -189,38 +188,42 @@ func (r *batchRowIter) Next() (plan.Row, bool, error) {
 
 func (r *batchRowIter) Close() { r.in.Close() }
 
-// growVals returns a value slice of length n, reusing capacity.
-func growVals(s []types.Value, n int) []types.Value {
+// growSlice returns a slice of length n, reusing s's capacity.
+func growSlice[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]types.Value, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
 
-// growSel returns an int slice of length n, reusing capacity.
-func growSel(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
+// extend appends n zero elements to s, at least doubling the capacity when
+// it runs out: slabs that grow to thousands of entries would otherwise be
+// reallocated (and copied) dozens of times by append's 1.25x steps.
+func extend[T any](s []T, n int) []T {
+	if len(s)+n > cap(s) {
+		grown := make([]T, len(s), max(2*cap(s), len(s)+n, 16))
+		copy(grown, s)
+		s = grown
 	}
-	return s[:n]
+	return s[:len(s)+n]
 }
 
-// vecConjuncts is a compiled conjunct cascade over batches. Each conjunct
-// is evaluated only on the rows that survived the previous ones, so the
-// per-conjunct charges match the scalar evaluator's early exit exactly.
+// vecConjuncts is a compiled conjunct cascade over batches: each conjunct
+// is a selection-vector predicate that narrows the rows the previous ones
+// left, so the per-conjunct charges match the scalar evaluator's early exit
+// exactly.
 type vecConjuncts struct {
-	evs  []plan.VecEval
-	vals []types.Value
+	preds []plan.VecPred
 }
 
 func compileVecConjuncts(conjs []plan.Conjunct, lay plan.Layout, sink plan.CPUSink) (*vecConjuncts, error) {
-	vc := &vecConjuncts{evs: make([]plan.VecEval, len(conjs))}
+	vc := &vecConjuncts{preds: make([]plan.VecPred, len(conjs))}
 	for i, c := range conjs {
-		ev, err := plan.CompileVec(c.E, lay, sink)
+		p, err := plan.CompilePred(c.E, lay, sink)
 		if err != nil {
 			return nil, err
 		}
-		vc.evs[i] = ev
+		vc.preds[i] = p
 	}
 	return vc, nil
 }
@@ -228,25 +231,16 @@ func compileVecConjuncts(conjs []plan.Conjunct, lay plan.Layout, sink plan.CPUSi
 // apply narrows sel (in place) to the rows passing every conjunct and
 // returns the surviving prefix of sel.
 func (vc *vecConjuncts) apply(b *plan.Batch, sel []int) ([]int, error) {
-	cur := sel
-	for _, ev := range vc.evs {
-		if len(cur) == 0 {
-			return cur, nil
+	for _, p := range vc.preds {
+		if len(sel) == 0 {
+			break
 		}
-		vc.vals = growVals(vc.vals, len(cur))
-		if err := ev(b, cur, vc.vals); err != nil {
+		var err error
+		if sel, err = p(b, sel); err != nil {
 			return nil, err
 		}
-		kept := 0
-		for k := range cur {
-			if plan.Truthy(vc.vals[k]) {
-				cur[kept] = cur[k]
-				kept++
-			}
-		}
-		cur = cur[:kept]
 	}
-	return cur, nil
+	return sel, nil
 }
 
 // liveSel returns the batch's live physical row indexes as a writable
@@ -255,7 +249,7 @@ func liveSel(b *plan.Batch, scratch *[]int) []int {
 	if b.Sel != nil {
 		return b.Sel
 	}
-	s := growSel(*scratch, b.N)
+	s := growSlice(*scratch, b.N)
 	for i := range s {
 		s[i] = i
 	}

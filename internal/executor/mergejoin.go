@@ -116,7 +116,7 @@ func (p *rowPuller) Next() (plan.Row, bool, error) {
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	p.row = growVals(p.row, len(b.Cols))
+	p.row = growSlice(p.row, len(b.Cols))
 	b.ReadRow(b.RowIdx(0), p.row)
 	return p.row, true, nil
 }

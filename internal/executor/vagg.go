@@ -135,112 +135,204 @@ func (s *vSort) Close() {}
 // aggregate states exactly as the tuple executor does (hash and operator
 // charges issued in bulk per batch), then emits one row per group in
 // first-seen order.
+//
+// Groups are numbered in first-seen order and allocate nothing of their
+// own: group g's key values are row g of the key columns, and its aggregate
+// states are the slab entries states[g*na:(g+1)*na].
 type vHashAgg struct {
 	ctx    *Context
 	node   *optimizer.HashAgg
-	groups map[string]*groupEntry
+	nk, na int
+	keys   []types.Vec
+	states []aggState
+	ngroup int
 	// intGroups/strGroups/pairGroups are kind-exact fast paths for common
 	// key shapes (one KindInt key, one KindString key, two KindString
 	// keys); every other shape (including NULLs and mixed kinds) uses the
-	// byte-encoded map. Each row's key kinds pick the same map
+	// byte-encoded map. Each row's key kinds pick the same table
 	// deterministically, so the partitions can never alias one group.
-	intGroups  map[int64]*groupEntry
-	strGroups  map[string]*groupEntry
-	pairGroups map[[2]string]*groupEntry
-	// pairList mirrors pairGroups; while the group count stays small a
-	// linear scan over one-or-few-character keys beats hashing the pair.
-	pairList []*groupEntry
-	order    []*groupEntry
+	intGroups  intTable
+	strGroups  map[string]int32
+	pairGroups map[[2]string]int32
+	groups     map[string]int32
+	// pairList mirrors pairGroups while there are few of them: a linear
+	// scan over one-or-few-character keys beats hashing the pair.
+	pairList []pairGroup
 	pos      int
 	built    bool
 
 	selBuf     []int
+	keyVals    []types.Value
 	keyScratch []byte
-	rowBuf     plan.Row
 	out        plan.Batch
+}
+
+type pairGroup struct {
+	s0, s1 string
+	g      int32
 }
 
 func newVHashAgg(n *optimizer.HashAgg, ctx *Context) (batchIterator, error) {
 	return &vHashAgg{
-		ctx: ctx, node: n,
-		groups:     make(map[string]*groupEntry),
-		intGroups:  make(map[int64]*groupEntry),
-		strGroups:  make(map[string]*groupEntry),
-		pairGroups: make(map[[2]string]*groupEntry),
+		ctx: ctx, node: n, nk: len(n.GroupBy), na: len(n.Aggs),
+		strGroups:  make(map[string]int32),
+		pairGroups: make(map[[2]string]int32),
+		groups:     make(map[string]int32),
+		keys:       make([]types.Vec, len(n.GroupBy)),
+		keyVals:    make([]types.Value, len(n.GroupBy)),
 	}, nil
 }
 
-func (a *vHashAgg) newGroup(keys []types.Value) *groupEntry {
-	g := &groupEntry{
-		keys:   append([]types.Value(nil), keys...),
-		states: make([]aggState, len(a.node.Aggs)),
+// newGroup appends a group with the given keys and zero states.
+func (a *vHashAgg) newGroup(keys ...types.Value) int32 {
+	for c, v := range keys {
+		a.keys[c].Append(v)
 	}
-	a.order = append(a.order, g)
+	a.states = extend(a.states, a.na)
+	a.ngroup++
+	return int32(a.ngroup - 1)
+}
+
+func (a *vHashAgg) intGroup(k int64) int32 {
+	g := a.intGroups.entry(k, int32(a.ngroup))
+	if int(g) == a.ngroup {
+		a.newGroup(types.NewInt(k))
+	}
 	return g
 }
 
-// accumVec folds column i of the input batch (a bare-ColRef aggregate
-// argument) into the resolved group states, replicating aggState.add
-// exactly. Typed null-free vectors get dedicated loops; everything else
-// goes through Vec.Get.
-func (a *vHashAgg) accumVec(spec *plan.AggSpec, i int, vec *types.Vec, sel []int, ptrs []*groupEntry) {
-	n := len(ptrs)
-	if vec.Any == nil && vec.Null == nil && vec.Kind != types.KindNull {
-		if spec.Func == sql.AggCount {
-			for k := 0; k < n; k++ {
-				ptrs[k].states[i].count++
-			}
-			return
-		}
-		if spec.Func == sql.AggSum || spec.Func == sql.AggAvg {
-			switch vec.Kind {
-			case types.KindFloat:
-				f := vec.F
-				for k := 0; k < n; k++ {
-					st := &ptrs[k].states[i]
-					st.count++
-					st.anyF = true
-					st.sumF += f[sel[k]]
-				}
-				return
-			case types.KindInt, types.KindDate, types.KindBool:
-				iv := vec.I
-				for k := 0; k < n; k++ {
-					st := &ptrs[k].states[i]
-					st.count++
-					st.sumI += iv[sel[k]]
-				}
-				return
-			}
-		}
+func (a *vHashAgg) strGroup(s string) int32 {
+	g, ok := a.strGroups[s]
+	if !ok {
+		g = a.newGroup(types.NewString(s))
+		a.strGroups[s] = g
 	}
-	switch spec.Func {
-	case sql.AggCount:
-		for k := 0; k < n; k++ {
-			if vec.Get(sel[k]).IsNull() {
-				continue
+	return g
+}
+
+// sameString is a == b with the one-byte case — flags and status codes, the
+// usual string group keys — compared inline instead of through memequal.
+func sameString(a, b string) bool {
+	if len(a) == 1 && len(b) == 1 {
+		return a[0] == b[0]
+	}
+	return a == b
+}
+
+func (a *vHashAgg) pairGroup(s0, s1 string) int32 {
+	if len(a.pairList) <= 16 {
+		for i := range a.pairList {
+			if p := &a.pairList[i]; sameString(p.s0, s0) && sameString(p.s1, s1) {
+				return p.g
 			}
-			ptrs[k].states[i].count++
 		}
-	case sql.AggSum, sql.AggAvg:
-		for k := 0; k < n; k++ {
-			v := vec.Get(sel[k])
-			if v.IsNull() {
-				continue
-			}
-			st := &ptrs[k].states[i]
-			st.count++
-			if v.Kind == types.KindFloat {
-				st.anyF = true
-				st.sumF += v.F
-			} else {
-				st.sumI += v.I
-			}
+	} else if g, ok := a.pairGroups[[2]string{s0, s1}]; ok {
+		return g
+	}
+	g := a.newGroup(types.NewString(s0), types.NewString(s1))
+	a.pairGroups[[2]string{s0, s1}] = g
+	if len(a.pairList) <= 16 {
+		a.pairList = append(a.pairList, pairGroup{s0, s1, g})
+	}
+	return g
+}
+
+// group resolves one row's key values, of any kinds, to its group.
+func (a *vHashAgg) group(kv []types.Value) int32 {
+	switch {
+	case a.nk == 1 && kv[0].Kind == types.KindInt:
+		return a.intGroup(kv[0].I)
+	case a.nk == 1 && kv[0].Kind == types.KindString:
+		return a.strGroup(kv[0].S)
+	case a.nk == 2 && kv[0].Kind == types.KindString && kv[1].Kind == types.KindString:
+		return a.pairGroup(kv[0].S, kv[1].S)
+	}
+	// Allocation-free lookup; the string key materializes only when a new
+	// group is inserted.
+	a.keyScratch = encodeKeyAppend(a.keyScratch[:0], kv)
+	g, ok := a.groups[string(a.keyScratch)]
+	if !ok {
+		g = a.newGroup(kv...)
+		a.groups[string(a.keyScratch)] = g
+	}
+	return g
+}
+
+// resolve finds (or creates) the group of each of the n rows whose key
+// values are held, one vector per key, in keys. Key lanes of the fast-path
+// shapes are read directly; any other shape goes through group row by row,
+// which picks the same table for the same kinds.
+func (a *vHashAgg) resolve(keys []types.Vec, n int, gids []int32) {
+	switch {
+	case a.nk == 0:
+		if a.ngroup == 0 {
+			a.newGroup()
+		}
+		clear(gids)
+	case a.nk == 1 && keys[0].Dense() && keys[0].Kind == types.KindInt:
+		for k, ik := range keys[0].I[:n] {
+			gids[k] = a.intGroup(ik)
+		}
+	case a.nk == 1 && keys[0].Dense() && keys[0].Kind == types.KindString:
+		for k, s := range keys[0].S[:n] {
+			gids[k] = a.strGroup(s)
+		}
+	case a.nk == 2 && keys[0].Dense() && keys[0].Kind == types.KindString &&
+		keys[1].Dense() && keys[1].Kind == types.KindString:
+		s1 := keys[1].S
+		for k, s0 := range keys[0].S[:n] {
+			gids[k] = a.pairGroup(s0, s1[k])
 		}
 	default:
 		for k := 0; k < n; k++ {
-			ptrs[k].states[i].add(spec, vec.Get(sel[k]))
+			for c := range keys {
+				a.keyVals[c] = keys[c].Get(k)
+			}
+			gids[k] = a.group(a.keyVals)
 		}
+	}
+}
+
+// accum folds vec, the values of aggregate i's argument on the rows that
+// resolved to gids, into the groups' states, replicating aggState.add
+// exactly. COUNT, SUM and AVG read a typed vector's lane and NULL mask
+// directly; everything else goes through Vec.Get.
+func (a *vHashAgg) accum(spec *plan.AggSpec, i int, vec *types.Vec, gids []int32) {
+	st, na, nul := a.states, a.na, vec.Null
+	sums := spec.Func == sql.AggSum || spec.Func == sql.AggAvg
+	switch {
+	case vec.Any != nil || vec.Kind == types.KindNull:
+	case spec.Func == sql.AggCount:
+		for k, g := range gids {
+			if nul == nil || !nul[k] {
+				st[int(g)*na+i].count++
+			}
+		}
+		return
+	case sums && vec.Kind == types.KindFloat:
+		f := vec.F
+		for k, g := range gids {
+			if nul == nil || !nul[k] {
+				s := &st[int(g)*na+i]
+				s.count++
+				s.anyF = true
+				s.sumF += f[k]
+			}
+		}
+		return
+	case sums && vec.Kind != types.KindString:
+		iv := vec.I
+		for k, g := range gids {
+			if nul == nil || !nul[k] {
+				s := &st[int(g)*na+i]
+				s.count++
+				s.sumI += iv[k]
+			}
+		}
+		return
+	}
+	for k, g := range gids {
+		st[int(g)*na+i].add(spec, vec.Get(k))
 	}
 }
 
@@ -252,32 +344,16 @@ func (a *vHashAgg) buildGroups() error {
 	defer input.Close()
 
 	lay := a.node.Input.Layout()
-	keyEvs := make([]plan.VecEval, len(a.node.GroupBy))
-	for i, g := range a.node.GroupBy {
-		keyEvs[i], err = plan.CompileVec(g, lay, a.ctx.VM)
-		if err != nil {
-			return err
-		}
+	keyEvs, err := compileVecs(a.node.GroupBy, lay, a.ctx.VM)
+	if err != nil {
+		return err
 	}
-	argEvs := make([]plan.VecEval, len(a.node.Aggs))
-	// argOffs[i] >= 0 marks an aggregate whose argument is a bare column
-	// reference: its values are read straight from the input batch instead
-	// of being gathered (a ColRef evaluation charges no CPU ops, so the
-	// skip is charge-neutral).
-	argOffs := make([]int, len(a.node.Aggs))
+	argEvs := make([]plan.VecEval, a.na)
 	for i, spec := range a.node.Aggs {
-		argOffs[i] = -1
 		if spec.Star {
 			continue
 		}
-		if cr, ok := spec.Arg.(*plan.ColRef); ok {
-			if off, err := lay.Offset(cr); err == nil {
-				argOffs[i] = off
-				continue
-			}
-		}
-		argEvs[i], err = plan.CompileVec(spec.Arg, lay, a.ctx.VM)
-		if err != nil {
+		if argEvs[i], err = plan.CompileVec(spec.Arg, lay, a.ctx.VM); err != nil {
 			return err
 		}
 	}
@@ -289,20 +365,11 @@ func (a *vHashAgg) buildGroups() error {
 		set := make(map[int]struct{})
 		prunable := true
 		for _, g := range a.node.GroupBy {
-			if !exprCols(g, lay, set) {
-				prunable = false
-				break
-			}
+			prunable = prunable && exprCols(g, lay, set)
 		}
 		for i := range a.node.Aggs {
-			if !prunable {
-				break
-			}
-			if a.node.Aggs[i].Star {
-				continue
-			}
-			if !exprCols(a.node.Aggs[i].Arg, lay, set) {
-				prunable = false
+			if !a.node.Aggs[i].Star {
+				prunable = prunable && exprCols(a.node.Aggs[i].Arg, lay, set)
 			}
 		}
 		if prunable {
@@ -316,11 +383,10 @@ func (a *vHashAgg) buildGroups() error {
 		}
 	}
 
-	keyCols := make([][]types.Value, len(keyEvs))
-	argCols := make([][]types.Value, len(argEvs))
-	keyVals := make([]types.Value, len(keyEvs))
-	var ptrs []*groupEntry
-	perRow := float64(len(keyEvs))*OpsPerHash + float64(len(a.node.Aggs))*plan.OpsPerOperator
+	keyVecs := make([]types.Vec, a.nk)
+	var argVec types.Vec
+	var gids []int32
+	perRow := float64(a.nk)*OpsPerHash + float64(a.na)*plan.OpsPerOperator
 	for {
 		b, ok, err := input.NextBatch(noBudget)
 		if err != nil {
@@ -332,132 +398,31 @@ func (a *vHashAgg) buildGroups() error {
 		sel := liveSel(b, &a.selBuf)
 		n := len(sel)
 		for i, ev := range keyEvs {
-			keyCols[i] = growVals(keyCols[i], n)
-			if err := ev(b, sel, keyCols[i]); err != nil {
+			if err := ev(b, sel, &keyVecs[i]); err != nil {
 				return err
 			}
 		}
 		a.ctx.VM.AccountCPU(perRow * float64(n))
-		for i, ev := range argEvs {
-			if ev == nil {
-				continue
-			}
-			argCols[i] = growVals(argCols[i], n)
-			if err := ev(b, sel, argCols[i]); err != nil {
-				return err
-			}
-		}
 		// Resolve each row's group first, then accumulate column-at-a-time:
 		// one pass per aggregate keeps the spec dispatch out of the row loop.
-		if cap(ptrs) < n {
-			ptrs = make([]*groupEntry, n)
-		}
-		ptrs = ptrs[:n]
-		nk := len(keyEvs)
-		for k := 0; k < n; k++ {
-			var g *groupEntry
-			if nk == 1 {
-				switch kv := keyCols[0][k]; kv.Kind {
-				case types.KindInt:
-					g = a.intGroups[kv.I]
-					if g == nil {
-						g = a.newGroup(keyCols[0][k : k+1])
-						a.intGroups[kv.I] = g
-					}
-				case types.KindString:
-					g = a.strGroups[kv.S]
-					if g == nil {
-						g = a.newGroup(keyCols[0][k : k+1])
-						a.strGroups[kv.S] = g
-					}
-				}
-			} else if nk == 2 {
-				ka, kb := keyCols[0][k], keyCols[1][k]
-				if ka.Kind == types.KindString && kb.Kind == types.KindString {
-					if len(a.pairList) <= 16 {
-						for _, e := range a.pairList {
-							if e.keys[0].S == ka.S && e.keys[1].S == kb.S {
-								g = e
-								break
-							}
-						}
-					} else {
-						g = a.pairGroups[[2]string{ka.S, kb.S}]
-					}
-					if g == nil {
-						keyVals[0], keyVals[1] = ka, kb
-						g = a.newGroup(keyVals)
-						a.pairGroups[[2]string{ka.S, kb.S}] = g
-						a.pairList = append(a.pairList, g)
-					}
-				}
-			}
-			if g == nil {
-				for i := range keyEvs {
-					keyVals[i] = keyCols[i][k]
-				}
-				// Allocation-free lookup; the string key materializes only
-				// when a new group is inserted.
-				key := encodeKeyAppend(a.keyScratch[:0], keyVals)
-				a.keyScratch = key
-				g = a.groups[string(key)]
-				if g == nil {
-					g = a.newGroup(keyVals)
-					a.groups[string(key)] = g
-				}
-			}
-			ptrs[k] = g
-		}
-		// Accumulate column-at-a-time with the aggregate function hoisted
-		// out of the row loop; each arm replicates aggState.add exactly.
-		for i := range a.node.Aggs {
-			spec := &a.node.Aggs[i]
-			if spec.Star {
-				for k := 0; k < n; k++ {
-					ptrs[k].states[i].count++
+		gids = growSlice(gids, n)
+		a.resolve(keyVecs, n, gids)
+		for i, ev := range argEvs {
+			if ev == nil { // COUNT(*)
+				for _, g := range gids {
+					a.states[int(g)*a.na+i].count++
 				}
 				continue
 			}
-			if off := argOffs[i]; off >= 0 {
-				a.accumVec(spec, i, &b.Cols[off], sel, ptrs)
-				continue
+			if err := ev(b, sel, &argVec); err != nil {
+				return err
 			}
-			col := argCols[i]
-			switch spec.Func {
-			case sql.AggCount:
-				for k := 0; k < n; k++ {
-					if col[k].IsNull() {
-						continue
-					}
-					ptrs[k].states[i].count++
-				}
-			case sql.AggSum, sql.AggAvg:
-				for k := 0; k < n; k++ {
-					v := col[k]
-					if v.IsNull() {
-						continue
-					}
-					st := &ptrs[k].states[i]
-					st.count++
-					if v.Kind == types.KindFloat {
-						st.anyF = true
-						st.sumF += v.F
-					} else {
-						st.sumI += v.I
-					}
-				}
-			default:
-				for k := 0; k < n; k++ {
-					ptrs[k].states[i].add(spec, col[k])
-				}
-			}
+			a.accum(&a.node.Aggs[i], i, &argVec, gids)
 		}
 	}
 	// Global aggregation over zero rows still yields one group.
-	if len(a.node.GroupBy) == 0 && len(a.order) == 0 {
-		g := &groupEntry{states: make([]aggState, len(a.node.Aggs))}
-		a.groups[""] = g
-		a.order = append(a.order, g)
+	if a.nk == 0 && a.ngroup == 0 {
+		a.newGroup()
 	}
 	a.built = true
 	return nil
@@ -469,27 +434,28 @@ func (a *vHashAgg) NextBatch(budget int) (*plan.Batch, bool, error) {
 			return nil, false, err
 		}
 	}
-	if a.pos >= len(a.order) {
+	if a.pos >= a.ngroup {
 		return nil, false, nil
 	}
-	width := len(a.node.GroupBy) + len(a.node.Aggs)
-	a.out.Reset(width)
+	a.out.Reset(a.nk + a.na)
 	// OpsPerTuple is charged per emitted group, so a row budget caps the
 	// batch.
-	budget = min(budget, plan.BatchSize)
-	emitted := 0
-	for a.pos < len(a.order) && emitted < budget {
-		g := a.order[a.pos]
-		a.pos++
-		row := append(a.rowBuf[:0], g.keys...)
-		for i := range g.states {
-			row = append(row, g.states[i].result(&a.node.Aggs[i]))
-		}
-		a.rowBuf = row
-		a.out.AppendRow(row)
-		emitted++
+	n := min(a.ngroup-a.pos, plan.BatchSize, budget)
+	groups := growSlice(a.selBuf, n)
+	for k := range groups {
+		groups[k] = a.pos + k
 	}
-	a.ctx.VM.AccountCPU(OpsPerTuple * float64(emitted))
+	for c := range a.keys {
+		a.out.Cols[c].AppendRows(&a.keys[c], groups)
+	}
+	for i := range a.node.Aggs {
+		for _, g := range groups {
+			a.out.Cols[a.nk+i].Append(a.states[g*a.na+i].result(&a.node.Aggs[i]))
+		}
+	}
+	a.out.N = n
+	a.pos += n
+	a.ctx.VM.AccountCPU(OpsPerTuple * float64(n))
 	return &a.out, true, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"dbvirt/internal/buffer"
 	"dbvirt/internal/index"
 	"dbvirt/internal/optimizer"
 	"dbvirt/internal/plan"
@@ -28,12 +29,14 @@ func indexRange(n *optimizer.IndexScan) (lo, hi int64) {
 }
 
 // tupleFetcher reads the heap tuples an index points at, one buffer-pool
-// Fetch/Unpin per tuple — the event sequence of HeapFile.GetAt, which
-// keeps hits, misses and evictions identical to the tuple executor. What
-// it saves is the decode: only the needed columns are materialized, from
-// the table's cached columnar block when the page has one, otherwise from
-// the one record. It never builds a block: a point lookup must not pay for
-// decoding a whole page that the next write invalidates.
+// Pin/Release per tuple — the event sequence of HeapFile.GetAt, which keeps
+// hits, misses and evictions identical to the tuple executor, at one
+// page-table lookup per tuple. What it saves is the bytes: when the table's
+// block cache holds the page, the tuple is a row number in the cached
+// block, the page is never read, and the needed columns of a run of such
+// rows are gathered lane to lane when the run ends (flush). Otherwise the
+// one record is decoded. It never builds a block: a point lookup must not
+// pay for decoding a whole page that the next write invalidates.
 type tupleFetcher struct {
 	ctx    *Context
 	heap   *storage.HeapFile
@@ -45,37 +48,63 @@ type tupleFetcher struct {
 	page    uint32 // last page looked up in blocks
 	blk     *storage.ColBlock
 	looked  bool
+	run     []int // rows of blk fetched but not yet gathered into the output
 	scratch []types.Value
 }
 
-// fetch appends the needed columns of the tuple at tid to out, a boxed
-// batch as wide as the table.
+// fetch adds the tuple at tid to out, a batch as wide as the table. out.N
+// counts it at once; its columns may lag until flush.
 func (f *tupleFetcher) fetch(tid storage.TID, out *plan.Batch) error {
-	id := storage.PageID{File: f.heap.FileID(), Page: tid.Page}
-	data, err := f.ctx.Pool.Fetch(id, f.hint)
+	fr, err := f.ctx.Pool.Pin(storage.PageID{File: f.heap.FileID(), Page: tid.Page}, f.hint)
 	if err != nil {
 		return err
 	}
-	err = f.gather(data, tid, out)
-	f.ctx.Pool.Unpin(id, false)
+	err = f.gather(fr, tid, out)
+	f.ctx.Pool.Release(fr)
 	return err
 }
 
-func (f *tupleFetcher) gather(data *storage.PageData, tid storage.TID, out *plan.Batch) error {
+// flush gathers the pending run of cached-block rows into out's columns.
+func (f *tupleFetcher) flush(out *plan.Batch) {
+	if len(f.run) == 0 {
+		return
+	}
+	for c := range out.Cols {
+		if f.need == nil || f.need[c] {
+			out.Cols[c].AppendRows(&f.blk.Cols[c], f.run)
+		}
+	}
+	f.run = f.run[:0]
+}
+
+// rowOfSlot returns the row of blk decoded from the given slot, or -1.
+func rowOfSlot(blk *storage.ColBlock, slot uint16) int {
+	r := int(slot)
+	if r >= blk.Rows || blk.Slots[r] != slot { // some earlier slot is dead
+		r = sort.Search(blk.Rows, func(i int) bool { return blk.Slots[i] >= slot })
+		if r == blk.Rows || blk.Slots[r] != slot {
+			return -1
+		}
+	}
+	return r
+}
+
+func (f *tupleFetcher) gather(fr *buffer.Frame, tid storage.TID, out *plan.Batch) error {
 	if !f.looked || f.page != tid.Page {
+		f.flush(out)
 		f.page, f.blk, f.looked = tid.Page, f.blocks.Get(tid.Page), true
 	}
-	if blk := f.blk; blk != nil && blk.Cols != nil && len(blk.Cols) == len(out.Cols) {
-		r := sort.Search(blk.Rows, func(i int) bool { return blk.Slots[i] >= tid.Slot })
-		if r < blk.Rows && blk.Slots[r] == tid.Slot {
-			for c := range out.Cols {
-				if f.need == nil || f.need[c] {
-					out.Cols[c].Append(blk.Cols[c].Get(r))
-				}
-			}
+	if blk := f.blk; blk != nil && len(blk.Cols) == len(out.Cols) && blk.Cols != nil {
+		if r := rowOfSlot(blk, tid.Slot); r >= 0 {
+			f.run = append(f.run, r)
 			out.N++
 			return nil
 		}
+	}
+	f.flush(out)
+	data, err := f.ctx.Pool.Data(fr)
+	if err != nil {
+		return err
 	}
 	rec, ok, err := storage.NewSlottedPage(data).Get(tid.Slot)
 	if err != nil {
@@ -84,7 +113,7 @@ func (f *tupleFetcher) gather(data *storage.PageData, tid storage.TID, out *plan
 	if !ok {
 		return fmt.Errorf("storage: tuple %v is deleted", tid)
 	}
-	f.scratch = growVals(f.scratch, len(out.Cols))
+	f.scratch = growSlice(f.scratch, len(out.Cols))
 	if err := storage.DecodeFields(rec, f.need, f.scratch); err != nil {
 		return err
 	}
@@ -163,7 +192,6 @@ func (s *vIndexScan) NextBatch(budget int) (*plan.Batch, bool, error) {
 	fid := s.node.Rel.Table.Heap.FileID()
 	for !s.done {
 		s.out.Reset(s.node.Width())
-		pruneOut(&s.out, s.fetcher.need)
 		entries := 0
 		var err error
 		for s.out.N < budget {
@@ -183,6 +211,7 @@ func (s *vIndexScan) NextBatch(budget int) (*plan.Batch, bool, error) {
 				break
 			}
 		}
+		s.fetcher.flush(&s.out)
 		n := s.out.N
 		s.ctx.VM.AccountCPU(OpsPerIndexTuple*float64(entries) + OpsPerTuple*float64(n))
 		mIndexTuples.Add(int64(n))
@@ -192,7 +221,7 @@ func (s *vIndexScan) NextBatch(budget int) (*plan.Batch, bool, error) {
 		if n == 0 {
 			break
 		}
-		if len(s.conj.evs) > 0 {
+		if len(s.conj.preds) > 0 {
 			sel, err := s.conj.apply(&s.out, liveSel(&s.out, &s.selBuf))
 			if err != nil {
 				return nil, false, err
@@ -273,19 +302,19 @@ type vIndexNLJoin struct {
 	resCols   []int
 	fetcher   tupleFetcher
 
-	sel       []int         // live rows of the held outer batch
-	keys      []types.Value // probe key per live outer row
-	inner     plan.Batch    // fetched inner tuples of the held outer batch
-	candProbe []int         // per fetched tuple: position in sel of its outer row
-	live      []int         // fetched tuples that passed the inner filter
+	sel       []int      // live rows of the held outer batch
+	keys      types.Vec  // probe key per live outer row
+	inner     plan.Batch // fetched inner tuples of the held outer batch
+	candProbe []int      // per fetched tuple: position in sel of its outer row
+	live      []int      // fetched tuples that passed the inner filter
 	win       probeWindow
 
-	selBuf, liveBuf, candSel []int
-	cand                     plan.Batch
-	pass                     []bool
-	rowBuf                   plan.Row
-	out                      plan.Batch
-	done                     bool
+	selBuf, liveBuf, candSel, outerIdx []int
+	cand                               plan.Batch
+	pass                               []bool
+	rowBuf                             plan.Row
+	out                                plan.Batch
+	done                               bool
 }
 
 func newVIndexNLJoin(n *optimizer.IndexNLJoin, ctx *Context) (batchIterator, error) {
@@ -358,16 +387,16 @@ func (j *vIndexNLJoin) advance(budget int) (*plan.Batch, error) {
 	j.sel = liveSel(b, &j.selBuf)
 	n := len(j.sel)
 	j.ctx.VM.AccountCPU(plan.OpsPerOperator * float64(n))
-	j.keys = growVals(j.keys, n)
-	if err := j.keyEv(b, j.sel, j.keys); err != nil {
+	if err := j.keyEv(b, j.sel, &j.keys); err != nil {
 		return nil, err
 	}
 	j.inner.Reset(j.node.Width() - j.node.Outer.Width())
 	j.candProbe = j.candProbe[:0]
 	entries := 0
-	for k, kv := range j.keys {
+	for k := 0; k < n; k++ {
 		// A NULL key matches nothing, and a non-integral key cannot match
 		// an int64 index (LEFT joins null-extend such rows at emission).
+		kv := j.keys.Get(k)
 		if kv.IsNull() {
 			continue
 		}
@@ -382,6 +411,7 @@ func (j *vIndexNLJoin) advance(budget int) (*plan.Batch, error) {
 			break
 		}
 	}
+	j.fetcher.flush(&j.inner)
 	fetched := j.inner.N
 	j.ctx.VM.AccountCPU(OpsPerIndexTuple*float64(entries) + OpsPerTuple*float64(fetched))
 	mIndexTuples.Add(int64(fetched))
@@ -404,20 +434,16 @@ func (j *vIndexNLJoin) advance(budget int) (*plan.Batch, error) {
 func (j *vIndexNLJoin) fillCand(b *plan.Batch, live []int, outerW, width int) {
 	j.cand.Reset(width)
 	j.cand.N = len(live)
+	j.outerIdx = growSlice(j.outerIdx, len(live))
+	for x, t := range live {
+		j.outerIdx[x] = j.sel[j.candProbe[t]]
+	}
 	for _, c := range j.resCols {
-		vals := growVals(j.cand.Cols[c].Any, len(live))
 		if c < outerW {
-			col := &b.Cols[c]
-			for x, t := range live {
-				vals[x] = col.Get(j.sel[j.candProbe[t]])
-			}
+			j.cand.Cols[c].AppendRows(&b.Cols[c], j.outerIdx)
 		} else {
-			col := &j.inner.Cols[c-outerW]
-			for x, t := range live {
-				vals[x] = col.Get(t)
-			}
+			j.cand.Cols[c].AppendRows(&j.inner.Cols[c-outerW], live)
 		}
-		j.cand.Cols[c].Any = vals
 	}
 }
 
@@ -444,7 +470,7 @@ func (j *vIndexNLJoin) NextBatch(budget int) (*plan.Batch, bool, error) {
 		// One vectorized residual cascade over the candidates. With no
 		// residual every candidate passes and nothing is materialized.
 		pass := j.pass[:0]
-		if len(j.residual.evs) > 0 && len(live) > 0 {
+		if len(j.residual.preds) > 0 && len(live) > 0 {
 			if cap(pass) < len(live) {
 				pass = make([]bool, len(live))
 			}
@@ -453,7 +479,7 @@ func (j *vIndexNLJoin) NextBatch(budget int) (*plan.Batch, bool, error) {
 				pass[c] = false
 			}
 			j.fillCand(b, live, outerW, width)
-			j.candSel = growSel(j.candSel, len(live))
+			j.candSel = growSlice(j.candSel, len(live))
 			for c := range j.candSel {
 				j.candSel[c] = c
 			}

@@ -27,78 +27,168 @@ func intKeyVal(v types.Value) (int64, bool) {
 	return 0, false
 }
 
-// joinTable is a join hash table with an int64 fast path: single-column
-// keys that normalize to integers avoid the byte encoding and string
-// hashing of the general path entirely.
-type joinTable[T any] struct {
-	single bool
-	ints   map[int64][]T
-	strs   map[string][]T
+// joinBuild is the build side of a hash join: the rows of the build input
+// that can still matter, appended batch by batch to typed columns — only
+// the columns the join emits or its residual reads — behind a table from
+// join key to bucket. A bucket is the chain of build rows carrying one key,
+// linked in arrival order, which is the order the tuple executor's buckets
+// hold them in. Single-column keys that normalize to an integer live in an
+// open-addressed int64 table; every other key is byte-encoded (joinKey's
+// form) into a map.
+type joinBuild struct {
+	cols []types.Vec // per build column; one the join never reads stays empty
+	need []bool      // the columns kept; nil keeps all
+	rows int
+
+	single     bool
+	ints       intTable
+	strs       map[string]int32
+	head, tail []int32 // per bucket: first and last row of its chain, -1 while empty
+	next       []int32 // per row: the next row of its bucket, -1 at the end
+
 	keyBuf []types.Value
 	bufB   []byte
 }
 
-func newJoinTable[T any](nkeys int) *joinTable[T] {
-	return &joinTable[T]{
-		single: nkeys == 1,
-		ints:   make(map[int64][]T),
-		strs:   make(map[string][]T),
-		keyBuf: make([]types.Value, 0, nkeys),
-	}
+func (t *joinBuild) init(nkeys, width int, need []bool) {
+	t.cols = make([]types.Vec, width)
+	t.need = need
+	t.single = nkeys == 1
+	t.strs = make(map[string]int32)
+	t.keyBuf = make([]types.Value, nkeys)
 }
 
-// encode normalizes the key values into bufB (joinKey's byte form);
-// hasNull reports a NULL key, which can never match.
-func (t *joinTable[T]) encode(keys []types.Value) (hasNull bool) {
-	kb := append(t.keyBuf[:0], keys...)
-	t.keyBuf = kb
-	for i, v := range kb {
+// bucketOf returns the bucket of one key, or -1 when the key has a NULL
+// (it can never match) or, unless insert is set, when no build row carries
+// it. With insert a new key gets a new, empty bucket.
+func (t *joinBuild) bucketOf(key []types.Value, insert bool) int32 {
+	if t.single {
+		if ik, ok := intKeyVal(key[0]); ok {
+			return t.intBucket(ik, insert)
+		}
+	}
+	for i, v := range key {
 		if v.IsNull() {
-			return true
+			return -1
 		}
-		kb[i] = normalizeKeyVal(v)
+		key[i] = normalizeKeyVal(v)
 	}
-	t.bufB = encodeKeyAppend(t.bufB[:0], kb)
-	return false
+	t.bufB = encodeKeyAppend(t.bufB[:0], key)
+	bkt, ok := t.strs[string(t.bufB)]
+	if !ok {
+		if !insert {
+			return -1
+		}
+		bkt = t.newBucket()
+		t.strs[string(t.bufB)] = bkt
+	}
+	return bkt
 }
 
-// add inserts a row under its key values; NULL keys are rejected
-// (hasNull=true) since they can never match.
-func (t *joinTable[T]) add(keys []types.Value, v T) (hasNull bool) {
-	if t.single {
-		kv := keys[0]
-		if kv.IsNull() {
-			return true
-		}
-		if ik, ok := intKeyVal(kv); ok {
-			t.ints[ik] = append(t.ints[ik], v)
-			return false
-		}
+func (t *joinBuild) intBucket(ik int64, insert bool) int32 {
+	if !insert {
+		return t.ints.find(ik)
 	}
-	if t.encode(keys) {
-		return true
+	fresh := int32(len(t.head))
+	bkt := t.ints.entry(ik, fresh)
+	if bkt == fresh {
+		t.newBucket()
 	}
-	key := string(t.bufB)
-	t.strs[key] = append(t.strs[key], v)
-	return false
+	return bkt
 }
 
-// lookup returns the bucket for the key values (nil for NULL keys). The
-// common paths — int64 keys and byte-encoded probes — do not allocate.
-func (t *joinTable[T]) lookup(keys []types.Value) []T {
-	if t.single {
-		kv := keys[0]
-		if kv.IsNull() {
-			return nil
+func (t *joinBuild) newBucket() int32 {
+	t.head, t.tail = extend(t.head, 1), extend(t.tail, 1)
+	bkt := len(t.head) - 1
+	t.head[bkt], t.tail[bkt] = -1, -1
+	return int32(bkt)
+}
+
+// buckets resolves the bucket of each of the n key rows held, one vector
+// per key column, in keys. A single key column that arrives as a NULL-free
+// integer lane is hashed straight off the lane.
+func (t *joinBuild) buckets(keys []types.Vec, n int, insert bool, out []int32) []int32 {
+	out = growSlice(out, n)
+	if t.single && keys[0].Dense() && keys[0].Kind != types.KindFloat && keys[0].Kind != types.KindString {
+		for k, ik := range keys[0].I[:n] {
+			out[k] = t.intBucket(ik, insert)
 		}
-		if ik, ok := intKeyVal(kv); ok {
-			return t.ints[ik]
+		return out
+	}
+	for k := 0; k < n; k++ {
+		for c := range keys {
+			t.keyBuf[c] = keys[c].Get(k)
+		}
+		out[k] = t.bucketOf(t.keyBuf, insert)
+	}
+	return out
+}
+
+// add stores rows idx of b; bkts[k] is the bucket of row idx[k], -1 for a
+// row that is kept without one (a NULL key on the outer side of a LEFT
+// join, needed for its tail only).
+func (t *joinBuild) add(b *plan.Batch, idx []int, bkts []int32) {
+	for c := range t.cols {
+		if t.need == nil || t.need[c] {
+			t.cols[c].AppendRows(&b.Cols[c], idx)
 		}
 	}
-	if t.encode(keys) {
-		return nil
+	t.next = extend(t.next, len(bkts))
+	for _, bkt := range bkts {
+		row := int32(t.rows)
+		t.rows++
+		t.next[row] = -1
+		if bkt < 0 {
+			continue
+		}
+		if t.head[bkt] < 0 {
+			t.head[bkt] = row
+		} else {
+			t.next[t.tail[bkt]] = row
+		}
+		t.tail[bkt] = row
 	}
-	return t.strs[string(t.bufB)]
+}
+
+// batchBytes is rowBytes summed over rows idx of b.
+func batchBytes(b *plan.Batch, idx []int) int64 {
+	var n int64
+	for c := range b.Cols {
+		col := &b.Cols[c]
+		switch {
+		case col.Any != nil:
+			for _, i := range idx {
+				n += rowBytes(col.Any[i : i+1])
+			}
+		case col.Kind == types.KindString:
+			for _, i := range idx {
+				if col.Null != nil && col.Null[i] {
+					n += 10
+				} else {
+					n += int64(len(col.S[i])) + 4
+				}
+			}
+		default:
+			n += 10 * int64(len(idx))
+		}
+	}
+	return n
+}
+
+// gatherRows appends rows idx of src to dst. With nulls set, a negative
+// index appends NULL: a LEFT join's extension of an unmatched row.
+func gatherRows(dst, src *types.Vec, idx []int, nulls bool) {
+	if !nulls {
+		dst.AppendRows(src, idx)
+		return
+	}
+	for _, i := range idx {
+		if i < 0 {
+			dst.AppendNulls(1)
+		} else {
+			dst.Append(src.Get(i))
+		}
+	}
 }
 
 // exprCols collects the column offsets an expression reads, resolved
@@ -141,20 +231,6 @@ func exprCols(e plan.Expr, lay plan.Layout, set map[int]struct{}) bool {
 	return false
 }
 
-// pruneOut zeroes the vectors of columns the consumer never reads, so a
-// reused output batch's stale empty-but-non-nil boxed vectors can't be
-// indexed; the zero Vec reads as NULL for any row.
-func pruneOut(b *plan.Batch, emit []bool) {
-	if emit == nil {
-		return
-	}
-	for col, need := range emit {
-		if !need {
-			b.Cols[col] = types.Vec{}
-		}
-	}
-}
-
 // residualCols returns the sorted column offsets read by a conjunct list,
 // or (allCols(width), nil-safe) when some expression shape is unknown.
 // Candidate batches only materialize these columns; the rest of the
@@ -178,43 +254,58 @@ func residualCols(conjs []plan.Conjunct, lay plan.Layout, width int) []int {
 	return cols
 }
 
-// vHashJoin is the vectorized hash join (build on the right, probe with
-// the left). The build side is drained batch-at-a-time with bulk charges.
-// Probe batches expand into candidate (probe row, build row) pairs; only
-// the columns the residual actually reads are materialized for its
-// vectorized cascade, and passing pairs are emitted in the tuple
-// executor's order (each probe row's bucket matches, then its LEFT null
-// extension) by gathering directly from the probe batch and build rows.
+// vHashJoin is the vectorized hash join. It builds on the right input and
+// probes with the left or, when the optimizer chose BuildOuter (PostgreSQL's
+// Hash Right Join), builds on the smaller left input and probes with the
+// right; output columns are the left input's, then the right's, either
+// way. The build side is drained batch-at-a-time with bulk charges into a
+// joinBuild. Probe batches expand into candidate (probe row, build row)
+// pairs; only the columns the residual reads are gathered for its
+// vectorized cascade, and passing pairs are emitted in the tuple executor's
+// order by typed gathers from the probe batch and the build columns.
+// A LEFT join extends an unmatched probe row with NULLs right after its
+// candidates, and — when the outer side is the build side — emits the build
+// rows no probe row matched, null-extended, once the probe input is drained.
 //
 // Under a row budget the probe side is pulled one row at a time and that
 // row's bucket is tested budget candidates per call (see probeWindow).
 type vHashJoin struct {
 	ctx       *Context
 	node      *optimizer.HashJoin
-	left      batchIterator
-	leftKeys  []plan.VecEval
-	rightKeys []plan.VecEval
+	buildLeft bool // build on the left (outer) input, probe with the right
+	probe     batchIterator
+	probeKeys []plan.VecEval
+	buildKeys []plan.VecEval
 	residual  *vecConjuncts
 	resCols   []int
-	table     *joinTable[plan.Row]
-	built     bool
-	done      bool
+	// Output column c comes from the build side iff buildOff <= c <
+	// buildOff+buildW; probeOff is where the probe side's columns start.
+	buildOff, buildW, probeOff int
 
-	keyCols   [][]types.Value
-	keyBuf    []types.Value
+	build   joinBuild
+	built   bool
+	matched []bool // buildLeft: the build rows some probe row has matched
+
+	keyVecs   []types.Vec
+	bkts      []int32
 	selBuf    []int
-	candRows  []plan.Row
-	candProbe []int
+	candBuild []int // per candidate pair: its build row
+	candProbe []int // per candidate pair: its physical probe row
 	candStart []int
 	cand      plan.Batch
 	candSel   []int
 	pass      []bool
-	rowBuf    plan.Row
+	outBuild  []int // per output row: its build row, -1 for a NULL extension
+	outProbe  []int // per output row: its physical probe row
 	out       plan.Batch
 	// emit, when non-nil, flags the output columns the consumer reads;
 	// the rest are left empty (see colPruner).
 	emit []bool
 	win  probeWindow
+
+	probeDone bool
+	tailIdx   int
+	done      bool
 }
 
 // pruneOutput records the columns the consumer reads and tells the probe
@@ -222,24 +313,28 @@ type vHashJoin struct {
 // those its keys and residual read.
 func (j *vHashJoin) pruneOutput(needed []bool) {
 	j.emit = needed
-	p, ok := j.left.(colPruner)
+	p, ok := j.probe.(colPruner)
 	if !ok {
 		return
 	}
-	leftW := j.node.Left.Width()
+	probeNode, keys := j.node.Left, j.node.LeftKeys
+	if j.buildLeft {
+		probeNode, keys = j.node.Right, j.node.RightKeys
+	}
 	set := make(map[int]struct{})
-	for _, e := range j.node.LeftKeys {
-		if !exprCols(e, j.node.Left.Layout(), set) {
+	for _, e := range keys {
+		if !exprCols(e, probeNode.Layout(), set) {
 			return
 		}
 	}
-	sub := append([]bool(nil), needed[:leftW]...)
+	probeW := probeNode.Width()
+	sub := append([]bool(nil), needed[j.probeOff:j.probeOff+probeW]...)
 	for c := range set {
 		sub[c] = true
 	}
 	for _, c := range j.resCols {
-		if c < leftW {
-			sub[c] = true
+		if c >= j.probeOff && c < j.probeOff+probeW {
+			sub[c-j.probeOff] = true
 		}
 	}
 	p.pruneOutput(sub)
@@ -274,59 +369,72 @@ func (w *probeWindow) clip(n, budget int) (from, to int, more bool) {
 	return from, to, to < n
 }
 
-func newVHashJoin(n *optimizer.HashJoin, ctx *Context) (batchIterator, error) {
-	if n.BuildOuter {
-		return newVHashJoinOuter(n, ctx)
-	}
-	left, err := vbuild(n.Left, ctx)
-	if err != nil {
-		return nil, err
-	}
-	lks := make([]plan.VecEval, len(n.LeftKeys))
-	for i, e := range n.LeftKeys {
-		lks[i], err = plan.CompileVec(e, n.Left.Layout(), ctx.VM)
-		if err != nil {
-			left.Close()
+func compileVecs(es []plan.Expr, lay plan.Layout, sink plan.CPUSink) ([]plan.VecEval, error) {
+	evs := make([]plan.VecEval, len(es))
+	for i, e := range es {
+		var err error
+		if evs[i], err = plan.CompileVec(e, lay, sink); err != nil {
 			return nil, err
 		}
 	}
-	rks := make([]plan.VecEval, len(n.RightKeys))
-	for i, e := range n.RightKeys {
-		rks[i], err = plan.CompileVec(e, n.Right.Layout(), ctx.VM)
-		if err != nil {
-			left.Close()
-			return nil, err
-		}
-	}
-	residual, err := compileVecConjuncts(n.Residual, n.Layout(), ctx.VM)
-	if err != nil {
-		left.Close()
-		return nil, err
-	}
-	nk := len(lks)
-	if len(rks) > nk {
-		nk = len(rks)
-	}
-	return &vHashJoin{
-		ctx: ctx, node: n, left: left,
-		leftKeys: lks, rightKeys: rks, residual: residual,
-		resCols: residualCols(n.Residual, n.Layout(), n.Width()),
-		table:   newJoinTable[plan.Row](len(rks)),
-		keyCols: make([][]types.Value, nk),
-		keyBuf:  make([]types.Value, len(lks)),
-		rowBuf:  make(plan.Row, n.Width()),
-	}, nil
+	return evs, nil
 }
 
+func newVHashJoin(n *optimizer.HashJoin, ctx *Context) (batchIterator, error) {
+	j := &vHashJoin{
+		ctx: ctx, node: n, buildLeft: n.BuildOuter,
+		resCols: residualCols(n.Residual, n.Layout(), n.Width()),
+		keyVecs: make([]types.Vec, max(len(n.LeftKeys), len(n.RightKeys))),
+	}
+	probeNode, probeExprs, buildNode, buildExprs := n.Left, n.LeftKeys, n.Right, n.RightKeys
+	j.buildOff = n.Left.Width()
+	if j.buildLeft {
+		probeNode, probeExprs, buildNode, buildExprs = buildNode, buildExprs, probeNode, probeExprs
+		j.buildOff, j.probeOff = 0, n.Left.Width()
+	}
+	j.buildW = buildNode.Width()
+	var err error
+	if j.probe, err = vbuild(probeNode, ctx); err != nil {
+		return nil, err
+	}
+	if j.probeKeys, err = compileVecs(probeExprs, probeNode.Layout(), ctx.VM); err == nil {
+		if j.buildKeys, err = compileVecs(buildExprs, buildNode.Layout(), ctx.VM); err == nil {
+			j.residual, err = compileVecConjuncts(n.Residual, n.Layout(), ctx.VM)
+		}
+	}
+	if err != nil {
+		j.probe.Close()
+		return nil, err
+	}
+	return j, nil
+}
+
+// fromBuild reports whether output column c is a build-side column.
+func (j *vHashJoin) fromBuild(c int) bool { return c >= j.buildOff && c < j.buildOff+j.buildW }
+
 func (j *vHashJoin) buildTable() error {
-	right, err := vbuild(j.node.Right, j.ctx)
+	buildNode := j.node.Right
+	if j.buildLeft {
+		buildNode = j.node.Left
+	}
+	in, err := vbuild(buildNode, j.ctx)
 	if err != nil {
 		return err
 	}
-	defer right.Close()
+	defer in.Close()
+	var need []bool
+	if j.emit != nil {
+		need = append([]bool(nil), j.emit[j.buildOff:j.buildOff+j.buildW]...)
+		for _, c := range j.resCols {
+			if j.fromBuild(c) {
+				need[c-j.buildOff] = true
+			}
+		}
+	}
+	j.build.init(len(j.buildKeys), j.buildW, need)
 	var bytes int64
 	for {
-		b, ok, err := right.NextBatch(noBudget)
+		b, ok, err := in.NextBatch(noBudget)
 		if err != nil {
 			return err
 		}
@@ -335,57 +443,78 @@ func (j *vHashJoin) buildTable() error {
 		}
 		sel := liveSel(b, &j.selBuf)
 		n := len(sel)
-		j.ctx.VM.AccountCPU((OpsPerTuple + float64(len(j.rightKeys))*OpsPerHash) * float64(n))
-		for i, ev := range j.rightKeys {
-			j.keyCols[i] = growVals(j.keyCols[i], n)
-			if err := ev(b, sel, j.keyCols[i]); err != nil {
+		j.ctx.VM.AccountCPU((OpsPerTuple + float64(len(j.buildKeys))*OpsPerHash) * float64(n))
+		for i, ev := range j.buildKeys {
+			if err := ev(b, sel, &j.keyVecs[i]); err != nil {
 				return err
 			}
 		}
-		for k, i := range sel {
-			kb := j.keyBuf[:len(j.rightKeys)]
-			for c := range j.rightKeys {
-				kb[c] = j.keyCols[c][k]
+		j.bkts = j.build.buckets(j.keyVecs, n, true, j.bkts)
+		bkts := j.bkts
+		if !j.buildLeft {
+			// A row with a NULL key never matches: it is neither stored
+			// nor counted. (On the outer side it is both, for the tail.)
+			kept := 0
+			for k, bkt := range bkts {
+				if bkt >= 0 {
+					sel[kept], bkts[kept] = sel[k], bkt
+					kept++
+				}
 			}
-			stored := make(plan.Row, len(b.Cols))
-			b.ReadRow(i, stored)
-			if j.table.add(kb, stored) {
-				continue // NULL keys never match
-			}
-			bytes += rowBytes(stored)
+			sel, bkts = sel[:kept], bkts[:kept]
 		}
+		bytes += batchBytes(b, sel)
+		j.build.add(b, sel, bkts)
 	}
 	if float64(bytes)*HashTableOverhead > float64(j.ctx.WorkMemBytes) {
 		spillPages := int(bytes / storage.PageSize)
 		j.ctx.VM.AccountWrite(spillPages)
 		j.ctx.VM.AccountSeqRead(spillPages)
 	}
+	if j.buildLeft {
+		j.matched = make([]bool, j.build.rows)
+	}
 	j.built = true
 	return nil
 }
 
-// fillCand materializes the residual-referenced columns of the candidate
-// pairs: probe-side columns gather from the probe batch, build-side
-// columns from the stored build rows.
-func (j *vHashJoin) fillCand(b *plan.Batch, leftW, width int) {
-	candN := len(j.candRows)
-	j.cand.Reset(width)
-	j.cand.N = candN
+// fillCand gathers the residual-referenced columns of the candidate pairs:
+// build-side columns from the build columns, probe-side columns from the
+// probe batch.
+func (j *vHashJoin) fillCand(b *plan.Batch) {
+	j.cand.Reset(j.node.Width())
+	j.cand.N = len(j.candBuild)
 	for _, c := range j.resCols {
-		vals := growVals(j.cand.Cols[c].Any, candN)
-		if c < leftW {
-			col := &b.Cols[c]
-			for x, i := range j.candProbe {
-				vals[x] = col.Get(i)
-			}
+		if j.fromBuild(c) {
+			j.cand.Cols[c].AppendRows(&j.build.cols[c-j.buildOff], j.candBuild)
 		} else {
-			bc := c - leftW
-			for x, r := range j.candRows {
-				vals[x] = r[bc]
-			}
+			j.cand.Cols[c].AppendRows(&b.Cols[c-j.probeOff], j.candProbe)
 		}
-		j.cand.Cols[c].Any = vals
 	}
+}
+
+// emitRows fills the output batch with the rows listed in outBuild and
+// outProbe and charges for them. b is the probe batch; nil when there is
+// none (the LEFT tail), and the probe side is then all NULL.
+func (j *vHashJoin) emitRows(b *plan.Batch, nullExt bool) *plan.Batch {
+	n := len(j.outBuild)
+	j.out.Reset(j.node.Width())
+	for c := range j.out.Cols {
+		col := &j.out.Cols[c]
+		switch {
+		case j.emit != nil && !j.emit[c]:
+			// Never read; left empty, it reads as NULL.
+		case j.fromBuild(c):
+			gatherRows(col, &j.build.cols[c-j.buildOff], j.outBuild, nullExt)
+		case b == nil:
+			col.AppendNulls(n)
+		default:
+			col.AppendRows(&b.Cols[c-j.probeOff], j.outProbe)
+		}
+	}
+	j.out.N = n
+	j.ctx.VM.AccountCPU(OpsPerTuple * float64(n))
+	return &j.out
 }
 
 func (j *vHashJoin) NextBatch(budget int) (*plan.Batch, bool, error) {
@@ -397,76 +526,64 @@ func (j *vHashJoin) NextBatch(budget int) (*plan.Batch, bool, error) {
 			return nil, false, err
 		}
 	}
-	leftW := j.node.Left.Width()
-	width := j.node.Width()
-	for {
+	left := j.node.Type == sql.LeftJoin
+	for !j.probeDone {
 		b := j.win.hold
 		fresh := b == nil
 		if fresh {
 			var ok bool
 			var err error
-			b, ok, err = j.left.NextBatch(pullSize(budget))
+			b, ok, err = j.probe.NextBatch(pullSize(budget))
 			if err != nil {
 				return nil, false, err
 			}
 			if !ok {
-				j.done = true
-				return nil, false, nil
+				j.probeDone = true
+				break
 			}
 			j.win = probeWindow{}
 		}
 		sel := liveSel(b, &j.selBuf)
 		n := len(sel)
 		if fresh {
-			j.ctx.VM.AccountCPU(float64(len(j.leftKeys)) * OpsPerHash * float64(n))
-			for i, ev := range j.leftKeys {
-				j.keyCols[i] = growVals(j.keyCols[i], n)
-				if err := ev(b, sel, j.keyCols[i]); err != nil {
+			j.ctx.VM.AccountCPU(float64(len(j.probeKeys)) * OpsPerHash * float64(n))
+			for i, ev := range j.probeKeys {
+				if err := ev(b, sel, &j.keyVecs[i]); err != nil {
 					return nil, false, err
 				}
 			}
+			j.bkts = j.build.buckets(j.keyVecs, n, false, j.bkts)
 		}
 		// Expand each probe row against its bucket into candidate pairs.
-		j.candRows = j.candRows[:0]
-		j.candProbe = j.candProbe[:0]
-		if cap(j.candStart) < n+1 {
-			j.candStart = make([]int, n+1)
-		}
-		j.candStart = j.candStart[:n+1]
+		j.candBuild, j.candProbe = j.candBuild[:0], j.candProbe[:0]
+		j.candStart = growSlice(j.candStart, n+1)
 		more := false
 		for k, i := range sel {
-			j.candStart[k] = len(j.candRows)
-			kb := j.keyBuf[:len(j.leftKeys)]
-			for c := range j.leftKeys {
-				kb[c] = j.keyCols[c][k]
+			j.candStart[k] = len(j.candBuild)
+			if bkt := j.bkts[k]; bkt >= 0 {
+				for r := j.build.head[bkt]; r >= 0; r = j.build.next[r] {
+					j.candBuild = append(j.candBuild, int(r))
+					j.candProbe = append(j.candProbe, i)
+				}
 			}
-			bucket := j.table.lookup(kb)
-			if budget != noBudget {
+			if budget != noBudget { // the batch is this one row
 				var from, to int
-				from, to, more = j.win.clip(len(bucket), budget)
-				bucket = bucket[from:to]
-			}
-			for _, buildRow := range bucket {
-				j.candRows = append(j.candRows, buildRow)
-				j.candProbe = append(j.candProbe, i)
+				from, to, more = j.win.clip(len(j.candBuild), budget)
+				j.candBuild = j.candBuild[:copy(j.candBuild, j.candBuild[from:to])]
+				j.candProbe = j.candProbe[:to-from]
 			}
 		}
-		candN := len(j.candRows)
+		candN := len(j.candBuild)
 		j.candStart[n] = candN
 
 		// One vectorized residual cascade over all candidates. With no
 		// residual every candidate passes and nothing is materialized.
 		pass := j.pass[:0]
-		if len(j.residual.evs) > 0 && candN > 0 {
-			if cap(pass) < candN {
-				pass = make([]bool, candN)
-			}
-			pass = pass[:candN]
-			for c := range pass {
-				pass[c] = false
-			}
-			j.fillCand(b, leftW, width)
-			j.candSel = growSel(j.candSel, candN)
+		if len(j.residual.preds) > 0 && candN > 0 {
+			pass = growSlice(pass, candN)
+			clear(pass)
+			j.fillCand(b)
+			j.candSel = growSlice(j.candSel, candN)
 			for c := range j.candSel {
 				j.candSel[c] = c
 			}
@@ -480,398 +597,58 @@ func (j *vHashJoin) NextBatch(budget int) (*plan.Batch, bool, error) {
 		}
 		j.pass = pass
 
-		// Emit in tuple order: each probe row's passing matches, then its
-		// LEFT null extension. Output rows are gathered straight from the
-		// probe batch and build rows.
-		j.out.Reset(width)
-		pruneOut(&j.out, j.emit)
-		comb := j.rowBuf[:width]
-		emitted := 0
-		for k := range sel {
-			i := sel[k]
+		// List the output rows in tuple order: each probe row's passing
+		// candidates, then — probing with the outer side of a LEFT join —
+		// its null extension if it has matched nothing.
+		j.outBuild, j.outProbe = j.outBuild[:0], j.outProbe[:0]
+		nullExt := false
+		j.win.hold = nil
+		for k, i := range sel {
 			rowMatched := j.win.matched
 			for c := j.candStart[k]; c < j.candStart[k+1]; c++ {
 				if len(pass) > 0 && !pass[c] {
 					continue
 				}
 				rowMatched = true
-				if j.emit == nil {
-					for col := 0; col < leftW; col++ {
-						comb[col] = b.Value(i, col)
-					}
-					copy(comb[leftW:], j.candRows[c])
-					j.out.AppendRow(comb)
-				} else {
-					r := j.candRows[c]
-					for col, need := range j.emit {
-						if !need {
-							continue
-						}
-						if col < leftW {
-							j.out.Cols[col].Append(b.Value(i, col))
-						} else {
-							j.out.Cols[col].Append(r[col-leftW])
-						}
-					}
-					j.out.N++
+				if j.buildLeft {
+					j.matched[j.candBuild[c]] = true
 				}
-				emitted++
+				j.outBuild = append(j.outBuild, j.candBuild[c])
+				j.outProbe = append(j.outProbe, i)
 			}
 			if more {
 				j.win.hold, j.win.matched = b, rowMatched
 				break
 			}
-			j.win.hold = nil
-			if !rowMatched && j.node.Type == sql.LeftJoin {
-				if j.emit == nil {
-					for col := 0; col < leftW; col++ {
-						comb[col] = b.Value(i, col)
-					}
-					for col := leftW; col < width; col++ {
-						comb[col] = types.Null
-					}
-					j.out.AppendRow(comb)
-				} else {
-					for col, need := range j.emit {
-						if !need {
-							continue
-						}
-						if col < leftW {
-							j.out.Cols[col].Append(b.Value(i, col))
-						} else {
-							j.out.Cols[col].Append(types.Null)
-						}
-					}
-					j.out.N++
-				}
-				emitted++
+			if !rowMatched && left && !j.buildLeft {
+				j.outBuild = append(j.outBuild, -1)
+				j.outProbe = append(j.outProbe, i)
+				nullExt = true
 			}
 		}
-		if emitted > 0 {
-			j.ctx.VM.AccountCPU(OpsPerTuple * float64(emitted))
-			return &j.out, true, nil
+		if len(j.outBuild) > 0 {
+			return j.emitRows(b, nullExt), true, nil
 		}
 	}
-}
-
-func (j *vHashJoin) Close() { j.left.Close() }
-
-// vHashJoinOuter is the vectorized "hash right join": build on the outer
-// (left) side, probe with right rows, then emit the unmatched outer tail
-// null-extended for LEFT joins.
-type vHashJoinOuter struct {
-	ctx       *Context
-	node      *optimizer.HashJoin
-	right     batchIterator
-	leftKeys  []plan.VecEval
-	rightKeys []plan.VecEval
-	residual  *vecConjuncts
-	resCols   []int
-
-	table   *joinTable[*outerEntry]
-	allRows []*outerEntry
-	built   bool
-
-	keyCols   [][]types.Value
-	keyBuf    []types.Value
-	selBuf    []int
-	candEnt   []*outerEntry
-	candProbe []int
-	cand      plan.Batch
-	candSel   []int
-	pass      []bool
-	rowBuf    plan.Row
-	out       plan.Batch
-	// emit, when non-nil, flags the output columns the consumer reads;
-	// the rest are left empty (see colPruner).
-	emit []bool
-
-	rightDone bool
-	tailIdx   int
-	done      bool
-	win       probeWindow
-}
-
-func (j *vHashJoinOuter) pruneOutput(needed []bool) { j.emit = needed }
-
-func newVHashJoinOuter(n *optimizer.HashJoin, ctx *Context) (batchIterator, error) {
-	right, err := vbuild(n.Right, ctx)
-	if err != nil {
-		return nil, err
-	}
-	lks := make([]plan.VecEval, len(n.LeftKeys))
-	for i, e := range n.LeftKeys {
-		lks[i], err = plan.CompileVec(e, n.Left.Layout(), ctx.VM)
-		if err != nil {
-			right.Close()
-			return nil, err
-		}
-	}
-	rks := make([]plan.VecEval, len(n.RightKeys))
-	for i, e := range n.RightKeys {
-		rks[i], err = plan.CompileVec(e, n.Right.Layout(), ctx.VM)
-		if err != nil {
-			right.Close()
-			return nil, err
-		}
-	}
-	residual, err := compileVecConjuncts(n.Residual, n.Layout(), ctx.VM)
-	if err != nil {
-		right.Close()
-		return nil, err
-	}
-	nk := len(lks)
-	if len(rks) > nk {
-		nk = len(rks)
-	}
-	return &vHashJoinOuter{
-		ctx: ctx, node: n, right: right,
-		leftKeys: lks, rightKeys: rks, residual: residual,
-		resCols: residualCols(n.Residual, n.Layout(), n.Width()),
-		table:   newJoinTable[*outerEntry](len(lks)),
-		keyCols: make([][]types.Value, nk),
-		keyBuf:  make([]types.Value, nk),
-		rowBuf:  make(plan.Row, n.Width()),
-	}, nil
-}
-
-func (j *vHashJoinOuter) buildTable() error {
-	left, err := vbuild(j.node.Left, j.ctx)
-	if err != nil {
-		return err
-	}
-	defer left.Close()
-	var bytes int64
-	for {
-		b, ok, err := left.NextBatch(noBudget)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		sel := liveSel(b, &j.selBuf)
-		n := len(sel)
-		j.ctx.VM.AccountCPU((OpsPerTuple + float64(len(j.leftKeys))*OpsPerHash) * float64(n))
-		for i, ev := range j.leftKeys {
-			j.keyCols[i] = growVals(j.keyCols[i], n)
-			if err := ev(b, sel, j.keyCols[i]); err != nil {
-				return err
-			}
-		}
-		for k, i := range sel {
-			stored := make(plan.Row, len(b.Cols))
-			b.ReadRow(i, stored)
-			e := &outerEntry{row: stored}
-			j.allRows = append(j.allRows, e)
-			bytes += rowBytes(stored)
-			kb := j.keyBuf[:len(j.leftKeys)]
-			for c := range j.leftKeys {
-				kb[c] = j.keyCols[c][k]
-			}
-			// NULL keys are kept only for the LEFT tail.
-			j.table.add(kb, e)
-		}
-	}
-	if float64(bytes)*HashTableOverhead > float64(j.ctx.WorkMemBytes) {
-		spillPages := int(bytes / storage.PageSize)
-		j.ctx.VM.AccountWrite(spillPages)
-		j.ctx.VM.AccountSeqRead(spillPages)
-	}
-	j.built = true
-	return nil
-}
-
-// fillCand materializes the residual-referenced columns of the candidate
-// pairs: outer columns gather from the stored build rows, probe columns
-// from the probe batch.
-func (j *vHashJoinOuter) fillCand(b *plan.Batch, leftW, width int) {
-	candN := len(j.candEnt)
-	j.cand.Reset(width)
-	j.cand.N = candN
-	for _, c := range j.resCols {
-		vals := growVals(j.cand.Cols[c].Any, candN)
-		if c < leftW {
-			for x, e := range j.candEnt {
-				vals[x] = e.row[c]
-			}
-		} else {
-			col := &b.Cols[c-leftW]
-			for x, i := range j.candProbe {
-				vals[x] = col.Get(i)
-			}
-		}
-		j.cand.Cols[c].Any = vals
-	}
-}
-
-func (j *vHashJoinOuter) NextBatch(budget int) (*plan.Batch, bool, error) {
-	if j.done {
-		return nil, false, nil
-	}
-	if !j.built {
-		if err := j.buildTable(); err != nil {
-			return nil, false, err
-		}
-	}
-	leftW := j.node.Left.Width()
-	width := j.node.Width()
-	comb := j.rowBuf[:width]
-	for !j.rightDone {
-		b := j.win.hold
-		fresh := b == nil
-		if fresh {
-			var ok bool
-			var err error
-			b, ok, err = j.right.NextBatch(pullSize(budget))
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				j.rightDone = true
-				break
-			}
-			j.win = probeWindow{}
-		}
-		sel := liveSel(b, &j.selBuf)
-		n := len(sel)
-		if fresh {
-			j.ctx.VM.AccountCPU(float64(len(j.rightKeys)) * OpsPerHash * float64(n))
-			for i, ev := range j.rightKeys {
-				j.keyCols[i] = growVals(j.keyCols[i], n)
-				if err := ev(b, sel, j.keyCols[i]); err != nil {
-					return nil, false, err
-				}
-			}
-		}
-		j.candEnt = j.candEnt[:0]
-		j.candProbe = j.candProbe[:0]
-		more := false
-		for k, i := range sel {
-			kb := j.keyBuf[:len(j.rightKeys)]
-			for c := range j.rightKeys {
-				kb[c] = j.keyCols[c][k]
-			}
-			bucket := j.table.lookup(kb)
-			if budget != noBudget {
-				var from, to int
-				from, to, more = j.win.clip(len(bucket), budget)
-				bucket = bucket[from:to]
-			}
-			for _, e := range bucket {
-				j.candEnt = append(j.candEnt, e)
-				j.candProbe = append(j.candProbe, i)
-			}
-		}
-		j.win.hold = nil
-		if more {
-			j.win.hold = b
-		}
-		candN := len(j.candEnt)
-
-		pass := j.pass[:0]
-		if len(j.residual.evs) > 0 && candN > 0 {
-			if cap(pass) < candN {
-				pass = make([]bool, candN)
-			}
-			pass = pass[:candN]
-			for c := range pass {
-				pass[c] = false
-			}
-			j.fillCand(b, leftW, width)
-			j.candSel = growSel(j.candSel, candN)
-			for c := range j.candSel {
-				j.candSel[c] = c
-			}
-			surv, err := j.residual.apply(&j.cand, j.candSel)
-			if err != nil {
-				return nil, false, err
-			}
-			for _, c := range surv {
-				pass[c] = true
-			}
-		}
-		j.pass = pass
-
-		j.out.Reset(width)
-		pruneOut(&j.out, j.emit)
-		emitted := 0
-		for c := 0; c < candN; c++ {
-			if len(pass) > 0 && !pass[c] {
-				continue
-			}
-			e := j.candEnt[c]
-			e.matched = true
-			i := j.candProbe[c]
-			if j.emit == nil {
-				copy(comb, e.row)
-				for col := leftW; col < width; col++ {
-					comb[col] = b.Value(i, col-leftW)
-				}
-				j.out.AppendRow(comb)
-			} else {
-				for col, need := range j.emit {
-					if !need {
-						continue
-					}
-					if col < leftW {
-						j.out.Cols[col].Append(e.row[col])
-					} else {
-						j.out.Cols[col].Append(b.Value(i, col-leftW))
-					}
-				}
-				j.out.N++
-			}
-			emitted++
-		}
-		if emitted > 0 {
-			j.ctx.VM.AccountCPU(OpsPerTuple * float64(emitted))
-			return &j.out, true, nil
-		}
-	}
-	// Unmatched outer tail for LEFT joins, in build order.
-	if j.node.Type == sql.LeftJoin {
-		j.out.Reset(width)
-		pruneOut(&j.out, j.emit)
-		emitted := 0
+	// The unmatched outer rows of a LEFT join built on its outer side, in
+	// build order.
+	if left && j.buildLeft {
+		j.outBuild = j.outBuild[:0]
 		budget = min(budget, plan.BatchSize)
-		for j.tailIdx < len(j.allRows) && emitted < budget {
-			e := j.allRows[j.tailIdx]
-			j.tailIdx++
-			if e.matched {
-				continue
+		for ; j.tailIdx < j.build.rows && len(j.outBuild) < budget; j.tailIdx++ {
+			if !j.matched[j.tailIdx] {
+				j.outBuild = append(j.outBuild, j.tailIdx)
 			}
-			if j.emit == nil {
-				copy(comb, e.row)
-				for c := leftW; c < width; c++ {
-					comb[c] = types.Null
-				}
-				j.out.AppendRow(comb)
-			} else {
-				for col, need := range j.emit {
-					if !need {
-						continue
-					}
-					if col < leftW {
-						j.out.Cols[col].Append(e.row[col])
-					} else {
-						j.out.Cols[col].Append(types.Null)
-					}
-				}
-				j.out.N++
-			}
-			emitted++
 		}
-		if emitted > 0 {
-			j.ctx.VM.AccountCPU(OpsPerTuple * float64(emitted))
-			return &j.out, true, nil
+		if len(j.outBuild) > 0 {
+			return j.emitRows(nil, false), true, nil
 		}
 	}
 	j.done = true
 	return nil, false, nil
 }
 
-func (j *vHashJoinOuter) Close() { j.right.Close() }
+func (j *vHashJoin) Close() { j.probe.Close() }
 
 // vNLJoin is the vectorized nested-loops join: the inner side is
 // materialized once — its predicate-referenced columns transposed into
@@ -938,8 +715,11 @@ func (j *vNLJoin) load() error {
 		}
 		sel := liveSel(b, &selBuf)
 		j.ctx.VM.AccountCPU(OpsPerTuple * float64(len(sel)))
-		for _, i := range sel {
-			r := make(plan.Row, len(b.Cols))
+		// One slab per input batch instead of one allocation per row.
+		w := len(b.Cols)
+		slab := make([]types.Value, len(sel)*w)
+		for k, i := range sel {
+			r := plan.Row(slab[k*w : (k+1)*w : (k+1)*w])
 			b.ReadRow(i, r)
 			j.inner = append(j.inner, r)
 		}
@@ -1008,12 +788,12 @@ func (j *vNLJoin) NextBatch(budget int) (*plan.Batch, bool, error) {
 		}
 		var surv []int
 		if candN > 0 {
-			j.candSel = growSel(j.candSel, candN)
+			j.candSel = growSlice(j.candSel, candN)
 			for c := range j.candSel {
 				j.candSel[c] = from + c
 			}
 			surv = j.candSel
-			if len(j.pred.evs) > 0 {
+			if len(j.pred.preds) > 0 {
 				// Assemble the candidate batch: referenced outer columns are
 				// this row's value broadcast, inner columns alias the
 				// transposed vectors.

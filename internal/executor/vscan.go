@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"dbvirt/internal/buffer"
 	"dbvirt/internal/optimizer"
 	"dbvirt/internal/plan"
 	"dbvirt/internal/sql"
@@ -28,21 +29,6 @@ type zoneConj struct {
 	constPass bool // zfConst: conjunct truthy
 }
 
-func flipCmp(op sql.BinaryOp) sql.BinaryOp {
-	switch op {
-	case sql.OpLt:
-		return sql.OpGt
-	case sql.OpLe:
-		return sql.OpGe
-	case sql.OpGt:
-		return sql.OpLt
-	case sql.OpGe:
-		return sql.OpLe
-	default:
-		return op
-	}
-}
-
 // analyzeZoneConj classifies one pushed-down conjunct for zone-map
 // reasoning. Unrecognized shapes are zfNone and end the analyzable prefix.
 func analyzeZoneConj(e plan.Expr, lay plan.Layout) zoneConj {
@@ -63,7 +49,7 @@ func analyzeZoneConj(e plan.Expr, lay plan.Layout) zoneConj {
 		if c, ok := x.L.(*plan.Const); ok {
 			if cr, ok2 := x.R.(*plan.ColRef); ok2 {
 				if off, err := lay.Offset(cr); err == nil {
-					return zoneConj{form: zfCmp, ops: plan.OpsPerOperator, col: off, op: flipCmp(x.Op), k: c.Val}
+					return zoneConj{form: zfCmp, ops: plan.OpsPerOperator, col: off, op: x.Op.Flip(), k: c.Val}
 				}
 			}
 		}
@@ -222,13 +208,12 @@ type vSeqScan struct {
 	node   *optimizer.SeqScan
 	pages  uint32
 	pageNo uint32
-	pinned bool
-	id     storage.PageID
+	frame  *buffer.Frame // the pinned page; nil between pages
 
 	conj    *vecConjuncts
 	zones   []zoneConj
 	verd    []int8
-	rowPred func(plan.Row) (bool, error) // for irregular blocks
+	rowPred func(plan.Row) (bool, error) // for irregular blocks; compiled on the first one
 
 	blk      *storage.ColBlock // the pinned page's block; nil before the first page and between pages
 	pos      int               // first row of blk not yet examined
@@ -244,36 +229,35 @@ func newVSeqScan(n *optimizer.SeqScan, ctx *Context) (batchIterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	rowPred, err := compileConjuncts(n.Filter, n.Layout(), ctx.VM)
-	if err != nil {
-		return nil, err
-	}
 	zones := make([]zoneConj, len(n.Filter))
 	for i, c := range n.Filter {
 		zones[i] = analyzeZoneConj(c.E, n.Layout())
 	}
 	return &vSeqScan{
-		ctx:     ctx,
-		node:    n,
-		pages:   ctx.Pool.NumPages(n.Rel.Table.Heap.FileID()),
-		conj:    conj,
-		zones:   zones,
-		rowPred: rowPred,
+		ctx:   ctx,
+		node:  n,
+		pages: ctx.Pool.NumPages(n.Rel.Table.Heap.FileID()),
+		conj:  conj,
+		zones: zones,
 	}, nil
 }
 
-// block returns the columnar form of the pinned page, from the table's
-// block cache when possible.
-func (s *vSeqScan) block(data *storage.PageData) *storage.ColBlock {
+// block returns the columnar form of the pinned page. Only a page the
+// table's block cache does not hold has its bytes read and decoded.
+func (s *vSeqScan) block() (*storage.ColBlock, error) {
 	cache := s.node.Rel.Table.Blocks
 	if blk := cache.Get(s.pageNo); blk != nil {
 		mBlockCacheHits.Inc()
-		return blk
+		return blk, nil
+	}
+	data, err := s.ctx.Pool.Data(s.frame)
+	if err != nil {
+		return nil, err
 	}
 	blk := storage.BuildColBlock(storage.NewSlottedPage(data))
 	mBlocksDecoded.Inc()
 	cache.Put(s.pageNo, blk)
-	return blk
+	return blk, nil
 }
 
 // Per-page conjunct verdicts from the zone maps.
@@ -344,7 +328,7 @@ func (s *vSeqScan) zoneSkip(blk *storage.ColBlock, verd []int8) (bool, float64) 
 // outcome) and skip evaluation; undecided ones run vectorized as usual.
 func (s *vSeqScan) applyCascade(b *plan.Batch, sel []int, verd []int8) ([]int, error) {
 	cur := sel
-	for ci, ev := range s.conj.evs {
+	for ci, pred := range s.conj.preds {
 		if len(cur) == 0 {
 			return cur, nil
 		}
@@ -356,18 +340,10 @@ func (s *vSeqScan) applyCascade(b *plan.Batch, sel []int, verd []int8) ([]int, e
 			s.ctx.VM.AccountCPU(s.zones[ci].ops * float64(len(cur)))
 			return cur[:0], nil
 		}
-		s.conj.vals = growVals(s.conj.vals, len(cur))
-		if err := ev(b, cur, s.conj.vals); err != nil {
+		var err error
+		if cur, err = pred(b, cur); err != nil {
 			return nil, err
 		}
-		kept := 0
-		for k := range cur {
-			if plan.Truthy(s.conj.vals[k]) {
-				cur[kept] = cur[k]
-				kept++
-			}
-		}
-		cur = cur[:kept]
 	}
 	return cur, nil
 }
@@ -378,7 +354,7 @@ func (s *vSeqScan) NextBatch(budget int) (*plan.Batch, bool, error) {
 	}
 	for !s.closed {
 		if s.blk == nil {
-			if s.pinned {
+			if s.frame != nil {
 				s.unpin()
 				s.pageNo++
 			}
@@ -386,14 +362,17 @@ func (s *vSeqScan) NextBatch(budget int) (*plan.Batch, bool, error) {
 				s.closed = true
 				break
 			}
-			s.id = storage.PageID{File: s.node.Rel.Table.Heap.FileID(), Page: s.pageNo}
-			data, err := s.ctx.Pool.Fetch(s.id, storage.SeqHint)
+			id := storage.PageID{File: s.node.Rel.Table.Heap.FileID(), Page: s.pageNo}
+			var err error
+			if s.frame, err = s.ctx.Pool.Pin(id, storage.SeqHint); err == nil {
+				s.blk, err = s.block()
+			}
 			if err != nil {
+				s.unpin()
 				s.closed = true
 				return nil, false, err
 			}
-			s.pinned = true
-			s.blk, s.pos = s.block(data), 0
+			s.pos = 0
 			s.pageVerdicts(s.blk)
 		}
 		b, err := s.processBlock(budget)
@@ -443,7 +422,7 @@ func (s *vSeqScan) processBlock(budget int) (*plan.Batch, error) {
 	case vis != nil:
 		// Visibility is matched on slot numbers exactly as the tuple scan
 		// does, before any per-tuple charge.
-		sel = growSel(s.selBuf, blk.Rows)[:0]
+		sel = growSlice(s.selBuf, blk.Rows)[:0]
 		fid := s.node.Rel.Table.Heap.FileID()
 		i := s.pos
 		for ; i < blk.Rows && len(sel) < budget; i++ {
@@ -457,7 +436,7 @@ func (s *vSeqScan) processBlock(budget int) (*plan.Batch, error) {
 		s.pos = blk.Rows
 	default:
 		n = min(blk.Rows-s.pos, budget)
-		sel = growSel(s.selBuf, n)
+		sel = growSlice(s.selBuf, n)
 		for k := range sel {
 			sel[k] = s.pos + k
 		}
@@ -468,7 +447,7 @@ func (s *vSeqScan) processBlock(budget int) (*plan.Batch, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	if len(s.conj.evs) > 0 {
+	if len(s.conj.preds) > 0 {
 		if sel == nil {
 			sel = liveSel(&s.b, &s.selBuf)
 		}
@@ -504,6 +483,12 @@ func (s *vSeqScan) endPage() error {
 func (s *vSeqScan) nextIrregular() (*plan.Batch, error) {
 	blk := s.blk
 	fid := s.node.Rel.Table.Heap.FileID()
+	if s.rowPred == nil {
+		var err error
+		if s.rowPred, err = compileConjuncts(s.node.Filter, s.node.Layout(), s.ctx.VM); err != nil {
+			return nil, err
+		}
+	}
 	for s.pos < len(blk.RowData) {
 		ri := s.pos
 		s.pos++
@@ -526,9 +511,9 @@ func (s *vSeqScan) nextIrregular() (*plan.Batch, error) {
 }
 
 func (s *vSeqScan) unpin() {
-	if s.pinned {
-		s.ctx.Pool.Unpin(s.id, false)
-		s.pinned = false
+	if s.frame != nil {
+		s.ctx.Pool.Release(s.frame)
+		s.frame = nil
 	}
 }
 
@@ -616,8 +601,9 @@ func (f *vFilter) NextBatch(budget int) (*plan.Batch, bool, error) {
 
 func (f *vFilter) Close() { f.input.Close() }
 
-// vProject evaluates the output expressions column-wise into an owned
-// boxed batch.
+// vProject evaluates the output expressions column-wise; each output
+// column is whatever vector its expression yields (a lane, an aliased input
+// column, or boxed values).
 type vProject struct {
 	input  batchIterator
 	evs    []plan.VecEval
@@ -652,14 +638,15 @@ func (p *vProject) NextBatch(budget int) (*plan.Batch, bool, error) {
 		if n == 0 {
 			continue
 		}
-		p.out.Reset(len(p.evs))
+		if p.out.Cols == nil {
+			p.out.Cols = make([]types.Vec, len(p.evs))
+		}
 		for i, ev := range p.evs {
-			p.out.Cols[i].Any = growVals(p.out.Cols[i].Any, n)
-			if err := ev(b, sel, p.out.Cols[i].Any); err != nil {
+			if err := ev(b, sel, &p.out.Cols[i]); err != nil {
 				return nil, false, err
 			}
 		}
-		p.out.N = n
+		p.out.N, p.out.Sel = n, nil // a consumer may have narrowed the last batch
 		return &p.out, true, nil
 	}
 }
@@ -731,7 +718,7 @@ func (d *vDistinct) NextBatch(budget int) (*plan.Batch, bool, error) {
 		sel := liveSel(b, &d.selBuf)
 		// The tuple path hashes every input row, duplicates included.
 		d.ctx.VM.AccountCPU(float64(d.visible) * OpsPerHash * float64(len(sel)))
-		d.keyBuf = growVals(d.keyBuf, d.visible)
+		d.keyBuf = growSlice(d.keyBuf, d.visible)
 		kept := 0
 		for _, i := range sel {
 			if d.visible == 1 {

@@ -66,7 +66,7 @@ func absorb(r *keyRange, rel *plan.Rel, ix *catalog.Index, e plan.Expr) bool {
 		}
 		if onIndexCol(x.R) {
 			if v, ok := constNumeric(x.L); ok {
-				absorbOp(r, flipOp(x.Op), v)
+				absorbOp(r, x.Op.Flip(), v)
 				return true
 			}
 		}

@@ -87,7 +87,7 @@ func selectivity(e plan.Expr, q *plan.Query) float64 {
 		}
 		if rIsCol && rc.Rel >= 0 {
 			if v, ok := constValue(x.L); ok {
-				return scalarSelectivity(flipOp(x.Op), rc, v, q)
+				return scalarSelectivity(x.Op.Flip(), rc, v, q)
 			}
 		}
 		// col op col same relation (e.g. l_commitdate < l_receiptdate).
@@ -168,21 +168,6 @@ func constValue(e plan.Expr) (float64, bool) {
 		return 0, false
 	}
 	return c.Val.ToSortKey()
-}
-
-func flipOp(op sql.BinaryOp) sql.BinaryOp {
-	switch op {
-	case sql.OpLt:
-		return sql.OpGt
-	case sql.OpLe:
-		return sql.OpGe
-	case sql.OpGt:
-		return sql.OpLt
-	case sql.OpGe:
-		return sql.OpLe
-	default:
-		return op
-	}
 }
 
 // scalarSelectivity estimates col op const using the column's statistics.

@@ -52,8 +52,8 @@ func (b *Batch) ReadRow(i int, dst Row) {
 	}
 }
 
-// Reset prepares b as an empty boxed output batch of the given width,
-// reusing column capacity.
+// Reset prepares b as an empty output batch of the given width, reusing
+// column capacity. The batch must own its columns (see Vec.Reset).
 func (b *Batch) Reset(width int) {
 	if cap(b.Cols) < width {
 		b.Cols = make([]types.Vec, width)
@@ -66,7 +66,7 @@ func (b *Batch) Reset(width int) {
 	b.N = 0
 }
 
-// AppendRow appends one row to a boxed output batch.
+// AppendRow appends one row to an owned output batch.
 func (b *Batch) AppendRow(r Row) {
 	for c := range b.Cols {
 		b.Cols[c].Append(r[c])

@@ -9,8 +9,12 @@ import (
 )
 
 // VecEval evaluates a compiled expression over selected rows of a batch:
-// for each k, out[k] receives the expression's value on physical row
-// sel[k]. out must have length len(sel).
+// it sets *out to a vector of len(sel) rows whose row k is the
+// expression's value on physical row sel[k]. sel is ascending and without
+// repeats, as every selection vector is. The result is typed when the
+// expression ran on typed lanes and boxed when it took the boxed loops;
+// its storage belongs to the evaluator (valid until its next call) or
+// aliases a column of b, so the caller must not modify it.
 //
 // VecEval charges the sink exactly the CPU operations the row-at-a-time
 // Evaluator would charge across the same rows: per-operator charges are
@@ -21,26 +25,101 @@ import (
 // totals are bit-identical to scalar evaluation. The only divergence is on
 // error paths (a failing row may have charged the rest of its batch
 // first); errors abort the query, so no cost observation follows them.
-type VecEval func(b *Batch, sel []int, out []types.Value) error
+type VecEval func(b *Batch, sel []int, out *types.Vec) error
 
-// growVals returns a value slice of length n, reusing s's capacity.
-func growVals(s []types.Value, n int) []types.Value {
+// grow returns a slice of length n, reusing s's capacity.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]types.Value, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
 
+// boxed returns the rows of v as values: v.Any itself when v is boxed,
+// otherwise the typed rows materialized into *buf. It is how the boxed
+// loops below read an operand that arrived as a lane.
+func boxed(v *types.Vec, buf *[]types.Value) []types.Value {
+	if v.Any != nil {
+		return v.Any
+	}
+	out := grow(*buf, v.Len())
+	*buf = out
+	switch v.Kind {
+	case types.KindNull:
+	case types.KindFloat:
+		for k, f := range v.F {
+			out[k] = types.Value{Kind: types.KindFloat, F: f}
+		}
+	case types.KindString:
+		for k, s := range v.S {
+			out[k] = types.Value{Kind: types.KindString, S: s}
+		}
+	default: // Int, Date, Bool
+		for k, i := range v.I {
+			out[k] = types.Value{Kind: v.Kind, I: i}
+		}
+	}
+	for k, null := range v.Null {
+		if null {
+			out[k] = types.Null
+		}
+	}
+	return out
+}
+
+// constLanes broadcasts a literal to vectors of any length. The lanes only
+// ever grow, so past the first batches a literal costs nothing per batch.
+type constLanes struct {
+	v    types.Value
+	i    []int64
+	f    []float64
+	s    []string
+	null []bool
+}
+
+func fill[T any](lane []T, n int, v T) []T {
+	for len(lane) < n {
+		lane = append(lane, v)
+	}
+	return lane
+}
+
+// floats returns n copies of the literal as a float, promoted the way
+// arith promotes an integer operand that meets a float.
+func (c *constLanes) floats(n int) []float64 {
+	f, _ := c.v.AsFloat()
+	c.f = fill(c.f, n, f)
+	return c.f[:n]
+}
+
+// vec sets out to n copies of the literal, typed.
+func (c *constLanes) vec(n int, out *types.Vec) {
+	switch c.v.Kind {
+	case types.KindNull:
+		c.null = fill(c.null, n, true)
+		*out = types.Vec{Null: c.null[:n]}
+	case types.KindFloat:
+		*out = types.Vec{Kind: types.KindFloat, F: c.floats(n)}
+	case types.KindString:
+		c.s = fill(c.s, n, c.v.S)
+		*out = types.Vec{Kind: types.KindString, S: c.s[:n]}
+	default:
+		c.i = fill(c.i, n, c.v.I)
+		*out = types.Vec{Kind: c.v.Kind, I: c.i[:n]}
+	}
+}
+
 // CompileVec translates a bound expression into a vectorized evaluator
-// with the same semantics and CPU charges as Compile.
+// with the same semantics and CPU charges as Compile. Column references,
+// literals and + − × over them run on typed lanes; every other operator,
+// and arithmetic whose operands arrive boxed, NULL-masked or in kinds that
+// differ, runs the boxed loop that mirrors the scalar evaluator.
 func CompileVec(e Expr, lay Layout, sink CPUSink) (VecEval, error) {
 	switch x := e.(type) {
 	case *Const:
-		v := x.Val
-		return func(_ *Batch, sel []int, out []types.Value) error {
-			for k := range sel {
-				out[k] = v
-			}
+		c := &constLanes{v: x.Val}
+		return func(_ *Batch, sel []int, out *types.Vec) error {
+			c.vec(len(sel), out)
 			return nil
 		}, nil
 
@@ -49,82 +128,23 @@ func CompileVec(e Expr, lay Layout, sink CPUSink) (VecEval, error) {
 		if err != nil {
 			return nil, err
 		}
-		return func(b *Batch, sel []int, out []types.Value) error {
+		var own types.Vec
+		return func(b *Batch, sel []int, out *types.Vec) error {
 			if off >= len(b.Cols) {
 				return fmt.Errorf("plan: row too short: col %d of %d", off, len(b.Cols))
 			}
-			// Per-representation gather loops; each produces exactly what
-			// col.Get(i) would, without its per-row branch chain.
 			col := &b.Cols[off]
-			if col.Any != nil {
-				a := col.Any
-				for k, i := range sel {
-					out[k] = a[i]
-				}
+			if len(sel) == col.Len() {
+				*out = *col // every row selected: the column is the result
 				return nil
 			}
-			nul := col.Null
-			switch col.Kind {
-			case types.KindFloat:
-				f := col.F
-				if nul == nil {
-					for k, i := range sel {
-						out[k] = types.Value{Kind: types.KindFloat, F: f[i]}
-					}
-				} else {
-					for k, i := range sel {
-						if nul[i] {
-							out[k] = types.Null
-						} else {
-							out[k] = types.Value{Kind: types.KindFloat, F: f[i]}
-						}
-					}
-				}
-			case types.KindString:
-				s := col.S
-				if nul == nil {
-					for k, i := range sel {
-						out[k] = types.Value{Kind: types.KindString, S: s[i]}
-					}
-				} else {
-					for k, i := range sel {
-						if nul[i] {
-							out[k] = types.Null
-						} else {
-							out[k] = types.Value{Kind: types.KindString, S: s[i]}
-						}
-					}
-				}
-			case types.KindNull:
-				for k := range sel {
-					out[k] = types.Null
-				}
-			default: // Int, Date, Bool
-				iv := col.I
-				kind := col.Kind
-				if nul == nil {
-					for k, i := range sel {
-						out[k] = types.Value{Kind: kind, I: iv[i]}
-					}
-				} else {
-					for k, i := range sel {
-						if nul[i] {
-							out[k] = types.Null
-						} else {
-							out[k] = types.Value{Kind: kind, I: iv[i]}
-						}
-					}
-				}
-			}
+			own.Reset()
+			own.AppendRows(col, sel)
+			*out = own
 			return nil
 		}, nil
 
 	case *Bin:
-		if x.Op.Comparison() {
-			if ev, ok := fuseCmpColConst(x, lay, sink); ok {
-				return ev, nil
-			}
-		}
 		l, err := CompileVec(x.L, lay, sink)
 		if err != nil {
 			return nil, err
@@ -133,27 +153,35 @@ func CompileVec(e Expr, lay Layout, sink CPUSink) (VecEval, error) {
 		if err != nil {
 			return nil, err
 		}
-		return compileBinVec(x.Op, l, r, sink)
+		switch {
+		case x.Op == sql.OpAnd || x.Op == sql.OpOr:
+			return compileLogicVec(x.Op, l, r, sink), nil
+		case x.Op.Comparison():
+			return compileCmpVec(x.Op, l, r, sink), nil
+		}
+		return compileArithVec(x, l, r, sink), nil
 
 	case *Not:
 		inner, err := CompileVec(x.E, lay, sink)
 		if err != nil {
 			return nil, err
 		}
-		var iv []types.Value
-		return func(b *Batch, sel []int, out []types.Value) error {
+		var iv types.Vec
+		var ib, ob []types.Value
+		return func(b *Batch, sel []int, out *types.Vec) error {
 			sink.AccountCPU(OpsPerOperator * float64(len(sel)))
-			iv = growVals(iv, len(sel))
-			if err := inner(b, sel, iv); err != nil {
+			if err := inner(b, sel, &iv); err != nil {
 				return err
 			}
-			for k := range sel {
-				if iv[k].IsNull() {
-					out[k] = types.Null
+			ob = grow(ob, len(sel))
+			for k, v := range boxed(&iv, &ib) {
+				if v.IsNull() {
+					ob[k] = types.Null
 				} else {
-					out[k] = types.NewBool(!iv[k].Bool())
+					ob[k] = types.NewBool(!v.Bool())
 				}
 			}
+			*out = types.Vec{Any: ob}
 			return nil
 		}, nil
 
@@ -162,33 +190,31 @@ func CompileVec(e Expr, lay Layout, sink CPUSink) (VecEval, error) {
 		if err != nil {
 			return nil, err
 		}
-		var iv []types.Value
-		return func(b *Batch, sel []int, out []types.Value) error {
+		var iv types.Vec
+		var ib, ob []types.Value
+		return func(b *Batch, sel []int, out *types.Vec) error {
 			sink.AccountCPU(OpsPerOperator * float64(len(sel)))
-			iv = growVals(iv, len(sel))
-			if err := inner(b, sel, iv); err != nil {
+			if err := inner(b, sel, &iv); err != nil {
 				return err
 			}
-			for k := range sel {
-				v := iv[k]
+			ob = grow(ob, len(sel))
+			for k, v := range boxed(&iv, &ib) {
 				switch v.Kind {
 				case types.KindNull:
-					out[k] = types.Null
+					ob[k] = types.Null
 				case types.KindInt:
-					out[k] = types.NewInt(-v.I)
+					ob[k] = types.NewInt(-v.I)
 				case types.KindFloat:
-					out[k] = types.NewFloat(-v.F)
+					ob[k] = types.NewFloat(-v.F)
 				default:
 					return fmt.Errorf("plan: cannot negate %s", v.Kind)
 				}
 			}
+			*out = types.Vec{Any: ob}
 			return nil
 		}, nil
 
 	case *Between:
-		if fev, ok := fuseBetweenColConst(x, lay, sink); ok {
-			return fev, nil
-		}
 		ev, err := CompileVec(x.E, lay, sink)
 		if err != nil {
 			return nil, err
@@ -202,36 +228,35 @@ func CompileVec(e Expr, lay Layout, sink CPUSink) (VecEval, error) {
 			return nil, err
 		}
 		notB := x.NotB
-		var vv, lv, hv []types.Value
-		return func(b *Batch, sel []int, out []types.Value) error {
+		var vv, lv, hv types.Vec
+		var vb, lb, hb, ob []types.Value
+		return func(b *Batch, sel []int, out *types.Vec) error {
 			n := len(sel)
 			sink.AccountCPU(2 * OpsPerOperator * float64(n))
-			vv, lv, hv = growVals(vv, n), growVals(lv, n), growVals(hv, n)
-			if err := ev(b, sel, vv); err != nil {
+			if err := ev(b, sel, &vv); err != nil {
 				return err
 			}
-			if err := lo(b, sel, lv); err != nil {
+			if err := lo(b, sel, &lv); err != nil {
 				return err
 			}
-			if err := hi(b, sel, hv); err != nil {
+			if err := hi(b, sel, &hv); err != nil {
 				return err
 			}
+			va, la, ha := boxed(&vv, &vb), boxed(&lv, &lb), boxed(&hv, &hb)
+			ob = grow(ob, n)
 			for k := 0; k < n; k++ {
-				if vv[k].IsNull() || lv[k].IsNull() || hv[k].IsNull() {
-					out[k] = types.Null
+				if va[k].IsNull() || la[k].IsNull() || ha[k].IsNull() {
+					ob[k] = types.Null
 					continue
 				}
-				c1, ok1 := cmpFast(vv[k], lv[k])
-				c2, ok2 := cmpFast(vv[k], hv[k])
+				c1, ok1 := cmpFast(va[k], la[k])
+				c2, ok2 := cmpFast(va[k], ha[k])
 				if !ok1 || !ok2 {
 					return fmt.Errorf("plan: BETWEEN on incompatible types")
 				}
-				res := c1 >= 0 && c2 <= 0
-				if notB {
-					res = !res
-				}
-				out[k] = types.NewBool(res)
+				ob[k] = types.NewBool((c1 >= 0 && c2 <= 0) != notB)
 			}
+			*out = types.Vec{Any: ob}
 			return nil
 		}, nil
 
@@ -242,7 +267,6 @@ func CompileVec(e Expr, lay Layout, sink CPUSink) (VecEval, error) {
 		// evaluator row by row.
 		getters := make([]func(*Batch, int) types.Value, len(x.List))
 		offs := make([]int, 0, len(x.List))
-		simple := true
 		for i, le := range x.List {
 			switch y := le.(type) {
 			case *Const:
@@ -256,22 +280,17 @@ func CompileVec(e Expr, lay Layout, sink CPUSink) (VecEval, error) {
 				offs = append(offs, off)
 				getters[i] = func(b *Batch, row int) types.Value { return b.Cols[off].Get(row) }
 			default:
-				simple = false
+				return rowFallback(e, lay, sink)
 			}
-			if !simple {
-				break
-			}
-		}
-		if !simple {
-			return rowFallback(e, lay, sink)
 		}
 		ev, err := CompileVec(x.E, lay, sink)
 		if err != nil {
 			return nil, err
 		}
 		notI := x.NotI
-		var vv []types.Value
-		return func(b *Batch, sel []int, out []types.Value) error {
+		var vv types.Vec
+		var vb, ob []types.Value
+		return func(b *Batch, sel []int, out *types.Vec) error {
 			n := len(sel)
 			sink.AccountCPU(float64(len(getters)) * OpsPerOperator * float64(n))
 			for _, off := range offs {
@@ -279,14 +298,15 @@ func CompileVec(e Expr, lay Layout, sink CPUSink) (VecEval, error) {
 					return fmt.Errorf("plan: row too short: col %d of %d", off, len(b.Cols))
 				}
 			}
-			vv = growVals(vv, n)
-			if err := ev(b, sel, vv); err != nil {
+			if err := ev(b, sel, &vv); err != nil {
 				return err
 			}
+			va := boxed(&vv, &vb)
+			ob = grow(ob, n)
 			for k, i := range sel {
-				v := vv[k]
+				v := va[k]
 				if v.IsNull() {
-					out[k] = types.Null
+					ob[k] = types.Null
 					continue
 				}
 				sawNull := false
@@ -304,13 +324,14 @@ func CompileVec(e Expr, lay Layout, sink CPUSink) (VecEval, error) {
 				}
 				switch {
 				case found:
-					out[k] = types.NewBool(!notI)
+					ob[k] = types.NewBool(!notI)
 				case sawNull:
-					out[k] = types.Null
+					ob[k] = types.Null
 				default:
-					out[k] = types.NewBool(notI)
+					ob[k] = types.NewBool(notI)
 				}
 			}
+			*out = types.Vec{Any: ob}
 			return nil
 		}, nil
 
@@ -321,17 +342,17 @@ func CompileVec(e Expr, lay Layout, sink CPUSink) (VecEval, error) {
 		}
 		match := compileLikeMatcher(x.Pattern)
 		notL := x.NotL
-		var vv []types.Value
-		return func(b *Batch, sel []int, out []types.Value) error {
-			vv = growVals(vv, len(sel))
-			if err := ev(b, sel, vv); err != nil {
+		var vv types.Vec
+		var vb, ob []types.Value
+		return func(b *Batch, sel []int, out *types.Vec) error {
+			if err := ev(b, sel, &vv); err != nil {
 				return err
 			}
+			ob = grow(ob, len(sel))
 			var ops float64
-			for k := range sel {
-				v := vv[k]
+			for k, v := range boxed(&vv, &vb) {
 				if v.IsNull() {
-					out[k] = types.Null
+					ob[k] = types.Null
 					continue
 				}
 				if v.Kind != types.KindString {
@@ -339,13 +360,10 @@ func CompileVec(e Expr, lay Layout, sink CPUSink) (VecEval, error) {
 					return fmt.Errorf("plan: LIKE on %s", v.Kind)
 				}
 				ops += types.LikeCostOps(len(v.S))
-				res := match(v.S)
-				if notL {
-					res = !res
-				}
-				out[k] = types.NewBool(res)
+				ob[k] = types.NewBool(match(v.S) != notL)
 			}
 			sink.AccountCPU(ops)
+			*out = types.Vec{Any: ob}
 			return nil
 		}, nil
 
@@ -355,16 +373,18 @@ func CompileVec(e Expr, lay Layout, sink CPUSink) (VecEval, error) {
 			return nil, err
 		}
 		notN := x.NotN
-		var iv []types.Value
-		return func(b *Batch, sel []int, out []types.Value) error {
+		var iv types.Vec
+		var ib, ob []types.Value
+		return func(b *Batch, sel []int, out *types.Vec) error {
 			sink.AccountCPU(OpsPerOperator * float64(len(sel)))
-			iv = growVals(iv, len(sel))
-			if err := inner(b, sel, iv); err != nil {
+			if err := inner(b, sel, &iv); err != nil {
 				return err
 			}
-			for k := range sel {
-				out[k] = types.NewBool(iv[k].IsNull() != notN)
+			ob = grow(ob, len(sel))
+			for k, v := range boxed(&iv, &ib) {
+				ob[k] = types.NewBool(v.IsNull() != notN)
 			}
+			*out = types.Vec{Any: ob}
 			return nil
 		}, nil
 
@@ -408,216 +428,188 @@ func rowFallback(e Expr, lay Layout, sink CPUSink) (VecEval, error) {
 		return nil, err
 	}
 	var row Row
-	return func(b *Batch, sel []int, out []types.Value) error {
-		if cap(row) < len(b.Cols) {
-			row = make(Row, len(b.Cols))
-		}
-		r := row[:len(b.Cols)]
+	var ob []types.Value
+	return func(b *Batch, sel []int, out *types.Vec) error {
+		row = grow(row, len(b.Cols))
+		ob = grow(ob, len(sel))
 		for k, i := range sel {
-			b.ReadRow(i, r)
-			v, err := ev(r)
+			b.ReadRow(i, row)
+			v, err := ev(row)
 			if err != nil {
 				return err
 			}
-			out[k] = v
+			ob[k] = v
 		}
+		*out = types.Vec{Any: ob}
 		return nil
 	}, nil
 }
 
-func compileBinVec(op sql.BinaryOp, l, r VecEval, sink CPUSink) (VecEval, error) {
-	switch op {
-	case sql.OpAnd:
-		var lv, rv []types.Value
-		var subsel, subpos []int
-		return func(b *Batch, sel []int, out []types.Value) error {
-			n := len(sel)
-			sink.AccountCPU(OpsPerOperator * float64(n))
-			lv = growVals(lv, n)
-			if err := l(b, sel, lv); err != nil {
-				return err
-			}
-			subsel, subpos = subsel[:0], subpos[:0]
-			for k := 0; k < n; k++ {
-				if !lv[k].IsNull() && !lv[k].Bool() {
-					out[k] = types.NewBool(false)
-				} else {
-					subsel = append(subsel, sel[k])
-					subpos = append(subpos, k)
-				}
-			}
-			if len(subsel) == 0 {
-				return nil
-			}
-			rv = growVals(rv, len(subsel))
-			if err := r(b, subsel, rv); err != nil {
-				return err
-			}
-			for j, k := range subpos {
-				switch {
-				case !rv[j].IsNull() && !rv[j].Bool():
-					out[k] = types.NewBool(false)
-				case lv[k].IsNull() || rv[j].IsNull():
-					out[k] = types.Null
-				default:
-					out[k] = types.NewBool(true)
-				}
-			}
-			return nil
-		}, nil
-
-	case sql.OpOr:
-		var lv, rv []types.Value
-		var subsel, subpos []int
-		return func(b *Batch, sel []int, out []types.Value) error {
-			n := len(sel)
-			sink.AccountCPU(OpsPerOperator * float64(n))
-			lv = growVals(lv, n)
-			if err := l(b, sel, lv); err != nil {
-				return err
-			}
-			subsel, subpos = subsel[:0], subpos[:0]
-			for k := 0; k < n; k++ {
-				if !lv[k].IsNull() && lv[k].Bool() {
-					out[k] = types.NewBool(true)
-				} else {
-					subsel = append(subsel, sel[k])
-					subpos = append(subpos, k)
-				}
-			}
-			if len(subsel) == 0 {
-				return nil
-			}
-			rv = growVals(rv, len(subsel))
-			if err := r(b, subsel, rv); err != nil {
-				return err
-			}
-			for j, k := range subpos {
-				switch {
-				case !rv[j].IsNull() && rv[j].Bool():
-					out[k] = types.NewBool(true)
-				case lv[k].IsNull() || rv[j].IsNull():
-					out[k] = types.Null
-				default:
-					out[k] = types.NewBool(false)
-				}
-			}
-			return nil
-		}, nil
-	}
-
-	if op.Comparison() {
-		var lv, rv []types.Value
-		return func(b *Batch, sel []int, out []types.Value) error {
-			n := len(sel)
-			sink.AccountCPU(OpsPerOperator * float64(n))
-			lv, rv = growVals(lv, n), growVals(rv, n)
-			if err := l(b, sel, lv); err != nil {
-				return err
-			}
-			if err := r(b, sel, rv); err != nil {
-				return err
-			}
-			for k := 0; k < n; k++ {
-				if lv[k].IsNull() || rv[k].IsNull() {
-					out[k] = types.Null
-					continue
-				}
-				c, ok := cmpFast(lv[k], rv[k])
-				if !ok {
-					return fmt.Errorf("plan: cannot compare %s with %s", lv[k].Kind, rv[k].Kind)
-				}
-				var res bool
-				switch op {
-				case sql.OpEq:
-					res = c == 0
-				case sql.OpNe:
-					res = c != 0
-				case sql.OpLt:
-					res = c < 0
-				case sql.OpLe:
-					res = c <= 0
-				case sql.OpGt:
-					res = c > 0
-				case sql.OpGe:
-					res = c >= 0
-				}
-				out[k] = types.NewBool(res)
-			}
-			return nil
-		}, nil
-	}
-
-	// Arithmetic.
-	var lv, rv []types.Value
-	return func(b *Batch, sel []int, out []types.Value) error {
+// compileLogicVec is AND/OR: the right operand is evaluated only on the
+// rows the left operand left undecided.
+func compileLogicVec(op sql.BinaryOp, l, r VecEval, sink CPUSink) VecEval {
+	// decided is the left value that settles the result on its own:
+	// false for AND, true for OR.
+	decided := op == sql.OpOr
+	var lv, rv types.Vec
+	var lb, rb, ob []types.Value
+	var subsel, subpos []int
+	return func(b *Batch, sel []int, out *types.Vec) error {
 		n := len(sel)
 		sink.AccountCPU(OpsPerOperator * float64(n))
-		lv, rv = growVals(lv, n), growVals(rv, n)
-		if err := l(b, sel, lv); err != nil {
+		if err := l(b, sel, &lv); err != nil {
 			return err
 		}
-		if err := r(b, sel, rv); err != nil {
-			return err
-		}
+		la := boxed(&lv, &lb)
+		ob = grow(ob, n)
+		*out = types.Vec{Any: ob}
+		subsel, subpos = subsel[:0], subpos[:0]
 		for k := 0; k < n; k++ {
-			a, b2 := lv[k], rv[k]
-			if a.IsNull() || b2.IsNull() {
-				out[k] = types.Null
+			if !la[k].IsNull() && la[k].Bool() == decided {
+				ob[k] = types.NewBool(decided)
+			} else {
+				subsel = append(subsel, sel[k])
+				subpos = append(subpos, k)
+			}
+		}
+		if len(subsel) == 0 {
+			return nil
+		}
+		if err := r(b, subsel, &rv); err != nil {
+			return err
+		}
+		ra := boxed(&rv, &rb)
+		for j, k := range subpos {
+			switch {
+			case !ra[j].IsNull() && ra[j].Bool() == decided:
+				ob[k] = types.NewBool(decided)
+			case la[k].IsNull() || ra[j].IsNull():
+				ob[k] = types.Null
+			default:
+				ob[k] = types.NewBool(!decided)
+			}
+		}
+		return nil
+	}
+}
+
+// compileCmpVec is a comparison in value position (under OR or NOT, or in
+// a select list); a comparison that is a conjunct of its own compiles to a
+// selection-vector kernel instead (CompilePred).
+func compileCmpVec(op sql.BinaryOp, l, r VecEval, sink CPUSink) VecEval {
+	var lv, rv types.Vec
+	var lb, rb, ob []types.Value
+	return func(b *Batch, sel []int, out *types.Vec) error {
+		n := len(sel)
+		sink.AccountCPU(OpsPerOperator * float64(n))
+		if err := l(b, sel, &lv); err != nil {
+			return err
+		}
+		if err := r(b, sel, &rv); err != nil {
+			return err
+		}
+		la, ra := boxed(&lv, &lb), boxed(&rv, &rb)
+		ob = grow(ob, n)
+		for k := 0; k < n; k++ {
+			if la[k].IsNull() || ra[k].IsNull() {
+				ob[k] = types.Null
 				continue
 			}
-			// Numeric fast paths for +,-,* mirror arith() exactly: float
-			// promotion when either side is a float, and an int result for
-			// int⊗int (the date-typing rule only applies with a date
-			// operand, which takes the general path).
-			if a.Kind == types.KindInt && b2.Kind == types.KindInt {
-				var i int64
-				switch op {
-				case sql.OpAdd:
-					i = a.I + b2.I
-				case sql.OpSub:
-					i = a.I - b2.I
-				case sql.OpMul:
-					i = a.I * b2.I
-				default:
-					goto general
-				}
-				out[k] = types.Value{Kind: types.KindInt, I: i}
+			c, ok := cmpFast(la[k], ra[k])
+			if !ok {
+				return fmt.Errorf("plan: cannot compare %s with %s", la[k].Kind, ra[k].Kind)
+			}
+			ob[k] = types.NewBool(cmpOpRes(op, c))
+		}
+		*out = types.Vec{Any: ob}
+		return nil
+	}
+}
+
+// arithLanes computes out[k] = l[k] op r[k] over bare payload lanes.
+func arithLanes[T int64 | float64](op sql.BinaryOp, out, l, r []T) {
+	l, r = l[:len(out)], r[:len(out)]
+	switch op {
+	case sql.OpAdd:
+		for k := range out {
+			out[k] = l[k] + r[k]
+		}
+	case sql.OpSub:
+		for k := range out {
+			out[k] = l[k] - r[k]
+		}
+	case sql.OpMul:
+		for k := range out {
+			out[k] = l[k] * r[k]
+		}
+	}
+}
+
+// compileArithVec is + − × ÷. When both operands arrive as NULL-free lanes
+// of kinds arith combines without a per-row decision — INT with INT, FLOAT
+// with FLOAT, or a FLOAT lane with an INT literal, which is promoted once
+// as arith promotes it per row — the result is a lane as well (+ − × only;
+// ÷ can fail on a row). Everything else runs arith row by row.
+func compileArithVec(x *Bin, l, r VecEval, sink CPUSink) VecEval {
+	op := x.Op
+	lanes := op == sql.OpAdd || op == sql.OpSub || op == sql.OpMul
+	var lit [2]*constLanes // the operand's literal, when it is one
+	for i, e := range []Expr{x.L, x.R} {
+		if c, ok := e.(*Const); ok {
+			lit[i] = &constLanes{v: c.Val}
+		}
+	}
+	var lv, rv types.Vec
+	var lb, rb, ob []types.Value
+	var of []float64
+	var oi []int64
+	return func(b *Batch, sel []int, out *types.Vec) error {
+		n := len(sel)
+		sink.AccountCPU(OpsPerOperator * float64(n))
+		if err := l(b, sel, &lv); err != nil {
+			return err
+		}
+		if err := r(b, sel, &rv); err != nil {
+			return err
+		}
+		if lanes && lv.Dense() && rv.Dense() {
+			var lf, rf []float64
+			switch lk, rk := lv.Kind, rv.Kind; {
+			case lk == types.KindInt && rk == types.KindInt:
+				oi = grow(oi, n)
+				arithLanes(op, oi, lv.I, rv.I)
+				*out = types.Vec{Kind: types.KindInt, I: oi}
+				return nil
+			case lk == types.KindFloat && rk == types.KindFloat:
+				lf, rf = lv.F, rv.F
+			case lk == types.KindFloat && rk == types.KindInt && lit[1] != nil:
+				lf, rf = lv.F, lit[1].floats(n)
+			case lk == types.KindInt && lit[0] != nil && rk == types.KindFloat:
+				lf, rf = lit[0].floats(n), rv.F
+			}
+			if lf != nil {
+				of = grow(of, n)
+				arithLanes(op, of, lf, rf)
+				*out = types.Vec{Kind: types.KindFloat, F: of}
+				return nil
+			}
+		}
+		la, ra := boxed(&lv, &lb), boxed(&rv, &rb)
+		ob = grow(ob, n)
+		for k := 0; k < n; k++ {
+			if la[k].IsNull() || ra[k].IsNull() {
+				ob[k] = types.Null
 				continue
 			}
-			if (a.Kind == types.KindFloat || b2.Kind == types.KindFloat) &&
-				(a.Kind == types.KindFloat || a.Kind == types.KindInt) &&
-				(b2.Kind == types.KindFloat || b2.Kind == types.KindInt) {
-				af, bf := a.F, b2.F
-				if a.Kind == types.KindInt {
-					af = float64(a.I)
-				}
-				if b2.Kind == types.KindInt {
-					bf = float64(b2.I)
-				}
-				var f float64
-				switch op {
-				case sql.OpAdd:
-					f = af + bf
-				case sql.OpSub:
-					f = af - bf
-				case sql.OpMul:
-					f = af * bf
-				default:
-					goto general
-				}
-				out[k] = types.Value{Kind: types.KindFloat, F: f}
-				continue
-			}
-		general:
-			v, err := arith(op, a, b2)
+			v, err := arith(op, la[k], ra[k])
 			if err != nil {
 				return err
 			}
-			out[k] = v
+			ob[k] = v
 		}
+		*out = types.Vec{Any: ob}
 		return nil
-	}, nil
+	}
 }
 
 // compileLikeMatcher builds a matcher equivalent to
@@ -660,7 +652,7 @@ func compileLikeMatcher(pattern string) func(string) bool {
 }
 
 // cmpOpRes maps a three-way comparison result to a comparison operator's
-// boolean result, exactly as the generic comparison loop does.
+// boolean result.
 func cmpOpRes(op sql.BinaryOp, c int) bool {
 	switch op {
 	case sql.OpEq:
@@ -677,206 +669,4 @@ func cmpOpRes(op sql.BinaryOp, c int) bool {
 		return c >= 0
 	}
 	return false
-}
-
-// fuseCmpColConst specializes `column <op> constant` (either operand
-// order) comparisons: typed same-kind columns compare directly on the
-// payload slice with no per-row boxing or gathering. Charges, NULL
-// handling, error messages, and three-way comparison results (including
-// the NaN-compares-equal convention of cmpFast) are identical to the
-// generic path.
-func fuseCmpColConst(x *Bin, lay Layout, sink CPUSink) (VecEval, bool) {
-	op := x.Op
-	cr, okC := x.L.(*ColRef)
-	cn, okK := x.R.(*Const)
-	flip := false
-	if !okC || !okK {
-		cn, okK = x.L.(*Const)
-		cr, okC = x.R.(*ColRef)
-		if !okC || !okK {
-			return nil, false
-		}
-		flip = true
-	}
-	off, err := lay.Offset(cr)
-	if err != nil {
-		return nil, false
-	}
-	cv := cn.Val
-	return func(b *Batch, sel []int, out []types.Value) error {
-		n := len(sel)
-		sink.AccountCPU(OpsPerOperator * float64(n))
-		if off >= len(b.Cols) {
-			return fmt.Errorf("plan: row too short: col %d of %d", off, len(b.Cols))
-		}
-		col := &b.Cols[off]
-		if cv.IsNull() {
-			for k := range sel {
-				out[k] = types.Null
-			}
-			return nil
-		}
-		if col.Any == nil && cv.Kind == col.Kind {
-			nul := col.Null
-			switch col.Kind {
-			case types.KindFloat:
-				f, c := col.F, cv.F
-				for k, i := range sel {
-					if nul != nil && nul[i] {
-						out[k] = types.Null
-						continue
-					}
-					cc := 0
-					switch v := f[i]; {
-					case v < c:
-						cc = -1
-					case v > c:
-						cc = 1
-					}
-					if flip {
-						cc = -cc
-					}
-					out[k] = types.NewBool(cmpOpRes(op, cc))
-				}
-				return nil
-			case types.KindInt, types.KindDate, types.KindBool:
-				iv, c := col.I, cv.I
-				for k, i := range sel {
-					if nul != nil && nul[i] {
-						out[k] = types.Null
-						continue
-					}
-					cc := 0
-					switch v := iv[i]; {
-					case v < c:
-						cc = -1
-					case v > c:
-						cc = 1
-					}
-					if flip {
-						cc = -cc
-					}
-					out[k] = types.NewBool(cmpOpRes(op, cc))
-				}
-				return nil
-			case types.KindString:
-				s, c := col.S, cv.S
-				for k, i := range sel {
-					if nul != nil && nul[i] {
-						out[k] = types.Null
-						continue
-					}
-					cc := strings.Compare(s[i], c)
-					if flip {
-						cc = -cc
-					}
-					out[k] = types.NewBool(cmpOpRes(op, cc))
-				}
-				return nil
-			}
-		}
-		for k, i := range sel {
-			v := col.Get(i)
-			if v.IsNull() {
-				out[k] = types.Null
-				continue
-			}
-			a, b2 := v, cv
-			if flip {
-				a, b2 = cv, v
-			}
-			c, ok := cmpFast(a, b2)
-			if !ok {
-				return fmt.Errorf("plan: cannot compare %s with %s", a.Kind, b2.Kind)
-			}
-			out[k] = types.NewBool(cmpOpRes(op, c))
-		}
-		return nil
-	}, true
-}
-
-// fuseBetweenColConst specializes `column BETWEEN const AND const` over
-// typed same-kind columns, comparing directly on the payload slice. The
-// !(v < lo) / !(v > hi) forms reproduce cmpFast's three-way results
-// exactly, NaN included.
-func fuseBetweenColConst(x *Between, lay Layout, sink CPUSink) (VecEval, bool) {
-	cr, ok1 := x.E.(*ColRef)
-	lo, ok2 := x.Lo.(*Const)
-	hi, ok3 := x.Hi.(*Const)
-	if !ok1 || !ok2 || !ok3 {
-		return nil, false
-	}
-	off, err := lay.Offset(cr)
-	if err != nil {
-		return nil, false
-	}
-	loV, hiV := lo.Val, hi.Val
-	notB := x.NotB
-	return func(b *Batch, sel []int, out []types.Value) error {
-		n := len(sel)
-		sink.AccountCPU(2 * OpsPerOperator * float64(n))
-		if off >= len(b.Cols) {
-			return fmt.Errorf("plan: row too short: col %d of %d", off, len(b.Cols))
-		}
-		col := &b.Cols[off]
-		if loV.IsNull() || hiV.IsNull() {
-			for k := range sel {
-				out[k] = types.Null
-			}
-			return nil
-		}
-		if col.Any == nil && loV.Kind == col.Kind && hiV.Kind == col.Kind {
-			nul := col.Null
-			switch col.Kind {
-			case types.KindFloat:
-				f, loF, hiF := col.F, loV.F, hiV.F
-				for k, i := range sel {
-					if nul != nil && nul[i] {
-						out[k] = types.Null
-						continue
-					}
-					v := f[i]
-					res := !(v < loF) && !(v > hiF)
-					if notB {
-						res = !res
-					}
-					out[k] = types.NewBool(res)
-				}
-				return nil
-			case types.KindInt, types.KindDate, types.KindBool:
-				iv, loI, hiI := col.I, loV.I, hiV.I
-				for k, i := range sel {
-					if nul != nil && nul[i] {
-						out[k] = types.Null
-						continue
-					}
-					v := iv[i]
-					res := v >= loI && v <= hiI
-					if notB {
-						res = !res
-					}
-					out[k] = types.NewBool(res)
-				}
-				return nil
-			}
-		}
-		for k, i := range sel {
-			v := col.Get(i)
-			if v.IsNull() {
-				out[k] = types.Null
-				continue
-			}
-			c1, okA := cmpFast(v, loV)
-			c2, okB := cmpFast(v, hiV)
-			if !okA || !okB {
-				return fmt.Errorf("plan: BETWEEN on incompatible types")
-			}
-			res := c1 >= 0 && c2 <= 0
-			if notB {
-				res = !res
-			}
-			out[k] = types.NewBool(res)
-		}
-		return nil
-	}, true
 }

@@ -2,8 +2,11 @@ package plan
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
+	"dbvirt/internal/sql"
 	"dbvirt/internal/types"
 )
 
@@ -69,7 +72,24 @@ func vecParityRows() []Row {
 	return rows
 }
 
-// batchOf packs rows into a boxed batch.
+// vecValues runs a vectorized evaluator and boxes its result.
+func vecValues(ev VecEval, b *Batch, sel []int) ([]types.Value, error) {
+	var v types.Vec
+	if err := ev(b, sel, &v); err != nil {
+		return nil, err
+	}
+	if v.Len() != len(sel) {
+		return nil, fmt.Errorf("result has %d rows for %d selected", v.Len(), len(sel))
+	}
+	out := make([]types.Value, len(sel))
+	for k := range out {
+		out[k] = v.Get(k)
+	}
+	return out, nil
+}
+
+// batchOf packs rows into a batch, one Append per value: columns come out
+// typed, with a NULL mask where the rows have NULLs.
 func batchOf(rows []Row) *Batch {
 	var b Batch
 	b.Reset(len(rows[0]))
@@ -79,67 +99,309 @@ func batchOf(rows []Row) *Batch {
 	return &b
 }
 
-// TestCompileVecMatchesCompile checks that the vectorized evaluator
-// produces the same values AND charges bit-identical CPU operations as
-// the scalar evaluator, over full batches and over sub-selections.
+// boxedBatchOf packs rows into a batch of boxed columns.
+func boxedBatchOf(rows []Row) *Batch {
+	b := &Batch{Cols: make([]types.Vec, len(rows[0])), N: len(rows)}
+	for c := range b.Cols {
+		b.Cols[c].Any = make([]types.Value, len(rows))
+		for i, r := range rows {
+			b.Cols[c].Any[i] = r[c]
+		}
+	}
+	return b
+}
+
+func allRows(n int) []int {
+	sel := make([]int, n)
+	for i := range sel {
+		sel[i] = i
+	}
+	return sel
+}
+
+// sameErr reports whether two evaluations failed alike: both succeeded, or
+// both failed — with the same text, if exact is set.
+func sameErr(a, b error, exact bool) bool {
+	if a == nil || b == nil {
+		return a == nil && b == nil
+	}
+	return !exact || a.Error() == b.Error()
+}
+
+// checkParity evaluates e on the selected rows of b three ways — Compile
+// row by row (the oracle), CompileVec, and CompilePred — and requires the
+// same values bit for bit, the same surviving rows, the same error and,
+// when nothing failed, the same CPU charged. (A failing batch may have
+// charged the rest of its rows first; see VecEval.) The error text must be
+// the same too unless e is a tree in which several operators can fail: the
+// scalar evaluator then reports the first failing row's innermost failure,
+// a vector evaluator the innermost operator's first failing row.
+func checkParity(t *testing.T, e Expr, b *Batch, sel []int) {
+	t.Helper()
+	exact := true
+	if bin, ok := e.(*Bin); ok {
+		_, lBin := bin.L.(*Bin)
+		_, rBin := bin.R.(*Bin)
+		exact = !lBin && !rBin
+	} else if _, ok := e.(*Not); ok {
+		exact = false
+	}
+	lay := SingleRel(0)
+	sSink, vSink, pSink := &countingSink{}, &countingSink{}, &countingSink{}
+	ev, err := Compile(e, lay, sSink)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	vev, err := CompileVec(e, lay, vSink)
+	if err != nil {
+		t.Fatalf("CompileVec: %v", err)
+	}
+	pred, err := CompilePred(e, lay, pSink)
+	if err != nil {
+		t.Fatalf("CompilePred: %v", err)
+	}
+
+	want := make([]types.Value, len(sel))
+	var wantErr error
+	var wantSurv []int
+	row := make(Row, len(b.Cols))
+	for k, i := range sel {
+		b.ReadRow(i, row)
+		if want[k], wantErr = ev(row); wantErr != nil {
+			break
+		}
+		if Truthy(want[k]) {
+			wantSurv = append(wantSurv, i)
+		}
+	}
+
+	got, gotErr := vecValues(vev, b, sel)
+	if !sameErr(wantErr, gotErr, exact) {
+		t.Fatalf("scalar error %v, vec error %v", wantErr, gotErr)
+	}
+	surv, predErr := pred(b, append([]int(nil), sel...))
+	if !sameErr(wantErr, predErr, exact) {
+		t.Fatalf("scalar error %v, predicate error %v", wantErr, predErr)
+	}
+	if wantErr != nil {
+		return
+	}
+	for k := range sel {
+		if !valueEq(want[k], got[k]) {
+			t.Errorf("row %d: scalar %v, vec %v", sel[k], want[k], got[k])
+		}
+	}
+	if fmt.Sprint(surv) != fmt.Sprint(wantSurv) && len(surv)+len(wantSurv) > 0 {
+		t.Errorf("predicate keeps rows %v, scalar is true on %v", surv, wantSurv)
+	}
+	if sSink.ops != vSink.ops || sSink.ops != pSink.ops {
+		t.Errorf("charges diverge: scalar %v ops, vec %v, predicate %v", sSink.ops, vSink.ops, pSink.ops)
+	}
+}
+
+// TestCompileVecMatchesCompile checks that the vectorized evaluator and
+// the selection-vector predicates produce the same values AND charge
+// bit-identical CPU operations as the scalar evaluator: the SQL corpus over
+// typed and boxed batches, then random expressions over random batches of
+// every vector shape, each over full, sparse and empty selections.
 func TestCompileVecMatchesCompile(t *testing.T) {
 	rows := vecParityRows()
-	b := batchOf(rows)
-	lay := SingleRel(0)
-
+	batches := []*Batch{batchOf(rows), boxedBatchOf(rows)}
 	sels := map[string][]int{
-		"all":    nil, // full batch
+		"all":    allRows(len(rows)),
 		"even":   {0, 2, 4, 6, 8, 10, 12, 20, 30, 36},
 		"single": {17},
 		"empty":  {},
 	}
-
 	for _, src := range vecParityExprs {
-		q := mustBind(t, "SELECT "+src+" FROM orders")
-		e := q.Select[0].E
+		e := mustBind(t, "SELECT "+src+" FROM orders").Select[0].E
 		for selName, sel := range sels {
 			t.Run(fmt.Sprintf("%s/%s", src, selName), func(t *testing.T) {
-				if sel == nil {
-					sel = make([]int, len(rows))
-					for i := range sel {
-						sel[i] = i
-					}
-				}
-				scalarSink := &countingSink{}
-				ev, err := Compile(e, lay, scalarSink)
-				if err != nil {
-					t.Fatalf("Compile: %v", err)
-				}
-				want := make([]types.Value, len(sel))
-				for k, i := range sel {
-					v, err := ev(rows[i])
-					if err != nil {
-						t.Fatalf("scalar eval row %d: %v", i, err)
-					}
-					want[k] = v
-				}
-
-				vecSink := &countingSink{}
-				vev, err := CompileVec(e, lay, vecSink)
-				if err != nil {
-					t.Fatalf("CompileVec: %v", err)
-				}
-				got := make([]types.Value, len(sel))
-				if err := vev(b, sel, got); err != nil {
-					t.Fatalf("vec eval: %v", err)
-				}
-
-				for k := range sel {
-					if !valueEq(want[k], got[k]) {
-						t.Errorf("row %d: scalar %v, vec %v", sel[k], want[k], got[k])
-					}
-				}
-				if scalarSink.ops != vecSink.ops {
-					t.Errorf("charges diverge: scalar %v ops, vec %v ops", scalarSink.ops, vecSink.ops)
+				for _, b := range batches {
+					checkParity(t, e, b, sel)
 				}
 			})
 		}
 	}
+
+	rng := rand.New(rand.NewSource(20))
+	for i := 0; i < 3000; i++ {
+		shape := vecShape(i % int(numVecShapes))
+		n := 1 + rng.Intn(40)
+		b := randBatch(rng, n, shape)
+		e := randExpr(rng, shape == shapeMixed)
+		var sel []int
+		switch i % 3 {
+		case 0:
+			sel = allRows(n)
+		case 1:
+			for r := 0; r < n; r++ {
+				if rng.Intn(3) == 0 {
+					sel = append(sel, r)
+				}
+			}
+		}
+		t.Run(fmt.Sprintf("random%d/%s", i, e), func(t *testing.T) {
+			checkParity(t, e, b, sel)
+		})
+	}
+}
+
+// The columns of a random batch: two of each numeric kind, so that
+// column ⋄ column shapes find a partner.
+var randKinds = []types.Kind{
+	types.KindInt, types.KindInt, types.KindFloat, types.KindFloat,
+	types.KindString, types.KindDate, types.KindBool,
+}
+
+// The shapes a column vector arrives in.
+type vecShape int
+
+const (
+	shapeTyped  vecShape = iota // payload lanes, no NULLs
+	shapeMasked                 // payload lanes under a NULL mask
+	shapeBoxed                  // boxed values of the column's kind, and NULLs
+	shapeMixed                  // boxed values of whatever kinds
+	numVecShapes
+)
+
+// randValue draws a value of the kind, often one where the evaluators could
+// part ways: NaN, −0.0, infinities, the ends of int64 (arithmetic wraps
+// around), and integers past 2^53 (the conversion to float rounds).
+func randValue(rng *rand.Rand, kind types.Kind) types.Value {
+	switch kind {
+	case types.KindInt:
+		pool := []int64{0, 1, -1, 7, 24, math.MaxInt64, math.MinInt64, 1 << 53, 1<<53 + 1, -(1 << 53) - 1}
+		if rng.Intn(2) == 0 {
+			return types.NewInt(pool[rng.Intn(len(pool))])
+		}
+		return types.NewInt(int64(rng.Intn(50) - 10))
+	case types.KindFloat:
+		pool := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+			0.05, 0.07, 24, 23.999999, 1 << 53, 1<<53 + 2, 1e19, -1e19}
+		if rng.Intn(2) == 0 {
+			return types.NewFloat(pool[rng.Intn(len(pool))])
+		}
+		return types.NewFloat(float64(rng.Intn(4000))/100 - 10)
+	case types.KindString:
+		pool := []string{"", "a", "ab", "aXb", "pending deposits", "special requests", "x%"}
+		return types.NewString(pool[rng.Intn(len(pool))])
+	case types.KindDate:
+		return types.NewDate(int64(9000 + rng.Intn(40)))
+	case types.KindBool:
+		return types.NewBool(rng.Intn(2) == 0)
+	}
+	return types.Null
+}
+
+// randBatch builds n rows over randKinds with every column in the given
+// shape.
+func randBatch(rng *rand.Rand, n int, shape vecShape) *Batch {
+	rows := make([]Row, n)
+	for i := range rows {
+		rows[i] = make(Row, len(randKinds))
+		for c, kind := range randKinds {
+			switch {
+			case shape != shapeTyped && rng.Intn(5) == 0:
+				rows[i][c] = types.Null
+			case shape == shapeMixed && rng.Intn(3) == 0:
+				rows[i][c] = randValue(rng, randKinds[rng.Intn(len(randKinds))])
+			default:
+				rows[i][c] = randValue(rng, kind)
+			}
+		}
+	}
+	if shape == shapeTyped || shape == shapeMasked {
+		return batchOf(rows)
+	}
+	return boxedBatchOf(rows)
+}
+
+// randExpr draws an expression over randKinds' columns. The kernel shapes
+// (column ⋄ literal either way round, column ⋄ column, BETWEEN, LIKE, IS
+// NULL) come with operands of every kind, fitting or not, since a kernel
+// fails on its own; composite trees, where a vector evaluator may meet
+// another row's failure first, are kept well-typed unless mixed is set.
+func randExpr(rng *rand.Rand, mixed bool) Expr {
+	col := func(kinds ...types.Kind) Expr {
+		for {
+			c := rng.Intn(len(randKinds))
+			for _, k := range kinds {
+				if randKinds[c] == k {
+					return &ColRef{Rel: 0, Col: c, Kind: k, Name: fmt.Sprintf("c%d", c)}
+				}
+			}
+		}
+	}
+	anyKind := []types.Kind{types.KindInt, types.KindFloat, types.KindString, types.KindDate, types.KindBool}
+	lit := func(kinds ...types.Kind) Expr {
+		if rng.Intn(12) == 0 {
+			return &Const{Val: types.Null}
+		}
+		return &Const{Val: randValue(rng, kinds[rng.Intn(len(kinds))])}
+	}
+	cmpOps := []sql.BinaryOp{sql.OpEq, sql.OpNe, sql.OpLt, sql.OpLe, sql.OpGt, sql.OpGe}
+	numeric := []types.Kind{types.KindInt, types.KindFloat}
+	var arith func(depth int) Expr
+	arith = func(depth int) Expr {
+		if depth == 0 || rng.Intn(3) == 0 {
+			if rng.Intn(3) == 0 {
+				return lit(numeric...)
+			}
+			kinds := numeric
+			if mixed || rng.Intn(4) == 0 {
+				kinds = append(kinds[:2:2], types.KindDate) // the date-typing rule
+			}
+			return col(kinds...)
+		}
+		ops := []sql.BinaryOp{sql.OpAdd, sql.OpSub, sql.OpMul, sql.OpAdd, sql.OpSub, sql.OpMul, sql.OpDiv}
+		return &Bin{Op: ops[rng.Intn(len(ops))], L: arith(depth - 1), R: arith(depth - 1), K: types.KindFloat}
+	}
+	cmp := func() Expr {
+		op := cmpOps[rng.Intn(len(cmpOps))]
+		kinds := anyKind
+		if !mixed && rng.Intn(4) != 0 {
+			kinds = numeric // mostly comparable operands
+		}
+		switch rng.Intn(3) {
+		case 0:
+			return &Bin{Op: op, L: col(kinds...), R: lit(kinds...), K: types.KindBool}
+		case 1:
+			return &Bin{Op: op, L: lit(kinds...), R: col(kinds...), K: types.KindBool}
+		}
+		return &Bin{Op: op, L: col(kinds...), R: col(kinds...), K: types.KindBool}
+	}
+	switch rng.Intn(8) {
+	case 0, 1:
+		return cmp()
+	case 2:
+		kinds := anyKind
+		if rng.Intn(3) != 0 {
+			kinds = []types.Kind{types.KindInt, types.KindFloat, types.KindDate}
+		}
+		return &Between{NotB: rng.Intn(2) == 0, E: col(kinds...), Lo: lit(kinds...), Hi: lit(kinds...)}
+	case 3:
+		patterns := []string{"%", "a%", "%b", "%special%requests%", "a_b", "", "x\\%"}
+		kinds := []types.Kind{types.KindString}
+		if rng.Intn(6) == 0 {
+			kinds = anyKind
+		}
+		return &Like{NotL: rng.Intn(2) == 0, E: col(kinds...), Pattern: patterns[rng.Intn(len(patterns))]}
+	case 4:
+		return &IsNull{NotN: rng.Intn(2) == 0, E: col(anyKind...)}
+	case 5, 6:
+		return arith(3)
+	}
+	// Logic over comparisons of numeric columns with numeric literals:
+	// the value-position loops, which nothing can make fail.
+	safe := func() Expr {
+		return &Bin{Op: cmpOps[rng.Intn(len(cmpOps))], L: col(numeric...), R: lit(numeric...), K: types.KindBool}
+	}
+	var e Expr = &Bin{Op: []sql.BinaryOp{sql.OpAnd, sql.OpOr}[rng.Intn(2)], L: safe(), R: safe(), K: types.KindBool}
+	if rng.Intn(2) == 0 {
+		e = &Not{E: e}
+	}
+	return e
 }
 
 // TestCompileVecReusedAcrossBatches verifies a compiled VecEval can be
@@ -165,8 +427,8 @@ func TestCompileVecReusedAcrossBatches(t *testing.T) {
 	sels := [][]int{{0, 1, 2, 3}, {4, 9, 14}, {36}, {5, 6, 7, 8, 9, 10, 11}}
 	for pass := 0; pass < 3; pass++ {
 		for _, sel := range sels {
-			out := make([]types.Value, len(sel))
-			if err := vev(b, sel, out); err != nil {
+			out, err := vecValues(vev, b, sel)
+			if err != nil {
 				t.Fatal(err)
 			}
 			for k, i := range sel {
@@ -186,32 +448,32 @@ func TestCompileVecReusedAcrossBatches(t *testing.T) {
 }
 
 // TestCompileVecTypedColumns runs the parity check against a batch whose
-// columns use typed payloads with null bitmaps rather than boxed values.
+// columns are typed payload lanes (one of them under a NULL mask) — the
+// form scans hand to the kernels — on the SQL shapes filters are made of
+// and on literals of another numeric kind than their column, where the
+// kernel folds the literal once and types.Compare promotes it on every row:
+// the two must agree on NaN, on −0.0 and past 2^53, where the promotion
+// rounds.
 func TestCompileVecTypedColumns(t *testing.T) {
-	lay := SingleRel(0)
 	n := 29
 	ints := make([]int64, n)
 	nulls := make([]bool, n)
+	custs := make([]int64, n)
+	dates := make([]int64, n)
 	totals := make([]float64, n)
 	comments := make([]string, n)
-	var rows []Row
+	special := []float64{math.NaN(), math.Copysign(0, -1), 0, 1 << 53, 1<<53 + 2, -(1 << 53), 24, 23.5, math.Inf(1)}
+	bigInts := []int64{1 << 53, 1<<53 + 1, -(1 << 53) - 1, math.MaxInt64, math.MinInt64, 0, 24}
 	for i := 0; i < n; i++ {
 		ints[i] = int64(i % 9)
 		nulls[i] = i%6 == 2
-		totals[i] = float64(i) * 3.25
-		comments[i] = fmt.Sprintf("c%d pending", i)
-		r := Row{types.NewInt(ints[i]), types.NewInt(int64(i)), types.NewDate(int64(i)),
-			types.NewString(comments[i]), types.NewFloat(totals[i])}
-		if nulls[i] {
-			r[0] = types.Null
-		}
-		rows = append(rows, r)
-	}
-	custs := make([]int64, n)
-	dates := make([]int64, n)
-	for i := range custs {
-		custs[i] = int64(i)
+		custs[i] = bigInts[i%len(bigInts)]
 		dates[i] = int64(i)
+		totals[i] = float64(i) * 3.25
+		if i%2 == 1 {
+			totals[i] = special[i/2%len(special)]
+		}
+		comments[i] = fmt.Sprintf("c%d pending", i)
 	}
 	b := &Batch{
 		Cols: []types.Vec{
@@ -223,47 +485,52 @@ func TestCompileVecTypedColumns(t *testing.T) {
 		},
 		N: n,
 	}
+	sels := [][]int{allRows(n), {1, 3, 4, 8, 9, 15, 27}, {}}
 
+	var exprs []Expr
 	for _, src := range []string{
 		"o_orderkey = 4 OR o_total > 50.0",
 		"o_orderkey IS NULL",
 		"o_comment LIKE '%pending'",
 		"o_orderkey BETWEEN 2 AND 6",
+		"o_total < 24",
+		"o_total * (1 - o_total)",
+		"o_custkey * o_custkey + o_custkey",
 	} {
-		q := mustBind(t, "SELECT "+src+" FROM orders")
-		sSink, vSink := &countingSink{}, &countingSink{}
-		ev, err := Compile(q.Select[0].E, lay, sSink)
-		if err != nil {
-			t.Fatal(err)
+		exprs = append(exprs, mustBind(t, "SELECT "+src+" FROM orders").Select[0].E)
+	}
+	total := &ColRef{Rel: 0, Col: 4, Kind: types.KindFloat, Name: "o_total"}
+	cust := &ColRef{Rel: 0, Col: 1, Kind: types.KindInt, Name: "o_custkey"}
+	for _, op := range []sql.BinaryOp{sql.OpEq, sql.OpNe, sql.OpLt, sql.OpLe, sql.OpGt, sql.OpGe} {
+		for _, k := range bigInts {
+			// FLOAT column ⋄ INT literal, both ways round, and BETWEEN.
+			exprs = append(exprs,
+				&Bin{Op: op, L: total, R: &Const{Val: types.NewInt(k)}, K: types.KindBool},
+				&Bin{Op: op, L: &Const{Val: types.NewInt(k)}, R: total, K: types.KindBool})
 		}
-		vev, err := CompileVec(q.Select[0].E, lay, vSink)
-		if err != nil {
-			t.Fatal(err)
+		for _, f := range special {
+			// INT column ⋄ FLOAT literal converts the column side.
+			exprs = append(exprs,
+				&Bin{Op: op, L: cust, R: &Const{Val: types.NewFloat(f)}, K: types.KindBool},
+				&Bin{Op: op, L: total, R: &Const{Val: types.NewFloat(f)}, K: types.KindBool})
 		}
-		sel := make([]int, n)
-		for i := range sel {
-			sel[i] = i
-		}
-		out := make([]types.Value, n)
-		if err := vev(b, sel, out); err != nil {
-			t.Fatal(err)
-		}
-		for i := range rows {
-			want, err := ev(rows[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !valueEq(want, out[i]) {
-				t.Errorf("%s row %d: scalar %v, vec %v", src, i, want, out[i])
-			}
-		}
-		if sSink.ops != vSink.ops {
-			t.Errorf("%s: charges diverge: scalar %v, vec %v", src, sSink.ops, vSink.ops)
+	}
+	for _, k := range bigInts {
+		exprs = append(exprs,
+			&Between{E: total, Lo: &Const{Val: types.NewInt(k)}, Hi: &Const{Val: types.NewFloat(1e17)}},
+			&Between{NotB: true, E: total, Lo: &Const{Val: types.NewInt(-k)}, Hi: &Const{Val: types.NewInt(k)}})
+	}
+	for _, e := range exprs {
+		for _, sel := range sels {
+			t.Run(fmt.Sprintf("%s/%d", e, len(sel)), func(t *testing.T) {
+				checkParity(t, e, b, sel)
+			})
 		}
 	}
 }
 
-// valueEq compares values including NULL-ness and kind-sensitive payloads.
+// valueEq compares values bit for bit: NULL-ness, kind, and the kind's
+// payload, so that −0.0 differs from 0.0 and a NaN equals itself.
 func valueEq(a, b types.Value) bool {
 	if a.IsNull() || b.IsNull() {
 		return a.IsNull() && b.IsNull()
@@ -275,7 +542,7 @@ func valueEq(a, b types.Value) bool {
 	case types.KindString:
 		return a.S == b.S
 	case types.KindFloat:
-		return a.F == b.F
+		return math.Float64bits(a.F) == math.Float64bits(b.F)
 	default:
 		return a.I == b.I
 	}

@@ -227,6 +227,22 @@ func (o BinaryOp) String() string { return binaryOpNames[o] }
 // Comparison reports whether the operator is a comparison (yields BOOL).
 func (o BinaryOp) Comparison() bool { return o >= OpEq && o <= OpGe }
 
+// Flip returns the comparison that holds of (b, a) exactly when o holds of
+// (a, b); operators other than the four inequalities are their own flip.
+func (o BinaryOp) Flip() BinaryOp {
+	switch o {
+	case OpLt:
+		return OpGt
+	case OpLe:
+		return OpGe
+	case OpGt:
+		return OpLt
+	case OpGe:
+		return OpLe
+	}
+	return o
+}
+
 // BinaryExpr is a binary operation.
 type BinaryExpr struct {
 	Op   BinaryOp

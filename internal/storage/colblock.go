@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"dbvirt/internal/types"
 )
@@ -354,24 +355,29 @@ func decodeRecord(buf []byte, builders *[]colBuilder, row int) (int, error) {
 // shared by all sessions reading the table and cleared whenever the
 // catalog is invalidated. All methods are nil-safe so tables constructed
 // without a cache simply decode on every scan.
+//
+// Get is on the path of every page a scan reads and every tuple an index
+// points at, so it takes no lock: the blocks sit in a page-indexed slice
+// of atomic pointers, which writers (serialized by mu) replace by a longer
+// copy when a page beyond its end is cached.
 type BlockCache struct {
-	mu    sync.RWMutex
-	pages map[uint32]*ColBlock
+	pages atomic.Pointer[[]atomic.Pointer[ColBlock]]
+	mu    sync.Mutex
+	n     int // cached blocks; guarded by mu
 }
 
 // NewBlockCache creates an empty cache.
-func NewBlockCache() *BlockCache {
-	return &BlockCache{pages: make(map[uint32]*ColBlock)}
-}
+func NewBlockCache() *BlockCache { return &BlockCache{} }
 
 // Get returns the cached block for a page, or nil.
 func (c *BlockCache) Get(page uint32) *ColBlock {
 	if c == nil {
 		return nil
 	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.pages[page]
+	if pages := c.pages.Load(); pages != nil && int(page) < len(*pages) {
+		return (*pages)[page].Load()
+	}
+	return nil
 }
 
 // Put caches the block for a page.
@@ -380,8 +386,22 @@ func (c *BlockCache) Put(page uint32, b *ColBlock) {
 		return
 	}
 	c.mu.Lock()
-	c.pages[page] = b
-	c.mu.Unlock()
+	defer c.mu.Unlock()
+	var pages []atomic.Pointer[ColBlock]
+	if cur := c.pages.Load(); cur != nil {
+		pages = *cur
+	}
+	if int(page) >= len(pages) {
+		grown := make([]atomic.Pointer[ColBlock], max(int(page)+1, 2*len(pages)))
+		for i := range pages {
+			grown[i].Store(pages[i].Load())
+		}
+		pages = grown
+		c.pages.Store(&pages)
+	}
+	if pages[page].Swap(b) == nil {
+		c.n++
+	}
 }
 
 // Clear drops every cached block.
@@ -390,7 +410,8 @@ func (c *BlockCache) Clear() {
 		return
 	}
 	c.mu.Lock()
-	c.pages = make(map[uint32]*ColBlock)
+	c.pages.Store(nil)
+	c.n = 0
 	c.mu.Unlock()
 }
 
@@ -399,7 +420,7 @@ func (c *BlockCache) Len() int {
 	if c == nil {
 		return 0
 	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.pages)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.n
 }

@@ -93,12 +93,30 @@ func (d *DiskManager) Allocate(f FileID) (uint32, error) {
 func (d *DiskManager) ReadPage(id PageID, buf *PageData) error {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
+	page, err := d.page(id)
+	if err != nil {
+		return err
+	}
+	*buf = *page
+	return nil
+}
+
+// Probe fails exactly when ReadPage of page id would, without copying the
+// page.
+func (d *DiskManager) Probe(id PageID) error {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	_, err := d.page(id)
+	return err
+}
+
+// page returns the stored page id; the caller holds d.mu.
+func (d *DiskManager) page(id PageID) (*PageData, error) {
 	pages, ok := d.files[id.File]
 	if !ok || id.Page >= uint32(len(pages)) {
-		return fmt.Errorf("storage: read of nonexistent page %s", id)
+		return nil, fmt.Errorf("storage: read of nonexistent page %s", id)
 	}
-	*buf = *pages[id.Page]
-	return nil
+	return pages[id.Page], nil
 }
 
 // WritePage copies buf onto page id.

@@ -422,3 +422,57 @@ func TestHeapScanPropertyRandomTuples(t *testing.T) {
 		}
 	}
 }
+
+// TestBlockCache covers the cache's contract: nil-receiver safety, Get of
+// pages never cached, growth past the end, overwrite, Len, and Clear —
+// with readers running against writers and Clear under the race detector.
+func TestBlockCache(t *testing.T) {
+	var none *BlockCache
+	none.Put(3, &ColBlock{})
+	none.Clear()
+	if none.Get(3) != nil || none.Len() != 0 {
+		t.Fatal("a nil cache holds something")
+	}
+
+	c := NewBlockCache()
+	blocks := make([]*ColBlock, 300)
+	for i := range blocks {
+		blocks[i] = &ColBlock{Rows: i}
+	}
+	if c.Get(0) != nil || c.Get(1<<31) != nil {
+		t.Fatal("an empty cache returned a block")
+	}
+	c.Put(7, blocks[7])
+	c.Put(2, blocks[2])
+	c.Put(7, blocks[8]) // overwrite: still two pages cached
+	if c.Get(7) != blocks[8] || c.Get(2) != blocks[2] || c.Get(3) != nil || c.Get(8) != nil || c.Len() != 2 {
+		t.Fatalf("after three Puts: 7->%v 2->%v len %d", c.Get(7), c.Get(2), c.Len())
+	}
+	c.Clear()
+	if c.Get(7) != nil || c.Len() != 0 {
+		t.Fatal("Clear left a block behind")
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for round := 0; round < 20; round++ {
+			for i, b := range blocks {
+				c.Put(uint32(i), b)
+			}
+			c.Clear()
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		for i := range blocks {
+			if b := c.Get(uint32(i)); b != nil && b != blocks[i] {
+				t.Fatalf("page %d returned page %d's block", i, b.Rows)
+			}
+		}
+	}
+}

@@ -54,6 +54,15 @@ func diffSetup(t testing.TB, s *engine.Session) {
 			(4, NULL, 'delta'), (NULL, NULL, NULL), (6, 60, 'zeta'),
 			(7, 10, 'alpha'), (8, 30, 'eta')`,
 		"ANALYZE nulls",
+		// Join keys of every kind, with duplicates, NULLs, floats that are
+		// and are not integral, and dates that equal nulls.b as day numbers.
+		"CREATE TABLE keys (ki INT, kf FLOAT, kd DATE, kt TEXT)",
+		`INSERT INTO keys VALUES
+			(10, 10.0, date '1970-01-11', 'alpha'), (10, 10.5, date '1970-01-31', 'alpha'),
+			(30, 30.0, date '1970-01-11', 'eta'), (NULL, 60.0, NULL, NULL),
+			(60, NULL, date '1970-03-02', 'zeta'), (7, 7.0, date '1970-01-08', 'beta'),
+			(30, 2.5, date '1970-01-31', NULL)`,
+		"ANALYZE keys",
 	}
 	for _, q := range stmts {
 		if _, err := s.Exec(q); err != nil {
@@ -98,6 +107,44 @@ func diffCorpus() []struct{ name, src string } {
 		{"limit_filter_derived", "SELECT k FROM (SELECT o_orderkey AS k, o_totalprice AS p FROM orders) d WHERE p > 1000.0 LIMIT 9"},
 		{"limit_zero", "SELECT o_orderkey FROM orders LIMIT 0"},
 		{"limit_beyond_rows", "SELECT c_custkey FROM customer LIMIT 100000"},
+		// Hash joins whose output order shows the bucket order (several
+		// build rows per key), with NULL keys on either side, keys that
+		// only match after normalisation (INT = FLOAT, INT = DATE),
+		// multi-column and string keys, residuals over both sides, LEFT
+		// joins probing with and building on the outer side, and row
+		// budgets above them. The spill config runs them all with a hash
+		// table that does not fit work_mem.
+		{"join_dup_keys", "SELECT a.o_orderkey, b.o_orderkey FROM orders a, orders b WHERE a.o_custkey = b.o_custkey AND a.o_orderkey < 60"},
+		{"join_int_float", "SELECT o_orderkey, kf, kt FROM orders, keys WHERE o_custkey = kf"},
+		{"join_int_date", "SELECT o_orderkey, kd, ki FROM orders, keys WHERE o_custkey = kd"},
+		{"join_float_date", "SELECT ki, kf, kd FROM keys, nulls WHERE kf = b AND kd > date '1970-01-01'"},
+		{"join_null_keys", "SELECT o_orderkey, a, b FROM orders, nulls WHERE o_custkey = b"},
+		{"join_two_keys", "SELECT a.o_orderkey, b.o_orderkey FROM orders a, orders b WHERE a.o_custkey = b.o_custkey AND a.o_orderdate = b.o_orderdate AND a.o_orderkey < 200"},
+		{"join_int_text_keys", "SELECT a, ki, kf FROM nulls, keys WHERE b = ki AND t = kt"},
+		{"join_text_key", "SELECT a, ki FROM nulls, keys WHERE t = kt"},
+		{"join_residual", "SELECT o_orderkey, ki, kf FROM orders, keys WHERE o_custkey = ki AND o_totalprice > kf * 1000.0"},
+		{"left_probe_residual", "SELECT o_orderkey, ki, kf FROM orders LEFT JOIN keys ON o_custkey = ki AND o_totalprice > kf * 5000.0 WHERE o_orderkey < 300"},
+		{"left_probe_null_keys", "SELECT a, b, ki, kf FROM nulls LEFT JOIN keys ON b = ki"},
+		{"left_build_outer_residual", "SELECT ki, kt, o_orderkey FROM keys LEFT JOIN orders ON ki = o_custkey AND o_totalprice > kf * 5000.0"},
+		{"left_build_outer_tail", "SELECT c_custkey, c_name, o_orderkey, o_comment FROM customer LEFT OUTER JOIN orders ON c_custkey = o_custkey AND c_acctbal < o_totalprice - 90000.0"},
+		{"limit_join_dup_keys", "SELECT a.o_orderkey, b.o_orderkey FROM orders a, orders b WHERE a.o_custkey = b.o_custkey AND a.o_totalprice < b.o_totalprice LIMIT 37"},
+		{"limit_left_build_outer_residual", "SELECT ki, kt, o_orderkey FROM keys LEFT JOIN orders ON ki = o_custkey AND o_totalprice > kf * 5000.0 LIMIT 11"},
+		{"limit_left_probe_null_keys", "SELECT a, b, ki FROM nulls LEFT JOIN keys ON b = ki LIMIT 9"},
+		// Aggregates over every group-key shape (one INT, one TEXT, two
+		// TEXT below and above the small-list cutoff, INT with DATE,
+		// FLOAT, keys with NULLs, none at all), every aggregate function,
+		// arguments with NULLs and from a LEFT join's extensions.
+		{"agg_int_key", "SELECT o_custkey, count(*), sum(o_totalprice), min(o_orderdate), max(o_comment) FROM orders GROUP BY o_custkey"},
+		{"agg_text_key", "SELECT o_orderpriority, count(*), avg(o_totalprice), min(o_totalprice), max(o_orderkey) FROM orders GROUP BY o_orderpriority"},
+		{"agg_text_pair", "SELECT o_orderstatus, o_orderpriority, count(*), sum(o_totalprice * 2.0), sum(o_orderkey + 1) FROM orders GROUP BY o_orderstatus, o_orderpriority"},
+		{"agg_text_pair_many", "SELECT c_name, c_mktsegment, count(*), sum(c_acctbal) FROM customer GROUP BY c_name, c_mktsegment"},
+		{"agg_int_date_keys", "SELECT o_custkey, o_orderdate, count(*), sum(o_totalprice) FROM orders WHERE o_orderkey < 400 GROUP BY o_custkey, o_orderdate"},
+		{"agg_float_key", "SELECT kf, count(*), count(ki), sum(ki), max(kt) FROM keys GROUP BY kf"},
+		{"agg_null_keys", "SELECT b, t, count(*), count(a), sum(a), avg(a), min(t), max(a) FROM nulls GROUP BY b, t"},
+		{"agg_null_key", "SELECT b, count(*), sum(a), min(a) FROM nulls GROUP BY b"},
+		{"agg_global_nulls", "SELECT count(*), count(b), sum(b), avg(b), min(t), max(t) FROM nulls"},
+		{"agg_left_join", "SELECT ki, count(o_orderkey), sum(o_totalprice), max(o_orderdate) FROM keys LEFT JOIN orders ON ki = o_custkey GROUP BY ki"},
+		{"agg_date_key", "SELECT kd, count(*), sum(kf) FROM keys GROUP BY kd"},
 	}
 	// The same budget at sizes that end inside a page, inside one probe
 	// row's bucket (self-join buckets hold several orders), between probe
