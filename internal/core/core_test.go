@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"dbvirt/internal/engine"
 	"dbvirt/internal/vm"
@@ -426,5 +428,33 @@ func TestResultStringFormat(t *testing.T) {
 	got := fmt.Sprint(res)
 	if got == "" {
 		t.Error("result should format")
+	}
+}
+
+// TestPricingKey: the key is name|weight|slo in the shared memo's
+// historical format, formatted once per spec however many goroutines ask.
+func TestPricingKey(t *testing.T) {
+	w := &WorkloadSpec{Name: "Q13x2", Weight: 2.5, SLOSeconds: 0.125}
+	const want = "Q13x2|w=2.500000000|slo=0.125000000"
+	keys := make([]string, 8)
+	var wg sync.WaitGroup
+	for i := range keys {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			keys[i] = w.PricingKey()
+		}(i)
+	}
+	wg.Wait()
+	for _, k := range keys {
+		if k != want {
+			t.Fatalf("PricingKey() = %q, want %q", k, want)
+		}
+		if unsafe.StringData(k) != unsafe.StringData(keys[0]) {
+			t.Fatal("PricingKey() formatted the key more than once")
+		}
+	}
+	if got := (&WorkloadSpec{Name: "Q1"}).PricingKey(); got != "Q1|w=0.000000000|slo=0.000000000" {
+		t.Fatalf("zero-weight key = %q", got)
 	}
 }

@@ -58,6 +58,8 @@ type WorkloadSpec struct {
 
 	normOnce  sync.Once
 	normStmts []string
+	keyOnce   sync.Once
+	key       string
 }
 
 // NormalizedStatements returns the spec's statements in NormalizeSQL
@@ -72,6 +74,19 @@ func (w *WorkloadSpec) NormalizedStatements() []string {
 		}
 	})
 	return w.normStmts
+}
+
+// PricingKey returns the spec's pricing identity, computed once per spec:
+// name, weight and SLO. Specs with equal keys MUST price identically under
+// a cost model (the name is the interned canonical workload form and each
+// workload lives on its own database), so it keys the shared cost memo
+// and, as a multiset, the fleet solver's machine memo. The fields it reads
+// must not change after the first call.
+func (w *WorkloadSpec) PricingKey() string {
+	w.keyOnce.Do(func() {
+		w.key = fmt.Sprintf("%s|w=%.9f|slo=%.9f", w.Name, w.Weight, w.SLOSeconds)
+	})
+	return w.key
 }
 
 func (w *WorkloadSpec) weight() float64 {
@@ -315,7 +330,7 @@ type costCache struct {
 
 type costShard struct {
 	mu      sync.Mutex
-	entries map[memoKey]*costEntry
+	entries map[memoKey]*costEntry // allocated on the shard's first insert
 }
 
 type memoKey struct {
@@ -340,11 +355,7 @@ type costEntry struct {
 }
 
 func newCostCache(inner CostModel) *costCache {
-	m := &costCache{inner: inner}
-	for i := range m.shards {
-		m.shards[i].entries = make(map[memoKey]*costEntry)
-	}
-	return m
+	return &costCache{inner: inner}
 }
 
 func quantizeShares(s vm.Shares) [3]int64 {
@@ -380,6 +391,9 @@ func (m *costCache) Cost(ctx context.Context, wi int, w *WorkloadSpec, shares vm
 		return e.val, e.err
 	}
 	e := &costEntry{done: make(chan struct{})}
+	if sh.entries == nil {
+		sh.entries = make(map[memoKey]*costEntry)
+	}
 	sh.entries[k] = e
 	sh.mu.Unlock()
 

@@ -96,9 +96,7 @@ func (e *Env) FigurePlacement(sizes []int) ([]FigPRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		model := core.NewSharedCostModel(&core.WhatIfModel{Grid: grid}, func(w *core.WorkloadSpec) string {
-			return placement.SpecKey(w)
-		})
+		model := core.NewSharedCostModel(&core.WhatIfModel{Grid: grid}, (*core.WorkloadSpec).PricingKey)
 		solver, err := placement.NewSolver(placement.Config{
 			Parallelism: e.Parallelism,
 			Obs:         e.Obs,

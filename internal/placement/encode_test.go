@@ -1,0 +1,152 @@
+package placement
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"math"
+	"testing"
+
+	"dbvirt/internal/vm"
+)
+
+// wireLists is the reflective reference for Placement.AppendJSON.
+type wireLists struct {
+	Stats    SolveStats  `json:"stats"`
+	Classes  []ClassInfo `json:"classes"`
+	Machines []Machine   `json:"machines"`
+}
+
+func assertWireEqual(t *testing.T, label string, pl *Placement) {
+	t.Helper()
+	want, err := json.Marshal(wireLists{pl.Stats, pl.Classes, pl.Machines})
+	if err != nil {
+		t.Fatalf("%s: reference marshal: %v", label, err)
+	}
+	got, err := pl.AppendJSON([]byte{'{'})
+	if err != nil {
+		t.Fatalf("%s: AppendJSON: %v", label, err)
+	}
+	got = append(got, '}')
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s: encoder differs from encoding/json:\n got %s\nwant %s", label, got, want)
+	}
+}
+
+// TestEncodeMatchesJSONOnFleets: over solved and incrementally updated
+// fleets the append encoder writes byte for byte what encoding/json
+// writes — on the first pass (fragments rendered) and the second
+// (fragments spliced).
+func TestEncodeMatchesJSONOnFleets(t *testing.T) {
+	ctx := context.Background()
+	f := newFleet()
+	for _, cfg := range []Config{{}, {Algo: "dp", Resources: []vm.Resource{vm.CPU, vm.Memory}, Step: 0.25}, {Machine: MachineCaps{CPU: 4, MaxTenants: 3}}} {
+		s, _ := newTestSolver(t, cfg)
+		for _, n := range []int{1, 2, 13, 60} {
+			pl, err := s.Solve(ctx, f.tenants(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertWireEqual(t, "solve", pl)
+			assertWireEqual(t, "solve again", pl)
+			if _, err := pl.Apply(ctx,
+				Event{Type: Arrive, Tenant: &Tenant{Name: `new "tenant" <&> \` + "\u2028", Spec: f.specs["beta"]}},
+				Event{Type: Drift, Tenant: &Tenant{Name: "t0000", Spec: f.specs["eps"]}}); err != nil {
+				t.Fatal(err)
+			}
+			assertWireEqual(t, "apply", pl)
+		}
+	}
+}
+
+// TestEncodeMatchesJSONOnEdgeRows: hand-built rows covering the string
+// escapes and number formats encoding/json special-cases, encoded both
+// from the structs alone and through solve fragments.
+func TestEncodeMatchesJSONOnEdgeRows(t *testing.T) {
+	names := []string{
+		"", "plain", `quo"te`, `back\slash`, "<script>&amp;</script>", "line\u2028sep\u2029para",
+		"a\x1db\x00c\x7f", "tab\tnl\ncr\rbs\bff\f", "h\u00e9llo w\u00f6rld \u2713 \u65e5\u672c \U0001f600", "bad\xffutf8\xc3", "\u2027\u202a",
+	}
+	floats := []float64{
+		0, math.Copysign(0, -1), 1e-7, -1e-7, 9.999999e-7, 1e-6, 1e21, 9.99e20, -1e21, 5e-324,
+		math.MaxFloat64, 1.0 / 3, 0.125, 1, 100, 123456789.125, 1e-10, 1.5e-9, 2.5e+30,
+	}
+	var classes []ClassInfo
+	for i, n := range names {
+		classes = append(classes, ClassInfo{ID: i - 1, Rep: n, Size: i, Members: names[:i]})
+	}
+	classes = append(classes, ClassInfo{Rep: "nil members"}, ClassInfo{Rep: "no members", Members: []string{}})
+
+	var machines []Machine
+	var sols []*machineSolve
+	for i, n := range names {
+		var seats []PlacedTenant
+		sol := &machineSolve{display: n + "\x1d" + names[len(names)-1-i], total: floats[i%len(floats)]}
+		for j := 0; j <= i%4; j++ {
+			fl := func(k int) float64 { return floats[(i*7+j*3+k)%len(floats)] }
+			seat := PlacedTenant{Name: names[(i+j)%len(names)], Class: j - 1,
+				Shares: vm.Shares{CPU: fl(0), Memory: fl(1), IO: fl(2)}, Cost: fl(3)}
+			seats = append(seats, seat)
+			sol.shares, sol.costs = append(sol.shares, seat.Shares), append(sol.costs, seat.Cost)
+		}
+		machines = append(machines, Machine{ID: i * 1000, Key: sol.display, Tenants: seats, TotalCost: sol.total})
+		sols = append(sols, sol)
+	}
+	// Seats that no longer match their solve (and 0 vs -0, which == cannot
+	// tell apart) must be encoded from the seat, not spliced from the solve.
+	machines[3].Tenants[0].Cost = 42
+	machines[5].Tenants[1].Shares.IO = 0.0625
+	machines[4].TotalCost, sols[4].total = math.Copysign(0, -1), 0
+	machines[6].Key = "renamed"
+	machines[7].Tenants = machines[7].Tenants[:1]
+	machines = append(machines, Machine{ID: -1, Key: "nil tenants"}, Machine{Key: "no tenants", Tenants: []PlacedTenant{}})
+	sols = append(sols, &machineSolve{display: "nil tenants"}, &machineSolve{display: "no tenants"})
+
+	check := func(label string, got []byte, err error, v any) {
+		t.Helper()
+		want, jerr := json.Marshal(v)
+		if jerr != nil || err != nil {
+			t.Fatalf("%s: encoder error %v, encoding/json error %v", label, err, jerr)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: encoder differs from encoding/json:\n got %s\nwant %s", label, got, want)
+		}
+	}
+	check("classes", appendClasses(nil, classes), nil, classes)
+	check("nil classes", appendClasses(nil, nil), nil, []ClassInfo(nil))
+	check("empty classes", appendClasses(nil, []ClassInfo{}), nil, []ClassInfo{})
+	got, err := appendMachines(nil, machines, nil)
+	check("machines", got, err, machines)
+	for pass := 0; pass < 2; pass++ {
+		got, err = appendMachines(nil, machines, sols)
+		check("machines via fragments", got, err, machines)
+	}
+	got, err = appendMachines(nil, nil, nil)
+	check("nil machines", got, err, []Machine(nil))
+	got, err = appendMachines(nil, []Machine{}, nil)
+	check("empty machines", got, err, []Machine{})
+	for _, f := range floats {
+		got, err := AppendFloat(nil, f)
+		check("float", got, err, f)
+	}
+	check("stats", SolveStats{1, -2, 3, 4, 5, 6, 7}.appendJSON(nil), nil, SolveStats{1, -2, 3, 4, 5, 6, 7})
+
+	// What encoding/json refuses, the encoder refuses — from a seat and
+	// from a solve's fragments alike.
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := json.Marshal(f); err == nil {
+			t.Fatalf("encoding/json accepts %v", f)
+		}
+		if _, err := AppendFloat(nil, f); err == nil {
+			t.Errorf("AppendFloat accepts %v", f)
+		}
+		bad := []Machine{{Tenants: []PlacedTenant{{Cost: f}}, TotalCost: 1}}
+		if _, err := appendMachines(nil, bad, nil); err == nil {
+			t.Errorf("appendMachines accepts a seat costing %v", f)
+		}
+		sol := &machineSolve{shares: []vm.Shares{{}}, costs: []float64{f}, total: 1}
+		if _, err := appendMachines(nil, bad, []*machineSolve{sol}); err == nil {
+			t.Errorf("appendMachines accepts a solve costing %v", f)
+		}
+	}
+}

@@ -76,9 +76,13 @@ type ApplyStats struct {
 // Apply folds fleet events into the placement and re-solves. The pipeline
 // is the same deterministic function a from-scratch Solve runs, so the
 // result is bit-identical to solving the final tenant set cold; the
-// solver's memos make it incremental — only machine shapes the fleet has
-// never priced (the dirty worklist, typically O(classes) after one
-// arrival) reach a solver, and everything else is a memo hit.
+// solver's memos make it incremental — only machine shapes the solver has
+// never priced (the dirty worklist) reach a per-machine solver, and
+// everything else is a memo hit. One event re-keys about half the
+// machines of every shuffled order (chunk packing shifts every later
+// boundary), so the worklist is short only while the memo outlives the
+// placement: the shape space is closed and a long-lived solver converges
+// on it (DESIGN.md §14).
 //
 // Apply is atomic: on error the placement is unchanged. On success the
 // receiver is updated in place.

@@ -11,7 +11,7 @@ import (
 // holding the same class multiset are interchangeable (and hit the same
 // solve memo key).
 type classMeta struct {
-	repKey string // SpecKey of the representative's spec
+	repKey string // PricingKey of the representative's spec
 	repID  int    // solver-interned dense id of repKey
 	rank   int    // position of (repKey, class id) in lexical order
 	rep    *Tenant
@@ -85,8 +85,10 @@ func order0Sequence(classMembers [][]int32, meta []classMeta) []int32 {
 // tenant degrade to dedicated machines rather than failing the solve).
 func (s *Solver) pack(seq []int32, classOfIdx []int32, meta []classMeta) [][]int32 {
 	caps := s.cfg.Machine
-	var machines [][]int32
-	var loads [][3]float64
+	// Sized for the count-bound fleet; capacity caps only add machines.
+	hint := (len(seq) + caps.MaxTenants - 1) / caps.MaxTenants
+	machines := make([][]int32, 0, hint)
+	loads := make([][3]float64, 0, hint)
 	// firstOpen skips the prefix of machines already at MaxTenants — a
 	// count-full machine can never accept again, so first-fit is O(items)
 	// when capacity caps are off instead of O(items * machines).
@@ -179,14 +181,4 @@ func slotMembers(members []int32, classOfIdx []int32, meta []classMeta, ts []*Te
 		return strings.Compare(ts[a].Name, ts[b].Name)
 	})
 	return slot
-}
-
-// displayKey is the human-readable form of a machine key: the slot-ordered
-// rep spec keys joined with a group separator.
-func displayKey(slot []int32, classOfIdx []int32, meta []classMeta) string {
-	keys := make([]string, len(slot))
-	for i, ti := range slot {
-		keys[i] = meta[classOfIdx[ti]].repKey
-	}
-	return strings.Join(keys, "\x1d")
 }

@@ -58,6 +58,11 @@ var (
 	gTenants         = obs.Global.Gauge("placement.tenants")
 	gClasses         = obs.Global.Gauge("placement.classes")
 	gMachines        = obs.Global.Gauge("placement.machines")
+	// mVerifyChecks counts machine shapes Verify sent through the cost
+	// model; gSolveEntries is the size of the machine-solve memo that grew
+	// last.
+	mVerifyChecks = obs.Global.Counter("placement.verify.model_checks")
+	gSolveEntries = obs.Global.Gauge("placement.solves.entries")
 )
 
 // Tenant is one fleet tenant: a workload spec plus optional telemetry.
@@ -193,14 +198,6 @@ func (c Config) validate() error {
 	return nil
 }
 
-// SpecKey maps a workload spec to its pricing identity — the same
-// discipline as the server's shared cost-model key: specs with equal keys
-// MUST price identically under the cost model. Machine memo keys are
-// multisets of SpecKeys, so they survive reclustering and tenant renames.
-func SpecKey(w *core.WorkloadSpec) string {
-	return fmt.Sprintf("%s|w=%.9f|slo=%.9f", w.Name, w.Weight, w.SLOSeconds)
-}
-
 // Solver owns the fleet-placement memos: per-spec feature derivations
 // (sketch + probe costs) and per-class-multiset machine solves. It is
 // safe for concurrent use; one Solver should live as long as its cost
@@ -213,9 +210,12 @@ type Solver struct {
 	sketches map[*core.WorkloadSpec]*telemetry.TopK
 	probes   map[*core.WorkloadSpec][]float64
 	feats    map[*core.WorkloadSpec]*feature
-	// repIDs interns class-representative SpecKeys to dense ids; solves
-	// memoizes per-machine solutions keyed by the compact sorted-id
-	// multiset encoding (see appendCompactKey).
+	// repIDs interns class-representative pricing keys
+	// (core.WorkloadSpec.PricingKey — specs with equal keys MUST price
+	// identically under the cost model) to dense ids; solves memoizes
+	// per-machine solutions keyed by the compact sorted-id multiset
+	// encoding (see appendCompactKey), so memo keys survive reclustering
+	// and tenant renames.
 	repIDs map[string]int
 	solves map[string]*machineSolve
 }
@@ -278,8 +278,8 @@ type ClassInfo struct {
 
 // SolveStats summarizes one placement pass.
 type SolveStats struct {
-	Tenants int `json:"tenants"`
-	Classes int `json:"classes"`
+	Tenants  int `json:"tenants"`
+	Classes  int `json:"classes"`
 	Machines int `json:"machines"`
 	// MachineSolves counts fresh per-machine solver runs this pass (the
 	// dirty-machine worklist length); MemoHits counts distinct machine
@@ -304,6 +304,11 @@ type Placement struct {
 	Stats SolveStats `json:"stats"`
 
 	solver *Solver
+	// sols[i] is the memoized solve Machines[i] was seated from and
+	// repIDs[c] the solver-interned rep id of class c: what Verify checks
+	// the exported seats against.
+	sols   []*machineSolve
+	repIDs []int
 	// tenants is the fleet in sorted-name order; seqs holds the shuffled
 	// packing sequences over it. Both are maintained incrementally across
 	// Apply so a warm re-solve pays no fleet-wide sorts.
@@ -405,7 +410,7 @@ func (s *Solver) place(ctx context.Context, ts []*Tenant, seqs [][]seqEnt) (*Pla
 	classOfIdx := make([]int32, len(ts))
 	s.mu.Lock()
 	for ci, c := range classes {
-		rk := SpecKey(c.leader.rep.Spec)
+		rk := c.leader.rep.Spec.PricingKey()
 		id, ok := s.repIDs[rk]
 		if !ok {
 			id = len(s.repIDs)
@@ -522,10 +527,12 @@ func (s *Solver) place(ctx context.Context, ts []*Tenant, seqs [][]seqEnt) (*Pla
 			id := missing[i]
 			slot := slotMembers(keyRef[id], classOfIdx, meta, ts)
 			specs := make([]*core.WorkloadSpec, len(slot))
+			repIDs := make([]int, len(slot))
 			for j, ti := range slot {
-				specs[j] = meta[classOfIdx[ti]].rep.Spec
+				cm := &meta[classOfIdx[ti]]
+				specs[j], repIDs[j] = cm.rep.Spec, cm.repID
 			}
-			ms, err := s.solveMachine(ctx, keyStrs[id], specs, inner)
+			ms, err := s.solveMachine(ctx, keyStrs[id], specs, repIDs, inner)
 			if err != nil {
 				return err
 			}
@@ -538,6 +545,7 @@ func (s *Solver) place(ctx context.Context, ts []*Tenant, seqs [][]seqEnt) (*Pla
 		for _, id := range missing {
 			s.solves[keyStrs[id]] = sols[id]
 		}
+		gSolveEntries.Set(float64(len(s.solves)))
 		s.mu.Unlock()
 	}
 	mMachineSolves.Add(int64(len(missing)))
@@ -557,22 +565,26 @@ func (s *Solver) place(ctx context.Context, ts []*Tenant, seqs [][]seqEnt) (*Pla
 	}
 	win := results[bestOrder]
 	machines := make([]Machine, len(win.machines))
+	plSols := make([]*machineSolve, len(win.machines))
+	allSeats := make([]PlacedTenant, 0, len(ts)) // every machine's seats, one allocation
 	reused := 0
 	fleetTotal := 0.0
 	for mi, members := range win.machines {
 		id := win.keyID[mi]
 		sol := sols[id]
 		slot := slotMembers(members, classOfIdx, meta, ts)
-		seats := make([]PlacedTenant, len(slot))
+		first := len(allSeats)
 		for i, ti := range slot {
-			seats[i] = PlacedTenant{
+			allSeats = append(allSeats, PlacedTenant{
 				Name:   ts[ti].Name,
 				Class:  int(classOfIdx[ti]),
 				Shares: sol.shares[i],
 				Cost:   sol.costs[i],
-			}
+			})
 		}
-		machines[mi] = Machine{ID: mi, Key: displayKey(slot, classOfIdx, meta), Tenants: seats, TotalCost: sol.total}
+		seats := allSeats[first:len(allSeats):len(allSeats)]
+		machines[mi] = Machine{ID: mi, Key: sol.display, Tenants: seats, TotalCost: sol.total}
+		plSols[mi] = sol
 		fleetTotal += sol.total
 		if preSolved[id] {
 			reused++
@@ -582,6 +594,7 @@ func (s *Solver) place(ctx context.Context, ts []*Tenant, seqs [][]seqEnt) (*Pla
 
 	infos := make([]ClassInfo, len(classes))
 	reps := make([]*core.WorkloadSpec, len(classes))
+	repIDs := make([]int, len(classes))
 	for i, c := range classes {
 		ms := classMembers[i]
 		members := make([]string, len(ms))
@@ -590,6 +603,7 @@ func (s *Solver) place(ctx context.Context, ts []*Tenant, seqs [][]seqEnt) (*Pla
 		}
 		infos[i] = ClassInfo{ID: c.id, Rep: c.leader.rep.Name, Size: len(members), Members: members}
 		reps[i] = c.leader.rep.Spec
+		repIDs[i] = meta[i].repID
 	}
 
 	pl := &Placement{
@@ -607,6 +621,8 @@ func (s *Solver) place(ctx context.Context, ts []*Tenant, seqs [][]seqEnt) (*Pla
 			Orders:         s.cfg.Orders,
 		},
 		solver:  s,
+		sols:    plSols,
+		repIDs:  repIDs,
 		tenants: ts,
 		seqs:    seqs,
 		reps:    reps,
@@ -617,53 +633,56 @@ func (s *Solver) place(ctx context.Context, ts []*Tenant, seqs [][]seqEnt) (*Pla
 	return pl, nil
 }
 
-// Verify re-evaluates every machine's chosen allocation directly through
-// the cost model and checks the recomputed per-tenant costs, machine
-// totals, and fleet total are bit-identical to what the placement
-// reports. It is the guarantee behind TotalCost: the fleet objective is
-// never reported without per-machine solver results that re-verify.
+// Verify is the guarantee behind TotalCost: the fleet objective is never
+// reported without per-machine solver results that re-verify. Every pass
+// walks every machine and checks its seats against the memoized solve it
+// was seated from — class ids in range, each slot's class pricing as the
+// solve's slot does, shares, costs and machine total bit-identical — and
+// the fleet total against the sum of machine totals. A machine shape is
+// additionally re-evaluated through the cost model, and its recomputed
+// costs and total required to be bit-identical to the solve's, the first
+// time any placement seats it: cost is a pure function of the PricingKey
+// multiset (the contract the solve memo itself rests on), so later
+// machines of an already-verified shape need only match the solve.
 func (pl *Placement) Verify(ctx context.Context) error {
-	s := pl.solver
-	if s == nil {
+	if pl.solver == nil {
 		return fmt.Errorf("placement: not produced by a Solver")
 	}
+	if len(pl.sols) != len(pl.Machines) {
+		return fmt.Errorf("placement: %d machines for %d solves", len(pl.Machines), len(pl.sols))
+	}
 	fleet := 0.0
-	for _, m := range pl.Machines {
-		specs := make([]*core.WorkloadSpec, len(m.Tenants))
-		alloc := make(core.Allocation, len(m.Tenants))
-		for i, pt := range m.Tenants {
+	for mi := range pl.Machines {
+		m, sol := &pl.Machines[mi], pl.sols[mi]
+		if len(m.Tenants) != len(sol.costs) {
+			return fmt.Errorf("placement: machine %d: %d tenants on a %d-slot solve", m.ID, len(m.Tenants), len(sol.costs))
+		}
+		for i := range m.Tenants {
+			pt := &m.Tenants[i]
 			if pt.Class < 0 || pt.Class >= len(pl.reps) {
 				return fmt.Errorf("placement: machine %d tenant %s: unknown class %d", m.ID, pt.Name, pt.Class)
 			}
-			specs[i] = pl.reps[pt.Class]
-			alloc[i] = pt.Shares
-		}
-		total := 0.0
-		costs := make([]float64, len(specs))
-		if len(specs) == 1 {
-			c, err := s.model.Cost(ctx, specs[0], alloc[0])
-			if err != nil {
-				return err
+			if pl.repIDs[pt.Class] != sol.repIDs[i] {
+				return fmt.Errorf("placement: machine %d tenant %s: class %d is not what slot %d was solved for",
+					m.ID, pt.Name, pt.Class, i)
 			}
-			costs[0] = c
-			total = specWeight(specs[0]) * c
-		} else {
-			p := s.machineProblem(specs, 1)
-			res, err := core.EvaluateAllocation(ctx, p, s.model, alloc, "placement-verify")
-			if err != nil {
-				return err
+			if !sameShares(pt.Shares, sol.shares[i]) {
+				return fmt.Errorf("placement: machine %d tenant %s: shares %v != solved %v",
+					m.ID, pt.Name, pt.Shares, sol.shares[i])
 			}
-			copy(costs, res.PredictedCosts)
-			total = res.PredictedTotal
-		}
-		for i, pt := range m.Tenants {
-			if costs[i] != pt.Cost {
+			if !sameBits(pt.Cost, sol.costs[i]) {
 				return fmt.Errorf("placement: machine %d tenant %s: cost %v != verified %v",
-					m.ID, pt.Name, pt.Cost, costs[i])
+					m.ID, pt.Name, pt.Cost, sol.costs[i])
 			}
 		}
-		if total != m.TotalCost {
-			return fmt.Errorf("placement: machine %d: total %v != verified %v", m.ID, m.TotalCost, total)
+		if !sameBits(m.TotalCost, sol.total) {
+			return fmt.Errorf("placement: machine %d: total %v != verified %v", m.ID, m.TotalCost, sol.total)
+		}
+		if !sol.verified.Load() {
+			if err := pl.verifySolve(ctx, m, sol); err != nil {
+				return err
+			}
+			sol.verified.Store(true)
 		}
 		fleet += m.TotalCost
 	}
@@ -671,6 +690,52 @@ func (pl *Placement) Verify(ctx context.Context) error {
 		return fmt.Errorf("placement: fleet total %v != verified %v", pl.TotalCost, fleet)
 	}
 	return nil
+}
+
+// verifySolve re-evaluates sol's allocation for the specs seated on m
+// (which Verify has just matched to sol slot by slot) directly through
+// the cost model and checks costs and total are bit-identical.
+func (pl *Placement) verifySolve(ctx context.Context, m *Machine, sol *machineSolve) error {
+	s := pl.solver
+	mVerifyChecks.Inc()
+	specs := make([]*core.WorkloadSpec, len(m.Tenants))
+	for i, pt := range m.Tenants {
+		specs[i] = pl.reps[pt.Class]
+	}
+	var costs []float64
+	var total float64
+	if len(specs) == 1 {
+		c, err := s.model.Cost(ctx, specs[0], sol.shares[0])
+		if err != nil {
+			return err
+		}
+		costs, total = []float64{c}, specWeight(specs[0])*c
+	} else {
+		res, err := core.EvaluateAllocation(ctx, s.machineProblem(specs, 1), s.model, sol.shares, "placement-verify")
+		if err != nil {
+			return err
+		}
+		costs, total = res.PredictedCosts, res.PredictedTotal
+	}
+	for i, pt := range m.Tenants {
+		if costs[i] != sol.costs[i] {
+			return fmt.Errorf("placement: machine %d tenant %s: cost %v != verified %v",
+				m.ID, pt.Name, sol.costs[i], costs[i])
+		}
+	}
+	if total != sol.total {
+		return fmt.Errorf("placement: machine %d: total %v != verified %v", m.ID, sol.total, total)
+	}
+	return nil
+}
+
+// sameBits reports bit-identity of two floats (unlike ==, it tells 0 from
+// -0 and equates a NaN with itself), the equality under which a memoized
+// value may stand in for a reported one.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+func sameShares(a, b vm.Shares) bool {
+	return sameBits(a.CPU, b.CPU) && sameBits(a.Memory, b.Memory) && sameBits(a.IO, b.IO)
 }
 
 func specWeight(w *core.WorkloadSpec) float64 {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"dbvirt/internal/core"
@@ -15,18 +16,18 @@ import (
 // stubModel prices a workload deterministically from its spec name and
 // shares: each family has a fixed resource appetite, so solves, probes,
 // and clustering are reproducible without a real engine.
-type stubModel struct{ calls int64 }
+type stubModel struct{ calls atomic.Int64 }
 
 func (m *stubModel) Name() string { return "stub" }
 func (m *stubModel) Cost(_ context.Context, w *core.WorkloadSpec, s vm.Shares) (float64, error) {
-	m.calls++
+	m.calls.Add(1)
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(w.Name); i++ {
 		h = (h ^ uint64(w.Name[i])) * 1099511628211
 	}
-	a := float64(h%7+1) / 7  // cpu appetite
-	b := float64(h%5+1) / 5  // memory appetite
-	c := float64(h%3+1) / 3  // io appetite
+	a := float64(h%7+1) / 7 // cpu appetite
+	b := float64(h%5+1) / 5 // memory appetite
+	c := float64(h%3+1) / 3 // io appetite
 	return a/s.CPU + b/s.Memory + c/s.IO, nil
 }
 
@@ -249,6 +250,16 @@ func TestApplyBitIdenticalToFreshSolve(t *testing.T) {
 		if _, err := pl.Apply(ctx, ev); err != nil {
 			t.Fatalf("event %d (%s): %v", i, ev.Type, err)
 		}
+		// Other fleets solved on the same solver in between (a server keeps
+		// one solver across placements) grow its memos and rep ids; they
+		// must not leak into pl.
+		other, err := s.Solve(ctx, f.tenants(7+5*i))
+		if err != nil {
+			t.Fatalf("interleaved solve %d: %v", i, err)
+		}
+		if err := other.Verify(ctx); err != nil {
+			t.Fatalf("interleaved solve %d: verify: %v", i, err)
+		}
 	}
 
 	final := make([]*Tenant, 0, len(tenants))
@@ -413,7 +424,7 @@ func TestConfigValidation(t *testing.T) {
 		{Threshold: 1.5},
 		{Algo: "magic"},
 		{Orders: -1},
-		{Step: 0.3},                              // doesn't divide 1 (caught by core at solve; range here)
+		{Step: 0.3}, // doesn't divide 1 (caught by core at solve; range here)
 		{Step: 0.5, Machine: MachineCaps{MaxTenants: 4}}, // 4 * 0.5 > 1
 		{Machine: MachineCaps{CPU: -1}},
 	}

@@ -2,9 +2,9 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -98,9 +98,10 @@ func (r *PlacementRequest) validate() error {
 }
 
 // coalesceKey canonicalizes a placement request for in-flight
-// coalescing. Identical fleets solving concurrently share one
-// computation; the placement memo is NOT consulted across time because a
-// successful solve also replaces the server's current placement state.
+// coalescing: its tenant list followed by its configKey. Identical fleets
+// solving concurrently share one computation; the placement memo is NOT
+// consulted across time because a successful solve also replaces the
+// server's current placement state.
 func (r *PlacementRequest) coalesceKey() string {
 	var b strings.Builder
 	for _, t := range r.Tenants {
@@ -110,6 +111,15 @@ func (r *PlacementRequest) coalesceKey() string {
 		}
 		fmt.Fprintf(&b, "t:%s|n=%s|c=%d;", refKey(t.WorkloadRef), t.Name, n)
 	}
+	b.WriteString(r.configKey())
+	return b.String()
+}
+
+// configKey canonicalizes everything of the request that config() maps
+// onto the solver: requests with equal keys are served by one
+// placement.Solver and so share its feature and machine-solve memos.
+func (r *PlacementRequest) configKey() string {
+	var b strings.Builder
 	if m := r.Machine; m != nil {
 		fmt.Fprintf(&b, "m:%.9f,%.9f,%.9f,%d;", m.CPU, m.Memory, m.IO, m.MaxTenants)
 	}
@@ -192,8 +202,10 @@ func (r *PlacementEventsRequest) validate() error {
 }
 
 // PlacementResponse reports one placement pass. TotalCost is only ever
-// written after Placement.Verify has re-evaluated every machine's
-// allocation through the cost model — Verified records that fact.
+// written after Placement.Verify has checked every machine against a
+// solve re-evaluated through the cost model — Verified records that fact.
+// The type is the documented schema and what clients decode into; the
+// handlers write it with appendPlacementResponse.
 type PlacementResponse struct {
 	TotalCost float64               `json:"total_cost"`
 	Order     int                   `json:"order"`
@@ -204,33 +216,64 @@ type PlacementResponse struct {
 	Machines  []placement.Machine   `json:"machines"`
 }
 
-func placementResponse(pl *placement.Placement, events int) *PlacementResponse {
-	return &PlacementResponse{
-		TotalCost: pl.TotalCost,
-		Order:     pl.Order,
-		Verified:  true,
-		Events:    events,
-		Stats:     pl.Stats,
-		Classes:   pl.Classes,
-		Machines:  pl.Machines,
+// appendPlacementResponse appends the PlacementResponse of a verified
+// placement, byte for byte as encoding/json marshals the struct (events
+// omitted when zero, no trailing newline).
+func appendPlacementResponse(dst []byte, pl *placement.Placement, events int) ([]byte, error) {
+	dst = append(dst, `{"total_cost":`...)
+	dst, err := placement.AppendFloat(dst, pl.TotalCost)
+	if err != nil {
+		return nil, err
 	}
+	dst = append(dst, `,"order":`...)
+	dst = strconv.AppendInt(dst, int64(pl.Order), 10)
+	dst = append(dst, `,"verified":true,`...)
+	if events != 0 {
+		dst = append(dst, `"events":`...)
+		dst = strconv.AppendInt(dst, int64(events), 10)
+		dst = append(dst, ',')
+	}
+	if dst, err = pl.AppendJSON(dst); err != nil {
+		return nil, err
+	}
+	return append(dst, '}'), nil
 }
 
 // placementState is the server's current fleet placement: one solver
-// (owning the feature and machine-solve memos) plus the latest solved
-// placement. The mutex serializes event application against replacement;
-// fresh solves build their placement outside the lock and swap it in.
+// (owning the feature and machine-solve memos), the configKey it was
+// built for, and the latest solved placement. The solver lives as long as
+// its configuration — a POST /v1/placement carrying the same configKey
+// re-solves on it, so shapes any earlier placement or event priced are
+// memo hits — and is replaced only by a successful solve under another.
+// The mutex serializes event application against replacement; fresh
+// solves build their placement outside the lock and swap it in.
 type placementState struct {
 	mu     sync.Mutex
+	cfgKey string
 	solver *placement.Solver
 	pl     *placement.Placement
+	// evBuf holds the last events response; the next one is encoded over
+	// it (events are applied, encoded and written under mu).
+	evBuf []byte
 }
 
-func (ps *placementState) set(solver *placement.Solver, pl *placement.Placement) {
+// solverFor returns the current solver if it was built for cfgKey.
+func (ps *placementState) solverFor(cfgKey string) *placement.Solver {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	ps.solver = solver
-	ps.pl = pl
+	if ps.solver != nil && ps.cfgKey == cfgKey {
+		return ps.solver
+	}
+	return nil
+}
+
+// install makes pl the current placement and returns its response body
+// (encoded under the lock: a concurrent event updates pl in place).
+func (ps *placementState) install(cfgKey string, solver *placement.Solver, pl *placement.Placement) ([]byte, error) {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	ps.cfgKey, ps.solver, ps.pl = cfgKey, solver, pl
+	return appendPlacementResponse(make([]byte, 0, len(ps.evBuf)+len(ps.evBuf)/8), pl, 0)
 }
 
 func (s *Server) handlePlacement(w http.ResponseWriter, r *http.Request) {
@@ -269,16 +312,22 @@ func (s *Server) handlePlacement(w http.ResponseWriter, r *http.Request) {
 	w.Write(body)
 }
 
-// computePlacement solves the fleet from scratch, verifies it, installs
-// it as the server's current placement, and marshals the response.
+// computePlacement solves the fleet from scratch — on the current solver
+// when the request carries its configuration, so only the memos are warm
+// — verifies it, installs it as the server's current placement, and
+// marshals the response.
 func (s *Server) computePlacement(ctx context.Context, req *PlacementRequest) ([]byte, error) {
 	tenants, err := s.resolvePlacementTenants(req.Tenants)
 	if err != nil {
 		return nil, badRequestError{err}
 	}
-	solver, err := placement.NewSolver(req.config(s.cfg.Parallelism, s.cfg.Obs), s.cfg.Model)
-	if err != nil {
-		return nil, badRequestError{err}
+	cfgKey := req.configKey()
+	solver := s.plState.solverFor(cfgKey)
+	if solver == nil {
+		solver, err = placement.NewSolver(req.config(s.cfg.Parallelism, s.cfg.Obs), s.cfg.Model)
+		if err != nil {
+			return nil, badRequestError{err}
+		}
 	}
 	pl, err := solver.Solve(ctx, tenants)
 	if err != nil {
@@ -287,8 +336,7 @@ func (s *Server) computePlacement(ctx context.Context, req *PlacementRequest) ([
 	if err := pl.Verify(ctx); err != nil {
 		return nil, fmt.Errorf("placement verification failed: %w", err)
 	}
-	s.plState.set(solver, pl)
-	return json.Marshal(placementResponse(pl, 0))
+	return s.plState.install(cfgKey, solver, pl)
 }
 
 func (s *Server) handlePlacementEvents(w http.ResponseWriter, r *http.Request) {
@@ -341,7 +389,15 @@ func (s *Server) handlePlacementEvents(w http.ResponseWriter, r *http.Request) {
 		s.writeComputeError(w, fmt.Errorf("placement verification failed: %w", err))
 		return
 	}
-	writeJSON(w, http.StatusOK, placementResponse(s.plState.pl, stats.Events))
+	body, err := appendPlacementResponse(s.plState.evBuf[:0], s.plState.pl, stats.Events)
+	if err != nil {
+		s.writeComputeError(w, err)
+		return
+	}
+	body = append(body, '\n') // as json.Encoder ends a value
+	s.plState.evBuf = body
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(body)
 }
 
 // plStats exposes the current placement's headline stats (tests and the

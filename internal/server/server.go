@@ -110,7 +110,9 @@ func (c *Config) applyDefaults() error {
 		if c.Grid == nil {
 			return fmt.Errorf("server: need a calibration grid (or an explicit model)")
 		}
-		c.Model = core.NewSharedCostModel(&core.WhatIfModel{Grid: c.Grid}, specCacheKey)
+		// The spec name is the interned canonical QUERYxN form and specs live
+		// on per-query databases, so PricingKey determines the cost.
+		c.Model = core.NewSharedCostModel(&core.WhatIfModel{Grid: c.Grid}, (*core.WorkloadSpec).PricingKey)
 	}
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = runtime.GOMAXPROCS(0)
@@ -146,13 +148,6 @@ func (c *Config) applyDefaults() error {
 		c.RequestWindow = time.Minute
 	}
 	return nil
-}
-
-// specCacheKey is the shared cost memo's workload identity: the spec
-// name is the interned canonical QUERYxN form, and specs live on
-// per-query databases, so name + weight + SLO determines the cost.
-func specCacheKey(w *core.WorkloadSpec) string {
-	return fmt.Sprintf("%s|w=%.9f|slo=%.9f", w.Name, w.Weight, w.SLOSeconds)
 }
 
 // Server is the vdtuned daemon: handlers, shared session state, and the

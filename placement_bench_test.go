@@ -30,9 +30,7 @@ func newFleetSolver(b *testing.B, e *experiments.Env) *placement.Solver {
 	if err != nil {
 		b.Fatal(err)
 	}
-	model := core.NewSharedCostModel(&core.WhatIfModel{Grid: grid}, func(w *core.WorkloadSpec) string {
-		return placement.SpecKey(w)
-	})
+	model := core.NewSharedCostModel(&core.WhatIfModel{Grid: grid}, (*core.WorkloadSpec).PricingKey)
 	solver, err := placement.NewSolver(placement.Config{}, model)
 	if err != nil {
 		b.Fatal(err)
