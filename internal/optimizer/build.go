@@ -12,6 +12,14 @@ import (
 // cost-model call amortizes over.
 var mOptimizeCalls = obs.Global.Counter("optimizer.optimize.calls")
 
+// Per enumeration: fraction.plans counts plans whose paths were chosen
+// under a tuple fraction below 1 (a LIMIT nothing blocks), fraction.flips
+// those of them where that choice differs from the cheapest-Total tree.
+var (
+	mFractionPlans = obs.Global.Counter("optimizer.fraction.plans")
+	mFractionFlips = obs.Global.Counter("optimizer.fraction.flips")
+)
+
 // Plan is an optimized physical plan together with the query and parameter
 // vector it was planned under.
 type Plan struct {
@@ -91,6 +99,7 @@ func Optimize(q *plan.Query, p Params) (*Plan, error) {
 // without shared memos) and an optional choice recorder.
 func optimizeInto(pc *planCtx, p Params, rec *recorder) (*Plan, error) {
 	q := pc.q
+	pc.frac = 1 // until optimizeJoins finds a LIMIT it can plan for
 	var root Node
 	var err error
 	if q.OuterTree != nil {
@@ -133,7 +142,7 @@ func optimizeInto(pc *planCtx, p Params, rec *recorder) (*Plan, error) {
 	}
 
 	if q.Limit != nil {
-		root = newLimit(root, *q.Limit, p)
+		root = newLimit(root, *q.Limit, pc.frac, p)
 	}
 
 	return &Plan{Root: root, Query: q, Params: p}, nil

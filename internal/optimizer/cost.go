@@ -108,17 +108,20 @@ func seqMissFrac(pages float64, ecs int64) float64 {
 	return 0.1
 }
 
-// newSeqScan builds a sequential scan with pushed-down filters.
-func newSeqScan(rel *plan.Rel, filter []plan.Conjunct, pc *planCtx, p Params) *SeqScan {
+// newSeqScan builds a sequential scan with pushed-down filters. skipFrac
+// is the fraction of the scan spent before the first matching row: the
+// scan's startup cost, which decides nothing unless a LIMIT stops it
+// early.
+func newSeqScan(rel *plan.Rel, filter []plan.Conjunct, skipFrac float64, pc *planCtx, p Params) *SeqScan {
 	st := statsFor(rel)
 	rows := float64(st.NumRows)
 	sel := pc.conjSel(filter)
 	pages := float64(st.NumPages)
 	io := pages * seqMissFrac(pages, p.EffectiveCacheSizePages) * p.SeqPageCost
 	cpu := rows*p.CPUTupleCost + rows*pc.predOps(filter)*p.CPUOperatorCost
-	s := &SeqScan{Rel: rel, Filter: filter}
+	s := &SeqScan{Rel: rel, Filter: filter, skipFrac: skipFrac}
 	s.rows = math.Max(rows*sel, 0)
-	s.cost = Cost{Startup: 0, Total: io + cpu, CPU: cpu}
+	s.cost = Cost{Startup: skipFrac * (io + cpu), Total: io + cpu, CPU: cpu}
 	s.layout = pc.relLayout(rel.Idx)
 	s.width = len(rel.Table.Schema.Cols)
 	s.rowBytes = rowBytesFromStats(st, s.width)
@@ -477,8 +480,9 @@ func newDistinct(input Node, visibleCols int, p Params) *Distinct {
 }
 
 // newLimit truncates to n rows, discounting the input's run cost.
-func newLimit(input Node, n int64, p Params) *Limit {
-	l := &Limit{Input: input, N: n}
+// fraction is the tuple fraction the input's paths were chosen under.
+func newLimit(input Node, n int64, fraction float64, p Params) *Limit {
+	l := &Limit{Input: input, N: n, fraction: fraction}
 	inRows := input.Rows()
 	outRows := float64(n)
 	if outRows > inRows {

@@ -32,11 +32,11 @@ type joinOptimizer struct {
 	rowsDense  []float64 // indexed by RelSet mask; NaN = unset
 	rowsMap    map[plan.RelSet]float64
 
-	leaves []Node // best access path per relation, shared by dp and greedy
+	leaves []cell // best access paths per relation, shared by dp and greedy
 
 	// Pooled scratch buffers, reused across enumerations.
 	rowsBuf []float64
-	bestBuf []Node
+	bestBuf []cell
 }
 
 // joPool recycles joinOptimizer values so repeated enumeration — the inner
@@ -56,7 +56,7 @@ func (jo *joinOptimizer) release() {
 	// Drop references to plan nodes held in the pooled DP table so the
 	// pool does not pin whole plan trees between enumerations.
 	for i := range jo.bestBuf {
-		jo.bestBuf[i] = nil
+		jo.bestBuf[i] = cell{}
 	}
 	joPool.Put(jo)
 }
@@ -86,25 +86,35 @@ func optimizeJoins(pc *planCtx, p Params, rec *recorder) (Node, error) {
 		jo.singleSel[i] = pc.conjSel(jo.singleConjs[i])
 	}
 	jo.initRowsMemo(len(q.Rels))
+	pc.frac = jo.tupleFraction()
 
-	jo.leaves = make([]Node, len(q.Rels))
+	jo.leaves = make([]cell, len(q.Rels))
 	for i, rel := range q.Rels {
-		node, err := bestAccessPath(rel, jo.singleConjs[i], pc, p, rec)
+		leaf, err := bestAccessPath(rel, jo.singleConjs[i], jo.impliedSkip(rel), pc, p, rec)
 		if err != nil {
 			return nil, err
 		}
-		jo.leaves[i] = node
+		jo.leaves[i] = leaf
 	}
 
-	var root Node
+	var top cell
 	var err error
 	if len(q.Rels) <= dpRelLimit {
-		root, err = jo.dp()
+		top, err = jo.dp()
 	} else {
-		root, err = jo.greedy()
+		top, err = jo.greedy()
 	}
 	if err != nil {
 		return nil, err
+	}
+	// What sits above consumes pc.frac of the join result, so the tree
+	// that is cheapest under it is the plan.
+	root := top.frac
+	if pc.frac < 1 {
+		mFractionPlans.Inc()
+		if top.frac != top.total {
+			mFractionFlips.Inc()
+		}
 	}
 	if len(jo.zeroConjs) > 0 {
 		root = newFilter(root, jo.zeroConjs, pc, p)
@@ -132,6 +142,67 @@ func (jo *joinOptimizer) initRowsMemo(n int) {
 		return
 	}
 	jo.rowsMap = make(map[plan.RelSet]float64)
+}
+
+// tupleFraction is the share of the join result the query consumes:
+// LIMIT over the estimated result rows when every operator between the
+// joins and the Limit streams, 1 when a Sort or aggregate drains its
+// input first. It depends on the query and the statistics alone. Derived
+// tables keep 1: their row estimates come from inner plans whose shape
+// moves with the parameters.
+func (jo *joinOptimizer) tupleFraction() float64 {
+	q := jo.q
+	if q.Limit == nil || q.Grouped || len(q.OrderBy) > 0 {
+		return 1
+	}
+	for _, rel := range q.Rels {
+		if rel.Sub != nil {
+			return 1
+		}
+	}
+	full := plan.RelSet(1)<<uint(len(q.Rels)) - 1
+	rows := jo.rows(full) * jo.pc.conjSel(jo.zeroConjs)
+	if n := float64(*q.Limit); n < rows {
+		return n / rows
+	}
+	return 1
+}
+
+// impliedSkip is the fraction of rel's heap a sequential scan reads
+// before the first row that can survive the joins: an equi-join carries
+// a key range on the partner's column over to rel's, and every complete
+// plan discards the rows outside it. Only a truncated pipeline reads
+// startup costs, so it is derived only under a tuple fraction below 1.
+func (jo *joinOptimizer) impliedSkip(rel *plan.Rel) float64 {
+	if jo.pc.frac >= 1 {
+		return 0
+	}
+	var skip float64
+	for _, c := range jo.multiConjs {
+		bin, ok := c.E.(*plan.Bin)
+		if !ok || bin.Op != sql.OpEq {
+			continue
+		}
+		mine, isCol := bin.L.(*plan.ColRef)
+		theirs, isCol2 := bin.R.(*plan.ColRef)
+		if !isCol || !isCol2 {
+			continue
+		}
+		if theirs.Rel == rel.Idx {
+			mine, theirs = theirs, mine
+		}
+		if mine.Rel != rel.Idx || theirs.Rel == rel.Idx {
+			continue
+		}
+		ix := rel.Table.IndexOn(mine.Col)
+		if ix == nil {
+			continue
+		}
+		if r := extractRange(theirs.Rel, theirs.Col, jo.singleConjs[theirs.Rel]); r.bounded() {
+			skip = math.Max(skip, leadingMisses(rel, ix, r))
+		}
+	}
+	return skip
 }
 
 // rows returns the plan-independent cardinality estimate for a subset.
@@ -169,7 +240,7 @@ func (jo *joinOptimizer) computeRows(s plan.RelSet) float64 {
 		if jo.q.Rels[i].Sub != nil && jo.leaves != nil {
 			// Derived tables: the leaf node's estimate already includes
 			// pushed-down filters.
-			rows *= jo.leaves[i].Rows()
+			rows *= jo.leaves[i].total.Rows()
 			continue
 		}
 		base := float64(statsFor(jo.q.Rels[i]).NumRows)
@@ -237,62 +308,72 @@ func splitEquiKeys(conjs []plan.Conjunct, a, b plan.RelSet) (keys []equiKey, res
 	return keys, residual
 }
 
-// candidateJoins builds every physical join of outer (over set a) with
-// inner (over set b) and returns the cheapest.
-func (jo *joinOptimizer) bestJoin(outer Node, a plan.RelSet, inner Node, b plan.RelSet) Node {
+// bestJoin builds every physical join of outer (over set a) with inner
+// (over set b), from each distinct tree the two cells hold, and returns
+// the cheapest on Total and under the tuple fraction.
+func (jo *joinOptimizer) bestJoin(outer cell, a plan.RelSet, inner cell, b plan.RelSet) cell {
 	conjs := jo.newConjuncts(a, b)
 	rows := jo.rows(a | b)
 	keys, residual := splitEquiKeys(conjs, a, b)
-
-	ch := startChoice(jo.rec)
-	ch.consider(newNLJoin(sql.InnerJoin, outer, inner, conjs, rows, jo.pc, jo.p))
-
-	if len(keys) > 0 {
-		var lks, rks []plan.Expr
-		for _, k := range keys {
-			lks = append(lks, k.leftE)
-			rks = append(rks, k.rightE)
-		}
-		ch.consider(newHashJoin(sql.InnerJoin, outer, inner, lks, rks, residual, rows, false, jo.pc, jo.p))
-
-		// Merge join: all keys must be bare columns. Children that are
-		// index scans over a single join-key column already stream in key
-		// order; anything else gets an explicit sort.
-		if mj := jo.tryMergeJoin(outer, inner, keys, residual, rows); mj != nil {
-			ch.consider(mj)
-		}
+	var lks, rks []plan.Expr
+	for _, k := range keys {
+		lks = append(lks, k.leftE)
+		rks = append(rks, k.rightE)
 	}
 
-	// Index nested loops: inner side must be a single base relation with
-	// an index on one equi-key column.
-	if b.Count() == 1 {
-		var innerRel *plan.Rel
-		for i := range jo.q.Rels {
-			if b.Has(i) {
-				innerRel = jo.q.Rels[i]
-			}
-		}
-		for ki, k := range keys {
-			if k.rightCol == nil || k.rightCol.Rel != innerRel.Idx {
+	ch := startChoice(jo.rec, jo.pc.frac)
+	for _, o := range outer.alts() {
+		for _, in := range inner.alts() {
+			ch.consider(newNLJoin(sql.InnerJoin, o, in, conjs, rows, jo.pc, jo.p))
+			if len(keys) == 0 {
 				continue
 			}
-			ix := innerRel.Table.IndexOn(k.rightCol.Col)
-			if ix == nil {
-				continue
+			ch.consider(newHashJoin(sql.InnerJoin, o, in, lks, rks, residual, rows, false, jo.pc, jo.p))
+
+			// Merge join: all keys must be bare columns. Children that are
+			// index scans over a single join-key column already stream in
+			// key order; anything else gets an explicit sort.
+			if mj := jo.tryMergeJoin(o, in, keys, residual, rows); mj != nil {
+				ch.consider(mj)
 			}
-			// Residual: everything except this key.
-			var resid []plan.Conjunct
-			resid = append(resid, residual...)
-			for kj, other := range keys {
-				if kj != ki {
-					resid = append(resid, conjs[other.conjIdx])
-				}
-			}
-			ch.consider(newIndexNLJoin(sql.InnerJoin, outer, innerRel, ix, k.leftE,
-				jo.singleConjs[innerRel.Idx], resid, rows, jo.pc, jo.p))
 		}
+		jo.considerIndexNLJoins(&ch, o, b, conjs, keys, residual, rows)
 	}
 	return ch.done()
+}
+
+// considerIndexNLJoins offers index nested loops: the inner side must be
+// a single base relation with an index on one equi-key column. The join
+// probes the relation itself, so it is built once per outer tree.
+func (jo *joinOptimizer) considerIndexNLJoins(ch *chooser, outer Node, b plan.RelSet, conjs []plan.Conjunct, keys []equiKey, residual []plan.Conjunct, rows float64) {
+	if b.Count() != 1 {
+		return
+	}
+	var innerRel *plan.Rel
+	for i := range jo.q.Rels {
+		if b.Has(i) {
+			innerRel = jo.q.Rels[i]
+		}
+	}
+	for ki, k := range keys {
+		if k.rightCol == nil || k.rightCol.Rel != innerRel.Idx {
+			continue
+		}
+		ix := innerRel.Table.IndexOn(k.rightCol.Col)
+		if ix == nil {
+			continue
+		}
+		// Residual: everything except this key.
+		var resid []plan.Conjunct
+		resid = append(resid, residual...)
+		for kj, other := range keys {
+			if kj != ki {
+				resid = append(resid, conjs[other.conjIdx])
+			}
+		}
+		ch.consider(newIndexNLJoin(sql.InnerJoin, outer, innerRel, ix, k.leftE,
+			jo.singleConjs[innerRel.Idx], resid, rows, jo.pc, jo.p))
+	}
 }
 
 // tryMergeJoin builds a merge-join candidate if every equi key is a bare
@@ -341,16 +422,16 @@ func ensureSorted(n Node, cols []int, p Params) Node {
 // dp runs System-R style dynamic programming over relation subsets. The
 // table is a dense slice indexed by the subset mask (n <= dpRelLimit by
 // construction), drawn from the pooled scratch buffer.
-func (jo *joinOptimizer) dp() (Node, error) {
+func (jo *joinOptimizer) dp() (cell, error) {
 	n := len(jo.q.Rels)
 	full := plan.RelSet(1)<<uint(n) - 1
 	tableSize := 1 << uint(n)
 	if cap(jo.bestBuf) < tableSize {
-		jo.bestBuf = make([]Node, tableSize)
+		jo.bestBuf = make([]cell, tableSize)
 	}
 	best := jo.bestBuf[:tableSize]
 	for i := range best {
-		best[i] = nil
+		best[i] = cell{}
 	}
 
 	for i := 0; i < n; i++ {
@@ -362,7 +443,7 @@ func (jo *joinOptimizer) dp() (Node, error) {
 			if s.Count() != size {
 				continue
 			}
-			ch := startChoice(jo.rec)
+			ch := startChoice(jo.rec, jo.pc.frac)
 			connected := false
 			// First pass: connected splits only.
 			for _, crossOK := range []bool{false, true} {
@@ -372,45 +453,48 @@ func (jo *joinOptimizer) dp() (Node, error) {
 				for sub := (s - 1) & s; sub > 0; sub = (sub - 1) & s {
 					rest := s &^ sub
 					lp, rp := best[sub], best[rest]
-					if lp == nil || rp == nil {
+					if lp.total == nil || rp.total == nil {
 						continue
 					}
 					if !crossOK && len(jo.newConjuncts(sub, rest)) == 0 {
 						continue
 					}
 					connected = connected || !crossOK
-					ch.consider(jo.bestJoin(lp, sub, rp, rest))
+					ch.considerCell(jo.bestJoin(lp, sub, rp, rest))
 				}
 			}
-			if cheapest := ch.done(); cheapest != nil {
-				best[s] = cheapest
-			}
+			best[s] = ch.done()
 		}
 	}
 	root := best[full]
-	if root == nil {
-		return nil, fmt.Errorf("optimizer: no plan found for %d relations", n)
+	if root.total == nil {
+		return cell{}, fmt.Errorf("optimizer: no plan found for %d relations", n)
 	}
 	return root, nil
 }
 
 // greedy joins the pair with the smallest estimated result until one tree
 // remains; used beyond the DP relation limit.
-func (jo *joinOptimizer) greedy() (Node, error) {
+func (jo *joinOptimizer) greedy() (cell, error) {
 	type entry struct {
-		node Node
+		cell cell
 		set  plan.RelSet
 	}
 	var items []entry
 	for i := range jo.q.Rels {
 		items = append(items, entry{
-			node: jo.leaves[i],
+			cell: jo.leaves[i],
 			set:  plan.NewRelSet(i),
 		})
 	}
 	for len(items) > 1 {
-		ch := startChoice(jo.rec)
-		var pairs [][2]int // candidate index -> (i, j) of the joined pair
+		ch := startChoice(jo.rec, jo.pc.frac)
+		// candidate index -> the joined pair (i, j) and its cell
+		type joined struct {
+			i, j int
+			cell cell
+		}
+		var pairs []joined
 		for _, connectedOnly := range []bool{true, false} {
 			for i := 0; i < len(items); i++ {
 				for j := 0; j < len(items); j++ {
@@ -420,29 +504,33 @@ func (jo *joinOptimizer) greedy() (Node, error) {
 					if connectedOnly && len(jo.newConjuncts(items[i].set, items[j].set)) == 0 {
 						continue
 					}
-					ch.consider(jo.bestJoin(items[i].node, items[i].set, items[j].node, items[j].set))
-					pairs = append(pairs, [2]int{i, j})
+					c := jo.bestJoin(items[i].cell, items[i].set, items[j].cell, items[j].set)
+					ch.considerCell(c)
+					for range c.alts() { // one entry per candidate offered
+						pairs = append(pairs, joined{i, j, c})
+					}
 				}
 			}
 			if ch.n > 0 {
 				break
 			}
 		}
-		bestNode := ch.done()
-		if bestNode == nil {
-			return nil, fmt.Errorf("optimizer: greedy join failed")
+		if ch.done().total == nil {
+			return cell{}, fmt.Errorf("optimizer: greedy join failed")
 		}
-		bi, bj := pairs[ch.bestIdx][0], pairs[ch.bestIdx][1]
-		merged := entry{node: bestNode, set: items[bi].set | items[bj].set}
+		// The pair whose join is cheapest under the tuple fraction is
+		// merged, and keeps both of its trees.
+		win := pairs[ch.fbestIdx]
+		merged := entry{cell: win.cell, set: items[win.i].set | items[win.j].set}
 		var next []entry
 		for k, it := range items {
-			if k != bi && k != bj {
+			if k != win.i && k != win.j {
 				next = append(next, it)
 			}
 		}
 		items = append(next, merged)
 	}
-	return items[0].node, nil
+	return items[0].cell, nil
 }
 
 // --- fixed join trees (outer joins) ---
@@ -461,14 +549,14 @@ func (jo *joinOptimizer) buildFixedTree(t *plan.JoinTree, pushed []plan.Conjunct
 				above = append(above, c)
 			}
 		}
-		node, err := bestAccessPath(t.Rel, mine, jo.pc, jo.p, jo.rec)
+		leaf, err := bestAccessPath(t.Rel, mine, 0, jo.pc, jo.p, jo.rec)
 		if err != nil {
 			return nil, err
 		}
 		if len(above) > 0 {
 			return nil, fmt.Errorf("optimizer: internal error: unpushable conjunct at leaf")
 		}
-		return node, nil
+		return leaf.total, nil
 	}
 
 	leftSet, rightSet := t.Left.Rels(), t.Right.Rels()
@@ -524,10 +612,10 @@ func (jo *joinOptimizer) buildFixedTree(t *plan.JoinTree, pushed []plan.Conjunct
 		}
 		// Try both build sides and keep the cheaper (for LEFT joins the
 		// reversed build is PostgreSQL's Hash Right Join).
-		ch := startChoice(jo.rec)
+		ch := startChoice(jo.rec, jo.pc.frac)
 		ch.consider(newHashJoin(t.Type, left, right, lks, rks, residual, rows, false, jo.pc, jo.p))
 		ch.consider(newHashJoin(t.Type, left, right, lks, rks, residual, rows, true, jo.pc, jo.p))
-		node = ch.done()
+		node = ch.done().total
 	} else {
 		node = newNLJoin(t.Type, left, right, stay, rows, jo.pc, jo.p)
 	}
@@ -538,7 +626,9 @@ func (jo *joinOptimizer) buildFixedTree(t *plan.JoinTree, pushed []plan.Conjunct
 }
 
 // optimizeFixed plans a query with outer joins: the tree shape is kept,
-// WHERE predicates are pushed as deep as semantics allow.
+// WHERE predicates are pushed as deep as semantics allow. Row estimates
+// here follow the chosen leaves, so no parameter-independent tuple
+// fraction exists and every choice is made on Total.
 func optimizeFixed(pc *planCtx, p Params, rec *recorder) (Node, error) {
 	jo := getJoinOptimizer(pc, p, rec)
 	defer jo.release()

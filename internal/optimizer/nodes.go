@@ -48,6 +48,11 @@ type SeqScan struct {
 	common
 	Rel    *plan.Rel
 	Filter []plan.Conjunct
+	// skipFrac is the estimated fraction of the scan that passes before
+	// the first row matching Filter (see leadingMisses), kept like
+	// IndexScan.rangeSel so the scan can be re-costed under new
+	// parameters without re-deriving it.
+	skipFrac float64
 }
 
 func (*SeqScan) name() string     { return "SeqScan" }
@@ -333,8 +338,14 @@ type Limit struct {
 	common
 	Input Node
 	N     int64
+	// fraction is the tuple fraction the paths below were chosen under:
+	// N over the estimated rows, or 1 when a Sort or aggregate between
+	// the Limit and the joins needs every row anyway.
+	fraction float64
 }
 
 func (*Limit) name() string       { return "Limit" }
 func (l *Limit) children() []Node { return []Node{l.Input} }
-func (l *Limit) detail() []string { return []string{strconv.FormatInt(l.N, 10)} }
+func (l *Limit) detail() []string {
+	return []string{strconv.FormatInt(l.N, 10), "fraction=" + strconv.FormatFloat(l.fraction, 'g', 3, 64)}
+}

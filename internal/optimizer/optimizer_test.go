@@ -522,6 +522,41 @@ func TestLimitReducesCost(t *testing.T) {
 	}
 }
 
+// TestTupleFraction covers what an operator sees of LIMIT-aware path
+// choice: the fraction on the Limit's EXPLAIN line, and the two counters.
+func TestTupleFraction(t *testing.T) {
+	cat := fixture(t)
+	plans, flips := mFractionPlans.Value(), mFractionFlips.Value()
+
+	// o_orderkey follows heap order: the 10 rows wanted start half way
+	// down, so the index wins although the full scan is cheaper on Total.
+	pl := planFor(t, cat, "SELECT o_total FROM orders WHERE o_orderkey >= 2500 LIMIT 10", DefaultParams())
+	if _, ok := findNode[*IndexScan](pl.Root); !ok || !strings.Contains(pl.Explain(), "-> Limit (cost=8.00..8.28 rows=10) [10] [fraction=0.004]") {
+		t.Errorf("want an IndexScan under Limit [fraction=0.004]:\n%s", pl.Explain())
+	}
+	unlimited := planFor(t, cat, "SELECT o_total FROM orders WHERE o_orderkey >= 2500", DefaultParams())
+	if _, ok := findNode[*SeqScan](unlimited.Root); !ok {
+		t.Errorf("without the LIMIT the sequential scan is cheapest:\n%s", unlimited.Explain())
+	}
+	if dp, df := mFractionPlans.Value()-plans, mFractionFlips.Value()-flips; dp != 1 || df != 1 {
+		t.Errorf("optimizer.fraction.plans +%d, flips +%d; want +1, +1", dp, df)
+	}
+
+	// A Sort below the Limit needs every row; a LIMIT beyond the estimate
+	// truncates nothing.
+	for _, src := range []string{
+		"SELECT o_total FROM orders WHERE o_orderkey >= 2500 ORDER BY o_total LIMIT 10",
+		"SELECT o_total FROM orders WHERE o_orderkey >= 2500 LIMIT 100000",
+	} {
+		if pl := planFor(t, cat, src, DefaultParams()); !strings.Contains(pl.Explain(), "[fraction=1]") {
+			t.Errorf("%s: want fraction=1:\n%s", src, pl.Explain())
+		}
+	}
+	if dp := mFractionPlans.Value() - plans; dp != 1 {
+		t.Errorf("optimizer.fraction.plans moved by %d on fraction-1 plans", dp-1)
+	}
+}
+
 func TestUnanalyzedTableUsesDefaults(t *testing.T) {
 	cat := catalog.New()
 	d := storage.NewDiskManager()
@@ -599,8 +634,8 @@ func TestSeqScanCacheAwareness(t *testing.T) {
 	small.EffectiveCacheSizePages = 1 // nothing cached
 
 	pc := &planCtx{q: q}
-	cached := newSeqScan(rel, nil, pc, big)
-	cold := newSeqScan(rel, nil, pc, small)
+	cached := newSeqScan(rel, nil, 0, pc, big)
+	cold := newSeqScan(rel, nil, 0, pc, small)
 	if cached.Cost().Total >= cold.Cost().Total {
 		t.Errorf("cached scan should be cheaper: %v vs %v", cached.Cost(), cold.Cost())
 	}
@@ -620,8 +655,8 @@ func TestMergeJoinCandidateChosenForSortedInputs(t *testing.T) {
 	q := &plan.Query{Rels: []*plan.Rel{rel, rel2}}
 	p := DefaultParams()
 	pc := &planCtx{q: q}
-	l := newSeqScan(rel, nil, pc, p)
-	r := newSeqScan(rel2, nil, pc, p)
+	l := newSeqScan(rel, nil, 0, pc, p)
+	r := newSeqScan(rel2, nil, 0, pc, p)
 	ls := newSort(l, []SortKey{{Col: 0}}, p)
 	rs := newSort(r, []SortKey{{Col: 0}}, p)
 	mj := newMergeJoin(sql.InnerJoin, ls, rs, []int{0}, []int{0}, nil, 5000, pc, p)

@@ -176,5 +176,15 @@ func (c Cost) Add(extra float64) Cost {
 	return Cost{Startup: c.Startup + extra, Total: c.Total + extra, CPU: c.CPU}
 }
 
+// Fractional is the cost of producing the fraction f of the rows: the
+// startup cost plus f of the run cost, PostgreSQL's tuple_fraction. At
+// f = 1 it is Total itself, not a sum that rounds to it.
+func (c Cost) Fractional(f float64) float64 {
+	if f >= 1 {
+		return c.Total
+	}
+	return c.Startup + f*(c.Total-c.Startup)
+}
+
 // String formats the cost like PostgreSQL's EXPLAIN.
 func (c Cost) String() string { return fmt.Sprintf("%.2f..%.2f", c.Startup, c.Total) }

@@ -33,24 +33,24 @@ func (r *keyRange) tightenHi(k int64) {
 
 func (r *keyRange) bounded() bool { return r.lo != nil || r.hi != nil }
 
-// extractRange inspects the conjuncts for bounds on the index column of
-// rel's index ix.
-func extractRange(rel *plan.Rel, ix *catalog.Index, conjs []plan.Conjunct) keyRange {
+// extractRange inspects the conjuncts for bounds on column col of
+// relation rel.
+func extractRange(rel, col int, conjs []plan.Conjunct) keyRange {
 	r := keyRange{used: make(map[int]bool)}
 	for i, c := range conjs {
-		if absorb(&r, rel, ix, c.E) {
+		if absorb(&r, rel, col, c.E) {
 			r.used[i] = true
 		}
 	}
 	return r
 }
 
-// absorb updates r if e is a usable bound on the index column, reporting
-// whether e was fully absorbed.
-func absorb(r *keyRange, rel *plan.Rel, ix *catalog.Index, e plan.Expr) bool {
+// absorb updates r if e is a usable bound on column col of relation rel,
+// reporting whether e was fully absorbed.
+func absorb(r *keyRange, rel, col int, e plan.Expr) bool {
 	onIndexCol := func(ex plan.Expr) bool {
-		col, ok := ex.(*plan.ColRef)
-		return ok && col.Rel == rel.Idx && col.Col == ix.Col
+		c, ok := ex.(*plan.ColRef)
+		return ok && c.Rel == rel && c.Col == col
 	}
 	switch x := e.(type) {
 	case *plan.Bin:
@@ -147,11 +147,40 @@ func rangeSelectivity(rel *plan.Rel, ix *catalog.Index, r keyRange, q *plan.Quer
 	return clampSel(sel)
 }
 
+// leadingMisses estimates the fraction of rel's heap a sequential scan
+// reads before the first row inside the key range r of ix. The index
+// correlation ANALYZE stores says how closely heap order follows key
+// order: under positive correlation the rows below a lower bound come
+// first, under negative correlation the rows above an upper bound do.
+// corr² interpolates towards the uncorrelated heap, where matches are
+// spread evenly and the first is found at once — the interpolation
+// newIndexScan applies to heap I/O. r need not come from rel's own
+// predicates: a range on a column equi-joined to ix's column keeps the
+// rows outside it from reaching the output just the same.
+func leadingMisses(rel *plan.Rel, ix *catalog.Index, r keyRange) float64 {
+	if ix.Stats == nil {
+		return 0
+	}
+	corr := ix.Stats.Correlation
+	cs := statsFor(rel).Cols[ix.Col]
+	var before float64
+	switch {
+	case corr > 0 && r.lo != nil:
+		before = ltSelectivity(cs, float64(r.lo.Key), false)
+	case corr < 0 && r.hi != nil:
+		before = 1 - cs.NullFrac - ltSelectivity(cs, float64(r.hi.Key), true)
+	}
+	return clampSel(corr * corr * before)
+}
+
 // bestAccessPath chooses the cheapest way to read rel under the given
 // single-relation conjuncts: a filtered sequential scan, an index scan
 // for any index whose column has usable bounds, or — for derived tables —
 // a scan over the independently optimized subquery.
-func bestAccessPath(rel *plan.Rel, conjs []plan.Conjunct, pc *planCtx, p Params, rec *recorder) (Node, error) {
+//
+// joinSkip is the sequential scan's leading-miss fraction already implied
+// by the relation's join partners (joinOptimizer.impliedSkip).
+func bestAccessPath(rel *plan.Rel, conjs []plan.Conjunct, joinSkip float64, pc *planCtx, p Params, rec *recorder) (cell, error) {
 	if rel.Sub != nil {
 		// The derived table's inner plan is optimized independently under
 		// p, so its shape — and therefore this leaf's candidate set — is
@@ -161,18 +190,23 @@ func bestAccessPath(rel *plan.Rel, conjs []plan.Conjunct, pc *planCtx, p Params,
 		}
 		inner, err := Optimize(rel.Sub, p)
 		if err != nil {
-			return nil, fmt.Errorf("optimizer: derived table %q: %w", rel.Name, err)
+			return cell{}, fmt.Errorf("optimizer: derived table %q: %w", rel.Name, err)
 		}
 		var node Node = newSubqueryScan(rel, inner, p)
 		if len(conjs) > 0 {
 			node = newFilter(node, conjs, pc, p)
 		}
-		return node, nil
+		return cell{total: node, frac: node}, nil
 	}
-	ch := startChoice(rec)
-	ch.consider(newSeqScan(rel, conjs, pc, p))
+	// Every bounded index also tells the sequential scan how far it reads
+	// before its first match: it must pass the leading misses of each
+	// range, so the largest. The sequential scan is still considered
+	// first.
+	var buf [4]Node
+	indexScans := buf[:0]
+	skip := joinSkip
 	for _, ix := range rel.Table.Indexes {
-		r := extractRange(rel, ix, conjs)
+		r := extractRange(rel.Idx, ix.Col, conjs)
 		if !r.bounded() {
 			continue
 		}
@@ -183,7 +217,13 @@ func bestAccessPath(rel *plan.Rel, conjs []plan.Conjunct, pc *planCtx, p Params,
 			}
 		}
 		sel := rangeSelectivity(rel, ix, r, pc.q)
-		ch.consider(newIndexScan(rel, ix, r.lo, r.hi, sel, residual, pc, p))
+		indexScans = append(indexScans, newIndexScan(rel, ix, r.lo, r.hi, sel, residual, pc, p))
+		skip = math.Max(skip, leadingMisses(rel, ix, r))
+	}
+	ch := startChoice(rec, pc.frac)
+	ch.consider(newSeqScan(rel, conjs, skip, pc, p))
+	for _, n := range indexScans {
+		ch.consider(n)
 	}
 	return ch.done(), nil
 }

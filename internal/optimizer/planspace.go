@@ -79,6 +79,10 @@ type planCtx struct {
 	q  *plan.Query
 	ps *planSpace
 
+	// frac is the query's tuple fraction (joinOptimizer.tupleFraction),
+	// set before the first plan choice and handed to every chooser.
+	frac float64
+
 	// reuseLayout/haveLayout carry a layout the replayer lends to the next
 	// node constructor. A replayed node has exactly the structure of the
 	// node it rebuilds, so its derived layout is identical; sharing the old

@@ -44,22 +44,28 @@ func (pq *PreparedQuery) Query() *plan.Query { return pq.q }
 // derives, keeping their node pointers aligned (replay memoizes rebuilt
 // subtrees by the original pointers); root is the tree priced under
 // params — identical to origRoot in a full-enumeration record, a
-// rebuilt copy in a replayed one.
+// rebuilt copy in a replayed one. frac is the query's tuple fraction
+// (parameter-independent), the comparator every choice point's fwinner
+// was resolved under.
 type enumRecord struct {
 	params     Params
 	choices    []choicePoint
 	origRoot   Node
 	root       Node
+	frac       float64
 	replayable bool
 }
 
 // choicePoint is one argmin the enumerator resolved: the candidate nodes
-// in comparison order and the index that won. The candidate *set* is
-// parameter-independent given that all earlier (lower) choice points
-// resolved the same way — which is exactly what replay verifies.
+// in comparison order, the index that won on Total and the index that
+// won under the query's tuple fraction (the same index when the
+// fraction is 1). The candidate *set* is parameter-independent given
+// that all earlier (lower) choice points resolved the same way — which
+// is exactly what replay verifies.
 type choicePoint struct {
-	cands  []Node
-	winner int
+	cands   []Node
+	winner  int
+	fwinner int
 }
 
 // recorder accumulates choice points during a full enumeration.
@@ -68,23 +74,50 @@ type recorder struct {
 	replayable bool
 }
 
-// chooser folds the optimizer's standard argmin — strict <, first
-// candidate wins ties — over a candidate list, recording the list when a
-// recorder is attached. All plan-choice sites route through it so the
-// recorded comparison order matches enumeration exactly.
-type chooser struct {
-	rec     *recorder
-	cands   []Node
-	best    Node
-	bestIdx int
-	n       int
+// cheaper is the optimizer's one cost comparison, for a consumer that
+// stops after the fraction f of a path's rows (a LIMIT with nothing
+// blocking below it). At f = 1 it compares Total with Total, so plans
+// nobody truncates rank exactly as they always have.
+func cheaper(a, b Cost, f float64) bool { return a.Fractional(f) < b.Fractional(f) }
+
+// cell is the outcome of one plan choice: the cheapest candidate on
+// Total and the cheapest under the query's tuple fraction. The two are
+// the same node when the fraction is 1.
+type cell struct{ total, frac Node }
+
+// alts lists the cell's distinct trees, cheapest-Total first.
+func (c *cell) alts() []Node {
+	if c.frac == c.total {
+		return []Node{c.total}
+	}
+	return []Node{c.total, c.frac}
 }
 
-func startChoice(rec *recorder) chooser { return chooser{rec: rec, bestIdx: -1} }
+// chooser folds the optimizer's standard argmin — strict <, first
+// candidate wins ties — over a candidate list, once on Total and once
+// under the tuple fraction f, recording the list when a recorder is
+// attached. All plan-choice sites, and replay, route through it so the
+// recorded comparison order matches enumeration exactly.
+type chooser struct {
+	rec      *recorder
+	f        float64
+	cands    []Node
+	best     cell
+	bestIdx  int
+	fbestIdx int
+	n        int
+}
+
+func startChoice(rec *recorder, f float64) chooser {
+	return chooser{rec: rec, f: f, bestIdx: -1, fbestIdx: -1}
+}
 
 func (c *chooser) consider(n Node) {
-	if c.best == nil || n.Cost().Total < c.best.Cost().Total {
-		c.best, c.bestIdx = n, c.n
+	if c.best.total == nil || cheaper(n.Cost(), c.best.total.Cost(), 1) {
+		c.best.total, c.bestIdx = n, c.n
+	}
+	if c.best.frac == nil || cheaper(n.Cost(), c.best.frac.Cost(), c.f) {
+		c.best.frac, c.fbestIdx = n, c.n
 	}
 	c.n++
 	if c.rec != nil {
@@ -92,9 +125,17 @@ func (c *chooser) consider(n Node) {
 	}
 }
 
-func (c *chooser) done() Node {
+// considerCell offers both trees of a lower choice.
+func (c *chooser) considerCell(in cell) {
+	c.consider(in.total)
+	if in.frac != in.total {
+		c.consider(in.frac)
+	}
+}
+
+func (c *chooser) done() cell {
 	if c.rec != nil && c.n > 0 {
-		c.rec.choices = append(c.rec.choices, choicePoint{cands: c.cands, winner: c.bestIdx})
+		c.rec.choices = append(c.rec.choices, choicePoint{cands: c.cands, winner: c.bestIdx, fwinner: c.fbestIdx})
 	}
 	return c.best
 }
@@ -136,7 +177,7 @@ func (pq *PreparedQuery) Optimize(p Params) (*Plan, error) {
 		return nil, err
 	}
 	pl.prep = pq
-	pq.rec.Store(&enumRecord{params: p, choices: rec.choices, origRoot: pl.Root, root: pl.Root, replayable: rec.replayable})
+	pq.rec.Store(&enumRecord{params: p, choices: rec.choices, origRoot: pl.Root, root: pl.Root, frac: pc.frac, replayable: rec.replayable})
 	return pl, nil
 }
 
@@ -168,18 +209,15 @@ func (pl *Plan) Recost(p Params) (*Plan, error) {
 func replay(rec *enumRecord, pc *planCtx, p Params) (*enumRecord, bool) {
 	r := &replayer{memo: make(map[Node]Node, 2*len(rec.choices)), pc: pc, p: p}
 	for _, cp := range rec.choices {
-		best := -1
-		var bestTotal float64
-		for i, cand := range cp.cands {
+		ch := startChoice(nil, rec.frac)
+		for _, cand := range cp.cands {
 			nc := r.rebuild(cand)
 			if nc == nil {
 				return nil, false
 			}
-			if best < 0 || nc.Cost().Total < bestTotal {
-				best, bestTotal = i, nc.Cost().Total
-			}
+			ch.consider(nc)
 		}
-		if best != cp.winner {
+		if ch.bestIdx != cp.winner || ch.fbestIdx != cp.fwinner {
 			return nil, false
 		}
 	}
@@ -187,7 +225,7 @@ func replay(rec *enumRecord, pc *planCtx, p Params) (*enumRecord, bool) {
 	if root == nil {
 		return nil, false
 	}
-	return &enumRecord{params: p, choices: rec.choices, origRoot: rec.origRoot, root: root, replayable: true}, true
+	return &enumRecord{params: p, choices: rec.choices, origRoot: rec.origRoot, root: root, frac: rec.frac, replayable: true}, true
 }
 
 // replayer rebuilds recorded nodes under new parameters, memoizing by the
@@ -222,7 +260,7 @@ func (r *replayer) rebuildNode(old Node) Node {
 	switch n := old.(type) {
 	case *SeqScan:
 		pc.lendLayout(n.layout)
-		return newSeqScan(n.Rel, n.Filter, pc, p)
+		return newSeqScan(n.Rel, n.Filter, n.skipFrac, pc, p)
 	case *IndexScan:
 		pc.lendLayout(n.layout)
 		return newIndexScan(n.Rel, n.Index, n.Lo, n.Hi, n.rangeSel, n.Filter, pc, p)
@@ -291,7 +329,7 @@ func (r *replayer) rebuildNode(old Node) Node {
 		if in == nil {
 			return nil
 		}
-		return newLimit(in, n.N, p)
+		return newLimit(in, n.N, n.fraction, p)
 	default:
 		// SubqueryScan (derived tables) and anything future: not replayable.
 		return nil

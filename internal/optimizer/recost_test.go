@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -31,6 +32,16 @@ var recostQueries = []struct {
 	{"derived", `SELECT c_count, count(*) FROM
 		(SELECT o_custkey, count(*) AS c_count FROM orders GROUP BY o_custkey) oc
 		GROUP BY c_count`},
+	// LIMIT with nothing blocking below it: every choice point also
+	// resolves a winner under the tuple fraction, and the join cells keep
+	// two trees. The last is the control — the Sort needs every row, so
+	// the fraction is 1.
+	{"limit_range", `SELECT o_orderkey, o_total FROM orders WHERE o_orderkey >= 2500 LIMIT 10`},
+	{"limit_join", `SELECT o_orderkey, l_quantity FROM orders, lineitem
+		WHERE o_orderkey = l_orderkey AND o_orderkey >= 2500 LIMIT 5`},
+	{"limit_distinct", `SELECT DISTINCT o_custkey FROM orders WHERE o_orderkey >= 1000 LIMIT 3`},
+	{"limit_sorted_join", `SELECT o_orderkey, l_quantity FROM orders, lineitem
+		WHERE o_orderkey = l_orderkey AND o_orderkey >= 2500 ORDER BY l_quantity LIMIT 5`},
 }
 
 // recostLattice is a parameter lattice wide enough to flip access paths
@@ -103,6 +114,14 @@ func TestRecostMatchesOptimize(t *testing.T) {
 				if got, want := fast.Explain(), cold.Explain(); got != want {
 					t.Fatalf("lattice[%d]: plans diverge:\nrecost:\n%s\noptimize:\n%s", i, got, want)
 				}
+				fastNodes, coldNodes := fast.CostBreakdown(), cold.CostBreakdown()
+				for k := range coldNodes {
+					f, c := fastNodes[k], coldNodes[k]
+					if f.Name != c.Name || f.Depth != c.Depth || f.Rows != c.Rows || f.Cost != c.Cost {
+						t.Fatalf("lattice[%d] node %d: recost %s %v rows=%v, optimize %s %v rows=%v",
+							i, k, f.Name, f.Cost, f.Rows, c.Name, c.Cost, c.Rows)
+					}
+				}
 			}
 			fast := mRecostFast.Value() - fastBefore
 			full := mRecostFull.Value() - fullBefore
@@ -115,6 +134,8 @@ func TestRecostMatchesOptimize(t *testing.T) {
 				}
 			} else if fast == 0 {
 				t.Errorf("no lattice point took the fast path (full=%d); replay never engaged", full)
+			} else if strings.HasPrefix(tc.name, "limit_") && fast <= full {
+				t.Errorf("fast path %d <= full enumerations %d: replay must still dominate under a tuple fraction", fast, full)
 			}
 		})
 	}

@@ -26,6 +26,9 @@ func FuzzParse(f *testing.F) {
 		"SELECT",
 		"'unterminated",
 		"SELECT 1;;",
+		"SELECT a FROM t LIMIT 0",
+		"SELECT a FROM t LIMIT 9223372036854775807",
+		"SELECT a FROM t LIMIT 99999999999999999999",
 		"\x00\xff",
 	} {
 		f.Add(seed)

@@ -246,10 +246,11 @@ func (p *parser) parseSelect() (Statement, error) {
 		if p.cur().kind != tokNumber {
 			return nil, p.errorf("expected LIMIT count")
 		}
-		n, err := strconv.ParseInt(p.advance().text, 10, 64)
+		n, err := strconv.ParseInt(p.cur().text, 10, 64)
 		if err != nil || n < 0 {
 			return nil, p.errorf("invalid LIMIT count")
 		}
+		p.advance()
 		sel.Limit = &n
 	}
 	return sel, nil

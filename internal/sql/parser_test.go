@@ -46,6 +46,20 @@ func TestParseDistinctAndLimit(t *testing.T) {
 	if sel.Limit == nil || *sel.Limit != 10 {
 		t.Error("LIMIT lost")
 	}
+	for src, want := range map[string]int64{
+		"SELECT a FROM t LIMIT 0":                   0,
+		"SELECT a FROM t LIMIT 9223372036854775807": 9223372036854775807,
+	} {
+		if sel := mustSelect(t, src); sel.Limit == nil || *sel.Limit != want {
+			t.Errorf("%s: LIMIT %v, want %d", src, sel.Limit, want)
+		}
+	}
+	// A count that overflows int64 is reported where it stands, not at
+	// whatever follows it.
+	_, err := Parse("SELECT a FROM t LIMIT 99999999999999999999")
+	if want := `sql: invalid LIMIT count at "99999999999999999999" (offset 22)`; err == nil || err.Error() != want {
+		t.Errorf("overflowing LIMIT: %v, want %s", err, want)
+	}
 }
 
 func TestParseAliases(t *testing.T) {

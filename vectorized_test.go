@@ -95,6 +95,11 @@ func diffCorpus() []struct{ name, src string } {
 		{"limit_seq_midpage", "SELECT l_orderkey, l_quantity FROM lineitem WHERE l_quantity > 30 LIMIT 10"},
 		{"limit_index_range", "SELECT o_orderkey, o_totalprice FROM orders WHERE o_orderkey >= 100 AND o_orderkey < 130 AND o_totalprice > 100.0 LIMIT 10"},
 		{"limit_index_open", "SELECT o_orderkey, o_totalprice FROM orders WHERE o_orderkey >= 900 LIMIT 10"},
+		// The two shapes whose path the tuple fraction flips: an index scan
+		// entered mid-heap instead of a sequential scan, and an index
+		// nested loop fed by one instead of a hash join.
+		{"limit_range_midheap", "SELECT o_orderkey, o_totalprice FROM orders WHERE o_orderkey >= 750 LIMIT 10"},
+		{"limit_pipelined_join", "SELECT a.o_orderkey, b.o_totalprice FROM orders a, orders b WHERE a.o_orderkey = b.o_orderkey AND a.o_orderkey >= 750 LIMIT 5"},
 		{"limit_group", "SELECT o_custkey, count(*) FROM orders GROUP BY o_custkey LIMIT 5"},
 		{"limit_distinct", "SELECT DISTINCT o_orderpriority FROM orders LIMIT 3"},
 		{"limit_hash_join", "SELECT c_name, o_orderkey FROM customer, orders WHERE c_custkey = o_custkey LIMIT 15"},
