@@ -25,10 +25,10 @@ type WhatIfModel struct {
 	// Grid, if set, answers allocations by trilinear interpolation,
 	// avoiding new calibration experiments (the paper's §7 refinement).
 	Grid *calibration.Grid
-	// NoPrepare disables the prepared-statement cache, re-parsing,
-	// re-binding, and re-enumerating every statement on every call — the
-	// pre-memoization behavior, kept as the cold baseline for benchmarks
-	// and differential tests.
+	// NoPrepare disables the prepared-statement cache and its cost atoms,
+	// re-parsing, re-binding, and re-enumerating every statement on every
+	// call — the pre-memoization behavior, kept as the cold baseline for
+	// benchmarks and differential tests.
 	NoPrepare bool
 
 	prepOnce sync.Once
@@ -64,43 +64,49 @@ func (m *WhatIfModel) params(ctx context.Context, shares vm.Shares) (optimizer.P
 	return m.Cal.Calibrate(ctx, shares)
 }
 
-// Cost implements CostModel.
-func (m *WhatIfModel) Cost(ctx context.Context, w *WorkloadSpec, shares vm.Shares) (float64, error) {
+// Cost implements CostModel. Each distinct statement is priced once per
+// P(R) — from its cost atom, else by re-costing its prepared plan space —
+// and the workload total is summed in statement order, so it is the same
+// float64 whether an atom, a re-cost or the NoPrepare path produced each
+// term. A panic below (a bug in the optimizer or a broken spec) is
+// returned as an error: callers are solver workers and request handlers
+// that must fail one evaluation, not the process or a connection.
+func (m *WhatIfModel) Cost(ctx context.Context, w *WorkloadSpec, shares vm.Shares) (total float64, err error) {
 	mWhatIfCalls.Inc()
+	defer func() {
+		if r := recover(); r != nil {
+			total, err = 0, fmt.Errorf("core: cost model %s panicked: %v", m.Name(), r)
+		}
+	}()
 	p, err := m.params(ctx, shares)
 	if err != nil {
 		return 0, err
 	}
-	var total float64
-	for _, stmt := range w.Statements {
-		var est float64
-		if m.NoPrepare {
-			est, err = estimateStatement(w.DB, stmt, p)
-		} else {
-			est, err = m.estimatePrepared(w.DB, stmt, p)
+	if m.NoPrepare {
+		for _, stmt := range w.Statements {
+			est, err := estimateStatement(w.DB, stmt, p)
+			if err != nil {
+				return 0, fmt.Errorf("core: workload %s: %w", w.Name, err)
+			}
+			total += est
 		}
-		if err != nil {
-			return 0, fmt.Errorf("core: workload %s: %w", w.Name, err)
+		return total, nil
+	}
+	c := m.prepared()
+	var prev *stmtEntry
+	var est float64
+	for _, e := range c.handles(w) {
+		if e != prev {
+			// A run of one statement — the paper's N copies of a query —
+			// prices it once.
+			if est, err = c.estimate(e, p); err != nil {
+				return 0, fmt.Errorf("core: workload %s: %w", w.Name, err)
+			}
+			prev = e
 		}
 		total += est
 	}
 	return total, nil
-}
-
-// estimatePrepared is the memoized counterpart of estimateStatement: the
-// statement's parse, bind, and plan space are cached across calls (and
-// across allocations), so pricing it under a new P is usually a re-cost
-// of the recorded plan tree rather than a fresh enumeration.
-func (m *WhatIfModel) estimatePrepared(db *engine.Database, stmt string, p optimizer.Params) (float64, error) {
-	pq, err := m.prepared().prepared(db, stmt)
-	if err != nil {
-		return 0, err
-	}
-	pl, err := pq.Optimize(p)
-	if err != nil {
-		return 0, err
-	}
-	return pl.EstimatedSeconds(), nil
 }
 
 // estimateStatement plans one SELECT under P and returns its estimated

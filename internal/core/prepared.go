@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"dbvirt/internal/engine"
 	"dbvirt/internal/obs"
@@ -12,9 +13,19 @@ import (
 	"dbvirt/internal/sql"
 )
 
+// prepared.hit|miss count statement lookups: a miss parsed, bound and
+// prepared the statement, a hit found it prepared — in the cache's map or
+// through the handles a spec keeps. atom.hit|miss count statement
+// pricings served from an atom or by the optimizer, atom.evict atoms
+// dropped by generation turnover or a catalog change, atom.size those
+// currently held.
 var (
 	mPreparedHit  = obs.Global.Counter("core.prepared.hit")
 	mPreparedMiss = obs.Global.Counter("core.prepared.miss")
+	mAtomHit      = obs.Global.Counter("core.atom.hit")
+	mAtomMiss     = obs.Global.Counter("core.atom.miss")
+	mAtomEvict    = obs.Global.Counter("core.atom.evict")
+	gAtomSize     = obs.Global.Gauge("core.atom.size")
 )
 
 // NormalizeSQL canonicalizes statement text for cache identity: runs of
@@ -106,10 +117,27 @@ type stmtKey struct {
 	sql string
 }
 
+// atomGeneration bounds one statement's cost atoms: a generation holds at
+// most this many, and two generations are kept. A solver lattice (49
+// points per machine size) and its neighbours stay resident; a stream of
+// never-repeated vectors turns over without growing.
+const atomGeneration = 512
+
+// stmtEntry is one prepared statement of one catalog version, with the
+// cost atoms priced from it: est under the exact Params value it was
+// priced with. An atom is a pure function of (statement, catalog version,
+// Params), so serving one is indistinguishable from re-pricing, whatever
+// produced the vector — a lattice point, an interpolation or a fresh
+// calibration — and dropping one only costs the re-pricing. Atoms hang
+// off the entry so a catalog change drops them with the statement.
 type stmtEntry struct {
 	version uint64
 	pq      *optimizer.PreparedQuery
 	err     error
+
+	mu       sync.Mutex
+	cur, old map[optimizer.Params]float64
+	stale    bool // replaced in the cache: keeps no atoms
 }
 
 // stmtCache is the per-model prepared-statement cache: each statement is
@@ -119,21 +147,20 @@ type stmtEntry struct {
 type stmtCache struct {
 	mu      sync.RWMutex
 	entries map[stmtKey]*stmtEntry
+	// atomBound is atomGeneration; a field so a test can force turnover.
+	atomBound int
 }
 
 func newStmtCache() *stmtCache {
-	return &stmtCache{entries: make(map[stmtKey]*stmtEntry)}
+	return &stmtCache{entries: make(map[stmtKey]*stmtEntry), atomBound: atomGeneration}
 }
 
-// prepared returns the cached PreparedQuery for the statement, preparing
-// it on first use or when the database catalog has changed since. Parse
-// and bind errors are cached too: a statement that cannot be prepared
-// fails every allocation identically.
-func (c *stmtCache) prepared(db *engine.Database, stmt string) (*optimizer.PreparedQuery, error) {
-	norm := NormalizeSQL(stmt)
-	if !strings.HasPrefix(strings.ToUpper(norm), "SELECT") {
-		return nil, fmt.Errorf("only SELECT statements can be cost-estimated, got %q", truncateSQL(norm))
-	}
+// entry returns the cached entry for a statement in NormalizeSQL form,
+// preparing it on first use or when the database catalog has changed
+// since. Failures are cached in the entry too: a statement that is not a
+// SELECT, or cannot be parsed or bound, fails every allocation
+// identically.
+func (c *stmtCache) entry(db *engine.Database, norm string) *stmtEntry {
 	key := stmtKey{db: db, sql: norm}
 	ver := db.Catalog.Version()
 	c.mu.RLock()
@@ -141,11 +168,13 @@ func (c *stmtCache) prepared(db *engine.Database, stmt string) (*optimizer.Prepa
 	c.mu.RUnlock()
 	if e != nil && e.version == ver {
 		mPreparedHit.Inc()
-		return e.pq, e.err
+		return e
 	}
 	mPreparedMiss.Inc()
 	entry := &stmtEntry{version: ver}
-	if sel, err := sql.ParseSelect(norm); err != nil {
+	if !strings.HasPrefix(strings.ToUpper(norm), "SELECT") {
+		entry.err = fmt.Errorf("only SELECT statements can be cost-estimated, got %q", truncateSQL(norm))
+	} else if sel, err := sql.ParseSelect(norm); err != nil {
 		entry.err = err
 	} else if q, err := plan.Bind(sel, db.Catalog); err != nil {
 		entry.err = err
@@ -153,7 +182,8 @@ func (c *stmtCache) prepared(db *engine.Database, stmt string) (*optimizer.Prepa
 		entry.pq = optimizer.Prepare(q)
 	}
 	c.mu.Lock()
-	if cur := c.entries[key]; cur != nil && cur.version == ver {
+	cur := c.entries[key]
+	if cur != nil && cur.version == ver {
 		// Lost a prepare race; keep the winner so all callers share one
 		// plan-space memo.
 		entry = cur
@@ -161,5 +191,116 @@ func (c *stmtCache) prepared(db *engine.Database, stmt string) (*optimizer.Prepa
 		c.entries[key] = entry
 	}
 	c.mu.Unlock()
-	return entry.pq, entry.err
+	if cur != nil && cur != entry {
+		cur.retire()
+	}
+	return entry
 }
+
+// stmtHandles is a spec's statements resolved against one cache at one
+// catalog version: entries[i] prices Statements[i], and a run of equal
+// statements shares one entry.
+type stmtHandles struct {
+	cache    *stmtCache
+	version  uint64
+	entries  []*stmtEntry
+	distinct int64 // cache lookups the resolution took
+}
+
+// handles resolves the spec's statements, once per catalog version: the
+// result is kept on the spec (on the spec it views, for a view), so every
+// later call — under any allocation, weight or SLO — skips normalization
+// and the cache's map. A spec priced by two models alternately resolves
+// each time; it stays correct.
+func (c *stmtCache) handles(w *WorkloadSpec) []*stmtEntry {
+	base := w.Base()
+	ver := w.DB.Catalog.Version()
+	if h := base.handles.Load(); h != nil && h.cache == c && h.version == ver {
+		mPreparedHit.Add(h.distinct)
+		return h.entries
+	}
+	norms := base.NormalizedStatements()
+	h := &stmtHandles{cache: c, version: ver, entries: make([]*stmtEntry, len(norms))}
+	for i, norm := range norms {
+		if i > 0 && norm == norms[i-1] {
+			h.entries[i] = h.entries[i-1]
+			continue
+		}
+		h.entries[i] = c.entry(w.DB, norm)
+		h.distinct++
+	}
+	base.handles.Store(h)
+	return h.entries
+}
+
+// estimate prices one statement under p, from its atom when it has one.
+func (c *stmtCache) estimate(e *stmtEntry, p optimizer.Params) (float64, error) {
+	if e.err != nil {
+		return 0, e.err
+	}
+	e.mu.Lock()
+	est, ok := e.cur[p]
+	if !ok {
+		if est, ok = e.old[p]; ok {
+			// Used again: carry it into the current generation.
+			delete(e.old, p)
+			addAtoms(-1)
+			e.put(p, est, c.atomBound)
+		}
+	}
+	e.mu.Unlock()
+	if ok {
+		mAtomHit.Inc()
+		return est, nil
+	}
+	pl, err := e.pq.Optimize(p)
+	if err != nil {
+		return 0, err
+	}
+	est = pl.EstimatedSeconds()
+	mAtomMiss.Inc()
+	e.mu.Lock()
+	e.put(p, est, c.atomBound)
+	e.mu.Unlock()
+	return est, nil
+}
+
+// put stores an atom in the current generation, first retiring the older
+// generation when the current one is full. e.mu is held.
+func (e *stmtEntry) put(p optimizer.Params, est float64, bound int) {
+	if e.stale {
+		return
+	}
+	if len(e.cur) >= bound {
+		if n := len(e.old); n > 0 {
+			mAtomEvict.Add(int64(n))
+			addAtoms(-n)
+		}
+		e.old, e.cur = e.cur, nil
+	}
+	if e.cur == nil {
+		e.cur = make(map[optimizer.Params]float64)
+	}
+	if _, had := e.cur[p]; !had { // two callers may have priced p at once
+		addAtoms(1)
+	}
+	e.cur[p] = est
+}
+
+// retire drops the atoms of an entry the cache has replaced.
+func (e *stmtEntry) retire() {
+	e.mu.Lock()
+	n := len(e.cur) + len(e.old)
+	e.cur, e.old, e.stale = nil, nil, true
+	e.mu.Unlock()
+	if n > 0 {
+		mAtomEvict.Add(int64(n))
+		addAtoms(-n)
+	}
+}
+
+// atomCount is the number of atoms held by every statement cache of the
+// process (a discarded model's atoms are not subtracted).
+var atomCount atomic.Int64
+
+func addAtoms(n int) { gAtomSize.Set(float64(atomCount.Add(int64(n)))) }

@@ -49,6 +49,12 @@ func cacheDB(t *testing.T) (*engine.Database, *engine.Session) {
 	return db, s
 }
 
+// lookup resolves raw statement text through the cache.
+func lookup(c *stmtCache, db *engine.Database, stmt string) (*optimizer.PreparedQuery, error) {
+	e := c.entry(db, NormalizeSQL(stmt))
+	return e.pq, e.err
+}
+
 // TestPreparedCacheIdentity pins the cache-key fix: statements sharing a
 // long prefix (which the old first-words key conflated) get distinct
 // entries, while whitespace variants of one statement share an entry.
@@ -62,11 +68,11 @@ func TestPreparedCacheIdentity(t *testing.T) {
 	const lt = "SELECT o_totalprice FROM orders WHERE o_orderkey < 4242"
 
 	missBefore := mPreparedMiss.Value()
-	pqEq, err := c.prepared(db, eq)
+	pqEq, err := lookup(c, db, eq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pqLt, err := c.prepared(db, lt)
+	pqLt, err := lookup(c, db, lt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +97,7 @@ func TestPreparedCacheIdentity(t *testing.T) {
 	}
 
 	hitBefore := mPreparedHit.Value()
-	pqWS, err := c.prepared(db, "SELECT  o_totalprice\n\tFROM orders  WHERE o_orderkey = 4242 ;")
+	pqWS, err := lookup(c, db, "SELECT  o_totalprice\n\tFROM orders  WHERE o_orderkey = 4242 ;")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +120,7 @@ func TestPreparedCacheInvalidation(t *testing.T) {
 	c := newStmtCache()
 	const q = "SELECT count(*) FROM orders"
 
-	pq1, err := c.prepared(db, q)
+	pq1, err := lookup(c, db, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,19 +131,75 @@ func TestPreparedCacheInvalidation(t *testing.T) {
 	if db.Catalog.Version() == v1 {
 		t.Fatal("ANALYZE did not bump the catalog version")
 	}
-	pq2, err := c.prepared(db, q)
+	pq2, err := lookup(c, db, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pq2 == pq1 {
 		t.Error("cache served a pre-ANALYZE prepared query")
 	}
-	pq3, err := c.prepared(db, q)
+	pq3, err := lookup(c, db, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pq3 != pq2 {
 		t.Error("repeat lookup at an unchanged version missed the cache")
+	}
+
+	// No atom of the old catalog version is served after ANALYZE or CREATE
+	// INDEX: the what-if model's cost follows the catalog at once, and
+	// equals the cold path's on the new one.
+	g := flipGrid(t)
+	memo := &WhatIfModel{Grid: g}
+	cold := &WhatIfModel{Grid: g, NoPrepare: true}
+	w := &WorkloadSpec{Name: "inv", DB: db, Statements: []string{
+		"SELECT count(*) FROM lineitem WHERE l_commitdate < DATE '1992-03-01'",
+		"SELECT l_orderkey FROM lineitem WHERE l_commitdate < DATE '1992-03-01'",
+	}}
+	view := w.WithObjective(3, 0.5)
+	ctx := context.Background()
+	sweep := func(when string) []float64 {
+		t.Helper()
+		var out []float64
+		for _, sh := range g.Allocations() {
+			want, err := cold.Cost(ctx, w, sh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, spec := range []*WorkloadSpec{w, view, w} {
+				got, err := memo.Cost(ctx, spec, sh)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("%s, alloc %v: memoized cost %v, cold cost %v", when, sh, got, want)
+				}
+			}
+			out = append(out, want)
+		}
+		return out
+	}
+	before := sweep("before DDL")
+	evicted, missed := mAtomEvict.Value(), mAtomMiss.Value()
+	if _, err := s.Exec("CREATE INDEX lineitem_commitdate ON lineitem (l_commitdate)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Exec("ANALYZE"); err != nil {
+		t.Fatal(err)
+	}
+	after := sweep("after CREATE INDEX + ANALYZE")
+	same := true
+	for i := range before {
+		same = same && before[i] == after[i]
+	}
+	if same {
+		t.Error("the new index changed no cost; the check cannot tell old atoms from new")
+	}
+	if mAtomEvict.Value() == evicted {
+		t.Error("the old catalog version's atoms were not dropped")
+	}
+	if got, want := mAtomMiss.Value()-missed, int64(2*len(before)); got != want {
+		t.Errorf("after the catalog change %d statement pricings reached the optimizer, want %d (each statement once per allocation)", got, want)
 	}
 
 	v2 := db.Catalog.Version()
@@ -149,14 +211,10 @@ func TestPreparedCacheInvalidation(t *testing.T) {
 	}
 }
 
-// TestWhatIfModelPreparedEquivalence: the memoized model and the cold
-// (NoPrepare) model must return bit-identical costs for every workload
-// at every allocation of a plan-flipping parameter grid.
-func TestWhatIfModelPreparedEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a workload database")
-	}
-	db, _ := cacheDB(t)
+// flipGrid is a 2×2×2 calibration grid whose corners differ enough to
+// flip plans.
+func flipGrid(t testing.TB) *calibration.Grid {
+	t.Helper()
 	axes := []float64{0.25, 1.0}
 	points := make([]optimizer.Params, 0, 8)
 	for _, cpu := range axes {
@@ -178,6 +236,18 @@ func TestWhatIfModelPreparedEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return g
+}
+
+// TestWhatIfModelPreparedEquivalence: the memoized model and the cold
+// (NoPrepare) model must return bit-identical costs for every workload
+// at every allocation of a plan-flipping parameter grid.
+func TestWhatIfModelPreparedEquivalence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a workload database")
+	}
+	db, _ := cacheDB(t)
+	g := flipGrid(t)
 	w := &WorkloadSpec{
 		Name:       "w",
 		Statements: append(workload.Repeat("a", workload.Query("Q4"), 2).Statements, workload.Query("QPOINT")),

@@ -56,17 +56,42 @@ type WorkloadSpec struct {
 	// the problem's SLO penalty (a Section 7 extension).
 	SLOSeconds float64
 
+	// base, when set, is the spec this one is a view of (WithObjective):
+	// everything cached about the statements lives there.
+	base      *WorkloadSpec
 	normOnce  sync.Once
 	normStmts []string
+	handles   atomic.Pointer[stmtHandles] // WhatIfModel's resolved statements
 	keyOnce   sync.Once
 	key       string
 }
 
+// WithObjective returns a view of w under another weight and SLO. Weight
+// and SLO enter the objective, never the cost: the view has w's name,
+// statements and database and shares what w caches about them —
+// normalized statements and prepared handles — so a tenant that re-weights
+// a workload prices nothing again. The view's Statements alias w's.
+func (w *WorkloadSpec) WithObjective(weight, sloSeconds float64) *WorkloadSpec {
+	return &WorkloadSpec{Name: w.Name, Statements: w.Statements, DB: w.DB,
+		Weight: weight, SLOSeconds: sloSeconds, base: w.Base()}
+}
+
+// Base returns the spec w is a view of, or w itself: the cost identity,
+// equal for specs that price identically whatever their objectives.
+func (w *WorkloadSpec) Base() *WorkloadSpec {
+	if w.base != nil {
+		return w.base
+	}
+	return w
+}
+
 // NormalizedStatements returns the spec's statements in NormalizeSQL
-// canonical form, computed once per spec — the identity stream fed into
-// per-tenant workload sketches. Interned specs make the cache effective:
-// every request naming the same workload shares one normalization.
+// canonical form, computed once per cost identity — the identity stream
+// fed into per-tenant workload sketches and the what-if model's lookup
+// keys. Interned specs make the cache effective: every request naming the
+// same workload shares one normalization.
 func (w *WorkloadSpec) NormalizedStatements() []string {
+	w = w.Base()
 	w.normOnce.Do(func() {
 		w.normStmts = make([]string, len(w.Statements))
 		for i, s := range w.Statements {
@@ -79,9 +104,9 @@ func (w *WorkloadSpec) NormalizedStatements() []string {
 // PricingKey returns the spec's pricing identity, computed once per spec:
 // name, weight and SLO. Specs with equal keys MUST price identically under
 // a cost model (the name is the interned canonical workload form and each
-// workload lives on its own database), so it keys the shared cost memo
-// and, as a multiset, the fleet solver's machine memo. The fields it reads
-// must not change after the first call.
+// workload lives on its own database); as a multiset it keys the fleet
+// solver's machine memo, where weight and SLO do shape the result. The
+// fields it reads must not change after the first call.
 func (w *WorkloadSpec) PricingKey() string {
 	w.keyOnce.Do(func() {
 		w.key = fmt.Sprintf("%s|w=%.9f|slo=%.9f", w.Name, w.Weight, w.SLOSeconds)

@@ -188,14 +188,16 @@ func newIndexScan(rel *plan.Rel, ix *catalog.Index, lo, hi *Bound, rangeSel floa
 }
 
 // newSubqueryScan wraps an optimized inner plan as a relation scan.
-func newSubqueryScan(rel *plan.Rel, inner *Plan, p Params) *SubqueryScan {
+// innerEnum names the inner enumeration the plan's shape comes from (nil
+// outside prepared queries).
+func newSubqueryScan(rel *plan.Rel, inner *Plan, innerEnum Node, p Params) *SubqueryScan {
 	var visible []int
 	for i, oc := range inner.Query.Select {
 		if !oc.Hidden {
 			visible = append(visible, i)
 		}
 	}
-	s := &SubqueryScan{Rel: rel, Input: inner.Root, Visible: visible}
+	s := &SubqueryScan{Rel: rel, Input: inner.Root, Visible: visible, innerEnum: innerEnum}
 	extra := inner.Root.Rows() * p.CPUTupleCost
 	ic := inner.Root.Cost()
 	s.rows = inner.Root.Rows()

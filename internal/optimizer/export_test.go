@@ -12,7 +12,7 @@ import (
 // fraction.
 func AccessPathPlans(q *plan.Query, p Params) (plans []*Plan, chosen int, frac float64, err error) {
 	pc := &planCtx{q: q}
-	rec := &recorder{replayable: true}
+	rec := &recorder{}
 	if _, err := optimizeInto(pc, p, rec); err != nil {
 		return nil, 0, 0, err
 	}

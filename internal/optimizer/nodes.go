@@ -107,6 +107,9 @@ type SubqueryScan struct {
 	// Visible maps output columns to positions in the inner plan's rows
 	// (the inner projection includes hidden ORDER BY columns).
 	Visible []int
+	// innerEnum is the origRoot of the inner PreparedQuery's enumeration
+	// whose shape Input has; replay compares it by identity.
+	innerEnum Node
 }
 
 func (*SubqueryScan) name() string       { return "SubqueryScan" }

@@ -183,16 +183,24 @@ func leadingMisses(rel *plan.Rel, ix *catalog.Index, r keyRange) float64 {
 func bestAccessPath(rel *plan.Rel, conjs []plan.Conjunct, joinSkip float64, pc *planCtx, p Params, rec *recorder) (cell, error) {
 	if rel.Sub != nil {
 		// The derived table's inner plan is optimized independently under
-		// p, so its shape — and therefore this leaf's candidate set — is
-		// parameter-dependent: the enumeration cannot be replayed.
-		if rec != nil {
-			rec.replayable = false
+		// p. A prepared outer query prices it through the inner query's
+		// own record, and remembers which inner enumeration this leaf was
+		// built over so replay can tell when the inner shape has moved.
+		var inner *Plan
+		var innerEnum Node
+		var err error
+		if pc.subs != nil {
+			var rec *enumRecord
+			if inner, rec, err = pc.subs[rel.Idx].optimize(p, nil, nil); err == nil {
+				innerEnum = rec.origRoot
+			}
+		} else {
+			inner, err = Optimize(rel.Sub, p)
 		}
-		inner, err := Optimize(rel.Sub, p)
 		if err != nil {
 			return cell{}, fmt.Errorf("optimizer: derived table %q: %w", rel.Name, err)
 		}
-		var node Node = newSubqueryScan(rel, inner, p)
+		var node Node = newSubqueryScan(rel, inner, innerEnum, p)
 		if len(conjs) > 0 {
 			node = newFilter(node, conjs, pc, p)
 		}

@@ -78,6 +78,9 @@ func (ps *planSpace) rowsPut(s plan.RelSet, v float64) {
 type planCtx struct {
 	q  *plan.Query
 	ps *planSpace
+	// subs are the prepared inner queries of q's derived tables
+	// (PreparedQuery.subs); nil on the plain Optimize path.
+	subs []*PreparedQuery
 
 	// frac is the query's tuple fraction (joinOptimizer.tupleFraction),
 	// set before the first plan choice and handed to every chooser.

@@ -25,11 +25,26 @@ type PreparedQuery struct {
 	q   *plan.Query
 	ps  *planSpace
 	rec atomic.Pointer[enumRecord]
+	// subs holds the prepared inner query of each derived table, indexed
+	// like q.Rels (nil for base relations; the slice itself is nil when
+	// the query has none).
+	subs []*PreparedQuery
 }
 
-// Prepare wraps a bound query for repeated what-if optimization.
+// Prepare wraps a bound query for repeated what-if optimization. Derived
+// tables are prepared recursively, so an inner plan is re-priced from its
+// own recorded plan space just as the outer one is.
 func Prepare(q *plan.Query) *PreparedQuery {
-	return &PreparedQuery{q: q, ps: newPlanSpace(q)}
+	pq := &PreparedQuery{q: q, ps: newPlanSpace(q)}
+	for i, rel := range q.Rels {
+		if rel.Sub != nil {
+			if pq.subs == nil {
+				pq.subs = make([]*PreparedQuery, len(q.Rels))
+			}
+			pq.subs[i] = Prepare(rel.Sub)
+		}
+	}
+	return pq
 }
 
 // Query returns the bound query.
@@ -48,12 +63,11 @@ func (pq *PreparedQuery) Query() *plan.Query { return pq.q }
 // (parameter-independent), the comparator every choice point's fwinner
 // was resolved under.
 type enumRecord struct {
-	params     Params
-	choices    []choicePoint
-	origRoot   Node
-	root       Node
-	frac       float64
-	replayable bool
+	params   Params
+	choices  []choicePoint
+	origRoot Node
+	root     Node
+	frac     float64
 }
 
 // choicePoint is one argmin the enumerator resolved: the candidate nodes
@@ -70,8 +84,7 @@ type choicePoint struct {
 
 // recorder accumulates choice points during a full enumeration.
 type recorder struct {
-	choices    []choicePoint
-	replayable bool
+	choices []choicePoint
 }
 
 // cheaper is the optimizer's one cost comparison, for a consumer that
@@ -150,35 +163,45 @@ func (c *chooser) done() cell {
 //	        unchanged means the recorded shape is provably the optimum
 //	        under p, so only the O(nodes) re-pricing was paid.
 //
-// Any flipped winner — or a query with derived tables, whose inner plans
-// must be re-optimized — falls back to full enumeration and records a
-// fresh snapshot.
+// Any flipped winner — in this query or in a derived table's inner
+// query, whose shape decides this one's leaf — falls back to full
+// enumeration and records a fresh snapshot.
 func (pq *PreparedQuery) Optimize(p Params) (*Plan, error) {
+	pl, _, err := pq.optimize(p, mRecostFast, mRecostFull)
+	return pl, err
+}
+
+// optimize is Optimize returning the record the plan belongs to as well,
+// which names the enumeration the plan's shape comes from. A derived
+// table's inner query passes nil counters: whatif.recost.* count
+// statements, and the inner call is part of pricing the outer one.
+func (pq *PreparedQuery) optimize(p Params, fast, full *obs.Counter) (*Plan, *enumRecord, error) {
 	mOptimizeCalls.Inc()
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	pc := &planCtx{q: pq.q, ps: pq.ps}
-	if rec := pq.rec.Load(); rec != nil && rec.replayable {
+	pc := &planCtx{q: pq.q, ps: pq.ps, subs: pq.subs}
+	if rec := pq.rec.Load(); rec != nil {
 		if p.planShapeEqual(rec.params) {
-			mRecostFast.Inc()
-			return &Plan{Root: rec.root, Query: pq.q, Params: p, prep: pq}, nil
+			fast.Inc()
+			return &Plan{Root: rec.root, Query: pq.q, Params: p, prep: pq}, rec, nil
 		}
 		if next, ok := replay(rec, pc, p); ok {
-			mRecostFast.Inc()
+			fast.Inc()
 			pq.rec.Store(next)
-			return &Plan{Root: next.root, Query: pq.q, Params: p, prep: pq}, nil
+			return &Plan{Root: next.root, Query: pq.q, Params: p, prep: pq}, next, nil
 		}
 	}
-	mRecostFull.Inc()
-	rec := &recorder{replayable: true}
+	full.Inc()
+	rec := &recorder{}
 	pl, err := optimizeInto(pc, p, rec)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	pl.prep = pq
-	pq.rec.Store(&enumRecord{params: p, choices: rec.choices, origRoot: pl.Root, root: pl.Root, frac: pc.frac, replayable: rec.replayable})
-	return pl, nil
+	next := &enumRecord{params: p, choices: rec.choices, origRoot: pl.Root, root: pl.Root, frac: pc.frac}
+	pq.rec.Store(next)
+	return pl, next, nil
 }
 
 // Recost re-prices the plan's query under a new parameter vector,
@@ -225,7 +248,7 @@ func replay(rec *enumRecord, pc *planCtx, p Params) (*enumRecord, bool) {
 	if root == nil {
 		return nil, false
 	}
-	return &enumRecord{params: p, choices: rec.choices, origRoot: rec.origRoot, root: root, frac: rec.frac, replayable: true}, true
+	return &enumRecord{params: p, choices: rec.choices, origRoot: rec.origRoot, root: root, frac: rec.frac}, true
 }
 
 // replayer rebuilds recorded nodes under new parameters, memoizing by the
@@ -252,8 +275,9 @@ func (r *replayer) rebuild(n Node) Node {
 // node a fresh enumeration would. Children are accessed directly per
 // kind (no children() slice), and the old node's layout is lent to the
 // constructor: both are parameter-independent, as are the join rows
-// passed through from the old node (derived tables, the exception, are
-// never replayed). A nil return means the node kind cannot be replayed
+// passed through from the old node — a derived table's row estimate
+// follows its inner plan's shape, and the SubqueryScan case gives up
+// when that shape moved. A nil return means the node cannot be replayed
 // and the caller must fall back to enumeration.
 func (r *replayer) rebuildNode(old Node) Node {
 	pc, p := r.pc, r.p
@@ -330,8 +354,17 @@ func (r *replayer) rebuildNode(old Node) Node {
 			return nil
 		}
 		return newLimit(in, n.N, n.fraction, p)
+	case *SubqueryScan:
+		// The inner query is re-priced through its own record. The outer
+		// candidates were built over the inner shape of enumeration
+		// n.innerEnum; they stand only while the inner winners re-verify
+		// under p, that is while the inner plan still belongs to it.
+		inner, rec, err := pc.subs[n.Rel.Idx].optimize(p, nil, nil)
+		if err != nil || rec.origRoot != n.innerEnum {
+			return nil
+		}
+		return newSubqueryScan(n.Rel, inner, rec.origRoot, p)
 	default:
-		// SubqueryScan (derived tables) and anything future: not replayable.
 		return nil
 	}
 }

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -12,7 +13,8 @@ import (
 // recostQueries spans every enumeration path the re-costing fast path
 // must replay faithfully: access-path choices, DP join ordering with
 // method and build-side choices, the fixed-tree outer-join planner, the
-// post-join pipeline, and (non-replayable) derived tables.
+// post-join pipeline, and derived tables, whose inner query replays
+// through its own record.
 var recostQueries = []struct {
 	name string
 	src  string
@@ -32,6 +34,22 @@ var recostQueries = []struct {
 	{"derived", `SELECT c_count, count(*) FROM
 		(SELECT o_custkey, count(*) AS c_count FROM orders GROUP BY o_custkey) oc
 		GROUP BY c_count`},
+	// internal/workload's Q13FULL, verbatim: the inner query is a fixed
+	// outer-join tree with access-path and build-side choices of its own.
+	{"q13full", `SELECT c_count, count(*) AS custdist
+		FROM (SELECT c_custkey, count(o_orderkey) AS c_count
+		      FROM customer LEFT OUTER JOIN orders
+		        ON c_custkey = o_custkey
+		       AND o_comment NOT LIKE '%special%requests%'
+		      GROUP BY c_custkey) c_orders
+		GROUP BY c_count
+		ORDER BY custdist DESC, c_count DESC`},
+	// A derived table joined to a base table: the outer DP records join
+	// candidates over a leaf whose shape the inner index choice decides.
+	{"derived_join", `SELECT c_name, c_count FROM customer,
+		(SELECT o_custkey, count(*) AS c_count FROM orders
+		 WHERE o_orderkey >= 1000 AND o_orderkey < 3000 GROUP BY o_custkey) oc
+		WHERE c_custkey = o_custkey AND c_count > 2`},
 	// LIMIT with nothing blocking below it: every choice point also
 	// resolves a winner under the tuple fraction, and the join cells keep
 	// two trees. The last is the control — the Sort needs every row, so
@@ -42,6 +60,15 @@ var recostQueries = []struct {
 	{"limit_distinct", `SELECT DISTINCT o_custkey FROM orders WHERE o_orderkey >= 1000 LIMIT 3`},
 	{"limit_sorted_join", `SELECT o_orderkey, l_quantity FROM orders, lineitem
 		WHERE o_orderkey = l_orderkey AND o_orderkey >= 2500 ORDER BY l_quantity LIMIT 5`},
+}
+
+func recostSrc(name string) string {
+	for _, tc := range recostQueries {
+		if tc.name == name {
+			return tc.src
+		}
+	}
+	panic("no recost query " + name)
 }
 
 // recostLattice is a parameter lattice wide enough to flip access paths
@@ -128,11 +155,7 @@ func TestRecostMatchesOptimize(t *testing.T) {
 			if fast+full != int64(len(lattice)) {
 				t.Errorf("counters: fast %d + full %d != %d prepared optimizations", fast, full, len(lattice))
 			}
-			if tc.name == "derived" {
-				if fast != 0 {
-					t.Errorf("derived-table query took the fast path %d times; must always re-enumerate", fast)
-				}
-			} else if fast == 0 {
+			if fast == 0 {
 				t.Errorf("no lattice point took the fast path (full=%d); replay never engaged", full)
 			} else if strings.HasPrefix(tc.name, "limit_") && fast <= full {
 				t.Errorf("fast path %d <= full enumerations %d: replay must still dominate under a tuple fraction", fast, full)
@@ -175,6 +198,91 @@ func TestRecostRepeatedParams(t *testing.T) {
 	}
 }
 
+// TestRecostDerivedReplays pins the derived-table replay rule: under a
+// repeated vector and under an alternation that flips no winner, a query
+// over a derived table is re-priced without enumerating — neither itself
+// nor its inner query — and a vector that moves the inner shape costs one
+// full enumeration of each, after which the new shape replays again.
+func TestRecostDerivedReplays(t *testing.T) {
+	p1 := DefaultParams()
+	p2 := DefaultParams()
+	p2.CPUOperatorCost *= 1.01
+	flip := DefaultParams() // random reads dear and nothing cached: the inner range scan leaves its index
+	flip.RandomPageCost = 40
+	flip.EffectiveCacheSizePages = 64
+	for _, name := range []string{"derived", "q13full", "derived_join"} {
+		t.Run(name, func(t *testing.T) {
+			pq := prepareFor(t, recostSrc(name))
+			for _, p := range []Params{p1, p2} {
+				if _, err := pq.Optimize(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fast, full, calls := mRecostFast.Value(), mRecostFull.Value(), mOptimizeCalls.Value()
+			for i := 0; i < 6; i++ {
+				p := p1
+				if i%3 == 2 {
+					p = p2 // i-1 and i repeat p1: tier 1, the inner query is not consulted
+				}
+				if _, err := pq.Optimize(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := mRecostFast.Value() - fast; got != 6 {
+				t.Errorf("fast re-costs: got %d of 6", got)
+			}
+			if got := mRecostFull.Value() - full; got != 0 {
+				t.Errorf("%d full enumerations on vectors that flip nothing", got)
+			}
+			// 6 outer calls; the inner query is asked only when the plan
+			// shape parameters changed (i = 0, 2, 3, 5).
+			if got := mOptimizeCalls.Value() - calls; got != 10 {
+				t.Errorf("optimize calls: got %d, want 6 outer + 4 inner", got)
+			}
+			if allocs := testing.AllocsPerRun(20, func() {
+				if _, err := pq.Optimize(p1); err != nil {
+					panic(err)
+				}
+			}); allocs > 4 {
+				t.Errorf("tier-1 re-cost of a derived shape allocates %.0f allocs/op; want O(1)", allocs)
+			}
+
+			cold, err := Optimize(pq.Query(), flip)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before, err := Optimize(pq.Query(), p1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full = mRecostFull.Value()
+			got, err := pq.Optimize(flip)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Explain() != cold.Explain() || got.TotalCost() != cold.TotalCost() {
+				t.Fatalf("after an inner flip:\n%s\nwant\n%s", got.Explain(), cold.Explain())
+			}
+			moved := planShape(cold) != planShape(before)
+			if d := mRecostFull.Value() - full; moved && d != 1 {
+				t.Errorf("plan shape moved but %d full enumerations were counted, want 1", d)
+			}
+			if name == "derived_join" && !moved {
+				t.Errorf("the flip vector no longer moves the inner access path; pick another")
+			}
+		})
+	}
+}
+
+// planShape renders a plan's operators and their details without costs.
+func planShape(pl *Plan) string {
+	var b strings.Builder
+	for _, n := range pl.CostBreakdown() {
+		fmt.Fprintf(&b, "%d %s %v\n", n.Depth, n.Name, n.Extra)
+	}
+	return b.String()
+}
+
 // TestPlanRecost covers the Plan-level entry point: a plan from a
 // PreparedQuery re-costs through the shared memo; a plan from the plain
 // Optimize entry point falls back to a full optimization — both must
@@ -215,7 +323,16 @@ func TestPlanRecost(t *testing.T) {
 // -race this doubles as the concurrency-safety proof for the shared
 // plan-space memo and the atomic enumeration snapshot.
 func TestRecostParallel(t *testing.T) {
-	pq := prepareFor(t, recostQueries[3].src) // join3
+	// join3, and the two derived shapes: there the workers also race on
+	// the inner query's record, and an outer replay must notice an inner
+	// enumeration another worker swapped in.
+	for _, name := range []string{"join3", "q13full", "derived_join"} {
+		t.Run(name, func(t *testing.T) { recostParallel(t, recostSrc(name)) })
+	}
+}
+
+func recostParallel(t *testing.T, src string) {
+	pq := prepareFor(t, src)
 	lattice := recostLattice()
 	want := make([]float64, len(lattice))
 	for i, p := range lattice {

@@ -40,17 +40,20 @@ type feature struct {
 // everything observable is deterministic regardless of scheduling.
 func (s *Solver) features(ctx context.Context, ts []*Tenant) ([]*feature, error) {
 	// Collect the distinct specs that still need probe pricing, in
-	// tenant-name order, deduplicated by spec pointer.
+	// tenant-name order, deduplicated by cost identity (Spec.Base: what is
+	// memoized per spec here — statements and probe costs — is the same
+	// for every weight and SLO of a workload).
 	var pending []*core.WorkloadSpec
 	seen := make(map[*core.WorkloadSpec]bool)
 	s.mu.Lock()
 	for _, t := range ts {
-		if len(t.CostSummary) > 0 || seen[t.Spec] {
+		base := t.Spec.Base()
+		if len(t.CostSummary) > 0 || seen[base] {
 			continue
 		}
-		if _, ok := s.probes[t.Spec]; !ok {
-			seen[t.Spec] = true
-			pending = append(pending, t.Spec)
+		if _, ok := s.probes[base]; !ok {
+			seen[base] = true
+			pending = append(pending, base)
 		}
 	}
 	s.mu.Unlock()
@@ -82,7 +85,7 @@ func (s *Solver) features(ctx context.Context, ts []*Tenant) ([]*feature, error)
 	s.mu.Lock()
 	for i, t := range ts {
 		if t.Sketch == nil && len(t.CostSummary) == 0 {
-			if f, ok := s.feats[t.Spec]; ok {
+			if f, ok := s.feats[t.Spec.Base()]; ok {
 				feats[i] = f
 				reused++
 				continue
@@ -107,13 +110,14 @@ func (s *Solver) features(ctx context.Context, ts []*Tenant) ([]*feature, error)
 func (s *Solver) featureOf(ctx context.Context, t *Tenant) (*feature, error) {
 	// A tenant without observed telemetry is featurized purely from its
 	// spec, so the whole feature (sketch, probes, signature, demand) is
-	// memoized per spec pointer: 10,000 interned tenants cost O(distinct
+	// memoized per cost identity: 10,000 interned tenants cost O(distinct
 	// specs) normalization and signature work, counted by the
 	// placement.normalize.reused metric.
 	derived := t.Sketch == nil && len(t.CostSummary) == 0
+	base := t.Spec.Base()
 	if derived {
 		s.mu.Lock()
-		f, ok := s.feats[t.Spec]
+		f, ok := s.feats[base]
 		s.mu.Unlock()
 		if ok {
 			mNormalizeReused.Inc()
@@ -126,10 +130,10 @@ func (s *Solver) featureOf(ctx context.Context, t *Tenant) (*feature, error) {
 	}
 	if derived {
 		s.mu.Lock()
-		if prev, ok := s.feats[t.Spec]; ok {
+		if prev, ok := s.feats[base]; ok {
 			f = prev
 		} else {
-			s.feats[t.Spec] = f
+			s.feats[base] = f
 		}
 		s.mu.Unlock()
 	}
@@ -174,6 +178,7 @@ func (s *Solver) buildFeature(ctx context.Context, t *Tenant) (*feature, error) 
 // counts lookups served without re-normalizing — with interned specs it
 // grows with fleet size while normalization work stays O(distinct specs).
 func (s *Solver) sketchFor(spec *core.WorkloadSpec) *telemetry.TopK {
+	spec = spec.Base()
 	s.mu.Lock()
 	if sk, ok := s.sketches[spec]; ok {
 		s.mu.Unlock()
@@ -197,6 +202,7 @@ func (s *Solver) sketchFor(spec *core.WorkloadSpec) *telemetry.TopK {
 // probedCosts returns the memoized probe vector, computing it on demand
 // (the parallel warm path in features covers the common case).
 func (s *Solver) probedCosts(ctx context.Context, spec *core.WorkloadSpec) ([]float64, error) {
+	spec = spec.Base()
 	s.mu.Lock()
 	costs, ok := s.probes[spec]
 	s.mu.Unlock()

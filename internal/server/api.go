@@ -1,7 +1,7 @@
 // Package server implements vdtuned: a long-running tuning-as-a-service
 // daemon over the virtualization design engine. It exposes the what-if
 // cost model and the design-search solvers as an HTTP/JSON API, sharing
-// one prepared-statement cache and one cross-request cost memo across
+// one prepared-statement cache and its per-statement cost atoms across
 // every session, coalescing identical in-flight what-if sweeps, bounding
 // concurrency with admission control, and draining gracefully on
 // shutdown. The paper casts the design advisor as a tool invoked per
@@ -32,9 +32,9 @@ const (
 
 // WorkloadRef names one workload of a request: n repetitions of one of
 // the built-in benchmark queries (Q1, Q3, Q4, Q6, Q13, QPOINT) over a
-// server-managed database. Workloads with equal query/repeat/weight/SLO
-// resolve to the same interned *core.WorkloadSpec, so the shared cost
-// memo and prepared-statement cache apply across requests and sessions.
+// server-managed database. Workloads with equal query/repeat resolve to
+// the same interned cost identity whatever their weight and SLO, so the
+// prepared statements and cost atoms apply across requests and sessions.
 type WorkloadRef struct {
 	Name       string  `json:"name,omitempty"`
 	Query      string  `json:"query"`
@@ -263,69 +263,76 @@ func validateRef(w WorkloadRef) error {
 	return nil
 }
 
-// refKey canonicalizes a workload reference for interning and cache
-// identity. The display name is excluded: it does not affect statements,
-// bindings, or costs.
-func refKey(w WorkloadRef) string {
-	n := w.Repeat
-	if n == 0 {
-		n = 1
+// canonRef is a reference's cost identity: the canonical query name and
+// the repeat count with its default applied.
+func canonRef(w WorkloadRef) (query string, repeat int) {
+	repeat = w.Repeat
+	if repeat == 0 {
+		repeat = 1
 	}
-	return fmt.Sprintf("%sx%d|w=%.9f|slo=%.9f", strings.ToUpper(strings.TrimSpace(w.Query)), n, w.Weight, w.SLOSeconds)
+	return strings.ToUpper(strings.TrimSpace(w.Query)), repeat
 }
 
-// workloadSet interns *core.WorkloadSpec values by canonical reference,
-// backed by one lazily built database per distinct query. Interning is
-// the server's session model: every request naming the same workload gets
-// the same spec pointer and the same database, so the prepared-statement
-// cache (keyed by database + normalized SQL) and the shared cost memo
-// (keyed by spec) concentrate instead of fragmenting per request.
+// refKey canonicalizes a workload reference for response identity: what
+// it prices (query × repeat) and the objective terms a response may
+// depend on. The display name is excluded: it does not affect statements,
+// bindings, or costs.
+func refKey(w WorkloadRef) string {
+	q, n := canonRef(w)
+	return fmt.Sprintf("%sx%d|w=%.9f|slo=%.9f", q, n, w.Weight, w.SLOSeconds)
+}
+
+// workloadSet interns one *core.WorkloadSpec per cost identity — query ×
+// repeat, so at most queries × maxRepeat of them — backed by one lazily
+// built database per distinct query. Interning is the server's session
+// model: every request naming the same workload prices through the same
+// spec and the same database, so the normalized statements, prepared
+// handles and cost atoms concentrate instead of fragmenting per request.
+// Weight and SLO are not cost identity: a reference carrying them gets a
+// view of the interned spec that lives as long as its request (or, in a
+// placement, its tenant).
 type workloadSet struct {
 	env   *experiments.Env
 	mu    sync.Mutex
-	specs map[string]*core.WorkloadSpec
+	specs map[string]*core.WorkloadSpec // by QUERYxN
 }
 
 func newWorkloadSet(env *experiments.Env) *workloadSet {
 	return &workloadSet{env: env, specs: make(map[string]*core.WorkloadSpec)}
 }
 
-// spec resolves one workload reference to its interned spec, building the
-// query's database on first use.
+// spec resolves one workload reference to its spec, building the query's
+// database on first use.
 func (s *workloadSet) spec(ref WorkloadRef) (*core.WorkloadSpec, error) {
-	key := refKey(ref)
+	qname, n := canonRef(ref)
+	name := fmt.Sprintf("%sx%d", qname, n)
 	s.mu.Lock()
-	sp, ok := s.specs[key]
+	sp, ok := s.specs[name]
 	s.mu.Unlock()
-	if ok {
-		return sp, nil
+	if !ok {
+		// One database per query: env.DB serializes builds internally, and
+		// workloads over the same query share catalog, statistics, and the
+		// prepared plan spaces derived from them.
+		db, err := s.env.DB("srv-" + qname)
+		if err != nil {
+			return nil, fmt.Errorf("server: building database for %s: %w", qname, err)
+		}
+		sp = &core.WorkloadSpec{
+			Name:       name,
+			Statements: workload.Repeat(qname, workload.Query(qname), n).Statements,
+			DB:         db,
+		}
+		s.mu.Lock()
+		if cur, ok := s.specs[name]; ok {
+			sp = cur // lost an intern race; keep the winner
+		} else {
+			s.specs[name] = sp
+		}
+		s.mu.Unlock()
 	}
-	qname := strings.ToUpper(strings.TrimSpace(ref.Query))
-	n := ref.Repeat
-	if n == 0 {
-		n = 1
+	if ref.Weight != 0 || ref.SLOSeconds != 0 {
+		return sp.WithObjective(ref.Weight, ref.SLOSeconds), nil
 	}
-	// One database per query: env.DB serializes builds internally, and
-	// workloads over the same query share catalog, statistics, and the
-	// prepared plan spaces derived from them.
-	db, err := s.env.DB("srv-" + qname)
-	if err != nil {
-		return nil, fmt.Errorf("server: building database for %s: %w", qname, err)
-	}
-	sp = &core.WorkloadSpec{
-		Name:       fmt.Sprintf("%sx%d", qname, n),
-		Statements: workload.Repeat(qname, workload.Query(qname), n).Statements,
-		DB:         db,
-		Weight:     ref.Weight,
-		SLOSeconds: ref.SLOSeconds,
-	}
-	s.mu.Lock()
-	if cur, ok := s.specs[key]; ok {
-		sp = cur // lost an intern race; keep the winner
-	} else {
-		s.specs[key] = sp
-	}
-	s.mu.Unlock()
 	return sp, nil
 }
 

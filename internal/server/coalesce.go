@@ -18,12 +18,12 @@ var (
 	mCoalesceMisses   = obs.Global.Counter("server.coalesce.miss")
 )
 
-// sweepEntry is one coalesced what-if computation: done closes when body
-// and err are final.
-type sweepEntry struct {
+// sweepEntry is one coalesced computation: done closes when val and err
+// are final.
+type sweepEntry[T any] struct {
 	done chan struct{}
-	body []byte // marshaled 200 response
-	err  error  // non-nil if the computation failed
+	val  T     // the marshaled 200 response, and what the caller keeps beside it
+	err  error // non-nil if the computation failed
 }
 
 // coalescer deduplicates what-if sweeps by canonical request key. An
@@ -36,22 +36,22 @@ type sweepEntry struct {
 // receives byte-for-byte the response it would have computed itself.
 // Failed computations are not retained; a later identical request
 // recomputes.
-type coalescer struct {
+type coalescer[T any] struct {
 	mu      sync.Mutex
-	entries map[string]*sweepEntry
+	entries map[string]*sweepEntry[T]
 	fifo    []string // completed-entry eviction order
 	maxDone int
 }
 
-func newCoalescer(maxDone int) *coalescer {
-	return &coalescer{entries: make(map[string]*sweepEntry), maxDone: maxDone}
+func newCoalescer[T any](maxDone int) *coalescer[T] {
+	return &coalescer[T]{entries: make(map[string]*sweepEntry[T]), maxDone: maxDone}
 }
 
-// do returns the response body for the keyed sweep, computing it via
-// compute at most once per key among concurrent and remembered callers.
-// A joiner whose ctx expires stops waiting (the computation continues
-// for the others); the leader runs under its own request context.
-func (c *coalescer) do(ctx context.Context, key string, compute func() ([]byte, error)) ([]byte, error) {
+// do returns the response for the keyed sweep, computing it via compute
+// at most once per key among concurrent and remembered callers. A joiner
+// whose ctx expires stops waiting (the computation continues for the
+// others); the leader runs under its own request context.
+func (c *coalescer[T]) do(ctx context.Context, key string, compute func() (T, error)) (T, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.mu.Unlock()
@@ -65,17 +65,18 @@ func (c *coalescer) do(ctx context.Context, key string, compute func() ([]byte, 
 			select {
 			case <-e.done:
 			case <-ctx.Done():
-				return nil, ctx.Err()
+				var zero T
+				return zero, ctx.Err()
 			}
 		}
-		return e.body, e.err
+		return e.val, e.err
 	}
-	e := &sweepEntry{done: make(chan struct{})}
+	e := &sweepEntry[T]{done: make(chan struct{})}
 	c.entries[key] = e
 	c.mu.Unlock()
 	mCoalesceMisses.Inc()
 
-	e.body, e.err = compute()
+	e.val, e.err = compute()
 	close(e.done)
 
 	c.mu.Lock()
@@ -104,5 +105,5 @@ func (c *coalescer) do(ctx context.Context, key string, compute func() ([]byte, 
 		}
 	}
 	c.mu.Unlock()
-	return e.body, e.err
+	return e.val, e.err
 }

@@ -59,10 +59,20 @@ func (j *job) status() JobStatus {
 	return JobStatus{ID: j.id, State: j.state, Result: j.result, Error: j.errMsg}
 }
 
+func terminalState(state string) bool {
+	return state == jobDone || state == jobFailed || state == jobCanceled
+}
+
+func (j *job) terminal() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return terminalState(j.state)
+}
+
 // finish moves the job to a terminal state exactly once.
 func (j *job) finish(state string, res *SolveResult, errMsg string) {
 	j.mu.Lock()
-	if j.state == jobDone || j.state == jobFailed || j.state == jobCanceled {
+	if terminalState(j.state) {
 		j.mu.Unlock()
 		return
 	}
@@ -89,13 +99,14 @@ func (j *job) finish(state string, res *SolveResult, errMsg string) {
 type jobManager struct {
 	run func(ctx context.Context, j *job) (*SolveResult, error)
 
-	mu       sync.Mutex
-	jobs     map[string]*job
-	order    []string // submission order, for bounded retention
-	queue    chan *job
-	draining bool
-	seq      int64
-	maxJobs  int
+	mu           sync.Mutex
+	jobs         map[string]*job
+	order        []string // retained job ids, oldest first, for bounded retention
+	evictScanned int64    // entries evictLocked has examined
+	queue        chan *job
+	draining     bool
+	seq          int64
+	maxJobs      int
 
 	workers sync.WaitGroup
 	// baseCtx parents every job's context; baseCancel aborts running jobs
@@ -188,30 +199,28 @@ func (m *jobManager) submit(req SolveRequest, sc obs.SpanContext) (*job, error) 
 }
 
 // evictLocked drops the oldest terminal jobs beyond the retention cap so
-// a long-running daemon's job table stays bounded. Queued and running
-// jobs are never evicted.
+// a long-running daemon's job table stays bounded. It works from the head
+// of the submission order: a terminal head is dropped; a queued or
+// running one is never evicted — it goes back to the tail, to be looked
+// at again when it is oldest once more. Every submit adds one entry and,
+// at the cap, removes one, so it examines one entry plus the live jobs it
+// meets at the head, and there are never more of those than workers and
+// queue slots.
 func (m *jobManager) evictLocked() {
-	if m.maxJobs <= 0 || len(m.jobs) <= m.maxJobs {
+	if m.maxJobs <= 0 {
 		return
 	}
-	kept := m.order[:0]
-	for _, id := range m.order {
-		j := m.jobs[id]
-		if j == nil {
-			continue
+	// One pass over the order at most: a table of only live jobs ends it.
+	for n := len(m.order); len(m.jobs) > m.maxJobs && n > 0; n-- {
+		id := m.order[0]
+		m.order = m.order[1:]
+		m.evictScanned++
+		if m.jobs[id].terminal() {
+			delete(m.jobs, id)
+		} else {
+			m.order = append(m.order, id)
 		}
-		if len(m.jobs) > m.maxJobs {
-			j.mu.Lock()
-			terminal := j.state == jobDone || j.state == jobFailed || j.state == jobCanceled
-			j.mu.Unlock()
-			if terminal {
-				delete(m.jobs, id)
-				continue
-			}
-		}
-		kept = append(kept, id)
 	}
-	m.order = append([]string(nil), kept...)
 }
 
 // get returns the job by ID.

@@ -46,7 +46,11 @@ type Config struct {
 	// may 404.
 	Grid *calibration.Grid
 	// Model overrides the cost model (tests inject slow or failing
-	// models). Default: a SharedCostModel over WhatIfModel{Grid}.
+	// models; a measured model belongs behind a core.SharedCostModel).
+	// Default: WhatIfModel{Grid} itself. It memoizes below the workload,
+	// per statement and parameter vector, so no request-level cost memo
+	// sits in front of it: such a memo has to key on what a request
+	// varies — weight, SLO, repeat count — none of which is cost identity.
 	Model core.CostModel
 	// MaxInflight bounds concurrently executing what-if sweeps (leaders
 	// only — coalesced joiners don't hold slots). Default GOMAXPROCS.
@@ -110,9 +114,7 @@ func (c *Config) applyDefaults() error {
 		if c.Grid == nil {
 			return fmt.Errorf("server: need a calibration grid (or an explicit model)")
 		}
-		// The spec name is the interned canonical QUERYxN form and specs live
-		// on per-query databases, so PricingKey determines the cost.
-		c.Model = core.NewSharedCostModel(&core.WhatIfModel{Grid: c.Grid}, (*core.WorkloadSpec).PricingKey)
+		c.Model = &core.WhatIfModel{Grid: c.Grid}
 	}
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = runtime.GOMAXPROCS(0)
@@ -155,7 +157,7 @@ func (c *Config) applyDefaults() error {
 type Server struct {
 	cfg     Config
 	wl      *workloadSet
-	col     *coalescer
+	col     *coalescer[whatIfAnswer]
 	jobs    *jobManager
 	lim     *limiter
 	mux     *http.ServeMux
@@ -165,7 +167,7 @@ type Server struct {
 	// plCol coalesces identical in-flight placement solves only — no
 	// completed-response memo, because a solve also replaces plState and
 	// replaying stale bytes would desynchronize the two.
-	plCol   *coalescer
+	plCol   *coalescer[[]byte]
 	plState placementState
 
 	// tuner is the closed-loop autotuner (nil unless Config.Autotune);
@@ -190,8 +192,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:     cfg,
-		col:     newCoalescer(cfg.CoalesceMemo),
-		plCol:   newCoalescer(-1),
+		col:     newCoalescer[whatIfAnswer](cfg.CoalesceMemo),
+		plCol:   newCoalescer[[]byte](-1),
 		lim:     newLimiter(cfg.MaxInflight, cfg.MaxQueue),
 		started: time.Now(),
 		hWindow: obs.Global.Window("server.http.window.seconds", 6, cfg.RequestWindow/6),
@@ -370,10 +372,10 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	}
 	defer sp.End()
 
-	body, err := s.col.do(ctx, req.coalesceKey(), func() ([]byte, error) {
+	ans, err := s.col.do(ctx, req.coalesceKey(), func() (whatIfAnswer, error) {
 		release, ok := s.lim.acquire(ctx)
 		if !ok {
-			return nil, errTooBusy
+			return whatIfAnswer{}, errTooBusy
 		}
 		csp := sp.Child("server.whatif.compute")
 		defer csp.End()
@@ -384,9 +386,17 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		s.writeComputeError(w, err)
 		return
 	}
-	s.recordWhatIf(&req, body)
+	s.recordWhatIf(&req, ans.costs)
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(body)
+	w.Write(ans.body)
+}
+
+// whatIfAnswer is what the coalescer keeps of one answered sweep: the
+// marshaled response, and the cost matrix it encodes for the telemetry of
+// every request the entry answers.
+type whatIfAnswer struct {
+	body  []byte
+	costs [][]float64
 }
 
 // tenantName maps one workload reference onto its telemetry tenant: the
@@ -396,25 +406,17 @@ func tenantName(ref WorkloadRef) string {
 	if n := strings.TrimSpace(ref.Name); n != "" {
 		return n
 	}
-	n := ref.Repeat
-	if n == 0 {
-		n = 1
-	}
-	return fmt.Sprintf("%sx%d", strings.ToUpper(strings.TrimSpace(ref.Query)), n)
+	q, n := canonRef(ref)
+	return fmt.Sprintf("%sx%d", q, n)
 }
 
 // recordWhatIf streams one answered what-if request into the per-tenant
 // telemetry: every statement's normalized SQL into the workload sketch
-// and the workload's predicted cost row into the reservoir. The response
-// body is decoded rather than the freshly computed matrix so coalesced
-// and memoized hits count as tenant traffic too — the body is a
-// deterministic function of the request, so this is the same data the
-// leader computed.
-func (s *Server) recordWhatIf(req *WhatIfRequest, body []byte) {
-	var resp WhatIfResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		return
-	}
+// and the workload's predicted cost row into the reservoir. costs is the
+// matrix the response body encodes, kept beside it in the coalescer's
+// entry, so coalesced and memoized hits count as tenant traffic too and
+// nobody decodes what was just encoded.
+func (s *Server) recordWhatIf(req *WhatIfRequest, costs [][]float64) {
 	specs, err := s.wl.resolve(req.Workloads)
 	if err != nil {
 		return
@@ -424,19 +426,19 @@ func (s *Server) recordWhatIf(req *WhatIfRequest, body []byte) {
 		for _, norm := range specs[i].NormalizedStatements() {
 			ten.ObserveQuery(norm)
 		}
-		if i < len(resp.Costs) {
-			ten.ObserveCosts(resp.Costs[i])
+		if i < len(costs) {
+			ten.ObserveCosts(costs[i])
 		}
 	}
 }
 
-// computeWhatIf prices the request's cost matrix. The response bytes are
-// a deterministic function of the request, which is what entitles the
-// coalescer to replay them for identical requests.
-func (s *Server) computeWhatIf(ctx context.Context, req *WhatIfRequest) ([]byte, error) {
+// computeWhatIf prices the request's cost matrix and encodes the
+// response. The bytes are a deterministic function of the request, which
+// is what entitles the coalescer to replay them for identical requests.
+func (s *Server) computeWhatIf(ctx context.Context, req *WhatIfRequest) (whatIfAnswer, error) {
 	specs, err := s.wl.resolve(req.Workloads)
 	if err != nil {
-		return nil, badRequestError{err}
+		return whatIfAnswer{}, badRequestError{err}
 	}
 	allocs := make([]vm.Shares, len(req.Allocations))
 	for i, a := range req.Allocations {
@@ -444,9 +446,10 @@ func (s *Server) computeWhatIf(ctx context.Context, req *WhatIfRequest) ([]byte,
 	}
 	costs, err := experiments.CostMatrix(ctx, s.cfg.Model, specs, allocs)
 	if err != nil {
-		return nil, err
+		return whatIfAnswer{}, err
 	}
-	return json.Marshal(WhatIfResponse{Model: s.cfg.Model.Name(), Costs: costs})
+	body, err := json.Marshal(WhatIfResponse{Model: s.cfg.Model.Name(), Costs: costs})
+	return whatIfAnswer{body: body, costs: costs}, err
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
