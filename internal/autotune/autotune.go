@@ -11,6 +11,7 @@ import (
 
 	"dbvirt/internal/core"
 	"dbvirt/internal/engine"
+	"dbvirt/internal/memo"
 	"dbvirt/internal/obs"
 	"dbvirt/internal/telemetry"
 	"dbvirt/internal/vm"
@@ -50,6 +51,10 @@ const (
 	TriggerPeriodic = "periodic"
 )
 
+// specCacheSize is the generation size of the interned derived-spec
+// table: a stable mix keeps its spec pointers, churny mixes turn over.
+const specCacheSize = 64
+
 // Decision actions.
 const (
 	ActionApplied    = "applied"
@@ -80,8 +85,9 @@ type ManagedTenant struct {
 type Config struct {
 	// Hub supplies per-tenant sketches and drift alarms.
 	Hub *telemetry.Hub
-	// Model prices workloads; hand the process-wide SharedCostModel here
-	// so steady-state ticks are memo hits.
+	// Model prices workloads. The daemon hands its WhatIfModel here, whose
+	// cost atoms answer steady-state ticks; a measured model belongs behind
+	// a core.SharedCostModel so those ticks are memo hits.
 	Model core.CostModel
 	// VMs are the controlled machines' VMs, positionally matched to
 	// Tenants.
@@ -108,8 +114,6 @@ type Config struct {
 	// StatementBudget bounds the statement count of a sketch-derived
 	// workload spec (default 12).
 	StatementBudget int
-	// SpecCacheSize bounds the interned derived-spec table (default 64).
-	SpecCacheSize int
 	// LogSize bounds the decision log (default 256).
 	LogSize int
 	// Clock supplies decision timestamps (default time.Now). Tests inject
@@ -179,7 +183,7 @@ type Loop struct {
 	enabled      bool
 	tick         int64
 	sinceResolve int
-	specCache    map[string]*core.WorkloadSpec
+	specCache    memo.Gen[string, *core.WorkloadSpec] // interned derived specs
 	log          []Decision
 	counts       struct {
 		ticks, resolves, actuations, skips, errors int64
@@ -232,9 +236,6 @@ func NewLoop(cfg Config) (*Loop, error) {
 	if cfg.StatementBudget <= 0 {
 		cfg.StatementBudget = 12
 	}
-	if cfg.SpecCacheSize <= 0 {
-		cfg.SpecCacheSize = 64
-	}
 	if cfg.LogSize <= 0 {
 		cfg.LogSize = 256
 	}
@@ -245,7 +246,7 @@ func NewLoop(cfg Config) (*Loop, error) {
 		cfg:       cfg,
 		dec:       NewDecider(cfg.Decider),
 		ctrl:      &core.Controller{Model: cfg.Model},
-		specCache: make(map[string]*core.WorkloadSpec),
+		specCache: memo.Gen[string, *core.WorkloadSpec]{Cap: specCacheSize},
 		enabled:   cfg.StartEnabled,
 	}
 	l.counts.suppressed = make(map[string]int64)
@@ -445,8 +446,9 @@ func (l *Loop) tickLocked(ctx context.Context, manual bool) Decision {
 // deriveSpecs builds the per-tenant workload specs from the sketch mixes
 // (falling back to the configured statements before any traffic), and
 // interns them: a stable mix yields pointer-identical specs across
-// ticks, so the SharedCostModel and the per-solve cost caches stay hot.
-// Caller holds l.mu.
+// ticks, so what the model keeps per spec — resolved statement handles,
+// a pointer-keyed SharedCostModel's entries — stays hot. Caller holds
+// l.mu.
 func (l *Loop) deriveSpecs() []*core.WorkloadSpec {
 	specs := make([]*core.WorkloadSpec, len(l.cfg.Tenants))
 	for i, t := range l.cfg.Tenants {
@@ -455,26 +457,20 @@ func (l *Loop) deriveSpecs() []*core.WorkloadSpec {
 			stmts = t.Fallback
 		}
 		sig := specSignature(t.Name, stmts, t.Weight, t.SLOSeconds)
-		if sp, ok := l.specCache[sig]; ok {
+		if sp, ok := l.specCache.Get(sig); ok {
 			specs[i] = sp
 			continue
 		}
-		if len(l.specCache) >= l.cfg.SpecCacheSize {
-			// Reset-on-overflow: churny mixes trade cache warmth for a
-			// hard memory bound.
-			l.specCache = make(map[string]*core.WorkloadSpec)
-		}
 		sp := &core.WorkloadSpec{
 			// The signature hash in the name keeps distinct derived mixes
-			// distinct under name-keyed shared cost caches (the server's
-			// SharedCostModel keys on Name|Weight|SLO).
+			// distinct in reports and under a name-keyed cost memo.
 			Name:       fmt.Sprintf("at:%s:%x", t.Name, fnvHash(sig)),
 			Statements: stmts,
 			DB:         t.DB,
 			Weight:     t.Weight,
 			SLOSeconds: t.SLOSeconds,
 		}
-		l.specCache[sig] = sp
+		l.specCache.Put(sig, sp)
 		specs[i] = sp
 	}
 	return specs

@@ -52,6 +52,7 @@ import (
 	"dbvirt/internal/engine"
 	"dbvirt/internal/faults"
 	"dbvirt/internal/linalg"
+	"dbvirt/internal/memo"
 	"dbvirt/internal/obs"
 	"dbvirt/internal/optimizer"
 	"dbvirt/internal/storage"
@@ -194,9 +195,9 @@ func DefaultConfig() Config {
 // Calibrator owns the synthetic calibration database and a parameter
 // cache. It is safe for concurrent use: the database is built once and is
 // read-only afterwards (every measurement session gets its own machine,
-// VM, and buffer pool), the cache is mutex-guarded, and concurrent
+// VM, and buffer pool), and the cache is a memo.Memo, so concurrent
 // Calibrate calls for the same allocation join one in-flight measurement
-// (singleflight) instead of repeating it.
+// instead of repeating it.
 type Calibrator struct {
 	cfg Config
 	// envErr records a malformed DBVIRT_FAULTS spec; surfacing it from
@@ -216,25 +217,15 @@ type Calibrator struct {
 	measures atomic.Int64 // completed measure() runs, for tests/reporting
 	retries  atomic.Int64 // transient-fault retries, for tests/reporting
 
-	mu       sync.Mutex
-	cache    map[[3]int64]optimizer.Params
-	inflight map[[3]int64]*calCall
-}
-
-// calCall is one in-flight calibration; done is closed when p/err are set.
-type calCall struct {
-	done chan struct{}
-	p    optimizer.Params
-	err  error
+	cache *memo.Memo[[3]int64, optimizer.Params] // per allocation, unbounded
 }
 
 // New creates a calibrator for the given configuration. A nil cfg.Faults
 // is resolved from the DBVIRT_FAULTS environment variable.
 func New(cfg Config) *Calibrator {
 	c := &Calibrator{
-		cfg:      cfg,
-		cache:    make(map[[3]int64]optimizer.Params),
-		inflight: make(map[[3]int64]*calCall),
+		cfg:   cfg,
+		cache: memo.New[[3]int64, optimizer.Params](0, nil, memo.Counters{Hit: mCalHit, Join: mCalJoin}),
 	}
 	if cfg.Faults == nil {
 		inj, err := faults.FromEnv()
@@ -531,58 +522,31 @@ func (c *Calibrator) Calibrate(ctx context.Context, shares vm.Shares) (optimizer
 	if err := ctx.Err(); err != nil {
 		return optimizer.Params{}, err
 	}
-	key := cacheKey(shares)
-	c.mu.Lock()
-	if p, ok := c.cache[key]; ok {
-		c.mu.Unlock()
-		mCalHit.Inc()
-		return p, nil
-	}
-	if call, ok := c.inflight[key]; ok {
-		c.mu.Unlock()
-		mCalJoin.Inc()
-		select {
-		case <-call.done:
-			return call.p, call.err
-		case <-ctx.Done():
-			return optimizer.Params{}, ctx.Err()
+	p, _, err := c.cache.Do(ctx, cacheKey(shares), func() (optimizer.Params, error) {
+		sp := c.cfg.Obs.Span("calibrate.point")
+		defer sp.End()
+		sp.SetArg("cpu", shares.CPU)
+		sp.SetArg("mem", shares.Memory)
+		sp.SetArg("io", shares.IO)
+		start := time.Now()
+		if err := c.buildDB(); err != nil {
+			return optimizer.Params{}, err
 		}
-	}
-	call := &calCall{done: make(chan struct{})}
-	c.inflight[key] = call
-	c.mu.Unlock()
-
-	sp := c.cfg.Obs.Span("calibrate.point")
-	sp.SetArg("cpu", shares.CPU)
-	sp.SetArg("mem", shares.Memory)
-	sp.SetArg("io", shares.IO)
-	start := time.Now()
-	if call.err = c.buildDB(); call.err == nil {
-		call.p, call.err = c.measureSafe(ctx, shares, sp)
-	}
-	if call.err == nil {
-		mCalMeasure.Inc()
-		hMeasureSeconds.ObserveSince(start)
-	}
-	sp.End()
-	c.mu.Lock()
-	if call.err == nil {
-		c.cache[key] = call.p
-	}
-	delete(c.inflight, key) // errors are not cached; a later call retries
-	c.mu.Unlock()
-	close(call.done)
-	return call.p, call.err
+		p, err := c.measureSafe(ctx, shares, sp)
+		if err == nil {
+			mCalMeasure.Inc()
+			hMeasureSeconds.ObserveSince(start)
+		}
+		return p, err
+	})
+	return p, err
 }
 
 // prime inserts an already-measured parameter vector into the cache; used
 // when grid workers hand their lattice points back to the shared
 // calibrator.
 func (c *Calibrator) prime(shares vm.Shares, p optimizer.Params) {
-	key := cacheKey(shares)
-	c.mu.Lock()
-	c.cache[key] = p
-	c.mu.Unlock()
+	c.cache.Put(cacheKey(shares), p)
 }
 
 // measureSafe runs measure under recover(), converting a panic in the

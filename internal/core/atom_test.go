@@ -108,7 +108,7 @@ func TestCostAtomsMatchColdPath(t *testing.T) {
 		}
 		var held int64
 		for _, e := range serial.prepared().entries {
-			held += int64(len(e.cur) + len(e.old))
+			held += int64(e.atoms.Len())
 		}
 		if got := atomCount.Load() - size; got != held {
 			t.Errorf("bound %d: core.atom.size moved by %d, the model holds %d atoms", bound, got, held)
@@ -161,7 +161,7 @@ func TestAtomBoundKeepsSolves(t *testing.T) {
 			results[i] = res
 			if bound == 1 {
 				for _, e := range m.prepared().entries {
-					if n := len(e.cur) + len(e.old); n > 2 {
+					if n := e.atoms.Len(); n > 2 {
 						t.Errorf("%s: a statement holds %d atoms under a bound of 1 per generation", name, n)
 					}
 				}

@@ -71,9 +71,29 @@ func TestCostCacheConcurrent(t *testing.T) {
 	}
 }
 
+// TestCostCacheHitAllocatesNothing: a lookup the per-solve cache answers
+// from a completed entry — the solvers' inner loop — allocates nothing.
+func TestCostCacheHitAllocatesNothing(t *testing.T) {
+	w := fakeSpecs("a")[0]
+	cache := newCostCache(&funcModel{name: "cpu", f: func(_ *WorkloadSpec, s vm.Shares) float64 { return s.CPU }})
+	ctx, shares := context.Background(), vm.Shares{CPU: 0.5, Memory: 0.5, IO: 0.5}
+	if n := testing.AllocsPerRun(100, func() {
+		if v, err := cache.Cost(ctx, 0, w, shares); v != 0.5 || err != nil {
+			t.Fatalf("Cost = %v, %v", v, err)
+		}
+	}); n != 0 {
+		t.Fatalf("a completed-entry hit allocates %v times, want 0", n)
+	}
+	if cache.evaluations() != 1 {
+		t.Fatalf("evaluations() = %d, want 1", cache.evaluations())
+	}
+}
+
 // TestParallelSolversMatchSerial checks the headline determinism claim:
 // every solver returns a byte-identical Result regardless of the worker
-// count, including the Evaluations counter and tie-breaks.
+// count, including the Evaluations counter and tie-breaks — and regardless
+// of a SharedCostModel in front of the model that can keep one entry per
+// shard, so nearly every lookup across the solves evicts.
 func TestParallelSolversMatchSerial(t *testing.T) {
 	specs := fakeSpecs("w0", "w1", "w2", "w3")
 	// A bumpy deterministic cost surface with plateaus, so ties exist and
@@ -93,33 +113,74 @@ func TestParallelSolversMatchSerial(t *testing.T) {
 	}
 	for _, sv := range solvers {
 		t.Run(sv.name, func(t *testing.T) {
+			evicting := newSharedCostModel(model, nil, 1)
 			var results []*Result
-			for _, j := range []int{1, 2, 8} {
-				p := &Problem{
-					Workloads:   specs,
-					Resources:   []vm.Resource{vm.CPU, vm.IO},
-					Step:        0.25,
-					Parallelism: j,
+			for _, m := range []CostModel{model, evicting} {
+				for _, j := range []int{1, 2, 8} {
+					p := &Problem{
+						Workloads:   specs,
+						Resources:   []vm.Resource{vm.CPU, vm.IO},
+						Step:        0.25,
+						Parallelism: j,
+					}
+					r, err := sv.solve(context.Background(), p, m)
+					if err != nil {
+						t.Fatalf("j=%d: %v", j, err)
+					}
+					if r.Elapsed <= 0 {
+						t.Fatalf("j=%d: Elapsed not recorded", j)
+					}
+					// Elapsed is wall clock — the one documented
+					// non-deterministic field; everything else (including
+					// Evaluations and CacheHits) must match bit-for-bit.
+					r.Elapsed = 0
+					results = append(results, r)
 				}
-				r, err := sv.solve(context.Background(), p, model)
-				if err != nil {
-					t.Fatalf("j=%d: %v", j, err)
-				}
-				if r.Elapsed <= 0 {
-					t.Fatalf("j=%d: Elapsed not recorded", j)
-				}
-				// Elapsed is wall clock — the one documented
-				// non-deterministic field; everything else (including
-				// Evaluations and CacheHits) must match bit-for-bit.
-				r.Elapsed = 0
-				results = append(results, r)
 			}
 			for i := 1; i < len(results); i++ {
 				if !reflect.DeepEqual(results[0], results[i]) {
-					t.Fatalf("results diverge:\n  j=1: %+v\n  j=%d: %+v", results[0], []int{1, 2, 8}[i], results[i])
+					t.Fatalf("results diverge:\n  j=1: %+v\n  run %d (j=1,2,8 direct, then through the evicting memo): %+v", results[0], i, results[i])
 				}
 			}
+			if n := evicting.Len(); n == 0 || n > 2*16 {
+				t.Fatalf("the capacity-1 shared memo holds %d entries, want 1..32", n)
+			}
 		})
+	}
+}
+
+// TestSharedCostModelIdentity pins what a SharedCostModel keys on: under a
+// key function, specs with equal keys share entries; under the nil key, a
+// spec shares only with itself, however it is named.
+func TestSharedCostModelIdentity(t *testing.T) {
+	twins := fakeSpecs("w", "w")
+	var computed atomic.Int64
+	inner := &funcModel{name: "count", f: func(w *WorkloadSpec, s vm.Shares) float64 {
+		computed.Add(1)
+		return s.CPU
+	}}
+	for _, c := range []struct {
+		name string
+		key  func(*WorkloadSpec) string
+		want int64
+	}{
+		{"by name", func(w *WorkloadSpec) string { return w.Name }, 3},
+		{"by pointer", nil, 6},
+	} {
+		computed.Store(0)
+		m := NewSharedCostModel(inner, c.key)
+		for round := 0; round < 2; round++ {
+			for _, w := range twins {
+				for _, cpu := range []float64{0.25, 0.5, 1} {
+					if got, err := m.Cost(context.Background(), w, vm.Shares{CPU: cpu, Memory: 1, IO: 1}); err != nil || got != cpu {
+						t.Fatalf("%s: Cost = %v, %v", c.name, got, err)
+					}
+				}
+			}
+		}
+		if got := computed.Load(); got != c.want || m.Len() != int(c.want) {
+			t.Errorf("%s: inner model called %d times, Len %d; want %d", c.name, got, m.Len(), c.want)
+		}
 	}
 }
 

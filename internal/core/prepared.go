@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"dbvirt/internal/engine"
+	"dbvirt/internal/memo"
 	"dbvirt/internal/obs"
 	"dbvirt/internal/optimizer"
 	"dbvirt/internal/plan"
@@ -117,10 +118,10 @@ type stmtKey struct {
 	sql string
 }
 
-// atomGeneration bounds one statement's cost atoms: a generation holds at
-// most this many, and two generations are kept. A solver lattice (49
-// points per machine size) and its neighbours stay resident; a stream of
-// never-repeated vectors turns over without growing.
+// atomGeneration bounds one statement's cost atoms (a memo.Gen): a
+// generation holds at most this many, and two generations are kept. A
+// solver lattice (49 points per machine size) and its neighbours stay
+// resident; a stream of never-repeated vectors turns over without growing.
 const atomGeneration = 512
 
 // stmtEntry is one prepared statement of one catalog version, with the
@@ -135,9 +136,9 @@ type stmtEntry struct {
 	pq      *optimizer.PreparedQuery
 	err     error
 
-	mu       sync.Mutex
-	cur, old map[optimizer.Params]float64
-	stale    bool // replaced in the cache: keeps no atoms
+	mu    sync.Mutex
+	atoms memo.Gen[optimizer.Params, float64]
+	stale bool // replaced in the cache: keeps no atoms
 }
 
 // stmtCache is the per-model prepared-statement cache: each statement is
@@ -171,7 +172,7 @@ func (c *stmtCache) entry(db *engine.Database, norm string) *stmtEntry {
 		return e
 	}
 	mPreparedMiss.Inc()
-	entry := &stmtEntry{version: ver}
+	entry := &stmtEntry{version: ver, atoms: memo.Gen[optimizer.Params, float64]{Cap: c.atomBound, Evict: mAtomEvict}}
 	if !strings.HasPrefix(strings.ToUpper(norm), "SELECT") {
 		entry.err = fmt.Errorf("only SELECT statements can be cost-estimated, got %q", truncateSQL(norm))
 	} else if sel, err := sql.ParseSelect(norm); err != nil {
@@ -239,14 +240,10 @@ func (c *stmtCache) estimate(e *stmtEntry, p optimizer.Params) (float64, error) 
 		return 0, e.err
 	}
 	e.mu.Lock()
-	est, ok := e.cur[p]
-	if !ok {
-		if est, ok = e.old[p]; ok {
-			// Used again: carry it into the current generation.
-			delete(e.old, p)
-			addAtoms(-1)
-			e.put(p, est, c.atomBound)
-		}
+	held := e.atoms.Len()
+	est, ok := e.atoms.Get(p)
+	if n := e.atoms.Len(); n != held { // an old-generation hit retired a generation
+		addAtoms(n - held)
 	}
 	e.mu.Unlock()
 	if ok {
@@ -260,38 +257,20 @@ func (c *stmtCache) estimate(e *stmtEntry, p optimizer.Params) (float64, error) 
 	est = pl.EstimatedSeconds()
 	mAtomMiss.Inc()
 	e.mu.Lock()
-	e.put(p, est, c.atomBound)
+	if !e.stale {
+		held = e.atoms.Len()
+		e.atoms.Put(p, est)
+		addAtoms(e.atoms.Len() - held)
+	}
 	e.mu.Unlock()
 	return est, nil
-}
-
-// put stores an atom in the current generation, first retiring the older
-// generation when the current one is full. e.mu is held.
-func (e *stmtEntry) put(p optimizer.Params, est float64, bound int) {
-	if e.stale {
-		return
-	}
-	if len(e.cur) >= bound {
-		if n := len(e.old); n > 0 {
-			mAtomEvict.Add(int64(n))
-			addAtoms(-n)
-		}
-		e.old, e.cur = e.cur, nil
-	}
-	if e.cur == nil {
-		e.cur = make(map[optimizer.Params]float64)
-	}
-	if _, had := e.cur[p]; !had { // two callers may have priced p at once
-		addAtoms(1)
-	}
-	e.cur[p] = est
 }
 
 // retire drops the atoms of an entry the cache has replaced.
 func (e *stmtEntry) retire() {
 	e.mu.Lock()
-	n := len(e.cur) + len(e.old)
-	e.cur, e.old, e.stale = nil, nil, true
+	n := e.atoms.Len()
+	e.atoms, e.stale = memo.Gen[optimizer.Params, float64]{}, true
 	e.mu.Unlock()
 	if n > 0 {
 		mAtomEvict.Add(int64(n))

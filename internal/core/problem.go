@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"dbvirt/internal/engine"
+	"dbvirt/internal/memo"
 	"dbvirt/internal/obs"
 	"dbvirt/internal/vm"
 )
@@ -336,26 +337,13 @@ func (p *Problem) evaluateInto(ctx context.Context, m *costCache, alloc Allocati
 	return total, nil
 }
 
-// cacheShards spreads the cost cache's lock over independent buckets so
-// concurrent solver workers rarely contend on the same mutex.
-const cacheShards = 16
-
-// costCache caches cost-model calls per (workload, quantized shares). It
-// is safe for concurrent use: lookups are sharded by key, and an in-flight
-// computation is joined (singleflight-style) rather than repeated, so the
-// same (workload, shares) pair is evaluated exactly once even when many
-// workers race on it. Errors are not cached; a failed computation may be
-// retried by a later call, matching the serial memoization semantics.
+// costCache caches cost-model calls per (workload, quantized shares) for
+// one solve: an unbounded memo.Memo, so a pair is evaluated exactly once
+// however many workers race on it, plus the solve's own counts.
 type costCache struct {
-	inner  CostModel
-	shards [cacheShards]costShard
-	evals  atomic.Int64
-	hits   atomic.Int64
-}
-
-type costShard struct {
-	mu      sync.Mutex
-	entries map[memoKey]*costEntry // allocated on the shard's first insert
+	costMemo[memoKey]
+	evals atomic.Int64 // successful model invocations
+	hits  atomic.Int64 // lookups answered by an entry, completed or in flight
 }
 
 type memoKey struct {
@@ -363,24 +351,20 @@ type memoKey struct {
 	key [3]int64
 }
 
-// shard hashes the key onto a lock shard (FNV-style mixing).
-func (k memoKey) shard() int {
-	h := uint64(k.wi) + 14695981039346656037
-	for _, v := range k.key {
-		h = (h ^ uint64(v)) * 1099511628211
-	}
-	return int(h % cacheShards)
-}
-
-// costEntry is one cache slot; done is closed once val/err are final.
-type costEntry struct {
-	done chan struct{}
-	val  float64
-	err  error
-}
-
 func newCostCache(inner CostModel) *costCache {
-	return &costCache{inner: inner}
+	hash := func(k memoKey) uint64 { return hashShares(uint64(k.wi)+fnvOffset, k.key) }
+	return &costCache{costMemo: costMemo[memoKey]{inner, mCacheMiss,
+		memo.New[memoKey, float64](0, hash, memo.Counters{Join: mCacheInWait})}}
+}
+
+const fnvOffset, fnvPrime = 14695981039346656037, 1099511628211
+
+// hashShares folds quantized shares into h (FNV-1a) for the lock shards.
+func hashShares(h uint64, key [3]int64) uint64 {
+	for _, v := range key {
+		h = (h ^ uint64(v)) * fnvPrime
+	}
+	return h
 }
 
 func quantizeShares(s vm.Shares) [3]int64 {
@@ -388,64 +372,43 @@ func quantizeShares(s vm.Shares) [3]int64 {
 	return [3]int64{q(s.CPU), q(s.Memory), q(s.IO)}
 }
 
+// costMemo is what the per-solve cache and SharedCostModel share: a cost
+// model behind a memo.Memo keyed by K.
+type costMemo[K comparable] struct {
+	inner CostModel
+	miss  *obs.Counter // model calls that succeeded
+	memo  *memo.Memo[K, float64]
+}
+
+// cost prices (w, shares) under key k with one model call per key. hit
+// means answered by an entry, completed or in flight. A completed-entry
+// hit is the solvers' inner loop and allocates nothing: the closure does
+// not escape Do (TestCostCacheHitAllocatesNothing).
+func (m *costMemo[K]) cost(ctx context.Context, k K, w *WorkloadSpec, shares vm.Shares) (v float64, hit bool, err error) {
+	v, led, err := m.memo.Do(ctx, k, func() (float64, error) {
+		start := time.Now()
+		c, err := m.inner.Cost(ctx, w, shares)
+		if err == nil {
+			m.miss.Inc()
+			hEvalSeconds.ObserveSince(start)
+		}
+		return c, err
+	})
+	return v, !led, err
+}
+
 // Cost returns the memoized cost of workload wi (== p.Workloads[wi])
-// under the given shares, computing it at most once per distinct key. A
-// waiter whose ctx is cancelled stops waiting; the in-flight computation
-// it joined continues for any other waiters.
+// under the given shares, computing it at most once per distinct key.
 func (m *costCache) Cost(ctx context.Context, wi int, w *WorkloadSpec, shares vm.Shares) (float64, error) {
 	k := memoKey{wi: wi, key: quantizeShares(shares)}
-	sh := &m.shards[k.shard()]
-	sh.mu.Lock()
-	if e, ok := sh.entries[k]; ok {
-		sh.mu.Unlock()
-		// A hit regardless of whether the computation already finished;
-		// the split is only visible in the global metrics, keeping the
-		// per-solve hit count scheduling-independent.
+	v, hit, err := m.cost(ctx, k, w, shares)
+	if hit {
 		m.hits.Add(1)
 		mCacheHit.Inc()
-		select {
-		case <-e.done:
-		default:
-			mCacheInWait.Inc()
-			select {
-			case <-e.done:
-			case <-ctx.Done():
-				return 0, ctx.Err()
-			}
-		}
-		return e.val, e.err
+	} else if err == nil {
+		m.evals.Add(1)
 	}
-	e := &costEntry{done: make(chan struct{})}
-	if sh.entries == nil {
-		sh.entries = make(map[memoKey]*costEntry)
-	}
-	sh.entries[k] = e
-	sh.mu.Unlock()
-
-	start := time.Now()
-	func() {
-		// A panicking model must not leave the entry's done channel open:
-		// joined waiters would block on it forever. Convert the panic to an
-		// error and finalize the entry exactly like any other failure.
-		defer func() {
-			if r := recover(); r != nil {
-				e.val, e.err = 0, fmt.Errorf("core: cost model %s panicked: %v", m.inner.Name(), r)
-			}
-			if e.err == nil {
-				m.evals.Add(1)
-				mCacheMiss.Inc()
-				hEvalSeconds.ObserveSince(start)
-			}
-			close(e.done)
-			if e.err != nil {
-				sh.mu.Lock()
-				delete(sh.entries, k)
-				sh.mu.Unlock()
-			}
-		}()
-		e.val, e.err = m.inner.Cost(ctx, w, shares)
-	}()
-	return e.val, e.err
+	return v, err
 }
 
 // evaluations returns the number of successful cost-model invocations

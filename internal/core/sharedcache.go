@@ -2,10 +2,8 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"sync"
-	"time"
 
+	"dbvirt/internal/memo"
 	"dbvirt/internal/obs"
 	"dbvirt/internal/vm"
 )
@@ -19,52 +17,43 @@ var (
 	mSharedInWait = obs.Global.Counter("core.shared.inflight_wait")
 )
 
-// SharedCostModel wraps a CostModel with a process-lifetime, concurrency-
-// safe memo so identical (workload, shares) evaluations are computed once
-// across every solve and request that shares the wrapper — the serving-
-// side extension of the per-solve cost cache. An in-flight computation is
-// joined singleflight-style rather than repeated, so concurrent callers
-// racing on the same key coalesce onto one model invocation. Errors are
-// not cached (a failed computation may be retried later), panics in the
-// inner model are converted to errors, and a waiter whose ctx is
-// cancelled stops waiting while the computation it joined continues for
-// the others.
+// SharedCostModel wraps a CostModel with a process-lifetime, bounded
+// memo.Memo so identical (workload, shares) evaluations are computed once
+// across every solve and request that shares the wrapper — the cross-solve
+// extension of the per-solve cost cache, with that memo's contract:
+// concurrent callers on one key share one model invocation, errors are not
+// cached, a panic in the inner model becomes an error.
 //
 // Because the memo only ever returns values the inner model produced for
 // the same key, a deterministic inner model stays deterministic through
-// the wrapper: results are bit-identical whether a lookup hits, joins, or
-// computes. Solvers layer their own per-solve cache on top; their
-// Result.Evaluations then counts invocations of the shared model, whose
-// misses alone reach the inner model.
+// the wrapper: results are bit-identical whether a lookup hits, joins,
+// computes, or computes again after an eviction. Solvers layer their own
+// per-solve cache on top; their Result.Evaluations then counts invocations
+// of the shared model, whose misses alone reach the inner model.
 type SharedCostModel struct {
-	inner  CostModel
-	keyFn  func(*WorkloadSpec) string
-	shards [cacheShards]sharedShard
+	costMemo[sharedKey]
+	keyFn func(*WorkloadSpec) string // nil: pointer identity
 }
 
-type sharedShard struct {
-	mu      sync.Mutex
-	entries map[sharedKey]*costEntry
-}
+// sharedGeneration bounds the memo: two generations of this many entries,
+// about 10 MiB at most.
+const sharedGeneration = 1 << 16
 
 // sharedKey identifies one memo slot: the caller-scoped workload identity
-// plus the quantized shares.
+// plus the quantized shares. Under pointer identity spec is set and
+// decides; wk is then the spec's name, for the lock shards only.
 type sharedKey struct {
-	wk  string
-	key [3]int64
+	wk   string
+	spec *WorkloadSpec
+	key  [3]int64
 }
 
-// shard hashes the key onto a lock shard (FNV-1a over the workload key,
-// then the same mixing as memoKey).
-func (k sharedKey) shard() int {
-	h := uint64(14695981039346656037)
+func (k sharedKey) hash() uint64 {
+	h := uint64(fnvOffset)
 	for i := 0; i < len(k.wk); i++ {
-		h = (h ^ uint64(k.wk[i])) * 1099511628211
+		h = (h ^ uint64(k.wk[i])) * fnvPrime
 	}
-	for _, v := range k.key {
-		h = (h ^ uint64(v)) * 1099511628211
-	}
-	return int(h % cacheShards)
+	return hashShares(h, k.key)
 }
 
 // NewSharedCostModel wraps inner with a shared memo. key maps a workload
@@ -75,76 +64,32 @@ func (k sharedKey) shard() int {
 // only coalesces callers that share *WorkloadSpec values (interned specs,
 // as the server's registry hands out).
 func NewSharedCostModel(inner CostModel, key func(*WorkloadSpec) string) *SharedCostModel {
-	if key == nil {
-		key = func(w *WorkloadSpec) string { return fmt.Sprintf("%p", w) }
-	}
-	m := &SharedCostModel{inner: inner, keyFn: key}
-	for i := range m.shards {
-		m.shards[i].entries = make(map[sharedKey]*costEntry)
-	}
-	return m
+	return newSharedCostModel(inner, key, sharedGeneration)
+}
+
+// newSharedCostModel takes the capacity, so a test can force turnover.
+func newSharedCostModel(inner CostModel, key func(*WorkloadSpec) string, capacity int) *SharedCostModel {
+	return &SharedCostModel{keyFn: key, costMemo: costMemo[sharedKey]{inner, mSharedMiss,
+		memo.New[sharedKey, float64](capacity, sharedKey.hash, memo.Counters{Join: mSharedInWait})}}
 }
 
 // Name implements CostModel; the wrapper is transparent in reports.
 func (m *SharedCostModel) Name() string { return m.inner.Name() }
 
 // Cost implements CostModel with at-most-once evaluation per distinct
-// (workload key, quantized shares) pair.
+// (workload key, quantized shares) pair the memo still holds.
 func (m *SharedCostModel) Cost(ctx context.Context, w *WorkloadSpec, shares vm.Shares) (float64, error) {
-	k := sharedKey{wk: m.keyFn(w), key: quantizeShares(shares)}
-	sh := &m.shards[k.shard()]
-	sh.mu.Lock()
-	if e, ok := sh.entries[k]; ok {
-		sh.mu.Unlock()
-		mSharedHit.Inc()
-		select {
-		case <-e.done:
-		default:
-			mSharedInWait.Inc()
-			select {
-			case <-e.done:
-			case <-ctx.Done():
-				return 0, ctx.Err()
-			}
-		}
-		return e.val, e.err
+	k := sharedKey{wk: w.Name, spec: w, key: quantizeShares(shares)}
+	if m.keyFn != nil {
+		k.wk, k.spec = m.keyFn(w), nil
 	}
-	e := &costEntry{done: make(chan struct{})}
-	sh.entries[k] = e
-	sh.mu.Unlock()
-
-	start := time.Now()
-	func() {
-		// Mirror costCache.Cost: finalize the entry even if the inner model
-		// panics, and drop failed entries so a later call may retry.
-		defer func() {
-			if r := recover(); r != nil {
-				e.val, e.err = 0, fmt.Errorf("core: cost model %s panicked: %v", m.inner.Name(), r)
-			}
-			if e.err == nil {
-				mSharedMiss.Inc()
-				hEvalSeconds.ObserveSince(start)
-			}
-			close(e.done)
-			if e.err != nil {
-				sh.mu.Lock()
-				delete(sh.entries, k)
-				sh.mu.Unlock()
-			}
-		}()
-		e.val, e.err = m.inner.Cost(ctx, w, shares)
-	}()
-	return e.val, e.err
+	v, hit, err := m.cost(ctx, k, w, shares)
+	if hit {
+		mSharedHit.Inc()
+	}
+	return v, err
 }
 
 // Len reports the number of cached entries (for tests and the server's
-// stats surface); it is O(shards) plus map sizes.
-func (m *SharedCostModel) Len() int {
-	n := 0
-	for i := range m.shards {
-		m.shards[i].mu.Lock()
-		n += len(m.shards[i].entries)
-		m.shards[i].mu.Unlock()
-	}
-	return n
-}
+// stats surface).
+func (m *SharedCostModel) Len() int { return m.memo.Len() }

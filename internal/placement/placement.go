@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"dbvirt/internal/core"
+	"dbvirt/internal/memo"
 	"dbvirt/internal/obs"
 	"dbvirt/internal/telemetry"
 	"dbvirt/internal/vm"
@@ -60,10 +61,16 @@ var (
 	gMachines        = obs.Global.Gauge("placement.machines")
 	// mVerifyChecks counts machine shapes Verify sent through the cost
 	// model; gSolveEntries is the size of the machine-solve memo that grew
-	// last.
+	// last, mSolveEvict the solves its generation turnover dropped.
 	mVerifyChecks = obs.Global.Counter("placement.verify.model_checks")
 	gSolveEntries = obs.Global.Gauge("placement.solves.entries")
+	mSolveEvict   = obs.Global.Counter("placement.solves.evict")
 )
+
+// solveGeneration bounds the machine-solve memo: two generations of this
+// many solves. A 1000-tenant fleet converges on ~1400 shapes, so its
+// working set never turns over; turnover would only re-solve.
+const solveGeneration = 4096
 
 // Tenant is one fleet tenant: a workload spec plus optional telemetry.
 // When Sketch or CostSummary are nil the solver derives them from the
@@ -217,12 +224,12 @@ type Solver struct {
 	// encoding (see appendCompactKey), so memo keys survive reclustering
 	// and tenant renames.
 	repIDs map[string]int
-	solves map[string]*machineSolve
+	solves memo.Gen[string, *machineSolve]
 }
 
 // NewSolver creates a fleet solver over the given per-tenant cost model
-// (typically a core.SharedCostModel so probe and solver evaluations are
-// shared process-wide).
+// (typically a core.WhatIfModel, whose per-statement cost atoms share
+// probe and solver evaluations process-wide).
 func NewSolver(cfg Config, model core.CostModel) (*Solver, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -238,7 +245,7 @@ func NewSolver(cfg Config, model core.CostModel) (*Solver, error) {
 		probes:   make(map[*core.WorkloadSpec][]float64),
 		feats:    make(map[*core.WorkloadSpec]*feature),
 		repIDs:   make(map[string]int),
-		solves:   make(map[string]*machineSolve),
+		solves:   memo.Gen[string, *machineSolve]{Cap: solveGeneration, Evict: mSolveEvict},
 	}, nil
 }
 
@@ -507,7 +514,7 @@ func (s *Solver) place(ctx context.Context, ts []*Tenant, seqs [][]seqEnt) (*Pla
 	var missing []int
 	s.mu.Lock()
 	for id, k := range keyStrs {
-		if ms, ok := s.solves[k]; ok {
+		if ms, ok := s.solves.Get(k); ok {
 			sols[id] = ms
 			preSolved[id] = true
 		} else {
@@ -543,9 +550,9 @@ func (s *Solver) place(ctx context.Context, ts []*Tenant, seqs [][]seqEnt) (*Pla
 		}
 		s.mu.Lock()
 		for _, id := range missing {
-			s.solves[keyStrs[id]] = sols[id]
+			s.solves.Put(keyStrs[id], sols[id])
 		}
-		gSolveEntries.Set(float64(len(s.solves)))
+		gSolveEntries.Set(float64(s.solves.Len()))
 		s.mu.Unlock()
 	}
 	mMachineSolves.Add(int64(len(missing)))

@@ -289,6 +289,76 @@ func TestApplyBitIdenticalToFreshSolve(t *testing.T) {
 	}
 }
 
+// TestEvictedSolvesMatchCached: a Solve and 50 Apply events on a solver
+// whose machine-solve memo keeps one solve per generation leave, step by
+// step, the placement of a solver that keeps them all — same classes,
+// seats, shares, costs and totals, bit for bit.
+func TestEvictedSolvesMatchCached(t *testing.T) {
+	ctx := context.Background()
+	f := newFleet()
+	fams := []string{"alpha", "beta", "gamma", "delta", "eps"}
+	var pls [2]*Placement
+	evicted := mSolveEvict.Value()
+	for i, bound := range []int{solveGeneration, 1} {
+		s, _ := newTestSolver(t, Config{Parallelism: 4})
+		s.solves.Cap = bound
+		pl, err := s.Solve(ctx, f.tenants(24))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pls[i] = pl
+	}
+	if mSolveEvict.Value() == evicted {
+		t.Fatal("a bound of 1 evicted nothing")
+	}
+	for step := 0; step < 50; step++ {
+		var ev Event
+		switch name := fmt.Sprintf("t%04d", step/3); step % 3 {
+		case 0:
+			ev = Event{Type: Arrive, Tenant: &Tenant{Name: fmt.Sprintf("n%04d", step), Spec: f.specs[fams[step%len(fams)]]}}
+		case 1:
+			ev = Event{Type: Drift, Tenant: &Tenant{Name: name, Spec: f.specs[fams[(step+2)%len(fams)]]}}
+		default:
+			ev = Event{Type: Leave, Name: name}
+		}
+		for i, pl := range pls {
+			if _, err := pl.Apply(ctx, ev); err != nil {
+				t.Fatalf("event %d (%s) on solver %d: %v", step, ev.Type, i, err)
+			}
+		}
+		if !reflect.DeepEqual(viewOf(pls[0]), viewOf(pls[1])) {
+			t.Fatalf("after event %d (%s) the evicting solver diverged:\nevicting %+v\ncached   %+v",
+				step, ev.Type, viewOf(pls[1]), viewOf(pls[0]))
+		}
+	}
+	if err := pls[1].Verify(ctx); err != nil {
+		t.Fatalf("verify on the evicting solver: %v", err)
+	}
+}
+
+// TestSolveMemoBounded: ten generations' worth of distinct machine shapes
+// leave at most two generations in the memo.
+func TestSolveMemoBounded(t *testing.T) {
+	const bound = 4
+	s, _ := newTestSolver(t, Config{})
+	s.solves.Cap = bound
+	solved := 0
+	for i := 0; i < 10*bound; i++ {
+		spec := &core.WorkloadSpec{Name: fmt.Sprintf("fam%d", i), Statements: []string{fmt.Sprintf("SELECT c%d FROM t", i)}, DB: engine.NewDatabase()}
+		pl, err := s.Solve(context.Background(), []*Tenant{{Name: "only", Spec: spec}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		solved += pl.Stats.MachineSolves
+	}
+	if solved != 10*bound {
+		t.Fatalf("%d machine solves, want %d distinct shapes", solved, 10*bound)
+	}
+	if n := s.solves.Len(); n > 2*bound || float64(n) != gSolveEntries.Value() {
+		t.Fatalf("memo holds %d solves (placement.solves.entries %v), want at most %d", n, gSolveEntries.Value(), 2*bound)
+	}
+}
+
 // TestApplyDirtyBounded: one arrival into a large warm fleet re-solves
 // only a bounded set of machine shapes (the spill around the insertion
 // point), not the fleet.

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -93,6 +94,50 @@ func TestModelPanicIs500(t *testing.T) {
 	id := submitSolve(t, s.Handler(), `{"workloads":[{"query":"Q4"},{"query":"Q6"}]}`)
 	if st := pollJob(t, s.Handler(), id, 30*time.Second); st.State != jobFailed || !strings.Contains(st.Error, "panicked") {
 		t.Fatalf("job %+v; want failed, naming the panic", st)
+	}
+}
+
+// namePanicModel prices like the default model and panics when asked its
+// name, which computeWhatIf does outside any cost model's own recover.
+type namePanicModel struct {
+	core.CostModel
+	names atomic.Int64
+}
+
+func (m *namePanicModel) Name() string {
+	m.names.Add(1)
+	panic("injected Name panic")
+}
+
+// TestLeaderPanicFreesCoalescedKey: a panic in a coalescer leader, outside
+// the cost model, is that request's 500 — and the key is not left in
+// flight, so an identical request is computed again and answered promptly
+// instead of joining a computation that will never finish.
+func TestLeaderPanicFreesCoalescedKey(t *testing.T) {
+	_, grid := testEnv(t)
+	model := &namePanicModel{CostModel: &core.WhatIfModel{Grid: grid}}
+	s := newTestServer(t, func(c *Config) { c.Model = model })
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	const body = `{"workloads":[{"query":"Q4"},{"query":"Q6"}],"allocations":[{"cpu":0.5,"memory":0.5,"io":0.5}],"timeout_ms":5000}`
+	for i := int64(1); i <= 2; i++ {
+		start := time.Now()
+		resp, err := http.Post(srv.URL+"/v1/whatif", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("request %d: connection dropped: %v", i, err)
+		}
+		payload, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(payload), "panicked") {
+			t.Fatalf("request %d: status %d, body %s; want 500 naming the panic", i, resp.StatusCode, payload)
+		}
+		if took := time.Since(start); took > 2*time.Second {
+			t.Fatalf("request %d took %v: it waited on the panicked leader's key", i, took)
+		}
+		if got := model.names.Load(); got != i {
+			t.Fatalf("after request %d the sweep was computed %d times, want %d", i, got, i)
+		}
 	}
 }
 

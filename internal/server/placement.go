@@ -294,7 +294,7 @@ func (s *Server) handlePlacement(w http.ResponseWriter, r *http.Request) {
 	}
 	defer sp.End()
 
-	body, err := s.plCol.do(ctx, req.coalesceKey(), func() ([]byte, error) {
+	body, err := s.plCol.inflight(ctx, req.coalesceKey(), func() ([]byte, error) {
 		release, ok := s.lim.acquire(ctx)
 		if !ok {
 			return nil, errTooBusy

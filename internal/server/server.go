@@ -74,9 +74,6 @@ type Config struct {
 	// RetryAfter is the hint returned with 429 responses (default 1s,
 	// rounded up to whole seconds).
 	RetryAfter time.Duration
-	// CoalesceMemo bounds the completed-sweep memo (default 256 entries;
-	// negative disables memoization, keeping only in-flight coalescing).
-	CoalesceMemo int
 	// Parallelism is handed to the solvers and the environment; 0 means
 	// GOMAXPROCS.
 	Parallelism int
@@ -140,9 +137,6 @@ func (c *Config) applyDefaults() error {
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
 	}
-	if c.CoalesceMemo == 0 {
-		c.CoalesceMemo = 256
-	}
 	if c.Telemetry == nil {
 		c.Telemetry = telemetry.NewHub(telemetry.Config{})
 	}
@@ -192,8 +186,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:     cfg,
-		col:     newCoalescer[whatIfAnswer](cfg.CoalesceMemo),
-		plCol:   newCoalescer[[]byte](-1),
+		col:     newCoalescer[whatIfAnswer](),
+		plCol:   newCoalescer[[]byte](),
 		lim:     newLimiter(cfg.MaxInflight, cfg.MaxQueue),
 		started: time.Now(),
 		hWindow: obs.Global.Window("server.http.window.seconds", 6, cfg.RequestWindow/6),

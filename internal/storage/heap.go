@@ -227,4 +227,3 @@ func (h *HeapFile) Delete(pg Pager, tid TID) error {
 	pg.Unpin(id, err == nil)
 	return err
 }
-
