@@ -130,17 +130,25 @@ func New() *Catalog {
 	return &Catalog{tables: make(map[string]*Table)}
 }
 
-// Version is a monotonic counter bumped whenever anything a query plan
-// depends on changes: table and index DDL, restored tables, refreshed
-// statistics, or data modifications. Callers caching bound queries or
-// plans key them by this version and rebuild on mismatch.
+// Version is a monotonic counter bumped whenever anything binding or
+// planning reads changes: table and index DDL, restored tables and
+// refreshed statistics. The optimizer reads statistics and schema, never
+// rows, so data modifications leave it alone. Callers caching bound
+// queries or plans key them by this version and rebuild on mismatch.
 func (c *Catalog) Version() uint64 { return c.version.Load() }
 
-// Invalidate bumps the catalog version and drops cached columnar blocks,
-// whose contents may be stale after data changes. DDL entry points call it
-// internally; the engine calls it after ANALYZE and DML.
+// Invalidate bumps the catalog version and drops cached columnar blocks.
+// DDL entry points bump the version internally; the engine calls
+// Invalidate after ANALYZE and recovery.
 func (c *Catalog) Invalidate() {
 	c.version.Add(1)
+	c.ClearBlocks()
+}
+
+// ClearBlocks drops cached columnar blocks, whose contents may be stale
+// after data changes, and leaves the version alone. The engine calls it
+// after DML, COMMIT and ROLLBACK.
+func (c *Catalog) ClearBlocks() {
 	c.mu.RLock()
 	for _, t := range c.tables {
 		t.Blocks.Clear()

@@ -70,11 +70,32 @@ func atomCases(t *testing.T, db *engine.Database, cold CostModel, n int) []atomC
 	return cases
 }
 
+// heldAtoms counts the atoms of every statement entry m's cache resolved
+// for the given specs, evicted from the cache or not.
+func heldAtoms(m *WhatIfModel, specs []*WorkloadSpec) int64 {
+	seen := map[*stmtEntry]bool{}
+	var n int64
+	for _, w := range specs {
+		h := w.Base().handles.Load()
+		if h == nil || h.cache != m.prepared() {
+			continue
+		}
+		for _, e := range h.entries {
+			if !seen[e] {
+				seen[e] = true
+				n += int64(e.atoms.Len())
+			}
+		}
+	}
+	return n
+}
+
 // TestCostAtomsMatchColdPath is the bit-identity property of the cost
 // atoms: whatever the workload's shape and objective and wherever P(R)
 // came from, WhatIfModel.Cost equals the NoPrepare cost — first sight and
-// repeated, serially and from 8 goroutines, with the atom bound as shipped
-// and forced to 1 (every second pricing evicts).
+// repeated, serially and from 8 goroutines, with the atom and statement
+// bounds as shipped and each forced to 1 (every second pricing, or every
+// second statement lookup, evicts).
 func TestCostAtomsMatchColdPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a workload database")
@@ -82,8 +103,12 @@ func TestCostAtomsMatchColdPath(t *testing.T) {
 	db, _ := cacheDB(t)
 	g := flipGrid(t)
 	cases := atomCases(t, db, &WhatIfModel{Grid: g, NoPrepare: true}, 40)
+	specs := make([]*WorkloadSpec, len(cases))
+	for i, c := range cases {
+		specs[i] = c.w
+	}
 	ctx := context.Background()
-	for _, bound := range []int{atomGeneration, 1} {
+	for _, bound := range []struct{ atoms, stmts int }{{atomGeneration, stmtGeneration}, {1, stmtGeneration}, {atomGeneration, 1}} {
 		check := func(m *WhatIfModel, from int) {
 			for k := range cases {
 				c := cases[(from+k)%len(cases)]
@@ -93,29 +118,32 @@ func TestCostAtomsMatchColdPath(t *testing.T) {
 					return
 				}
 				if got != c.want {
-					t.Errorf("bound %d: %s at %v: cost %v, cold cost %v", bound, c.w.Name, c.shares, got, c.want)
+					t.Errorf("bounds %+v: %s at %v: cost %v, cold cost %v", bound, c.w.Name, c.shares, got, c.want)
 					return
 				}
 			}
 		}
-		serial := &WhatIfModel{Grid: g}
-		serial.prepared().atomBound = bound
-		evicted, size := mAtomEvict.Value(), atomCount.Load()
+		bounded := func() *WhatIfModel {
+			m := &WhatIfModel{Grid: g}
+			m.prepared().atomBound = bound.atoms
+			m.prepared().entries.Cap = bound.stmts
+			return m
+		}
+		serial := bounded()
+		atomsEvicted, stmtsEvicted, size := mAtomEvict.Value(), mPreparedEvict.Value(), atomCount.Load()
 		check(serial, 0)
 		check(serial, len(cases)/2) // warm: atoms, or what is left of them
-		if bound == 1 && mAtomEvict.Value() == evicted {
-			t.Error("a bound of 1 evicted nothing")
+		if bound.atoms == 1 && mAtomEvict.Value() == atomsEvicted {
+			t.Error("an atom bound of 1 evicted nothing")
 		}
-		var held int64
-		for _, e := range serial.prepared().entries {
-			held += int64(e.atoms.Len())
+		if bound.stmts == 1 && mPreparedEvict.Value() == stmtsEvicted {
+			t.Error("a statement bound of 1 evicted nothing")
 		}
-		if got := atomCount.Load() - size; got != held {
-			t.Errorf("bound %d: core.atom.size moved by %d, the model holds %d atoms", bound, got, held)
+		if got, held := atomCount.Load()-size, heldAtoms(serial, specs); got != held {
+			t.Errorf("bounds %+v: core.atom.size moved by %d, the model holds %d atoms", bound, got, held)
 		}
 
-		shared := &WhatIfModel{Grid: g}
-		shared.prepared().atomBound = bound
+		shared := bounded()
 		var wg sync.WaitGroup
 		for w := 0; w < 8; w++ {
 			wg.Add(1)
@@ -160,9 +188,11 @@ func TestAtomBoundKeepsSolves(t *testing.T) {
 			res.Elapsed = 0
 			results[i] = res
 			if bound == 1 {
-				for _, e := range m.prepared().entries {
-					if n := e.atoms.Len(); n > 2 {
-						t.Errorf("%s: a statement holds %d atoms under a bound of 1 per generation", name, n)
+				for _, w := range specs {
+					for _, e := range w.Base().handles.Load().entries {
+						if n := e.atoms.Len(); n > 2 {
+							t.Errorf("%s: a statement holds %d atoms under a bound of 1 per generation", name, n)
+						}
 					}
 				}
 			}

@@ -16,17 +16,19 @@ import (
 
 // prepared.hit|miss count statement lookups: a miss parsed, bound and
 // prepared the statement, a hit found it prepared — in the cache's map or
-// through the handles a spec keeps. atom.hit|miss count statement
+// through the handles a spec keeps; prepared.evict counts statements
+// dropped by generation turnover. atom.hit|miss count statement
 // pricings served from an atom or by the optimizer, atom.evict atoms
 // dropped by generation turnover or a catalog change, atom.size those
 // currently held.
 var (
-	mPreparedHit  = obs.Global.Counter("core.prepared.hit")
-	mPreparedMiss = obs.Global.Counter("core.prepared.miss")
-	mAtomHit      = obs.Global.Counter("core.atom.hit")
-	mAtomMiss     = obs.Global.Counter("core.atom.miss")
-	mAtomEvict    = obs.Global.Counter("core.atom.evict")
-	gAtomSize     = obs.Global.Gauge("core.atom.size")
+	mPreparedHit   = obs.Global.Counter("core.prepared.hit")
+	mPreparedMiss  = obs.Global.Counter("core.prepared.miss")
+	mPreparedEvict = obs.Global.Counter("core.prepared.evict")
+	mAtomHit       = obs.Global.Counter("core.atom.hit")
+	mAtomMiss      = obs.Global.Counter("core.atom.miss")
+	mAtomEvict     = obs.Global.Counter("core.atom.evict")
+	gAtomSize      = obs.Global.Gauge("core.atom.size")
 )
 
 // NormalizeSQL canonicalizes statement text for cache identity: runs of
@@ -118,6 +120,12 @@ type stmtKey struct {
 	sql string
 }
 
+// stmtGeneration bounds the statements one cache holds (a memo.Gen): a
+// generation holds at most this many, and two generations are kept. The
+// callers name statements from a fixed query set; an evicted statement
+// costs one prepare, and specs holding its handle keep using it.
+const stmtGeneration = 1024
+
 // atomGeneration bounds one statement's cost atoms (a memo.Gen): a
 // generation holds at most this many, and two generations are kept. A
 // solver lattice (49 points per machine size) and its neighbours stay
@@ -146,14 +154,17 @@ type stmtEntry struct {
 // shared by every allocation the what-if model prices — including
 // concurrent solver workers.
 type stmtCache struct {
-	mu      sync.RWMutex
-	entries map[stmtKey]*stmtEntry
+	mu      sync.Mutex
+	entries memo.Gen[stmtKey, *stmtEntry]
 	// atomBound is atomGeneration; a field so a test can force turnover.
 	atomBound int
 }
 
 func newStmtCache() *stmtCache {
-	return &stmtCache{entries: make(map[stmtKey]*stmtEntry), atomBound: atomGeneration}
+	return &stmtCache{
+		entries:   memo.Gen[stmtKey, *stmtEntry]{Cap: stmtGeneration, Evict: mPreparedEvict},
+		atomBound: atomGeneration,
+	}
 }
 
 // entry returns the cached entry for a statement in NormalizeSQL form,
@@ -164,9 +175,9 @@ func newStmtCache() *stmtCache {
 func (c *stmtCache) entry(db *engine.Database, norm string) *stmtEntry {
 	key := stmtKey{db: db, sql: norm}
 	ver := db.Catalog.Version()
-	c.mu.RLock()
-	e := c.entries[key]
-	c.mu.RUnlock()
+	c.mu.Lock()
+	e, _ := c.entries.Get(key)
+	c.mu.Unlock()
 	if e != nil && e.version == ver {
 		mPreparedHit.Inc()
 		return e
@@ -183,13 +194,13 @@ func (c *stmtCache) entry(db *engine.Database, norm string) *stmtEntry {
 		entry.pq = optimizer.Prepare(q)
 	}
 	c.mu.Lock()
-	cur := c.entries[key]
+	cur, _ := c.entries.Get(key)
 	if cur != nil && cur.version == ver {
 		// Lost a prepare race; keep the winner so all callers share one
 		// plan-space memo.
 		entry = cur
 	} else {
-		c.entries[key] = entry
+		c.entries.Put(key, entry)
 	}
 	c.mu.Unlock()
 	if cur != nil && cur != entry {
@@ -279,7 +290,9 @@ func (e *stmtEntry) retire() {
 }
 
 // atomCount is the number of atoms held by every statement cache of the
-// process (a discarded model's atoms are not subtracted).
+// process. A discarded model's atoms are not subtracted, nor those of a
+// statement evicted from its cache: specs holding its handle still use
+// them.
 var atomCount atomic.Int64
 
 func addAtoms(n int) { gAtomSize.Set(float64(atomCount.Add(int64(n)))) }

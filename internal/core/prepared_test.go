@@ -202,12 +202,26 @@ func TestPreparedCacheInvalidation(t *testing.T) {
 		t.Errorf("after the catalog change %d statement pricings reached the optimizer, want %d (each statement once per allocation)", got, want)
 	}
 
+	// DML changes rows, not the statistics or schema a plan reads: the
+	// version stays, the prepared statements and their atoms stay, and the
+	// memoized cost still equals the cold path's.
 	v2 := db.Catalog.Version()
-	if _, err := s.Exec("INSERT INTO orders VALUES (999999, 1, 'O', 1.0, DATE '1998-01-01', 'LOW', 'late insert')"); err != nil {
-		t.Fatal(err)
+	for _, dml := range []string{
+		"INSERT INTO orders VALUES (999999, 1, 'O', 1.0, DATE '1998-01-01', 'LOW', 'late insert')",
+		"UPDATE lineitem SET l_quantity = l_quantity + 1 WHERE l_commitdate < DATE '1992-03-01'",
+		"DELETE FROM orders WHERE o_orderkey = 999999",
+	} {
+		if _, err := s.Exec(dml); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if db.Catalog.Version() == v2 {
-		t.Error("DML did not bump the catalog version")
+	if db.Catalog.Version() != v2 {
+		t.Error("DML bumped the catalog version")
+	}
+	missed = mAtomMiss.Value()
+	sweep("after DML")
+	if got := mAtomMiss.Value() - missed; got != 0 {
+		t.Errorf("after DML %d statement pricings reached the optimizer, want 0", got)
 	}
 }
 

@@ -28,21 +28,44 @@ var (
 	mVictims         = obs.Global.Counter("engine.dml.victims")
 )
 
-// planVictimScan binds `SELECT items FROM table WHERE where` and optimizes
-// it under the session's parameters. The returned plan's Root is the scan
-// subtree alone (the projection is stripped: victims are whole tuples), and
-// its Query.Select holds the bound items.
-func (s *Session) planVictimScan(table string, where sql.Expr, items []sql.SelectItem) (*optimizer.Plan, error) {
-	q, err := plan.Bind(&sql.SelectStmt{
-		Items: items,
-		From:  []sql.FromItem{&sql.TableRef{Table: table}},
-		Where: where,
-	}, s.DB.Catalog)
+// bindVictims binds an UPDATE's or DELETE's victim query, `SELECT items
+// FROM table WHERE where`, where an UPDATE's items are its SET expressions
+// and a DELETE's is *. It also returns the query's literals with the
+// Consts they became (plan.BindParams).
+func (s *Session) bindVictims(stmt sql.Statement) (*plan.Query, []plan.Param, error) {
+	var sel *sql.SelectStmt
+	switch x := stmt.(type) {
+	case *sql.UpdateStmt:
+		sel = victimSelect(x.Table, x.Where, setItems(x))
+	case *sql.DeleteStmt:
+		sel = victimSelect(x.Table, x.Where, starItem)
+	default:
+		return nil, nil, fmt.Errorf("engine: %T has no victim scan", stmt)
+	}
+	q, params, err := plan.BindParams(sel, s.DB.Catalog)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if q.Grouped {
-		return nil, fmt.Errorf("engine: aggregates are not allowed in UPDATE or DELETE")
+		return nil, nil, fmt.Errorf("engine: aggregates are not allowed in UPDATE or DELETE")
+	}
+	return q, params, nil
+}
+
+func victimSelect(table string, where sql.Expr, items []sql.SelectItem) *sql.SelectStmt {
+	return &sql.SelectStmt{Items: items, From: []sql.FromItem{&sql.TableRef{Table: table}}, Where: where}
+}
+
+// planVictimScan optimizes a statement's victim query q under the
+// session's parameters, binding it first when q is nil. The returned plan's Root is
+// the scan subtree alone (the projection is stripped: victims are whole
+// tuples), and its Query.Select holds the bound items.
+func (s *Session) planVictimScan(stmt sql.Statement, q *plan.Query) (*optimizer.Plan, error) {
+	if q == nil {
+		var err error
+		if q, _, err = s.bindVictims(stmt); err != nil {
+			return nil, err
+		}
 	}
 	pl, err := optimizer.Optimize(q, s.Params)
 	if err != nil {
@@ -69,8 +92,8 @@ func setItems(upd *sql.UpdateStmt) []sql.SelectItem {
 
 // explainDML renders the victim-scan plan of an UPDATE or DELETE under a
 // "<verb> on <table>" header.
-func (s *Session) explainDML(verb, table string, where sql.Expr, items []sql.SelectItem) (string, error) {
-	pl, err := s.planVictimScan(table, where, items)
+func (s *Session) explainDML(verb string, stmt sql.Statement) (string, error) {
+	pl, err := s.planVictimScan(stmt, nil)
 	if err != nil {
 		return "", err
 	}
@@ -78,9 +101,10 @@ func (s *Session) explainDML(verb, table string, where sql.Expr, items []sql.Sel
 }
 
 // execDelete removes all rows matching the predicate, maintaining every
-// index, and returns the number of rows deleted.
-func (s *Session) execDelete(del *sql.DeleteStmt) (int64, error) {
-	pl, err := s.planVictimScan(del.Table, del.Where, starItem)
+// index, and returns the number of rows deleted. q is the bound victim
+// query, or nil to bind it.
+func (s *Session) execDelete(del *sql.DeleteStmt, q *plan.Query) (int64, error) {
+	pl, err := s.planVictimScan(del, q)
 	if err != nil {
 		return 0, err
 	}
@@ -129,9 +153,9 @@ func (s *Session) collectVictims(pl *optimizer.Plan) ([]dmlVictim, error) {
 
 // execUpdate rewrites all rows matching the predicate. The updated row is
 // deleted and re-inserted (possibly at a new TID), with index maintenance
-// on both sides.
-func (s *Session) execUpdate(upd *sql.UpdateStmt) (int64, error) {
-	pl, err := s.planVictimScan(upd.Table, upd.Where, setItems(upd))
+// on both sides. q is the bound victim query, or nil to bind it.
+func (s *Session) execUpdate(upd *sql.UpdateStmt, q *plan.Query) (int64, error) {
+	pl, err := s.planVictimScan(upd, q)
 	if err != nil {
 		return 0, err
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"dbvirt/internal/executor"
-	"dbvirt/internal/optimizer"
 	"dbvirt/internal/sql"
 	"dbvirt/internal/vm"
 )
@@ -166,15 +165,7 @@ func victimScanUsage(t *testing.T, s *Session, src string) (vm.Usage, int) {
 		t.Fatal(err)
 	}
 	c := coldSession(t, s)
-	var pl *optimizer.Plan
-	switch x := stmt.(type) {
-	case *sql.DeleteStmt:
-		pl, err = c.planVictimScan(x.Table, x.Where, starItem)
-	case *sql.UpdateStmt:
-		pl, err = c.planVictimScan(x.Table, x.Where, setItems(x))
-	default:
-		t.Fatalf("%q is not a DELETE or UPDATE", src)
-	}
+	pl, err := c.planVictimScan(stmt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

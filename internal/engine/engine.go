@@ -15,6 +15,7 @@ import (
 	"dbvirt/internal/buffer"
 	"dbvirt/internal/catalog"
 	"dbvirt/internal/executor"
+	"dbvirt/internal/memo"
 	"dbvirt/internal/optimizer"
 	"dbvirt/internal/plan"
 	"dbvirt/internal/sql"
@@ -91,6 +92,11 @@ type Session struct {
 	// txn is the open transaction, nil outside one. Implicit transactions
 	// (autocommit DML) exist only for the duration of runDML.
 	txn *Txn
+
+	// shape is the token buffer RunStatement scans every statement into;
+	// stmts holds its statement templates by shape key (stmtcache.go).
+	shape sql.Shape
+	stmts memo.Gen[string, *stmtTemplate]
 }
 
 // NewSession binds a database to a VM.
@@ -109,7 +115,8 @@ func NewSession(db *Database, v *vm.VM, cfg Config) (*Session, error) {
 	params := optimizer.DefaultParams()
 	params.EffectiveCacheSizePages = int64(frames)
 	params.WorkMemBytes = workMemFor(v, cfg)
-	return &Session{DB: db, VM: v, Pool: pool, Config: cfg, Params: params}, nil
+	return &Session{DB: db, VM: v, Pool: pool, Config: cfg, Params: params,
+		stmts: memo.Gen[string, *stmtTemplate]{Cap: stmtCacheCap, Evict: mStmtEvict}}, nil
 }
 
 func workMemFor(v *vm.VM, cfg Config) int64 {
@@ -140,6 +147,13 @@ func (s *Session) Exec(src string) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
+	return s.exec(stmt, nil)
+}
+
+// exec runs a parsed statement for Exec and RunStatement. victims, when
+// non-nil, is an UPDATE's or DELETE's victim query already bound
+// (bindVictims); otherwise exec binds it.
+func (s *Session) exec(stmt sql.Statement, victims *plan.Query) (int64, error) {
 	switch x := stmt.(type) {
 	case *sql.CreateTableStmt:
 		cols := make([]catalog.Column, len(x.Columns))
@@ -161,30 +175,30 @@ func (s *Session) Exec(src string) (int64, error) {
 		}
 		return 0, s.logDDL(&wal.Record{Type: wal.RecCreateIndex, Table: x.Table, Index: x.Name, Column: x.Column})
 
+	// DML and transaction ends change rows, which cached columnar blocks
+	// hold, but no statistics or schema, which plans read: they leave the
+	// catalog version alone.
 	case *sql.InsertStmt:
-		// DML bumps the catalog version conservatively: estimates only
-		// change after ANALYZE, but cached plans should not outlive the
-		// data they were costed against.
-		defer s.DB.Catalog.Invalidate()
+		defer s.DB.Catalog.ClearBlocks()
 		return s.runDML(func() (int64, error) { return s.execInsert(x) })
 
 	case *sql.DeleteStmt:
-		defer s.DB.Catalog.Invalidate()
-		return s.runDML(func() (int64, error) { return s.execDelete(x) })
+		defer s.DB.Catalog.ClearBlocks()
+		return s.runDML(func() (int64, error) { return s.execDelete(x, victims) })
 
 	case *sql.UpdateStmt:
-		defer s.DB.Catalog.Invalidate()
-		return s.runDML(func() (int64, error) { return s.execUpdate(x) })
+		defer s.DB.Catalog.ClearBlocks()
+		return s.runDML(func() (int64, error) { return s.execUpdate(x, victims) })
 
 	case *sql.BeginStmt:
 		return 0, s.Begin()
 
 	case *sql.CommitStmt:
-		defer s.DB.Catalog.Invalidate()
+		defer s.DB.Catalog.ClearBlocks()
 		return 0, s.Commit()
 
 	case *sql.RollbackStmt:
-		defer s.DB.Catalog.Invalidate()
+		defer s.DB.Catalog.ClearBlocks()
 		return 0, s.Rollback()
 
 	case *sql.CheckpointStmt:
@@ -376,9 +390,9 @@ func (s *Session) Explain(src string) (string, error) {
 	if stmt, err := sql.Parse(trimmed); err == nil {
 		switch x := stmt.(type) {
 		case *sql.UpdateStmt:
-			return s.explainDML("Update", x.Table, x.Where, setItems(x))
+			return s.explainDML("Update", x)
 		case *sql.DeleteStmt:
-			return s.explainDML("Delete", x.Table, x.Where, starItem)
+			return s.explainDML("Delete", x)
 		}
 		if ex, ok := stmt.(*sql.ExplainStmt); ok {
 			q, err := plan.Bind(ex.Query, s.DB.Catalog)
@@ -474,44 +488,49 @@ func (s *Session) explainAnalyzePlan(src string, pl *optimizer.Plan) (string, er
 	return out, nil
 }
 
-// RunStatement executes one workload statement (SELECT or DML) for its
-// side effects and cost, returning the number of rows produced or
-// affected.
+// RunStatement executes one workload statement for its side effects and
+// cost, returning the number of rows a SELECT produced or any other
+// statement affected. Its parse and bind step is memoized per statement
+// shape (stmtcache.go); the optimizer still plans every execution.
 func (s *Session) RunStatement(src string) (int64, error) {
-	trimmed := strings.TrimSpace(strings.ToUpper(src))
-	if strings.HasPrefix(trimmed, "SELECT") {
-		pl, err := s.Plan(src, s.Params)
-		if err != nil {
-			return 0, err
-		}
-		// The prediction is only computed when someone is listening: the
-		// estimate walk is wasted work on the hot measured-model path.
-		var predicted float64
-		if s.Observer != nil && pl.Params.Calibrated() {
-			predicted = pl.EstimatedSeconds()
-		}
-		start := s.VM.Snapshot()
-		res, err := executor.Run(pl, s.execContext())
-		if err != nil {
-			return 0, err
-		}
-		defer res.Close()
-		var n int64
-		for {
-			_, ok, err := res.Next()
-			if err != nil {
-				return n, err
-			}
-			if !ok {
-				if s.Observer != nil {
-					s.Observer.ObserveExec(src, predicted, s.VM.ElapsedSince(start))
-				}
-				return n, nil
-			}
-			n++
-		}
+	st, err := s.statement(src)
+	if err != nil {
+		return 0, err
 	}
-	return s.Exec(src)
+	if _, ok := st.tpl.Stmt.(*sql.SelectStmt); !ok {
+		return s.exec(st.tpl.Stmt, st.q)
+	}
+	pl, err := optimizer.Optimize(st.q, s.Params)
+	if err != nil {
+		return 0, err
+	}
+	// The prediction is only computed when someone is listening: the
+	// estimate walk is wasted work on the hot measured-model path.
+	var predicted float64
+	if s.Observer != nil && pl.Params.Calibrated() {
+		predicted = pl.EstimatedSeconds()
+	}
+	start := s.VM.Snapshot()
+	res, err := executor.Run(pl, s.execContext())
+	if err != nil {
+		return 0, err
+	}
+	// The plan reads the template's constants: drain it before returning.
+	defer res.Close()
+	var n int64
+	for {
+		_, ok, err := res.Next()
+		if err != nil {
+			return n, err
+		}
+		if !ok {
+			if s.Observer != nil {
+				s.Observer.ObserveExec(src, predicted, s.VM.ElapsedSince(start))
+			}
+			return n, nil
+		}
+		n++
+	}
 }
 
 // RunWorkload executes a sequence of statements, returning the simulated

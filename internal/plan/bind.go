@@ -106,11 +106,37 @@ type binder struct {
 	cat    *catalog.Catalog
 	rels   []*Rel
 	byName map[string]*Rel
+	// params, when non-nil, collects the literals bound in input scope,
+	// derived tables' included.
+	params *[]Param
+}
+
+// Param pairs a literal of a parsed statement with the Const it was bound
+// to. A caller that rewrites the literal's value in place (a statement
+// template) copies it to the Const instead of binding again.
+type Param struct {
+	Lit   *sql.Literal
+	Const *Const
 }
 
 // Bind resolves a parsed SELECT against the catalog.
 func Bind(sel *sql.SelectStmt, cat *catalog.Catalog) (*Query, error) {
-	b := &binder{cat: cat, byName: make(map[string]*Rel)}
+	return newBinder(cat, nil).bind(sel)
+}
+
+// BindParams is Bind that also returns each literal it bound with the
+// Const it became.
+func BindParams(sel *sql.SelectStmt, cat *catalog.Catalog) (*Query, []Param, error) {
+	var params []Param
+	q, err := newBinder(cat, &params).bind(sel)
+	return q, params, err
+}
+
+func newBinder(cat *catalog.Catalog, params *[]Param) *binder {
+	return &binder{cat: cat, byName: make(map[string]*Rel), params: params}
+}
+
+func (b *binder) bind(sel *sql.SelectStmt) (*Query, error) {
 	q := &Query{}
 
 	// FROM: decide between the flat inner-join form and a fixed tree.
@@ -363,7 +389,7 @@ func (b *binder) addRel(ref *sql.TableRef) (*Rel, error) {
 // independent query (no correlation with the outer scope) and exposed as
 // a relation whose columns are the inner query's visible outputs.
 func (b *binder) addSubqueryRel(ref *sql.SubqueryRef) (*Rel, error) {
-	inner, err := Bind(ref.Select, b.cat)
+	inner, err := newBinder(b.cat, b.params).bind(ref.Select)
 	if err != nil {
 		return nil, fmt.Errorf("plan: derived table %q: %w", ref.Alias, err)
 	}
@@ -435,7 +461,11 @@ func (b *binder) bindNoAgg(e sql.Expr, ctx string) (Expr, error) {
 func (b *binder) bindScalar(e sql.Expr, ctx string) (Expr, error) {
 	switch x := e.(type) {
 	case *sql.Literal:
-		return &Const{Val: x.Value}, nil
+		c := &Const{Val: x.Value}
+		if b.params != nil {
+			*b.params = append(*b.params, Param{Lit: x, Const: c})
+		}
+		return c, nil
 
 	case *sql.ColumnRef:
 		return b.resolveColumn(x)

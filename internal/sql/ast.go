@@ -299,7 +299,7 @@ const (
 	AggMax
 )
 
-var aggNames = map[AggFunc]string{
+var aggNames = [...]string{
 	AggCount: "COUNT", AggSum: "SUM", AggAvg: "AVG", AggMin: "MIN", AggMax: "MAX",
 }
 

@@ -31,7 +31,7 @@ func BenchmarkParse(b *testing.B) {
 func BenchmarkLex(b *testing.B) {
 	q := benchQueries["tpchQ1"]
 	for i := 0; i < b.N; i++ {
-		if _, err := lex(q); err != nil {
+		if _, err := lex(nil, q); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,32 +5,36 @@ import (
 	"testing"
 )
 
+// parseSeeds are FuzzParse's seed inputs; FuzzStatementShape starts from
+// them too.
+var parseSeeds = []string{
+	"SELECT 1",
+	"SELECT * FROM t",
+	"SELECT a, b FROM t WHERE a > 10 ORDER BY b LIMIT 5;",
+	"SELECT count(*) FROM orders WHERE o_orderdate >= '1993-07-01'",
+	"SELECT l_orderkey, sum(l_extendedprice) FROM lineitem GROUP BY l_orderkey",
+	"SELECT a FROM t -- trailing comment",
+	"SELECT 'it''s' FROM t",
+	"select\n\ta\nfrom\tt\nwhere a = 'x y'",
+	"CREATE TABLE t (a INT)",
+	"INSERT INTO t VALUES (1, 'x')",
+	"",
+	";",
+	"--",
+	"SELECT",
+	"'unterminated",
+	"SELECT 1;;",
+	"SELECT a FROM t LIMIT 0",
+	"SELECT a FROM t LIMIT 9223372036854775807",
+	"SELECT a FROM t LIMIT 99999999999999999999",
+	"\x00\xff",
+}
+
 // FuzzParse drives the lexer and parser with arbitrary input. The
 // invariants: never panic, fail with a non-empty diagnostic, behave
 // deterministically, and treat surrounding whitespace as insignificant.
 func FuzzParse(f *testing.F) {
-	for _, seed := range []string{
-		"SELECT 1",
-		"SELECT * FROM t",
-		"SELECT a, b FROM t WHERE a > 10 ORDER BY b LIMIT 5;",
-		"SELECT count(*) FROM orders WHERE o_orderdate >= '1993-07-01'",
-		"SELECT l_orderkey, sum(l_extendedprice) FROM lineitem GROUP BY l_orderkey",
-		"SELECT a FROM t -- trailing comment",
-		"SELECT 'it''s' FROM t",
-		"select\n\ta\nfrom\tt\nwhere a = 'x y'",
-		"CREATE TABLE t (a INT)",
-		"INSERT INTO t VALUES (1, 'x')",
-		"",
-		";",
-		"--",
-		"SELECT",
-		"'unterminated",
-		"SELECT 1;;",
-		"SELECT a FROM t LIMIT 0",
-		"SELECT a FROM t LIMIT 9223372036854775807",
-		"SELECT a FROM t LIMIT 99999999999999999999",
-		"\x00\xff",
-	} {
+	for _, seed := range parseSeeds {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, src string) {

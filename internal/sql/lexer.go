@@ -16,13 +16,12 @@ const (
 	tokSymbol // punctuation and operators
 )
 
-// token is one lexed token. For identifiers, Text preserves the original
-// spelling and Upper is the upper-cased form used for keyword matching.
+// token is one lexed token. Identifiers keep their original spelling;
+// keywords are matched case-insensitively with strings.EqualFold.
 type token struct {
-	kind  tokenKind
-	text  string
-	upper string
-	pos   int // byte offset, for error messages
+	kind tokenKind
+	text string
+	pos  int // byte offset, for error messages
 }
 
 // lexer splits SQL text into tokens.
@@ -32,9 +31,10 @@ type lexer struct {
 	toks []token
 }
 
-// lex tokenizes the whole input.
-func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
+// lex appends the tokens of src, ending with tokEOF, to toks[:0] and
+// returns the extended slice, so a caller can reuse one buffer.
+func lex(toks []token, src string) ([]token, error) {
+	l := &lexer{src: src, toks: toks[:0]}
 	for {
 		l.skipSpace()
 		if l.pos >= len(l.src) {
@@ -42,25 +42,19 @@ func lex(src string) ([]token, error) {
 			return l.toks, nil
 		}
 		c := l.src[l.pos]
+		var err error
 		switch {
 		case isIdentStart(c):
 			l.lexIdent()
-		case c >= '0' && c <= '9':
-			if err := l.lexNumber(); err != nil {
-				return nil, err
-			}
-		case c == '.' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1]):
-			if err := l.lexNumber(); err != nil {
-				return nil, err
-			}
+		case isDigit(c) || c == '.' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1]):
+			err = l.lexNumber()
 		case c == '\'':
-			if err := l.lexString(); err != nil {
-				return nil, err
-			}
+			err = l.lexString()
 		default:
-			if err := l.lexSymbol(); err != nil {
-				return nil, err
-			}
+			err = l.lexSymbol()
+		}
+		if err != nil {
+			return l.toks, err
 		}
 	}
 }
@@ -98,8 +92,7 @@ func (l *lexer) lexIdent() {
 	for l.pos < len(l.src) && isIdentChar(l.src[l.pos]) {
 		l.pos++
 	}
-	text := l.src[start:l.pos]
-	l.emit(token{kind: tokIdent, text: text, upper: strings.ToUpper(text), pos: start})
+	l.emit(token{kind: tokIdent, text: l.src[start:l.pos], pos: start})
 }
 
 func (l *lexer) lexNumber() error {
@@ -125,24 +118,37 @@ func (l *lexer) lexNumber() error {
 	return nil
 }
 
+// lexString scans a quoted literal. The token's text is the unquoted
+// value: a slice of the source unless the literal contains a doubled
+// quote, the only escape.
 func (l *lexer) lexString() error {
 	start := l.pos
 	l.pos++ // opening quote
 	var sb strings.Builder
+	escaped := false
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		if c == '\'' {
-			// '' escapes a quote
 			if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
+				if !escaped {
+					sb.WriteString(l.src[start+1 : l.pos])
+					escaped = true
+				}
 				sb.WriteByte('\'')
 				l.pos += 2
 				continue
 			}
+			text := l.src[start+1 : l.pos]
+			if escaped {
+				text = sb.String()
+			}
 			l.pos++
-			l.emit(token{kind: tokString, text: sb.String(), pos: start})
+			l.emit(token{kind: tokString, text: text, pos: start})
 			return nil
 		}
-		sb.WriteByte(c)
+		if escaped {
+			sb.WriteByte(c)
+		}
 		l.pos++
 	}
 	return fmt.Errorf("sql: unterminated string at offset %d", start)
@@ -164,7 +170,7 @@ func (l *lexer) lexSymbol() error {
 	switch c {
 	case '(', ')', ',', '*', '+', '-', '/', '=', '<', '>', '.', ';':
 		l.pos++
-		l.emit(token{kind: tokSymbol, text: string(c), pos: start})
+		l.emit(token{kind: tokSymbol, text: l.src[start:l.pos], pos: start})
 		return nil
 	default:
 		return fmt.Errorf("sql: unexpected character %q at offset %d", c, start)

@@ -11,11 +11,15 @@ import (
 // Parse parses one SQL statement (an optional trailing semicolon is
 // allowed).
 func Parse(src string) (Statement, error) {
-	toks, err := lex(src)
+	toks, err := lex(nil, src)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, src: src}
+	return (&parser{toks: toks}).parse()
+}
+
+// parse parses the whole token stream as one statement.
+func (p *parser) parse() (Statement, error) {
 	stmt, err := p.parseStatement()
 	if err != nil {
 		return nil, err
@@ -43,7 +47,14 @@ func ParseSelect(src string) (*SelectStmt, error) {
 type parser struct {
 	toks []token
 	i    int
-	src  string
+
+	// param is set while the parser is in a clause whose literals are
+	// statement parameters: WHERE, ON, INSERT VALUES and UPDATE SET, outside
+	// aggregate calls. There binding depends on a literal's kind, never on
+	// its value. With record set, each parameter is appended to params.
+	param  bool
+	record bool
+	params []param
 }
 
 func (p *parser) cur() token  { return p.toks[p.i] }
@@ -58,7 +69,11 @@ func (p *parser) advance() token {
 }
 
 func (p *parser) errorf(format string, args ...any) error {
-	t := p.cur()
+	return errorAt(p.cur(), format, args...)
+}
+
+// errorAt reports a syntax error at token t.
+func errorAt(t token, format string, args ...any) error {
 	where := "end of input"
 	if t.kind != tokEOF {
 		where = fmt.Sprintf("%q (offset %d)", t.text, t.pos)
@@ -68,7 +83,7 @@ func (p *parser) errorf(format string, args ...any) error {
 
 // acceptKeyword consumes the token if it is the given keyword.
 func (p *parser) acceptKeyword(kw string) bool {
-	if p.cur().kind == tokIdent && p.cur().upper == kw {
+	if p.peekKeyword(kw) {
 		p.i++
 		return true
 	}
@@ -85,7 +100,20 @@ func (p *parser) expectKeyword(kw string) error {
 
 // peekKeyword reports whether the current token is the keyword.
 func (p *parser) peekKeyword(kw string) bool {
-	return p.cur().kind == tokIdent && p.cur().upper == kw
+	return isKeyword(p.cur(), kw)
+}
+
+// isKeyword reports whether t is the identifier kw in any letter case.
+func isKeyword(t token, kws ...string) bool {
+	if t.kind != tokIdent {
+		return false
+	}
+	for _, kw := range kws {
+		if strings.EqualFold(t.text, kw) {
+			return true
+		}
+	}
+	return false
 }
 
 // acceptSymbol consumes the token if it is the given symbol.
@@ -161,9 +189,8 @@ func (p *parser) parseStatement() (Statement, error) {
 }
 
 // reservedAfterFrom are keywords that terminate a table alias.
-var reservedAfterFrom = map[string]bool{
-	"WHERE": true, "GROUP": true, "HAVING": true, "ORDER": true, "LIMIT": true,
-	"JOIN": true, "INNER": true, "LEFT": true, "ON": true, "AND": true, "OR": true,
+var reservedAfterFrom = []string{
+	"WHERE", "GROUP", "HAVING", "ORDER", "LIMIT", "JOIN", "INNER", "LEFT", "ON", "AND", "OR",
 }
 
 func (p *parser) parseSelect() (Statement, error) {
@@ -199,7 +226,7 @@ func (p *parser) parseSelect() (Statement, error) {
 	}
 
 	if p.acceptKeyword("WHERE") {
-		e, err := p.parseExpr()
+		e, err := p.parseClause(true)
 		if err != nil {
 			return nil, err
 		}
@@ -210,7 +237,7 @@ func (p *parser) parseSelect() (Statement, error) {
 			return nil, err
 		}
 		for {
-			e, err := p.parseExpr()
+			e, err := p.parseClause(false)
 			if err != nil {
 				return nil, err
 			}
@@ -221,7 +248,7 @@ func (p *parser) parseSelect() (Statement, error) {
 		}
 	}
 	if p.acceptKeyword("HAVING") {
-		e, err := p.parseExpr()
+		e, err := p.parseClause(false)
 		if err != nil {
 			return nil, err
 		}
@@ -260,7 +287,7 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 	if p.acceptSymbol("*") {
 		return SelectItem{Star: true}, nil
 	}
-	e, err := p.parseExpr()
+	e, err := p.parseClause(false)
 	if err != nil {
 		return SelectItem{}, err
 	}
@@ -271,7 +298,7 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 			return SelectItem{}, err
 		}
 		item.Alias = alias
-	} else if p.cur().kind == tokIdent && !reservedSelectTail[p.cur().upper] {
+	} else if p.cur().kind == tokIdent && !isKeyword(p.cur(), reservedSelectTail...) {
 		item.Alias = p.advance().text
 	}
 	return item, nil
@@ -280,10 +307,7 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 // reservedSelectTail are keywords that end the select list (so a bare
 // identifier after an expression is an implicit alias only if not one of
 // these).
-var reservedSelectTail = map[string]bool{
-	"FROM": true, "WHERE": true, "GROUP": true, "HAVING": true,
-	"ORDER": true, "LIMIT": true, "AS": true,
-}
+var reservedSelectTail = []string{"FROM", "WHERE", "GROUP", "HAVING", "ORDER", "LIMIT", "AS"}
 
 func (p *parser) parseOrderItem() (OrderItem, error) {
 	var item OrderItem
@@ -294,7 +318,7 @@ func (p *parser) parseOrderItem() (OrderItem, error) {
 		}
 		item.Position = n
 	} else {
-		e, err := p.parseExpr()
+		e, err := p.parseClause(false)
 		if err != nil {
 			return item, err
 		}
@@ -343,7 +367,7 @@ func (p *parser) parseFromItem() (FromItem, error) {
 		if err := p.expectKeyword("ON"); err != nil {
 			return nil, err
 		}
-		on, err := p.parseExpr()
+		on, err := p.parseClause(true)
 		if err != nil {
 			return nil, err
 		}
@@ -387,7 +411,7 @@ func (p *parser) parseTableRef() (*TableRef, error) {
 			return nil, err
 		}
 		ref.Alias = alias
-	} else if p.cur().kind == tokIdent && !reservedAfterFrom[p.cur().upper] {
+	} else if p.cur().kind == tokIdent && !isKeyword(p.cur(), reservedAfterFrom...) {
 		ref.Alias = p.advance().text
 	}
 	return ref, nil
@@ -501,7 +525,7 @@ func (p *parser) parseInsert() (Statement, error) {
 		}
 		var row []Expr
 		for {
-			e, err := p.parseExpr()
+			e, err := p.parseClause(true)
 			if err != nil {
 				return nil, err
 			}
@@ -532,7 +556,7 @@ func (p *parser) parseDelete() (Statement, error) {
 	}
 	del := &DeleteStmt{Table: table}
 	if p.acceptKeyword("WHERE") {
-		e, err := p.parseExpr()
+		e, err := p.parseClause(true)
 		if err != nil {
 			return nil, err
 		}
@@ -559,7 +583,7 @@ func (p *parser) parseUpdate() (Statement, error) {
 		if err := p.expectSymbol("="); err != nil {
 			return nil, err
 		}
-		e, err := p.parseExpr()
+		e, err := p.parseClause(true)
 		if err != nil {
 			return nil, err
 		}
@@ -569,7 +593,7 @@ func (p *parser) parseUpdate() (Statement, error) {
 		}
 	}
 	if p.acceptKeyword("WHERE") {
-		e, err := p.parseExpr()
+		e, err := p.parseClause(true)
 		if err != nil {
 			return nil, err
 		}
@@ -590,6 +614,16 @@ func (p *parser) parseAnalyze() (Statement, error) {
 // --- expressions ---
 
 func (p *parser) parseExpr() (Expr, error) { return p.parseOr() }
+
+// parseClause parses an expression whose literals are parameters exactly
+// when param is set.
+func (p *parser) parseClause(param bool) (Expr, error) {
+	outer := p.param
+	p.param = param
+	e, err := p.parseExpr()
+	p.param = outer
+	return e, err
+}
 
 func (p *parser) parseOr() (Expr, error) {
 	l, err := p.parseAnd()
@@ -764,13 +798,14 @@ func (p *parser) parseUnary() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		if lit, ok := e.(*Literal); ok {
-			switch lit.Value.Kind {
-			case types.KindInt:
-				return &Literal{Value: types.NewInt(-lit.Value.I)}, nil
-			case types.KindFloat:
-				return &Literal{Value: types.NewFloat(-lit.Value.F)}, nil
+		// A negated number folds into its literal. The literal is always
+		// the last one parsed, so a recorded parameter notes the sign.
+		if lit, ok := e.(*Literal); ok && (lit.Value.Kind == types.KindInt || lit.Value.Kind == types.KindFloat) {
+			lit.Value = negate(lit.Value)
+			if n := len(p.params); n > 0 && p.params[n-1].lit == lit {
+				p.params[n-1].neg = !p.params[n-1].neg
 			}
+			return lit, nil
 		}
 		return &NegExpr{E: e}, nil
 	}
@@ -778,30 +813,70 @@ func (p *parser) parseUnary() (Expr, error) {
 	return p.parsePrimary()
 }
 
-var aggFuncs = map[string]AggFunc{
-	"COUNT": AggCount, "SUM": AggSum, "AVG": AggAvg, "MIN": AggMin, "MAX": AggMax,
+// negate is arithmetic negation of an INT or FLOAT value.
+func negate(v types.Value) types.Value {
+	if v.Kind == types.KindInt {
+		return types.NewInt(-v.I)
+	}
+	return types.NewFloat(-v.F)
+}
+
+// numberKind is the kind of a number token: FLOAT with a decimal point,
+// INT without.
+func numberKind(text string) types.Kind {
+	if strings.Contains(text, ".") {
+		return types.KindFloat
+	}
+	return types.KindInt
+}
+
+// literalValue converts a literal token's text to a value of the kind the
+// parser gave it, reporting whether the text is valid for that kind.
+func literalValue(k types.Kind, text string) (types.Value, bool) {
+	switch k {
+	case types.KindInt:
+		n, err := strconv.ParseInt(text, 10, 64)
+		return types.NewInt(n), err == nil
+	case types.KindFloat:
+		f, err := strconv.ParseFloat(text, 64)
+		return types.NewFloat(f), err == nil
+	case types.KindDate:
+		v, err := types.ParseDate(text)
+		return v, err == nil
+	default:
+		return types.NewString(text), true
+	}
+}
+
+// invalidLiteral names what a literal of each kind failed to be.
+var invalidLiteral = map[types.Kind]string{
+	types.KindInt: "invalid integer %q", types.KindFloat: "invalid number %q", types.KindDate: "invalid date literal %q",
+}
+
+// literal parses the current token as a literal of kind k that begins at
+// token at (a DATE literal begins at its keyword). Inside a parameter
+// clause the literal is recorded as a parameter.
+func (p *parser) literal(at token, k types.Kind) (Expr, error) {
+	i := p.i
+	v, ok := literalValue(k, p.toks[i].text)
+	if !ok {
+		return nil, errorAt(at, invalidLiteral[k], p.toks[i].text)
+	}
+	p.advance()
+	lit := &Literal{Value: v}
+	if p.record && p.param {
+		p.params = append(p.params, param{tok: i, lit: lit, kind: k})
+	}
+	return lit, nil
 }
 
 func (p *parser) parsePrimary() (Expr, error) {
 	t := p.cur()
 	switch t.kind {
 	case tokNumber:
-		p.advance()
-		if strings.Contains(t.text, ".") {
-			f, err := strconv.ParseFloat(t.text, 64)
-			if err != nil {
-				return nil, p.errorf("invalid number %q", t.text)
-			}
-			return &Literal{Value: types.NewFloat(f)}, nil
-		}
-		n, err := strconv.ParseInt(t.text, 10, 64)
-		if err != nil {
-			return nil, p.errorf("invalid integer %q", t.text)
-		}
-		return &Literal{Value: types.NewInt(n)}, nil
+		return p.literal(t, numberKind(t.text))
 	case tokString:
-		p.advance()
-		return &Literal{Value: types.NewString(t.text)}, nil
+		return p.literal(t, types.KindString)
 	case tokSymbol:
 		if t.text == "(" {
 			p.advance()
@@ -816,50 +891,29 @@ func (p *parser) parsePrimary() (Expr, error) {
 		}
 		return nil, p.errorf("expected expression")
 	case tokIdent:
-		upper := t.upper
+		next := p.toks[p.i+1]
 		// Typed literals: DATE 'yyyy-mm-dd'.
-		if upper == "DATE" && p.toks[p.i+1].kind == tokString {
+		if next.kind == tokString && isKeyword(t, "DATE") {
 			p.advance()
-			s := p.advance().text
-			v, err := types.ParseDate(s)
-			if err != nil {
-				return nil, p.errorf("invalid date literal %q", s)
-			}
-			return &Literal{Value: v}, nil
+			return p.literal(t, types.KindDate)
 		}
-		if upper == "TRUE" {
+		switch {
+		case isKeyword(t, "TRUE"):
 			p.advance()
 			return &Literal{Value: types.NewBool(true)}, nil
-		}
-		if upper == "FALSE" {
+		case isKeyword(t, "FALSE"):
 			p.advance()
 			return &Literal{Value: types.NewBool(false)}, nil
-		}
-		if upper == "NULL" {
+		case isKeyword(t, "NULL"):
 			p.advance()
 			return &Literal{Value: types.Null}, nil
 		}
-		// Aggregate call.
-		if fn, ok := aggFuncs[upper]; ok && p.toks[p.i+1].kind == tokSymbol && p.toks[p.i+1].text == "(" {
-			p.advance()
-			p.advance() // (
-			if p.acceptSymbol("*") {
-				if fn != AggCount {
-					return nil, p.errorf("only COUNT accepts *")
+		if next.kind == tokSymbol && next.text == "(" {
+			for fn, name := range aggNames {
+				if strings.EqualFold(t.text, name) {
+					return p.parseAggregate(AggFunc(fn))
 				}
-				if err := p.expectSymbol(")"); err != nil {
-					return nil, err
-				}
-				return &AggExpr{Func: fn, Star: true}, nil
 			}
-			arg, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectSymbol(")"); err != nil {
-				return nil, err
-			}
-			return &AggExpr{Func: fn, Arg: arg}, nil
 		}
 		// Column reference, possibly qualified.
 		p.advance()
@@ -874,4 +928,29 @@ func (p *parser) parsePrimary() (Expr, error) {
 	default:
 		return nil, p.errorf("expected expression")
 	}
+}
+
+// parseAggregate parses an aggregate call from its function name. The
+// argument's literals are never parameters: binding matches aggregates by
+// value.
+func (p *parser) parseAggregate(fn AggFunc) (Expr, error) {
+	p.advance()
+	p.advance() // (
+	if p.acceptSymbol("*") {
+		if fn != AggCount {
+			return nil, p.errorf("only COUNT accepts *")
+		}
+		if err := p.expectSymbol(")"); err != nil {
+			return nil, err
+		}
+		return &AggExpr{Func: fn, Star: true}, nil
+	}
+	arg, err := p.parseClause(false)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.expectSymbol(")"); err != nil {
+		return nil, err
+	}
+	return &AggExpr{Func: fn, Arg: arg}, nil
 }

@@ -62,6 +62,20 @@ func TestParseDistinctAndLimit(t *testing.T) {
 	}
 }
 
+// TestParseLiteralErrorPositions: a literal that fails conversion is
+// reported where it begins, not at whatever follows it.
+func TestParseLiteralErrorPositions(t *testing.T) {
+	for src, want := range map[string]string{
+		"SELECT a FROM t WHERE a = 99999999999999999999":      `sql: invalid integer "99999999999999999999" at "99999999999999999999" (offset 26)`,
+		"SELECT a FROM t WHERE d = DATE 'bad' AND a = 1":      `sql: invalid date literal "bad" at "DATE" (offset 26)`,
+		"SELECT a FROM t WHERE d = date '1995-02-29' LIMIT 3": `sql: invalid date literal "1995-02-29" at "date" (offset 26)`,
+	} {
+		if _, err := Parse(src); err == nil || err.Error() != want {
+			t.Errorf("%s: %v, want %s", src, err, want)
+		}
+	}
+}
+
 func TestParseAliases(t *testing.T) {
 	sel := mustSelect(t, "SELECT a AS x, b y FROM orders o, lineitem AS l")
 	if sel.Items[0].Alias != "x" || sel.Items[1].Alias != "y" {
