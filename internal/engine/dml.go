@@ -143,7 +143,7 @@ func (s *Session) collectVictims(pl *optimizer.Plan) ([]dmlVictim, error) {
 		mVictimScanSeq.Inc()
 	}
 	var victims []dmlVictim
-	err := executor.ScanLeaf(pl.Root, s.execContext(), func(tid storage.TID, tup storage.Tuple) error {
+	err := executor.ScanLeaf(pl.Root, s.ExecContext(), func(tid storage.TID, tup storage.Tuple) error {
 		victims = append(victims, dmlVictim{tid: tid, tup: tup})
 		return nil
 	})
@@ -162,7 +162,7 @@ func (s *Session) execUpdate(upd *sql.UpdateStmt, q *plan.Query) (int64, error) 
 	t := pl.Query.Rels[0].Table
 	type setter struct {
 		col  int
-		ev   plan.Evaluator
+		ev   func(plan.Row) (types.Value, error)
 		kind types.Kind
 	}
 	setters := make([]setter, 0, len(upd.Sets))
@@ -181,11 +181,11 @@ func (s *Session) execUpdate(upd *sql.UpdateStmt, q *plan.Query) (int64, error) 
 		if bk := bound.ResultKind(); bk != types.KindNull && !types.Compatible(bk, kind) {
 			return 0, fmt.Errorf("engine: cannot assign %s to %s column %q", bk, kind, sc.Column)
 		}
-		ev, err := plan.Compile(bound, pl.Root.Layout(), s.VM)
+		ev, err := plan.CompileVec(bound, pl.Root.Layout(), s.VM)
 		if err != nil {
 			return 0, err
 		}
-		setters = append(setters, setter{col: ci, ev: ev, kind: kind})
+		setters = append(setters, setter{col: ci, ev: plan.OneRow(ev), kind: kind})
 	}
 
 	victims, err := s.collectVictims(pl)

@@ -49,9 +49,10 @@ type Config struct {
 	// WorkMemFrac is the fraction of VM memory given to each sort/hash
 	// operation (work_mem).
 	WorkMemFrac float64
-	// Executor selects the execution engine: executor.ModeBatch (the
-	// vectorized default) or executor.ModeTuple (row at a time). The two
-	// charge bit-identical simulated costs.
+	// Executor is ignored: the batch executor is the only one.
+	//
+	// Deprecated: deleted with executor.Mode when the benchmark harness
+	// that still sets it is re-baselined (ROADMAP.md, item 1).
 	Executor executor.Mode
 }
 
@@ -127,14 +128,14 @@ func workMemFor(v *vm.VM, cfg Config) int64 {
 	return wm
 }
 
-// execContext builds the executor context for this session. The
-// visibility filter is nil whenever the version map is empty (no DML in
-// flight anywhere), which is the zero-overhead path every read-only
-// workload takes.
-func (s *Session) execContext() *executor.Context {
+// ExecContext builds the executor context for this session's statements:
+// its pool, VM and work_mem, and the visibility filter of its snapshot. The
+// filter is nil whenever the version map is empty (no DML in flight
+// anywhere), which is the zero-overhead path every read-only workload
+// takes.
+func (s *Session) ExecContext() *executor.Context {
 	return &executor.Context{
-		Pool: s.Pool, VM: s.VM, WorkMemBytes: s.Params.WorkMemBytes,
-		Mode: s.Config.Executor, Vis: s.readVisibility(),
+		Pool: s.Pool, VM: s.VM, WorkMemBytes: s.Params.WorkMemBytes, Vis: s.readVisibility(),
 	}
 }
 
@@ -368,7 +369,7 @@ func (s *Session) Query(src string) (*executor.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return executor.Run(pl, s.execContext())
+	return executor.Run(pl, s.ExecContext())
 }
 
 // QueryRows runs a SELECT and materializes all rows.
@@ -434,7 +435,7 @@ func (s *Session) ExplainAnalyze(src string) (string, error) {
 // reported to the session's Observer alongside the predicted-vs-actual
 // seconds pair.
 func (s *Session) explainAnalyzePlan(src string, pl *optimizer.Plan) (string, error) {
-	ctx := s.execContext()
+	ctx := s.ExecContext()
 	ctx.Stats = executor.NewStatsCollector()
 	start := s.VM.Snapshot()
 	res, err := executor.Run(pl, ctx)
@@ -511,7 +512,7 @@ func (s *Session) RunStatement(src string) (int64, error) {
 		predicted = pl.EstimatedSeconds()
 	}
 	start := s.VM.Snapshot()
-	res, err := executor.Run(pl, s.execContext())
+	res, err := executor.Run(pl, s.ExecContext())
 	if err != nil {
 		return 0, err
 	}

@@ -10,22 +10,6 @@ import (
 	"dbvirt/internal/vm"
 )
 
-// Mode selects the executor implementation.
-type Mode int
-
-const (
-	// ModeBatch (the default) runs queries through the vectorized executor:
-	// operators exchange column-vector batches, sequential scans read
-	// columnar page blocks and skip per-row work on pages whose zone maps
-	// prove the filter's outcome. VM cost charges are issued per batch but
-	// are bit-identical in total to ModeTuple, because every charge is an
-	// exact integer counter increment and buffer-pool events happen in the
-	// same order.
-	ModeBatch Mode = iota
-	// ModeTuple runs the original row-at-a-time Volcano executor.
-	ModeTuple
-)
-
 var (
 	mBatchBatches   = obs.Global.Counter("executor.batch.batches")
 	mBatchRows      = obs.Global.Counter("executor.batch.rows")
@@ -155,38 +139,6 @@ func (s *statBatch) pruneOutput(needed []bool) {
 		p.pruneOutput(needed)
 	}
 }
-
-// batchRowIter adapts the batch tree back to the row Result interface.
-type batchRowIter struct {
-	in  batchIterator
-	b   *plan.Batch
-	k   int
-	out plan.Row
-}
-
-func (r *batchRowIter) Next() (plan.Row, bool, error) {
-	for {
-		if r.b != nil && r.k < r.b.Len() {
-			i := r.b.RowIdx(r.k)
-			r.k++
-			if cap(r.out) < len(r.b.Cols) {
-				r.out = make(plan.Row, len(r.b.Cols))
-			}
-			r.out = r.out[:len(r.b.Cols)]
-			r.b.ReadRow(i, r.out)
-			return r.out, true, nil
-		}
-		b, ok, err := r.in.NextBatch(noBudget)
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		mBatchBatches.Inc()
-		mBatchRows.Add(int64(b.Len()))
-		r.b, r.k = b, 0
-	}
-}
-
-func (r *batchRowIter) Close() { r.in.Close() }
 
 // growSlice returns a slice of length n, reusing s's capacity.
 func growSlice[T any](s []T, n int) []T {

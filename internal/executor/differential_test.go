@@ -1,9 +1,9 @@
-// Differential tests for the vectorized batch executor: the batched
-// engine must produce the same rows AND charge bit-identical simulated
-// costs as the tuple-at-a-time executor on every operator, across memory
+// Differential tests for the batch executor: it must produce the same rows
+// AND charge bit-identical simulated costs as the tuple-at-a-time reference
+// executor (executor.RunReference) on every operator, across memory
 // configurations that flip spill behavior, and across the optimizer's
 // allocation lattice.
-package dbvirt_test
+package executor_test
 
 import (
 	"fmt"
@@ -22,17 +22,19 @@ import (
 	"dbvirt/internal/workload"
 )
 
-// modeSession builds a fresh database + VM + session with the given
-// executor mode. Each session gets its own machine so share validation
-// never couples the pair.
-func modeSession(t testing.TB, mode executor.Mode, cfg engine.Config) *engine.Session {
+// runner executes a plan: executor.Run, or executor.RunReference.
+type runner func(*optimizer.Plan, *executor.Context) (*executor.Result, error)
+
+// diffSession builds a fresh database + VM + session. Each session of a
+// differential pair gets its own machine so share validation never couples
+// the pair.
+func diffSession(t testing.TB, cfg engine.Config) *engine.Session {
 	t.Helper()
 	m := vm.MustMachine(vm.DefaultMachineConfig())
 	v, err := m.NewVM("diff", vm.Shares{CPU: 0.5, Memory: 0.5, IO: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Executor = mode
 	s, err := engine.NewSession(engine.NewDatabase(), v, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -210,24 +212,30 @@ func usageString(u vm.Usage) string {
 		u.CPUOps, u.SeqReads, u.RandReads, u.Writes, u.CPUSeconds, u.IOSeconds)
 }
 
-// runDiffQuery executes one query in one session, returning the result
-// key and the VM usage / buffer-pool deltas it caused.
-func runDiffQuery(t *testing.T, s *engine.Session, src string) (string, vm.Usage, buffer.Stats) {
+// runDiffQuery plans one query under the session's parameters and runs it
+// on one executor against the session's snapshot, returning the result key
+// and the VM usage / buffer-pool deltas it caused.
+func runDiffQuery(t *testing.T, s *engine.Session, run runner, src string) (string, vm.Usage, buffer.Stats) {
 	t.Helper()
 	return measured(t, s, src, func() ([]plan.Row, error) {
-		rows, _, err := s.QueryRows(src)
-		return rows, err
+		pl, err := s.Plan(src, s.Params)
+		if err != nil {
+			return nil, err
+		}
+		res, err := run(pl, s.ExecContext())
+		if err != nil {
+			return nil, err
+		}
+		return res.Collect()
 	})
 }
 
-// runDiffPlan is runDiffQuery for an already-optimized plan, executed in
-// the session's executor mode under the plan's own work_mem.
-func runDiffPlan(t *testing.T, s *engine.Session, pl *optimizer.Plan) (string, vm.Usage, buffer.Stats) {
+// runDiffPlan is runDiffQuery for an already-optimized plan, executed under
+// the plan's own work_mem.
+func runDiffPlan(t *testing.T, s *engine.Session, run runner, pl *optimizer.Plan) (string, vm.Usage, buffer.Stats) {
 	t.Helper()
 	return measured(t, s, pl.Explain(), func() ([]plan.Row, error) {
-		res, err := executor.Run(pl, &executor.Context{
-			Pool: s.Pool, VM: s.VM, WorkMemBytes: pl.Params.WorkMemBytes, Mode: s.Config.Executor,
-		})
+		res, err := run(pl, &executor.Context{Pool: s.Pool, VM: s.VM, WorkMemBytes: pl.Params.WorkMemBytes})
 		if err != nil {
 			return nil, err
 		}
@@ -254,7 +262,7 @@ func measured(t *testing.T, s *engine.Session, what string, run func() ([]plan.R
 	return rowsKey(rows), used, pd
 }
 
-// TestVectorizedDifferential runs the corpus under tuple and batch
+// TestVectorizedDifferential runs the corpus under the reference and batch
 // executors in lockstep — same data, same query order, fresh VM and
 // buffer pool each side — and requires identical rows, bit-identical VM
 // usage, and identical buffer-pool event counts for every query. The
@@ -274,19 +282,18 @@ func TestVectorizedDifferential(t *testing.T) {
 	}
 	for _, c := range configs {
 		t.Run(c.name, func(t *testing.T) {
-			st := modeSession(t, executor.ModeTuple, c.cfg)
-			sb := modeSession(t, executor.ModeBatch, c.cfg)
+			st := diffSession(t, c.cfg)
+			sb := diffSession(t, c.cfg)
 			diffSetup(t, st)
 			diffSetup(t, sb)
 			if tu, bu := st.VM.Snapshot(), sb.VM.Snapshot(); !usageEqual(tu, bu) {
 				t.Fatalf("setup usage diverged:\ntuple %s\nbatch %s", usageString(tu), usageString(bu))
 			}
 
-			batchRowsBefore := obs.Global.Counter("executor.batch.rows").Value()
 			sweep := func(phase string) {
 				for _, q := range diffCorpus() {
-					rt, ut, pt := runDiffQuery(t, st, q.src)
-					rb, ub, pb := runDiffQuery(t, sb, q.src)
+					rt, ut, pt := runDiffQuery(t, st, executor.RunReference, q.src)
+					rb, ub, pb := runDiffQuery(t, sb, executor.Run, q.src)
 					if rt != rb {
 						t.Errorf("%s%s: rows diverge\ntuple:\n%s\nbatch:\n%s", phase, q.name, rt, rb)
 					}
@@ -299,9 +306,6 @@ func TestVectorizedDifferential(t *testing.T) {
 				}
 			}
 			sweep("")
-			if d := obs.Global.Counter("executor.batch.rows").Value() - batchRowsBefore; d == 0 {
-				t.Error("batch executor did not run: executor.batch.rows unchanged")
-			}
 
 			// Again inside an open transaction with pending inserts and
 			// deletes, so every scan (budgeted or not, heap or index) runs
@@ -335,15 +339,22 @@ func TestVectorizedDifferential(t *testing.T) {
 
 // TestExplainAnalyzeRowsExact is the regression test for exact actuals
 // under batching: per-node `rows=` and `loops=` in EXPLAIN ANALYZE must
-// match the tuple executor exactly — no batch-granularity rounding.
+// match the reference executor exactly — no batch-granularity rounding.
 func TestExplainAnalyzeRowsExact(t *testing.T) {
-	st := modeSession(t, executor.ModeTuple, engine.DefaultConfig())
-	sb := modeSession(t, executor.ModeBatch, engine.DefaultConfig())
+	st := diffSession(t, engine.DefaultConfig())
+	sb := diffSession(t, engine.DefaultConfig())
 	diffSetup(t, st)
 	diffSetup(t, sb)
 
 	actualRE := regexp.MustCompile(`rows=(\d+) loops=(\d+)`)
 	totalRE := regexp.MustCompile(`actual: (\d+) rows`)
+	actuals := func(stats []executor.NodeStats) []string {
+		var out []string
+		for _, st := range stats {
+			out = append(out, fmt.Sprintf("rows=%d loops=%d", st.Rows, st.Loops))
+		}
+		return out
+	}
 
 	queries := map[string]string{
 		// A budgeted index scan: every node stops at the tenth row.
@@ -355,43 +366,15 @@ func TestExplainAnalyzeRowsExact(t *testing.T) {
 		queries[name] = workload.Query(name)
 	}
 	for name, src := range queries {
-		outT, err := st.ExplainAnalyze(src)
-		if err != nil {
-			t.Fatalf("%s tuple: %v", name, err)
-		}
-		outB, err := sb.ExplainAnalyze(src)
-		if err != nil {
-			t.Fatalf("%s batch: %v", name, err)
-		}
-		rowsT := actualRE.FindAllString(outT, -1)
-		rowsB := actualRE.FindAllString(outB, -1)
-		if len(rowsT) == 0 {
-			t.Fatalf("%s: no actuals in tuple-mode explain:\n%s", name, outT)
-		}
-		if fmt.Sprint(rowsT) != fmt.Sprint(rowsB) {
-			t.Errorf("%s: per-node actuals diverge\ntuple: %v\nbatch: %v\n--- tuple plan ---\n%s--- batch plan ---\n%s",
-				name, rowsT, rowsB, outT, outB)
-		}
-		if tT, tB := totalRE.FindString(outT), totalRE.FindString(outB); tT != tB {
-			t.Errorf("%s: total rows diverge: tuple %q, batch %q", name, tT, tB)
-		}
-		want := map[string]string{
-			"index_limit": "[rows=10 loops=1 rows=10 loops=1 rows=10 loops=1]",
-			"sort_limit":  "[rows=7 loops=1 rows=7 loops=1 rows=1000 loops=1 rows=1000 loops=1]",
-		}[name]
-		if want != "" && fmt.Sprint(rowsB) != want {
-			t.Errorf("%s: per-node actuals %v, want %s\n%s", name, rowsB, want, outB)
-		}
-
-		// Per-node usage: every node's inclusive VM usage is the same in
-		// both modes, and the root's is the whole statement's.
-		statsT, totalT := runWithStats(t, st, src)
-		statsB, totalB := runWithStats(t, sb, src)
+		// Per-node rows and usage: every node's inclusive VM usage is the
+		// same on both executors, and the root's is the whole statement's.
+		statsT, totalT, nT := runWithStats(t, st, executor.RunReference, src)
+		statsB, totalB, _ := runWithStats(t, sb, executor.Run, src)
 		if !usageEqual(totalT, totalB) {
-			t.Errorf("%s: statement usage diverges\ntuple %s\nbatch %s", name, usageString(totalT), usageString(totalB))
+			t.Errorf("%s: statement usage diverges\nreference %s\nbatch %s", name, usageString(totalT), usageString(totalB))
 		}
-		if len(statsT) != len(statsB) {
-			t.Fatalf("%s: %d nodes ran in tuple mode, %d in batch mode", name, len(statsT), len(statsB))
+		if len(statsT) == 0 || len(statsT) != len(statsB) {
+			t.Fatalf("%s: %d nodes ran on the reference executor, %d on the batch one", name, len(statsT), len(statsB))
 		}
 		// A node's usage is a sum of VM-clock deltas, so its seconds carry
 		// rounding; the counters under them are exact.
@@ -401,34 +384,56 @@ func TestExplainAnalyzeRowsExact(t *testing.T) {
 		for i := range statsT {
 			nt, nb := statsT[i], statsB[i]
 			if nt.Rows != nb.Rows || nt.Loops != nb.Loops || counters(nt.Usage) != counters(nb.Usage) {
-				t.Errorf("%s node %d: tuple rows=%d loops=%d %s\nbatch rows=%d loops=%d %s", name, i,
+				t.Errorf("%s node %d: reference rows=%d loops=%d %s\nbatch rows=%d loops=%d %s", name, i,
 					nt.Rows, nt.Loops, usageString(nt.Usage), nb.Rows, nb.Loops, usageString(nb.Usage))
 			}
 		}
 		if counters(statsB[0].Usage) != counters(totalB) {
 			t.Errorf("%s: root node usage %s, statement total %s", name, usageString(statsB[0].Usage), usageString(totalB))
 		}
+
+		// EXPLAIN ANALYZE prints exactly those actuals. (The reference runs
+		// once more too, so the two VM clocks stay in step.)
+		outB, err := sb.ExplainAnalyze(src)
+		if err != nil {
+			t.Fatalf("%s batch: %v", name, err)
+		}
+		runWithStats(t, st, executor.RunReference, src)
+		rowsB := actualRE.FindAllString(outB, -1)
+		if fmt.Sprint(actuals(statsT)) != fmt.Sprint(rowsB) {
+			t.Errorf("%s: per-node actuals diverge\nreference: %v\nbatch: %v\n%s", name, actuals(statsT), rowsB, outB)
+		}
+		if tB, want := totalRE.FindString(outB), fmt.Sprintf("actual: %d rows", nT); tB != want {
+			t.Errorf("%s: total rows diverge: reference %q, batch %q", name, want, tB)
+		}
+		want := map[string]string{
+			"index_limit": "[rows=10 loops=1 rows=10 loops=1 rows=10 loops=1]",
+			"sort_limit":  "[rows=7 loops=1 rows=7 loops=1 rows=1000 loops=1 rows=1000 loops=1]",
+		}[name]
+		if want != "" && fmt.Sprint(rowsB) != want {
+			t.Errorf("%s: per-node actuals %v, want %s\n%s", name, rowsB, want, outB)
+		}
 	}
 }
 
-// runWithStats executes src with per-node statistics and returns them in
-// plan order (root first) with the statement's total VM usage.
-func runWithStats(t *testing.T, s *engine.Session, src string) ([]executor.NodeStats, vm.Usage) {
+// runWithStats executes src on one executor with per-node statistics and
+// returns them in plan order (root first), the statement's total VM usage
+// and the number of rows it produced.
+func runWithStats(t *testing.T, s *engine.Session, run runner, src string) ([]executor.NodeStats, vm.Usage, int) {
 	t.Helper()
 	pl, err := s.Plan(src, s.Params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := &executor.Context{
-		Pool: s.Pool, VM: s.VM, WorkMemBytes: s.Params.WorkMemBytes, Mode: s.Config.Executor,
-		Stats: executor.NewStatsCollector(),
-	}
+	ctx := s.ExecContext()
+	ctx.Stats = executor.NewStatsCollector()
 	before := s.VM.Snapshot()
-	res, err := executor.Run(pl, ctx)
+	res, err := run(pl, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := res.Collect(); err != nil {
+	rows, err := res.Collect()
+	if err != nil {
 		t.Fatal(err)
 	}
 	total := s.VM.Since(before)
@@ -439,7 +444,7 @@ func runWithStats(t *testing.T, s *engine.Session, src string) ([]executor.NodeS
 		}
 		return ""
 	})
-	return stats, total
+	return stats, total, len(rows)
 }
 
 // zoneSetup creates a clustered table whose pages carry tight zone
@@ -484,8 +489,8 @@ func zoneSetup(t testing.TB, s *engine.Session, rows int) {
 // costs, and provably-false predicates must actually skip pages.
 func TestZoneMapSkippingParity(t *testing.T) {
 	const rows = 6000
-	st := modeSession(t, executor.ModeTuple, engine.DefaultConfig())
-	sb := modeSession(t, executor.ModeBatch, engine.DefaultConfig())
+	st := diffSession(t, engine.DefaultConfig())
+	sb := diffSession(t, engine.DefaultConfig())
 	zoneSetup(t, st, rows)
 	zoneSetup(t, sb, rows)
 
@@ -512,9 +517,9 @@ func TestZoneMapSkippingParity(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rt, ut, pt := runDiffQuery(t, st, tc.src)
+			rt, ut, pt := runDiffQuery(t, st, executor.RunReference, tc.src)
 			before := skipped.Value()
-			rb, ub, pb := runDiffQuery(t, sb, tc.src)
+			rb, ub, pb := runDiffQuery(t, sb, executor.Run, tc.src)
 			delta := skipped.Value() - before
 			if rt != rb {
 				t.Errorf("rows diverge\ntuple:\n%s\nbatch:\n%s", rt, rb)
@@ -600,8 +605,8 @@ var latticeQueries = []struct{ name, src string }{
 
 // TestLatticeCostParity sweeps the full allocation lattice and requires
 // the estimated plan costs — and therefore every cost ranking derived
-// from them — to be bit-identical between the tuple-mode and batch-mode
-// engines, and the chosen plans byte-identical. For a third of the
+// from them — to be bit-identical between two sessions over the same data,
+// and the chosen plans byte-identical. For a third of the
 // lattice it additionally executes that lattice point's own plan on both
 // engines and requires identical rows, bit-identical actual usage and
 // equal buffer-pool events — which is where the access paths and join
@@ -617,8 +622,8 @@ func TestLatticeCostParity(t *testing.T) {
 }
 
 func latticeCostParity(t *testing.T, cfg engine.Config) {
-	st := modeSession(t, executor.ModeTuple, cfg)
-	sb := modeSession(t, executor.ModeBatch, cfg)
+	st := diffSession(t, cfg)
+	sb := diffSession(t, cfg)
 	diffSetup(t, st)
 	diffSetup(t, sb)
 	t.Logf("buffer pool: %d frames", sb.Pool.NumFrames())
@@ -626,7 +631,6 @@ func latticeCostParity(t *testing.T, cfg engine.Config) {
 	executed := map[string]int{}
 	lattice := latticeParams()
 	for _, q := range latticeQueries {
-		secs := make([]float64, len(lattice))
 		for i, p := range lattice {
 			pt, err := st.Plan(q.src, p)
 			if err != nil {
@@ -648,12 +652,11 @@ func latticeCostParity(t *testing.T, cfg engine.Config) {
 				t.Fatalf("%s lattice[%d]: plans diverge:\n%s\nvs\n%s",
 					q.name, i, pt.Explain(), pb.Explain())
 			}
-			secs[i] = pt.EstimatedSeconds()
 
 			if i%3 == 0 {
 				// Execute this lattice point's own plan on both engines.
-				rt, ut, ppt := runDiffPlan(t, st, pt)
-				rb, ub, ppb := runDiffPlan(t, sb, pb)
+				rt, ut, ppt := runDiffPlan(t, st, executor.RunReference, pt)
+				rb, ub, ppb := runDiffPlan(t, sb, executor.Run, pb)
 				if rt != rb {
 					t.Fatalf("%s lattice[%d]: executed rows diverge\n%s", q.name, i, pt.Explain())
 				}
@@ -671,14 +674,6 @@ func latticeCostParity(t *testing.T, cfg engine.Config) {
 				})
 			}
 		}
-		// The ranking of allocations by estimated time is the referee the
-		// tuning search consumes; spell out that it is unchanged.
-		rank := make([]int, len(lattice))
-		for i := range rank {
-			rank[i] = i
-		}
-		sort.SliceStable(rank, func(a, b int) bool { return secs[rank[a]] < secs[rank[b]] })
-		_ = rank // identical by construction given equal seconds; kept for clarity
 	}
 	t.Logf("executed operators: %v", executed)
 	for _, op := range []string{"IndexScan", "IndexNLJoin", "MergeJoin", "Limit", "HashJoin", "Sort"} {
@@ -693,13 +688,13 @@ func latticeCostParity(t *testing.T, cfg engine.Config) {
 // beyond it were dropped by IndexScan (and by the UPDATE/DELETE victim
 // scans planned through it) while SeqScan returned them.
 func TestOpenIndexRangeReachesInt64Ends(t *testing.T) {
-	for _, mode := range []executor.Mode{executor.ModeTuple, executor.ModeBatch} {
-		s := modeSession(t, mode, engine.DefaultConfig())
+	{
+		s := diffSession(t, engine.DefaultConfig())
 		exec := func(q string) int64 {
 			t.Helper()
 			n, err := s.Exec(q)
 			if err != nil {
-				t.Fatalf("mode %d: %q: %v", mode, q, err)
+				t.Fatalf("%q: %v", q, err)
 			}
 			return n
 		}
@@ -725,40 +720,36 @@ func TestOpenIndexRangeReachesInt64Ends(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !strings.Contains(expl, "IndexScan") {
-				t.Fatalf("mode %d: %q is not planned as an IndexScan:\n%s", mode, q, expl)
+				t.Fatalf("%q is not planned as an IndexScan:\n%s", q, expl)
 			}
 		}
 		count := func(q string) int {
 			t.Helper()
 			rows, _, err := s.QueryRows(q)
 			if err != nil {
-				t.Fatalf("mode %d: %q: %v", mode, q, err)
+				t.Fatalf("%q: %v", q, err)
 			}
 			return len(rows)
 		}
 		if n := count("SELECT k FROM big WHERE k >= 29995"); n != 6 {
-			t.Errorf("mode %d: k >= 29995 returned %d rows, want 6 (5 + the 5e18 outlier)", mode, n)
+			t.Errorf("k >= 29995 returned %d rows, want 6 (5 + the 5e18 outlier)", n)
 		}
 		if n := count("SELECT k FROM big WHERE k <= 3"); n != 5 {
-			t.Errorf("mode %d: k <= 3 returned %d rows, want 5 (4 + the -5e18 outlier)", mode, n)
+			t.Errorf("k <= 3 returned %d rows, want 5 (4 + the -5e18 outlier)", n)
 		}
 		if n := exec("UPDATE big SET v = 1 WHERE k >= 29995"); n != 6 {
-			t.Errorf("mode %d: UPDATE touched %d rows, want 6", mode, n)
+			t.Errorf("UPDATE touched %d rows, want 6", n)
 		}
 		if n := exec("DELETE FROM big WHERE k <= 3"); n != 5 {
-			t.Errorf("mode %d: DELETE removed %d rows, want 5", mode, n)
+			t.Errorf("DELETE removed %d rows, want 5", n)
 		}
 	}
 }
 
-// TestBatchModeIsDefault pins the default-configuration executor to the
-// vectorized engine and checks the batch observability counters move.
+// TestBatchModeIsDefault checks that statements run on the batch executor
+// and that its observability counters move.
 func TestBatchModeIsDefault(t *testing.T) {
-	var cfg engine.Config
-	if cfg.Executor != executor.ModeBatch {
-		t.Fatal("zero-value engine.Config must select the batch executor")
-	}
-	s := modeSession(t, executor.ModeBatch, engine.DefaultConfig())
+	s := diffSession(t, engine.DefaultConfig())
 	if _, err := s.Exec("CREATE TABLE tiny (x INT)"); err != nil {
 		t.Fatal(err)
 	}
@@ -798,5 +789,51 @@ func TestBatchModeIsDefault(t *testing.T) {
 	}
 	if counter("limit_stops") != stops+1 {
 		t.Errorf("executor.batch.limit_stops advanced by %d on a LIMIT met early, want 1", counter("limit_stops")-stops)
+	}
+}
+
+// TestLimitAccessPathsDifferential runs both access paths of the oltp
+// range read — a sequential scan and an index scan under a LIMIT — over a
+// grid of lower bounds and limits on both executors: the plans whose
+// measured order TestLimitRankMatchesMeasured compares.
+func TestLimitAccessPathsDifferential(t *testing.T) {
+	st := diffSession(t, engine.DefaultConfig())
+	sb := diffSession(t, engine.DefaultConfig())
+	for _, s := range []*engine.Session{st, sb} {
+		if err := workload.BuildWriteBase(s, 20000, 7); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Dear random pages force the sequential scan; cheap ones and a dear
+	// filter operator, which the index scan's key range absorbs, force the
+	// index scan.
+	for _, path := range []struct {
+		leaf     string
+		rpc, opc float64
+	}{{"SeqScan", 1e6, 0.0025}, {"IndexScan", 1e-6, 1}} {
+		p := st.Params
+		p.RandomPageCost, p.CPUOperatorCost = path.rpc, path.opc
+		for _, k := range []int{100, 1000, 5000, 9999, 15000, 19900} {
+			for _, lim := range []int{1, 10, 1000} {
+				src := fmt.Sprintf("SELECT a_id, a_bal FROM account WHERE a_id >= %d LIMIT %d", k, lim)
+				pt, err := st.Plan(src, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !strings.Contains(pt.Explain(), path.leaf) {
+					t.Fatalf("%s: want a %s:\n%s", src, path.leaf, pt.Explain())
+				}
+				pb, err := sb.Plan(src, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rt, ut, ppt := runDiffPlan(t, st, executor.RunReference, pt)
+				rb, ub, ppb := runDiffPlan(t, sb, executor.Run, pb)
+				if rt != rb || !usageEqual(ut, ub) || ppt != ppb {
+					t.Errorf("%s over %s: reference %s %+v, batch %s %+v", src, path.leaf,
+						usageString(ut), ppt, usageString(ub), ppb)
+				}
+			}
+		}
 	}
 }

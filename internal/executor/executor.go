@@ -1,14 +1,16 @@
-// Package executor runs physical plans produced by the optimizer using
-// Volcano-style iterators. Every unit of work — tuples decoded, predicate
+// Package executor runs physical plans produced by the optimizer on
+// vectorized batch operators. Every unit of work — tuples decoded, predicate
 // operators evaluated, hash probes, sort comparisons, pages read through
 // the buffer pool, and sort/hash spill I/O — is charged to the session's
 // virtual machine, so the simulated execution time of a query responds to
 // the VM's CPU, memory, and I/O shares exactly the way the paper's
-// measured PostgreSQL-on-Xen times do.
+// measured PostgreSQL-on-Xen times do. The charges are those of a
+// tuple-at-a-time Volcano executor, which the package's tests keep as the
+// parity oracle.
 package executor
 
 import (
-	"fmt"
+	"math"
 
 	"dbvirt/internal/buffer"
 	"dbvirt/internal/optimizer"
@@ -48,6 +50,19 @@ const HashTableOverhead = 1.5
 // path taken whenever no multiversion state exists.
 type Visibility func(fid storage.FileID, tid storage.TID) bool
 
+// Mode named the executor implementation when there were two.
+//
+// Deprecated: the batch executor is the only one, and Run ignores
+// Context.Mode. Mode goes together with engine.Config.Executor once the
+// benchmark harness that still sets them is re-baselined (ROADMAP.md,
+// item 1).
+type Mode int
+
+// ModeBatch is the zero Mode.
+//
+// Deprecated: see Mode.
+const ModeBatch Mode = 0
+
 // Context carries the runtime environment of one query execution.
 type Context struct {
 	// Pool is the session's buffer pool; all page access flows through it.
@@ -60,41 +75,46 @@ type Context struct {
 	// Stats, when non-nil, collects per-node execution statistics for
 	// EXPLAIN ANALYZE.
 	Stats *StatsCollector
-	// Mode selects the vectorized (default) or tuple-at-a-time executor.
-	// Both charge bit-identical costs to the VM.
+	// Mode is ignored.
+	//
+	// Deprecated: see Mode.
 	Mode Mode
 	// Vis, when non-nil, restricts scans to tuples visible under the
-	// session's snapshot. Both executor modes apply it identically, before
-	// any per-tuple CPU charge.
+	// session's snapshot, before any per-tuple CPU charge.
 	Vis Visibility
-}
-
-// iterator is the Volcano operator interface.
-type iterator interface {
-	// Next returns the next row, or ok=false at end of stream.
-	Next() (plan.Row, bool, error)
-	// Close releases resources; must be idempotent.
-	Close()
 }
 
 // Result streams the visible output rows of a query.
 type Result struct {
 	Columns []string
-	it      iterator
-	strip   func(plan.Row) plan.Row
+	in      batchIterator
+	visible []int // the plan's output columns that are not hidden ORDER BY keys
+	b       *plan.Batch
+	k       int
+	row     plan.Row
 }
 
-// Next returns the next output row.
+// Next returns the next output row, valid until the next call.
 func (r *Result) Next() (plan.Row, bool, error) {
-	row, ok, err := r.it.Next()
-	if err != nil || !ok {
-		return nil, ok, err
+	for r.b == nil || r.k >= r.b.Len() {
+		b, ok, err := r.in.NextBatch(noBudget)
+		if err != nil || !ok {
+			return nil, false, err
+		}
+		mBatchBatches.Inc()
+		mBatchRows.Add(int64(b.Len()))
+		r.b, r.k = b, 0
 	}
-	return r.strip(row), true, nil
+	i := r.b.RowIdx(r.k)
+	r.k++
+	for j, c := range r.visible {
+		r.row[j] = r.b.Value(i, c)
+	}
+	return r.row, true, nil
 }
 
 // Close releases the result's resources.
-func (r *Result) Close() { r.it.Close() }
+func (r *Result) Close() { r.in.Close() }
 
 // Collect drains the result into a slice and closes it.
 func (r *Result) Collect() ([]plan.Row, error) {
@@ -117,113 +137,23 @@ func cloneRow(r plan.Row) plan.Row { return append(plan.Row(nil), r...) }
 
 // Run executes a physical plan and returns a streaming result.
 func Run(p *optimizer.Plan, ctx *Context) (*Result, error) {
-	var it iterator
-	var err error
-	if ctx.Mode == ModeBatch {
-		var bit batchIterator
-		bit, err = vbuild(p.Root, ctx)
-		if err != nil {
-			return nil, err
-		}
-		it = &batchRowIter{in: bit}
-	} else {
-		it, err = build(p.Root, ctx)
-	}
+	in, err := vbuild(p.Root, ctx)
 	if err != nil {
 		return nil, err
 	}
-	// Identify visible columns (hidden ORDER BY keys are stripped).
-	var visible []int
-	var names []string
+	return newResult(p, in), nil
+}
+
+func newResult(p *optimizer.Plan, in batchIterator) *Result {
+	r := &Result{in: in}
 	for i, c := range p.Query.Select {
 		if !c.Hidden {
-			visible = append(visible, i)
-			names = append(names, c.Name)
+			r.visible = append(r.visible, i)
+			r.Columns = append(r.Columns, c.Name)
 		}
 	}
-	allVisible := len(visible) == len(p.Query.Select)
-	strip := func(row plan.Row) plan.Row {
-		if allVisible {
-			return row
-		}
-		out := make(plan.Row, len(visible))
-		for i, idx := range visible {
-			out[i] = row[idx]
-		}
-		return out
-	}
-	return &Result{Columns: names, it: it, strip: strip}, nil
-}
-
-// build constructs the iterator tree for a plan node, wrapping it with a
-// row counter when the context collects statistics.
-func build(n optimizer.Node, ctx *Context) (iterator, error) {
-	if ctx.Stats == nil {
-		return buildRaw(n, ctx)
-	}
-	before := ctx.VM.Snapshot()
-	it, err := buildRaw(n, ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &statIter{inner: it, stats: ctx.Stats.opened(n, ctx.VM.Since(before)), vm: ctx.VM}, nil
-}
-
-func buildRaw(n optimizer.Node, ctx *Context) (iterator, error) {
-	switch x := n.(type) {
-	case *optimizer.SeqScan:
-		return newSeqScanIter(x, ctx)
-	case *optimizer.IndexScan:
-		return newIndexScanIter(x, ctx)
-	case *optimizer.SubqueryScan:
-		return newSubqueryScanIter(x, ctx)
-	case *optimizer.FilterNode:
-		return newFilterIter(x, ctx)
-	case *optimizer.NLJoin:
-		return newNLJoinIter(x, ctx)
-	case *optimizer.HashJoin:
-		return newHashJoinIter(x, ctx)
-	case *optimizer.IndexNLJoin:
-		return newIndexNLJoinIter(x, ctx)
-	case *optimizer.MergeJoin:
-		return newMergeJoinIter(x, ctx)
-	case *optimizer.Sort:
-		return newSortIter(x, ctx)
-	case *optimizer.HashAgg:
-		return newHashAggIter(x, ctx)
-	case *optimizer.Project:
-		return newProjectIter(x, ctx)
-	case *optimizer.Distinct:
-		return newDistinctIter(x, ctx)
-	case *optimizer.Limit:
-		return newLimitIter(x, ctx)
-	default:
-		return nil, fmt.Errorf("executor: unknown plan node %T", n)
-	}
-}
-
-// compileConjuncts compiles a conjunct list into one pass/fail predicate.
-func compileConjuncts(conjs []plan.Conjunct, lay plan.Layout, sink plan.CPUSink) (func(plan.Row) (bool, error), error) {
-	evs := make([]plan.Evaluator, len(conjs))
-	for i, c := range conjs {
-		ev, err := plan.Compile(c.E, lay, sink)
-		if err != nil {
-			return nil, err
-		}
-		evs[i] = ev
-	}
-	return func(row plan.Row) (bool, error) {
-		for _, ev := range evs {
-			v, err := ev(row)
-			if err != nil {
-				return false, err
-			}
-			if !plan.Truthy(v) {
-				return false, nil
-			}
-		}
-		return true, nil
-	}, nil
+	r.row = make(plan.Row, len(r.visible))
+	return r
 }
 
 // rowBytes approximates the in-memory size of a row for spill accounting.
@@ -239,16 +169,12 @@ func rowBytes(r plan.Row) int64 {
 	return n
 }
 
-// encodeKey builds a hashable string key from values. NULLs are encoded
-// distinctly so group-by treats them as one group; join code must check
-// for NULL keys separately (NULL never matches in joins).
-func encodeKey(vals []types.Value) string {
-	return string(encodeKeyAppend(make([]byte, 0, 16*len(vals)), vals))
-}
-
-// encodeKeyAppend is the allocation-free form of encodeKey: it appends the
-// byte encoding to buf, letting callers look up map entries via
-// m[string(buf)] without materializing a string per row.
+// encodeKeyAppend appends a byte encoding of vals to buf, letting callers
+// look up map entries via m[string(buf)] without materializing a string
+// per row. Distinct values encode distinctly and NULLs all alike, so
+// group-by treats them as one group; join code must check for NULL keys
+// separately (NULL never matches in joins). A FLOAT encodes its bits, with
+// −0.0 folded into 0.0 and every NaN into one.
 func encodeKeyAppend(buf []byte, vals []types.Value) []byte {
 	for _, v := range vals {
 		buf = append(buf, byte(v.Kind))
@@ -257,10 +183,14 @@ func encodeKeyAppend(buf []byte, vals []types.Value) []byte {
 			buf = appendUint(buf, uint64(len(v.S)))
 			buf = append(buf, v.S...)
 		case types.KindFloat:
-			// Normalize float bits so that 2.0 == int 2 does NOT collide
-			// incorrectly: keys are compared post-normalization below.
-			buf = appendUint(buf, uint64(int64(v.F)))
-			buf = appendUint(buf, uint64(frac(v.F)))
+			f := v.F
+			switch {
+			case f == 0:
+				f = 0
+			case math.IsNaN(f):
+				f = math.NaN()
+			}
+			buf = appendUint(buf, math.Float64bits(f))
 		default:
 			buf = appendUint(buf, uint64(v.I))
 		}
@@ -273,7 +203,13 @@ func appendUint(b []byte, u uint64) []byte {
 		byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56))
 }
 
-func frac(f float64) int64 { return int64((f - float64(int64(f))) * 1e9) }
+// floatInt reports the int64 an integral FLOAT in int64 range equals.
+func floatInt(f float64) (int64, bool) {
+	if f >= math.MinInt64 && f < math.MaxInt64 && f == math.Trunc(f) {
+		return int64(f), true
+	}
+	return 0, false
+}
 
 // normalizeKeyVal maps numerically equal values of different kinds to the
 // same key representation so joins on int = float match correctly.
@@ -282,23 +218,9 @@ func normalizeKeyVal(v types.Value) types.Value {
 	case types.KindDate, types.KindBool:
 		return types.Value{Kind: types.KindInt, I: v.I}
 	case types.KindFloat:
-		if v.F == float64(int64(v.F)) {
-			return types.NewInt(int64(v.F))
+		if i, ok := floatInt(v.F); ok {
+			return types.NewInt(i)
 		}
-		return v
-	default:
-		return v
 	}
-}
-
-// joinKey encodes join key values, reporting hasNull when any key is NULL
-// (in which case the row cannot match).
-func joinKey(vals []types.Value) (string, bool) {
-	for i, v := range vals {
-		if v.IsNull() {
-			return "", true
-		}
-		vals[i] = normalizeKeyVal(v)
-	}
-	return encodeKey(vals), false
+	return v
 }

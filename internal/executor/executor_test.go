@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"math"
 	"testing"
 
 	"dbvirt/internal/plan"
@@ -87,6 +88,9 @@ func TestEncodeKeyDistinguishesValues(t *testing.T) {
 		{{types.NewString("a"), types.NewString("b")}, {types.NewString("ab"), types.NewString("")}},
 		{{types.Null}, {types.NewInt(0)}},
 		{{types.NewBool(true)}, {types.NewBool(false)}},
+		// FLOATs closer than 1e-9, and beyond the int64 range.
+		{{types.NewFloat(0.1)}, {types.NewFloat(0.1000000001)}},
+		{{types.NewFloat(1e19)}, {types.NewFloat(2e19)}},
 	}
 	for i, c := range cases {
 		if encodeKey(c[0]) == encodeKey(c[1]) {
@@ -98,6 +102,10 @@ func TestEncodeKeyDistinguishesValues(t *testing.T) {
 	b := []types.Value{types.NewInt(5), types.NewString("x")}
 	if encodeKey(a) != encodeKey(b) {
 		t.Error("equal values should produce equal keys")
+	}
+	if encodeKey([]types.Value{types.NewFloat(0)}) != encodeKey([]types.Value{types.NewFloat(math.Copysign(0, -1))}) ||
+		encodeKey([]types.Value{types.NewFloat(math.NaN())}) != encodeKey([]types.Value{types.NewFloat(-math.NaN())}) {
+		t.Error("-0.0 and 0.0, and any two NaNs, should produce equal keys")
 	}
 }
 

@@ -124,3 +124,38 @@ func TestResultCloseIdempotent(t *testing.T) {
 	res.Close()
 	res.Close() // must be safe
 }
+
+// TestFloatKeysDoNotCollide runs DISTINCT, GROUP BY and a hash join over
+// FLOAT keys closer than 1e-9 and beyond the int64 range, which an
+// encoding of the integer part and nine decimals used to merge.
+func TestFloatKeysDoNotCollide(t *testing.T) {
+	s := session(t)
+	for _, q := range []string{
+		"CREATE TABLE f (x FLOAT, y INT)",
+		"INSERT INTO f VALUES (0.1, 1), (0.1000000001, 2), (10000000000000000000.0, 3), (20000000000000000000.0, 4)",
+		"CREATE TABLE u (x FLOAT)",
+		"INSERT INTO u VALUES (0.1000000001), (20000000000000000000.0)",
+		"ANALYZE f",
+		"ANALYZE u",
+	} {
+		if _, err := s.Exec(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for q, want := range map[string]string{
+		"SELECT DISTINCT x FROM f":                        "[[0.1] [0.1000000001] [1e+19] [2e+19]]",
+		"SELECT x FROM f GROUP BY x":                      "[[0.1] [0.1000000001] [1e+19] [2e+19]]",
+		"SELECT f.y FROM f, u WHERE f.x = u.x ORDER BY 1": "[[2] [4]]",
+	} {
+		rows, _, err := s.QueryRows(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(rows); got != want {
+			t.Errorf("%s: got %s, want %s", q, got, want)
+		}
+	}
+	if expl, _ := s.Explain("SELECT f.y FROM f, u WHERE f.x = u.x"); !strings.Contains(expl, "HashJoin") {
+		t.Errorf("want a hash join:\n%s", expl)
+	}
+}

@@ -8,6 +8,14 @@ import (
 	"dbvirt/internal/types"
 )
 
+// iterator is a row stream: the merge join's inputs and its own output.
+type iterator interface {
+	// Next returns the next row, or ok=false at end of stream.
+	Next() (plan.Row, bool, error)
+	// Close releases resources; must be idempotent.
+	Close()
+}
+
 // mergeJoinIter joins two inputs sorted ascending by their key columns
 // (inner joins only). Duplicate keys are handled by buffering the right
 // side's current key group and replaying it for each equal left row.
@@ -30,23 +38,10 @@ type mergeJoinIter struct {
 	started  bool
 }
 
-func newMergeJoinIter(n *optimizer.MergeJoin, ctx *Context) (iterator, error) {
-	left, err := build(n.Left, ctx)
-	if err != nil {
-		return nil, err
-	}
-	right, err := build(n.Right, ctx)
-	if err != nil {
-		left.Close()
-		return nil, err
-	}
-	return mergeJoinOver(n, ctx, left, right)
-}
-
 // mergeJoinOver runs the merge over two already-built row sources, which it
 // owns from here on.
 func mergeJoinOver(n *optimizer.MergeJoin, ctx *Context, left, right iterator) (*mergeJoinIter, error) {
-	residual, err := compileConjuncts(n.Residual, n.Layout(), ctx.VM)
+	residual, err := rowConjuncts(n.Residual, n.Layout(), ctx.VM)
 	if err != nil {
 		left.Close()
 		right.Close()
@@ -55,6 +50,27 @@ func mergeJoinOver(n *optimizer.MergeJoin, ctx *Context, left, right iterator) (
 	return &mergeJoinIter{
 		ctx: ctx, node: n, left: left, right: right, residual: residual,
 		combined: make(plan.Row, n.Width()),
+	}, nil
+}
+
+// rowConjuncts compiles a conjunct cascade for rows that arrive one at a
+// time: each row is loaded into a one-row batch (Batch.LoadRow) and
+// narrowed by the conjuncts' selection-vector predicates.
+func rowConjuncts(conjs []plan.Conjunct, lay plan.Layout, sink plan.CPUSink) (func(plan.Row) (bool, error), error) {
+	vc, err := compileVecConjuncts(conjs, lay, sink)
+	if err != nil {
+		return nil, err
+	}
+	var b plan.Batch
+	sel := make([]int, 1)
+	return func(r plan.Row) (bool, error) {
+		if len(vc.preds) == 0 {
+			return true, nil
+		}
+		b.LoadRow(r)
+		sel[0] = 0
+		surv, err := vc.apply(&b, sel)
+		return len(surv) == 1, err
 	}, nil
 }
 

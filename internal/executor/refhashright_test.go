@@ -19,8 +19,8 @@ type buildOuterHashJoinIter struct {
 	node *optimizer.HashJoin
 
 	right     iterator
-	leftKeys  []plan.Evaluator
-	rightKeys []plan.Evaluator
+	leftKeys  []rowEval
+	rightKeys []rowEval
 	residual  func(plan.Row) (bool, error)
 
 	table    map[string][]*outerEntry
@@ -49,17 +49,17 @@ func newBuildOuterHashJoinIter(n *optimizer.HashJoin, ctx *Context) (iterator, e
 	if err != nil {
 		return nil, err
 	}
-	lks := make([]plan.Evaluator, len(n.LeftKeys))
+	lks := make([]rowEval, len(n.LeftKeys))
 	for i, e := range n.LeftKeys {
-		lks[i], err = plan.Compile(e, n.Left.Layout(), ctx.VM)
+		lks[i], err = compileRow(e, n.Left.Layout(), ctx.VM)
 		if err != nil {
 			right.Close()
 			return nil, err
 		}
 	}
-	rks := make([]plan.Evaluator, len(n.RightKeys))
+	rks := make([]rowEval, len(n.RightKeys))
 	for i, e := range n.RightKeys {
-		rks[i], err = plan.Compile(e, n.Right.Layout(), ctx.VM)
+		rks[i], err = compileRow(e, n.Right.Layout(), ctx.VM)
 		if err != nil {
 			right.Close()
 			return nil, err

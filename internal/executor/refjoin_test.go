@@ -127,8 +127,8 @@ type hashJoinIter struct {
 	node      *optimizer.HashJoin
 	left      iterator
 	table     map[string][]plan.Row
-	leftKeys  []plan.Evaluator
-	rightKeys []plan.Evaluator
+	leftKeys  []rowEval
+	rightKeys []rowEval
 	residual  func(plan.Row) (bool, error)
 	built     bool
 
@@ -149,17 +149,17 @@ func newHashJoinIter(n *optimizer.HashJoin, ctx *Context) (iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	lks := make([]plan.Evaluator, len(n.LeftKeys))
+	lks := make([]rowEval, len(n.LeftKeys))
 	for i, e := range n.LeftKeys {
-		lks[i], err = plan.Compile(e, n.Left.Layout(), ctx.VM)
+		lks[i], err = compileRow(e, n.Left.Layout(), ctx.VM)
 		if err != nil {
 			left.Close()
 			return nil, err
 		}
 	}
-	rks := make([]plan.Evaluator, len(n.RightKeys))
+	rks := make([]rowEval, len(n.RightKeys))
 	for i, e := range n.RightKeys {
-		rks[i], err = plan.Compile(e, n.Right.Layout(), ctx.VM)
+		rks[i], err = compileRow(e, n.Right.Layout(), ctx.VM)
 		if err != nil {
 			left.Close()
 			return nil, err
@@ -298,7 +298,7 @@ type indexNLJoinIter struct {
 	ctx       *Context
 	node      *optimizer.IndexNLJoin
 	outer     iterator
-	keyEv     plan.Evaluator
+	keyEv     rowEval
 	innerPred func(plan.Row) (bool, error)
 	residual  func(plan.Row) (bool, error)
 	combined  plan.Row
@@ -315,7 +315,7 @@ func newIndexNLJoinIter(n *optimizer.IndexNLJoin, ctx *Context) (iterator, error
 	if err != nil {
 		return nil, err
 	}
-	keyEv, err := plan.Compile(n.OuterKey, n.Outer.Layout(), ctx.VM)
+	keyEv, err := compileRow(n.OuterKey, n.Outer.Layout(), ctx.VM)
 	if err != nil {
 		outer.Close()
 		return nil, err

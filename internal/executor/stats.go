@@ -2,7 +2,6 @@ package executor
 
 import (
 	"dbvirt/internal/optimizer"
-	"dbvirt/internal/plan"
 	"dbvirt/internal/vm"
 )
 
@@ -64,24 +63,3 @@ func (c *StatsCollector) opened(n optimizer.Node, building vm.Usage) *NodeStats 
 	st.Usage = st.Usage.Add(building)
 	return st
 }
-
-// statIter wraps an iterator, counting its output rows and attributing
-// the VM usage of each Next call to the node. The delta includes the
-// node's children (they run inside inner.Next), so Usage is inclusive.
-type statIter struct {
-	inner iterator
-	stats *NodeStats
-	vm    *vm.VM
-}
-
-func (s *statIter) Next() (plan.Row, bool, error) {
-	before := s.vm.Snapshot()
-	row, ok, err := s.inner.Next()
-	s.stats.Usage = s.stats.Usage.Add(s.vm.Since(before))
-	if ok {
-		s.stats.Rows++
-	}
-	return row, ok, err
-}
-
-func (s *statIter) Close() { s.inner.Close() }

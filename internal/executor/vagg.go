@@ -11,9 +11,8 @@ import (
 	"dbvirt/internal/types"
 )
 
-// vSort materializes its input from batches and sorts with the exact
-// comparator (and therefore the exact comparison count and charges) of the
-// tuple executor, then emits batch-sized chunks.
+// vSort materializes its input from batches, sorts it (sortRows, whose
+// comparison count sets the charge) and emits batch-sized chunks.
 type vSort struct {
 	ctx   *Context
 	node  *optimizer.Sort
@@ -56,17 +55,29 @@ func (s *vSort) buildRows() error {
 			bytes += rowBytes(r)
 		}
 	}
-	keys := s.node.Keys
-	var sortErr error
-	// The comparator below is the tuple executor's, so the comparison
-	// count is identical; the charge (an exact integer per call) is
-	// accumulated locally and issued once, which sums to the same total.
-	var compares int64
-	sort.SliceStable(s.rows, func(i, j int) bool {
+	compares, err := sortRows(s.rows, s.node.Keys)
+	// The charge (an exact integer per comparison) is issued once, which
+	// sums to the per-comparison total of the row executor.
+	s.ctx.VM.AccountCPU(2 * OpsPerCompare * float64(compares))
+	if err != nil {
+		return err
+	}
+	if bytes > s.ctx.WorkMemBytes {
+		spillPages := int(bytes / storage.PageSize)
+		s.ctx.VM.AccountWrite(spillPages)
+		s.ctx.VM.AccountSeqRead(spillPages)
+	}
+	s.built = true
+	return nil
+}
+
+// sortRows sorts rows stably by keys, NULLs last in ascending order
+// (PostgreSQL's default), and returns the number of comparisons made.
+func sortRows(rows []plan.Row, keys []optimizer.SortKey) (compares int64, err error) {
+	sort.SliceStable(rows, func(i, j int) bool {
 		compares++
 		for _, k := range keys {
-			a, b := s.rows[i][k.Col], s.rows[j][k.Col]
-			// NULLs sort last in ascending order (PostgreSQL default).
+			a, b := rows[i][k.Col], rows[j][k.Col]
 			switch {
 			case a.IsNull() && b.IsNull():
 				continue
@@ -77,8 +88,8 @@ func (s *vSort) buildRows() error {
 			}
 			c, ok := types.Compare(a, b)
 			if !ok {
-				if sortErr == nil {
-					sortErr = fmt.Errorf("executor: cannot compare %s with %s in sort", a.Kind, b.Kind)
+				if err == nil {
+					err = fmt.Errorf("executor: cannot compare %s with %s in sort", a.Kind, b.Kind)
 				}
 				return false
 			}
@@ -91,17 +102,7 @@ func (s *vSort) buildRows() error {
 		}
 		return false
 	})
-	s.ctx.VM.AccountCPU(2 * OpsPerCompare * float64(compares))
-	if sortErr != nil {
-		return sortErr
-	}
-	if bytes > s.ctx.WorkMemBytes {
-		spillPages := int(bytes / storage.PageSize)
-		s.ctx.VM.AccountWrite(spillPages)
-		s.ctx.VM.AccountSeqRead(spillPages)
-	}
-	s.built = true
-	return nil
+	return compares, err
 }
 
 func (s *vSort) NextBatch(budget int) (*plan.Batch, bool, error) {

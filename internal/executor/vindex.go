@@ -146,9 +146,14 @@ type vIndexScan struct {
 	selBuf   []int
 	budgeted bool // some NextBatch call carried a finite budget
 	done     bool
+
+	// keepTIDs is set by ScanLeaf: tids then holds the heap TID of each
+	// physical row of out.
+	keepTIDs bool
+	tids     []storage.TID
 }
 
-func newVIndexScan(n *optimizer.IndexScan, ctx *Context) (batchIterator, error) {
+func newVIndexScan(n *optimizer.IndexScan, ctx *Context) (*vIndexScan, error) {
 	conj, err := compileVecConjuncts(n.Filter, n.Layout(), ctx.VM)
 	if err != nil {
 		return nil, err
@@ -192,6 +197,7 @@ func (s *vIndexScan) NextBatch(budget int) (*plan.Batch, bool, error) {
 	fid := s.node.Rel.Table.Heap.FileID()
 	for !s.done {
 		s.out.Reset(s.node.Width())
+		s.tids = s.tids[:0]
 		entries := 0
 		var err error
 		for s.out.N < budget {
@@ -209,6 +215,9 @@ func (s *vIndexScan) NextBatch(budget int) (*plan.Batch, bool, error) {
 			if err = s.fetcher.fetch(tid, &s.out); err != nil {
 				s.done = true
 				break
+			}
+			if s.keepTIDs {
+				s.tids = append(s.tids, tid)
 			}
 		}
 		s.fetcher.flush(&s.out)
@@ -237,6 +246,9 @@ func (s *vIndexScan) NextBatch(budget int) (*plan.Batch, bool, error) {
 	}
 	return nil, false, nil
 }
+
+// tid returns the heap TID of physical row i of the batch returned last.
+func (s *vIndexScan) tid(i int) storage.TID { return s.tids[i] }
 
 func (s *vIndexScan) Close() {
 	if s.budgeted && !s.done {

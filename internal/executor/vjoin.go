@@ -11,7 +11,7 @@ import (
 )
 
 // intKeyVal reports the int64 fast-path key for one non-NULL join key
-// value, applying the same normalization as joinKey (dates, bools, and
+// value, applying the same normalization as normalizeKeyVal (dates, bools, and
 // integral floats fold to their integer value). ok=false routes the value
 // to the byte-encoded table instead; the split is deterministic, so build
 // and probe sides always agree on which table a key lives in.
@@ -20,9 +20,7 @@ func intKeyVal(v types.Value) (int64, bool) {
 	case types.KindInt, types.KindDate, types.KindBool:
 		return v.I, true
 	case types.KindFloat:
-		if v.F == float64(int64(v.F)) {
-			return int64(v.F), true
-		}
+		return floatInt(v.F)
 	}
 	return 0, false
 }
@@ -33,8 +31,8 @@ func intKeyVal(v types.Value) (int64, bool) {
 // join key to bucket. A bucket is the chain of build rows carrying one key,
 // linked in arrival order, which is the order the tuple executor's buckets
 // hold them in. Single-column keys that normalize to an integer live in an
-// open-addressed int64 table; every other key is byte-encoded (joinKey's
-// form) into a map.
+// open-addressed int64 table; every other key is normalized and
+// byte-encoded into a map.
 type joinBuild struct {
 	cols []types.Vec // per build column; one the join never reads stays empty
 	need []bool      // the columns kept; nil keeps all

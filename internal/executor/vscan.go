@@ -210,10 +210,9 @@ type vSeqScan struct {
 	pageNo uint32
 	frame  *buffer.Frame // the pinned page; nil between pages
 
-	conj    *vecConjuncts
-	zones   []zoneConj
-	verd    []int8
-	rowPred func(plan.Row) (bool, error) // for irregular blocks; compiled on the first one
+	conj  *vecConjuncts
+	zones []zoneConj
+	verd  []int8
 
 	blk      *storage.ColBlock // the pinned page's block; nil before the first page and between pages
 	pos      int               // first row of blk not yet examined
@@ -224,7 +223,7 @@ type vSeqScan struct {
 	closed   bool
 }
 
-func newVSeqScan(n *optimizer.SeqScan, ctx *Context) (batchIterator, error) {
+func newVSeqScan(n *optimizer.SeqScan, ctx *Context) (*vSeqScan, error) {
 	conj, err := compileVecConjuncts(n.Filter, n.Layout(), ctx.VM)
 	if err != nil {
 		return nil, err
@@ -478,17 +477,12 @@ func (s *vSeqScan) endPage() error {
 	return err
 }
 
-// nextIrregular runs the scalar path over a row-decoded page, emitting the
-// next passing row as a batch of its own (the rows' widths may differ).
+// nextIrregular runs the conjunct cascade over a row-decoded page one row
+// at a time, emitting the next passing row as a batch of its own (the rows'
+// widths may differ).
 func (s *vSeqScan) nextIrregular() (*plan.Batch, error) {
 	blk := s.blk
 	fid := s.node.Rel.Table.Heap.FileID()
-	if s.rowPred == nil {
-		var err error
-		if s.rowPred, err = compileConjuncts(s.node.Filter, s.node.Layout(), s.ctx.VM); err != nil {
-			return nil, err
-		}
-	}
 	for s.pos < len(blk.RowData) {
 		ri := s.pos
 		s.pos++
@@ -496,18 +490,25 @@ func (s *vSeqScan) nextIrregular() (*plan.Batch, error) {
 			continue
 		}
 		s.ctx.VM.AccountCPU(OpsPerTuple)
-		row := plan.Row(blk.RowData[ri])
-		pass, err := s.rowPred(row)
+		s.irrOut.LoadRow(plan.Row(blk.RowData[ri]))
+		s.selBuf = append(s.selBuf[:0], 0)
+		sel, err := s.conj.apply(&s.irrOut, s.selBuf)
 		if err != nil {
 			return nil, err
 		}
-		if pass {
-			s.irrOut.Reset(len(row))
-			s.irrOut.AppendRow(row)
+		if len(sel) > 0 {
 			return &s.irrOut, nil
 		}
 	}
 	return nil, s.endPage()
+}
+
+// tid returns the heap TID of physical row i of the batch returned last.
+func (s *vSeqScan) tid(i int) storage.TID {
+	if s.blk.RowData != nil {
+		i = s.pos - 1 // an irregular page's rows come one per batch
+	}
+	return storage.TID{Page: s.pageNo, Slot: s.blk.Slots[i]}
 }
 
 func (s *vSeqScan) unpin() {

@@ -16,8 +16,6 @@ import (
 
 const accountRows = 20000
 
-var bothModes = []executor.Mode{executor.ModeTuple, executor.ModeBatch}
-
 // writeBaseSession loads the oltp workload's account table, whose heap
 // order is its key order, and warms the buffer pool.
 func writeBaseSession(t testing.TB) *engine.Session {
@@ -54,10 +52,10 @@ func bind(t testing.TB, s *engine.Session, src string) *plan.Query {
 }
 
 // measure executes the plan and returns its rows and simulated seconds.
-func measure(t testing.TB, s *engine.Session, pl *optimizer.Plan, mode executor.Mode) ([]plan.Row, float64) {
+func measure(t testing.TB, s *engine.Session, pl *optimizer.Plan) ([]plan.Row, float64) {
 	t.Helper()
 	start := s.VM.Snapshot()
-	res, err := executor.Run(pl, &executor.Context{Pool: s.Pool, VM: s.VM, WorkMemBytes: s.Params.WorkMemBytes, Mode: mode})
+	res, err := executor.Run(pl, &executor.Context{Pool: s.Pool, VM: s.VM, WorkMemBytes: s.Params.WorkMemBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +111,9 @@ func TestLimitRankMatchesMeasured(t *testing.T) {
 			for i, pl := range plans {
 				in := pl.Root.(*optimizer.Limit).Input.Cost()
 				est[i] = in.Fractional(f)
-				for _, mode := range bothModes {
-					var rows []plan.Row
-					rows, act[i] = measure(t, s, pl, mode)
-					checkRange(t, fmt.Sprintf("%s path %d mode %v", where, i, mode), rows, k, want)
-				}
+				var rows []plan.Row
+				rows, act[i] = measure(t, s, pl)
+				checkRange(t, fmt.Sprintf("%s path %d", where, i), rows, k, want)
 			}
 			if (est[1] < est[0]) != (chosen == 1) {
 				t.Errorf("%s: chose path %d, fractional costs %v", where, chosen, est)
@@ -142,7 +138,7 @@ func TestLimitRankMatchesMeasured(t *testing.T) {
 		if want := fmt.Sprintf("[on account using account_pk key >= %d]", k); !strings.Contains(pl.Explain(), want) {
 			t.Errorf("%s: want an index scan under the Limit:\n%s", src, pl.Explain())
 		}
-		if _, secs := measure(t, s, pl, executor.ModeBatch); secs > 0.00002 {
+		if _, secs := measure(t, s, pl); secs > 0.00002 {
 			t.Errorf("%s: spent %.6f simulated s, want <= 0.00002", src, secs)
 		}
 	}
@@ -192,13 +188,11 @@ func TestLimitPipelinedJoin(t *testing.T) {
 	if !strings.Contains(old.Explain(), "HashJoin") || !strings.Contains(now.Explain(), "IndexNestLoop") {
 		t.Fatalf("want HashJoin on Total and IndexNestLoop under the fraction:\n%s\n%s", old.Explain(), now.Explain())
 	}
-	for _, mode := range bothModes {
-		oldRows, oldSecs := measure(t, s, old, mode)
-		nowRows, nowSecs := measure(t, s, now, mode)
-		checkRange(t, "Total plan", oldRows, 5000, 5)
-		checkRange(t, "fraction plan", nowRows, 5000, 5)
-		if nowSecs*100 > oldSecs {
-			t.Errorf("mode %v: %.6f simulated s, Total-chosen plan %.6f; want >= 100x less", mode, nowSecs, oldSecs)
-		}
+	oldRows, oldSecs := measure(t, s, old)
+	nowRows, nowSecs := measure(t, s, now)
+	checkRange(t, "Total plan", oldRows, 5000, 5)
+	checkRange(t, "fraction plan", nowRows, 5000, 5)
+	if nowSecs*100 > oldSecs {
+		t.Errorf("%.6f simulated s, Total-chosen plan %.6f; want >= 100x less", nowSecs, oldSecs)
 	}
 }

@@ -73,3 +73,16 @@ func (b *Batch) AppendRow(r Row) {
 	}
 	b.N++
 }
+
+// LoadRow makes b a one-row batch over r: boxed columns that alias the
+// row, so loading allocates nothing once b has the width.
+func (b *Batch) LoadRow(r Row) {
+	if cap(b.Cols) < len(r) {
+		b.Cols = make([]types.Vec, len(r))
+	}
+	b.Cols = b.Cols[:len(r)]
+	for c := range r {
+		b.Cols[c] = types.Vec{Any: r[c : c+1 : c+1]}
+	}
+	b.Sel, b.N = nil, 1
+}

@@ -16,8 +16,8 @@ import (
 // its storage belongs to the evaluator (valid until its next call) or
 // aliases a column of b, so the caller must not modify it.
 //
-// VecEval charges the sink exactly the CPU operations the row-at-a-time
-// Evaluator would charge across the same rows: per-operator charges are
+// VecEval charges the sink exactly the CPU operations a row-at-a-time
+// evaluation would charge across the same rows: per-operator charges are
 // issued once per batch as ops × rows, and AND/OR evaluate their right
 // operand only on the sub-selection where the left operand did not decide
 // the result — the vector form of the scalar short-circuit. Because every
@@ -110,7 +110,7 @@ func (c *constLanes) vec(n int, out *types.Vec) {
 }
 
 // CompileVec translates a bound expression into a vectorized evaluator
-// with the same semantics and CPU charges as Compile. Column references,
+// with SQL semantics and the CPU charges of row-at-a-time evaluation. Column references,
 // literals and + − × over them run on typed lanes; every other operator,
 // and arithmetic whose operands arrive boxed, NULL-masked or in kinds that
 // differ, runs the boxed loop that mirrors the scalar evaluator.
@@ -128,7 +128,7 @@ func CompileVec(e Expr, lay Layout, sink CPUSink) (VecEval, error) {
 		if err != nil {
 			return nil, err
 		}
-		var own types.Vec
+		var own *types.Vec // allocated on the first partial selection
 		return func(b *Batch, sel []int, out *types.Vec) error {
 			if off >= len(b.Cols) {
 				return fmt.Errorf("plan: row too short: col %d of %d", off, len(b.Cols))
@@ -138,9 +138,12 @@ func CompileVec(e Expr, lay Layout, sink CPUSink) (VecEval, error) {
 				*out = *col // every row selected: the column is the result
 				return nil
 			}
+			if own == nil {
+				own = new(types.Vec)
+			}
 			own.Reset()
 			own.AppendRows(col, sel)
-			*out = own
+			*out = *own
 			return nil
 		}, nil
 
@@ -261,79 +264,7 @@ func CompileVec(e Expr, lay Layout, sink CPUSink) (VecEval, error) {
 		}, nil
 
 	case *In:
-		// Vectorize only when every list element is charge-free (Const or
-		// ColRef): the scalar form evaluates list elements lazily, which
-		// only matters for charges. Complex lists fall back to the scalar
-		// evaluator row by row.
-		getters := make([]func(*Batch, int) types.Value, len(x.List))
-		offs := make([]int, 0, len(x.List))
-		for i, le := range x.List {
-			switch y := le.(type) {
-			case *Const:
-				v := y.Val
-				getters[i] = func(*Batch, int) types.Value { return v }
-			case *ColRef:
-				off, err := lay.Offset(y)
-				if err != nil {
-					return nil, err
-				}
-				offs = append(offs, off)
-				getters[i] = func(b *Batch, row int) types.Value { return b.Cols[off].Get(row) }
-			default:
-				return rowFallback(e, lay, sink)
-			}
-		}
-		ev, err := CompileVec(x.E, lay, sink)
-		if err != nil {
-			return nil, err
-		}
-		notI := x.NotI
-		var vv types.Vec
-		var vb, ob []types.Value
-		return func(b *Batch, sel []int, out *types.Vec) error {
-			n := len(sel)
-			sink.AccountCPU(float64(len(getters)) * OpsPerOperator * float64(n))
-			for _, off := range offs {
-				if off >= len(b.Cols) {
-					return fmt.Errorf("plan: row too short: col %d of %d", off, len(b.Cols))
-				}
-			}
-			if err := ev(b, sel, &vv); err != nil {
-				return err
-			}
-			va := boxed(&vv, &vb)
-			ob = grow(ob, n)
-			for k, i := range sel {
-				v := va[k]
-				if v.IsNull() {
-					ob[k] = types.Null
-					continue
-				}
-				sawNull := false
-				found := false
-				for _, g := range getters {
-					lv := g(b, i)
-					if lv.IsNull() {
-						sawNull = true
-						continue
-					}
-					if types.Equal(v, lv) {
-						found = true
-						break
-					}
-				}
-				switch {
-				case found:
-					ob[k] = types.NewBool(!notI)
-				case sawNull:
-					ob[k] = types.Null
-				default:
-					ob[k] = types.NewBool(notI)
-				}
-			}
-			*out = types.Vec{Any: ob}
-			return nil
-		}, nil
+		return compileInVec(x, lay, sink)
 
 	case *Like:
 		ev, err := CompileVec(x.E, lay, sink)
@@ -420,25 +351,86 @@ func cmpFast(a, b types.Value) (int, bool) {
 	return types.Compare(a, b)
 }
 
-// rowFallback evaluates an expression with the scalar evaluator, one
-// selected row at a time; charges are identical by construction.
-func rowFallback(e Expr, lay Layout, sink CPUSink) (VecEval, error) {
-	ev, err := Compile(e, lay, sink)
+// OneRow adapts a compiled VecEval to callers that hold one row at a
+// time: each call evaluates it on a one-row batch whose boxed columns
+// alias the row.
+func OneRow(ev VecEval) func(Row) (types.Value, error) {
+	st := &struct {
+		b   Batch
+		out types.Vec
+		sel [1]int
+	}{}
+	return func(r Row) (types.Value, error) {
+		st.b.LoadRow(r)
+		if err := ev(&st.b, st.sel[:], &st.out); err != nil {
+			return types.Null, err
+		}
+		return st.out.Get(0), nil
+	}
+}
+
+// compileInVec is [NOT] IN. A row's list elements are evaluated left to
+// right until one equals its value, and an element's operators charge as
+// it is evaluated, so each element runs only on the rows still undecided.
+func compileInVec(x *In, lay Layout, sink CPUSink) (VecEval, error) {
+	ev, err := CompileVec(x.E, lay, sink)
 	if err != nil {
 		return nil, err
 	}
-	var row Row
-	var ob []types.Value
+	list := make([]VecEval, len(x.List))
+	for i, le := range x.List {
+		if list[i], err = CompileVec(le, lay, sink); err != nil {
+			return nil, err
+		}
+	}
+	notI := x.NotI
+	var vv, lv types.Vec
+	var vb, lb, ob []types.Value
+	var sawNull []bool
+	var open, pos []int // the undecided rows: physical index, position in sel
 	return func(b *Batch, sel []int, out *types.Vec) error {
-		row = grow(row, len(b.Cols))
-		ob = grow(ob, len(sel))
-		for k, i := range sel {
-			b.ReadRow(i, row)
-			v, err := ev(row)
-			if err != nil {
+		n := len(sel)
+		sink.AccountCPU(float64(len(list)) * OpsPerOperator * float64(n))
+		if err := ev(b, sel, &vv); err != nil {
+			return err
+		}
+		va := boxed(&vv, &vb)
+		ob, sawNull = grow(ob, n), grow(sawNull, n)
+		open, pos = open[:0], pos[:0]
+		for k, v := range va {
+			sawNull[k] = false
+			if v.IsNull() {
+				ob[k] = types.Null
+			} else {
+				open, pos = append(open, sel[k]), append(pos, k)
+			}
+		}
+		for _, le := range list {
+			if len(open) == 0 {
+				break
+			}
+			if err := le(b, open, &lv); err != nil {
 				return err
 			}
-			ob[k] = v
+			kept := 0
+			for j, l := range boxed(&lv, &lb) {
+				k := pos[j]
+				if !l.IsNull() && types.Equal(va[k], l) {
+					ob[k] = types.NewBool(!notI)
+					continue
+				}
+				sawNull[k] = sawNull[k] || l.IsNull()
+				open[kept], pos[kept] = open[j], k
+				kept++
+			}
+			open, pos = open[:kept], pos[:kept]
+		}
+		for _, k := range pos {
+			if sawNull[k] {
+				ob[k] = types.Null
+			} else {
+				ob[k] = types.NewBool(notI)
+			}
 		}
 		*out = types.Vec{Any: ob}
 		return nil
@@ -545,6 +537,26 @@ func arithLanes[T int64 | float64](op sql.BinaryOp, out, l, r []T) {
 	}
 }
 
+// arithState is compileArithVec's evaluator state, allocated once: the
+// operands that are literals and their lanes, the operands' values, and
+// the result buffers.
+type arithState struct {
+	lit        [2]*Const
+	lanes      [2]*constLanes
+	lv, rv     types.Vec
+	lb, rb, ob []types.Value
+	of         []float64
+	oi         []int64
+}
+
+// litLanes returns literal operand i as lanes, built on first use.
+func (st *arithState) litLanes(i int) *constLanes {
+	if st.lanes[i] == nil {
+		st.lanes[i] = &constLanes{v: st.lit[i].Val}
+	}
+	return st.lanes[i]
+}
+
 // compileArithVec is + − × ÷. When both operands arrive as NULL-free lanes
 // of kinds arith combines without a per-row decision — INT with INT, FLOAT
 // with FLOAT, or a FLOAT lane with an INT literal, which is promoted once
@@ -553,61 +565,57 @@ func arithLanes[T int64 | float64](op sql.BinaryOp, out, l, r []T) {
 func compileArithVec(x *Bin, l, r VecEval, sink CPUSink) VecEval {
 	op := x.Op
 	lanes := op == sql.OpAdd || op == sql.OpSub || op == sql.OpMul
-	var lit [2]*constLanes // the operand's literal, when it is one
+	st := &arithState{}
 	for i, e := range []Expr{x.L, x.R} {
 		if c, ok := e.(*Const); ok {
-			lit[i] = &constLanes{v: c.Val}
+			st.lit[i] = c
 		}
 	}
-	var lv, rv types.Vec
-	var lb, rb, ob []types.Value
-	var of []float64
-	var oi []int64
 	return func(b *Batch, sel []int, out *types.Vec) error {
 		n := len(sel)
 		sink.AccountCPU(OpsPerOperator * float64(n))
-		if err := l(b, sel, &lv); err != nil {
+		if err := l(b, sel, &st.lv); err != nil {
 			return err
 		}
-		if err := r(b, sel, &rv); err != nil {
+		if err := r(b, sel, &st.rv); err != nil {
 			return err
 		}
-		if lanes && lv.Dense() && rv.Dense() {
+		if lanes && st.lv.Dense() && st.rv.Dense() {
 			var lf, rf []float64
-			switch lk, rk := lv.Kind, rv.Kind; {
+			switch lk, rk := st.lv.Kind, st.rv.Kind; {
 			case lk == types.KindInt && rk == types.KindInt:
-				oi = grow(oi, n)
-				arithLanes(op, oi, lv.I, rv.I)
-				*out = types.Vec{Kind: types.KindInt, I: oi}
+				st.oi = grow(st.oi, n)
+				arithLanes(op, st.oi, st.lv.I, st.rv.I)
+				*out = types.Vec{Kind: types.KindInt, I: st.oi}
 				return nil
 			case lk == types.KindFloat && rk == types.KindFloat:
-				lf, rf = lv.F, rv.F
-			case lk == types.KindFloat && rk == types.KindInt && lit[1] != nil:
-				lf, rf = lv.F, lit[1].floats(n)
-			case lk == types.KindInt && lit[0] != nil && rk == types.KindFloat:
-				lf, rf = lit[0].floats(n), rv.F
+				lf, rf = st.lv.F, st.rv.F
+			case lk == types.KindFloat && rk == types.KindInt && st.lit[1] != nil:
+				lf, rf = st.lv.F, st.litLanes(1).floats(n)
+			case lk == types.KindInt && st.lit[0] != nil && rk == types.KindFloat:
+				lf, rf = st.litLanes(0).floats(n), st.rv.F
 			}
 			if lf != nil {
-				of = grow(of, n)
-				arithLanes(op, of, lf, rf)
-				*out = types.Vec{Kind: types.KindFloat, F: of}
+				st.of = grow(st.of, n)
+				arithLanes(op, st.of, lf, rf)
+				*out = types.Vec{Kind: types.KindFloat, F: st.of}
 				return nil
 			}
 		}
-		la, ra := boxed(&lv, &lb), boxed(&rv, &rb)
-		ob = grow(ob, n)
+		la, ra := boxed(&st.lv, &st.lb), boxed(&st.rv, &st.rb)
+		st.ob = grow(st.ob, n)
 		for k := 0; k < n; k++ {
 			if la[k].IsNull() || ra[k].IsNull() {
-				ob[k] = types.Null
+				st.ob[k] = types.Null
 				continue
 			}
 			v, err := arith(op, la[k], ra[k])
 			if err != nil {
 				return err
 			}
-			ob[k] = v
+			st.ob[k] = v
 		}
-		*out = types.Vec{Any: ob}
+		*out = types.Vec{Any: st.ob}
 		return nil
 	}
 }
