@@ -53,11 +53,17 @@ type Frame struct {
 
 // Pool is a buffer pool bound to one VM. It is not safe for concurrent
 // use; each session drives its pool from one goroutine.
+//
+// The page table is dense: table[file][page] holds the index of the frame
+// caching that page plus one, and 0 for a page that is not resident, so a
+// hit is two bounds checks and a load. A slot is written only once Probe or
+// the disk's Allocate has shown the page exists, so no file's slice grows
+// longer than the file — 4 bytes per page of the disk the pool has touched.
 type Pool struct {
 	disk   *storage.DiskManager
 	vm     *vm.VM
 	frames []Frame
-	table  map[storage.PageID]int
+	table  [][]int32
 	hand   int
 	stats  Stats
 }
@@ -71,7 +77,6 @@ func NewPool(disk *storage.DiskManager, v *vm.VM, numFrames int) (*Pool, error) 
 		disk:   disk,
 		vm:     v,
 		frames: make([]Frame, numFrames),
-		table:  make(map[storage.PageID]int, numFrames),
 	}, nil
 }
 
@@ -115,7 +120,7 @@ func (p *Pool) Fetch(id storage.PageID, hint storage.AccessHint) (*storage.PageD
 // does, and so never pays for the copy. A page that does not exist is an
 // error and takes no frame.
 func (p *Pool) Pin(id storage.PageID, hint storage.AccessHint) (*Frame, error) {
-	if idx, ok := p.table[id]; ok {
+	if idx := p.lookup(id); idx >= 0 {
 		f := &p.frames[idx]
 		f.pins++
 		f.refBit = true
@@ -144,7 +149,7 @@ func (p *Pool) Pin(id storage.PageID, hint storage.AccessHint) (*Frame, error) {
 	f.dirty = false
 	f.refBit = true
 	f.occupied = true
-	p.table[id] = idx
+	p.setSlot(id, idx)
 	return f, nil
 }
 
@@ -172,8 +177,8 @@ func (p *Pool) Release(f *Frame) {
 // caller modified it. Unpinning a page that is not resident or not pinned
 // panics: it is a bug in the storage layer, never a runtime condition.
 func (p *Pool) Unpin(id storage.PageID, dirty bool) {
-	idx, ok := p.table[id]
-	if !ok {
+	idx := p.lookup(id)
+	if idx < 0 {
 		panic(fmt.Sprintf("buffer: Unpin of non-resident page %s", id))
 	}
 	f := &p.frames[idx]
@@ -191,17 +196,18 @@ func (p *Pool) Unpin(id storage.PageID, dirty bool) {
 
 // Allocate appends a zeroed page to the file and pins it in the pool.
 // Allocation itself is not charged as a read; the eventual write-back of
-// the dirty frame is charged.
+// the dirty frame is charged. The frame is found first, so a pool with
+// every frame pinned fails without growing the file.
 func (p *Pool) Allocate(fid storage.FileID) (storage.PageID, *storage.PageData, error) {
+	idx, err := p.victim()
+	if err != nil {
+		return storage.PageID{}, nil, err
+	}
 	pageNo, err := p.disk.Allocate(fid)
 	if err != nil {
 		return storage.PageID{}, nil, err
 	}
 	id := storage.PageID{File: fid, Page: pageNo}
-	idx, err := p.victim()
-	if err != nil {
-		return storage.PageID{}, nil, err
-	}
 	f := &p.frames[idx]
 	f.data = storage.PageData{}
 	f.id = id
@@ -210,7 +216,7 @@ func (p *Pool) Allocate(fid storage.FileID) (storage.PageID, *storage.PageData, 
 	f.dirty = true // a new page must reach disk even if never re-dirtied
 	f.refBit = true
 	f.occupied = true
-	p.table[id] = idx
+	p.setSlot(id, idx)
 	return id, &f.data, nil
 }
 
@@ -256,7 +262,7 @@ func (p *Pool) evict(idx int) error {
 		p.stats.WriteBacks++
 	}
 	p.stats.Evictions++
-	delete(p.table, f.id)
+	p.table[f.id.File][f.id.Page] = 0
 	f.occupied = false
 	return nil
 }
@@ -279,9 +285,29 @@ func (p *Pool) FlushAll() error {
 }
 
 // Resident reports whether a page is currently in the pool (for tests).
-func (p *Pool) Resident(id storage.PageID) bool {
-	_, ok := p.table[id]
-	return ok
+func (p *Pool) Resident(id storage.PageID) bool { return p.lookup(id) >= 0 }
+
+// lookup returns the index of the frame holding the page, or -1.
+func (p *Pool) lookup(id storage.PageID) int {
+	if int(id.File) < len(p.table) {
+		if t := p.table[id.File]; int(id.Page) < len(t) {
+			return int(t[id.Page]) - 1
+		}
+	}
+	return -1
+}
+
+// setSlot records that frame idx holds the page, which must exist on disk.
+func (p *Pool) setSlot(id storage.PageID, idx int) {
+	if n := int(id.File) + 1; n > len(p.table) {
+		p.table = append(p.table, make([][]int32, n-len(p.table))...)
+	}
+	t := p.table[id.File]
+	if n := int(id.Page) + 1; n > len(t) {
+		t = append(t, make([]int32, n-len(t))...)
+		p.table[id.File] = t
+	}
+	t[id.Page] = int32(idx + 1)
 }
 
 // PinnedCount returns the number of frames with at least one pin.

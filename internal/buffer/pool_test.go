@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -400,7 +401,6 @@ func TestPinIsFetchWithoutTheBytes(t *testing.T) {
 			if (err == nil) != (err2 == nil) || id != id2 {
 				t.Fatalf("step %d: Allocate = %s, %v; twin %s, %v", step, id, err, id2, err2)
 			}
-			// A failed Allocate has grown the file all the same.
 			numPages = fetchPool.NumPages(f)
 			if err == nil {
 				pins = append(pins, pin{id: id})
@@ -508,5 +508,312 @@ func TestPinDefersTheRead(t *testing.T) {
 	var onDisk storage.PageData
 	if err := p.disk.ReadPage(page(2), &onDisk); err != nil || onDisk[0] != 2 {
 		t.Fatalf("page 2 on disk: byte %d, err %v", onDisk[0], err)
+	}
+}
+
+// TestFailedAllocateLeavesTheFileAlone: with every frame pinned, Allocate
+// fails — and must not have grown the file, or the next insert skips an
+// empty page that every later scan reads and pays for.
+func TestFailedAllocateLeavesTheFileAlone(t *testing.T) {
+	disk := storage.NewDiskManager()
+	heapFID, other := disk.CreateFile(), disk.CreateFile()
+	p, err := NewPool(disk, newTestVM(t), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := storage.NewHeapFile(heapFID)
+	row := storage.Tuple{types.NewInt(1)}
+	if _, err := h.Insert(p, row); err != nil {
+		t.Fatal(err)
+	}
+	held, _, err := p.Allocate(other) // takes the only frame
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := p.Allocate(heapFID); err == nil {
+		t.Fatal("Allocate succeeded with every frame pinned")
+	}
+	if n := p.NumPages(heapFID); n != 1 {
+		t.Fatalf("failed Allocate grew the file to %d pages, want 1", n)
+	}
+	p.Unpin(held, true)
+	tid, err := h.Insert(p, row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tid.Page != 0 || p.NumPages(heapFID) != 1 {
+		t.Fatalf("second row landed at %s in a file of %d pages, want page 0 of 1", tid, p.NumPages(heapFID))
+	}
+}
+
+// mapPool is the reference the dense page table is checked against: the
+// pool with a map for its page table and otherwise the same clock sweep,
+// the same events and the same charges in the same order. Frames are
+// named by index.
+type mapPool struct {
+	disk   *storage.DiskManager
+	vm     *vm.VM
+	frames []Frame
+	table  map[storage.PageID]int
+	hand   int
+	stats  Stats
+}
+
+func (p *mapPool) pin(id storage.PageID, hint storage.AccessHint) (int, error) {
+	if idx, ok := p.table[id]; ok {
+		f := &p.frames[idx]
+		f.pins++
+		f.refBit = true
+		p.stats.Hits++
+		p.vm.AccountCPU(HitCPUOps)
+		return idx, nil
+	}
+	if err := p.disk.Probe(id); err != nil {
+		return -1, err
+	}
+	idx, err := p.victim()
+	if err != nil {
+		return -1, err
+	}
+	p.stats.Misses++
+	if hint == storage.RandHint {
+		p.vm.AccountRandRead(1)
+	} else {
+		p.vm.AccountSeqRead(1)
+	}
+	p.frames[idx] = Frame{id: id, data: p.frames[idx].data, pins: 1, refBit: true, occupied: true}
+	p.table[id] = idx
+	return idx, nil
+}
+
+func (p *mapPool) load(idx int) error {
+	f := &p.frames[idx]
+	if !f.loaded {
+		if err := p.disk.ReadPage(f.id, &f.data); err != nil {
+			return err
+		}
+		f.loaded = true
+	}
+	return nil
+}
+
+func (p *mapPool) unpin(id storage.PageID, dirty bool) {
+	f := &p.frames[p.table[id]]
+	f.pins--
+	if dirty {
+		f.dirty = true
+	}
+}
+
+func (p *mapPool) allocate(fid storage.FileID) (storage.PageID, error) {
+	idx, err := p.victim()
+	if err != nil {
+		return storage.PageID{}, err
+	}
+	pageNo, err := p.disk.Allocate(fid)
+	if err != nil {
+		return storage.PageID{}, err
+	}
+	id := storage.PageID{File: fid, Page: pageNo}
+	p.frames[idx] = Frame{id: id, pins: 1, loaded: true, dirty: true, refBit: true, occupied: true}
+	p.table[id] = idx
+	return id, nil
+}
+
+func (p *mapPool) victim() (int, error) {
+	n := len(p.frames)
+	for sweep := 0; sweep < 2*n; sweep++ {
+		idx := p.hand
+		p.hand = (p.hand + 1) % n
+		f := &p.frames[idx]
+		switch {
+		case !f.occupied:
+			return idx, nil
+		case f.pins > 0:
+		case f.refBit:
+			f.refBit = false
+		default:
+			if f.dirty {
+				if err := p.disk.WritePage(f.id, &f.data); err != nil {
+					return 0, err
+				}
+				p.vm.AccountWrite(1)
+				p.stats.WriteBacks++
+			}
+			p.stats.Evictions++
+			delete(p.table, f.id)
+			f.occupied = false
+			return idx, nil
+		}
+	}
+	return 0, fmt.Errorf("all %d frames pinned", n)
+}
+
+func (p *mapPool) flushAll() error {
+	for i := range p.frames {
+		if f := &p.frames[i]; f.occupied && f.dirty {
+			if err := p.disk.WritePage(f.id, &f.data); err != nil {
+				return err
+			}
+			p.vm.AccountWrite(1)
+			p.stats.WriteBacks++
+			f.dirty = false
+		}
+	}
+	return nil
+}
+
+// TestPoolMatchesMapModel drives the pool and the map-table reference over
+// identical disks of three files with one seeded random sequence of Pin,
+// Fetch, Release, Unpin (clean or dirty), Allocate and FlushAll, including
+// pages and files that do not exist. After every step the two must agree
+// on the frame each call returned, every frame's state and bytes, the
+// clock hand, Stats, which pages are resident and the VM's usage.
+func TestPoolMatchesMapModel(t *testing.T) {
+	fileSizes := []int{5, 2, 9}
+	newDisk := func() (*storage.DiskManager, []storage.FileID) {
+		disk := storage.NewDiskManager()
+		var fids []storage.FileID
+		for fi, n := range fileSizes {
+			fid := disk.CreateFile()
+			fids = append(fids, fid)
+			for pg := 0; pg < n; pg++ {
+				pn, err := disk.Allocate(fid)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var buf storage.PageData
+				buf[0], buf[1] = byte(fi), byte(pg)
+				if err := disk.WritePage(storage.PageID{File: fid, Page: pn}, &buf); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return disk, fids
+	}
+	for _, frames := range []int{1, 3, 8} {
+		for seed := int64(1); seed <= 3; seed++ {
+			disk, fids := newDisk()
+			refDisk, _ := newDisk()
+			p, err := NewPool(disk, newTestVM(t), frames)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := &mapPool{disk: refDisk, vm: newTestVM(t), frames: make([]Frame, frames), table: map[storage.PageID]int{}}
+			// One file id beyond the disk's, so lookups and allocations
+			// of a file that does not exist are exercised too.
+			files := append(fids, fids[len(fids)-1]+1)
+			rng := rand.New(rand.NewSource(seed))
+			type pin struct {
+				id    storage.PageID
+				frame *Frame // non-nil for a pin taken by Pin and not yet read
+			}
+			var pins []pin
+			frameIndex := func(f *Frame) int {
+				for i := range p.frames {
+					if &p.frames[i] == f {
+						return i
+					}
+				}
+				t.Fatalf("frame %p is not one of the pool's", f)
+				return -1
+			}
+			for step := 0; step < 3000; step++ {
+				fail := func(format string, args ...any) {
+					t.Helper()
+					t.Fatalf("frames %d seed %d step %d: %s", frames, seed, step, fmt.Sprintf(format, args...))
+				}
+				fid := files[rng.Intn(len(files))]
+				switch op := rng.Intn(12); {
+				case op < 5: // Pin or Fetch, sometimes one page past the end
+					id := storage.PageID{File: fid, Page: uint32(rng.Intn(int(disk.NumPages(fid)) + 1))}
+					hint := storage.AccessHint(rng.Intn(2))
+					fetch := op < 2
+					var fr *Frame
+					var err error
+					if fetch {
+						_, err = p.Fetch(id, hint)
+					} else {
+						fr, err = p.Pin(id, hint)
+					}
+					idx, refErr := ref.pin(id, hint)
+					if (err == nil) != (refErr == nil) {
+						fail("pin %s: %v, reference %v", id, err, refErr)
+					}
+					if err != nil {
+						continue
+					}
+					if fetch {
+						if err := ref.load(idx); err != nil {
+							t.Fatal(err)
+						}
+						fr = nil
+					} else if got := frameIndex(fr); got != idx {
+						fail("pin %s took frame %d, reference %d", id, got, idx)
+					}
+					pins = append(pins, pin{id, fr})
+				case op < 8 && len(pins) > 0: // drop a pin, sometimes after writing
+					k := rng.Intn(len(pins))
+					pn := pins[k]
+					pins = append(pins[:k], pins[k+1:]...)
+					dirty := rng.Intn(3) == 0
+					if pn.frame != nil && !dirty {
+						p.Release(pn.frame)
+						ref.unpin(pn.id, false)
+						break
+					}
+					if dirty {
+						if pn.frame != nil {
+							if _, err := p.Data(pn.frame); err != nil {
+								t.Fatal(err)
+							}
+						}
+						f, idx := &p.frames[p.lookup(pn.id)], ref.table[pn.id]
+						if err := ref.load(idx); err != nil {
+							t.Fatal(err)
+						}
+						b := byte(rng.Intn(256))
+						f.data[2], ref.frames[idx].data[2] = b, b
+					}
+					p.Unpin(pn.id, dirty)
+					ref.unpin(pn.id, dirty)
+				case op < 10:
+					id, _, err := p.Allocate(fid)
+					refID, refErr := ref.allocate(fid)
+					if (err == nil) != (refErr == nil) || id != refID {
+						fail("Allocate(%d) = %s, %v; reference %s, %v", fid, id, err, refID, refErr)
+					}
+					if err == nil {
+						pins = append(pins, pin{id: id})
+					}
+				default:
+					if err, refErr := p.FlushAll(), ref.flushAll(); err != nil || refErr != nil {
+						fail("FlushAll: %v, reference %v", err, refErr)
+					}
+				}
+				if p.stats != ref.stats || p.hand != ref.hand {
+					fail("stats %+v hand %d, reference %+v hand %d", p.stats, p.hand, ref.stats, ref.hand)
+				}
+				if a, b := p.VM().Snapshot(), ref.vm.Snapshot(); a != b {
+					fail("VM usage %+v, reference %+v", a, b)
+				}
+				for i := range p.frames {
+					if p.frames[i] != ref.frames[i] {
+						fail("frame %d differs from the reference's", i)
+					}
+				}
+				for _, f := range files {
+					for pg := uint32(0); pg <= disk.NumPages(f); pg++ {
+						id := storage.PageID{File: f, Page: pg}
+						if _, ok := ref.table[id]; p.Resident(id) != ok {
+							fail("page %s resident %v, reference %v", id, p.Resident(id), ok)
+						}
+					}
+					if disk.NumPages(f) != refDisk.NumPages(f) {
+						fail("file %d has %d pages, reference %d", f, disk.NumPages(f), refDisk.NumPages(f))
+					}
+				}
+			}
+		}
 	}
 }

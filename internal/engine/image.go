@@ -144,6 +144,11 @@ func LoadImage(r io.Reader) (*Database, error) {
 		if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
 			return nil, err
 		}
+		// SaveImage writes files 1..numFiles; a buffer pool's page table
+		// is indexed by file id, so an id past them is refused here.
+		if fid == 0 || fid > numFiles {
+			return nil, fmt.Errorf("engine: image file id %d outside 1..%d", fid, numFiles)
+		}
 		pages := make([]storage.PageData, n)
 		for p := uint32(0); p < n; p++ {
 			if _, err := io.ReadFull(br, pages[p][:]); err != nil {

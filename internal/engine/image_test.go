@@ -2,7 +2,9 @@ package engine
 
 import (
 	"bytes"
-
+	"encoding/binary"
+	"encoding/gob"
+	"strings"
 	"testing"
 
 	"dbvirt/internal/vm"
@@ -118,5 +120,24 @@ func TestLoadImageRejectsGarbage(t *testing.T) {
 	}
 	if _, err := LoadImage(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
 		t.Error("truncated image should be rejected")
+	}
+}
+
+// TestLoadImageRejectsFileIDOutOfRange: an image names files 1..n, and a
+// buffer pool sizes its page table by file id, so a far-off id must be
+// refused on load rather than become a huge table on first pin.
+func TestLoadImageRejectsFileIDOutOfRange(t *testing.T) {
+	for _, fid := range []uint32{0, 2, 1 << 31} {
+		var buf bytes.Buffer
+		buf.WriteString(imageMagic)
+		binary.Write(&buf, binary.LittleEndian, uint32(imageVersion))
+		if err := gob.NewEncoder(&buf).Encode(imageMeta{}); err != nil {
+			t.Fatal(err)
+		}
+		binary.Write(&buf, binary.LittleEndian, []uint32{1, fid, 0}) // one file of no pages
+		_, err := LoadImage(&buf)
+		if err == nil || !strings.Contains(err.Error(), "outside 1..1") {
+			t.Errorf("file id %d: err = %v, want out of range", fid, err)
+		}
 	}
 }

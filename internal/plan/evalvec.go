@@ -623,9 +623,9 @@ func compileArithVec(x *Bin, l, r VecEval, sink CPUSink) VecEval {
 // compileLikeMatcher builds a matcher equivalent to
 // types.MatchLike(s, pattern), specialized once at compile time. A
 // pattern without '_' wildcards reduces to a prefix check, a suffix
-// check, and an ordered chain of substring searches, which run on the
-// optimized strings package instead of the general byte-at-a-time
-// backtracking matcher. The charge (LikeCostOps per row) is unchanged.
+// check, and an ordered chain of leftmost substring searches (indexWindowed)
+// instead of the general byte-at-a-time backtracking matcher. The charge
+// (LikeCostOps per row) is unchanged.
 func compileLikeMatcher(pattern string) func(string) bool {
 	if strings.ContainsRune(pattern, '_') {
 		return func(s string) bool { return types.MatchLike(s, pattern) }
@@ -649,13 +649,43 @@ func compileLikeMatcher(pattern string) func(string) bool {
 			if m == "" {
 				continue
 			}
-			idx := strings.Index(s, m)
+			idx := indexWindowed(s, m)
 			if idx < 0 {
 				return false
 			}
 			s = s[idx+len(m):]
 		}
 		return true
+	}
+}
+
+// likeWindow is the longest haystack strings.Index searches by brute force
+// on amd64 (the runtime's bytealg.MaxBruteForce): one SIMD compare per
+// offset. On a longer haystack it falls back to an IndexByte loop on the
+// needle's first byte, which stalls on every false candidate — and in text
+// a needle's first byte is common ('s' of "special" in an order comment).
+// Where the threshold is lower (arm64: 16) a window costs what that loop
+// costs, plus the overlap.
+const likeWindow = 64
+
+// indexWindowed returns strings.Index(s, m). A needle of 2 to likeWindow/2
+// bytes, so that a window always advances by more than half its length, is
+// searched for in windows of likeWindow bytes that overlap by len(m)-1:
+// every occurrence lies whole in some window, and the first window holding
+// one returns the leftmost.
+func indexWindowed(s, m string) int {
+	if len(s) <= likeWindow || len(m) < 2 || len(m) > likeWindow/2 {
+		return strings.Index(s, m)
+	}
+	step := likeWindow - (len(m) - 1)
+	for start := 0; ; start += step {
+		end := min(start+likeWindow, len(s))
+		if i := strings.Index(s[start:end], m); i >= 0 {
+			return start + i
+		}
+		if end == len(s) {
+			return -1
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"dbvirt/internal/sql"
@@ -572,3 +573,71 @@ func TestCompileLikeMatcherEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// q13Like is the pattern TPC-H Q13 excludes order comments by.
+const q13Like = "%special%requests%"
+
+// FuzzLikeMatcher checks the compiled matcher against the reference
+// backtracking matcher on any haystack and pattern. The seeds put each
+// needle across the edges of indexWindowed's windows on haystacks around
+// one and two windows long.
+func FuzzLikeMatcher(f *testing.F) {
+	for _, p := range []string{"", "%", "%%", "a%%b", "_", "%_%", "s_e%", q13Like, "%special%", "%ab%", "%s%"} {
+		f.Add("", p)
+		f.Add("special requests", p)
+	}
+	for _, n := range []int{0, 1, 63, 64, 65, 127, 128, 129, 200} {
+		filler := strings.Repeat("slyly ", n/6+1)[:n]
+		f.Add(filler, q13Like)
+		for _, needle := range []string{"special", "requests", "ab"} {
+			for _, edge := range []int{likeWindow - 1, likeWindow, likeWindow + 1, 2*likeWindow - len(needle) + 1, 2 * likeWindow} {
+				if at := edge - len(needle)/2; at >= 0 && at+len(needle) <= n {
+					hay := filler[:at] + needle + filler[at+len(needle):]
+					f.Add(hay, "%"+needle+"%")
+					f.Add(hay, q13Like)
+				}
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, s, p string) {
+		if got, want := compileLikeMatcher(p)(s), types.MatchLike(s, p); got != want {
+			t.Fatalf("%q LIKE %q: compiled %v, reference %v", s, p, got, want)
+		}
+	})
+}
+
+// BenchmarkLikeMatcher times Q13's NOT LIKE test over 24 000 order
+// comments of 90 bytes, built like the workload's: random words from the
+// same vocabulary, 1% opening with the excluded phrase.
+func BenchmarkLikeMatcher(b *testing.B) {
+	words := strings.Fields("furiously quickly carefully blithely slyly pending final ironic " +
+		"express regular bold even silent deposits packages accounts instructions " +
+		"theodolites platelets foxes ideas requests pinto beans")
+	rng := rand.New(rand.NewSource(1))
+	comments := make([]string, 24000)
+	for i := range comments {
+		var sb strings.Builder
+		if rng.Intn(100) == 0 {
+			sb.WriteString("special packages requests ")
+		}
+		for sb.Len() < 90 {
+			sb.WriteString(words[rng.Intn(len(words))])
+			sb.WriteByte(' ')
+		}
+		comments[i] = strings.TrimSpace(sb.String()[:90])
+	}
+	match := compileLikeMatcher(q13Like)
+	b.ResetTimer()
+	kept := 0
+	for i := 0; i < b.N; i++ {
+		for _, c := range comments {
+			if !match(c) {
+				kept++
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(comments)), "ns/row")
+	likeSink = kept
+}
+
+var likeSink int

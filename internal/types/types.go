@@ -295,11 +295,11 @@ func MatchLike(s, pattern string) bool {
 	star, starSi := -1, 0
 	for si < len(s) {
 		switch {
+		case pi < len(pattern) && pattern[pi] == '%': // a wildcard, even facing a '%' in s
+			star, starSi = pi, si
+			pi++
 		case pi < len(pattern) && (pattern[pi] == '_' || pattern[pi] == s[si]):
 			si++
-			pi++
-		case pi < len(pattern) && pattern[pi] == '%':
-			star, starSi = pi, si
 			pi++
 		case star >= 0:
 			starSi++

@@ -187,6 +187,12 @@ func TestMatchLike(t *testing.T) {
 		{"abc", "____", false},
 		{"mississippi", "%issip%", true},
 		{"mississippi", "%issib%", false},
+		// A '%' in the pattern is a wildcard even where s holds a '%'.
+		{"al%0", "%al%", true},
+		{"special%0", "%%%c%al%", true},
+		{"%", "%", true},
+		{"%x", "%", true},
+		{"%x", "%%", true},
 	}
 	for _, c := range cases {
 		if got := MatchLike(c.s, c.p); got != c.want {
