@@ -193,11 +193,13 @@ func DefaultConfig() Config {
 }
 
 // Calibrator owns the synthetic calibration database and a parameter
-// cache. It is safe for concurrent use: the database is built once and is
-// read-only afterwards (every measurement session gets its own machine,
-// VM, and buffer pool), and the cache is a memo.Memo, so concurrent
-// Calibrate calls for the same allocation join one in-flight measurement
-// instead of repeating it.
+// cache. It is safe for concurrent use: the database is built on demand
+// and is read-only afterwards (every measurement session gets its own
+// machine, VM, and buffer pool), and the cache is a memo.Memo, so
+// concurrent Calibrate calls for the same allocation join one in-flight
+// measurement instead of repeating it. A grid sweep releases the database
+// once every lattice point is cached; a later miss rebuilds it, bit for
+// bit, from the seeded Config.
 type Calibrator struct {
 	cfg Config
 	// envErr records a malformed DBVIRT_FAULTS spec; surfacing it from
@@ -205,14 +207,10 @@ type Calibrator struct {
 	// infallible while still failing misconfigured runs loudly.
 	envErr error
 
-	buildOnce      sync.Once
-	buildErr       error
-	db             *engine.Database
-	bigPages       float64
-	bigRows        float64
-	narrowRows     float64
-	randLo, randHi int64   // key range of the random probe
-	randK          float64 // exact rows matched by the probe
+	mu sync.Mutex // guards data
+	// data is the calibration database, nil until a measurement needs it
+	// and again after a grid sweep; a measurement keeps its own pointer.
+	data *calDB
 
 	measures atomic.Int64 // completed measure() runs, for tests/reporting
 	retries  atomic.Int64 // transient-fault retries, for tests/reporting
@@ -249,36 +247,53 @@ func (c *Calibrator) Retries() int64 { return c.retries.Load() }
 // Config returns the calibrator's configuration.
 func (c *Calibrator) Config() Config { return c.cfg }
 
-const padLen = 420 // big-table padding: ~16 rows per 8 KiB page
-
-// buildDB constructs the synthetic calibration database once.
-func (c *Calibrator) buildDB() error {
-	c.buildOnce.Do(func() { c.buildErr = c.doBuild() })
-	return c.buildErr
+// calDB is the synthetic calibration database and the facts about it
+// that the probe equations use.
+type calDB struct {
+	db             *engine.Database
+	bigPages       float64
+	bigRows        float64
+	narrowRows     float64
+	randLo, randHi int64   // key range of the random probe
+	randK          float64 // exact rows matched by the probe
 }
 
-func (c *Calibrator) doBuild() error {
+const padLen = 420 // big-table padding: ~16 rows per 8 KiB page
+
+// database returns the calibration database, building it if the
+// calibrator holds none.
+func (c *Calibrator) database() (*calDB, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var err error
+	if c.data == nil {
+		c.data, err = c.build()
+	}
+	return c.data, err
+}
+
+func (c *Calibrator) build() (*calDB, error) {
 	m, err := vm.NewMachine(c.cfg.Machine)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	loaderVM, err := m.NewVM("cal-loader", vm.Shares{CPU: 1, Memory: 1, IO: 1})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	db := engine.NewDatabase()
 	s, err := engine.NewSession(db, loaderVM, c.cfg.Engine)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	rng := rand.New(rand.NewSource(c.cfg.Seed))
 
 	if _, err := s.Exec(`CREATE TABLE cal_narrow (a INT, b INT, c INT)`); err != nil {
-		return err
+		return nil, err
 	}
 	narrow, err := db.Catalog.Table("cal_narrow")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for i := 0; i < c.cfg.NarrowRows; i++ {
 		tup := storage.Tuple{
@@ -287,19 +302,19 @@ func (c *Calibrator) doBuild() error {
 			types.NewInt(int64(1000 + rng.Intn(1000))),
 		}
 		if err := s.InsertTuple(narrow, tup); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if _, err := s.Exec(`CREATE INDEX cal_narrow_a ON cal_narrow (a)`); err != nil {
-		return err
+		return nil, err
 	}
 
 	if _, err := s.Exec(`CREATE TABLE cal_big (a INT, b INT, c INT, r INT, pad TEXT)`); err != nil {
-		return err
+		return nil, err
 	}
 	big, err := db.Catalog.Table("cal_big")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	pad := make([]byte, padLen)
 	for i := range pad {
@@ -309,11 +324,11 @@ func (c *Calibrator) doBuild() error {
 	// The random probe selects r in [randLo, randHi]; r is uniform over
 	// [0, BigRows), so a window of RandProbeRows keys matches ~that many
 	// rows, scattered uniformly over the heap.
-	c.randLo = int64(c.cfg.BigRows / 2)
-	c.randHi = c.randLo + int64(c.cfg.RandProbeRows) - 1
+	d := &calDB{db: db, randLo: int64(c.cfg.BigRows / 2)}
+	d.randHi = d.randLo + int64(c.cfg.RandProbeRows) - 1
 	for i := 0; i < c.cfg.BigRows; i++ {
 		r := int64(rng.Intn(c.cfg.BigRows))
-		if r >= c.randLo && r <= c.randHi {
+		if r >= d.randLo && r <= d.randHi {
 			randK++
 		}
 		tup := storage.Tuple{
@@ -324,52 +339,51 @@ func (c *Calibrator) doBuild() error {
 			types.NewString(string(pad)),
 		}
 		if err := s.InsertTuple(big, tup); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if _, err := s.Exec(`CREATE INDEX cal_big_r ON cal_big (r)`); err != nil {
-		return err
+		return nil, err
 	}
 	if _, err := s.Exec("ANALYZE"); err != nil {
-		return err
+		return nil, err
 	}
 	if err := s.Pool.FlushAll(); err != nil {
-		return err
+		return nil, err
 	}
 
-	c.db = db
-	c.bigPages = float64(db.Disk.NumPages(big.Heap.FileID()))
-	c.bigRows = float64(c.cfg.BigRows)
-	c.narrowRows = float64(c.cfg.NarrowRows)
-	c.randK = float64(randK)
+	d.bigPages = float64(db.Disk.NumPages(big.Heap.FileID()))
+	d.bigRows = float64(c.cfg.BigRows)
+	d.narrowRows = float64(c.cfg.NarrowRows)
+	d.randK = float64(randK)
 
 	// The cold-probe table must exceed the buffer pool even at a full
 	// memory share, or the stage B/C probes would not be I/O-bound and the
 	// fitted page times would be meaningless.
 	maxPool := float64(c.cfg.Machine.MemBytes) * c.cfg.Engine.BufferFrac / storage.PageSize
-	if c.bigPages <= 1.2*maxPool {
-		return fmt.Errorf("calibration: big table (%d pages) must exceed the largest possible buffer pool (%d pages) by 20%%; increase BigRows or shrink the machine memory",
-			int(c.bigPages), int(maxPool))
+	if d.bigPages <= 1.2*maxPool {
+		return nil, fmt.Errorf("calibration: big table (%d pages) must exceed the largest possible buffer pool (%d pages) by 20%%; increase BigRows or shrink the machine memory",
+			int(d.bigPages), int(maxPool))
 	}
 	narrowTable, err := db.Catalog.Table("cal_narrow")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	narrowPages := float64(db.Disk.NumPages(narrowTable.Heap.FileID()))
 	if narrowPages > 0.5*maxPool*minMemShare {
-		return fmt.Errorf("calibration: narrow table (%d pages) must fit the smallest calibrated pool; decrease NarrowRows",
+		return nil, fmt.Errorf("calibration: narrow table (%d pages) must fit the smallest calibrated pool; decrease NarrowRows",
 			int(narrowPages))
 	}
-	return nil
+	return d, nil
 }
 
 // minMemShare is the smallest memory share the calibrator supports; the
 // narrow table must stay cached down to this share.
 const minMemShare = 0.2
 
-// newMeasureSession creates a fresh session (cold buffer pool) on a fresh
-// machine with the given shares.
-func (c *Calibrator) newMeasureSession(shares vm.Shares) (*engine.Session, error) {
+// newMeasureSession creates a fresh session (cold buffer pool) on d, on a
+// fresh machine with the given shares.
+func (c *Calibrator) newMeasureSession(d *calDB, shares vm.Shares) (*engine.Session, error) {
 	m, err := vm.NewMachine(c.cfg.Machine)
 	if err != nil {
 		return nil, err
@@ -378,7 +392,7 @@ func (c *Calibrator) newMeasureSession(shares vm.Shares) (*engine.Session, error
 	if err != nil {
 		return nil, err
 	}
-	return engine.NewSession(c.db, v, c.cfg.Engine)
+	return engine.NewSession(d.db, v, c.cfg.Engine)
 }
 
 // timeQuery runs a query and returns its simulated elapsed seconds.
@@ -529,10 +543,11 @@ func (c *Calibrator) Calibrate(ctx context.Context, shares vm.Shares) (optimizer
 		sp.SetArg("mem", shares.Memory)
 		sp.SetArg("io", shares.IO)
 		start := time.Now()
-		if err := c.buildDB(); err != nil {
+		d, err := c.database()
+		if err != nil {
 			return optimizer.Params{}, err
 		}
-		p, err := c.measureSafe(ctx, shares, sp)
+		p, err := c.measureSafe(ctx, d, shares, sp)
 		if err == nil {
 			mCalMeasure.Inc()
 			hMeasureSeconds.ObserveSince(start)
@@ -551,7 +566,7 @@ func (c *Calibrator) prime(shares vm.Shares, p optimizer.Params) {
 
 // measureSafe runs measure under recover(), converting a panic in the
 // measurement path into a per-point error instead of process death.
-func (c *Calibrator) measureSafe(ctx context.Context, shares vm.Shares, sp *obs.Span) (p optimizer.Params, err error) {
+func (c *Calibrator) measureSafe(ctx context.Context, d *calDB, shares vm.Shares, sp *obs.Span) (p optimizer.Params, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			mCalPanic.Inc()
@@ -561,7 +576,7 @@ func (c *Calibrator) measureSafe(ctx context.Context, shares vm.Shares, sp *obs.
 			err = fmt.Errorf("calibration: measurement at %v panicked: %v", shares, r)
 		}
 	}()
-	return c.measure(ctx, shares, sp)
+	return c.measure(ctx, d, shares, sp)
 }
 
 // fitStage solves one calibration stage's least-squares system. When the
@@ -597,17 +612,17 @@ func (c *Calibrator) fitStage(stage string, rows [][]float64, rhs []float64, sha
 // enclosing per-point trace span (nil-safe); each stage gets a child and
 // the point span is annotated with the total trial attempts (retries
 // included).
-func (c *Calibrator) measure(ctx context.Context, shares vm.Shares, sp *obs.Span) (optimizer.Params, error) {
+func (c *Calibrator) measure(ctx context.Context, d *calDB, shares vm.Shares, sp *obs.Span) (optimizer.Params, error) {
 	attempts := 0
 	defer func() { sp.SetArg("attempts", attempts) }()
 
 	// --- Stage A: warm CPU probes on the narrow table ---
 	spA := sp.Child("calibrate.stage_a.cpu")
-	warm, err := c.newMeasureSession(shares)
+	warm, err := c.newMeasureSession(d, shares)
 	if err != nil {
 		return optimizer.Params{}, err
 	}
-	T := c.narrowRows
+	T := d.narrowRows
 	K := math.Floor(T / 20) // index probe range size
 	cpuProbes := []struct {
 		query string
@@ -658,8 +673,8 @@ func (c *Calibrator) measure(ctx context.Context, shares vm.Shares, sp *obs.Span
 	spB := sp.Child("calibrate.stage_b.seq")
 	// elapsed = pages*tSeq + gamma*cpu, with cpu predicted from stage A
 	// and gamma the effective (1 - overlap) factor.
-	R := c.bigRows
-	S := c.bigPages
+	R := d.bigRows
+	S := d.bigPages
 	bigProbes := []struct {
 		query string
 		cpu   float64
@@ -671,7 +686,7 @@ func (c *Calibrator) measure(ctx context.Context, shares vm.Shares, sp *obs.Span
 	rows = rows[:0]
 	rhs = rhs[:0]
 	for _, pr := range bigProbes {
-		planCheck, err := c.newMeasureSession(shares)
+		planCheck, err := c.newMeasureSession(d, shares)
 		if err != nil {
 			return optimizer.Params{}, err
 		}
@@ -680,7 +695,7 @@ func (c *Calibrator) measure(ctx context.Context, shares vm.Shares, sp *obs.Span
 		}
 		pq := pr.query
 		el, err := c.measureProbe(ctx, probeKey("stage_b", pq, shares), &attempts, func() (float64, error) {
-			cold, err := c.newMeasureSession(shares)
+			cold, err := c.newMeasureSession(d, shares)
 			if err != nil {
 				return 0, err
 			}
@@ -712,16 +727,16 @@ func (c *Calibrator) measure(ctx context.Context, shares vm.Shares, sp *obs.Span
 
 	// --- Stage C: cold random index probe ---
 	spC := sp.Child("calibrate.stage_c.rand")
-	planCheck, err := c.newMeasureSession(shares)
+	planCheck, err := c.newMeasureSession(d, shares)
 	if err != nil {
 		return optimizer.Params{}, err
 	}
-	probe := fmt.Sprintf("SELECT count(*) FROM cal_big WHERE r BETWEEN %d AND %d", c.randLo, c.randHi)
+	probe := fmt.Sprintf("SELECT count(*) FROM cal_big WHERE r BETWEEN %d AND %d", d.randLo, d.randHi)
 	if err := requirePlanNode(planCheck, probe, "IndexScan"); err != nil {
 		return optimizer.Params{}, err
 	}
 	el, err := c.measureProbe(ctx, probeKey("stage_c", probe, shares), &attempts, func() (float64, error) {
-		cold, err := c.newMeasureSession(shares)
+		cold, err := c.newMeasureSession(d, shares)
 		if err != nil {
 			return 0, err
 		}
@@ -730,7 +745,7 @@ func (c *Calibrator) measure(ctx context.Context, shares vm.Shares, sp *obs.Span
 	if err != nil {
 		return optimizer.Params{}, fmt.Errorf("calibration: random probe: %w", err)
 	}
-	kk := c.randK
+	kk := d.randK
 	cpuC := kk * (tIdxTup + tTup + tOp)
 	// K heap pages (scattered) plus tree descent and a few leaf pages.
 	denom := kk + 4
@@ -829,7 +844,7 @@ func (c *Calibrator) measure(ctx context.Context, shares vm.Shares, sp *obs.Span
 		"t_flush", tFlush, "write_amp", writeAmp)
 
 	// --- Assemble P(R) ---
-	sess, err := c.newMeasureSession(shares)
+	sess, err := c.newMeasureSession(d, shares)
 	if err != nil {
 		return optimizer.Params{}, err
 	}

@@ -5,8 +5,10 @@ import (
 	"context"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
+	"dbvirt/internal/optimizer"
 	"dbvirt/internal/vm"
 )
 
@@ -242,6 +244,70 @@ func TestFinerGridReducesInterpolationError(t *testing.T) {
 	}
 	if fine > 0.25 {
 		t.Errorf("fine-grid error = %.0f%%, want < 25%%", fine*100)
+	}
+}
+
+// TestGridReleasesDatabaseAndRebuildsOnDemand: a grid sweep caches every
+// lattice point and leaves no calibration database behind. A lattice point
+// is then a cache hit; an off-lattice point rebuilds the database and
+// measures bit for bit what a fresh calibrator does — also when it runs
+// while the sweep releases the database.
+func TestGridReleasesDatabaseAndRebuildsOnDemand(t *testing.T) {
+	ctx := context.Background()
+	cfg := testConfig()
+	cfg.Parallelism = 2
+	cpus, fixed := []float64{0.25, 0.75}, []float64{0.5}
+	off := half()
+	want, err := New(cfg).Calibrate(ctx, off)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	c := New(cfg)
+	holds := func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.data != nil
+	}
+	if _, err := c.CalibrateGrid(ctx, cpus, fixed, fixed); err != nil {
+		t.Fatal(err)
+	}
+	if holds() {
+		t.Fatal("the calibrator still holds its database after the sweep")
+	}
+	before := c.Measurements()
+	if _, err := c.Calibrate(ctx, vm.Shares{CPU: 0.75, Memory: 0.5, IO: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	if c.Measurements() != before || holds() {
+		t.Fatalf("a lattice point measured (%d -> %d) or rebuilt the database (%v)", before, c.Measurements(), holds())
+	}
+	got, err := c.Calibrate(ctx, off)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want || c.Measurements() != before+1 {
+		t.Fatalf("off-lattice point after the release: %+v (measurements %d -> %d), want %+v from a fresh calibrator",
+			got, before, c.Measurements(), want)
+	}
+
+	// The same off-lattice point, measured while a second calibrator's
+	// sweep runs and releases its database.
+	c2 := New(cfg)
+	var wg sync.WaitGroup
+	var during optimizer.Params
+	var duringErr error
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		during, duringErr = c2.Calibrate(ctx, off)
+	}()
+	if _, err := c2.CalibrateGrid(ctx, cpus, fixed, fixed); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	if duringErr != nil || during != want {
+		t.Fatalf("off-lattice point during the sweep: %+v, %v; want %+v", during, duringErr, want)
 	}
 }
 

@@ -245,7 +245,7 @@ func (c *Calibrator) CalibrateGridOpts(ctx context.Context, cpus, mems, ios []fl
 	var next atomic.Int64
 	work := func(w int) {
 		cal := cals[w]
-		if err := cal.buildDB(); err != nil {
+		if _, err := cal.database(); err != nil {
 			setFatal(fmt.Errorf("calibration: building calibration database: %w", err))
 			return
 		}
@@ -344,7 +344,8 @@ func (c *Calibrator) CalibrateGridOpts(ctx context.Context, cpus, mems, ios []fl
 	}
 
 	// Hand every point back to the shared calibrator's cache so later
-	// direct Calibrate calls hit instead of re-measuring.
+	// direct Calibrate calls hit instead of re-measuring. With every point
+	// cached, the calibration database goes too: a miss rebuilds it.
 	for ic := range g.cpus {
 		for im := range g.mems {
 			for ii := range g.ios {
@@ -352,6 +353,9 @@ func (c *Calibrator) CalibrateGridOpts(ctx context.Context, cpus, mems, ios []fl
 			}
 		}
 	}
+	c.mu.Lock()
+	c.data = nil
+	c.mu.Unlock()
 	c.cfg.Obs.Info("grid calibrated", "points", n, "workers", workers,
 		"cpu_axis", len(g.cpus), "mem_axis", len(g.mems), "io_axis", len(g.ios),
 		"resumed", resumed, "bad_points", len(bad))

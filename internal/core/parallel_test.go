@@ -89,6 +89,89 @@ func TestCostCacheHitAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestExhaustiveAllocsTrackCacheEntries: an exhaustive candidate evaluates
+// into its worker's scratch buffers, so a solve's allocations grow with
+// the distinct (workload, shares) entries of its cost cache, not with the
+// candidate count. Going from step 0.25 to 0.1 multiplies the candidates
+// by 144 and the entries by 16; each new entry may allocate its memo
+// bookkeeping, no candidate may allocate anything.
+func TestExhaustiveAllocsTrackCacheEntries(t *testing.T) {
+	specs := fakeSpecs("w0", "w1", "w2")
+	model := &funcModel{name: "sum", f: func(_ *WorkloadSpec, s vm.Shares) float64 { return 1/s.CPU + 1/s.Memory }}
+	type run struct {
+		allocs         float64
+		lookups, evals int
+	}
+	measure := func(step float64) run {
+		p := &Problem{Workloads: specs, Resources: []vm.Resource{vm.CPU, vm.Memory}, Step: step, Parallelism: 1}
+		r, err := SolveExhaustive(context.Background(), p, model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := SolveExhaustive(context.Background(), p, model); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return run{allocs, r.Evaluations + r.CacheHits, r.Evaluations}
+	}
+	coarse, fine := measure(0.25), measure(0.1)
+	dAllocs, dLookups, dEvals := fine.allocs-coarse.allocs, fine.lookups-coarse.lookups, fine.evals-coarse.evals
+	t.Logf("step 0.25: %+v; step 0.1: %+v", coarse, fine)
+	if dLookups < 5*dEvals {
+		t.Fatalf("cost lookups grew by %d, entries by %d: the problem no longer separates them", dLookups, dEvals)
+	}
+	const perEntry = 4 // the memo's in-flight call, its channel and map growth
+	if dAllocs > perEntry*float64(dEvals) {
+		t.Errorf("step 0.1 allocates %.0f more than step 0.25 for %d more cache entries and %d more lookups; want <= %d per entry",
+			dAllocs, dEvals, dLookups, perEntry)
+	}
+}
+
+// TestExhaustiveMatchesSerialScan: with per-worker scratch candidates, the
+// winner is still the first strictly-better candidate of a serial scan in
+// enumeration order, on a surface whose plateaus make ties common.
+func TestExhaustiveMatchesSerialScan(t *testing.T) {
+	specs := fakeSpecs("w0", "w1", "w2")
+	model := &funcModel{name: "plateau", f: func(w *WorkloadSpec, s vm.Shares) float64 {
+		return math.Round((1/(s.CPU+0.2)+0.5/(s.Memory+0.3))*float64(len(w.Name))*2) / 2
+	}}
+	p := &Problem{Workloads: specs, Resources: []vm.Resource{vm.CPU, vm.Memory}, Step: 0.1}
+	comps := compositions(len(specs), p.units(), p.minUnits())
+	cache := newCostCache(model)
+	var want *Result
+	ties := 0
+	for _, cpu := range comps {
+		for _, mem := range comps {
+			alloc := p.allocationFromResUnits([][]int{cpu, mem})
+			total, costs, err := p.evaluate(context.Background(), cache, alloc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case want == nil || total < want.PredictedTotal:
+				want, ties = &Result{Allocation: alloc, PredictedCosts: costs, PredictedTotal: total}, 1
+			case total == want.PredictedTotal:
+				ties++
+			}
+		}
+	}
+	if ties < 2 {
+		t.Fatalf("%d candidates share the best total; the surface must tie for the test to pin the tie-break", ties)
+	}
+	for _, j := range []int{1, 3} {
+		p.Parallelism = j
+		got, err := SolveExhaustive(context.Background(), p, model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Allocation, want.Allocation) || !reflect.DeepEqual(got.PredictedCosts, want.PredictedCosts) || got.PredictedTotal != want.PredictedTotal {
+			t.Errorf("j=%d: got %v %v %v, want %v %v %v", j, got.Allocation, got.PredictedCosts, got.PredictedTotal,
+				want.Allocation, want.PredictedCosts, want.PredictedTotal)
+		}
+	}
+}
+
 // TestParallelSolversMatchSerial checks the headline determinism claim:
 // every solver returns a byte-identical Result regardless of the worker
 // count, including the Evaluations counter and tie-breaks — and regardless

@@ -45,7 +45,7 @@ var (
 )
 
 // WorkloadSpec is one workload W_i: a sequence of SQL statements against
-// its own database, plus objective parameters.
+// a database, plus objective parameters.
 type WorkloadSpec struct {
 	Name       string
 	Statements []string
@@ -104,10 +104,10 @@ func (w *WorkloadSpec) NormalizedStatements() []string {
 
 // PricingKey returns the spec's pricing identity, computed once per spec:
 // name, weight and SLO. Specs with equal keys MUST price identically under
-// a cost model (the name is the interned canonical workload form and each
-// workload lives on its own database); as a multiset it keys the fleet
-// solver's machine memo, where weight and SLO do shape the result. The
-// fields it reads must not change after the first call.
+// a cost model (the name is the interned canonical workload form, over
+// one shared database); as a multiset it keys the fleet solver's machine
+// memo, where weight and SLO do shape the result. The fields it reads
+// must not change after the first call.
 func (w *WorkloadSpec) PricingKey() string {
 	w.keyOnce.Do(func() {
 		w.key = fmt.Sprintf("%s|w=%.9f|slo=%.9f", w.Name, w.Weight, w.SLOSeconds)

@@ -86,8 +86,9 @@ func compositions(n, total, min int) [][]int {
 	return out
 }
 
-// exhaustiveCand is one worker's best candidate so far in the exhaustive
-// enumeration: the flat candidate index plus the evaluated allocation.
+// exhaustiveCand is one evaluated candidate of the exhaustive
+// enumeration: the flat candidate index (-1 for none yet) plus the
+// evaluated allocation.
 type exhaustiveCand struct {
 	idx   int
 	total float64
@@ -100,8 +101,8 @@ type exhaustiveCand struct {
 // "first strictly-better candidate wins" rule of a serial scan — so the
 // winner is independent of how candidates were distributed over workers.
 func (c *exhaustiveCand) better(cur *exhaustiveCand) bool {
-	if cur == nil {
-		return true
+	if c.idx < 0 || cur.idx < 0 {
+		return c.idx >= 0
 	}
 	return c.total < cur.total || (c.total == cur.total && c.idx < cur.idx)
 }
@@ -146,9 +147,16 @@ func SolveExhaustive(ctx context.Context, p *Problem, model CostModel) (*Result,
 	if workers > numCands {
 		workers = numCands
 	}
-	bests := make([]*exhaustiveCand, workers)
+	// Each worker evaluates into its own scratch candidate and swaps it
+	// with its best when it wins, so a candidate allocates nothing.
+	n := len(p.Workloads)
+	scratch := make([]exhaustiveCand, workers)
+	bests := make([]exhaustiveCand, workers)
 	decodeBufs := make([][][]int, workers)
-	for w := range decodeBufs {
+	for w := range bests {
+		for _, c := range []*exhaustiveCand{&scratch[w], &bests[w]} {
+			*c = exhaustiveCand{idx: -1, costs: make([]float64, n), alloc: make(Allocation, n)}
+		}
 		decodeBufs[w] = make([][]int, len(perRes))
 	}
 	// The first failing candidate cancels dispatch (parallelFor) so the
@@ -156,24 +164,25 @@ func SolveExhaustive(ctx context.Context, p *Problem, model CostModel) (*Result,
 	if err := ParallelFor(ctx, workers, numCands, func(w, idx int) error {
 		resUnits := decodeBufs[w]
 		decode(idx, resUnits)
-		alloc := p.allocationFromResUnits(resUnits)
-		total, costs, err := p.evaluate(ctx, memo, alloc)
-		if err != nil {
+		c := &scratch[w]
+		c.idx = idx
+		p.allocationIntoResUnits(c.alloc, resUnits)
+		var err error
+		if c.total, err = p.evaluateInto(ctx, memo, c.alloc, c.costs); err != nil {
 			return err
 		}
-		c := &exhaustiveCand{idx: idx, total: total, costs: costs, alloc: alloc}
-		if c.better(bests[w]) {
-			bests[w] = c
+		if c.better(&bests[w]) {
+			scratch[w], bests[w] = bests[w], scratch[w]
 		}
 		return nil
 	}); err != nil {
 		return nil, err
 	}
 
-	var best *exhaustiveCand
-	for _, c := range bests {
-		if c != nil && c.better(best) {
-			best = c
+	best := &bests[0]
+	for w := range bests {
+		if bests[w].better(best) {
+			best = &bests[w]
 		}
 	}
 	sp.SetArg("candidates", numCands)
@@ -212,6 +221,9 @@ func SolveDP(ctx context.Context, p *Problem, model CostModel) (*Result, error) 
 		choice [vm.NumResources]int
 	}
 	table := make(map[state]entry)
+	// One unit vector per workload depth: a state's enumeration only
+	// recurses into deeper workloads, so the vectors never alias.
+	unitsBuf := make([]int, n*nr)
 
 	var solve func(st state) (entry, error)
 	solve = func(st state) (entry, error) {
@@ -225,7 +237,7 @@ func SolveDP(ctx context.Context, p *Problem, model CostModel) (*Result, error) 
 		w := p.Workloads[st.i]
 		last := st.i == n-1
 		bestE := entry{cost: math.Inf(1)}
-		units := make([]int, nr)
+		units := unitsBuf[st.i*nr : (st.i+1)*nr]
 		var rec func(ri int) error
 		rec = func(ri int) error {
 			if ri == nr {

@@ -25,7 +25,8 @@ import (
 )
 
 // Env is one experiment environment: a machine model, a workload scale,
-// and lazily built per-workload databases plus a shared calibrator.
+// and a shared calibrator. Each workload gets its own VM and session;
+// the read-only TPC-H database is built once per (Scale, Seed) and shared.
 type Env struct {
 	Machine vm.MachineConfig
 	Engine  engine.Config
@@ -42,7 +43,7 @@ type Env struct {
 	Obs *obs.Telemetry
 
 	mu  sync.Mutex
-	dbs map[string]*engine.Database
+	dbs map[dbKey]*engine.Database
 	cal *calibration.Calibrator
 }
 
@@ -65,7 +66,7 @@ func NewEnv(scale workload.Scale, machine vm.MachineConfig) *Env {
 		Scale:   scale,
 		CalCfg:  calCfg,
 		Seed:    7,
-		dbs:     make(map[string]*engine.Database),
+		dbs:     make(map[dbKey]*engine.Database),
 	}
 }
 
@@ -98,12 +99,19 @@ func (e *Env) Calibrator() *calibration.Calibrator {
 	return e.cal
 }
 
-// DB returns (building on first use) the named workload database. Each
-// workload gets its own database, as in the paper's formulation.
+// dbKey is what decides the contents of a workload database.
+type dbKey struct {
+	scale workload.Scale
+	seed  int64
+}
+
+// DB returns (building on first use) the TPC-H database of the current
+// Scale and Seed, shared by every caller; name only labels the build.
 func (e *Env) DB(name string) (*engine.Database, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if db, ok := e.dbs[name]; ok {
+	key := dbKey{e.Scale, e.Seed}
+	if db, ok := e.dbs[key]; ok {
 		return db, nil
 	}
 	m, err := vm.NewMachine(e.Machine)
@@ -122,7 +130,7 @@ func (e *Env) DB(name string) (*engine.Database, error) {
 	if err := workload.Build(s, e.Scale, e.Seed); err != nil {
 		return nil, fmt.Errorf("experiments: building %s: %w", name, err)
 	}
-	e.dbs[name] = db
+	e.dbs[key] = db
 	return db, nil
 }
 
@@ -229,7 +237,7 @@ func estimateUnder(db *engine.Database, query string, p optimizer.Params) (float
 }
 
 // specs builds the paper's two workloads: W1 = n4 copies of Q4 and W2 =
-// n13 copies of Q13, each on its own database.
+// n13 copies of Q13.
 func (e *Env) specs(n4, n13 int) ([]*core.WorkloadSpec, error) {
 	q4db, err := e.DB("w-q4")
 	if err != nil {

@@ -74,7 +74,7 @@ func CostMatrix(ctx context.Context, model core.CostModel, specs []*core.Workloa
 }
 
 // MatrixWorkloads exposes the paper's two benchmark workloads (W1 = n4
-// copies of Q4, W2 = n13 copies of Q13, each on its own database) for
+// copies of Q4, W2 = n13 copies of Q13) for
 // the what-if matrix benchmark and tests.
 func (e *Env) MatrixWorkloads(n4, n13 int) ([]*core.WorkloadSpec, error) {
 	return e.specs(n4, n13)

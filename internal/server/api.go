@@ -283,8 +283,8 @@ func refKey(w WorkloadRef) string {
 }
 
 // workloadSet interns one *core.WorkloadSpec per cost identity — query ×
-// repeat, so at most queries × maxRepeat of them — backed by one lazily
-// built database per distinct query. Interning is the server's session
+// repeat, so at most queries × maxRepeat of them — backed by the
+// environment's one lazily built database. Interning is the server's session
 // model: every request naming the same workload prices through the same
 // spec and the same database, so the normalized statements, prepared
 // handles and cost atoms concentrate instead of fragmenting per request.
@@ -301,7 +301,7 @@ func newWorkloadSet(env *experiments.Env) *workloadSet {
 	return &workloadSet{env: env, specs: make(map[string]*core.WorkloadSpec)}
 }
 
-// spec resolves one workload reference to its spec, building the query's
+// spec resolves one workload reference to its spec, building the
 // database on first use.
 func (s *workloadSet) spec(ref WorkloadRef) (*core.WorkloadSpec, error) {
 	qname, n := canonRef(ref)
@@ -310,9 +310,9 @@ func (s *workloadSet) spec(ref WorkloadRef) (*core.WorkloadSpec, error) {
 	sp, ok := s.specs[name]
 	s.mu.Unlock()
 	if !ok {
-		// One database per query: env.DB serializes builds internally, and
-		// workloads over the same query share catalog, statistics, and the
-		// prepared plan spaces derived from them.
+		// env.DB builds the TPC-H database once and serializes the build;
+		// every query shares its catalog, statistics, and the prepared plan
+		// spaces derived from them.
 		db, err := s.env.DB("srv-" + qname)
 		if err != nil {
 			return nil, fmt.Errorf("server: building database for %s: %w", qname, err)
