@@ -1,19 +1,19 @@
 // Command calibrate runs the paper's optimizer calibration (Section 5)
 // over a lattice of resource allocations and prints the resulting
-// parameter vectors P(R). With -json it also writes the lattice as JSON
-// so the values can be inspected or post-processed.
+// parameter vectors P(R). With -out it also writes the lattice to a grid
+// file, the one format calibration.LoadGrid and vdtuned -grid read.
 //
 // Long calibrations are interruptible and restartable: -timeout bounds
-// the whole run, -checkpoint persists completed lattice points as the
-// run progresses, and -resume picks a checkpointed run back up without
-// repeating finished measurements. -faults injects deterministic
-// measurement faults (see internal/faults) to exercise the retry and
-// recovery paths.
+// the whole run, the -out file is rewritten atomically after every
+// completed lattice point, and -resume picks an interrupted run back up
+// from it without repeating finished measurements. -faults injects
+// deterministic measurement faults (see internal/faults) to exercise the
+// retry and recovery paths.
 //
 // Usage:
 //
-//	calibrate [-cpu 0.25,0.5,0.75] [-mem 0.5] [-io 0.5] [-quick] [-json file]
-//	          [-checkpoint file [-resume]] [-timeout 10m] [-faults spec] [-trials k]
+//	calibrate [-cpu 0.25,0.5,0.75] [-mem 0.5] [-io 0.5] [-quick]
+//	          [-out file [-resume]] [-timeout 10m] [-faults spec] [-trials k]
 package main
 
 import (
@@ -45,10 +45,9 @@ func main() {
 	mems := flag.String("mem", "0.5", "memory shares to calibrate")
 	ios := flag.String("io", "0.5", "I/O shares to calibrate")
 	quick := flag.Bool("quick", false, "use a small machine and calibration database")
-	jsonPath := flag.String("json", "", "write the calibrated lattice as JSON to this file")
+	out := flag.String("out", "", "write the lattice to this grid file after every completed point")
 	jobs := flag.Int("j", 0, "worker-pool size for lattice calibration (0 = GOMAXPROCS)")
-	checkpoint := flag.String("checkpoint", "", "persist completed lattice points to this file as the run progresses")
-	resume := flag.Bool("resume", false, "restore completed points from -checkpoint before calibrating")
+	resume := flag.Bool("resume", false, "restore completed points from -out before calibrating")
 	timeout := flag.Duration("timeout", 0, "abort the calibration after this duration (0 = no limit)")
 	faultSpec := flag.String("faults", "", "inject deterministic measurement faults, e.g. \"seed=42,transient=0.1,noise=0.05\" (overrides "+faults.EnvVar+")")
 	trials := flag.Int("trials", 0, "timed trials per probe, aggregated by trimmed median (0 = auto)")
@@ -95,16 +94,16 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	if *resume && *checkpoint == "" {
-		fail("-resume requires -checkpoint")
+	if *resume && *out == "" {
+		fail("-resume requires -out")
 	}
 	grid, err := cal.CalibrateGridOpts(ctx, cpuAxis, memAxis, ioAxis, calibration.GridOptions{
-		CheckpointPath: *checkpoint,
+		CheckpointPath: *out,
 		Resume:         *resume,
 	})
 	if err != nil {
-		if *checkpoint != "" {
-			fail("%v\n(completed points are checkpointed in %s; rerun with -resume to continue)", err, *checkpoint)
+		if *out != "" {
+			fail("%v\n(completed points are saved in %s; rerun with -resume to continue)", err, *out)
 		}
 		fail("%v", err)
 	}
@@ -126,16 +125,8 @@ func main() {
 		}
 	}
 
-	if *jsonPath != "" {
-		f, err := os.Create(*jsonPath)
-		if err != nil {
-			fail("%v", err)
-		}
-		defer f.Close()
-		if err := grid.SaveJSON(f); err != nil {
-			fail("%v", err)
-		}
-		fmt.Printf("wrote the calibrated lattice to %s (load with calibration.LoadGrid)\n", *jsonPath)
+	if *out != "" {
+		fmt.Printf("wrote the calibrated lattice to %s (serve with vdtuned -grid)\n", *out)
 	}
 
 	root.End()

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	vdtune -w W1=Q4x3 -w W2=Q13x9 [-resources cpu] [-step 0.25]
-//	       [-algo dp|greedy|exhaustive] [-scale small|experiment] [-measure]
+//	       [-algo dp|greedy|exhaustive] [-scale tiny|small|experiment] [-measure]
 //
 // Each -w flag is name=QUERYxN where QUERY is one of the named workload
 // queries (Q1, Q3, Q4, Q6, Q13, QPOINT) and N is the repetition count.
@@ -69,15 +69,9 @@ func main() {
 		fail("need at least two -w workload specs, e.g. -w W1=Q4x3 -w W2=Q13x9")
 	}
 
-	env := experiments.QuickEnv()
-	switch *scale {
-	case "tiny":
-		env = experiments.NewEnv(workload.TinyScale(), env.Machine)
-	case "small":
-	case "experiment":
-		env = experiments.DefaultEnv()
-	default:
-		fail("unknown scale %q", *scale)
+	env, err := experiments.EnvForScale(*scale)
+	if err != nil {
+		fail("%v", err)
 	}
 
 	var specs []*core.WorkloadSpec

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	vdtuned [-addr :8080] [-scale small] [-grid grid.json | -checkpoint ck.json | -calibrate]
+//	vdtuned [-addr :8080] [-scale small] [-grid grid.json | -calibrate]
 //	        [-faults spec] [-max-inflight N] [-max-queue N] [-job-workers N]
 //	        [-drain-timeout 30s] [-j N]
 //	        [-autotune -autotune-workloads "w1=Q4x2,w2=Q13x2" [-autotune-interval 10s] ...]
@@ -17,8 +17,8 @@
 // workload), steered by the same telemetry sketches the what-if traffic
 // feeds. See GET /v1/autotune/status and DESIGN.md §15.
 //
-// Grid sources, in priority order: -grid loads a grid saved with
-// SaveJSON; -checkpoint serves a completed calibration checkpoint;
+// Grid sources, in priority order: -grid serves a complete grid file
+// (the -out file of cmd/calibrate, or one written by Grid.SaveJSON);
 // -calibrate measures a fresh grid at startup (slow; honors -faults);
 // otherwise a deterministic synthetic grid is used — fine for demos and
 // load tests, not for real tuning.
@@ -43,8 +43,6 @@ import (
 	"dbvirt/internal/obs"
 	"dbvirt/internal/server"
 	"dbvirt/internal/telemetry"
-	"dbvirt/internal/vm"
-	"dbvirt/internal/workload"
 )
 
 // defaultAxes is the lattice served when vdtuned calibrates or
@@ -54,8 +52,7 @@ var defaultAxes = []float64{0.25, 0.5, 0.75, 1.0}
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	scale := flag.String("scale", "small", "database scale: tiny, small, or experiment")
-	gridPath := flag.String("grid", "", "serve a calibration grid saved with -grid-out / SaveJSON")
-	ckPath := flag.String("checkpoint", "", "serve a completed grid-calibration checkpoint")
+	gridPath := flag.String("grid", "", "serve a complete calibration grid file (calibrate -out)")
 	calibrate := flag.Bool("calibrate", false, "measure a fresh calibration grid at startup")
 	faultSpec := flag.String("faults", "", "fault-injection spec for -calibrate (see internal/faults)")
 	maxInflight := flag.Int("max-inflight", 0, "max concurrent what-if sweeps (0 = GOMAXPROCS)")
@@ -105,21 +102,14 @@ func main() {
 	}
 	defer flushObs()
 
-	var env *experiments.Env
-	switch *scale {
-	case "tiny":
-		env = experiments.NewEnv(workload.TinyScale(), vm.DefaultMachineConfig())
-	case "small":
-		env = experiments.QuickEnv()
-	case "experiment":
-		env = experiments.DefaultEnv()
-	default:
-		fail("unknown scale %q (want tiny, small, or experiment)", *scale)
+	env, err := experiments.EnvForScale(*scale)
+	if err != nil {
+		fail("%v", err)
 	}
 	env.Parallelism = *jobs
 	env.Obs = tel
 
-	grid, err := loadGrid(env, *gridPath, *ckPath, *calibrate, *faultSpec)
+	grid, err := loadGrid(env, *gridPath, *calibrate, *faultSpec)
 	if err != nil {
 		fail("%v", err)
 	}
@@ -200,7 +190,7 @@ func main() {
 }
 
 // loadGrid resolves the served calibration grid from the flag set.
-func loadGrid(env *experiments.Env, gridPath, ckPath string, calibrate bool, faultSpec string) (*calibration.Grid, error) {
+func loadGrid(env *experiments.Env, gridPath string, calibrate bool, faultSpec string) (*calibration.Grid, error) {
 	switch {
 	case gridPath != "":
 		f, err := os.Open(gridPath)
@@ -213,12 +203,6 @@ func loadGrid(env *experiments.Env, gridPath, ckPath string, calibrate bool, fau
 			return nil, fmt.Errorf("loading grid %s: %w", gridPath, err)
 		}
 		return g, nil
-	case ckPath != "":
-		g, err := calibration.LoadCheckpointGrid(ckPath)
-		if err != nil {
-			return nil, err
-		}
-		return g, nil
 	case calibrate:
 		if faultSpec != "" {
 			cfg, err := faults.Parse(faultSpec)
@@ -228,7 +212,7 @@ func loadGrid(env *experiments.Env, gridPath, ckPath string, calibrate bool, fau
 			env.CalCfg.Faults = faults.New(cfg)
 		}
 		fmt.Println("vdtuned: calibrating grid (this can take a while)...")
-		return env.Calibrator().CalibrateGrid(context.Background(), defaultAxes, defaultAxes, defaultAxes)
+		return env.Calibrator().CalibrateGridOpts(context.Background(), defaultAxes, defaultAxes, defaultAxes, calibration.GridOptions{})
 	default:
 		return experiments.SyntheticGrid(defaultAxes, defaultAxes, defaultAxes)
 	}

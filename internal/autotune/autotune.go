@@ -51,9 +51,16 @@ const (
 	TriggerPeriodic = "periodic"
 )
 
-// specCacheSize is the generation size of the interned derived-spec
-// table: a stable mix keeps its spec pointers, churny mixes turn over.
-const specCacheSize = 64
+const (
+	// specCacheSize is the generation size of the interned derived-spec
+	// table: a stable mix keeps its spec pointers, churny mixes turn over.
+	specCacheSize = 64
+	// statementBudget bounds the statement count of a sketch-derived
+	// workload spec.
+	statementBudget = 12
+	// decisionLogSize bounds the decision log.
+	decisionLogSize = 256
+)
 
 // Decision actions.
 const (
@@ -97,25 +104,17 @@ type Config struct {
 	// Resources lists the searched dimensions (default CPU only, the
 	// paper's illustrative setting).
 	Resources []vm.Resource
-	// Step is the solver grid quantum (default 0.25).
+	// Step is the solver grid quantum (default 0.25); it is also the
+	// smallest share a tenant may receive.
 	Step float64
-	// MinShare forwards to the Problem (default Step).
-	MinShare float64
 	// Parallelism bounds solver workers (0 = GOMAXPROCS).
 	Parallelism int
-	// Solve is the search algorithm (default core.SolveDP).
-	Solve func(context.Context, *core.Problem, core.CostModel) (*core.Result, error)
 	// Decider configures the anti-flapping layer.
 	Decider DeciderConfig
 	// ResolveEvery is the periodic resolve cadence in ticks when no drift
 	// alarm fires (default 1: every tick; larger values make non-alarmed
 	// ticks cheap no-ops).
 	ResolveEvery int
-	// StatementBudget bounds the statement count of a sketch-derived
-	// workload spec (default 12).
-	StatementBudget int
-	// LogSize bounds the decision log (default 256).
-	LogSize int
 	// Clock supplies decision timestamps (default time.Now). Tests inject
 	// a fixed clock; no decision logic reads it.
 	Clock func() time.Time
@@ -185,6 +184,7 @@ type Loop struct {
 	sinceResolve int
 	specCache    memo.Gen[string, *core.WorkloadSpec] // interned derived specs
 	log          []Decision
+	logSize      int // bound on log: decisionLogSize, smaller in tests
 	counts       struct {
 		ticks, resolves, actuations, skips, errors int64
 		suppressed                                 map[string]int64
@@ -227,17 +227,8 @@ func NewLoop(cfg Config) (*Loop, error) {
 	if cfg.Step <= 0 {
 		cfg.Step = 0.25
 	}
-	if cfg.Solve == nil {
-		cfg.Solve = core.SolveDP
-	}
 	if cfg.ResolveEvery <= 0 {
 		cfg.ResolveEvery = 1
-	}
-	if cfg.StatementBudget <= 0 {
-		cfg.StatementBudget = 12
-	}
-	if cfg.LogSize <= 0 {
-		cfg.LogSize = 256
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
@@ -247,6 +238,7 @@ func NewLoop(cfg Config) (*Loop, error) {
 		dec:       NewDecider(cfg.Decider),
 		ctrl:      &core.Controller{Model: cfg.Model},
 		specCache: memo.Gen[string, *core.WorkloadSpec]{Cap: specCacheSize},
+		logSize:   decisionLogSize,
 		enabled:   cfg.StartEnabled,
 	}
 	l.counts.suppressed = make(map[string]int64)
@@ -374,7 +366,6 @@ func (l *Loop) tickLocked(ctx context.Context, manual bool) Decision {
 		Workloads:   l.deriveSpecs(),
 		Resources:   l.cfg.Resources,
 		Step:        l.cfg.Step,
-		MinShare:    l.cfg.MinShare,
 		Parallelism: l.cfg.Parallelism,
 		Obs:         l.cfg.Obs,
 	}
@@ -398,7 +389,7 @@ func (l *Loop) tickLocked(ctx context.Context, manual bool) Decision {
 		l.prevAlloc = nil
 	}
 
-	candRes, err := l.cfg.Solve(ctx, p, l.cfg.Model)
+	candRes, err := core.SolveDP(ctx, p, l.cfg.Model)
 	if err != nil {
 		return fail(err)
 	}
@@ -452,7 +443,7 @@ func (l *Loop) tickLocked(ctx context.Context, manual bool) Decision {
 func (l *Loop) deriveSpecs() []*core.WorkloadSpec {
 	specs := make([]*core.WorkloadSpec, len(l.cfg.Tenants))
 	for i, t := range l.cfg.Tenants {
-		stmts := mixStatements(l.cfg.Hub.Tenant(t.Name).Mix(), l.cfg.StatementBudget)
+		stmts := mixStatements(l.cfg.Hub.Tenant(t.Name).Mix(), statementBudget)
 		if len(stmts) == 0 {
 			stmts = t.Fallback
 		}
@@ -528,7 +519,7 @@ func currentAllocation(vms []*vm.VM) core.Allocation {
 // record appends d to the bounded decision log. Caller holds l.mu.
 func (l *Loop) record(d Decision) {
 	l.log = append(l.log, d)
-	if over := len(l.log) - l.cfg.LogSize; over > 0 {
+	if over := len(l.log) - l.logSize; over > 0 {
 		l.log = append(l.log[:0], l.log[over:]...)
 	}
 }

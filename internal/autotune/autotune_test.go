@@ -165,7 +165,7 @@ func TestLoopShiftActuatesAndFeedsBack(t *testing.T) {
 
 func TestDecisionLogBounded(t *testing.T) {
 	r := newRig(t, nil, 16, calmDecider())
-	r.loop.cfg.LogSize = 8
+	r.loop.logSize = 8
 	ctx := context.Background()
 	for i := 0; i < 25; i++ {
 		r.step(ctx)

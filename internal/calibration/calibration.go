@@ -98,12 +98,9 @@ type Config struct {
 	// BigRows sizes the cold-probe table (must exceed the pool at every
 	// calibrated memory share).
 	BigRows int
-	// RandProbeRows is the target number of rows fetched by the random-I/O
-	// probe.
-	RandProbeRows int
 	// Seed makes the synthetic database deterministic.
 	Seed int64
-	// Parallelism bounds the number of worker goroutines CalibrateGrid
+	// Parallelism bounds the number of worker goroutines CalibrateGridOpts
 	// fans lattice points out over; 0 (the default) means
 	// runtime.GOMAXPROCS(0), 1 forces serial calibration. Each worker owns
 	// its own calibration database and engine instances, so the simulated
@@ -118,21 +115,32 @@ type Config struct {
 	// trimmed median; 0 means 1 when fault-free and 5 under injection
 	// (the median then rejects injected noise and spikes).
 	Trials int
-	// MaxAttempts bounds the retries of one trial on transient
-	// measurement errors (default 4, i.e. up to 3 retries).
-	MaxAttempts int
-	// RetryBackoff is the initial backoff before a transient retry; it
-	// doubles per attempt (default 5ms). Tests may set it negative for no
-	// sleep.
-	RetryBackoff time.Duration
-	// RobustResidualThreshold is the relative fit residual above which a
-	// stage falls back to the outlier-rejecting IRLS fit (default 0.05).
-	RobustResidualThreshold float64
 	// Obs receives per-lattice-point trace spans and residual/debug
 	// events; nil disables both. Metrics (cache hits, measurement counts,
 	// fit residuals) always go to the process-global obs registry.
 	Obs *obs.Telemetry
+
+	// randProbeRows and retryBackoff override randProbeRowsDefault and
+	// retryBackoffDefault when non-zero; a negative retryBackoff retries
+	// without sleeping. Only in-package tests set them.
+	randProbeRows int
+	retryBackoff  time.Duration
 }
+
+const (
+	// randProbeRowsDefault is the target number of rows fetched by the
+	// random-I/O probe.
+	randProbeRowsDefault = 200
+	// maxAttempts bounds the attempts of one trial on transient
+	// measurement errors (up to 3 retries).
+	maxAttempts = 4
+	// retryBackoffDefault is the initial backoff before a transient
+	// retry; it doubles per attempt.
+	retryBackoffDefault = 5 * time.Millisecond
+	// robustResidualThreshold is the relative fit residual above which a
+	// stage falls back to the outlier-rejecting IRLS fit.
+	robustResidualThreshold = 0.05
+)
 
 // workers resolves the configured parallelism to a worker count.
 func (c Config) workers() int {
@@ -153,42 +161,33 @@ func (c Config) trials() int {
 	return 1
 }
 
-// maxAttempts resolves the per-trial attempt bound.
-func (c Config) maxAttempts() int {
-	if c.MaxAttempts > 0 {
-		return c.MaxAttempts
+// randRows resolves the random-I/O probe's target row count.
+func (c Config) randRows() int {
+	if c.randProbeRows > 0 {
+		return c.randProbeRows
 	}
-	return 4
+	return randProbeRowsDefault
 }
 
-// retryBackoff resolves the initial transient-retry backoff.
-func (c Config) retryBackoff() time.Duration {
-	if c.RetryBackoff != 0 {
-		if c.RetryBackoff < 0 {
-			return 0
-		}
-		return c.RetryBackoff
+// backoff resolves the initial transient-retry backoff.
+func (c Config) backoff() time.Duration {
+	switch {
+	case c.retryBackoff < 0:
+		return 0
+	case c.retryBackoff > 0:
+		return c.retryBackoff
 	}
-	return 5 * time.Millisecond
-}
-
-// robustThreshold resolves the IRLS-fallback residual threshold.
-func (c Config) robustThreshold() float64 {
-	if c.RobustResidualThreshold > 0 {
-		return c.RobustResidualThreshold
-	}
-	return 0.05
+	return retryBackoffDefault
 }
 
 // DefaultConfig calibrates the default machine.
 func DefaultConfig() Config {
 	return Config{
-		Machine:       vm.DefaultMachineConfig(),
-		Engine:        engine.DefaultConfig(),
-		NarrowRows:    20000,
-		BigRows:       130000,
-		RandProbeRows: 200,
-		Seed:          1,
+		Machine:    vm.DefaultMachineConfig(),
+		Engine:     engine.DefaultConfig(),
+		NarrowRows: 20000,
+		BigRows:    130000,
+		Seed:       1,
 	}
 }
 
@@ -322,10 +321,10 @@ func (c *Calibrator) build() (*calDB, error) {
 	}
 	var randK int64
 	// The random probe selects r in [randLo, randHi]; r is uniform over
-	// [0, BigRows), so a window of RandProbeRows keys matches ~that many
+	// [0, BigRows), so a window of randRows() keys matches ~that many
 	// rows, scattered uniformly over the heap.
 	d := &calDB{db: db, randLo: int64(c.cfg.BigRows / 2)}
-	d.randHi = d.randLo + int64(c.cfg.RandProbeRows) - 1
+	d.randHi = d.randLo + int64(c.cfg.randRows()) - 1
 	for i := 0; i < c.cfg.BigRows; i++ {
 		r := int64(rng.Intn(c.cfg.BigRows))
 		if r >= d.randLo && r <= d.randHi {
@@ -430,7 +429,7 @@ func probeKey(stage, query string, shares vm.Shares) string {
 // retrying transient failures with exponential backoff. It returns the
 // (possibly noise-scaled) elapsed seconds and the number of attempts.
 func (c *Calibrator) runTrial(ctx context.Context, key string, run func() (float64, error)) (float64, int, error) {
-	backoff := c.cfg.retryBackoff()
+	backoff := c.cfg.backoff()
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return 0, attempt, err
@@ -441,7 +440,7 @@ func (c *Calibrator) runTrial(ctx context.Context, key string, run func() (float
 		}
 		if out.Err != nil {
 			mCalFault.Inc()
-			if out.Transient && attempt+1 < c.cfg.maxAttempts() {
+			if out.Transient && attempt+1 < maxAttempts {
 				mCalRetry.Inc()
 				c.retries.Add(1)
 				hRetryBackoff.Observe(backoff.Seconds())
@@ -594,7 +593,7 @@ func (c *Calibrator) fitStage(stage string, rows [][]float64, rhs []float64, sha
 			stage, shares, linalg.DescribeSystem(a), err)
 	}
 	res := relResidual(rows, sol, rhs)
-	if res > c.cfg.robustThreshold() {
+	if res > robustResidualThreshold {
 		rob, rerr := linalg.RobustLeastSquares(a, rhs, 0)
 		if rerr == nil {
 			mCalRobustFit.Inc()

@@ -3,6 +3,8 @@ package calibration
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -19,7 +21,7 @@ func testConfig() Config {
 	cfg.Machine.MemBytes = 8 << 20 // pool@50% mem = 384 pages
 	cfg.NarrowRows = 4000          // ~30 pages
 	cfg.BigRows = 20000            // ~1250 pages > pool even at full memory
-	cfg.RandProbeRows = 100
+	cfg.randProbeRows = 100
 	return cfg
 }
 
@@ -163,7 +165,7 @@ func TestEffectiveCacheTracksMemoryShare(t *testing.T) {
 func TestGridCalibrationAndLookup(t *testing.T) {
 	c := New(testConfig())
 	axis := []float64{0.25, 0.75}
-	g, err := c.CalibrateGrid(context.Background(), axis, []float64{0.5}, []float64{0.5})
+	g, err := c.CalibrateGridOpts(context.Background(), axis, []float64{0.5}, []float64{0.5}, GridOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +183,7 @@ func TestGridCalibrationAndLookup(t *testing.T) {
 
 func TestGridInterpolation(t *testing.T) {
 	c := New(testConfig())
-	g, err := c.CalibrateGrid(context.Background(), []float64{0.25, 0.75}, []float64{0.5}, []float64{0.5})
+	g, err := c.CalibrateGridOpts(context.Background(), []float64{0.25, 0.75}, []float64{0.5}, []float64{0.5}, GridOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,10 +209,10 @@ func TestGridInterpolation(t *testing.T) {
 
 func TestGridValidation(t *testing.T) {
 	c := New(testConfig())
-	if _, err := c.CalibrateGrid(context.Background(), nil, []float64{0.5}, []float64{0.5}); err == nil {
+	if _, err := c.CalibrateGridOpts(context.Background(), nil, []float64{0.5}, []float64{0.5}, GridOptions{}); err == nil {
 		t.Error("empty axis should fail")
 	}
-	if _, err := c.CalibrateGrid(context.Background(), []float64{0.75, 0.25}, []float64{0.5}, []float64{0.5}); err == nil {
+	if _, err := c.CalibrateGridOpts(context.Background(), []float64{0.75, 0.25}, []float64{0.5}, []float64{0.5}, GridOptions{}); err == nil {
 		t.Error("unsorted axis should fail")
 	}
 }
@@ -230,7 +232,7 @@ func TestFinerGridReducesInterpolationError(t *testing.T) {
 		t.Fatal(err)
 	}
 	relErr := func(axis []float64) float64 {
-		g, err := c.CalibrateGrid(context.Background(), axis, []float64{0.5}, []float64{0.5})
+		g, err := c.CalibrateGridOpts(context.Background(), axis, []float64{0.5}, []float64{0.5}, GridOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,7 +271,7 @@ func TestGridReleasesDatabaseAndRebuildsOnDemand(t *testing.T) {
 		defer c.mu.Unlock()
 		return c.data != nil
 	}
-	if _, err := c.CalibrateGrid(ctx, cpus, fixed, fixed); err != nil {
+	if _, err := c.CalibrateGridOpts(ctx, cpus, fixed, fixed, GridOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if holds() {
@@ -302,7 +304,7 @@ func TestGridReleasesDatabaseAndRebuildsOnDemand(t *testing.T) {
 		defer wg.Done()
 		during, duringErr = c2.Calibrate(ctx, off)
 	}()
-	if _, err := c2.CalibrateGrid(ctx, cpus, fixed, fixed); err != nil {
+	if _, err := c2.CalibrateGridOpts(ctx, cpus, fixed, fixed, GridOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
@@ -313,7 +315,7 @@ func TestGridReleasesDatabaseAndRebuildsOnDemand(t *testing.T) {
 
 func TestGridSaveLoadRoundTrip(t *testing.T) {
 	c := New(testConfig())
-	g, err := c.CalibrateGrid(context.Background(), []float64{0.25, 0.75}, []float64{0.5}, []float64{0.25, 0.75})
+	g, err := c.CalibrateGridOpts(context.Background(), []float64{0.25, 0.75}, []float64{0.5}, []float64{0.25, 0.75}, GridOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,6 +343,42 @@ func TestGridSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadGridRejectsBadInput(t *testing.T) {
+	// A complete, correctly checksummed two-point lattice whose CPU axis
+	// is descending: Interpolate would bracket on the wrong side of it.
+	// Each point also carries per-axis indices, so a reader that looks
+	// points up by those finds the lattice complete too.
+	p := optimizer.Params{SeqPageCost: 1, RandomPageCost: 4, CPUTupleCost: 0.01, CPUIndexTupleCost: 0.005,
+		CPUOperatorCost: 0.0025, EffectiveCacheSizePages: 100, WorkMemBytes: 1024, TimePerSeqPage: 0.001, WriteAmp: 1}
+	if err := p.Validate(); err != nil {
+		t.Fatalf("test params invalid: %v", err)
+	}
+	params, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unsorted := checkpointJSON{Version: 1, CPUs: []float64{0.75, 0.25}, Mems: []float64{0.5}, IOs: []float64{0.5},
+		Points: []checkpointPoint{{Idx: 0, Params: p}, {Idx: 1, Params: p}}}
+	sum, err := unsorted.checksum()
+	if err != nil {
+		t.Fatal(err)
+	}
+	unsortedFile := fmt.Sprintf(`{"version": 1, "checksum": %q, "cpus": [0.75, 0.25], "mems": [0.5], "ios": [0.5], "points": [
+	  {"idx": 0, "cpu_idx": 0, "mem_idx": 0, "io_idx": 0, "params": %s},
+	  {"idx": 1, "cpu_idx": 1, "mem_idx": 0, "io_idx": 0, "params": %s}]}`, sum, params, params)
+
+	sealed := func(ck checkpointJSON) string {
+		sum, err := ck.checksum()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ck.Checksum = sum
+		b, err := json.Marshal(ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+
 	cases := []string{
 		"",
 		"not json",
@@ -352,6 +390,15 @@ func TestLoadGridRejectsBadInput(t *testing.T) {
 		`{"version": 1, "cpus": [0.5], "mems": [0.5], "ios": [0.5],
 		  "points": [{"cpu_idx": 3, "mem_idx": 0, "io_idx": 0,
 		    "params": {"SeqPageCost": 1, "RandomPageCost": 4, "WorkMemBytes": 1024}}]}`,
+		unsortedFile,
+		// Checksummed files, so each is refused for its own fault.
+		sealed(checkpointJSON{Version: 1, CPUs: []float64{}, Mems: []float64{0.5}, IOs: []float64{0.5}}),
+		sealed(checkpointJSON{Version: 1, CPUs: []float64{0.25, 0.75}, Mems: []float64{0.5}, IOs: []float64{0.5},
+			Points: []checkpointPoint{{Idx: 1, Params: p}}}),
+		sealed(checkpointJSON{Version: 1, CPUs: []float64{0.5}, Mems: []float64{0.5}, IOs: []float64{0.5},
+			Points: []checkpointPoint{{Idx: 0, Params: p}, {Idx: 3, Params: p}}}),
+		sealed(checkpointJSON{Version: 1, CPUs: []float64{0.5}, Mems: []float64{0.5}, IOs: []float64{0.5},
+			Points: []checkpointPoint{{Idx: 0}}}),
 	}
 	for i, c := range cases {
 		if _, err := LoadGrid(strings.NewReader(c)); err == nil {

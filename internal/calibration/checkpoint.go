@@ -5,21 +5,27 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
+	"slices"
 
 	"dbvirt/internal/optimizer"
 )
 
-// Grid calibration is the longest-running operation in the system — the
-// paper's §7 remedy for calibration cost is precisely to amortize one
-// expensive lattice sweep across every later tuning problem — so a crash
-// or cancellation near the end must not forfeit the finished points. A
-// checkpoint is a versioned JSON snapshot of the completed lattice points
-// plus a checksum (detecting torn or hand-edited files) and a config
+// The paper's calibration is expensive and meant to be run once, offline,
+// per physical machine ("we can obtain P for different R's off-line, and
+// then use the different P values for all virtualization design
+// problems"), and its §7 remedy for calibration cost is to amortize one
+// lattice sweep across every later tuning problem. A grid file makes that
+// concrete, and it has one format: a versioned JSON document holding the
+// lattice axes, every point by dense index (see Grid.index), a checksum
+// (detecting torn or hand-edited files) and, for a measured grid, a config
 // signature (detecting resumption under a different machine, engine,
 // fault, or axis configuration, any of which would change the measured
-// values). Files are written to a temp path and renamed into place, so a
-// reader never observes a partial write. Because measurements — even
+// values). A sweep with a CheckpointPath writes that file, atomically via
+// rename, after every completed point, so a crash or cancellation near
+// the end forfeits nothing; the finished file is the grid that LoadGrid
+// reads in every later tuning session. Because measurements — even
 // fault-injected ones — are deterministic functions of the calibration
 // config, a resumed run reproduces bit-for-bit the grid an uninterrupted
 // run would have produced.
@@ -30,16 +36,16 @@ const checkpointVersion = 1
 type checkpointJSON struct {
 	Version   int               `json:"version"`
 	Checksum  string            `json:"checksum"`
-	ConfigSig string            `json:"config_sig"`
+	ConfigSig string            `json:"config_sig,omitempty"`
 	CPUs      []float64         `json:"cpus"`
 	Mems      []float64         `json:"mems"`
 	IOs       []float64         `json:"ios"`
 	Points    []checkpointPoint `json:"points"`
 }
 
-// checkpointPoint stores one completed lattice point by dense index (see
-// Grid.index). Go marshals float64 with the shortest representation that
-// round-trips, so restored parameters are bit-identical to measured ones.
+// checkpointPoint stores one lattice point by dense index. Go marshals
+// float64 with the shortest representation that round-trips, so restored
+// parameters are bit-identical to measured ones.
 type checkpointPoint struct {
 	Idx    int              `json:"idx"`
 	Params optimizer.Params `json:"params"`
@@ -53,7 +59,7 @@ type checkpointPoint struct {
 func (c Config) signature(cpus, mems, ios []float64) string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "machine=%+v|engine=%+v|narrow=%d|big=%d|rand=%d|seed=%d|faults=%s|trials=%d|cpus=%v|mems=%v|ios=%v",
-		c.Machine, c.Engine, c.NarrowRows, c.BigRows, c.RandProbeRows, c.Seed,
+		c.Machine, c.Engine, c.NarrowRows, c.BigRows, c.randRows(), c.Seed,
 		c.Faults.Config().String(), c.trials(), cpus, mems, ios)
 	return fmt.Sprintf("%016x", h.Sum64())
 }
@@ -71,149 +77,146 @@ func (ck checkpointJSON) checksum() (string, error) {
 	return fmt.Sprintf("%016x", h.Sum64()), nil
 }
 
-// writeCheckpoint atomically persists the completed lattice points.
-func writeCheckpoint(path, sig string, g *Grid, completed []bool) error {
+// marshal encodes the points of g marked in done (every point when done
+// is nil) in index order, so the output is deterministic.
+func (g *Grid) marshal(done []bool) ([]byte, error) {
 	ck := checkpointJSON{
 		Version:   checkpointVersion,
-		ConfigSig: sig,
+		ConfigSig: g.sig,
 		CPUs:      g.cpus,
 		Mems:      g.mems,
 		IOs:       g.ios,
 	}
-	for idx, done := range completed { // index order: deterministic output
-		if done {
+	for idx := range g.points {
+		if done == nil || done[idx] {
 			ck.Points = append(ck.Points, checkpointPoint{Idx: idx, Params: g.points[idx]})
 		}
 	}
 	sum, err := ck.checksum()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	ck.Checksum = sum
 	b, err := json.MarshalIndent(ck, "", "  ")
+	return append(b, '\n'), err
+}
+
+// SaveJSON writes the complete grid in the grid-file format LoadGrid
+// reads.
+func (g *Grid) SaveJSON(w io.Writer) error {
+	b, err := g.marshal(nil)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(b)
+	return err
+}
+
+// writeCheckpoint atomically persists the completed lattice points.
+func writeCheckpoint(path string, g *Grid, completed []bool) error {
+	b, err := g.marshal(completed)
 	if err != nil {
 		return err
 	}
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(b, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(tmp, b, 0o644); err != nil {
 		return err
 	}
 	return os.Rename(tmp, path)
 }
 
+// decodeGridFile reads a grid file and verifies its version and checksum.
+func decodeGridFile(r io.Reader) (checkpointJSON, error) {
+	var ck checkpointJSON
+	if err := json.NewDecoder(r).Decode(&ck); err != nil {
+		return ck, fmt.Errorf("decoding grid file: %w", err)
+	}
+	if ck.Version != checkpointVersion {
+		return ck, fmt.Errorf("grid file version %d, want %d", ck.Version, checkpointVersion)
+	}
+	want, err := ck.checksum()
+	if err != nil {
+		return ck, err
+	}
+	if ck.Checksum != want {
+		return ck, fmt.Errorf("grid file checksum mismatch (file corrupt or edited): have %s, want %s", ck.Checksum, want)
+	}
+	return ck, nil
+}
+
+// restore copies the file's points into points, marking each in done, and
+// returns how many points it newly marked.
+func (ck checkpointJSON) restore(points []optimizer.Params, done []bool) (int, error) {
+	count := 0
+	for _, pt := range ck.Points {
+		if pt.Idx < 0 || pt.Idx >= len(points) {
+			return 0, fmt.Errorf("grid file point index %d out of range", pt.Idx)
+		}
+		if err := pt.Params.Validate(); err != nil {
+			return 0, fmt.Errorf("grid file point %d: %w", pt.Idx, err)
+		}
+		if !done[pt.Idx] {
+			done[pt.Idx] = true
+			count++
+		}
+		points[pt.Idx] = pt.Params
+	}
+	return count, nil
+}
+
+// LoadGrid reads a grid file written by SaveJSON or by a CalibrateGridOpts
+// sweep, for serving: the daemon's /v1/calibration/grid endpoint and the
+// what-if model answer straight from it without re-running any
+// calibration. The version and checksum are verified, but — unlike
+// resumption — no config signature is required: serving only reads the
+// measured values. Every lattice point must be present; the file of an
+// interrupted sweep is an error naming how many points are missing. The
+// grid is built through NewGrid, so its axes must be non-empty and sorted.
+func LoadGrid(r io.Reader) (*Grid, error) {
+	ck, err := decodeGridFile(r)
+	if err != nil {
+		return nil, fmt.Errorf("calibration: %w", err)
+	}
+	n := len(ck.CPUs) * len(ck.Mems) * len(ck.IOs)
+	points := make([]optimizer.Params, n)
+	have, err := ck.restore(points, make([]bool, n))
+	if err != nil {
+		return nil, fmt.Errorf("calibration: %w", err)
+	}
+	if have != n {
+		return nil, fmt.Errorf("calibration: grid file is incomplete: %d of %d lattice points, %d missing (resume the calibration before serving it)",
+			have, n, n-have)
+	}
+	g, err := NewGrid(ck.CPUs, ck.Mems, ck.IOs, points)
+	if err != nil {
+		return nil, err
+	}
+	g.sig = ck.ConfigSig
+	return g, nil
+}
+
 // loadCheckpoint restores completed points from path into g, marking them
 // in completed, and returns how many points were restored. A missing file
 // is not an error (the run simply starts fresh); a corrupt, incompatible,
-// or differently-configured checkpoint is.
-func loadCheckpoint(path, sig string, g *Grid, completed []bool) (int, error) {
-	b, err := os.ReadFile(path)
+// or differently-configured file is.
+func loadCheckpoint(path string, g *Grid, completed []bool) (int, error) {
+	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return 0, nil
 	}
 	if err != nil {
 		return 0, err
 	}
-	var ck checkpointJSON
-	if err := json.Unmarshal(b, &ck); err != nil {
-		return 0, fmt.Errorf("decoding checkpoint: %w", err)
-	}
-	if ck.Version != checkpointVersion {
-		return 0, fmt.Errorf("checkpoint version %d, want %d", ck.Version, checkpointVersion)
-	}
-	want, err := ck.checksum()
+	defer f.Close()
+	ck, err := decodeGridFile(f)
 	if err != nil {
 		return 0, err
 	}
-	if ck.Checksum != want {
-		return 0, fmt.Errorf("checkpoint checksum mismatch (file corrupt or edited): have %s, want %s", ck.Checksum, want)
+	if ck.ConfigSig != g.sig {
+		return 0, fmt.Errorf("checkpoint was taken under a different calibration config or axes (signature %s, this run %s)", ck.ConfigSig, g.sig)
 	}
-	if ck.ConfigSig != sig {
-		return 0, fmt.Errorf("checkpoint was taken under a different calibration config or axes (signature %s, this run %s)", ck.ConfigSig, sig)
-	}
-	if !equalAxis(ck.CPUs, g.cpus) || !equalAxis(ck.Mems, g.mems) || !equalAxis(ck.IOs, g.ios) {
+	if !slices.Equal(ck.CPUs, g.cpus) || !slices.Equal(ck.Mems, g.mems) || !slices.Equal(ck.IOs, g.ios) {
 		return 0, fmt.Errorf("checkpoint axes do not match this run")
 	}
-	count := 0
-	for _, pt := range ck.Points {
-		if pt.Idx < 0 || pt.Idx >= len(g.points) {
-			return 0, fmt.Errorf("checkpoint point index %d out of range", pt.Idx)
-		}
-		p := pt.Params
-		if err := p.Validate(); err != nil {
-			return 0, fmt.Errorf("checkpoint point %d: %w", pt.Idx, err)
-		}
-		if !completed[pt.Idx] {
-			completed[pt.Idx] = true
-			count++
-		}
-		g.points[pt.Idx] = p
-	}
-	return count, nil
-}
-
-// LoadCheckpointGrid reads a grid-calibration checkpoint written by
-// CalibrateGridOpts and returns the complete Grid it describes, for
-// serving: the daemon's /v1/calibration/grid endpoint answers lookups and
-// interpolations straight from a checkpoint without re-running any
-// calibration. The version and checksum are verified (a torn or edited
-// file is rejected), but — unlike resumption — no config signature is
-// required: serving only reads the measured values, so there is no risk
-// of mixing measurements from incompatible configurations. Every lattice
-// point must be present; a checkpoint from an interrupted run is an error
-// naming how many points are missing.
-func LoadCheckpointGrid(path string) (*Grid, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var ck checkpointJSON
-	if err := json.Unmarshal(b, &ck); err != nil {
-		return nil, fmt.Errorf("calibration: decoding checkpoint: %w", err)
-	}
-	if ck.Version != checkpointVersion {
-		return nil, fmt.Errorf("calibration: checkpoint version %d, want %d", ck.Version, checkpointVersion)
-	}
-	want, err := ck.checksum()
-	if err != nil {
-		return nil, err
-	}
-	if ck.Checksum != want {
-		return nil, fmt.Errorf("calibration: checkpoint checksum mismatch (file corrupt or edited): have %s, want %s", ck.Checksum, want)
-	}
-	if len(ck.CPUs) == 0 || len(ck.Mems) == 0 || len(ck.IOs) == 0 {
-		return nil, fmt.Errorf("calibration: checkpoint has empty axes")
-	}
-	g := newGrid(ck.CPUs, ck.Mems, ck.IOs)
-	have := 0
-	seen := make([]bool, len(g.points))
-	for _, pt := range ck.Points {
-		if pt.Idx < 0 || pt.Idx >= len(g.points) {
-			return nil, fmt.Errorf("calibration: checkpoint point index %d out of range", pt.Idx)
-		}
-		if err := pt.Params.Validate(); err != nil {
-			return nil, fmt.Errorf("calibration: checkpoint point %d: %w", pt.Idx, err)
-		}
-		if !seen[pt.Idx] {
-			seen[pt.Idx] = true
-			have++
-		}
-		g.points[pt.Idx] = pt.Params
-	}
-	if have != len(g.points) {
-		return nil, fmt.Errorf("calibration: checkpoint is incomplete: %d of %d lattice points (resume the calibration before serving it)",
-			have, len(g.points))
-	}
-	return g, nil
-}
-
-func equalAxis(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return ck.restore(g.points, completed)
 }

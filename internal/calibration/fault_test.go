@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -42,7 +43,7 @@ func TestCalibrateRetriesTransientFaults(t *testing.T) {
 
 	cfg := testConfig()
 	cfg.Faults = faults.New(faults.Config{Seed: 7, Transient: 0.1, Noise: 0.05})
-	cfg.RetryBackoff = -1 // keep the test fast: retry without sleeping
+	cfg.retryBackoff = -1 // keep the test fast: retry without sleeping
 	c := New(cfg)
 	p, err := c.Calibrate(context.Background(), half())
 	if err != nil {
@@ -81,7 +82,7 @@ func TestCalibratePanicRecovered(t *testing.T) {
 	before := mCalPanic.Value()
 	cfg := testConfig()
 	cfg.Faults = faults.New(faults.Config{Seed: 3, Panic: 1})
-	cfg.RetryBackoff = -1
+	cfg.retryBackoff = -1
 	_, err := New(cfg).Calibrate(context.Background(), half())
 	if err == nil {
 		t.Fatal("Calibrate succeeded; want an error from the injected panic")
@@ -111,7 +112,7 @@ func TestCalibrateGridCancellation(t *testing.T) {
 	done := make(chan error, 1)
 	cpus := []float64{0.25, 0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.6, 0.65, 0.7}
 	go func() {
-		_, err := c.CalibrateGrid(ctx, cpus, []float64{0.5}, []float64{0.5, 1})
+		_, err := c.CalibrateGridOpts(ctx, cpus, []float64{0.5}, []float64{0.5, 1}, GridOptions{})
 		done <- err
 	}()
 
@@ -126,10 +127,10 @@ func TestCalibrateGridCancellation(t *testing.T) {
 	select {
 	case err := <-done:
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("CalibrateGrid error = %v, want context.Canceled", err)
+			t.Fatalf("CalibrateGridOpts error = %v, want context.Canceled", err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("CalibrateGrid did not return after cancellation")
+		t.Fatal("CalibrateGridOpts did not return after cancellation")
 	}
 
 	// All worker goroutines must wind down; poll briefly since the last
@@ -183,11 +184,11 @@ func TestFillBadPointsAveragesNeighbors(t *testing.T) {
 func TestCalibrateGridTooManyBadPointsFails(t *testing.T) {
 	cfg := testConfig()
 	cfg.Faults = faults.New(faults.Config{Seed: 1, Hard: 1})
-	cfg.RetryBackoff = -1
+	cfg.retryBackoff = -1
 	cfg.Parallelism = 1
-	_, err := New(cfg).CalibrateGrid(context.Background(), []float64{0.5}, []float64{0.5}, []float64{0.5, 1})
+	_, err := New(cfg).CalibrateGridOpts(context.Background(), []float64{0.5}, []float64{0.5}, []float64{0.5, 1}, GridOptions{})
 	if err == nil {
-		t.Fatal("CalibrateGrid succeeded with every point failing")
+		t.Fatal("CalibrateGridOpts succeeded with every point failing")
 	}
 	if !strings.Contains(err.Error(), "grid points failed") {
 		t.Fatalf("error %q does not describe the failed points", err)
@@ -199,8 +200,8 @@ func TestCalibrateGridTooManyBadPointsFails(t *testing.T) {
 
 // TestCalibrateGridFillsBadPoints injects hard failures at a rate (and
 // deterministic seed) that fails exactly one of four lattice points; the
-// sweep must complete, count the bad point, and fill it with valid
-// parameters from its neighbors.
+// sweep must complete, count the bad point, fill it with valid
+// parameters from its neighbors, and leave a grid file holding the fill.
 func TestCalibrateGridFillsBadPoints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration is slow in -short mode")
@@ -209,13 +210,14 @@ func TestCalibrateGridFillsBadPoints(t *testing.T) {
 	// Seed 1 at this rate deterministically fails one point of this axis
 	// (the injector is a pure function of seed and probe key).
 	cfg.Faults = faults.New(faults.Config{Seed: 1, Hard: 0.007})
-	cfg.RetryBackoff = -1
+	cfg.retryBackoff = -1
 	cfg.Parallelism = 1
 	cpus := []float64{0.25, 0.5, 0.75, 1}
 	before := mCalBadPoint.Value()
-	g, err := New(cfg).CalibrateGrid(context.Background(), cpus, []float64{0.5}, []float64{0.5})
+	path := filepath.Join(t.TempDir(), "grid.json")
+	g, err := New(cfg).CalibrateGridOpts(context.Background(), cpus, []float64{0.5}, []float64{0.5}, GridOptions{CheckpointPath: path})
 	if err != nil {
-		t.Fatalf("CalibrateGrid: %v", err)
+		t.Fatalf("CalibrateGridOpts: %v", err)
 	}
 	if got := mCalBadPoint.Value() - before; got != 1 {
 		t.Fatalf("bad-point counter moved by %d, want 1 (did the probe suite change? re-hunt the seed)", got)
@@ -228,6 +230,25 @@ func TestCalibrateGridFillsBadPoints(t *testing.T) {
 		if err := p.Validate(); err != nil {
 			t.Fatalf("lattice point cpu=%g invalid after fill: %v", cpu, err)
 		}
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	loaded, err := LoadGrid(f)
+	if err != nil {
+		t.Fatalf("LoadGrid of a filled sweep's file: %v", err)
+	}
+	var want, got bytes.Buffer
+	if err := g.SaveJSON(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.SaveJSON(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want.Bytes(), got.Bytes()) {
+		t.Fatalf("grid file differs from the filled grid:\nfile: %s\ngrid: %s", got.String(), want.String())
 	}
 }
 
@@ -245,9 +266,9 @@ func TestCalibrateGridCheckpointResume(t *testing.T) {
 	mems := []float64{0.5}
 	ios := []float64{0.5}
 
-	ref, err := New(cfg).CalibrateGrid(context.Background(), cpus, mems, ios)
+	ref, err := New(cfg).CalibrateGridOpts(context.Background(), cpus, mems, ios, GridOptions{})
 	if err != nil {
-		t.Fatalf("reference CalibrateGrid: %v", err)
+		t.Fatalf("reference CalibrateGridOpts: %v", err)
 	}
 
 	// Interrupted run: cancel as soon as the first checkpoint lands.
@@ -278,6 +299,25 @@ func TestCalibrateGridCheckpointResume(t *testing.T) {
 	if _, statErr := os.Stat(path); statErr != nil {
 		t.Fatalf("no checkpoint was written: %v", statErr)
 	}
+	// The interrupted run's file is not a servable grid: LoadGrid refuses
+	// it and says how many points are missing.
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var partial checkpointJSON
+	if err := json.Unmarshal(raw, &partial); err != nil {
+		t.Fatal(err)
+	}
+	missing := len(cpus) - len(partial.Points)
+	if missing == 0 {
+		t.Fatal("the interrupted run finished every point before the cancel landed")
+	}
+	if _, err := LoadGrid(bytes.NewReader(raw)); err == nil {
+		t.Fatal("LoadGrid accepted an interrupted run's file")
+	} else if want := fmt.Sprintf("%d missing", missing); !strings.Contains(err.Error(), want) {
+		t.Fatalf("LoadGrid error %q does not say %q", err, want)
+	}
 
 	// Resumed run: restores the checkpointed points, measures the rest.
 	c := New(cfg)
@@ -301,6 +341,40 @@ func TestCalibrateGridCheckpointResume(t *testing.T) {
 	}
 	if !bytes.Equal(wantJSON.Bytes(), gotJSON.Bytes()) {
 		t.Fatalf("resumed grid differs from uninterrupted run:\nresumed: %s\nreference: %s", gotJSON.String(), wantJSON.String())
+	}
+
+	// The resumed file is now the complete grid, byte for byte what the
+	// uninterrupted sweep saves.
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadGrid(f)
+	f.Close()
+	if err != nil {
+		t.Fatalf("LoadGrid of the resumed file: %v", err)
+	}
+	var loadedJSON bytes.Buffer
+	if err := loaded.SaveJSON(&loadedJSON); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(wantJSON.Bytes(), loadedJSON.Bytes()) {
+		t.Fatalf("loaded grid differs from uninterrupted run:\nloaded: %s\nreference: %s", loadedJSON.String(), wantJSON.String())
+	}
+
+	// Resuming a complete file restores every point and measures none.
+	measuredBefore, resumedBefore := mCalMeasure.Value(), mCalCkptResume.Value()
+	if _, err := New(cfg).CalibrateGridOpts(context.Background(), cpus, mems, ios, GridOptions{
+		CheckpointPath: path,
+		Resume:         true,
+	}); err != nil {
+		t.Fatalf("resuming a complete file: %v", err)
+	}
+	if d := mCalMeasure.Value() - measuredBefore; d != 0 {
+		t.Fatalf("resuming a complete file measured %d points, want 0", d)
+	}
+	if d := mCalCkptResume.Value() - resumedBefore; d != int64(len(cpus)) {
+		t.Fatalf("resuming a complete file restored %d points, want %d", d, len(cpus))
 	}
 }
 

@@ -23,6 +23,7 @@ import (
 type Grid struct {
 	cpus, mems, ios []float64
 	points          []optimizer.Params // dense; see Grid.index
+	sig             string             // config signature of a measured grid
 }
 
 // index flattens lattice coordinates into the dense points slice.
@@ -54,6 +55,20 @@ func (g *Grid) latticeShares(ic, im, ii int) vm.Shares {
 	return vm.Shares{CPU: g.cpus[ic], Memory: g.mems[im], IO: g.ios[ii]}
 }
 
+// checkAxes requires every lattice axis to be non-empty and sorted
+// ascending, which Lookup and Interpolate search by.
+func checkAxes(cpus, mems, ios []float64) error {
+	for _, axis := range [][]float64{cpus, mems, ios} {
+		if len(axis) == 0 {
+			return fmt.Errorf("calibration: empty grid axis")
+		}
+		if !sort.Float64sAreSorted(axis) {
+			return fmt.Errorf("calibration: grid axis must be sorted")
+		}
+	}
+	return nil
+}
+
 // NewGrid builds a grid directly from axes and pre-computed parameter
 // points, without running calibration experiments. Points are given in
 // the grid's dense order — CPU-major, then memory, then I/O, matching
@@ -63,13 +78,8 @@ func (g *Grid) latticeShares(ic, im, ii int) vm.Shares {
 // deterministic what-if benchmarks and tests that must not depend on
 // calibration measurements.
 func NewGrid(cpus, mems, ios []float64, points []optimizer.Params) (*Grid, error) {
-	for _, axis := range [][]float64{cpus, mems, ios} {
-		if len(axis) == 0 {
-			return nil, fmt.Errorf("calibration: empty grid axis")
-		}
-		if !sort.Float64sAreSorted(axis) {
-			return nil, fmt.Errorf("calibration: grid axis must be sorted")
-		}
+	if err := checkAxes(cpus, mems, ios); err != nil {
+		return nil, err
 	}
 	g := newGrid(cpus, mems, ios)
 	if len(points) != len(g.points) {
@@ -102,51 +112,29 @@ func (g *Grid) Allocations() []vm.Shares {
 	return out
 }
 
-// GridOptions controls fault tolerance and persistence of a grid
-// calibration run; the zero value matches plain CalibrateGrid.
+// GridOptions controls persistence of a grid calibration run; the zero
+// value persists nothing.
 type GridOptions struct {
-	// CheckpointPath, when non-empty, persists completed lattice points to
-	// a versioned, checksummed JSON file (written atomically via rename)
-	// as the calibration progresses, so a crashed or cancelled run can be
-	// resumed without repeating finished measurements.
+	// CheckpointPath, when non-empty, names the grid file (see LoadGrid)
+	// the run writes atomically after every completed lattice point, so
+	// a crashed or cancelled run can be resumed without repeating
+	// finished measurements. A finished run leaves the complete grid.
 	CheckpointPath string
 	// Resume loads CheckpointPath (if it exists) before measuring and
-	// skips every lattice point it restores. The checkpoint must match
-	// this run's axes and calibration config, or resumption fails rather
-	// than silently mixing incompatible measurements.
+	// skips every lattice point it restores. The file must match this
+	// run's axes and calibration config, or resumption fails rather than
+	// silently mixing incompatible measurements.
 	Resume bool
-	// CheckpointEvery writes the checkpoint after every n completed
-	// points; 0 means after every point.
-	CheckpointEvery int
-	// MaxBadPointFrac is the largest fraction of lattice points allowed to
-	// fail measurement before the whole grid run is abandoned; failed
-	// points under the limit are filled from their neighbors. 0 means 0.5.
-	MaxBadPointFrac float64
 }
 
-func (o GridOptions) every() int {
-	if o.CheckpointEvery <= 0 {
-		return 1
-	}
-	return o.CheckpointEvery
-}
+// maxBadPointFrac is the largest fraction of lattice points allowed to
+// fail measurement before a grid run is abandoned; failed points under
+// the limit are filled from their neighbors.
+const maxBadPointFrac = 0.5
 
-func (o GridOptions) maxBadFrac() float64 {
-	if o.MaxBadPointFrac <= 0 {
-		return 0.5
-	}
-	return o.MaxBadPointFrac
-}
-
-// CalibrateGrid measures every lattice point (the cross product of the
-// three axes) and returns the grid. Axis values must be valid shares. It
-// is CalibrateGridOpts with default options (no checkpointing).
-func (c *Calibrator) CalibrateGrid(ctx context.Context, cpus, mems, ios []float64) (*Grid, error) {
-	return c.CalibrateGridOpts(ctx, cpus, mems, ios, GridOptions{})
-}
-
-// CalibrateGridOpts measures every lattice point, with checkpoint/resume
-// and bad-point recovery per opts.
+// CalibrateGridOpts measures every lattice point (the cross product of
+// the three axes; axis values must be valid shares) and returns the grid,
+// with checkpoint/resume per opts and bad-point recovery.
 //
 // Lattice points are distributed over a bounded worker pool sized by
 // Config.Parallelism. Every worker owns a private Calibrator — its own
@@ -164,29 +152,24 @@ func (c *Calibrator) CalibrateGrid(ctx context.Context, cpus, mems, ios []float6
 // abort at the next probe boundary) and fails the run. A per-point
 // measurement error is degradable: the point is marked bad, the run
 // continues, and bad points are afterwards filled with the average of
-// their good lattice neighbors — unless more than opts.MaxBadPointFrac of
-// the lattice failed, which fails the run with the first bad point's
+// their good lattice neighbors — unless more than maxBadPointFrac of the
+// lattice failed, which fails the run with the first bad point's
 // error.
 func (c *Calibrator) CalibrateGridOpts(ctx context.Context, cpus, mems, ios []float64, opts GridOptions) (*Grid, error) {
 	if c.envErr != nil {
 		return nil, c.envErr
 	}
-	for _, axis := range [][]float64{cpus, mems, ios} {
-		if len(axis) == 0 {
-			return nil, fmt.Errorf("calibration: empty grid axis")
-		}
-		if !sort.Float64sAreSorted(axis) {
-			return nil, fmt.Errorf("calibration: grid axis must be sorted")
-		}
+	if err := checkAxes(cpus, mems, ios); err != nil {
+		return nil, err
 	}
 	g := newGrid(cpus, mems, ios)
 	n := len(g.points)
 	completed := make([]bool, n)
-	sig := c.cfg.signature(g.cpus, g.mems, g.ios)
+	g.sig = c.cfg.signature(g.cpus, g.mems, g.ios)
 	resumed := 0
 	if opts.Resume && opts.CheckpointPath != "" {
 		var err error
-		resumed, err = loadCheckpoint(opts.CheckpointPath, sig, g, completed)
+		resumed, err = loadCheckpoint(opts.CheckpointPath, g, completed)
 		if err != nil {
 			return nil, fmt.Errorf("calibration: resuming from %s: %w", opts.CheckpointPath, err)
 		}
@@ -196,10 +179,8 @@ func (c *Calibrator) CalibrateGridOpts(ctx context.Context, cpus, mems, ios []fl
 				"checkpoint", opts.CheckpointPath, "restored_points", resumed, "total_points", n)
 		}
 	}
-	workers := c.cfg.workers()
-	if workers > n {
-		workers = n
-	}
+	// No worker (and so no calibration database) for restored points.
+	workers := min(c.cfg.workers(), n-resumed)
 	sp := c.cfg.Obs.Span("calibrate.grid")
 	sp.SetArg("points", n)
 	sp.SetArg("workers", workers)
@@ -238,7 +219,16 @@ func (c *Calibrator) CalibrateGridOpts(ctx context.Context, cpus, mems, ios []fl
 	// while writing also publishes the g.points entries the written file
 	// references.
 	var ckptMu sync.Mutex
-	pending := 0
+	save := func(done []bool) {
+		if opts.CheckpointPath == "" {
+			return
+		}
+		if err := writeCheckpoint(opts.CheckpointPath, g, done); err != nil {
+			c.cfg.Obs.Warn("checkpoint write failed", "path", opts.CheckpointPath, "err", err.Error())
+		} else {
+			mCalCkptWrite.Inc()
+		}
+	}
 
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -278,33 +268,18 @@ func (c *Calibrator) CalibrateGridOpts(ctx context.Context, cpus, mems, ios []fl
 			g.points[idx] = p
 			ckptMu.Lock()
 			completed[idx] = true
-			if opts.CheckpointPath != "" {
-				pending++
-				if pending >= opts.every() {
-					if werr := writeCheckpoint(opts.CheckpointPath, sig, g, completed); werr != nil {
-						c.cfg.Obs.Warn("checkpoint write failed",
-							"path", opts.CheckpointPath, "err", werr.Error())
-					} else {
-						mCalCkptWrite.Inc()
-					}
-					pending = 0
-				}
-			}
+			save(completed)
 			ckptMu.Unlock()
 		}
 	}
-	if workers <= 1 {
-		work(0)
-	} else {
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				work(w)
-			}(w)
-		}
-		wg.Wait()
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			work(w)
+		}(w)
 	}
+	wg.Wait()
 
 	if fatal != nil {
 		return nil, fatal
@@ -325,22 +300,16 @@ func (c *Calibrator) CalibrateGridOpts(ctx context.Context, cpus, mems, ios []fl
 		// A fill needs at least one good point; an entirely-bad lattice is
 		// unfixable no matter what fraction the caller tolerates.
 		frac := float64(len(bad)) / float64(n)
-		if len(bad) == n || frac > opts.maxBadFrac() {
+		if len(bad) == n || frac > maxBadPointFrac {
 			ic, im, ii := g.coords(bad[0])
 			sh := g.latticeShares(ic, im, ii)
 			return nil, fmt.Errorf("calibration: %d of %d grid points failed (above the %.0f%% limit); first failure at (%g,%g,%g): %w",
-				len(bad), n, opts.maxBadFrac()*100, sh.CPU, sh.Memory, sh.IO, errs[bad[0]])
+				len(bad), n, maxBadPointFrac*100, sh.CPU, sh.Memory, sh.IO, errs[bad[0]])
 		}
 		g.fillBadPoints(bad, errs, c.cfg.Obs)
-	}
-
-	// Flush a final checkpoint so the file reflects every completed point.
-	if opts.CheckpointPath != "" && pending > 0 {
-		if werr := writeCheckpoint(opts.CheckpointPath, sig, g, completed); werr != nil {
-			c.cfg.Obs.Warn("checkpoint write failed", "path", opts.CheckpointPath, "err", werr.Error())
-		} else {
-			mCalCkptWrite.Inc()
-		}
+		// The finished file holds the filled points too: it is the
+		// complete grid LoadGrid serves.
+		save(nil)
 	}
 
 	// Hand every point back to the shared calibrator's cache so later

@@ -78,14 +78,14 @@ func TestCalibrateGridParallelMatchesSerial(t *testing.T) {
 
 	serialCfg := testConfig()
 	serialCfg.Parallelism = 1
-	serial, err := New(serialCfg).CalibrateGrid(context.Background(), cpuAxis, memAxis, ioAxis)
+	serial, err := New(serialCfg).CalibrateGridOpts(context.Background(), cpuAxis, memAxis, ioAxis, GridOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	parCfg := testConfig()
 	parCfg.Parallelism = 4
-	par, err := New(parCfg).CalibrateGrid(context.Background(), cpuAxis, memAxis, ioAxis)
+	par, err := New(parCfg).CalibrateGridOpts(context.Background(), cpuAxis, memAxis, ioAxis, GridOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func BenchmarkCalibrateGrid(b *testing.B) {
 			cfg.Parallelism = j
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := New(cfg).CalibrateGrid(context.Background(), axis, axis, axis); err != nil {
+				if _, err := New(cfg).CalibrateGridOpts(context.Background(), axis, axis, axis, GridOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -6,8 +6,8 @@ import (
 	"math"
 	"strings"
 
+	"dbvirt/internal/calibration"
 	"dbvirt/internal/core"
-
 	"dbvirt/internal/vm"
 	"dbvirt/internal/workload"
 )
@@ -121,7 +121,7 @@ func (e *Env) AblationCalibrationGrid() ([]GridRow, error) {
 	}
 	var rows []GridRow
 	for _, axis := range axes {
-		g, err := cal.CalibrateGrid(context.Background(), axis, []float64{0.5}, []float64{0.5})
+		g, err := cal.CalibrateGridOpts(context.Background(), axis, []float64{0.5}, []float64{0.5}, calibration.GridOptions{})
 		if err != nil {
 			return nil, err
 		}

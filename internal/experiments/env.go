@@ -82,6 +82,21 @@ func QuickEnv() *Env {
 	return NewEnv(workload.SmallScale(), cfg)
 }
 
+// EnvForScale returns a fresh environment for a named database scale:
+// "tiny" (the tiny scale on the default machine), "small" (QuickEnv) or
+// "experiment" (DefaultEnv).
+func EnvForScale(name string) (*Env, error) {
+	switch name {
+	case "tiny":
+		return NewEnv(workload.TinyScale(), vm.DefaultMachineConfig()), nil
+	case "small":
+		return QuickEnv(), nil
+	case "experiment":
+		return DefaultEnv(), nil
+	}
+	return nil, fmt.Errorf("unknown scale %q (want tiny, small, or experiment)", name)
+}
+
 // Calibrator returns the shared (caching) calibrator.
 func (e *Env) Calibrator() *calibration.Calibrator {
 	e.mu.Lock()

@@ -172,6 +172,9 @@ func (s *Solver) buildFeature(ctx context.Context, t *Tenant) (*feature, error) 
 	return f, nil
 }
 
+// sketchK is the top-k capacity of derived statement sketches.
+const sketchK = 32
+
 // sketchFor returns the derived statement-support sketch for a spec,
 // building it at most once per spec from WorkloadSpec.NormalizedStatements
 // (itself a sync.Once cache). The placement.normalize.reused counter
@@ -186,7 +189,7 @@ func (s *Solver) sketchFor(spec *core.WorkloadSpec) *telemetry.TopK {
 		return sk
 	}
 	s.mu.Unlock()
-	sk := telemetry.NewTopK(s.cfg.SketchK)
+	sk := telemetry.NewTopK(sketchK)
 	for _, q := range spec.NormalizedStatements() {
 		sk.Update(q, 1)
 	}

@@ -140,8 +140,6 @@ type Config struct {
 	// feature probes); 0 means runtime.GOMAXPROCS(0). Results are
 	// identical at every setting.
 	Parallelism int
-	// SketchK is the top-k capacity of derived statement sketches.
-	SketchK int
 	// Seed keys the packing-order shuffles.
 	Seed uint64
 	// Obs receives spans/logs; nil disables both (metrics are always on).
@@ -163,9 +161,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Orders == 0 {
 		c.Orders = 3
-	}
-	if c.SketchK == 0 {
-		c.SketchK = 32
 	}
 	if c.Seed == 0 {
 		c.Seed = 1

@@ -124,7 +124,6 @@ func TestConcurrentMixedLoad(t *testing.T) {
 		c.MaxQueue = 4
 		c.JobWorkers = 2
 		c.JobQueue = 4
-		c.RetryAfter = time.Second
 	})
 	h := s.Handler()
 	hitsBefore := mCoalesceHits.Value()

@@ -22,7 +22,6 @@ import (
 	"dbvirt/internal/optimizer"
 	"dbvirt/internal/telemetry"
 	"dbvirt/internal/vm"
-	"dbvirt/internal/workload"
 )
 
 var (
@@ -35,22 +34,20 @@ var (
 // Config parameterizes a Server. The zero value is completed by New with
 // the defaults noted per field.
 type Config struct {
-	// Scale selects the workload database scale: "tiny", "small", or
-	// "experiment" (default "small"). Ignored when Env is set.
-	Scale string
-	// Env overrides the experiment environment (tests inject a prebuilt
-	// one so several servers share databases).
+	// Env is the experiment environment whose databases the workloads run
+	// on (default experiments.QuickEnv(); tests inject a prebuilt one so
+	// several servers share databases).
 	Env *experiments.Env
 	// Grid answers calibration lookups and backs the default what-if
 	// model. Required unless both Model is set and /v1/calibration/grid
 	// may 404.
 	Grid *calibration.Grid
 	// Model overrides the cost model (tests inject slow or failing
-	// models; a measured model belongs behind a core.SharedCostModel).
-	// Default: WhatIfModel{Grid} itself. It memoizes below the workload,
-	// per statement and parameter vector, so no request-level cost memo
-	// sits in front of it: such a memo has to key on what a request
-	// varies — weight, SLO, repeat count — none of which is cost identity.
+	// models). Default: WhatIfModel{Grid} itself. It memoizes below the
+	// workload, per statement and parameter vector, so no request-level
+	// cost memo sits in front of it: such a memo has to key on what a
+	// request varies — weight, SLO, repeat count — none of which is cost
+	// identity.
 	Model core.CostModel
 	// MaxInflight bounds concurrently executing what-if sweeps (leaders
 	// only — coalesced joiners don't hold slots). Default GOMAXPROCS.
@@ -63,17 +60,9 @@ type Config struct {
 	// JobQueue bounds queued-but-not-running solve jobs (default 16);
 	// beyond it submissions are rejected with 429.
 	JobQueue int
-	// MaxJobs bounds the retained job table; oldest terminal jobs are
-	// evicted first (default 1024).
-	MaxJobs int
 	// DefaultTimeout applies when a request carries no timeout_ms
-	// (default 30s); MaxTimeout caps what a request may ask for
-	// (default 5m).
+	// (default 30s).
 	DefaultTimeout time.Duration
-	MaxTimeout     time.Duration
-	// RetryAfter is the hint returned with 429 responses (default 1s,
-	// rounded up to whole seconds).
-	RetryAfter time.Duration
 	// Parallelism is handed to the solvers and the environment; 0 means
 	// GOMAXPROCS.
 	Parallelism int
@@ -94,18 +83,19 @@ type Config struct {
 	Autotune *AutotuneOptions
 }
 
+const (
+	// maxJobs bounds the retained job table; oldest terminal jobs are
+	// evicted first.
+	maxJobs = 1024
+	// maxTimeout caps the timeout_ms a request may ask for.
+	maxTimeout = 5 * time.Minute
+	// retryAfter is the Retry-After hint, in seconds, of a 429 response.
+	retryAfter = "1"
+)
+
 func (c *Config) applyDefaults() error {
 	if c.Env == nil {
-		switch c.Scale {
-		case "", "small":
-			c.Env = experiments.QuickEnv()
-		case "tiny":
-			c.Env = experiments.NewEnv(workload.TinyScale(), vm.DefaultMachineConfig())
-		case "experiment":
-			c.Env = experiments.DefaultEnv()
-		default:
-			return fmt.Errorf("server: unknown scale %q (want tiny, small, or experiment)", c.Scale)
-		}
+		c.Env = experiments.QuickEnv()
 	}
 	if c.Model == nil {
 		if c.Grid == nil {
@@ -125,17 +115,8 @@ func (c *Config) applyDefaults() error {
 	if c.JobQueue <= 0 {
 		c.JobQueue = 16
 	}
-	if c.MaxJobs <= 0 {
-		c.MaxJobs = 1024
-	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 30 * time.Second
-	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 5 * time.Minute
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	if c.Telemetry == nil {
 		c.Telemetry = telemetry.NewHub(telemetry.Config{})
@@ -193,7 +174,7 @@ func New(cfg Config) (*Server, error) {
 		hWindow: obs.Global.Window("server.http.window.seconds", 6, cfg.RequestWindow/6),
 	}
 	s.wl = newWorkloadSet(cfg.Env)
-	s.jobs = newJobManager(cfg.JobWorkers, cfg.JobQueue, cfg.MaxJobs, s.runSolve)
+	s.jobs = newJobManager(cfg.JobWorkers, cfg.JobQueue, maxJobs, s.runSolve)
 	if cfg.Autotune != nil {
 		if err := s.initAutotune(cfg.Autotune); err != nil {
 			return nil, err
@@ -334,16 +315,14 @@ func (s *Server) track(h http.HandlerFunc) http.HandlerFunc {
 }
 
 // requestCtx derives the request's working context from its deadline
-// parameters: timeoutMS if given (capped at MaxTimeout), else the server
+// parameters: timeoutMS if given (capped at maxTimeout), else the server
 // default. The HTTP request context is the parent, so a disconnected
 // client cancels the work.
 func (s *Server) requestCtx(r *http.Request, timeoutMS int64) (context.Context, context.CancelFunc) {
 	d := s.cfg.DefaultTimeout
 	if timeoutMS > 0 {
 		d = time.Duration(timeoutMS) * time.Millisecond
-		if d > s.cfg.MaxTimeout {
-			d = s.cfg.MaxTimeout
-		}
+		d = min(d, maxTimeout)
 	}
 	return context.WithTimeout(r.Context(), d)
 }
@@ -468,7 +447,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		mAdmissionReject.Inc()
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
+		w.Header().Set("Retry-After", retryAfter)
 		writeError(w, http.StatusTooManyRequests, "job queue full")
 		return
 	case errors.Is(err, ErrDraining):
@@ -746,7 +725,7 @@ func (s *Server) writeComputeError(w http.ResponseWriter, err error) {
 	var bad badRequestError
 	switch {
 	case errors.Is(err, errTooBusy):
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
+		w.Header().Set("Retry-After", retryAfter)
 		writeError(w, http.StatusTooManyRequests, err.Error())
 	case errors.As(err, &bad):
 		writeError(w, http.StatusBadRequest, err.Error())
@@ -757,12 +736,4 @@ func (s *Server) writeComputeError(w http.ResponseWriter, err error) {
 	default:
 		writeError(w, http.StatusInternalServerError, err.Error())
 	}
-}
-
-func retryAfterSeconds(d time.Duration) string {
-	secs := int((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
 }

@@ -12,54 +12,38 @@ import (
 type Config struct {
 	// TopK is the heavy-hitter sketch capacity per window (default 32).
 	TopK int
-	// SampleCap bounds the per-tenant cost-vector reservoir (default 64).
-	SampleCap int
 	// Window is the number of sketch updates per drift window: every
 	// Window updates the current sketch closes, is scored against its
 	// predecessor, and a fresh window opens (default 64).
 	Window int
-	// Alpha is the drift EWMA smoothing factor (default 0.5).
-	Alpha float64
-	// Threshold is the smoothed drift score above which a tenant counts
-	// as shifted (default 0.25).
-	Threshold float64
-	// ResidualAlpha smooths the model-residual EWMAs (default 0.2).
-	ResidualAlpha float64
-	// Seed derives every reservoir priority (default 1).
-	Seed uint64
-	// MaxTenants bounds the tenant table; tenants beyond it collapse into
-	// a shared "other" tenant so memory stays bounded under tenant churn
-	// (default 256).
-	MaxTenants int
 	// Registry receives the telemetry gauges and counters (default
 	// obs.Global).
 	Registry *obs.Registry
 }
 
+const (
+	// sampleCap bounds the per-tenant cost-vector reservoir.
+	sampleCap = 64
+	// driftAlpha is the drift EWMA smoothing factor.
+	driftAlpha = 0.5
+	// driftThreshold is the smoothed drift score above which a tenant
+	// counts as shifted.
+	driftThreshold = 0.25
+	// residualAlpha smooths the model-residual EWMAs.
+	residualAlpha = 0.2
+	// reservoirSeed derives every reservoir priority.
+	reservoirSeed = 1
+	// maxTenants bounds the tenant table; tenants beyond it collapse into
+	// a shared "other" tenant so memory stays bounded under tenant churn.
+	maxTenants = 256
+)
+
 func (c *Config) applyDefaults() {
 	if c.TopK <= 0 {
 		c.TopK = 32
 	}
-	if c.SampleCap <= 0 {
-		c.SampleCap = 64
-	}
 	if c.Window <= 0 {
 		c.Window = 64
-	}
-	if !(c.Alpha > 0 && c.Alpha <= 1) {
-		c.Alpha = 0.5
-	}
-	if c.Threshold <= 0 {
-		c.Threshold = 0.25
-	}
-	if !(c.ResidualAlpha > 0 && c.ResidualAlpha <= 1) {
-		c.ResidualAlpha = 0.2
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.MaxTenants <= 0 {
-		c.MaxTenants = 256
 	}
 	if c.Registry == nil {
 		c.Registry = obs.Global
@@ -98,7 +82,7 @@ func NewHub(cfg Config) *Hub {
 }
 
 // Tenant returns (creating if needed) the named tenant's telemetry.
-// Beyond MaxTenants distinct names, the shared "other" tenant absorbs
+// Beyond maxTenants distinct names, the shared "other" tenant absorbs
 // the overflow. Safe for concurrent use; nil Hub returns nil.
 func (h *Hub) Tenant(name string) *Tenant {
 	if h == nil {
@@ -109,7 +93,7 @@ func (h *Hub) Tenant(name string) *Tenant {
 	if t, ok := h.tenants[name]; ok {
 		return t
 	}
-	if len(h.tenants) >= h.cfg.MaxTenants {
+	if len(h.tenants) >= maxTenants {
 		name = "other"
 		if t, ok := h.tenants[name]; ok {
 			return t
@@ -127,9 +111,9 @@ func (h *Hub) newTenantLocked(name string) *Tenant {
 		name:     name,
 		window:   h.cfg.Window,
 		cur:      NewTopK(h.cfg.TopK),
-		sample:   NewReservoir(h.cfg.SampleCap, h.cfg.Seed),
-		drift:    NewDriftDetector(h.cfg.Alpha, h.cfg.Threshold),
-		residual: NewResidualTracker(h.cfg.ResidualAlpha),
+		sample:   NewReservoir(sampleCap, reservoirSeed),
+		drift:    NewDriftDetector(driftAlpha, driftThreshold),
+		residual: NewResidualTracker(residualAlpha),
 		gRaw:     r.Gauge("telemetry.drift.raw." + name),
 		gScore:   r.Gauge("telemetry.drift.score." + name),
 		gRelErr:  r.Gauge("telemetry.residual.relerr." + name),

@@ -181,7 +181,7 @@ func TestTenantConcurrentUpdates(t *testing.T) {
 // smoothed drift gauge must cross the threshold within two windows.
 func TestWorkloadShiftCrossesThreshold(t *testing.T) {
 	reg := obs.NewRegistry()
-	h := NewHub(Config{Window: 32, Threshold: 0.25, Alpha: 0.5, Registry: reg})
+	h := NewHub(Config{Window: 32, Registry: reg})
 	ten := h.Tenant("w1")
 	mixA := []string{"SELECT a FROM r", "SELECT b FROM s", "SELECT c FROM u"}
 	mixB := []string{"SELECT x FROM big1", "SELECT y FROM big2", "SELECT z FROM big3"}
@@ -247,16 +247,16 @@ func TestResidualTracker(t *testing.T) {
 	}
 }
 
-// TestHubTenantCap: tenant churn beyond MaxTenants collapses into the
+// TestHubTenantCap: tenant churn beyond maxTenants collapses into the
 // shared "other" tenant instead of growing without bound.
 func TestHubTenantCap(t *testing.T) {
-	h := testHub(t, Config{MaxTenants: 4})
-	for i := 0; i < 10; i++ {
+	h := testHub(t, Config{})
+	for i := 0; i < maxTenants+6; i++ {
 		h.Tenant(fmt.Sprintf("t%d", i)).ObserveQuery("SELECT 1")
 	}
 	snaps := h.Snapshot()
-	if len(snaps) != 5 { // t0..t3 + other
-		t.Fatalf("tenant table grew to %d, want 5", len(snaps))
+	if len(snaps) != maxTenants+1 { // t0..t255 + other
+		t.Fatalf("tenant table grew to %d, want %d", len(snaps), maxTenants+1)
 	}
 	var other *TenantSnapshot
 	for i := range snaps {
