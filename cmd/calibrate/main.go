@@ -102,7 +102,7 @@ func main() {
 		Resume:         *resume,
 	})
 	if err != nil {
-		if *out != "" {
+		if _, statErr := os.Stat(*out); *out != "" && statErr == nil {
 			fail("%v\n(completed points are saved in %s; rerun with -resume to continue)", err, *out)
 		}
 		fail("%v", err)

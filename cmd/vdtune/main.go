@@ -73,6 +73,12 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
+	if *scale == "tiny" {
+		// The tiny quick path runs on QuickEnv's 16 MiB machine: its
+		// calibration tables are a quarter the default machine's, so a
+		// tuning run takes a fraction of the time.
+		env = experiments.NewEnv(env.Scale, experiments.QuickEnv().Machine)
+	}
 
 	var specs []*core.WorkloadSpec
 	for _, wf := range wflags {

@@ -19,7 +19,7 @@ import (
 // lattice sweep across every later tuning problem. A grid file makes that
 // concrete, and it has one format: a versioned JSON document holding the
 // lattice axes, every point by dense index (see Grid.index), a checksum
-// (detecting torn or hand-edited files) and, for a measured grid, a config
+// (detecting torn or hand-edited files) and, in a sweep's file, a config
 // signature (detecting resumption under a different machine, engine,
 // fault, or axis configuration, any of which would change the measured
 // values). A sweep with a CheckpointPath writes that file, atomically via
@@ -78,11 +78,12 @@ func (ck checkpointJSON) checksum() (string, error) {
 }
 
 // marshal encodes the points of g marked in done (every point when done
-// is nil) in index order, so the output is deterministic.
-func (g *Grid) marshal(done []bool) ([]byte, error) {
+// is nil) in index order, so the output is deterministic; sig is the
+// config signature of a sweep's file and empty for SaveJSON.
+func (g *Grid) marshal(sig string, done []bool) ([]byte, error) {
 	ck := checkpointJSON{
 		Version:   checkpointVersion,
-		ConfigSig: g.sig,
+		ConfigSig: sig,
 		CPUs:      g.cpus,
 		Mems:      g.mems,
 		IOs:       g.ios,
@@ -102,9 +103,10 @@ func (g *Grid) marshal(done []bool) ([]byte, error) {
 }
 
 // SaveJSON writes the complete grid in the grid-file format LoadGrid
-// reads.
+// reads. It writes no config signature, so its output depends only on the
+// lattice, not on whether the grid was measured, loaded or built.
 func (g *Grid) SaveJSON(w io.Writer) error {
-	b, err := g.marshal(nil)
+	b, err := g.marshal("", nil)
 	if err != nil {
 		return err
 	}
@@ -112,9 +114,10 @@ func (g *Grid) SaveJSON(w io.Writer) error {
 	return err
 }
 
-// writeCheckpoint atomically persists the completed lattice points.
-func writeCheckpoint(path string, g *Grid, completed []bool) error {
-	b, err := g.marshal(completed)
+// writeCheckpoint atomically persists the completed lattice points of a
+// sweep whose config signature is sig.
+func writeCheckpoint(path, sig string, g *Grid, completed []bool) error {
+	b, err := g.marshal(sig, completed)
 	if err != nil {
 		return err
 	}
@@ -187,19 +190,14 @@ func LoadGrid(r io.Reader) (*Grid, error) {
 		return nil, fmt.Errorf("calibration: grid file is incomplete: %d of %d lattice points, %d missing (resume the calibration before serving it)",
 			have, n, n-have)
 	}
-	g, err := NewGrid(ck.CPUs, ck.Mems, ck.IOs, points)
-	if err != nil {
-		return nil, err
-	}
-	g.sig = ck.ConfigSig
-	return g, nil
+	return NewGrid(ck.CPUs, ck.Mems, ck.IOs, points)
 }
 
 // loadCheckpoint restores completed points from path into g, marking them
 // in completed, and returns how many points were restored. A missing file
 // is not an error (the run simply starts fresh); a corrupt, incompatible,
-// or differently-configured file is.
-func loadCheckpoint(path string, g *Grid, completed []bool) (int, error) {
+// or differently-configured file (one whose signature is not sig) is.
+func loadCheckpoint(path, sig string, g *Grid, completed []bool) (int, error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return 0, nil
@@ -212,8 +210,8 @@ func loadCheckpoint(path string, g *Grid, completed []bool) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if ck.ConfigSig != g.sig {
-		return 0, fmt.Errorf("checkpoint was taken under a different calibration config or axes (signature %s, this run %s)", ck.ConfigSig, g.sig)
+	if ck.ConfigSig != sig {
+		return 0, fmt.Errorf("checkpoint was taken under a different calibration config or axes (signature %s, this run %s)", ck.ConfigSig, sig)
 	}
 	if !slices.Equal(ck.CPUs, g.cpus) || !slices.Equal(ck.Mems, g.mems) || !slices.Equal(ck.IOs, g.ios) {
 		return 0, fmt.Errorf("checkpoint axes do not match this run")

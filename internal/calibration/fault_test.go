@@ -438,3 +438,24 @@ func TestCheckpointRejectsTamperingAndConfigDrift(t *testing.T) {
 		t.Fatalf("config-drift error %q does not mention the config signature", err)
 	}
 }
+
+// TestCalibrateGridFailsWhenGridFileUnwritable points the grid file into
+// a directory that does not exist: every write fails, so the sweep must
+// fail rather than report a grid it never saved.
+func TestCalibrateGridFailsWhenGridFileUnwritable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("calibration is slow in -short mode")
+	}
+	cfg := faultFreeConfig()
+	cfg.Parallelism = 1
+	path := filepath.Join(t.TempDir(), "missing", "grid.json")
+	axis := []float64{0.5}
+	_, err := New(cfg).CalibrateGridOpts(context.Background(), axis, axis, axis,
+		GridOptions{CheckpointPath: path})
+	if err == nil {
+		t.Fatalf("sweep succeeded although %s was never written", path)
+	}
+	if !errors.Is(err, os.ErrNotExist) || !strings.Contains(err.Error(), "writing grid file") {
+		t.Fatalf("error %q does not report the failed grid-file write", err)
+	}
+}

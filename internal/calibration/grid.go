@@ -23,7 +23,6 @@ import (
 type Grid struct {
 	cpus, mems, ios []float64
 	points          []optimizer.Params // dense; see Grid.index
-	sig             string             // config signature of a measured grid
 }
 
 // index flattens lattice coordinates into the dense points slice.
@@ -118,7 +117,8 @@ type GridOptions struct {
 	// CheckpointPath, when non-empty, names the grid file (see LoadGrid)
 	// the run writes atomically after every completed lattice point, so
 	// a crashed or cancelled run can be resumed without repeating
-	// finished measurements. A finished run leaves the complete grid.
+	// finished measurements. A run succeeds only if it leaves the
+	// complete grid in this file.
 	CheckpointPath string
 	// Resume loads CheckpointPath (if it exists) before measuring and
 	// skips every lattice point it restores. The file must match this
@@ -165,11 +165,11 @@ func (c *Calibrator) CalibrateGridOpts(ctx context.Context, cpus, mems, ios []fl
 	g := newGrid(cpus, mems, ios)
 	n := len(g.points)
 	completed := make([]bool, n)
-	g.sig = c.cfg.signature(g.cpus, g.mems, g.ios)
+	sig := c.cfg.signature(g.cpus, g.mems, g.ios)
 	resumed := 0
 	if opts.Resume && opts.CheckpointPath != "" {
 		var err error
-		resumed, err = loadCheckpoint(opts.CheckpointPath, g, completed)
+		resumed, err = loadCheckpoint(opts.CheckpointPath, sig, g, completed)
 		if err != nil {
 			return nil, fmt.Errorf("calibration: resuming from %s: %w", opts.CheckpointPath, err)
 		}
@@ -217,14 +217,16 @@ func (c *Calibrator) CalibrateGridOpts(ctx context.Context, cpus, mems, ios []fl
 
 	// ckptMu orders completed[] updates and checkpoint writes; holding it
 	// while writing also publishes the g.points entries the written file
-	// references.
+	// references. saveErr is the latest write's error: a failed write
+	// leaves the file stale until a later one lands.
 	var ckptMu sync.Mutex
+	var saveErr error
 	save := func(done []bool) {
 		if opts.CheckpointPath == "" {
 			return
 		}
-		if err := writeCheckpoint(opts.CheckpointPath, g, done); err != nil {
-			c.cfg.Obs.Warn("checkpoint write failed", "path", opts.CheckpointPath, "err", err.Error())
+		if saveErr = writeCheckpoint(opts.CheckpointPath, sig, g, done); saveErr != nil {
+			c.cfg.Obs.Warn("checkpoint write failed", "path", opts.CheckpointPath, "err", saveErr.Error())
 		} else {
 			mCalCkptWrite.Inc()
 		}
@@ -307,9 +309,14 @@ func (c *Calibrator) CalibrateGridOpts(ctx context.Context, cpus, mems, ios []fl
 				len(bad), n, maxBadPointFrac*100, sh.CPU, sh.Memory, sh.IO, errs[bad[0]])
 		}
 		g.fillBadPoints(bad, errs, c.cfg.Obs)
-		// The finished file holds the filled points too: it is the
-		// complete grid LoadGrid serves.
+	}
+	if len(bad) > 0 || saveErr != nil {
+		// The finished file must be the complete grid LoadGrid serves:
+		// rewrite it whole to add the fills or replace a stale file.
 		save(nil)
+		if saveErr != nil {
+			return nil, fmt.Errorf("calibration: writing grid file: %w", saveErr)
+		}
 	}
 
 	// Hand every point back to the shared calibrator's cache so later
