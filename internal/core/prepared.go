@@ -191,7 +191,7 @@ func (c *stmtCache) entry(db *engine.Database, norm string) *stmtEntry {
 	} else if q, err := plan.Bind(sel, db.Catalog); err != nil {
 		entry.err = err
 	} else {
-		entry.pq = optimizer.Prepare(q)
+		entry.pq = optimizer.Prepare(q, nil)
 	}
 	c.mu.Lock()
 	cur, _ := c.entries.Get(key)

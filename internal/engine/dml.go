@@ -56,18 +56,20 @@ func victimSelect(table string, where sql.Expr, items []sql.SelectItem) *sql.Sel
 	return &sql.SelectStmt{Items: items, From: []sql.FromItem{&sql.TableRef{Table: table}}, Where: where}
 }
 
-// planVictimScan optimizes a statement's victim query q under the
-// session's parameters, binding it first when q is nil. The returned plan's Root is
-// the scan subtree alone (the projection is stripped: victims are whole
-// tuples), and its Query.Select holds the bound items.
-func (s *Session) planVictimScan(stmt sql.Statement, q *plan.Query) (*optimizer.Plan, error) {
-	if q == nil {
+// planVictimScan optimizes a statement's victim query under the session's
+// parameters: through its template's prepared query pq, or bound afresh
+// when pq is nil. The returned plan's Root is the scan subtree alone (the
+// projection is stripped: victims are whole tuples), and its Query.Select
+// holds the bound items.
+func (s *Session) planVictimScan(stmt sql.Statement, pq *optimizer.PreparedQuery) (*optimizer.Plan, error) {
+	var q *plan.Query
+	if pq == nil {
 		var err error
 		if q, _, err = s.bindVictims(stmt); err != nil {
 			return nil, err
 		}
 	}
-	pl, err := optimizer.Optimize(q, s.Params)
+	pl, err := s.planQuery(q, pq)
 	if err != nil {
 		return nil, err
 	}
@@ -101,10 +103,10 @@ func (s *Session) explainDML(verb string, stmt sql.Statement) (string, error) {
 }
 
 // execDelete removes all rows matching the predicate, maintaining every
-// index, and returns the number of rows deleted. q is the bound victim
-// query, or nil to bind it.
-func (s *Session) execDelete(del *sql.DeleteStmt, q *plan.Query) (int64, error) {
-	pl, err := s.planVictimScan(del, q)
+// index, and returns the number of rows deleted. pq is the prepared
+// victim query, or nil to bind it.
+func (s *Session) execDelete(del *sql.DeleteStmt, pq *optimizer.PreparedQuery) (int64, error) {
+	pl, err := s.planVictimScan(del, pq)
 	if err != nil {
 		return 0, err
 	}
@@ -153,9 +155,9 @@ func (s *Session) collectVictims(pl *optimizer.Plan) ([]dmlVictim, error) {
 
 // execUpdate rewrites all rows matching the predicate. The updated row is
 // deleted and re-inserted (possibly at a new TID), with index maintenance
-// on both sides. q is the bound victim query, or nil to bind it.
-func (s *Session) execUpdate(upd *sql.UpdateStmt, q *plan.Query) (int64, error) {
-	pl, err := s.planVictimScan(upd, q)
+// on both sides. pq is the prepared victim query, or nil to bind it.
+func (s *Session) execUpdate(upd *sql.UpdateStmt, pq *optimizer.PreparedQuery) (int64, error) {
+	pl, err := s.planVictimScan(upd, pq)
 	if err != nil {
 		return 0, err
 	}

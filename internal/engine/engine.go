@@ -152,9 +152,9 @@ func (s *Session) Exec(src string) (int64, error) {
 }
 
 // exec runs a parsed statement for Exec and RunStatement. victims, when
-// non-nil, is an UPDATE's or DELETE's victim query already bound
-// (bindVictims); otherwise exec binds it.
-func (s *Session) exec(stmt sql.Statement, victims *plan.Query) (int64, error) {
+// non-nil, is an UPDATE's or DELETE's victim query already bound and
+// prepared (bindVictims); otherwise exec binds it.
+func (s *Session) exec(stmt sql.Statement, victims *optimizer.PreparedQuery) (int64, error) {
 	switch x := stmt.(type) {
 	case *sql.CreateTableStmt:
 		cols := make([]catalog.Column, len(x.Columns))
@@ -492,16 +492,17 @@ func (s *Session) explainAnalyzePlan(src string, pl *optimizer.Plan) (string, er
 // RunStatement executes one workload statement for its side effects and
 // cost, returning the number of rows a SELECT produced or any other
 // statement affected. Its parse and bind step is memoized per statement
-// shape (stmtcache.go); the optimizer still plans every execution.
+// shape, and its plan is re-costed from the shape's prepared query rather
+// than enumerated again (stmtcache.go).
 func (s *Session) RunStatement(src string) (int64, error) {
 	st, err := s.statement(src)
 	if err != nil {
 		return 0, err
 	}
 	if _, ok := st.tpl.Stmt.(*sql.SelectStmt); !ok {
-		return s.exec(st.tpl.Stmt, st.q)
+		return s.exec(st.tpl.Stmt, st.pq)
 	}
-	pl, err := optimizer.Optimize(st.q, s.Params)
+	pl, err := s.planQuery(nil, st.pq)
 	if err != nil {
 		return 0, err
 	}
@@ -532,6 +533,15 @@ func (s *Session) RunStatement(src string) (int64, error) {
 		}
 		n++
 	}
+}
+
+// planQuery plans a bound query under the session's parameters: through
+// a template's prepared query pq, or afresh when pq is nil.
+func (s *Session) planQuery(q *plan.Query, pq *optimizer.PreparedQuery) (*optimizer.Plan, error) {
+	if pq != nil {
+		return pq.Optimize(s.Params)
+	}
+	return optimizer.Optimize(q, s.Params)
 }
 
 // RunWorkload executes a sequence of statements, returning the simulated

@@ -2,22 +2,26 @@ package engine
 
 import (
 	"dbvirt/internal/obs"
+	"dbvirt/internal/optimizer"
 	"dbvirt/internal/plan"
 	"dbvirt/internal/sql"
 )
 
 // The session statement cache. RunStatement scans each statement once into
 // a shape key — its tokens with every literal reduced to its kind — and
-// keeps, per key, the statement parsed and bound once (a template). A
-// statement of a known shape only has its parameter values written into
-// the template's literals and their bound constants, then goes to the
-// optimizer like any other: plans are never reused across values.
+// keeps, per key, the statement parsed, bound and prepared once (a
+// template). A statement of a known shape only has its parameter values
+// written into the template's literals and their bound constants; the
+// template's optimizer.PreparedQuery then re-costs its recorded plan
+// along the literals and P(R), and enumerates again only when a choice
+// flips (DESIGN.md §9). The plan is the one a fresh Optimize would choose.
 //
 // Templates are private to their session and mutated only inside the
 // RunStatement call that uses them, which drains its result before
-// returning; Query, Explain and the prepared what-if path never see one.
-// A bound query depends on the catalog's schema, so a template re-binds
-// after any catalog version change; DML does not change the version.
+// returning; Query, Explain and the what-if path never see one. The
+// executor only reads plan nodes, so a plan may run again. A template
+// re-binds and re-prepares after any catalog version change; DML does not
+// change the version.
 //
 // One template is kept per key. A statement whose fixed literals (a LIMIT
 // count, say) differ from the template's misses and replaces it. A
@@ -40,11 +44,12 @@ const stmtCacheCap = 64
 
 // stmtTemplate is one cached statement: the parsed template and, for a
 // SELECT, UPDATE or DELETE, the query bound from it at catalog version
-// version, with the constants its parameters became.
+// version and prepared, with the constants its parameters became (an
+// UPDATE's or DELETE's victim query).
 type stmtTemplate struct {
 	tpl     *sql.Template
 	version uint64
-	q       *plan.Query
+	pq      *optimizer.PreparedQuery
 	params  []plan.Param
 }
 
@@ -80,9 +85,9 @@ func (s *Session) statement(src string) (*stmtTemplate, error) {
 	return st, nil
 }
 
-// bind binds a template's statement against the current catalog. On
-// failure the template keeps its old binding and version, so the next use
-// binds again.
+// bind binds and prepares a template's statement against the current
+// catalog. On failure the template keeps its old binding and version, so
+// the next use binds again.
 func (s *Session) bind(st *stmtTemplate) error {
 	version := s.DB.Catalog.Version()
 	var q *plan.Query
@@ -97,6 +102,9 @@ func (s *Session) bind(st *stmtTemplate) error {
 	if err != nil {
 		return err
 	}
-	st.version, st.q, st.params = version, q, params
+	st.version, st.params = version, params
+	if q != nil {
+		st.pq = optimizer.Prepare(q, params)
+	}
 	return nil
 }

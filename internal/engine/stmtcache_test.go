@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"dbvirt/internal/memo"
+	"dbvirt/internal/obs"
 	"dbvirt/internal/optimizer"
 	"dbvirt/internal/sql"
 	"dbvirt/internal/storage"
@@ -97,22 +98,84 @@ func (tw *cacheTwin) run(src string) string {
 	return fmt.Sprintf("%d rows, error %v", n, err)
 }
 
-// plan renders the plan RunStatement runs for a SELECT: the query of the
-// statement's template, as the cache hands it over, optimized under the
-// session's parameters.
-func (tw *cacheTwin) plan(src string) (string, error) {
+// plan returns the plan RunStatement executes for a SELECT, UPDATE or
+// DELETE: the statement's template, as the cache hands it over, planned
+// through the session's planning helper from the template's prepared
+// record. Asked right after RunStatement, under the same values and
+// Params, it takes the path that statement took: the recorded tree, or
+// the same replay of it.
+func (tw *cacheTwin) plan(src string) ([]optimizer.NodeCost, error) {
 	st, err := tw.s.statement(src)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	if _, ok := st.tpl.Stmt.(*sql.SelectStmt); !ok {
-		return "", fmt.Errorf("%q is not a SELECT", src)
+	var pl *optimizer.Plan
+	switch x := st.tpl.Stmt.(type) {
+	case *sql.SelectStmt:
+		pl, err = tw.s.planQuery(nil, st.pq)
+	case *sql.UpdateStmt, *sql.DeleteStmt:
+		pl, err = tw.s.planVictimScan(x, st.pq)
+	default:
+		return nil, fmt.Errorf("%q has no plan", src)
 	}
-	pl, err := optimizer.Optimize(st.q, tw.s.Params)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	return pl.Explain(), nil
+	return pl.CostBreakdown(), nil
+}
+
+// freshPlan parses, binds and optimizes src from scratch, as plan's
+// reference.
+func freshPlan(s *Session, src string) ([]optimizer.NodeCost, error) {
+	stmt, err := sql.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	var pl *optimizer.Plan
+	switch stmt.(type) {
+	case *sql.UpdateStmt, *sql.DeleteStmt:
+		pl, err = s.planVictimScan(stmt, nil)
+	default:
+		pl, err = s.Plan(src, s.Params)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return pl.CostBreakdown(), nil
+}
+
+// samePlan reports where two cost breakdowns differ, node for node, with
+// rows and costs compared exactly.
+func samePlan(got, want []optimizer.NodeCost) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d nodes, want %d", len(got), len(want))
+	}
+	for i, g := range got {
+		w := want[i]
+		if g.Name != w.Name || g.Depth != w.Depth || !reflect.DeepEqual(g.Extra, w.Extra) || g.Rows != w.Rows || g.Cost != w.Cost {
+			return fmt.Errorf("node %d: %s %v rows %v cost %+v, want %s %v rows %v cost %+v",
+				i, g.Name, g.Extra, g.Rows, g.Cost, w.Name, w.Extra, w.Rows, w.Cost)
+		}
+	}
+	return nil
+}
+
+// cacheParams are the cost vectors the differential's middle phase cycles
+// every twin through: random I/O cheap and dear, CPU dear, a cache too
+// small for either table.
+func cacheParams(base optimizer.Params) []optimizer.Params {
+	var out []optimizer.Params
+	for _, f := range []func(p *optimizer.Params){
+		func(p *optimizer.Params) { p.RandomPageCost = 1.05 },
+		func(p *optimizer.Params) { p.RandomPageCost = 40 },
+		func(p *optimizer.Params) { p.CPUTupleCost *= 8; p.CPUIndexTupleCost *= 8; p.CPUOperatorCost *= 8 },
+		func(p *optimizer.Params) { p.EffectiveCacheSizePages = 2 },
+	} {
+		p := base
+		f(&p)
+		out = append(out, p)
+	}
+	return append(out, base)
 }
 
 // cacheStream draws the differential's statements: the oltp ledger's five
@@ -185,8 +248,12 @@ func cacheStream(seed int64, n int) []string {
 // property of the session statement cache: three identical databases run
 // the same stream — one cache at its shipped capacity, one at capacity 1,
 // one emptied before every statement — and every statement's outcome, the
-// VM's simulated usage, the buffer pool's counters, the log's bytes, every
-// SELECT's plan and the final tables agree.
+// VM's simulated usage, the buffer pool's counters, the log's bytes, the
+// plan every SELECT, UPDATE and DELETE executed and the final tables
+// agree. The executed plan must equal a fresh parse, bind and Optimize
+// node for node, rows and costs exactly. In the stream's middle third
+// every twin's Params change every few statements, so re-costs along the
+// literals and along P(R) interleave.
 func TestStatementCacheMatchesFresh(t *testing.T) {
 	n := 1500
 	if testing.Short() {
@@ -196,7 +263,15 @@ func TestStatementCacheMatchesFresh(t *testing.T) {
 	twins[1].s.stmts.Cap = 1
 	twins[2].fresh = true
 	evicted := mStmtEvict.Value()
+	vectors := cacheParams(twins[0].s.Params)
+	recostFast, recostFull := obs.Global.Counter("whatif.recost.fast"), obs.Global.Counter("whatif.recost.full")
+	fast, full := recostFast.Value(), recostFull.Value()
 	for i, src := range cacheStream(3, n) {
+		if i >= n/3 && i < 2*n/3 && i%7 == 0 {
+			for _, tw := range twins {
+				tw.s.Params = vectors[(i/7)%len(vectors)]
+			}
+		}
 		want := twins[2].run(src)
 		for _, tw := range twins[:2] {
 			if got := tw.run(src); got != want {
@@ -215,16 +290,24 @@ func TestStatementCacheMatchesFresh(t *testing.T) {
 				t.Fatalf("after %q: %s log holds %d bytes, uncached %d", src, tw.name, a, b)
 			}
 		}
-		if strings.Contains(strings.ToUpper(src), "SELECT") {
-			// The uncached database's EXPLAIN parses and binds afresh; the
-			// cached ones render the plan of the template they just ran.
-			want, wantErr := ref.s.Explain(src)
+		if up := strings.ToUpper(src); strings.Contains(up, "SELECT") || strings.HasPrefix(up, "UPDATE") || strings.HasPrefix(up, "DELETE") {
+			// The uncached database plans afresh; the cached ones hand
+			// back the plan of the template they just ran.
+			want, wantErr := freshPlan(ref.s, src)
 			for _, tw := range twins[:2] {
-				if got, err := tw.plan(src); got != want || fmt.Sprint(err) != fmt.Sprint(wantErr) {
-					t.Fatalf("EXPLAIN %q: %s\n%s%v\nuncached\n%s%v", src, tw.name, got, err, want, wantErr)
+				got, err := tw.plan(src)
+				if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+					t.Fatalf("plan %q: %s: error %v, uncached %v", src, tw.name, err, wantErr)
+				}
+				if err := samePlan(got, want); err != nil {
+					t.Fatalf("plan %q under %+v: %s: %v", src, tw.s.Params, tw.name, err)
 				}
 			}
 		}
+	}
+	t.Logf("prepared plans: %d re-costed, %d enumerated", recostFast.Value()-fast, recostFull.Value()-full)
+	if recostFast.Value() == fast {
+		t.Error("no statement re-costed a prepared plan")
 	}
 	for _, table := range []string{"account", "p"} {
 		want := tableRows(t, twins[2].s, table)

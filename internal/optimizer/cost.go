@@ -139,9 +139,9 @@ func rowBytesFromStats(st *catalog.TableStats, width int) float64 {
 // treated as sequential.
 const correlationThreshold = 0.8
 
-// newIndexScan builds an index scan over [lo, hi] with residual filters.
-// rangeSel is the selectivity of the key range itself.
-func newIndexScan(rel *plan.Rel, ix *catalog.Index, lo, hi *Bound, rangeSel float64, residual []plan.Conjunct, pc *planCtx, p Params) *IndexScan {
+// newIndexScan builds an index scan over the key range r with residual
+// filters. rangeSel is the selectivity of the key range itself.
+func newIndexScan(rel *plan.Rel, ix *catalog.Index, r keyRange, rangeSel float64, residual []plan.Conjunct, pc *planCtx, p Params) *IndexScan {
 	st := statsFor(rel)
 	rows := float64(st.NumRows)
 	matched := rows * rangeSel
@@ -175,9 +175,17 @@ func newIndexScan(rel *plan.Rel, ix *catalog.Index, lo, hi *Bound, rangeSel floa
 		matched*pc.predOps(residual)*p.CPUOperatorCost
 
 	s := &IndexScan{
-		Rel: rel, Index: ix, Lo: lo, Hi: hi, Filter: residual,
+		Rel: rel, Index: ix, Filter: residual,
 		Correlated: math.Abs(corr) >= correlationThreshold,
+		keys:       r,
+		ends:       [2]Bound{{Key: r.lo}, {Key: r.hi}},
 		rangeSel:   rangeSel,
+	}
+	if r.hasLo {
+		s.Lo = &s.ends[0]
+	}
+	if r.hasHi {
+		s.Hi = &s.ends[1]
 	}
 	s.rows = math.Max(matched*pc.conjSel(residual), 0)
 	s.cost = Cost{Startup: descent, Total: descent + leafIO + heapIO + cpu, CPU: cpu}

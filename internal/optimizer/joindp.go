@@ -20,10 +20,8 @@ type joinOptimizer struct {
 	pc  *planCtx
 	rec *recorder
 
-	singleConjs [][]plan.Conjunct // per relation
-	singleSel   []float64         // per relation: product selectivity of its conjuncts
-	multiConjs  []plan.Conjunct   // spanning >= 2 relations
-	zeroConjs   []plan.Conjunct   // constant predicates, applied at the top
+	conjClasses
+	singleSel []float64 // per relation: product selectivity of its conjuncts
 
 	// Cardinality memo. When the plan context carries a shareable memo the
 	// shared one is used; otherwise a call-local dense slice (within
@@ -37,6 +35,15 @@ type joinOptimizer struct {
 	// Pooled scratch buffers, reused across enumerations.
 	rowsBuf []float64
 	bestBuf []cell
+	selBuf  []float64
+}
+
+// conjClasses splits a query's WHERE conjuncts by how many relations they
+// reference. Plan nodes and prepared records share the lists read-only.
+type conjClasses struct {
+	singleConjs [][]plan.Conjunct // per relation
+	multiConjs  []plan.Conjunct   // spanning >= 2 relations
+	zeroConjs   []plan.Conjunct   // constant predicates, applied at the top
 }
 
 // joPool recycles joinOptimizer values so repeated enumeration — the inner
@@ -47,8 +54,8 @@ var joPool = sync.Pool{New: func() any { return new(joinOptimizer) }}
 
 func getJoinOptimizer(pc *planCtx, p Params, rec *recorder) *joinOptimizer {
 	jo := joPool.Get().(*joinOptimizer)
-	rowsBuf, bestBuf := jo.rowsBuf, jo.bestBuf
-	*jo = joinOptimizer{q: pc.q, p: p, pc: pc, rec: rec, rowsBuf: rowsBuf, bestBuf: bestBuf}
+	rowsBuf, bestBuf, selBuf := jo.rowsBuf, jo.bestBuf, jo.selBuf
+	*jo = joinOptimizer{q: pc.q, p: p, pc: pc, rec: rec, rowsBuf: rowsBuf, bestBuf: bestBuf, selBuf: selBuf}
 	return jo
 }
 
@@ -81,12 +88,10 @@ func optimizeJoins(pc *planCtx, p Params, rec *recorder) (Node, error) {
 			jo.multiConjs = append(jo.multiConjs, c)
 		}
 	}
-	jo.singleSel = make([]float64, len(q.Rels))
-	for i := range jo.singleSel {
-		jo.singleSel[i] = pc.conjSel(jo.singleConjs[i])
+	if rec != nil {
+		rec.classes = jo.conjClasses
 	}
-	jo.initRowsMemo(len(q.Rels))
-	pc.frac = jo.tupleFraction()
+	jo.estimate()
 
 	jo.leaves = make([]cell, len(q.Rels))
 	for i, rel := range q.Rels {
@@ -122,6 +127,21 @@ func optimizeJoins(pc *planCtx, p Params, rec *recorder) (Node, error) {
 	return root, nil
 }
 
+// estimate derives what enumeration reads before it builds any node: the
+// single-relation selectivities, the cardinality memo and pc.frac.
+func (jo *joinOptimizer) estimate() {
+	n := len(jo.q.Rels)
+	if cap(jo.selBuf) < n {
+		jo.selBuf = make([]float64, n)
+	}
+	jo.singleSel = jo.selBuf[:n]
+	for i := range jo.singleSel {
+		jo.singleSel[i] = jo.pc.conjSel(jo.singleConjs[i])
+	}
+	jo.initRowsMemo(n)
+	jo.pc.frac = jo.tupleFraction()
+}
+
 // initRowsMemo selects the cardinality memo for this enumeration: the
 // shared cross-call memo when available, else pooled dense scratch within
 // the DP limit, else a map.
@@ -147,9 +167,9 @@ func (jo *joinOptimizer) initRowsMemo(n int) {
 // tupleFraction is the share of the join result the query consumes:
 // LIMIT over the estimated result rows when every operator between the
 // joins and the Limit streams, 1 when a Sort or aggregate drains its
-// input first. It depends on the query and the statistics alone. Derived
-// tables keep 1: their row estimates come from inner plans whose shape
-// moves with the parameters.
+// input first. It depends on the query, its constants and the
+// statistics, never on P. Derived tables keep 1: their row estimates
+// come from inner plans whose shape moves with the parameters.
 func (jo *joinOptimizer) tupleFraction() float64 {
 	q := jo.q
 	if q.Limit == nil || q.Grouped || len(q.OrderBy) > 0 {
@@ -632,7 +652,6 @@ func (jo *joinOptimizer) buildFixedTree(t *plan.JoinTree, pushed []plan.Conjunct
 func optimizeFixed(pc *planCtx, p Params, rec *recorder) (Node, error) {
 	jo := getJoinOptimizer(pc, p, rec)
 	defer jo.release()
-	jo.singleConjs = make([][]plan.Conjunct, len(pc.q.Rels))
 	root, err := jo.buildFixedTree(pc.q.OuterTree, pc.q.Where)
 	if err != nil {
 		return nil, err

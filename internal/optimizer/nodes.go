@@ -82,8 +82,10 @@ type IndexScan struct {
 	// Correlated is true when the index correlation is high enough that
 	// heap fetches are charged (and hinted) as sequential.
 	Correlated bool
-	// rangeSel is the selectivity of the key range alone, kept so the scan
-	// can be re-costed under new parameters without re-deriving the range.
+	// keys is the key range (Lo and Hi point into ends) and rangeSel its
+	// selectivity, kept so a replay need not re-derive them.
+	keys     keyRange
+	ends     [2]Bound
 	rangeSel float64
 }
 

@@ -358,10 +358,10 @@ func TestIndexScanCostGrowsWithRandomPageCost(t *testing.T) {
 	expensive := DefaultParams()
 	expensive.RandomPageCost = 40
 
-	lo, hi := &Bound{Key: 10}, &Bound{Key: 20}
+	r := keyRange{lo: 10, hi: 20, hasLo: true, hasHi: true}
 	pc := &planCtx{q: q}
-	c1 := newIndexScan(rel, ix, lo, hi, 0.02, nil, pc, cheap)
-	c2 := newIndexScan(rel, ix, lo, hi, 0.02, nil, pc, expensive)
+	c1 := newIndexScan(rel, ix, r, 0.02, nil, pc, cheap)
+	c2 := newIndexScan(rel, ix, r, 0.02, nil, pc, expensive)
 	if c2.Cost().Total <= c1.Cost().Total {
 		t.Errorf("random page cost should raise uncorrelated index scan cost: %v vs %v",
 			c2.Cost(), c1.Cost())

@@ -15,31 +15,34 @@ import (
 // predicates (col = 2.5 on an int column, col >= 10 AND col <= 5) leave
 // lo > hi: an empty range, which the index scan probes and finds empty.
 type keyRange struct {
-	lo, hi *Bound
-	used   map[int]bool // conjunct list indexes absorbed by the range
+	lo, hi       int64
+	hasLo, hasHi bool
+	// used has bit i set when conjunct i is absorbed by the range; the
+	// conjuncts past the 64th never are, they stay residual filters.
+	used uint64
 }
 
 func (r *keyRange) tightenLo(k int64) {
-	if r.lo == nil || k > r.lo.Key {
-		r.lo = &Bound{Key: k}
+	if !r.hasLo || k > r.lo {
+		r.lo, r.hasLo = k, true
 	}
 }
 
 func (r *keyRange) tightenHi(k int64) {
-	if r.hi == nil || k < r.hi.Key {
-		r.hi = &Bound{Key: k}
+	if !r.hasHi || k < r.hi {
+		r.hi, r.hasHi = k, true
 	}
 }
 
-func (r *keyRange) bounded() bool { return r.lo != nil || r.hi != nil }
+func (r *keyRange) bounded() bool { return r.hasLo || r.hasHi }
 
 // extractRange inspects the conjuncts for bounds on column col of
 // relation rel.
 func extractRange(rel, col int, conjs []plan.Conjunct) keyRange {
-	r := keyRange{used: make(map[int]bool)}
+	var r keyRange
 	for i, c := range conjs {
-		if absorb(&r, rel, col, c.E) {
-			r.used[i] = true
+		if i < 64 && absorb(&r, rel, col, c.E) {
+			r.used |= 1 << uint(i)
 		}
 	}
 	return r
@@ -125,24 +128,24 @@ func absorbOp(r *keyRange, op sql.BinaryOp, v float64) {
 
 // rangeSelectivity estimates the fraction of rows inside the key range
 // using the column's statistics.
-func rangeSelectivity(rel *plan.Rel, ix *catalog.Index, r keyRange, q *plan.Query) float64 {
-	if r.lo != nil && r.hi != nil && r.lo.Key > r.hi.Key {
+func rangeSelectivity(rel *plan.Rel, ix *catalog.Index, r keyRange) float64 {
+	if r.hasLo && r.hasHi && r.lo > r.hi {
 		return 0
 	}
 	cs := statsFor(rel).Cols[ix.Col]
 	// Point lookup: use equality selectivity (a histogram interval of
 	// zero width would otherwise estimate zero rows).
-	if r.lo != nil && r.hi != nil && r.lo.Key == r.hi.Key {
-		return eqSelectivity(cs, float64(r.lo.Key))
+	if r.hasLo && r.hasHi && r.lo == r.hi {
+		return eqSelectivity(cs, float64(r.lo))
 	}
 	sel := 1.0
-	if r.hi != nil {
-		sel = ltSelectivity(cs, float64(r.hi.Key), true)
+	if r.hasHi {
+		sel = ltSelectivity(cs, float64(r.hi), true)
 	} else {
 		sel = clampSel(1 - cs.NullFrac)
 	}
-	if r.lo != nil {
-		sel -= ltSelectivity(cs, float64(r.lo.Key), false)
+	if r.hasLo {
+		sel -= ltSelectivity(cs, float64(r.lo), false)
 	}
 	return clampSel(sel)
 }
@@ -165,10 +168,10 @@ func leadingMisses(rel *plan.Rel, ix *catalog.Index, r keyRange) float64 {
 	cs := statsFor(rel).Cols[ix.Col]
 	var before float64
 	switch {
-	case corr > 0 && r.lo != nil:
-		before = ltSelectivity(cs, float64(r.lo.Key), false)
-	case corr < 0 && r.hi != nil:
-		before = 1 - cs.NullFrac - ltSelectivity(cs, float64(r.hi.Key), true)
+	case corr > 0 && r.hasLo:
+		before = ltSelectivity(cs, float64(r.lo), false)
+	case corr < 0 && r.hasHi:
+		before = 1 - cs.NullFrac - ltSelectivity(cs, float64(r.hi), true)
 	}
 	return clampSel(corr * corr * before)
 }
@@ -206,32 +209,52 @@ func bestAccessPath(rel *plan.Rel, conjs []plan.Conjunct, joinSkip float64, pc *
 		}
 		return cell{total: node, frac: node}, nil
 	}
-	// Every bounded index also tells the sequential scan how far it reads
-	// before its first match: it must pass the leading misses of each
-	// range, so the largest. The sequential scan is still considered
-	// first.
-	var buf [4]Node
-	indexScans := buf[:0]
+	ch := startChoice(rec, pc.frac)
+	ch.consider(newSeqScan(rel, conjs, seqSkip(rel, conjs, joinSkip), pc, p))
+	for _, ix := range rel.Table.Indexes {
+		if s := newIndexPath(rel, ix, conjs, nil, pc, p); s != nil {
+			ch.consider(s)
+		}
+	}
+	return ch.done(), nil
+}
+
+// seqSkip and newIndexPath derive the access-path estimates that read the
+// literals, for enumeration and a literal replay (prepared.go) alike.
+// seqSkip is the sequential scan's leading-miss fraction: it must pass the
+// leading misses of every bounded index range, so the largest, or joinSkip,
+// the fraction implied by the relation's join partners (impliedSkip).
+func seqSkip(rel *plan.Rel, conjs []plan.Conjunct, joinSkip float64) float64 {
 	skip := joinSkip
 	for _, ix := range rel.Table.Indexes {
-		r := extractRange(rel.Idx, ix.Col, conjs)
-		if !r.bounded() {
-			continue
+		if r := extractRange(rel.Idx, ix.Col, conjs); r.bounded() {
+			skip = math.Max(skip, leadingMisses(rel, ix, r))
 		}
-		var residual []plan.Conjunct
+	}
+	return skip
+}
+
+// newIndexPath builds the index scan ix offers over rel's conjuncts, or
+// nil when they bound no range on its column. prev, when non-nil, is the
+// scan built under other literal values: its residual filter is reused,
+// or nil returned when the range absorbs other conjuncts.
+func newIndexPath(rel *plan.Rel, ix *catalog.Index, conjs []plan.Conjunct, prev *IndexScan, pc *planCtx, p Params) *IndexScan {
+	r := extractRange(rel.Idx, ix.Col, conjs)
+	if !r.bounded() {
+		return nil
+	}
+	var residual []plan.Conjunct
+	switch {
+	case prev == nil:
 		for i, c := range conjs {
-			if !r.used[i] {
+			if r.used&(1<<uint(i)) == 0 { // 0 past bit 63
 				residual = append(residual, c)
 			}
 		}
-		sel := rangeSelectivity(rel, ix, r, pc.q)
-		indexScans = append(indexScans, newIndexScan(rel, ix, r.lo, r.hi, sel, residual, pc, p))
-		skip = math.Max(skip, leadingMisses(rel, ix, r))
+	case r.used == prev.keys.used:
+		residual = prev.Filter
+	default:
+		return nil
 	}
-	ch := startChoice(rec, pc.frac)
-	ch.consider(newSeqScan(rel, conjs, skip, pc, p))
-	for _, n := range indexScans {
-		ch.consider(n)
-	}
-	return ch.done(), nil
+	return newIndexScan(rel, ix, r, rangeSelectivity(rel, ix, r), residual, pc, p)
 }

@@ -5,12 +5,13 @@ import (
 
 	"dbvirt/internal/obs"
 	"dbvirt/internal/plan"
+	"dbvirt/internal/types"
 )
 
-// Counters exposing the what-if re-costing hit rate: fast counts plans
-// re-priced from the recorded plan space (O(nodes) work), full counts
-// complete enumerations. A healthy grid sweep or design search should be
-// dominated by fast.
+// Counters exposing the re-costing hit rate (what-if calls and session
+// statements): fast counts plans re-priced from the recorded plan space
+// (O(nodes) work), full counts complete enumerations. A healthy grid sweep
+// or design search should be dominated by fast.
 var (
 	mRecostFast = obs.Global.Counter("whatif.recost.fast")
 	mRecostFull = obs.Global.Counter("whatif.recost.full")
@@ -19,8 +20,8 @@ var (
 // PreparedQuery is a bound query plus its memoized plan space. Preparing
 // once and calling Optimize per candidate parameter vector is the cheap
 // way to sweep allocations: the first call enumerates and records the
-// search; later calls only re-price. A PreparedQuery is safe for
-// concurrent use by parallel solver workers.
+// search; later calls only re-price. A PreparedQuery without parameters
+// is safe for concurrent use by parallel solver workers.
 type PreparedQuery struct {
 	q   *plan.Query
 	ps  *planSpace
@@ -28,20 +29,27 @@ type PreparedQuery struct {
 	// subs holds the prepared inner query of each derived table, indexed
 	// like q.Rels (nil for base relations; the slice itself is nil when
 	// the query has none).
-	subs []*PreparedQuery
+	subs   []*PreparedQuery
+	params []plan.Param // see Prepare
 }
 
-// Prepare wraps a bound query for repeated what-if optimization. Derived
+// Prepare wraps a bound query for repeated optimization. params are the
+// constants its owner (a statement template) rewrites between calls,
+// derived tables' included; nil for a what-if query. A query with
+// parameters keeps no plan-space memo: any estimate may read one. Derived
 // tables are prepared recursively, so an inner plan is re-priced from its
 // own recorded plan space just as the outer one is.
-func Prepare(q *plan.Query) *PreparedQuery {
-	pq := &PreparedQuery{q: q, ps: newPlanSpace(q)}
+func Prepare(q *plan.Query, params []plan.Param) *PreparedQuery {
+	pq := &PreparedQuery{q: q, params: params}
+	if len(params) == 0 {
+		pq.ps = newPlanSpace(q)
+	}
 	for i, rel := range q.Rels {
 		if rel.Sub != nil {
 			if pq.subs == nil {
 				pq.subs = make([]*PreparedQuery, len(q.Rels))
 			}
-			pq.subs[i] = Prepare(rel.Sub)
+			pq.subs[i] = Prepare(rel.Sub, params)
 		}
 	}
 	return pq
@@ -51,23 +59,35 @@ func Prepare(q *plan.Query) *PreparedQuery {
 func (pq *PreparedQuery) Query() *plan.Query { return pq.q }
 
 // enumRecord is an immutable snapshot of one enumeration outcome: the
-// parameter vector it is priced under, every argmin the original search
-// resolved (in bottom-up order), and the winning plan tree. Snapshots
-// are swapped atomically so concurrent readers always see a consistent
-// record. choices and origRoot always come from the one full
-// enumeration and are shared unchanged by every record a replay
-// derives, keeping their node pointers aligned (replay memoizes rebuilt
-// subtrees by the original pointers); root is the tree priced under
-// params — identical to origRoot in a full-enumeration record, a
-// rebuilt copy in a replayed one. frac is the query's tuple fraction
-// (parameter-independent), the comparator every choice point's fwinner
-// was resolved under.
+// parameter vector and constants' values (lits) it is priced under,
+// every argmin the original search resolved (in bottom-up order), and
+// the winning plan tree. Snapshots are swapped atomically so concurrent
+// readers always see a consistent record. The recorder and origRoot
+// always come from the one full enumeration and are shared unchanged by
+// every record a replay derives, keeping their node pointers aligned
+// (replay memoizes rebuilt subtrees by the original pointers); root is
+// the tree priced under params — identical to origRoot in a
+// full-enumeration record, a rebuilt copy in a replayed one. frac is the
+// query's tuple fraction (independent of P, not of the literals), the
+// comparator every choice point's fwinner was resolved under.
 type enumRecord struct {
+	*recorder
 	params   Params
-	choices  []choicePoint
+	lits     []types.Value
 	origRoot Node
 	root     Node
 	frac     float64
+}
+
+// sameLiterals reports whether the parameter constants still hold the
+// values the record was priced under.
+func (rec *enumRecord) sameLiterals(params []plan.Param) bool {
+	for i, pm := range params {
+		if pm.Const.Val != rec.lits[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // choicePoint is one argmin the enumerator resolved: the candidate nodes
@@ -82,9 +102,11 @@ type choicePoint struct {
 	fwinner int
 }
 
-// recorder accumulates choice points during a full enumeration.
+// recorder accumulates choice points during a full enumeration, and its
+// WHERE conjunct classes.
 type recorder struct {
 	choices []choicePoint
+	classes conjClasses
 }
 
 // cheaper is the optimizer's one cost comparison, for a consumer that
@@ -153,19 +175,22 @@ func (c *chooser) done() cell {
 	return c.best
 }
 
-// Optimize plans the prepared query under p via the two-tier fast path:
+// Optimize plans the prepared query under p and the current values of its
+// parameter constants via the two-tier fast path:
 //
-//	tier 1: p agrees with the recorded vector on every plan-shaping field
-//	        (only the seconds conversion differs) — reuse the recorded
-//	        tree outright.
+//	tier 1: the constants hold the recorded values and p agrees with the
+//	        recorded vector on every plan-shaping field (only the seconds
+//	        conversion differs) — reuse the recorded tree outright.
 //	tier 2: re-price each recorded choice point's candidates under p and
-//	        verify the same candidate still dominates; all winners
-//	        unchanged means the recorded shape is provably the optimum
-//	        under p, so only the O(nodes) re-pricing was paid.
+//	        the constants, and verify the same candidate still dominates;
+//	        all winners unchanged means the recorded shape is provably the
+//	        optimum, so only the O(nodes) re-pricing was paid.
 //
 // Any flipped winner — in this query or in a derived table's inner
 // query, whose shape decides this one's leaf — falls back to full
-// enumeration and records a fresh snapshot.
+// enumeration and records a fresh snapshot, as does a moved constant in a
+// query over more than one relation or a derived table (replay passes its
+// join and derived-table cardinalities through, which read old values).
 func (pq *PreparedQuery) Optimize(p Params) (*Plan, error) {
 	pl, _, err := pq.optimize(p, mRecostFast, mRecostFull)
 	return pl, err
@@ -180,26 +205,36 @@ func (pq *PreparedQuery) optimize(p Params, fast, full *obs.Counter) (*Plan, *en
 	if err := p.Validate(); err != nil {
 		return nil, nil, err
 	}
-	pc := &planCtx{q: pq.q, ps: pq.ps, subs: pq.subs}
 	if rec := pq.rec.Load(); rec != nil {
-		if p.planShapeEqual(rec.params) {
+		moved := !rec.sameLiterals(pq.params)
+		if !moved && p.planShapeEqual(rec.params) {
 			fast.Inc()
 			return &Plan{Root: rec.root, Query: pq.q, Params: p, prep: pq}, rec, nil
 		}
-		if next, ok := replay(rec, pc, p); ok {
-			fast.Inc()
-			pq.rec.Store(next)
-			return &Plan{Root: next.root, Query: pq.q, Params: p, prep: pq}, next, nil
+		if !moved || len(pq.q.Rels) == 1 && pq.subs == nil {
+			if root, frac, ok := replay(rec, pq, p, moved); ok {
+				fast.Inc()
+				if !moved {
+					rec = &enumRecord{recorder: rec.recorder, params: p, lits: rec.lits, origRoot: rec.origRoot, root: root, frac: frac}
+					pq.rec.Store(rec)
+				}
+				return &Plan{Root: root, Query: pq.q, Params: p, prep: pq}, rec, nil
+			}
 		}
 	}
 	full.Inc()
-	rec := &recorder{}
-	pl, err := optimizeInto(pc, p, rec)
+	pc := &planCtx{q: pq.q, ps: pq.ps, subs: pq.subs}
+	choices := &recorder{}
+	pl, err := optimizeInto(pc, p, choices)
 	if err != nil {
 		return nil, nil, err
 	}
 	pl.prep = pq
-	next := &enumRecord{params: p, choices: rec.choices, origRoot: pl.Root, root: pl.Root, frac: pc.frac}
+	lits := make([]types.Value, len(pq.params))
+	for i, pm := range pq.params {
+		lits[i] = pm.Const.Val
+	}
+	next := &enumRecord{recorder: choices, params: p, lits: lits, origRoot: pl.Root, root: pl.Root, frac: pc.frac}
 	pq.rec.Store(next)
 	return pl, next, nil
 }
@@ -223,48 +258,78 @@ func (pl *Plan) Recost(p Params) (*Plan, error) {
 // no flipped winner reconstructs, node for node, what a from-scratch
 // enumeration under p would have built — at O(total candidates) instead
 // of O(3^n) subset splits.
-// A successful replay returns a fresh record under p — the same choice
-// points (candidate structure and winners are parameter-independent)
-// with the re-priced root — which the caller publishes so subsequent
-// re-costs under the same plan-shape parameters take the tier-1
-// pointer-reuse path instead of replaying again (the common case when a
-// workload repeats a statement).
-func replay(rec *enumRecord, pc *planCtx, p Params) (*enumRecord, bool) {
-	r := &replayer{memo: make(map[Node]Node, 2*len(rec.choices)), pc: pc, p: p}
+// A successful replay returns the re-priced root and its tuple fraction,
+// which the caller publishes as a record under p so a repeated statement
+// next takes tier 1. moved says the constants changed since the record
+// (allowed for one base relation only): the replay then also re-derives
+// every estimate that reads one — the tuple fraction, each conjunct's
+// selectivity, each index scan's key range and the sequential scan's
+// leading misses — and the caller publishes nothing, as the next
+// statement of a template rarely repeats the values.
+func replay(rec *enumRecord, pq *PreparedQuery, p Params, moved bool) (root Node, frac float64, ok bool) {
+	r := &replayer{pc: planCtx{q: pq.q, ps: pq.ps, subs: pq.subs}, p: p, frac: rec.frac}
+	if moved {
+		r.moved = &rec.classes
+		if pq.q.Limit != nil { // re-derive the tuple fraction as enumeration does
+			pc := r.pc
+			jo := getJoinOptimizer(&pc, p, nil)
+			jo.conjClasses = rec.classes
+			jo.estimate()
+			jo.release()
+			r.frac = pc.frac
+		}
+	}
 	for _, cp := range rec.choices {
-		ch := startChoice(nil, rec.frac)
+		ch := startChoice(nil, r.frac)
 		for _, cand := range cp.cands {
 			nc := r.rebuild(cand)
 			if nc == nil {
-				return nil, false
+				return nil, 0, false
 			}
 			ch.consider(nc)
 		}
 		if ch.bestIdx != cp.winner || ch.fbestIdx != cp.fwinner {
-			return nil, false
+			return nil, 0, false
 		}
 	}
-	root := r.rebuild(rec.origRoot)
-	if root == nil {
-		return nil, false
-	}
-	return &enumRecord{params: p, choices: rec.choices, origRoot: rec.origRoot, root: root, frac: rec.frac}, true
+	root = r.rebuild(rec.origRoot)
+	return root, r.frac, root != nil
 }
 
 // replayer rebuilds recorded nodes under new parameters, memoizing by the
-// old node's pointer identity so shared subtrees are re-priced once.
+// old node's pointer identity so shared subtrees are re-priced once (the
+// first entries in an array, enough for one relation; the rest in a
+// map). moved holds the recorded conjunct classes when the constants
+// moved; frac is the tuple fraction the nodes are priced under.
 type replayer struct {
-	memo map[Node]Node
-	pc   *planCtx
-	p    Params
+	small [8]struct{ old, new Node }
+	n     int
+	memo  map[Node]Node
+	pc    planCtx
+	p     Params
+	moved *conjClasses
+	frac  float64
 }
 
 func (r *replayer) rebuild(n Node) Node {
+	for i := 0; i < r.n; i++ {
+		if r.small[i].old == n {
+			return r.small[i].new
+		}
+	}
 	if nn, ok := r.memo[n]; ok {
 		return nn
 	}
 	nn := r.rebuildNode(n)
-	if nn != nil {
+	switch {
+	case nn == nil:
+	case r.n < len(r.small):
+		r.small[r.n].old, r.small[r.n].new = n, nn
+		r.n++
+	default:
+		if r.memo == nil {
+			r.memo = make(map[Node]Node)
+		}
 		r.memo[n] = nn
 	}
 	return nn
@@ -277,17 +342,28 @@ func (r *replayer) rebuild(n Node) Node {
 // constructor: both are parameter-independent, as are the join rows
 // passed through from the old node — a derived table's row estimate
 // follows its inner plan's shape, and the SubqueryScan case gives up
-// when that shape moved. A nil return means the node cannot be replayed
-// and the caller must fall back to enumeration.
+// when that shape moved. Scans re-derive what reads the constants when
+// they moved. A nil return means the node cannot be replayed and the
+// caller must fall back to enumeration.
 func (r *replayer) rebuildNode(old Node) Node {
-	pc, p := r.pc, r.p
+	pc, p := &r.pc, r.p
 	switch n := old.(type) {
 	case *SeqScan:
+		skip := n.skipFrac
+		if r.moved != nil {
+			skip = seqSkip(n.Rel, n.Filter, 0) // one relation: no join partner implies a skip
+		}
 		pc.lendLayout(n.layout)
-		return newSeqScan(n.Rel, n.Filter, n.skipFrac, pc, p)
+		return newSeqScan(n.Rel, n.Filter, skip, pc, p)
 	case *IndexScan:
 		pc.lendLayout(n.layout)
-		return newIndexScan(n.Rel, n.Index, n.Lo, n.Hi, n.rangeSel, n.Filter, pc, p)
+		if r.moved == nil {
+			return newIndexScan(n.Rel, n.Index, n.keys, n.rangeSel, n.Filter, pc, p)
+		}
+		if s := newIndexPath(n.Rel, n.Index, r.moved.singleConjs[n.Rel.Idx], n, pc, p); s != nil {
+			return s
+		}
+		return nil // the replay fails; its lent layout dies with it
 	case *FilterNode:
 		in := r.rebuild(n.Input)
 		if in == nil {
@@ -353,7 +429,7 @@ func (r *replayer) rebuildNode(old Node) Node {
 		if in == nil {
 			return nil
 		}
-		return newLimit(in, n.N, n.fraction, p)
+		return newLimit(in, n.N, r.frac, p)
 	case *SubqueryScan:
 		// The inner query is re-priced through its own record. The outer
 		// candidates were built over the inner shape of enumeration

@@ -110,7 +110,7 @@ func prepareFor(t testing.TB, src string) *PreparedQuery {
 	if err != nil {
 		t.Fatalf("bind: %v", err)
 	}
-	return Prepare(q)
+	return Prepare(q, nil)
 }
 
 // TestRecostMatchesOptimize is the correctness bar of the fast path:
@@ -387,7 +387,7 @@ func TestRecostAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pq := Prepare(q)
+	pq := Prepare(q, nil)
 	p1 := DefaultParams()
 	p2 := DefaultParams()
 	p2.RandomPageCost = 1.05
