@@ -24,9 +24,9 @@ import (
 	"os"
 	"strings"
 
-	"dbvirt/internal/core"
 	"dbvirt/internal/engine"
 	"dbvirt/internal/obs"
+	"dbvirt/internal/sql"
 	"dbvirt/internal/telemetry"
 	"dbvirt/internal/vm"
 	"dbvirt/internal/workload"
@@ -115,20 +115,9 @@ func main() {
 		input = string(data)
 	}
 
-	for i, stmt := range splitStatements(input) {
-		sp := root.Child("statement")
-		sp.SetArg("sql", firstLine(stmt))
-		ten.ObserveQuery(core.NormalizeSQL(stmt))
-		err := runStatement(s, stmt, *explain)
-		sp.End()
-		if err != nil {
-			fail("%s: %v", firstLine(stmt), err)
-		}
-		if *ckptEvery > 0 && (i+1)%*ckptEvery == 0 && !s.InTxn() {
-			if err := s.CheckpointDurable(); err != nil {
-				fail("checkpoint: %v", err)
-			}
-		}
+	sh := shell{explain: *explain, ckptEvery: *ckptEvery, ten: ten, span: root}
+	if err := sh.run(s, input, os.Stdout); err != nil {
+		fail("%v", err)
 	}
 
 	root.End()
@@ -138,83 +127,84 @@ func main() {
 	}
 }
 
-func runStatement(s *engine.Session, stmt string, explain bool) error {
-	upper := strings.ToUpper(strings.TrimSpace(stmt))
-	start := s.VM.Snapshot()
-	switch {
-	case strings.HasPrefix(upper, "EXPLAIN"):
-		out, err := s.Explain(stmt)
+// shell runs statements against one session.
+type shell struct {
+	explain   bool              // print each SELECT's, UPDATE's and DELETE's plan before running it
+	ckptEvery int               // checkpoint after every N statements outside a transaction; 0 = never
+	ten       *telemetry.Tenant // sketches every statement; nil = none
+	span      *obs.Span         // each statement's span is its child; nil = untraced
+}
+
+// run executes input's statements in order on s, writing their results to
+// out. It stops at the first failing statement, after running the ones
+// before it; input that does not lex runs up to the failing statement.
+func (sh shell) run(s *engine.Session, input string, out io.Writer) error {
+	stmts, splitErr := sql.Split(input)
+	for i, stmt := range stmts {
+		sp := sh.span.Child("statement")
+		sp.SetArg("sql", firstLine(stmt))
+		sh.ten.ObserveQuery(sql.Normalize(stmt))
+		err := sh.runStatement(s, stmt, out)
+		sp.End()
 		if err != nil {
-			return err
+			return fmt.Errorf("%s: %w", firstLine(stmt), err)
 		}
-		fmt.Print(out)
-	case strings.HasPrefix(upper, "SELECT"):
-		if explain {
-			out, err := s.Explain(stmt)
-			if err != nil {
-				return err
+		if sh.ckptEvery > 0 && (i+1)%sh.ckptEvery == 0 && !s.InTxn() {
+			if err := s.CheckpointDurable(); err != nil {
+				return fmt.Errorf("checkpoint: %w", err)
 			}
-			fmt.Print(out)
 		}
-		rows, cols, err := s.QueryRows(stmt)
+	}
+	return splitErr
+}
+
+func (sh shell) runStatement(s *engine.Session, src string, out io.Writer) error {
+	stmt, err := sql.Parse(src)
+	if err != nil {
+		return err
+	}
+	start := s.VM.Snapshot()
+	_, showPlan := stmt.(*sql.ExplainStmt)
+	switch stmt.(type) {
+	case *sql.SelectStmt, *sql.UpdateStmt, *sql.DeleteStmt:
+		showPlan = sh.explain
+	}
+	if showPlan {
+		plan, err := s.Explain(src)
 		if err != nil {
 			return err
 		}
-		fmt.Println(strings.Join(cols, " | "))
+		fmt.Fprint(out, plan)
+	}
+	switch stmt.(type) {
+	case *sql.ExplainStmt: // its plan is its result
+	case *sql.SelectStmt:
+		rows, cols, err := s.QueryRows(src)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(out, strings.Join(cols, " | "))
 		for _, row := range rows {
 			var parts []string
 			for _, v := range row {
 				parts = append(parts, v.String())
 			}
-			fmt.Println(strings.Join(parts, " | "))
+			fmt.Fprintln(out, strings.Join(parts, " | "))
 		}
-		fmt.Printf("(%d rows)\n", len(rows))
+		fmt.Fprintf(out, "(%d rows)\n", len(rows))
 	default:
-		if explain && (strings.HasPrefix(upper, "UPDATE") || strings.HasPrefix(upper, "DELETE")) {
-			out, err := s.Explain(stmt)
-			if err != nil {
-				return err
-			}
-			fmt.Print(out)
-		}
-		n, err := s.Exec(stmt)
+		n, err := s.ExecStmt(stmt)
 		if err != nil {
 			return err
 		}
 		if n > 0 {
-			fmt.Printf("OK, %d rows affected\n", n)
+			fmt.Fprintf(out, "OK, %d rows affected\n", n)
 		} else {
-			fmt.Println("OK")
+			fmt.Fprintln(out, "OK")
 		}
 	}
-	fmt.Printf("-- simulated time: %.6fs\n\n", s.VM.ElapsedSince(start))
+	fmt.Fprintf(out, "-- simulated time: %.6fs\n\n", s.VM.ElapsedSince(start))
 	return nil
-}
-
-// splitStatements splits on semicolons outside string literals.
-func splitStatements(input string) []string {
-	var out []string
-	var sb strings.Builder
-	inString := false
-	for i := 0; i < len(input); i++ {
-		c := input[i]
-		switch {
-		case c == '\'':
-			inString = !inString
-			sb.WriteByte(c)
-		case c == ';' && !inString:
-			if s := strings.TrimSpace(sb.String()); s != "" {
-				out = append(out, s)
-			}
-			sb.Reset()
-		default:
-			sb.WriteByte(c)
-		}
-	}
-	if s := strings.TrimSpace(sb.String()); s != "" {
-		out = append(out, s)
-	}
-	return out
 }
 
 func firstLine(s string) string {

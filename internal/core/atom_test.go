@@ -40,8 +40,11 @@ func atomCases(t *testing.T, db *engine.Database, cold CostModel, n int) []atomC
 		var stmts []string
 		for len(stmts) == 0 || (rng.Intn(3) > 0 && len(stmts) < 64) {
 			q := workload.Query(names[rng.Intn(len(names))])
-			if rng.Intn(4) == 0 {
-				q = "  " + q + " ;" // another spelling of the same statement
+			switch rng.Intn(8) { // other spellings of the same statement
+			case 0, 1:
+				q = "  " + q + " ;"
+			case 2, 3:
+				q = "-- note\n" + q
 			}
 			for r := 1 + rng.Intn(64); r > 0 && len(stmts) < 64; r-- {
 				stmts = append(stmts, q)

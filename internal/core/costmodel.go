@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 
 	"dbvirt/internal/calibration"
@@ -113,9 +112,6 @@ func (m *WhatIfModel) Cost(ctx context.Context, w *WorkloadSpec, shares vm.Share
 // seconds. Non-SELECT statements are rejected: design-time workloads are
 // query workloads, as in the paper.
 func estimateStatement(db *engine.Database, stmt string, p optimizer.Params) (float64, error) {
-	if !strings.HasPrefix(strings.TrimSpace(strings.ToUpper(stmt)), "SELECT") {
-		return 0, fmt.Errorf("only SELECT statements can be cost-estimated, got %q", truncateSQL(NormalizeSQL(stmt)))
-	}
 	sel, err := sql.ParseSelect(stmt)
 	if err != nil {
 		return 0, err

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -30,86 +28,6 @@ var (
 	mAtomEvict     = obs.Global.Counter("core.atom.evict")
 	gAtomSize      = obs.Global.Gauge("core.atom.size")
 )
-
-// NormalizeSQL canonicalizes statement text for cache identity: runs of
-// whitespace outside single-quoted literals collapse to one space, "--"
-// line comments are removed (the lexer skips them, so they carry no parse
-// meaning), and surrounding whitespace and trailing semicolons are
-// dropped. Two statements normalizing equal parse and bind identically,
-// so — unlike the old first-words keying — the normalized text is a
-// collision-free cache key. The function is idempotent:
-// NormalizeSQL(NormalizeSQL(s)) == NormalizeSQL(s).
-//
-// Comment removal is load-bearing, not cosmetic: collapsing the newline
-// that terminates a "-- ..." comment into a space would splice the rest
-// of the statement into the comment, so the normalized text would parse
-// differently from the original. Deleting the comment (as whitespace)
-// keeps the token stream identical to the lexer's view of the input.
-func NormalizeSQL(s string) string {
-	var b strings.Builder
-	b.Grow(len(s))
-	inStr := false
-	pendingSpace := false
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if inStr {
-			b.WriteByte(c)
-			if c == '\'' {
-				if i+1 < len(s) && s[i+1] == '\'' {
-					b.WriteByte('\'') // doubled quote stays inside the literal
-					i++
-				} else {
-					inStr = false
-				}
-			}
-			continue
-		}
-		if c == '-' && i+1 < len(s) && s[i+1] == '-' {
-			// Line comment: skip to (not past) the terminating newline,
-			// which the next iteration folds into pending whitespace.
-			for i < len(s) && s[i] != '\n' {
-				i++
-			}
-			i--
-			pendingSpace = true
-			continue
-		}
-		switch c {
-		case ' ', '\t', '\n', '\r':
-			pendingSpace = true
-		default:
-			if pendingSpace && b.Len() > 0 {
-				b.WriteByte(' ')
-			}
-			pendingSpace = false
-			if c == '\'' {
-				inStr = true
-			}
-			b.WriteByte(c)
-		}
-	}
-	out := b.String()
-	// Strip any run of trailing semicolons and the spaces between them, so
-	// "SELECT 1 ; ;" and "SELECT 1" key identically and normalization is a
-	// fixed point.
-	for {
-		t := strings.TrimRight(out, " ")
-		t = strings.TrimSuffix(t, ";")
-		if t == out {
-			return out
-		}
-		out = t
-	}
-}
-
-// truncateSQL shortens statement text for error messages.
-func truncateSQL(s string) string {
-	const max = 60
-	if len(s) <= max {
-		return s
-	}
-	return s[:max] + "..."
-}
 
 // stmtKey identifies one prepared statement: the database it binds
 // against plus its normalized text. The catalog version is checked on
@@ -167,7 +85,7 @@ func newStmtCache() *stmtCache {
 	}
 }
 
-// entry returns the cached entry for a statement in NormalizeSQL form,
+// entry returns the cached entry for a statement in sql.Normalize form,
 // preparing it on first use or when the database catalog has changed
 // since. Failures are cached in the entry too: a statement that is not a
 // SELECT, or cannot be parsed or bound, fails every allocation
@@ -184,9 +102,7 @@ func (c *stmtCache) entry(db *engine.Database, norm string) *stmtEntry {
 	}
 	mPreparedMiss.Inc()
 	entry := &stmtEntry{version: ver, atoms: memo.Gen[optimizer.Params, float64]{Cap: c.atomBound, Evict: mAtomEvict}}
-	if !strings.HasPrefix(strings.ToUpper(norm), "SELECT") {
-		entry.err = fmt.Errorf("only SELECT statements can be cost-estimated, got %q", truncateSQL(norm))
-	} else if sel, err := sql.ParseSelect(norm); err != nil {
+	if sel, err := sql.ParseSelect(norm); err != nil {
 		entry.err = err
 	} else if q, err := plan.Bind(sel, db.Catalog); err != nil {
 		entry.err = err

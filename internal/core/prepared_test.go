@@ -7,25 +7,10 @@ import (
 	"dbvirt/internal/calibration"
 	"dbvirt/internal/engine"
 	"dbvirt/internal/optimizer"
+	"dbvirt/internal/sql"
 	"dbvirt/internal/vm"
 	"dbvirt/internal/workload"
 )
-
-func TestNormalizeSQL(t *testing.T) {
-	cases := []struct{ in, want string }{
-		{"SELECT 1", "SELECT 1"},
-		{"  SELECT\t*\nFROM   t ;  ", "SELECT * FROM t"},
-		{"SELECT c FROM t;", "SELECT c FROM t"},
-		{"SELECT 'a  b' FROM t", "SELECT 'a  b' FROM t"},
-		{"SELECT  'it''s   fine'  FROM\nt", "SELECT 'it''s   fine' FROM t"},
-		{"SELECT c\r\nFROM t\r\nWHERE c LIKE '%  x%'", "SELECT c FROM t WHERE c LIKE '%  x%'"},
-	}
-	for _, c := range cases {
-		if got := NormalizeSQL(c.in); got != c.want {
-			t.Errorf("NormalizeSQL(%q) = %q, want %q", c.in, got, c.want)
-		}
-	}
-}
 
 // cacheDB builds one small workload database and keeps a session open on
 // it so tests can run ANALYZE and DML against it.
@@ -51,7 +36,7 @@ func cacheDB(t *testing.T) (*engine.Database, *engine.Session) {
 
 // lookup resolves raw statement text through the cache.
 func lookup(c *stmtCache, db *engine.Database, stmt string) (*optimizer.PreparedQuery, error) {
-	e := c.entry(db, NormalizeSQL(stmt))
+	e := c.entry(db, sql.Normalize(stmt))
 	return e.pq, e.err
 }
 

@@ -28,6 +28,7 @@ import (
 	"dbvirt/internal/engine"
 	"dbvirt/internal/memo"
 	"dbvirt/internal/obs"
+	"dbvirt/internal/sql"
 	"dbvirt/internal/vm"
 )
 
@@ -86,17 +87,16 @@ func (w *WorkloadSpec) Base() *WorkloadSpec {
 	return w
 }
 
-// NormalizedStatements returns the spec's statements in NormalizeSQL
-// canonical form, computed once per cost identity — the identity stream
-// fed into per-tenant workload sketches and the what-if model's lookup
-// keys. Interned specs make the cache effective: every request naming the
+// NormalizedStatements returns the spec's statements in sql.Normalize
+// form, computed once per cost identity — the identity stream fed into
+// per-tenant workload sketches and the what-if model's lookup keys. Interned specs make the cache effective: every request naming the
 // same workload shares one normalization.
 func (w *WorkloadSpec) NormalizedStatements() []string {
 	w = w.Base()
 	w.normOnce.Do(func() {
 		w.normStmts = make([]string, len(w.Statements))
 		for i, s := range w.Statements {
-			w.normStmts[i] = NormalizeSQL(s)
+			w.normStmts[i] = sql.Normalize(s)
 		}
 	})
 	return w.normStmts

@@ -67,10 +67,10 @@ func DefaultConfig() Config {
 // ExecObserver receives one record per executed statement: the raw SQL
 // text, the optimizer's predicted seconds under the session's parameters
 // (0 when the parameters are not time-calibrated), and the VM-simulated
-// actual seconds. Implementations normalize the SQL themselves (the
-// engine cannot depend on higher layers) and feed per-tenant workload
-// sketches and calibration-drift residuals. Observers must be cheap and
-// must not call back into the session.
+// actual seconds. Implementations feed per-tenant workload sketches and
+// calibration-drift residuals; one that keys on the statement normalizes
+// it with sql.Normalize first. Observers must be cheap and must not call
+// back into the session.
 type ExecObserver interface {
 	ObserveExec(sql string, predictedSeconds, actualSeconds float64)
 }
@@ -148,8 +148,11 @@ func (s *Session) Exec(src string) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return s.exec(stmt, nil)
+	return s.ExecStmt(stmt)
 }
+
+// ExecStmt is Exec for a statement already parsed.
+func (s *Session) ExecStmt(stmt sql.Statement) (int64, error) { return s.exec(stmt, nil) }
 
 // exec runs a parsed statement for Exec and RunStatement. victims, when
 // non-nil, is an UPDATE's or DELETE's victim query already bound and
@@ -346,6 +349,11 @@ func (s *Session) Plan(src string, p optimizer.Params) (*optimizer.Plan, error) 
 	if err != nil {
 		return nil, err
 	}
+	return s.planSelect(sel, p)
+}
+
+// planSelect binds and optimizes a parsed SELECT.
+func (s *Session) planSelect(sel *sql.SelectStmt, p optimizer.Params) (*optimizer.Plan, error) {
 	q, err := plan.Bind(sel, s.DB.Catalog)
 	if err != nil {
 		return nil, err
@@ -388,31 +396,30 @@ func (s *Session) QueryRows(src string) ([]plan.Row, []string, error) {
 // executing anything.
 func (s *Session) Explain(src string) (string, error) {
 	trimmed := strings.TrimSpace(src)
-	if stmt, err := sql.Parse(trimmed); err == nil {
-		switch x := stmt.(type) {
-		case *sql.UpdateStmt:
-			return s.explainDML("Update", x)
-		case *sql.DeleteStmt:
-			return s.explainDML("Delete", x)
-		}
-		if ex, ok := stmt.(*sql.ExplainStmt); ok {
-			q, err := plan.Bind(ex.Query, s.DB.Catalog)
-			if err != nil {
-				return "", err
-			}
-			pl, err := optimizer.Optimize(q, s.Params)
-			if err != nil {
-				return "", err
-			}
-			if ex.Analyze {
-				return s.explainAnalyzePlan(trimmed, pl)
-			}
-			return pl.Explain(), nil
-		}
-	}
-	pl, err := s.Plan(trimmed, s.Params)
+	stmt, err := sql.Parse(trimmed)
 	if err != nil {
 		return "", err
+	}
+	var sel *sql.SelectStmt
+	analyze := false
+	switch x := stmt.(type) {
+	case *sql.UpdateStmt:
+		return s.explainDML("Update", x)
+	case *sql.DeleteStmt:
+		return s.explainDML("Delete", x)
+	case *sql.ExplainStmt:
+		sel, analyze = x.Query, x.Analyze
+	case *sql.SelectStmt:
+		sel = x
+	default:
+		return "", fmt.Errorf("sql: expected SELECT statement, got %T", stmt)
+	}
+	pl, err := s.planSelect(sel, s.Params)
+	if err != nil {
+		return "", err
+	}
+	if analyze {
+		return s.explainAnalyzePlan(trimmed, pl)
 	}
 	return pl.Explain(), nil
 }

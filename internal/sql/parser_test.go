@@ -434,3 +434,27 @@ func TestParseDeleteUpdate(t *testing.T) {
 		}
 	}
 }
+
+// TestUnsupportedSyntaxErrors pins the positioned error each syntax form
+// other dialects accept gets here: the parser names the first token it
+// cannot take, at its byte offset.
+func TestUnsupportedSyntaxErrors(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		{"SELECT a FROM t LIMIT 5 OFFSET 10", `sql: unexpected input after statement at "OFFSET" (offset 24)`},
+		{"INSERT INTO t VALUES (1) RETURNING a", `sql: unexpected input after statement at "RETURNING" (offset 25)`},
+		{"UPDATE t SET a = 2 RETURNING a", `sql: unexpected input after statement at "RETURNING" (offset 19)`},
+		{"DELETE FROM t WHERE a = 1 RETURNING a", `sql: unexpected input after statement at "RETURNING" (offset 26)`},
+		{"ALTER TABLE t ADD COLUMN b INT", `sql: expected a statement at "ALTER" (offset 0)`},
+		{"CREATE TABLE IF NOT EXISTS t (a INT)", `sql: expected "(" at "NOT" (offset 16)`},
+		{"CREATE INDEX IF NOT EXISTS i ON t (a)", `sql: expected ON at "NOT" (offset 16)`},
+		{"DROP TABLE IF EXISTS t", `sql: expected a statement at "DROP" (offset 0)`},
+		{"CREATE DATABASE d", `sql: expected TABLE or INDEX after CREATE at "DATABASE" (offset 7)`},
+		{"DROP DATABASE d", `sql: expected a statement at "DROP" (offset 0)`},
+		{"USE d", `sql: expected a statement at "USE" (offset 0)`},
+	} {
+		_, err := Parse(c.src)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("Parse(%q): error %v, want %s", c.src, err, c.want)
+		}
+	}
+}

@@ -210,7 +210,9 @@ func (t *Tenant) Name() string {
 }
 
 // ObserveQuery streams one executed (or priced) statement, identified by
-// its normalized SQL, into the current sketch window. Every Window
+// its sql.Normalize text, into the current sketch window. The sketch
+// counts concrete statements: two that differ only in a literal value are
+// two keys. Every Window
 // observations the window closes and is drift-scored against its
 // predecessor.
 func (t *Tenant) ObserveQuery(normSQL string) {
