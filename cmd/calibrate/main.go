@@ -30,13 +30,9 @@ import (
 	"dbvirt/internal/vm"
 )
 
-// closeObs flushes -trace-out/-metrics-out; set once telemetry is up so
-// error exits flush too.
-var closeObs = func() error { return nil }
-
 func fail(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "calibrate: "+format+"\n", args...)
-	closeObs() // best-effort flush
+	obs.Close() // best-effort flush of -trace-out/-metrics-out
 	os.Exit(1)
 }
 
@@ -55,21 +51,19 @@ func main() {
 	oflags.Register(flag.CommandLine)
 	flag.Parse()
 
-	tel, closeFn, handled, err := oflags.Setup("calibrate")
+	handled, err := oflags.Setup("calibrate")
 	if err != nil {
 		fail("%v", err)
 	}
 	if handled {
 		return
 	}
-	closeObs = closeFn
-	root := tel.Span("calibrate")
+	root := obs.StartSpan("calibrate")
 	obs.EnvSpanContext().Annotate(root)
 
 	cfg := calibration.DefaultConfig()
 	cfg.Parallelism = *jobs
 	cfg.Trials = *trials
-	cfg.Obs = tel
 	if *quick {
 		cfg.Machine.MemBytes = 8 << 20
 		cfg.NarrowRows = 4000
@@ -130,7 +124,7 @@ func main() {
 	}
 
 	root.End()
-	if err := closeObs(); err != nil {
+	if err := obs.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "calibrate: telemetry: %v\n", err)
 		os.Exit(1)
 	}

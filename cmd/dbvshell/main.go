@@ -32,10 +32,6 @@ import (
 	"dbvirt/internal/workload"
 )
 
-// closeObs flushes -trace-out/-metrics-out; set once telemetry is up so
-// fail() can flush on error exits too.
-var closeObs = func() error { return nil }
-
 // execObserver bridges the engine's per-statement execution records into
 // the shell's telemetry tenant: predicted-vs-actual residuals and the
 // actual-seconds sample stream. Sketch updates happen in the statement
@@ -60,15 +56,14 @@ func main() {
 	oflags.Register(flag.CommandLine)
 	flag.Parse()
 
-	tel, closeFn, handled, err := oflags.Setup("dbvshell")
+	handled, err := oflags.Setup("dbvshell")
 	if err != nil {
 		fail("%v", err)
 	}
 	if handled {
 		return
 	}
-	closeObs = closeFn
-	root := tel.Span("dbvshell")
+	root := obs.StartSpan("dbvshell")
 	obs.EnvSpanContext().Annotate(root)
 
 	m, err := vm.NewMachine(vm.DefaultMachineConfig())
@@ -121,7 +116,7 @@ func main() {
 	}
 
 	root.End()
-	if err := closeObs(); err != nil {
+	if err := obs.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "dbvshell: telemetry: %v\n", err)
 		os.Exit(1)
 	}
@@ -220,6 +215,6 @@ func firstLine(s string) string {
 
 func fail(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "dbvshell: "+format+"\n", args...)
-	closeObs() // best-effort flush of -trace-out/-metrics-out
+	obs.Close() // best-effort flush of -trace-out/-metrics-out
 	os.Exit(1)
 }

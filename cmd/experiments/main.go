@@ -19,10 +19,6 @@ import (
 	"dbvirt/internal/obs"
 )
 
-// closeObs flushes -trace-out/-metrics-out; set once telemetry is up so
-// error exits flush too.
-var closeObs = func() error { return nil }
-
 func main() {
 	fig := flag.String("fig", "all", "which figure to regenerate: 3, 4, 5, w (write sensitivity), p (fleet placement), c (closed-loop control), or all")
 	ablations := flag.Bool("ablations", false, "also run the ablation and extension studies")
@@ -32,7 +28,7 @@ func main() {
 	oflags.Register(flag.CommandLine)
 	flag.Parse()
 
-	tel, closeFn, handled, err := oflags.Setup("experiments")
+	handled, err := oflags.Setup("experiments")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(1)
@@ -40,8 +36,7 @@ func main() {
 	if handled {
 		return
 	}
-	closeObs = closeFn
-	root := tel.Span("experiments")
+	root := obs.StartSpan("experiments")
 	obs.EnvSpanContext().Annotate(root)
 
 	env := experiments.DefaultEnv()
@@ -49,12 +44,11 @@ func main() {
 		env = experiments.QuickEnv()
 	}
 	env.Parallelism = *jobs
-	env.Obs = tel
 
 	// Per-figure machine-readable summary: counter deltas per experiment,
 	// embedded in the -metrics-out JSON under extra.figures.
 	summary := map[string]map[string]int64{}
-	reg := tel.Registry()
+	reg := obs.Global
 	reg.SetExtra("figures", func() any { return summary })
 
 	run := func(name string, fn func() error) {
@@ -63,7 +57,7 @@ func main() {
 		before := reg.CounterValues()
 		if err := fn(); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", name, err)
-			closeObs() // best-effort flush
+			obs.Close() // best-effort flush
 			os.Exit(1)
 		}
 		after := reg.CounterValues()
@@ -207,7 +201,7 @@ func main() {
 	}
 
 	root.End()
-	if err := closeObs(); err != nil {
+	if err := obs.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: telemetry: %v\n", err)
 		os.Exit(1)
 	}

@@ -29,10 +29,6 @@ import (
 	"dbvirt/internal/workload"
 )
 
-// closeObs flushes -trace-out/-metrics-out; set once telemetry is up so
-// fail() can flush on error exits too.
-var closeObs = func() error { return nil }
-
 type workloadFlags []string
 
 func (w *workloadFlags) String() string { return strings.Join(*w, ", ") }
@@ -54,15 +50,14 @@ func main() {
 	oflags.Register(flag.CommandLine)
 	flag.Parse()
 
-	tel, closeFn, handled, err := oflags.Setup("vdtune")
+	handled, err := oflags.Setup("vdtune")
 	if err != nil {
 		fail("%v", err)
 	}
 	if handled {
 		return
 	}
-	closeObs = closeFn
-	root := tel.Span("vdtune")
+	root := obs.StartSpan("vdtune")
 	obs.EnvSpanContext().Annotate(root)
 
 	if len(wflags) < 2 {
@@ -90,36 +85,23 @@ func main() {
 	}
 
 	var res []vm.Resource
-	for _, r := range strings.Split(*resources, ",") {
-		switch strings.TrimSpace(strings.ToLower(r)) {
-		case "cpu":
-			res = append(res, vm.CPU)
-		case "memory", "mem":
-			res = append(res, vm.Memory)
-		case "io":
-			res = append(res, vm.IO)
-		default:
-			fail("unknown resource %q", r)
+	for _, name := range strings.Split(*resources, ",") {
+		r, err := vm.ParseResource(name)
+		if err != nil {
+			fail("%v", err)
 		}
+		res = append(res, r)
 	}
 
 	env.Parallelism = *jobs
-	env.Obs = tel
-	problem := &core.Problem{Workloads: specs, Resources: res, Step: *step, Parallelism: *jobs, Obs: tel}
+	problem := &core.Problem{Workloads: specs, Resources: res, Step: *step, Parallelism: *jobs}
 	model := &core.WhatIfModel{Cal: env.Calibrator()}
 
-	fmt.Printf("Calibrating and solving (%s, step %.0f%%)...\n", *algo, *step*100)
-	var solve func(context.Context, *core.Problem, core.CostModel) (*core.Result, error)
-	switch *algo {
-	case "dp":
-		solve = core.SolveDP
-	case "greedy":
-		solve = core.SolveGreedy
-	case "exhaustive":
-		solve = core.SolveExhaustive
-	default:
-		fail("unknown algorithm %q", *algo)
+	solve, err := core.SolverNamed(*algo)
+	if err != nil {
+		fail("%v", err)
 	}
+	fmt.Printf("Calibrating and solving (%s, step %.0f%%)...\n", *algo, *step*100)
 	sol, err := solve(context.Background(), problem, model)
 	if err != nil {
 		fail("solve: %v", err)
@@ -169,7 +151,7 @@ func main() {
 	}
 
 	root.End()
-	if err := closeObs(); err != nil {
+	if err := obs.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "vdtune: telemetry: %v\n", err)
 		os.Exit(1)
 	}
@@ -215,6 +197,6 @@ func parseWorkload(env *experiments.Env, spec string) (*core.WorkloadSpec, error
 
 func fail(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "vdtune: "+format+"\n", args...)
-	closeObs() // best-effort flush of -trace-out/-metrics-out
+	obs.Close() // best-effort flush of -trace-out/-metrics-out
 	os.Exit(1)
 }

@@ -78,36 +78,19 @@ func main() {
 	oflags.Register(flag.CommandLine)
 	flag.Parse()
 
-	tel, closeObs, handled, err := oflags.Setup("vdtuned")
+	handled, err := oflags.Setup("vdtuned")
 	if err != nil {
 		fail("%v", err)
 	}
 	if handled {
 		return
 	}
-	// closeObs flushes -trace-out and -metrics-out. It runs both as a
-	// defer (normal exits) and explicitly at the end of a clean drain, so
-	// a SIGTERM'd daemon persists its telemetry before the process ends
-	// (fail() uses os.Exit, which skips defers — nothing to flush on
-	// those paths anyway).
-	flushed := false
-	flushObs := func() {
-		if flushed {
-			return
-		}
-		flushed = true
-		if err := closeObs(); err != nil {
-			fmt.Fprintf(os.Stderr, "vdtuned: telemetry flush: %v\n", err)
-		}
-	}
-	defer flushObs()
 
 	env, err := experiments.EnvForScale(*scale)
 	if err != nil {
 		fail("%v", err)
 	}
 	env.Parallelism = *jobs
-	env.Obs = tel
 
 	grid, err := loadGrid(env, *gridPath, *calibrate, *faultSpec)
 	if err != nil {
@@ -145,7 +128,6 @@ func main() {
 		JobQueue:       *jobQueue,
 		DefaultTimeout: *reqTimeout,
 		Parallelism:    *jobs,
-		Obs:            tel,
 		Telemetry:      telemetry.NewHub(telemetry.Config{Window: *teleWindow}),
 		RequestWindow:  *reqWindow,
 		Autotune:       atOpts,
@@ -185,7 +167,11 @@ func main() {
 	if err := httpSrv.Shutdown(ctx); err != nil {
 		httpSrv.Close()
 	}
-	flushObs()
+	// A SIGTERM'd daemon persists -trace-out and -metrics-out before it
+	// exits.
+	if err := obs.Close(); err != nil {
+		fmt.Fprintf(os.Stderr, "vdtuned: telemetry flush: %v\n", err)
+	}
 	fmt.Println("vdtuned: drained, exiting")
 }
 
@@ -246,5 +232,6 @@ func parseAutotuneWorkloads(spec string) ([]server.WorkloadRef, error) {
 
 func fail(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "vdtuned: "+format+"\n", args...)
+	obs.Close() // best-effort flush of -trace-out/-metrics-out
 	os.Exit(1)
 }

@@ -118,8 +118,6 @@ type Config struct {
 	// Clock supplies decision timestamps (default time.Now). Tests inject
 	// a fixed clock; no decision logic reads it.
 	Clock func() time.Time
-	// Obs receives solver trace spans.
-	Obs *obs.Telemetry
 	// StartEnabled starts the loop enabled (the HTTP endpoints toggle it
 	// afterwards).
 	StartEnabled bool
@@ -367,7 +365,6 @@ func (l *Loop) tickLocked(ctx context.Context, manual bool) Decision {
 		Resources:   l.cfg.Resources,
 		Step:        l.cfg.Step,
 		Parallelism: l.cfg.Parallelism,
-		Obs:         l.cfg.Obs,
 	}
 	cur := currentAllocation(l.cfg.VMs)
 	d.Current = cur

@@ -115,10 +115,6 @@ type Config struct {
 	// trimmed median; 0 means 1 when fault-free and 5 under injection
 	// (the median then rejects injected noise and spikes).
 	Trials int
-	// Obs receives per-lattice-point trace spans and residual/debug
-	// events; nil disables both. Metrics (cache hits, measurement counts,
-	// fit residuals) always go to the process-global obs registry.
-	Obs *obs.Telemetry
 
 	// randProbeRows and retryBackoff override randProbeRowsDefault and
 	// retryBackoffDefault when non-zero; a negative retryBackoff retries
@@ -444,7 +440,7 @@ func (c *Calibrator) runTrial(ctx context.Context, key string, run func() (float
 				mCalRetry.Inc()
 				c.retries.Add(1)
 				hRetryBackoff.Observe(backoff.Seconds())
-				c.cfg.Obs.Debug("calibration transient fault, retrying",
+				obs.Debug("calibration transient fault, retrying",
 					"key", key, "attempt", attempt, "backoff", backoff.String())
 				if err := sleepCtx(ctx, backoff); err != nil {
 					return 0, attempt + 1, err
@@ -536,7 +532,7 @@ func (c *Calibrator) Calibrate(ctx context.Context, shares vm.Shares) (optimizer
 		return optimizer.Params{}, err
 	}
 	p, _, err := c.cache.Do(ctx, cacheKey(shares), func() (optimizer.Params, error) {
-		sp := c.cfg.Obs.Span("calibrate.point")
+		sp := obs.StartSpan("calibrate.point")
 		defer sp.End()
 		sp.SetArg("cpu", shares.CPU)
 		sp.SetArg("mem", shares.Memory)
@@ -569,7 +565,7 @@ func (c *Calibrator) measureSafe(ctx context.Context, d *calDB, shares vm.Shares
 	defer func() {
 		if r := recover(); r != nil {
 			mCalPanic.Inc()
-			c.cfg.Obs.Error("calibration measurement panicked",
+			obs.Error("calibration measurement panicked",
 				"cpu", shares.CPU, "mem", shares.Memory, "io", shares.IO, "panic", fmt.Sprint(r))
 			p = optimizer.Params{}
 			err = fmt.Errorf("calibration: measurement at %v panicked: %v", shares, r)
@@ -598,7 +594,7 @@ func (c *Calibrator) fitStage(stage string, rows [][]float64, rhs []float64, sha
 		if rerr == nil {
 			mCalRobustFit.Inc()
 			robRes := relResidual(rows, rob, rhs)
-			c.cfg.Obs.Warn("calibration fit residual above threshold; using robust IRLS fit",
+			obs.Warn("calibration fit residual above threshold; using robust IRLS fit",
 				"stage", stage, "cpu", shares.CPU, "mem", shares.Memory, "io", shares.IO,
 				"residual", res, "robust_residual", robRes)
 			return rob, robRes, nil
@@ -664,7 +660,7 @@ func (c *Calibrator) measure(ctx context.Context, d *calDB, shares vm.Shares, sp
 	gResidualCPU.Set(resA)
 	spA.SetArg("residual", resA)
 	spA.End()
-	c.cfg.Obs.Debug("calibration CPU fit",
+	obs.Debug("calibration CPU fit",
 		"cpu", shares.CPU, "mem", shares.Memory, "io", shares.IO,
 		"t_tuple", tTup, "t_op", tOp, "t_idx_tuple", tIdxTup, "residual", resA)
 
@@ -720,7 +716,7 @@ func (c *Calibrator) measure(ctx context.Context, d *calDB, shares vm.Shares, sp
 	gResidualSeqScan.Set(resB)
 	spB.SetArg("residual", resB)
 	spB.End()
-	c.cfg.Obs.Debug("calibration seq fit",
+	obs.Debug("calibration seq fit",
 		"cpu", shares.CPU, "mem", shares.Memory, "io", shares.IO,
 		"t_seq", tSeq, "gamma", gamma, "residual", resB)
 
@@ -838,7 +834,7 @@ func (c *Calibrator) measure(ctx context.Context, d *calDB, shares vm.Shares, sp
 	spD.SetArg("t_flush", tFlush)
 	spD.SetArg("write_amp", writeAmp)
 	spD.End()
-	c.cfg.Obs.Debug("calibration write fit",
+	obs.Debug("calibration write fit",
 		"cpu", shares.CPU, "mem", shares.Memory, "io", shares.IO,
 		"t_flush", tFlush, "write_amp", writeAmp)
 

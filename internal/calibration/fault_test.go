@@ -160,7 +160,7 @@ func TestFillBadPointsAveragesNeighbors(t *testing.T) {
 	g.points[0] = mk(2)
 	g.points[2] = mk(4)
 	errs := []error{nil, errors.New("boom"), nil}
-	g.fillBadPoints([]int{1}, errs, nil)
+	g.fillBadPoints([]int{1}, errs)
 	want := mk(3)
 	if g.points[1] != want {
 		t.Fatalf("filled point = %+v, want neighbor average %+v", g.points[1], want)
@@ -171,7 +171,7 @@ func TestFillBadPointsAveragesNeighbors(t *testing.T) {
 	g2 := newGrid([]float64{0.25, 0.5, 0.75}, []float64{0.5}, []float64{0.5})
 	g2.points[0] = mk(2)
 	errs2 := []error{nil, errors.New("b1"), errors.New("b2")}
-	g2.fillBadPoints([]int{1, 2}, errs2, nil)
+	g2.fillBadPoints([]int{1, 2}, errs2)
 	if g2.points[1] != mk(2) || g2.points[2] != mk(2) {
 		t.Fatalf("adjacent bad points filled to %+v / %+v, want both %+v (the only good point)",
 			g2.points[1], g2.points[2], mk(2))

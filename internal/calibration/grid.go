@@ -175,13 +175,13 @@ func (c *Calibrator) CalibrateGridOpts(ctx context.Context, cpus, mems, ios []fl
 		}
 		if resumed > 0 {
 			mCalCkptResume.Add(int64(resumed))
-			c.cfg.Obs.Info("grid calibration resumed",
+			obs.Info("grid calibration resumed",
 				"checkpoint", opts.CheckpointPath, "restored_points", resumed, "total_points", n)
 		}
 	}
 	// No worker (and so no calibration database) for restored points.
 	workers := min(c.cfg.workers(), n-resumed)
-	sp := c.cfg.Obs.Span("calibrate.grid")
+	sp := obs.StartSpan("calibrate.grid")
 	sp.SetArg("points", n)
 	sp.SetArg("workers", workers)
 	sp.SetArg("resumed", resumed)
@@ -226,7 +226,7 @@ func (c *Calibrator) CalibrateGridOpts(ctx context.Context, cpus, mems, ios []fl
 			return
 		}
 		if saveErr = writeCheckpoint(opts.CheckpointPath, sig, g, done); saveErr != nil {
-			c.cfg.Obs.Warn("checkpoint write failed", "path", opts.CheckpointPath, "err", saveErr.Error())
+			obs.Warn("checkpoint write failed", "path", opts.CheckpointPath, "err", saveErr.Error())
 		} else {
 			mCalCkptWrite.Inc()
 		}
@@ -263,7 +263,7 @@ func (c *Calibrator) CalibrateGridOpts(ctx context.Context, cpus, mems, ios []fl
 				// filled from its neighbors after the sweep.
 				errs[idx] = err
 				mCalBadPoint.Inc()
-				c.cfg.Obs.Warn("grid point measurement failed",
+				obs.Warn("grid point measurement failed",
 					"cpu", sh.CPU, "mem", sh.Memory, "io", sh.IO, "err", err.Error())
 				continue
 			}
@@ -308,7 +308,7 @@ func (c *Calibrator) CalibrateGridOpts(ctx context.Context, cpus, mems, ios []fl
 			return nil, fmt.Errorf("calibration: %d of %d grid points failed (above the %.0f%% limit); first failure at (%g,%g,%g): %w",
 				len(bad), n, maxBadPointFrac*100, sh.CPU, sh.Memory, sh.IO, errs[bad[0]])
 		}
-		g.fillBadPoints(bad, errs, c.cfg.Obs)
+		g.fillBadPoints(bad, errs)
 	}
 	if len(bad) > 0 || saveErr != nil {
 		// The finished file must be the complete grid LoadGrid serves:
@@ -332,7 +332,7 @@ func (c *Calibrator) CalibrateGridOpts(ctx context.Context, cpus, mems, ios []fl
 	c.mu.Lock()
 	c.data = nil
 	c.mu.Unlock()
-	c.cfg.Obs.Info("grid calibrated", "points", n, "workers", workers,
+	obs.Info("grid calibrated", "points", n, "workers", workers,
 		"cpu_axis", len(g.cpus), "mem_axis", len(g.mems), "io_axis", len(g.ios),
 		"resumed", resumed, "bad_points", len(bad))
 	return g, nil
@@ -343,7 +343,7 @@ func (c *Calibrator) CalibrateGridOpts(ctx context.Context, cpus, mems, ios []fl
 // to the nearest good point by lattice Manhattan distance (smallest index
 // wins ties). Fills always read the original good mask — never other
 // fills — so the result is independent of fill order.
-func (g *Grid) fillBadPoints(bad []int, errs []error, tel *obs.Telemetry) {
+func (g *Grid) fillBadPoints(bad []int, errs []error) {
 	nc, nm, ni := len(g.cpus), len(g.mems), len(g.ios)
 	good := func(idx int) bool { return errs[idx] == nil }
 	for _, idx := range bad {
@@ -374,7 +374,7 @@ func (g *Grid) fillBadPoints(bad []int, errs []error, tel *obs.Telemetry) {
 		}
 		g.points[idx] = avgParams(neigh)
 		sh := g.latticeShares(ic, im, ii)
-		tel.Warn("grid point filled from neighbors",
+		obs.Warn("grid point filled from neighbors",
 			"cpu", sh.CPU, "mem", sh.Memory, "io", sh.IO, "neighbors", len(neigh))
 	}
 }

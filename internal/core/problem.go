@@ -177,11 +177,6 @@ type Problem struct {
 	// byte-identical at every setting: workers write into pre-indexed
 	// slots and ties break by allocation order, never completion order.
 	Parallelism int
-	// Obs receives trace spans and progress events from the solvers; nil
-	// (the default) disables both at the cost of a nil check. Metrics
-	// (cache hit/miss counters, evaluation latency) are always recorded
-	// against the process-global obs registry and never affect results.
-	Obs *obs.Telemetry
 }
 
 // workers resolves the configured parallelism to a worker count.
@@ -206,29 +201,40 @@ func (p *Problem) Validate() error {
 			return fmt.Errorf("core: workload %d (%s) has no statements", i, w.Name)
 		}
 	}
-	if len(p.Resources) == 0 {
-		return fmt.Errorf("core: no resources to optimize")
+	if err := ValidateShape(n, p.Resources, p.Step, p.minShare()); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	return nil
+}
+
+// ValidateShape checks the part of a problem that callers know before
+// they resolve any workload: n workloads share the searched resources on
+// a grid of the given step, each receiving at least minShare. Every
+// layer that accepts a problem from outside checks it up front with this,
+// so a request the solver would reject is refused before it is queued.
+func ValidateShape(n int, resources []vm.Resource, step, minShare float64) error {
+	if len(resources) == 0 {
+		return fmt.Errorf("no resources to optimize")
 	}
 	seen := map[vm.Resource]bool{}
-	for _, r := range p.Resources {
+	for _, r := range resources {
 		if r < 0 || r >= vm.NumResources {
-			return fmt.Errorf("core: unknown resource %v", r)
+			return fmt.Errorf("unknown resource %v", r)
 		}
 		if seen[r] {
-			return fmt.Errorf("core: duplicate resource %v", r)
+			return fmt.Errorf("duplicate resource %v", r)
 		}
 		seen[r] = true
 	}
-	if p.Step <= 0 || p.Step > 0.5 {
-		return fmt.Errorf("core: step %g out of range (0, 0.5]", p.Step)
+	if step <= 0 || step > 0.5 {
+		return fmt.Errorf("step %g out of range (0, 0.5]", step)
 	}
-	units := 1 / p.Step
+	units := 1 / step
 	if math.Abs(units-math.Round(units)) > 1e-9 {
-		return fmt.Errorf("core: step %g must divide 1 evenly", p.Step)
+		return fmt.Errorf("step %g must divide 1 evenly", step)
 	}
-	min := p.minShare()
-	if min*float64(n) > 1+1e-9 {
-		return fmt.Errorf("core: minimum share %g infeasible for %d workloads", min, n)
+	if minShare*float64(n) > 1+1e-9 {
+		return fmt.Errorf("minimum share %g infeasible for %d workloads", minShare, n)
 	}
 	return nil
 }

@@ -107,6 +107,20 @@ func (c *exhaustiveCand) better(cur *exhaustiveCand) bool {
 	return c.total < cur.total || (c.total == cur.total && c.idx < cur.idx)
 }
 
+// SolverNamed returns the solver a CLI flag or an API request names:
+// "dp", "greedy", or "exhaustive".
+func SolverNamed(name string) (func(context.Context, *Problem, CostModel) (*Result, error), error) {
+	switch name {
+	case "dp":
+		return SolveDP, nil
+	case "greedy":
+		return SolveGreedy, nil
+	case "exhaustive":
+		return SolveExhaustive, nil
+	}
+	return nil, fmt.Errorf("unknown algo %q (want dp, greedy, or exhaustive)", name)
+}
+
 // SolveExhaustive enumerates every grid allocation and returns the best.
 // The search space is the cross product of per-resource compositions, so
 // it is only feasible for small N and coarse steps; it exists as the
@@ -120,7 +134,7 @@ func SolveExhaustive(ctx context.Context, p *Problem, model CostModel) (*Result,
 		return nil, err
 	}
 	startT := time.Now()
-	sp := p.Obs.Span("core.solve.exhaustive")
+	sp := obs.StartSpan("core.solve.exhaustive")
 	defer sp.End() // idempotent; covers the error returns
 	memo := newCostCache(model)
 	perRes := make([][][]int, len(p.Resources))
@@ -205,7 +219,7 @@ func SolveDP(ctx context.Context, p *Problem, model CostModel) (*Result, error) 
 		return nil, err
 	}
 	startT := time.Now()
-	sp := p.Obs.Span("core.solve.dp")
+	sp := obs.StartSpan("core.solve.dp")
 	defer sp.End()
 	memo := newCostCache(model)
 	n := len(p.Workloads)
@@ -348,7 +362,7 @@ func SolveGreedy(ctx context.Context, p *Problem, model CostModel) (*Result, err
 		return nil, err
 	}
 	startT := time.Now()
-	sp := p.Obs.Span("core.solve.greedy")
+	sp := obs.StartSpan("core.solve.greedy")
 	defer sp.End()
 	memo := newCostCache(model)
 	n := len(p.Workloads)
@@ -447,7 +461,7 @@ func SolveGreedy(ctx context.Context, p *Problem, model CostModel) (*Result, err
 			}
 		}
 		if bestMove < 0 {
-			p.Obs.Debug("greedy converged", "round", round,
+			obs.Debug("greedy converged", "round", round,
 				"moves", len(moves), "total", bestTotal)
 			break
 		}
@@ -467,7 +481,7 @@ func SolveGreedy(ctx context.Context, p *Problem, model CostModel) (*Result, err
 		p.allocationIntoResUnits(alloc, resUnits)
 		bestTotal = bestMoveTotal
 		copy(bestCosts, costsFlat[bestMove*n:(bestMove+1)*n])
-		p.Obs.Debug("greedy round", "round", round, "moves", len(moves),
+		obs.Debug("greedy round", "round", round, "moves", len(moves),
 			"resource", int(p.Resources[mv.ri]), "donor", mv.donor,
 			"recv", mv.recv, "total", bestTotal)
 	}
@@ -491,7 +505,7 @@ func EvaluateAllocation(ctx context.Context, p *Problem, model CostModel, alloc 
 		return nil, fmt.Errorf("core: allocation has %d entries for %d workloads", len(alloc), len(p.Workloads))
 	}
 	startT := time.Now()
-	sp := p.Obs.Span("core.evaluate." + name)
+	sp := obs.StartSpan("core.evaluate." + name)
 	defer sp.End()
 	memo := newCostCache(model)
 	total, costs, err := p.evaluate(ctx, memo, alloc)

@@ -49,7 +49,6 @@ func (e *Env) AblationSearch(n int, step float64) ([]SearchRow, error) {
 		Resources:   []vm.Resource{vm.CPU},
 		Step:        step,
 		Parallelism: e.Parallelism,
-		Obs:         e.Obs,
 	}
 
 	type solver struct {
@@ -256,7 +255,6 @@ func (e *Env) DynamicReconfig() (*DynamicResult, error) {
 			Resources:   []vm.Resource{vm.CPU},
 			Step:        0.25,
 			Parallelism: e.Parallelism,
-			Obs:         e.Obs,
 		}
 	}
 
@@ -350,7 +348,6 @@ func (e *Env) SLOWeighted() (*SLOResult, error) {
 		Resources:   []vm.Resource{vm.CPU, vm.IO},
 		Step:        0.25,
 		Parallelism: e.Parallelism,
-		Obs:         e.Obs,
 	}
 	unconstrained, err := core.SolveDP(context.Background(), base, model)
 	if err != nil {
@@ -366,7 +363,6 @@ func (e *Env) SLOWeighted() (*SLOResult, error) {
 		Step:        0.25,
 		Objective:   core.Objective{SLOPenalty: 50},
 		Parallelism: e.Parallelism,
-		Obs:         e.Obs,
 	}
 	sol, err := core.SolveDP(context.Background(), constrained, model)
 	if err != nil {
@@ -437,7 +433,6 @@ func (e *Env) MemoryDimension() (*MemoryDimensionResult, error) {
 		Resources:   []vm.Resource{vm.CPU},
 		Step:        0.25,
 		Parallelism: env.Parallelism,
-		Obs:         env.Obs,
 	}, model)
 	if err != nil {
 		return nil, err
@@ -447,7 +442,6 @@ func (e *Env) MemoryDimension() (*MemoryDimensionResult, error) {
 		Resources:   []vm.Resource{vm.CPU, vm.Memory},
 		Step:        0.25,
 		Parallelism: env.Parallelism,
-		Obs:         env.Obs,
 	}, model)
 	if err != nil {
 		return nil, err

@@ -94,7 +94,6 @@ func (e *Env) FigureControl(preTicks, postTicks int) ([]FigCRow, error) {
 			CooldownTicks: 4,
 			MaxStepDelta:  0.25,
 		},
-		Obs: e.Obs,
 		Clock: func() time.Time {
 			clockTicks++
 			return base.Add(time.Duration(clockTicks) * time.Second)

@@ -17,7 +17,6 @@ import (
 	"dbvirt/internal/calibration"
 	"dbvirt/internal/core"
 	"dbvirt/internal/engine"
-	"dbvirt/internal/obs"
 	"dbvirt/internal/optimizer"
 	"dbvirt/internal/vm"
 	"dbvirt/internal/wal"
@@ -37,10 +36,6 @@ type Env struct {
 	// design problem the harness solves; 0 means runtime.GOMAXPROCS(0).
 	// Results are identical at every setting.
 	Parallelism int
-	// Obs is handed to the calibrator and to every design problem, so one
-	// trace covers calibration spans and solver spans; nil disables
-	// tracing/logging (metrics are always recorded globally).
-	Obs *obs.Telemetry
 
 	mu  sync.Mutex
 	dbs map[dbKey]*engine.Database
@@ -105,9 +100,6 @@ func (e *Env) Calibrator() *calibration.Calibrator {
 		cfg := e.CalCfg
 		if cfg.Parallelism == 0 {
 			cfg.Parallelism = e.Parallelism
-		}
-		if cfg.Obs == nil {
-			cfg.Obs = e.Obs
 		}
 		e.cal = calibration.New(cfg)
 	}

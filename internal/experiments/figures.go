@@ -174,7 +174,6 @@ func (e *Env) Figure5() (*Fig5Result, error) {
 		Resources:   []vm.Resource{vm.CPU},
 		Step:        0.25,
 		Parallelism: e.Parallelism,
-		Obs:         e.Obs,
 	}
 	sol, err := core.SolveDP(context.Background(), problem, model)
 	if err != nil {

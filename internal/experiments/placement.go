@@ -99,7 +99,6 @@ func (e *Env) FigurePlacement(sizes []int) ([]FigPRow, error) {
 		model := core.NewSharedCostModel(&core.WhatIfModel{Grid: grid}, (*core.WorkloadSpec).PricingKey)
 		solver, err := placement.NewSolver(placement.Config{
 			Parallelism: e.Parallelism,
-			Obs:         e.Obs,
 		}, model)
 		if err != nil {
 			return nil, err

@@ -28,66 +28,40 @@ func (f *Flags) Register(fs *flag.FlagSet) {
 	fs.BoolVar(&f.Version, "version", false, "print the build version and exit")
 }
 
-// Setup applies the parsed flags for the named tool. It returns the
-// telemetry bundle to plumb through the layers and a close function that
-// flushes -trace-out and -metrics-out; handled is true when -version was
-// requested and printed (the caller should exit). Logs go to stderr.
-func (f *Flags) Setup(tool string) (tel *Telemetry, closeFn func() error, handled bool, err error) {
+// Setup applies the parsed flags for the named tool: it installs the
+// process trace and log sinks they ask for (logs go to stderr) and starts
+// the debug server. Call Close to write -trace-out and -metrics-out.
+// handled is true when -version was requested and printed (the caller
+// should exit).
+func (f *Flags) Setup(tool string) (handled bool, err error) {
 	if f.Version {
 		fmt.Printf("%s %s\n", tool, Version())
-		return nil, func() error { return nil }, true, nil
+		return true, nil
 	}
 	level := LevelInfo
 	if f.LogLevel != "" {
 		if level, err = ParseLevel(f.LogLevel); err != nil {
-			return nil, nil, false, err
+			return false, err
 		}
 	}
 	if f.Verbose {
 		level = LevelDebug
 	}
-	var tracer *Tracer
+	var t *Tracer
 	if f.TraceOut != "" {
-		tracer = NewTracer()
+		t = NewTracer()
 	}
-	var logger *Logger
+	var l *Logger
 	if f.TraceOut != "" || f.MetricsOut != "" || f.DebugAddr != "" || f.Verbose || f.LogLevel != "info" {
-		logger = NewLogger(os.Stderr, level)
+		l = NewLogger(os.Stderr, level)
 	}
-	tel = New(tracer, logger)
 	if f.DebugAddr != "" {
 		addr, err := ServeDebug(f.DebugAddr)
 		if err != nil {
-			return nil, nil, false, fmt.Errorf("debug server: %w", err)
+			return false, fmt.Errorf("debug server: %w", err)
 		}
 		fmt.Fprintf(os.Stderr, "%s: debug server on http://%s/debug/pprof (metrics at /metrics)\n", tool, addr)
 	}
-	closeFn = func() error {
-		var firstErr error
-		if tracer != nil && f.TraceOut != "" {
-			if err := tracer.WriteChromeFile(f.TraceOut); err != nil {
-				firstErr = err
-			}
-		}
-		if f.MetricsOut != "" {
-			if err := writeRegistryFile(tel.Registry(), f.MetricsOut); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		return firstErr
-	}
-	return tel, closeFn, false, nil
-}
-
-// writeRegistryFile dumps one registry to a path.
-func writeRegistryFile(r *Registry, path string) error {
-	fh, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := r.WriteJSON(fh); err != nil {
-		fh.Close()
-		return err
-	}
-	return fh.Close()
+	install(t, l, f.TraceOut, f.MetricsOut)
+	return false, nil
 }

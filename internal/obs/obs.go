@@ -3,96 +3,90 @@
 // hierarchical tracer exportable as Chrome trace_event JSON, and a
 // leveled structured (JSON-lines) event logger.
 //
-// Two usage modes coexist:
+// Every sink is process-wide, so no layer carries telemetry in its
+// config:
 //
 //   - Metrics are always on. Instrumented packages resolve their
-//     counters once (usually in a package var) against the process-wide
-//     Global registry; an update is a single atomic add, so the
-//     always-on cost is negligible even on hot paths. CLIs dump the
-//     registry with -metrics-out and publish it over expvar with
-//     -debug-addr.
+//     counters once (usually in a package var) against the Global
+//     registry; an update is a single atomic add, so the always-on cost
+//     is negligible even on hot paths. CLIs dump the registry with
+//     -metrics-out and publish it over expvar with -debug-addr.
 //
-//   - Traces and logs are opt-in. A *Telemetry bundle is plumbed through
-//     the layers (core.Problem.Obs, calibration.Config.Obs,
-//     experiments.Env.Obs); a nil *Telemetry — the default everywhere —
-//     makes every span and log call a nil-check no-op, so instrumented
-//     code never branches on configuration.
+//   - Traces and logs are opt-in. Library code calls StartSpan and
+//     Debug/Info/Warn/Error unconditionally; until a CLI's Flags.Setup
+//     installs a tracer or logger, each call is an atomic load and a nil
+//     check, so instrumented code never branches on configuration.
+//     Close flushes the files the flags name and uninstalls the sinks.
 //
 // Nothing in this package imports other dbvirt packages, so any layer
 // (vm, optimizer, executor, ...) may depend on it without cycles.
 package obs
 
-import "io"
+import (
+	"errors"
+	"sync"
+	"sync/atomic"
+)
 
 // Global is the process-wide metrics registry. Instrumented packages
 // register their counters, gauges, and histograms here; CLIs snapshot it
 // for -metrics-out and -debug-addr.
 var Global = NewRegistry()
 
-// Telemetry bundles the opt-in telemetry sinks handed down through the
-// layers. A nil *Telemetry is fully usable: every method no-ops.
-type Telemetry struct {
-	// Metrics is the registry snapshotted by exports; it defaults to
-	// Global and exists as a field so tests can isolate a registry.
-	Metrics *Registry
-	// Trace collects spans when non-nil.
-	Trace *Tracer
-	// Log receives structured events when non-nil.
-	Log *Logger
-}
+// The process's trace and log sinks; nil (off) until Flags.Setup.
+var (
+	tracer atomic.Pointer[Tracer]
+	logger atomic.Pointer[Logger]
+)
 
-// New builds a telemetry bundle over the Global metrics registry.
-func New(tracer *Tracer, logger *Logger) *Telemetry {
-	return &Telemetry{Metrics: Global, Trace: tracer, Log: logger}
-}
+// sinkMu guards the files Close writes: the -trace-out and -metrics-out
+// paths given to Setup.
+var (
+	sinkMu               sync.Mutex
+	traceOut, metricsOut string
+)
 
-// Registry returns the bundle's metrics registry (Global when unset),
-// never nil, so callers can register ad-hoc gauges against it.
-func (t *Telemetry) Registry() *Registry {
-	if t == nil || t.Metrics == nil {
-		return Global
-	}
-	return t.Metrics
-}
-
-// Span starts a root span, or returns nil (a no-op span) when tracing is
-// off.
-func (t *Telemetry) Span(name string) *Span {
-	if t == nil || t.Trace == nil {
-		return nil
-	}
-	return t.Trace.Start(name)
-}
+// StartSpan starts a root span on the process tracer, or returns nil (a
+// no-op span) when tracing is off.
+func StartSpan(name string) *Span { return tracer.Load().Start(name) }
 
 // Debug logs at debug level; kv are alternating key/value pairs.
-func (t *Telemetry) Debug(msg string, kv ...any) {
-	if t != nil {
-		t.Log.Debug(msg, kv...)
-	}
-}
+func Debug(msg string, kv ...any) { logger.Load().Debug(msg, kv...) }
 
 // Info logs at info level.
-func (t *Telemetry) Info(msg string, kv ...any) {
-	if t != nil {
-		t.Log.Info(msg, kv...)
-	}
-}
+func Info(msg string, kv ...any) { logger.Load().Info(msg, kv...) }
 
 // Warn logs at warn level.
-func (t *Telemetry) Warn(msg string, kv ...any) {
-	if t != nil {
-		t.Log.Warn(msg, kv...)
-	}
-}
+func Warn(msg string, kv ...any) { logger.Load().Warn(msg, kv...) }
 
 // Error logs at error level.
-func (t *Telemetry) Error(msg string, kv ...any) {
-	if t != nil {
-		t.Log.Error(msg, kv...)
-	}
+func Error(msg string, kv ...any) { logger.Load().Error(msg, kv...) }
+
+// install makes t and l the process sinks, and the two paths (either may
+// be empty) the files Close writes.
+func install(t *Tracer, l *Logger, tracePath, metricsPath string) {
+	sinkMu.Lock()
+	defer sinkMu.Unlock()
+	tracer.Store(t)
+	logger.Store(l)
+	traceOut, metricsOut = tracePath, metricsPath
 }
 
-// WriteMetrics writes the bundle's registry snapshot as JSON.
-func (t *Telemetry) WriteMetrics(w io.Writer) error {
-	return t.Registry().WriteJSON(w)
+// Close uninstalls the trace and log sinks, then writes the trace to
+// -trace-out and the Global registry to -metrics-out. It is idempotent:
+// a second call, or one before Setup, writes nothing and returns nil.
+func Close() error {
+	sinkMu.Lock()
+	defer sinkMu.Unlock()
+	t := tracer.Swap(nil)
+	logger.Store(nil)
+	var errs []error
+	if t != nil {
+		errs = append(errs, t.WriteChromeFile(traceOut))
+	}
+	if metricsOut != "" {
+		errs = append(errs, WriteMetricsFile(metricsOut))
+	}
+	traceOut, metricsOut = "", ""
+	return errors.Join(errs...)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -87,19 +88,55 @@ func TestConcurrentSpans(t *testing.T) {
 	}
 }
 
-// TestNilTelemetryIsNoop checks the disabled path: every method of a nil
-// telemetry, span, counter, histogram, and logger must be safe.
+// TestSinksRaceClose emits spans and log lines from many goroutines
+// while Close uninstalls the sinks; under -race this checks that the
+// process-wide sinks need no locking by their callers.
+func TestSinksRaceClose(t *testing.T) {
+	flags := Flags{TraceOut: filepath.Join(t.TempDir(), "trace.json"), LogLevel: "error"}
+	if _, err := flags.Setup("test"); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				sp := StartSpan("work")
+				sp.Child("inner").End()
+				Debug("dropped", "i", i)
+				sp.End()
+			}
+		}()
+	}
+	if err := Close(); err != nil {
+		t.Error(err)
+	}
+	wg.Wait()
+	if StartSpan("after") != nil {
+		t.Error("StartSpan returned a span after Close")
+	}
+}
+
+// TestNilTelemetryIsNoop checks the disabled path: with no sinks
+// installed, the package span and log functions, and every method of a
+// nil span, counter, histogram, and logger, must be safe.
 func TestNilTelemetryIsNoop(t *testing.T) {
-	var tel *Telemetry
-	sp := tel.Span("x")
+	sp := StartSpan("x")
+	if sp != nil {
+		t.Fatal("StartSpan with no tracer installed returned a span")
+	}
 	sp.SetArg("k", 1)
 	sp.Child("c").End()
 	sp.Fork("f").End()
 	sp.End()
-	tel.Debug("d")
-	tel.Info("i", "k", 1)
-	tel.Warn("w")
-	tel.Error("e")
+	Debug("d")
+	Info("i", "k", 1)
+	Warn("w")
+	Error("e")
+	if err := Close(); err != nil {
+		t.Fatalf("Close with no sinks: %v", err)
+	}
 	var c *Counter
 	c.Inc()
 	c.Add(5)
@@ -119,9 +156,6 @@ func TestNilTelemetryIsNoop(t *testing.T) {
 	}
 	var l *Logger
 	l.Info("nope")
-	if tel.Registry() != Global {
-		t.Fatal("nil telemetry should expose the Global registry")
-	}
 }
 
 // TestHistogramQuantiles feeds a known distribution and checks the

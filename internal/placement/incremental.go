@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"sort"
 	"time"
+
+	"dbvirt/internal/obs"
 )
 
 // ErrEvent marks Apply failures caused by the event itself (unknown
@@ -95,7 +97,7 @@ func (pl *Placement) Apply(ctx context.Context, events ...Event) (*ApplyStats, e
 	if len(events) == 0 {
 		return nil, fmt.Errorf("%w: no events", ErrEvent)
 	}
-	sp := s.cfg.Obs.Span("placement.apply")
+	sp := obs.StartSpan("placement.apply")
 	defer sp.End()
 
 	// Clone the sorted fleet and its shuffled packing sequences, then patch

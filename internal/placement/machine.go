@@ -51,7 +51,6 @@ func (s *Solver) machineProblem(specs []*core.WorkloadSpec, parallelism int) *co
 		Resources:   s.cfg.Resources,
 		Step:        s.cfg.Step,
 		Parallelism: parallelism,
-		Obs:         s.cfg.Obs,
 	}
 }
 

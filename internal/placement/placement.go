@@ -142,8 +142,6 @@ type Config struct {
 	Parallelism int
 	// Seed keys the packing-order shuffles.
 	Seed uint64
-	// Obs receives spans/logs; nil disables both (metrics are always on).
-	Obs *obs.Telemetry
 }
 
 func (c Config) withDefaults() Config {
@@ -187,15 +185,9 @@ func (c Config) validate() error {
 	if c.Orders < 1 || c.Orders > 64 {
 		return fmt.Errorf("placement: orders %d out of range [1, 64]", c.Orders)
 	}
-	if c.Step <= 0 || c.Step > 0.5 {
-		return fmt.Errorf("placement: step %g out of range (0, 0.5]", c.Step)
-	}
-	if units := 1 / c.Step; math.Abs(units-math.Round(units)) > 1e-9 {
-		return fmt.Errorf("placement: step %g must divide 1 evenly", c.Step)
-	}
-	if c.Step*float64(c.Machine.MaxTenants) > 1+1e-9 {
-		return fmt.Errorf("placement: step %g infeasible for %d tenants per machine",
-			c.Step, c.Machine.MaxTenants)
+	// A full machine is one per-machine design problem.
+	if err := core.ValidateShape(c.Machine.MaxTenants, c.Resources, c.Step, c.Step); err != nil {
+		return fmt.Errorf("placement: %w", err)
 	}
 	return nil
 }
@@ -332,7 +324,7 @@ func (pl *Placement) Tenants() []string {
 // which change speed, never results).
 func (s *Solver) Solve(ctx context.Context, tenants []*Tenant) (*Placement, error) {
 	start := time.Now()
-	sp := s.cfg.Obs.Span("placement.solve")
+	sp := obs.StartSpan("placement.solve")
 	defer sp.End()
 	ts, err := sortTenants(tenants)
 	if err != nil {

@@ -494,7 +494,7 @@ func TestConfigValidation(t *testing.T) {
 		{Threshold: 1.5},
 		{Algo: "magic"},
 		{Orders: -1},
-		{Step: 0.3}, // doesn't divide 1 (caught by core at solve; range here)
+		{Step: 0.3}, // doesn't divide 1
 		{Step: 0.5, Machine: MachineCaps{MaxTenants: 4}}, // 4 * 0.5 > 1
 		{Machine: MachineCaps{CPU: -1}},
 	}

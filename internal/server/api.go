@@ -152,6 +152,18 @@ func (r *SolveRequest) applyDefaults() {
 	}
 }
 
+// resources parses the request's resource names.
+func (r *SolveRequest) resources() ([]vm.Resource, error) {
+	out := make([]vm.Resource, len(r.Resources))
+	for i, name := range r.Resources {
+		var err error
+		if out[i], err = vm.ParseResource(name); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
 func (r *SolveRequest) validate() error {
 	if len(r.Workloads) < 2 {
 		return fmt.Errorf("need at least 2 workloads, got %d", len(r.Workloads))
@@ -164,18 +176,15 @@ func (r *SolveRequest) validate() error {
 			return fmt.Errorf("workload %d: %w", i, err)
 		}
 	}
-	switch r.Algo {
-	case "dp", "greedy", "exhaustive":
-	default:
-		return fmt.Errorf("unknown algo %q (want dp, greedy, or exhaustive)", r.Algo)
+	if _, err := core.SolverNamed(r.Algo); err != nil {
+		return err
 	}
-	if !(r.Step > 0 && r.Step <= 0.5) {
-		return fmt.Errorf("step %g out of range (0, 0.5]", r.Step)
+	resources, err := r.resources()
+	if err != nil {
+		return err
 	}
-	for _, res := range r.Resources {
-		if _, err := parseResource(res); err != nil {
-			return err
-		}
+	if err := core.ValidateShape(len(r.Workloads), resources, r.Step, r.Step); err != nil {
+		return err
 	}
 	if r.TimeoutMS < 0 {
 		return fmt.Errorf("negative timeout_ms")
@@ -184,18 +193,6 @@ func (r *SolveRequest) validate() error {
 		return fmt.Errorf("negative slo_penalty")
 	}
 	return nil
-}
-
-func parseResource(s string) (vm.Resource, error) {
-	switch strings.TrimSpace(strings.ToLower(s)) {
-	case "cpu":
-		return vm.CPU, nil
-	case "memory", "mem":
-		return vm.Memory, nil
-	case "io":
-		return vm.IO, nil
-	}
-	return 0, fmt.Errorf("unknown resource %q (want cpu, memory, or io)", s)
 }
 
 // SolveAccepted acknowledges an accepted solve job.

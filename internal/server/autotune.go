@@ -65,7 +65,7 @@ func (o *AutotuneOptions) validate() error {
 		seen[name] = true
 	}
 	for _, r := range o.Resources {
-		if _, err := parseResource(r); err != nil {
+		if _, err := vm.ParseResource(r); err != nil {
 			return fmt.Errorf("autotune: %w", err)
 		}
 	}
@@ -107,7 +107,7 @@ func (s *Server) initAutotune(opts *AutotuneOptions) error {
 	}
 	resources := make([]vm.Resource, len(opts.Resources))
 	for i, r := range opts.Resources {
-		resources[i], _ = parseResource(r) // validated above
+		resources[i], _ = vm.ParseResource(r) // validated above
 	}
 	loop, err := autotune.NewLoop(autotune.Config{
 		Hub:       s.cfg.Telemetry,
@@ -125,7 +125,6 @@ func (s *Server) initAutotune(opts *AutotuneOptions) error {
 		},
 		ResolveEvery: opts.ResolveEvery,
 		Parallelism:  s.cfg.Parallelism,
-		Obs:          s.cfg.Obs,
 		StartEnabled: opts.Enabled,
 	})
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 
 	"dbvirt/internal/obs"
 	"dbvirt/internal/placement"
+	"dbvirt/internal/vm"
 )
 
 // Fleet-placement request bounds, in the same spirit as the what-if
@@ -85,7 +86,7 @@ func (r *PlacementRequest) validate() error {
 		return fmt.Errorf("unknown algo %q (want greedy or dp)", r.Algo)
 	}
 	for _, res := range r.Resources {
-		if _, err := parseResource(res); err != nil {
+		if _, err := vm.ParseResource(res); err != nil {
 			return err
 		}
 	}
@@ -130,7 +131,7 @@ func (r *PlacementRequest) configKey() string {
 
 // config maps the request onto a placement.Config (zero fields defer to
 // the solver's defaults).
-func (r *PlacementRequest) config(parallelism int, tel *obs.Telemetry) placement.Config {
+func (r *PlacementRequest) config(parallelism int) placement.Config {
 	cfg := placement.Config{
 		Threshold:   r.Threshold,
 		Step:        r.Step,
@@ -138,13 +139,12 @@ func (r *PlacementRequest) config(parallelism int, tel *obs.Telemetry) placement
 		Orders:      r.Orders,
 		Seed:        r.Seed,
 		Parallelism: parallelism,
-		Obs:         tel,
 	}
 	if m := r.Machine; m != nil {
 		cfg.Machine = placement.MachineCaps{CPU: m.CPU, Memory: m.Memory, IO: m.IO, MaxTenants: m.MaxTenants}
 	}
 	for _, res := range r.Resources {
-		pr, _ := parseResource(res) // validated above
+		pr, _ := vm.ParseResource(res) // validated above
 		cfg.Resources = append(cfg.Resources, pr)
 	}
 	return cfg
@@ -288,7 +288,7 @@ func (s *Server) handlePlacement(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
 	defer cancel()
 
-	sp := s.cfg.Obs.Span("server.placement")
+	sp := obs.StartSpan("server.placement")
 	if sc, ok := obs.SpanContextFrom(ctx); ok {
 		sc.Annotate(sp)
 	}
@@ -324,7 +324,7 @@ func (s *Server) computePlacement(ctx context.Context, req *PlacementRequest) ([
 	cfgKey := req.configKey()
 	solver := s.plState.solverFor(cfgKey)
 	if solver == nil {
-		solver, err = placement.NewSolver(req.config(s.cfg.Parallelism, s.cfg.Obs), s.cfg.Model)
+		solver, err = placement.NewSolver(req.config(s.cfg.Parallelism), s.cfg.Model)
 		if err != nil {
 			return nil, badRequestError{err}
 		}
@@ -351,7 +351,7 @@ func (s *Server) handlePlacementEvents(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
 	defer cancel()
 
-	sp := s.cfg.Obs.Span("server.placement.events")
+	sp := obs.StartSpan("server.placement.events")
 	if sc, ok := obs.SpanContextFrom(ctx); ok {
 		sc.Annotate(sp)
 	}

@@ -66,9 +66,6 @@ type Config struct {
 	// Parallelism is handed to the solvers and the environment; 0 means
 	// GOMAXPROCS.
 	Parallelism int
-	// Obs receives spans and logs; nil disables both (metrics are always
-	// recorded against the process-global registry).
-	Obs *obs.Telemetry
 	// Telemetry is the per-tenant workload-telemetry hub fed by every
 	// what-if request. Default: a hub with default sketch/drift parameters
 	// over the global registry.
@@ -162,9 +159,6 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	cfg.Env.Parallelism = cfg.Parallelism
-	if cfg.Env.Obs == nil {
-		cfg.Env.Obs = cfg.Obs
-	}
 	s := &Server{
 		cfg:     cfg,
 		col:     newCoalescer[whatIfAnswer](),
@@ -339,7 +333,7 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
 	defer cancel()
 
-	sp := s.cfg.Obs.Span("server.whatif")
+	sp := obs.StartSpan("server.whatif")
 	if sc, ok := obs.SpanContextFrom(ctx); ok {
 		sc.Annotate(sp)
 	}
@@ -467,7 +461,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 // span joins the same distributed trace even though it runs on a worker
 // goroutine long after the 202 was written.
 func (s *Server) runSolve(ctx context.Context, j *job) (*SolveResult, error) {
-	sp := s.cfg.Obs.Span("server.job.solve")
+	sp := obs.StartSpan("server.job.solve")
 	j.sc.Annotate(sp)
 	sp.SetArg("job_id", j.id)
 	defer sp.End()
@@ -475,30 +469,14 @@ func (s *Server) runSolve(ctx context.Context, j *job) (*SolveResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	resources := make([]vm.Resource, len(j.req.Resources))
-	for i, rs := range j.req.Resources {
-		if resources[i], err = parseResource(rs); err != nil {
-			return nil, err
-		}
-	}
+	resources, _ := j.req.resources() // validated on submit
+	solve, _ := core.SolverNamed(j.req.Algo)
 	problem := &core.Problem{
 		Workloads:   specs,
 		Resources:   resources,
 		Step:        j.req.Step,
 		Objective:   core.Objective{SLOPenalty: j.req.SLOPenalty},
 		Parallelism: s.cfg.Parallelism,
-		Obs:         s.cfg.Obs,
-	}
-	var solve func(context.Context, *core.Problem, core.CostModel) (*core.Result, error)
-	switch j.req.Algo {
-	case "dp":
-		solve = core.SolveDP
-	case "greedy":
-		solve = core.SolveGreedy
-	case "exhaustive":
-		solve = core.SolveExhaustive
-	default:
-		return nil, fmt.Errorf("unknown algo %q", j.req.Algo)
 	}
 	res, err := solve(ctx, problem, s.cfg.Model)
 	if err != nil {
@@ -604,9 +582,7 @@ func (s *Server) handleTelemetry(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) Drain(ctx context.Context) error {
 	if !s.draining.Swap(true) {
 		mDrainStarted.Inc()
-		if s.cfg.Obs != nil {
-			s.cfg.Obs.Info("drain started")
-		}
+		obs.Info("drain started")
 		// Stop the autotune ticker first: a reconfiguration mid-drain has
 		// nothing left to serve, and the loop's goroutine must not outlive
 		// the server.
@@ -625,9 +601,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
-		if s.cfg.Obs != nil {
-			s.cfg.Obs.Info("drain complete")
-		}
+		obs.Info("drain complete")
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()

@@ -320,6 +320,10 @@ func TestSolveValidation(t *testing.T) {
 		"bad step":      `{"workloads":[{"query":"Q4"},{"query":"Q13"}],"step":0.7}`,
 		"bad resource":  `{"workloads":[{"query":"Q4"},{"query":"Q13"}],"resources":["gpu"]}`,
 		"unknown query": `{"workloads":[{"query":"Q4"},{"query":"NOPE"}]}`,
+		// Shapes the solver rejects are refused before a job is queued.
+		"uneven step":        `{"workloads":[{"query":"Q4"},{"query":"Q13"}],"step":0.3}`,
+		"duplicate resource": `{"workloads":[{"query":"Q4"},{"query":"Q13"}],"resources":["cpu","cpu"]}`,
+		"infeasible step":    `{"workloads":[{"query":"Q4"},{"query":"Q13"},{"query":"Q6"}],"step":0.5}`,
 	} {
 		if rec := post(t, h, "/v1/solve", body); rec.Code != 400 {
 			t.Fatalf("%s: status %d, want 400 (%s)", name, rec.Code, rec.Body)

@@ -38,6 +38,7 @@ package vm
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 )
 
@@ -64,6 +65,20 @@ func (r Resource) String() string {
 	default:
 		return fmt.Sprintf("resource(%d)", int(r))
 	}
+}
+
+// ParseResource parses a resource name as the CLIs and the HTTP API spell
+// it: "cpu", "memory" (or "mem"), or "io", in any case.
+func ParseResource(s string) (Resource, error) {
+	switch strings.TrimSpace(strings.ToLower(s)) {
+	case "cpu":
+		return CPU, nil
+	case "memory", "mem":
+		return Memory, nil
+	case "io":
+		return IO, nil
+	}
+	return 0, fmt.Errorf("unknown resource %q (want cpu, memory, or io)", s)
 }
 
 // Shares is one VM's fraction of each physical resource. Each component is

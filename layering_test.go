@@ -20,7 +20,7 @@ var layers = map[string]string{
 	"core":        "calibration engine memo obs optimizer plan sql vm",
 	"engine":      "buffer catalog executor index memo obs optimizer plan sql storage types vm wal",
 	"executor":    "buffer index obs optimizer plan sql storage types vm",
-	"experiments": "autotune calibration core engine obs optimizer placement telemetry vm wal workload",
+	"experiments": "autotune calibration core engine optimizer placement telemetry vm wal workload",
 	"faults":      "",
 	"index":       "storage",
 	"linalg":      "",
