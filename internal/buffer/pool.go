@@ -38,13 +38,16 @@ func (s Stats) HitRate() float64 {
 // Frame is one page slot of a pool and, to the caller of Pin, the handle on
 // the pin it took.
 type Frame struct {
-	id   storage.PageID
-	data storage.PageData
+	id storage.PageID
+	// data is nil until the frame first needs page bytes (its first Data
+	// or Allocate) and is then kept, and reused, until the pool dies; Pin
+	// never creates it. A pool whose pages are only pinned holds none.
+	data *storage.PageData
 	pins int
-	// loaded is false while data still holds the bytes of the frame's
-	// previous page: Pin takes the frame without reading the disk, and
-	// whoever first needs the bytes (Data, and through it Fetch) reads
-	// them. Only a loaded frame can be dirty.
+	// loaded is false until data holds the bytes of the frame's current
+	// page: Pin takes the frame without reading the disk, and whoever
+	// first needs the bytes (Data, and through it Fetch) reads them. Only
+	// a loaded frame can be dirty, so a dirty frame always has data.
 	loaded   bool
 	dirty    bool
 	refBit   bool
@@ -68,7 +71,8 @@ type Pool struct {
 	stats  Stats
 }
 
-// NewPool creates a pool of the given number of frames.
+// NewPool creates a pool of the given number of frames. The frames hold
+// no page bytes yet: each allocates its 8 KiB when it first needs them.
 func NewPool(disk *storage.DiskManager, v *vm.VM, numFrames int) (*Pool, error) {
 	if numFrames < 1 {
 		return nil, fmt.Errorf("buffer: pool needs at least 1 frame, got %d", numFrames)
@@ -157,12 +161,15 @@ func (p *Pool) Pin(id storage.PageID, hint storage.AccessHint) (*Frame, error) {
 // has needed them since the page entered the pool.
 func (p *Pool) Data(f *Frame) (*storage.PageData, error) {
 	if !f.loaded {
-		if err := p.disk.ReadPage(f.id, &f.data); err != nil {
+		if f.data == nil {
+			f.data = new(storage.PageData)
+		}
+		if err := p.disk.ReadPage(f.id, f.data); err != nil {
 			return nil, err
 		}
 		f.loaded = true
 	}
-	return &f.data, nil
+	return f.data, nil
 }
 
 // Release drops a pin taken by Pin; the page was not modified.
@@ -209,7 +216,11 @@ func (p *Pool) Allocate(fid storage.FileID) (storage.PageID, *storage.PageData, 
 	}
 	id := storage.PageID{File: fid, Page: pageNo}
 	f := &p.frames[idx]
-	f.data = storage.PageData{}
+	if f.data == nil {
+		f.data = new(storage.PageData)
+	} else {
+		*f.data = storage.PageData{}
+	}
 	f.id = id
 	f.pins = 1
 	f.loaded = true
@@ -217,7 +228,7 @@ func (p *Pool) Allocate(fid storage.FileID) (storage.PageID, *storage.PageData, 
 	f.refBit = true
 	f.occupied = true
 	p.setSlot(id, idx)
-	return id, &f.data, nil
+	return id, f.data, nil
 }
 
 // NumPages returns the length of the file in pages.
@@ -255,7 +266,7 @@ func (p *Pool) victim() (int, error) {
 func (p *Pool) evict(idx int) error {
 	f := &p.frames[idx]
 	if f.dirty {
-		if err := p.disk.WritePage(f.id, &f.data); err != nil {
+		if err := p.disk.WritePage(f.id, f.data); err != nil {
 			return err
 		}
 		p.vm.AccountWrite(1)
@@ -273,7 +284,7 @@ func (p *Pool) FlushAll() error {
 	for i := range p.frames {
 		f := &p.frames[i]
 		if f.occupied && f.dirty {
-			if err := p.disk.WritePage(f.id, &f.data); err != nil {
+			if err := p.disk.WritePage(f.id, f.data); err != nil {
 				return err
 			}
 			p.vm.AccountWrite(1)

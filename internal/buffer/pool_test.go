@@ -3,6 +3,7 @@ package buffer
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"dbvirt/internal/storage"
@@ -589,7 +590,10 @@ func (p *mapPool) pin(id storage.PageID, hint storage.AccessHint) (int, error) {
 func (p *mapPool) load(idx int) error {
 	f := &p.frames[idx]
 	if !f.loaded {
-		if err := p.disk.ReadPage(f.id, &f.data); err != nil {
+		if f.data == nil {
+			f.data = new(storage.PageData)
+		}
+		if err := p.disk.ReadPage(f.id, f.data); err != nil {
 			return err
 		}
 		f.loaded = true
@@ -615,7 +619,13 @@ func (p *mapPool) allocate(fid storage.FileID) (storage.PageID, error) {
 		return storage.PageID{}, err
 	}
 	id := storage.PageID{File: fid, Page: pageNo}
-	p.frames[idx] = Frame{id: id, pins: 1, loaded: true, dirty: true, refBit: true, occupied: true}
+	data := p.frames[idx].data
+	if data == nil {
+		data = new(storage.PageData)
+	} else {
+		*data = storage.PageData{}
+	}
+	p.frames[idx] = Frame{id: id, data: data, pins: 1, loaded: true, dirty: true, refBit: true, occupied: true}
 	p.table[id] = idx
 	return id, nil
 }
@@ -634,7 +644,7 @@ func (p *mapPool) victim() (int, error) {
 			f.refBit = false
 		default:
 			if f.dirty {
-				if err := p.disk.WritePage(f.id, &f.data); err != nil {
+				if err := p.disk.WritePage(f.id, f.data); err != nil {
 					return 0, err
 				}
 				p.vm.AccountWrite(1)
@@ -652,7 +662,7 @@ func (p *mapPool) victim() (int, error) {
 func (p *mapPool) flushAll() error {
 	for i := range p.frames {
 		if f := &p.frames[i]; f.occupied && f.dirty {
-			if err := p.disk.WritePage(f.id, &f.data); err != nil {
+			if err := p.disk.WritePage(f.id, f.data); err != nil {
 				return err
 			}
 			p.vm.AccountWrite(1)
@@ -798,7 +808,15 @@ func TestPoolMatchesMapModel(t *testing.T) {
 					fail("VM usage %+v, reference %+v", a, b)
 				}
 				for i := range p.frames {
-					if p.frames[i] != ref.frames[i] {
+					got, want := p.frames[i], ref.frames[i]
+					if (got.data == nil) != (want.data == nil) {
+						fail("frame %d has page bytes %v, reference %v", i, got.data != nil, want.data != nil)
+					}
+					if got.data != nil && *got.data != *want.data {
+						fail("frame %d's bytes differ from the reference's", i)
+					}
+					got.data, want.data = nil, nil
+					if got != want {
 						fail("frame %d differs from the reference's", i)
 					}
 				}
@@ -815,5 +833,60 @@ func TestPoolMatchesMapModel(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestFramesHoldBytesOnlyOnceNeeded checks the pool's memory contract: a
+// new pool holds no page bytes, Pin never creates them, and once every
+// frame has its bytes, reading through the pool allocates nothing.
+func TestFramesHoldBytesOnlyOnceNeeded(t *testing.T) {
+	const frames, pages = 1024, 1500
+	p, f := setup(t, frames, pages)
+	totalAlloc := func() uint64 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.TotalAlloc
+	}
+
+	// An eighth of the frames' bytes: room for the frame headers and the
+	// page table, none for the pages.
+	const limit = frames * storage.PageSize / 8
+	before := totalAlloc()
+	if _, err := NewPool(p.disk, p.vm, frames); err != nil {
+		t.Fatal(err)
+	}
+	if got := totalAlloc() - before; got >= limit {
+		t.Errorf("NewPool of %d frames allocated %d bytes, want under %d", frames, got, limit)
+	}
+
+	before = totalAlloc()
+	for pg := uint32(0); pg < pages; pg++ {
+		fr, err := p.Pin(storage.PageID{File: f, Page: pg}, storage.SeqHint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Release(fr)
+	}
+	if got := totalAlloc() - before; got >= limit {
+		t.Errorf("Pin and Release of %d pages allocated %d bytes, want under %d", pages, got, limit)
+	}
+	for i := range p.frames {
+		if p.frames[i].data != nil {
+			t.Fatalf("frame %d holds page bytes after only Pin and Release", i)
+		}
+	}
+
+	pass := func() {
+		for pg := uint32(0); pg < pages; pg++ {
+			id := storage.PageID{File: f, Page: pg}
+			if _, err := p.Fetch(id, storage.SeqHint); err != nil {
+				t.Fatal(err)
+			}
+			p.Unpin(id, false)
+		}
+	}
+	pass() // every frame gets its bytes
+	if allocs := testing.AllocsPerRun(3, pass); allocs != 0 {
+		t.Errorf("a warm Fetch/Unpin pass over %d pages in %d frames made %v allocations, want 0", pages, frames, allocs)
 	}
 }

@@ -795,9 +795,9 @@ func (c *Calibrator) measure(ctx context.Context, d *calDB, shares vm.Shares, sp
 			if _, err := ws.Exec(fmt.Sprintf("INSERT INTO cal_write VALUES (%d, %d)", i, i*7)); err != nil {
 				return 0, err
 			}
-			lb += int64(len(storage.EncodeTuple(storage.Tuple{
+			lb += int64(storage.EncodedLen(storage.Tuple{
 				types.NewInt(int64(i)), types.NewInt(int64(i * 7)),
-			})))
+			}))
 		}
 		if batch {
 			if _, err := ws.Exec("COMMIT"); err != nil {

@@ -1,0 +1,47 @@
+package calibration
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
+	"testing"
+
+	"dbvirt/internal/faults"
+)
+
+// quickLatticeSHA256 is the sha256 of SaveJSON for the quick
+// configuration's 4x4x4 lattice (the cmd/calibrate -quick machine and
+// database over the axes 0.25, 0.5, 0.75, 1.0 on every dimension).
+const quickLatticeSHA256 = "79429bfbc386149434a2b666623c7c77237c57c6258e16ac459a8ad1cecb8182"
+
+// TestQuickLatticeGolden pins the calibrated lattice byte for byte: any
+// change to the engine, buffer pool, VM model or probes that moves a
+// single measured parameter changes the digest. A change that means to
+// move the parameters re-records the constant and says so.
+func TestQuickLatticeGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("calibration is slow in -short mode")
+	}
+	if os.Getenv(faults.EnvVar) != "" {
+		t.Skipf("%s is set; the lattice digest is defined for fault-free runs", faults.EnvVar)
+	}
+	cfg := DefaultConfig()
+	cfg.Machine.MemBytes = 8 << 20
+	cfg.NarrowRows = 4000
+	cfg.BigRows = 20000
+	axis := []float64{0.25, 0.5, 0.75, 1.0}
+	g, err := New(cfg).CalibrateGridOpts(context.Background(), axis, axis, axis, GridOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := g.SaveJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != quickLatticeSHA256 {
+		t.Errorf("quick 4x4x4 lattice sha256 = %s, want %s", got, quickLatticeSHA256)
+	}
+}

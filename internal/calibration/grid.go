@@ -282,6 +282,14 @@ func (c *Calibrator) CalibrateGridOpts(ctx context.Context, cpus, mems, ios []fl
 		}(w)
 	}
 	wg.Wait()
+	// The extra workers' measurements and retries count as this
+	// calibrator's: it ran the sweep.
+	for _, cal := range cals {
+		if cal != c {
+			c.measures.Add(cal.measures.Load())
+			c.retries.Add(cal.retries.Load())
+		}
+	}
 
 	if fatal != nil {
 		return nil, fatal

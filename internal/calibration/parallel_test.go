@@ -110,6 +110,25 @@ func TestCalibrateGridParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestCalibrateGridCountsEveryWorker checks that a parallel sweep's
+// measurements and retries are all reported by the calibrator it ran on,
+// not only those of the worker that reuses it.
+func TestCalibrateGridCountsEveryWorker(t *testing.T) {
+	if testing.Short() {
+		t.Skip("calibration is slow in -short mode")
+	}
+	cfg := testConfig()
+	cfg.Parallelism = 2
+	c := New(cfg)
+	axis := []float64{0.25, 0.75}
+	if _, err := c.CalibrateGridOpts(context.Background(), axis, axis, []float64{0.5}, GridOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if n := c.Measurements(); n != 4 {
+		t.Errorf("Measurements() = %d after a 2x2x1 sweep, want 4", n)
+	}
+}
+
 // BenchmarkCalibrateGrid measures a 5x5x5 lattice calibration end to end
 // at worker counts 1 and 4. Each iteration uses a fresh calibrator so
 // every lattice point is actually measured (no cache hits). On a

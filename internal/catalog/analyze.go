@@ -37,7 +37,7 @@ func Analyze(pg storage.Pager, t *Table) error {
 
 	err := t.Heap.Scan(pg, func(_ storage.TID, tup storage.Tuple) error {
 		rows++
-		totalBytes += int64(len(storage.EncodeTuple(tup)))
+		totalBytes += int64(storage.EncodedLen(tup))
 		for i := 0; i < nCols && i < len(tup); i++ {
 			a := &accs[i]
 			v := tup[i]

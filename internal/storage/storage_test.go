@@ -147,6 +147,45 @@ func TestTupleCodecProperty(t *testing.T) {
 	}
 }
 
+// TestEncodedLenProperty checks EncodedLen against the encoder over random
+// tuples of every kind, NULLs, empty strings and the empty tuple among them.
+func TestEncodedLenProperty(t *testing.T) {
+	f := func(kinds []uint8, strs []string, n int64) bool {
+		tup := Tuple{}
+		for i, k := range kinds {
+			s := ""
+			if len(strs) > 0 && i%3 != 0 { // every third string is empty
+				s = strs[i%len(strs)]
+			}
+			var v types.Value
+			switch k % 6 {
+			case 0:
+				v = types.Null
+			case 1:
+				v = types.NewInt(n + int64(i))
+			case 2:
+				v = types.NewFloat(float64(n) / 3)
+			case 3:
+				v = types.NewString(s)
+			case 4:
+				v = types.NewBool(i%2 == 0)
+			case 5:
+				v = types.NewDate(int64(i))
+			}
+			tup = append(tup, v)
+		}
+		return EncodedLen(tup) == len(EncodeTuple(tup))
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+	for i, tup := range sampleTuples() {
+		if got, want := EncodedLen(tup), len(EncodeTuple(tup)); got != want {
+			t.Errorf("case %d: EncodedLen = %d, len(EncodeTuple) = %d", i, got, want)
+		}
+	}
+}
+
 func TestDecodeTupleErrors(t *testing.T) {
 	bad := [][]byte{
 		{},

@@ -15,20 +15,7 @@ type Tuple []types.Value
 // field one kind byte followed by the payload (8-byte fixed for numeric
 // kinds, uint16 length + bytes for strings, nothing for NULL).
 func EncodeTuple(t Tuple) []byte {
-	size := 2
-	for _, v := range t {
-		size++ // kind byte
-		switch v.Kind {
-		case types.KindNull:
-		case types.KindInt, types.KindDate, types.KindBool, types.KindFloat:
-			size += 8
-		case types.KindString:
-			size += 2 + len(v.S)
-		default:
-			panic(fmt.Sprintf("storage: cannot encode kind %v", v.Kind))
-		}
-	}
-	buf := make([]byte, size)
+	buf := make([]byte, EncodedLen(t))
 	binary.LittleEndian.PutUint16(buf, uint16(len(t)))
 	off := 2
 	for _, v := range t {
@@ -53,6 +40,24 @@ func EncodeTuple(t Tuple) []byte {
 		}
 	}
 	return buf
+}
+
+// EncodedLen returns len(EncodeTuple(t)) without encoding the tuple.
+func EncodedLen(t Tuple) int {
+	size := 2
+	for _, v := range t {
+		size++ // kind byte
+		switch v.Kind {
+		case types.KindNull:
+		case types.KindInt, types.KindDate, types.KindBool, types.KindFloat:
+			size += 8
+		case types.KindString:
+			size += 2 + len(v.S)
+		default:
+			panic(fmt.Sprintf("storage: cannot encode kind %v", v.Kind))
+		}
+	}
+	return size
 }
 
 // DecodeTuple deserializes a tuple encoded by EncodeTuple.
