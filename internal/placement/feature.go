@@ -34,24 +34,31 @@ type feature struct {
 	sig    string
 }
 
-// features derives (memoized) the feature of every tenant in the
-// name-sorted slice ts, returning the parallel feature slice. Probe costs
-// for specs not yet priced are warmed in parallel over the worker pool;
-// everything observable is deterministic regardless of scheduling.
-func (s *Solver) features(ctx context.Context, ts []*Tenant) ([]*feature, error) {
+// features fills in the nil entries of feat, the features of the
+// name-sorted tenants ts: every tenant of a cold solve, only the arrivals
+// and drifts of an Apply. Probe costs for specs not yet priced are warmed
+// in parallel over the worker pool; everything observable is
+// deterministic regardless of scheduling.
+func (s *Solver) features(ctx context.Context, ts []*Tenant, feat []*feature) error {
 	// Collect the distinct specs that still need probe pricing, in
 	// tenant-name order, deduplicated by cost identity (Spec.Base: what is
 	// memoized per spec here — statements and probe costs — is the same
 	// for every weight and SLO of a workload).
 	var pending []*core.WorkloadSpec
-	seen := make(map[*core.WorkloadSpec]bool)
+	var seen map[*core.WorkloadSpec]bool // allocated on the first pending spec
 	s.mu.Lock()
-	for _, t := range ts {
+	for i, t := range ts {
+		if feat[i] != nil {
+			continue
+		}
 		base := t.Spec.Base()
 		if len(t.CostSummary) > 0 || seen[base] {
 			continue
 		}
-		if _, ok := s.probes[base]; !ok {
+		if _, ok := s.probes.Get(base); !ok {
+			if seen == nil {
+				seen = make(map[*core.WorkloadSpec]bool)
+			}
 			seen[base] = true
 			pending = append(pending, base)
 		}
@@ -67,11 +74,11 @@ func (s *Solver) features(ctx context.Context, ts []*Tenant) ([]*feature, error)
 			probed[i] = costs
 			return nil
 		}); err != nil {
-			return nil, err
+			return err
 		}
 		s.mu.Lock()
 		for i, spec := range pending {
-			s.probes[spec] = probed[i]
+			s.probes.Put(spec, probed[i])
 		}
 		s.mu.Unlock()
 	}
@@ -79,14 +86,16 @@ func (s *Solver) features(ctx context.Context, ts []*Tenant) ([]*feature, error)
 	// Batch the per-spec feature-memo scan under one lock: a warm fleet of
 	// interned specs resolves every tenant here, and only first sightings
 	// fall through to the build path below.
-	feats := make([]*feature, len(ts))
 	reused := 0
 	var miss []int
 	s.mu.Lock()
 	for i, t := range ts {
+		if feat[i] != nil {
+			continue
+		}
 		if t.Sketch == nil && len(t.CostSummary) == 0 {
-			if f, ok := s.feats[t.Spec.Base()]; ok {
-				feats[i] = f
+			if f, ok := s.feats.Get(t.Spec.Base()); ok {
+				feat[i] = f
 				reused++
 				continue
 			}
@@ -100,11 +109,11 @@ func (s *Solver) features(ctx context.Context, ts []*Tenant) ([]*feature, error)
 	for _, i := range miss {
 		f, err := s.featureOf(ctx, ts[i])
 		if err != nil {
-			return nil, fmt.Errorf("placement: featurizing %s: %w", ts[i].Name, err)
+			return fmt.Errorf("placement: featurizing %s: %w", ts[i].Name, err)
 		}
-		feats[i] = f
+		feat[i] = f
 	}
-	return feats, nil
+	return nil
 }
 
 func (s *Solver) featureOf(ctx context.Context, t *Tenant) (*feature, error) {
@@ -117,7 +126,7 @@ func (s *Solver) featureOf(ctx context.Context, t *Tenant) (*feature, error) {
 	base := t.Spec.Base()
 	if derived {
 		s.mu.Lock()
-		f, ok := s.feats[base]
+		f, ok := s.feats.Get(base)
 		s.mu.Unlock()
 		if ok {
 			mNormalizeReused.Inc()
@@ -130,10 +139,10 @@ func (s *Solver) featureOf(ctx context.Context, t *Tenant) (*feature, error) {
 	}
 	if derived {
 		s.mu.Lock()
-		if prev, ok := s.feats[base]; ok {
+		if prev, ok := s.feats.Get(base); ok {
 			f = prev
 		} else {
-			s.feats[base] = f
+			s.feats.Put(base, f)
 		}
 		s.mu.Unlock()
 	}
@@ -183,7 +192,7 @@ const sketchK = 32
 func (s *Solver) sketchFor(spec *core.WorkloadSpec) *telemetry.TopK {
 	spec = spec.Base()
 	s.mu.Lock()
-	if sk, ok := s.sketches[spec]; ok {
+	if sk, ok := s.sketches.Get(spec); ok {
 		s.mu.Unlock()
 		mNormalizeReused.Inc()
 		return sk
@@ -195,10 +204,10 @@ func (s *Solver) sketchFor(spec *core.WorkloadSpec) *telemetry.TopK {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if prev, ok := s.sketches[spec]; ok {
+	if prev, ok := s.sketches.Get(spec); ok {
 		return prev
 	}
-	s.sketches[spec] = sk
+	s.sketches.Put(spec, sk)
 	return sk
 }
 
@@ -207,7 +216,7 @@ func (s *Solver) sketchFor(spec *core.WorkloadSpec) *telemetry.TopK {
 func (s *Solver) probedCosts(ctx context.Context, spec *core.WorkloadSpec) ([]float64, error) {
 	spec = spec.Base()
 	s.mu.Lock()
-	costs, ok := s.probes[spec]
+	costs, ok := s.probes.Get(spec)
 	s.mu.Unlock()
 	if ok {
 		return costs, nil
@@ -218,10 +227,10 @@ func (s *Solver) probedCosts(ctx context.Context, spec *core.WorkloadSpec) ([]fl
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if prev, ok := s.probes[spec]; ok {
+	if prev, ok := s.probes.Get(spec); ok {
 		return prev, nil
 	}
-	s.probes[spec] = costs
+	s.probes.Put(spec, costs)
 	return costs, nil
 }
 

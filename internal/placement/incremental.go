@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -75,16 +76,26 @@ type ApplyStats struct {
 	SolveStats
 }
 
-// Apply folds fleet events into the placement and re-solves. The pipeline
-// is the same deterministic function a from-scratch Solve runs, so the
-// result is bit-identical to solving the final tenant set cold; the
-// solver's memos make it incremental — only machine shapes the solver has
-// never priced (the dirty worklist) reach a per-machine solver, and
-// everything else is a memo hit. One event re-keys about half the
-// machines of every shuffled order (chunk packing shifts every later
-// boundary), so the worklist is short only while the memo outlives the
-// placement: the shape space is closed and a long-lived solver converges
-// on it (DESIGN.md §14).
+// Apply folds fleet events into the placement and re-solves. The pass is
+// the one a from-scratch Solve runs, so the result is bit-identical to
+// solving the final tenant set cold; what makes it incremental is what it
+// reuses:
+//
+//   - the placement's per-tenant state — sorted fleet, shuffled packing
+//     sequences, each tenant's feature and group — patched per event by
+//     O(n) memmoves, so only arrivals and drifts are featurized and no
+//     tenant is sorted, hashed or looked up in a map;
+//   - its classes, unless the events changed the set of groups, and the
+//     solver's feature-distance memo when they did;
+//   - the solver's machine-solve memo, keyed by a 64-bit hash of each
+//     machine's shape: only shapes the solver has never priced (the dirty
+//     worklist) reach a per-machine solver.
+//
+// One event re-keys about half the machines of every shuffled order
+// (chunk packing shifts every later boundary), so the worklist is short
+// only while the memo outlives the placement: the shape space is closed
+// and a long-lived solver converges on it (DESIGN.md §14). Every
+// solver-lifetime table is a memo.Gen, bounded at two generations.
 //
 // Apply is atomic: on error the placement is unchanged. On success the
 // receiver is updated in place.
@@ -100,13 +111,18 @@ func (pl *Placement) Apply(ctx context.Context, events ...Event) (*ApplyStats, e
 	sp := obs.StartSpan("placement.apply")
 	defer sp.End()
 
-	// Clone the sorted fleet and its shuffled packing sequences, then patch
-	// both per event — O(n) memmoves instead of the fleet-wide sorts a
-	// cold Solve pays.
-	ts := append(make([]*Tenant, 0, len(pl.tenants)+len(events)), pl.tenants...)
-	seqs := make([][]seqEnt, len(pl.seqs))
+	// Clone the per-tenant state, then patch it per event — O(n) memmoves
+	// instead of the fleet-wide sorts and featurization a cold Solve pays.
+	// An arrival or drift leaves its tenant unfeaturized (feature nil,
+	// group -1) for the pass to fill in.
+	f := pl.fleetState
+	grow := len(pl.ts) + len(events)
+	f.ts = append(make([]*Tenant, 0, grow), pl.ts...)
+	f.feat = append(make([]*feature, 0, grow), pl.feat...)
+	f.fid = append(make([]int32, 0, grow), pl.fid...)
+	f.seqs = make([][]seqEnt, len(pl.seqs))
 	for o, sq := range pl.seqs {
-		seqs[o] = append(make([]seqEnt, 0, len(sq)+len(events)), sq...)
+		f.seqs[o] = append(make([]seqEnt, 0, grow), sq...)
 	}
 	for i, ev := range events {
 		switch ev.Type {
@@ -114,48 +130,50 @@ func (pl *Placement) Apply(ctx context.Context, events ...Event) (*ApplyStats, e
 			if err := validTenant(ev.Tenant); err != nil {
 				return nil, fmt.Errorf("%w: event %d (arrive): %v", ErrEvent, i, err)
 			}
-			p, ok := searchTenants(ts, ev.Tenant.Name)
+			p, ok := searchTenants(f.ts, ev.Tenant.Name)
 			if ok {
 				return nil, fmt.Errorf("%w: event %d: arrive %q: tenant already present", ErrEvent, i, ev.Tenant.Name)
 			}
-			ts = append(ts, nil)
-			copy(ts[p+1:], ts[p:])
-			ts[p] = ev.Tenant
-			for o := range seqs {
-				seqs[o] = seqInsert(seqs[o], ts, s.cfg.Seed, uint64(o+1), int32(p))
+			f.ts = slices.Insert(f.ts, p, ev.Tenant)
+			f.feat = slices.Insert(f.feat, p, nil)
+			f.fid = slices.Insert(f.fid, p, -1)
+			for o := range f.seqs {
+				f.seqs[o] = seqInsert(f.seqs[o], f.ts, s.cfg.Seed, uint64(o+1), int32(p))
 			}
 		case Leave:
 			name := ev.Name
 			if name == "" && ev.Tenant != nil {
 				name = ev.Tenant.Name
 			}
-			p, ok := searchTenants(ts, name)
+			p, ok := searchTenants(f.ts, name)
 			if !ok {
 				return nil, fmt.Errorf("%w: event %d: leave %q: unknown tenant", ErrEvent, i, name)
 			}
-			for o := range seqs {
-				seqs[o] = seqRemove(seqs[o], ts, s.cfg.Seed, uint64(o+1), int32(p))
+			for o := range f.seqs {
+				f.seqs[o] = seqRemove(f.seqs[o], f.ts, s.cfg.Seed, uint64(o+1), int32(p))
 			}
-			ts = append(ts[:p], ts[p+1:]...)
+			f.ts = slices.Delete(f.ts, p, p+1)
+			f.feat = slices.Delete(f.feat, p, p+1)
+			f.fid = slices.Delete(f.fid, p, p+1)
 		case Drift:
 			if err := validTenant(ev.Tenant); err != nil {
 				return nil, fmt.Errorf("%w: event %d (drift): %v", ErrEvent, i, err)
 			}
-			p, ok := searchTenants(ts, ev.Tenant.Name)
+			p, ok := searchTenants(f.ts, ev.Tenant.Name)
 			if !ok {
 				return nil, fmt.Errorf("%w: event %d: drift %q: unknown tenant", ErrEvent, i, ev.Tenant.Name)
 			}
 			// Same name, same sequence positions; only the payload changes.
-			ts[p] = ev.Tenant
+			f.ts[p], f.feat[p], f.fid[p] = ev.Tenant, nil, -1
 		default:
 			return nil, fmt.Errorf("%w: event %d: unknown type %d", ErrEvent, i, int(ev.Type))
 		}
 	}
-	if len(ts) == 0 {
+	if len(f.ts) == 0 {
 		return nil, fmt.Errorf("%w: events empty the fleet", ErrEvent)
 	}
 
-	npl, err := s.place(ctx, ts, seqs)
+	npl, err := s.place(ctx, f)
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,7 @@ import (
 )
 
 // machineSolve is one memoized per-machine design solution, in the
-// canonical slot order of its key (rep spec key asc). Its solution fields
+// canonical slot order of its shape (rep spec key asc). Its solution fields
 // are immutable once stored: incremental passes read them concurrently.
 type machineSolve struct {
 	display string // Machine.Key of every machine seated from this solve
@@ -59,10 +59,7 @@ func (s *Solver) machineProblem(specs []*core.WorkloadSpec, parallelism int) *co
 // the configured single-machine solver. Results are deterministic per
 // key, so concurrent solves of the same key are merely wasted work, never
 // divergent answers. repIDs are the slots' solver-interned rep ids.
-func (s *Solver) solveMachine(ctx context.Context, key string, specs []*core.WorkloadSpec, repIDs []int, parallelism int) (*machineSolve, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("placement: empty machine %q", key)
-	}
+func (s *Solver) solveMachine(ctx context.Context, specs []*core.WorkloadSpec, repIDs []int, parallelism int) (*machineSolve, error) {
 	ms := &machineSolve{display: displayKey(specs), repIDs: repIDs}
 	if len(specs) == 1 {
 		full := vm.Shares{CPU: 1, Memory: 1, IO: 1}
@@ -83,8 +80,23 @@ func (s *Solver) solveMachine(ctx context.Context, key string, specs []*core.Wor
 		res, err = core.SolveGreedy(ctx, p, s.model)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("placement: solving machine %q: %w", key, err)
+		return nil, fmt.Errorf("placement: solving machine %q: %w", ms.display, err)
 	}
 	ms.shares, ms.costs, ms.total = res.Allocation, res.PredictedCosts, res.PredictedTotal
 	return ms, nil
+}
+
+// matches reports whether ms is the solve of the slot-ordered machine mem:
+// a hit on a shape hash is confirmed here, so a hash collision costs a
+// solve, never a wrong answer.
+func (ms *machineSolve) matches(mem []int32, classOf []int32, meta []classMeta) bool {
+	if len(mem) != len(ms.repIDs) {
+		return false
+	}
+	for i, ti := range mem {
+		if meta[classOf[ti]].repID != ms.repIDs[i] {
+			return false
+		}
+	}
+	return true
 }

@@ -2,7 +2,6 @@ package placement
 
 import (
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -54,80 +53,113 @@ func (s *Solver) buildSeqs(ts []*Tenant) [][]seqEnt {
 
 // order0Sequence is the first-fit-decreasing item order (scalar demand
 // desc, class asc, name asc — the classic FFD heuristic), built in O(n)
-// from the class structure: scalar and class are constant within a class
-// and members are already name-sorted.
-func order0Sequence(classMembers [][]int32, meta []classMeta) []int32 {
+// from the class structure: scalar and class are constant within a class,
+// and members holds each class's name-sorted members at
+// members[start[c]:start[c+1]].
+func order0Sequence(members, start []int32, meta []classMeta) []int32 {
 	order := make([]int, len(meta))
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
+	slices.SortFunc(order, func(a, b int) int {
 		if meta[a].scalar != meta[b].scalar {
-			return meta[a].scalar > meta[b].scalar
+			if meta[a].scalar > meta[b].scalar {
+				return -1
+			}
+			return 1
 		}
-		return a < b
+		return a - b
 	})
-	n := 0
-	for _, ms := range classMembers {
-		n += len(ms)
-	}
-	seq := make([]int32, 0, n)
+	seq := make([]int32, 0, len(members))
 	for _, ci := range order {
-		seq = append(seq, classMembers[ci]...)
+		seq = append(seq, members[start[ci]:start[ci+1]]...)
 	}
 	return seq
 }
 
-// pack places the item sequence into machines with first-fit against the
-// capacity envelope. A tenant opens a new machine when no open machine
-// fits it; a lone tenant always fits (capacity violations by a single
-// tenant degrade to dedicated machines rather than failing the solve).
-func (s *Solver) pack(seq []int32, classOfIdx []int32, meta []classMeta) [][]int32 {
-	caps := s.cfg.Machine
+// packing holds every packing order's machines of one pass in a single
+// slab of k = MaxTenants slots per machine: machine m (numbered across
+// orders) holds slab[m*k : m*k+fill[m]], and order o's machines are
+// [ends[o-1], ends[o]).
+type packing struct {
+	k     int
+	slab  []int32
+	fill  []int32
+	ends  []int
+	loads [][3]float64 // the current order's per-machine demand, under capacity caps
+}
+
+func newPacking(k, n, orders int) *packing {
 	// Sized for the count-bound fleet; capacity caps only add machines.
-	hint := (len(seq) + caps.MaxTenants - 1) / caps.MaxTenants
-	machines := make([][]int32, 0, hint)
-	loads := make([][3]float64, 0, hint)
+	hint := orders * ((n + k - 1) / k)
+	return &packing{
+		k:    k,
+		slab: make([]int32, 0, hint*k),
+		fill: make([]int32, 0, hint),
+		ends: make([]int, 0, orders),
+	}
+}
+
+// members returns machine m's tenants.
+func (p *packing) members(m int) []int32 { return p.slab[m*p.k : m*p.k+int(p.fill[m])] }
+
+// pack appends one order's machines: the item sequence placed with
+// first-fit against the capacity envelope. A tenant opens a new machine
+// when no open machine fits it; a lone tenant always fits (capacity
+// violations by a single tenant degrade to dedicated machines rather than
+// failing the solve).
+func (s *Solver) pack(p *packing, seq []int32, classOf []int32, meta []classMeta) {
+	caps := [3]float64{s.cfg.Machine.CPU, s.cfg.Machine.Memory, s.cfg.Machine.IO}
+	capped := caps != [3]float64{} // else every open machine fits: no loads to keep
+	k := int32(p.k)
+	base := len(p.fill)
+	p.loads = p.loads[:0]
 	// firstOpen skips the prefix of machines already at MaxTenants — a
 	// count-full machine can never accept again, so first-fit is O(items)
 	// when capacity caps are off instead of O(items * machines).
-	firstOpen := 0
+	firstOpen := base
 	for _, ti := range seq {
-		cm := &meta[classOfIdx[ti]]
-		for firstOpen < len(machines) && len(machines[firstOpen]) >= caps.MaxTenants {
+		cm := &meta[classOf[ti]]
+		for firstOpen < len(p.fill) && p.fill[firstOpen] >= k {
 			firstOpen++
 		}
 		placed := false
-		for m := firstOpen; m < len(machines); m++ {
-			if len(machines[m]) >= caps.MaxTenants {
+		for m := firstOpen; m < len(p.fill); m++ {
+			if p.fill[m] >= k {
 				continue
 			}
-			fits := true
-			for r := 0; r < 3; r++ {
-				if c := caps.cap(r); c > 0 && loads[m][r]+cm.demand[r] > c+1e-9 {
-					fits = false
-					break
+			if capped {
+				load := &p.loads[m-base]
+				fits := true
+				for r, c := range caps {
+					if c > 0 && load[r]+cm.demand[r] > c+1e-9 {
+						fits = false
+						break
+					}
+				}
+				if !fits {
+					continue
+				}
+				for r := range load {
+					load[r] += cm.demand[r]
 				}
 			}
-			if !fits {
-				continue
-			}
-			machines[m] = append(machines[m], ti)
-			for r := 0; r < 3; r++ {
-				loads[m][r] += cm.demand[r]
-			}
+			p.slab[m*p.k+int(p.fill[m])] = ti
+			p.fill[m]++
 			placed = true
 			break
 		}
 		if !placed {
-			nm := make([]int32, 1, min(caps.MaxTenants, 8))
-			nm[0] = ti
-			machines = append(machines, nm)
-			loads = append(loads, cm.demand)
+			n := len(p.slab)
+			p.slab = slices.Grow(p.slab, p.k)[:n+p.k]
+			p.slab[n] = ti
+			p.fill = append(p.fill, 1)
+			if capped {
+				p.loads = append(p.loads, cm.demand)
+			}
 		}
 	}
-	return machines
+	p.ends = append(p.ends, len(p.fill))
 }
 
 // shuffleKey is a splitmix64-style hash of (seed, order, tenant name) —
@@ -137,48 +169,93 @@ func shuffleKey(seed, order uint64, name string) uint64 {
 	for i := 0; i < len(name); i++ {
 		h = (h ^ uint64(name[i])) * 0x100000001b3
 	}
+	return mix64(h)
+}
+
+// mix64 is the splitmix64 finalizer.
+func mix64(h uint64) uint64 {
 	h += 0x9e3779b97f4a7c15
 	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
 	h = (h ^ (h >> 27)) * 0x94d049bb133111eb
 	return h ^ (h >> 31)
 }
 
-// appendCompactKey canonicalizes a machine's content as the sorted
-// multiset of its tenants' interned rep-spec ids, encoded little-endian
-// into buf. The key names the per-machine design problem, not the tenants
-// on it, so it survives arrivals, departures, renames, and reclustering
-// as long as an equivalent machine shape recurs; interning keeps the hot
-// path free of the long human-readable spec-key joins (those are built
-// only for the winning machines' display keys).
-func appendCompactKey(buf []byte, ids []int, members []int32, classOfIdx []int32, meta []classMeta) ([]byte, []int) {
-	ids = ids[:0]
-	for _, ti := range members {
-		ids = append(ids, meta[classOfIdx[ti]].repID)
-	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	buf = buf[:0]
-	for _, id := range ids {
-		buf = append(buf, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-	}
-	return buf, ids
+// shapes interns one pass's machine shapes to dense ids. A machine's shape
+// is the rep-id sequence of its tenants in canonical slot order (class
+// rank, then name): the rank order is the lexical order of the rep
+// pricing keys, so the sequence names the class multiset — the per-machine
+// design problem, not the tenants on it — and survives arrivals,
+// departures, renames and reclustering as long as an equivalent machine
+// recurs. It is keyed by a 64-bit hash in an open-addressed table, and a
+// hit is confirmed against the first machine seen with the shape, so a
+// collision costs a probe, never a wrong key. The hash also keys the
+// solver's solve memo, where a hit is confirmed against the solve's
+// repIDs.
+type shapes struct {
+	table []int32  // open-addressed: shape id + 1, 0 when empty
+	hash  []uint64 // per shape
+	ref   []int32  // per shape, the first machine seen with it
 }
 
-// slotMembers returns the machine's members in canonical slot order:
-// class rank (lexical rep-key order, ties to class id) then tenant name.
-// The induced spec sequence depends only on the machine's class multiset,
-// so it is consistent with the memoized solve for the machine's key.
-func slotMembers(members []int32, classOfIdx []int32, meta []classMeta, ts []*Tenant) []int32 {
-	slot := append([]int32(nil), members...)
-	slices.SortFunc(slot, func(a, b int32) int {
-		ra, rb := meta[classOfIdx[a]].rank, meta[classOfIdx[b]].rank
-		if ra != rb {
-			return ra - rb
+func newShapes(machines int) *shapes {
+	n := 8
+	for n < 2*machines {
+		n <<= 1
+	}
+	return &shapes{
+		table: make([]int32, n),
+		hash:  make([]uint64, 0, machines),
+		ref:   make([]int32, 0, machines),
+	}
+}
+
+// intern returns the id of machine m's shape; m's tenants are already in
+// slot order.
+func (sh *shapes) intern(p *packing, m int, classOf []int32, meta []classMeta) int32 {
+	mem := p.members(m)
+	h := uint64(0)
+	for _, ti := range mem {
+		h = mix64(h ^ uint64(meta[classOf[ti]].repID))
+	}
+	mask := len(sh.table) - 1
+	for i := int(h) & mask; ; i = (i + 1) & mask {
+		e := sh.table[i]
+		if e == 0 {
+			id := int32(len(sh.hash))
+			sh.table[i] = id + 1
+			sh.hash = append(sh.hash, h)
+			sh.ref = append(sh.ref, int32(m))
+			return id
 		}
-		return strings.Compare(ts[a].Name, ts[b].Name)
-	})
-	return slot
+		if id := e - 1; sh.hash[id] == h && sameShape(p.members(int(sh.ref[id])), mem, classOf, meta) {
+			return id
+		}
+	}
+}
+
+// sameShape reports whether two slot-ordered machines have one shape.
+func sameShape(a, b []int32, classOf []int32, meta []classMeta) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if meta[classOf[a[i]]].repID != meta[classOf[b[i]]].repID {
+			return false
+		}
+	}
+	return true
+}
+
+// slotOrder sorts a machine's tenants into canonical slot order: class
+// rank (lexical rep-key order, ties to class id), then tenant index —
+// name order, the tenant slice being name-sorted. The induced spec
+// sequence depends only on the machine's class multiset, so it is
+// consistent with the memoized solve for its shape.
+func slotOrder(mem []int32, classOf []int32, meta []classMeta) {
+	key := func(ti int32) uint64 { return uint64(meta[classOf[ti]].rank)<<32 | uint64(ti) }
+	for i := 1; i < len(mem); i++ {
+		for j := i; j > 0 && key(mem[j]) < key(mem[j-1]); j-- {
+			mem[j], mem[j-1] = mem[j-1], mem[j]
+		}
+	}
 }

@@ -32,7 +32,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -67,9 +66,11 @@ var (
 	mSolveEvict   = obs.Global.Counter("placement.solves.evict")
 )
 
-// solveGeneration bounds the machine-solve memo: two generations of this
-// many solves. A 1000-tenant fleet converges on ~1400 shapes, so its
-// working set never turns over; turnover would only re-solve.
+// solveGeneration bounds every solver-lifetime table — per-spec sketches,
+// probes and features, rep ids, feature distances and machine solves — at
+// two generations of this many entries. A 1000-tenant fleet converges on
+// ~1400 machine shapes, so its working set never turns over; turnover
+// would only recompute.
 const solveGeneration = 4096
 
 // Tenant is one fleet tenant: a workload spec plus optional telemetry.
@@ -77,7 +78,9 @@ const solveGeneration = 4096
 // spec (normalized-statement sketch, starvation-probe cost vector) and
 // memoizes the derivation per spec, so interned specs — as the server's
 // workload registry hands out — are featurized once per fleet, not once
-// per tenant.
+// per tenant. A placement featurizes a tenant when it is solved or
+// arrives, and again only when a Drift event replaces it, so a Tenant
+// must not change once placed.
 type Tenant struct {
 	Name string
 	Spec *core.WorkloadSpec
@@ -102,17 +105,6 @@ type MachineCaps struct {
 	MaxTenants int
 }
 
-func (c MachineCaps) cap(r int) float64 {
-	switch r {
-	case 0:
-		return c.CPU
-	case 1:
-		return c.Memory
-	default:
-		return c.IO
-	}
-}
-
 // Config parameterizes a Solver. The zero value is usable: 4 tenants per
 // machine, CPU-share search at step 1/8 (the paper's illustrative regime),
 // greedy per-machine solves, 3 packing orders.
@@ -122,7 +114,7 @@ type Config struct {
 	// Threshold is the clustering distance threshold in [0, 1): two
 	// workload features merge into one class when both their sketch
 	// total-variation distance and their relative cost-vector distance
-	// are at or below it. 0 clusters only identical features.
+	// are at or below it. 0 means the default, 0.1.
 	Threshold float64
 	// Step is the share quantum of each per-machine search grid.
 	Step float64
@@ -193,25 +185,29 @@ func (c Config) validate() error {
 }
 
 // Solver owns the fleet-placement memos: per-spec feature derivations
-// (sketch + probe costs) and per-class-multiset machine solves. It is
-// safe for concurrent use; one Solver should live as long as its cost
-// model so arrivals/departures re-price only what changed.
+// (sketch + probe costs), feature distances and per-shape machine solves.
+// It is safe for concurrent use; one Solver should live as long as its
+// cost model so arrivals/departures re-price only what changed. Every
+// table is a memo.Gen of solveGeneration entries a generation.
 type Solver struct {
 	cfg   Config
 	model core.CostModel
 
 	mu       sync.Mutex
-	sketches map[*core.WorkloadSpec]*telemetry.TopK
-	probes   map[*core.WorkloadSpec][]float64
-	feats    map[*core.WorkloadSpec]*feature
+	sketches memo.Gen[*core.WorkloadSpec, *telemetry.TopK]
+	probes   memo.Gen[*core.WorkloadSpec, []float64]
+	feats    memo.Gen[*core.WorkloadSpec, *feature]
+	dists    memo.Gen[[2]*feature, float64]
 	// repIDs interns class-representative pricing keys
 	// (core.WorkloadSpec.PricingKey — specs with equal keys MUST price
-	// identically under the cost model) to dense ids; solves memoizes
-	// per-machine solutions keyed by the compact sorted-id multiset
-	// encoding (see appendCompactKey), so memo keys survive reclustering
-	// and tenant renames.
-	repIDs map[string]int
-	solves memo.Gen[string, *machineSolve]
+	// identically under the cost model) to ids that are never reused:
+	// nextRepID numbers the next key, so an evicted key returns under a
+	// new id. solves memoizes per-machine solutions by the hash of the
+	// machine's shape (see shapes), each hit confirmed against the solve's
+	// repIDs, so memo keys survive reclustering and tenant renames.
+	repIDs    memo.Gen[string, int]
+	nextRepID int
+	solves    memo.Gen[uint64, *machineSolve]
 }
 
 // NewSolver creates a fleet solver over the given per-tenant cost model
@@ -228,11 +224,12 @@ func NewSolver(cfg Config, model core.CostModel) (*Solver, error) {
 	return &Solver{
 		cfg:      cfg,
 		model:    model,
-		sketches: make(map[*core.WorkloadSpec]*telemetry.TopK),
-		probes:   make(map[*core.WorkloadSpec][]float64),
-		feats:    make(map[*core.WorkloadSpec]*feature),
-		repIDs:   make(map[string]int),
-		solves:   memo.Gen[string, *machineSolve]{Cap: solveGeneration, Evict: mSolveEvict},
+		sketches: memo.Gen[*core.WorkloadSpec, *telemetry.TopK]{Cap: solveGeneration},
+		probes:   memo.Gen[*core.WorkloadSpec, []float64]{Cap: solveGeneration},
+		feats:    memo.Gen[*core.WorkloadSpec, *feature]{Cap: solveGeneration},
+		dists:    memo.Gen[[2]*feature, float64]{Cap: solveGeneration},
+		repIDs:   memo.Gen[string, int]{Cap: solveGeneration},
+		solves:   memo.Gen[uint64, *machineSolve]{Cap: solveGeneration, Evict: mSolveEvict},
 	}, nil
 }
 
@@ -303,18 +300,28 @@ type Placement struct {
 	// the exported seats against.
 	sols   []*machineSolve
 	repIDs []int
-	// tenants is the fleet in sorted-name order; seqs holds the shuffled
-	// packing sequences over it. Both are maintained incrementally across
-	// Apply so a warm re-solve pays no fleet-wide sorts.
-	tenants []*Tenant
-	seqs    [][]seqEnt
-	reps    []*core.WorkloadSpec // class id → representative spec
+	reps   []*core.WorkloadSpec // class id → representative spec
+	fleetState
+}
+
+// fleetState is the per-tenant state a placement pass starts from and leaves
+// on the Placement it returns. Apply patches it per event, so a warm pass
+// pays no fleet-wide sorts or map lookups, featurizes only the tenants
+// the events brought, and re-clusters only when the set of groups changed.
+type fleetState struct {
+	ts   []*Tenant  // the fleet in sorted-name order
+	feat []*feature // per tenant, its feature; nil until featurized
+	fid  []int32    // per tenant, its group in fs; -1 until grouped
+	seqs [][]seqEnt // the shuffled packing sequences over ts; nil until built
+	fs   []*feature // per group, its first member's feature, signature-sorted
+	gcls []int32    // per group, its class
+	lead []int32    // per class, its leader group
 }
 
 // Tenants returns the placed tenant names in sorted order.
 func (pl *Placement) Tenants() []string {
-	names := make([]string, len(pl.tenants))
-	for i, t := range pl.tenants {
+	names := make([]string, len(pl.ts))
+	for i, t := range pl.ts {
 		names[i] = t.Name
 	}
 	return names
@@ -330,7 +337,11 @@ func (s *Solver) Solve(ctx context.Context, tenants []*Tenant) (*Placement, erro
 	if err != nil {
 		return nil, err
 	}
-	pl, err := s.place(ctx, ts, nil)
+	fid := make([]int32, len(ts))
+	for i := range fid {
+		fid[i] = -1
+	}
+	pl, err := s.place(ctx, fleetState{ts: ts, feat: make([]*feature, len(ts)), fid: fid})
 	if err != nil {
 		return nil, err
 	}
@@ -384,133 +395,114 @@ func validTenant(t *Tenant) error {
 }
 
 // place runs the full pipeline — features, compression, packing, machine
-// solves — over an already-validated name-sorted tenant slice. seqs, if
-// non-nil, are the shuffled packing sequences maintained incrementally by
-// Apply (nil rebuilds them by sorting). It is the shared core of Solve
-// and Apply and is a deterministic function of (tenant contents, config);
-// the memos and maintained sequences are value-transparent.
-func (s *Solver) place(ctx context.Context, ts []*Tenant, seqs [][]seqEnt) (*Placement, error) {
-	feats, err := s.features(ctx, ts)
-	if err != nil {
+// solves — over a fleet state: a cold solve's (no tenant featurized, no
+// groups, no sequences) or the one Apply patched from its placement's. It
+// is the one core of Solve and Apply and a deterministic function of
+// (tenant contents, config); the memos and the carried state are
+// value-transparent. Every O(fleet) step is a flat pass over per-tenant
+// or per-machine arrays. place fills f.feat's nil entries and rewrites
+// f.fid; it only reads the rest of f.
+func (s *Solver) place(ctx context.Context, f fleetState) (*Placement, error) {
+	ts := f.ts
+	if err := s.features(ctx, ts, f.feat); err != nil {
 		return nil, err
 	}
-	groups := buildGroups(ts, feats)
-	classes := s.clusterClasses(groups)
+	fs, first := regroup(f.feat, f.fid, f.fs)
+	gcls, lead := f.gcls, f.lead
+	if gcls == nil || !slices.Equal(fs, f.fs) {
+		gcls, lead = s.clusterClasses(fs)
+	}
 
-	// Per-class packing/pricing metadata; classOfIdx maps each tenant
-	// index to its class so the pack loops never touch a map.
-	meta := make([]classMeta, len(classes))
-	classMembers := make([][]int32, len(classes))
-	classOfIdx := make([]int32, len(ts))
+	// Per-class packing/pricing metadata, priced by each class's leader
+	// group's first member.
+	nc := len(lead)
+	meta := make([]classMeta, nc)
 	s.mu.Lock()
-	for ci, c := range classes {
-		rk := c.leader.rep.Spec.PricingKey()
-		id, ok := s.repIDs[rk]
+	for c, g := range lead {
+		rep := ts[first[g]]
+		rk := rep.Spec.PricingKey()
+		id, ok := s.repIDs.Get(rk)
 		if !ok {
-			id = len(s.repIDs)
-			s.repIDs[rk] = id
+			id = s.nextRepID
+			s.nextRepID++
+			s.repIDs.Put(rk, id)
 		}
-		n := 0
-		for _, g := range c.groups {
-			n += len(g.members)
-		}
-		members := make([]int32, 0, n)
-		for _, g := range c.groups {
-			members = append(members, g.members...)
-		}
-		slices.Sort(members) // ascending ts index == ascending name
-		for _, m := range members {
-			classOfIdx[m] = int32(ci)
-		}
-		classMembers[ci] = members
-		meta[ci] = classMeta{
-			repKey: rk,
-			repID:  id,
-			rep:    c.leader.rep,
-			demand: c.leader.feat.demand,
-			scalar: c.leader.feat.scalar,
-		}
+		meta[c] = classMeta{repKey: rk, repID: id, rep: rep, demand: fs[g].demand, scalar: fs[g].scalar}
 	}
 	s.mu.Unlock()
-	rankOrder := make([]int, len(classes))
+	rankOrder := make([]int, nc)
 	for i := range rankOrder {
 		rankOrder[i] = i
 	}
-	sort.Slice(rankOrder, func(i, j int) bool {
-		a, b := rankOrder[i], rankOrder[j]
-		if meta[a].repKey != meta[b].repKey {
-			return meta[a].repKey < meta[b].repKey
+	slices.SortFunc(rankOrder, func(a, b int) int {
+		if c := strings.Compare(meta[a].repKey, meta[b].repKey); c != 0 {
+			return c
 		}
-		return a < b
+		return a - b
 	})
-	for r, ci := range rankOrder {
-		meta[ci].rank = r
+	for r, c := range rankOrder {
+		meta[c].rank = r
 	}
 
+	// Per-tenant class and the class member lists by counting sort
+	// (ascending index == ascending name): the pack and seat loops never
+	// touch a map.
+	n := len(ts)
+	classOf := make([]int32, n)
+	start := make([]int32, nc+1)
+	for i, g := range f.fid {
+		c := gcls[g]
+		classOf[i] = c
+		start[c+1]++
+	}
+	for c := 0; c < nc; c++ {
+		start[c+1] += start[c]
+	}
+	members := make([]int32, n)
+	next := slices.Clone(start[:nc])
+	for i, c := range classOf {
+		members[next[c]] = int32(i)
+		next[c]++
+	}
+
+	seqs := f.seqs
 	if seqs == nil {
 		seqs = s.buildSeqs(ts)
 	}
 
-	// Try every packing order. Machine keys are interned to dense ids as
-	// they are built, so each key is hashed once per packed machine and
-	// every later use — memo lookup, total, result build — is a slice
-	// index.
-	type packResult struct {
-		machines [][]int32
-		keyID    []int
+	// Try every packing order, then intern each machine's shape once.
+	p := newPacking(s.cfg.Machine.MaxTenants, n, s.cfg.Orders)
+	seq := order0Sequence(members, start, meta)
+	s.pack(p, seq, classOf, meta)
+	for _, sq := range seqs {
+		for i, e := range sq {
+			seq[i] = e.idx
+		}
+		s.pack(p, seq, classOf, meta)
 	}
-	results := make([]packResult, s.cfg.Orders)
-	var (
-		keyStrs []string
-		keyRef  [][]int32 // key id → members of the first machine seen with it
-	)
-	keyIDOf := make(map[string]int)
-	var keyBuf []byte
-	var idsBuf []int
-	order0 := order0Sequence(classMembers, meta)
-	for o := range results {
-		seq := order0
-		if o > 0 {
-			sq := seqs[o-1]
-			seq = make([]int32, len(sq))
-			for i, e := range sq {
-				seq[i] = e.idx
-			}
-		}
-		ms := s.pack(seq, classOfIdx, meta)
-		ids := make([]int, len(ms))
-		for i, m := range ms {
-			keyBuf, idsBuf = appendCompactKey(keyBuf, idsBuf, m, classOfIdx, meta)
-			id, ok := keyIDOf[string(keyBuf)] // no alloc: compiler-optimized lookup
-			if !ok {
-				id = len(keyStrs)
-				k := string(keyBuf)
-				keyIDOf[k] = id
-				keyStrs = append(keyStrs, k)
-				keyRef = append(keyRef, m)
-			}
-			ids[i] = id
-		}
-		results[o] = packResult{machines: ms, keyID: ids}
+	shape := make([]int32, len(p.fill))
+	sh := newShapes(len(p.fill))
+	for m := range shape {
+		slotOrder(p.members(m), classOf, meta)
+		shape[m] = sh.intern(p, m, classOf, meta)
 	}
 
-	// Dirty-machine worklist: the keys no prior pass has solved, in
-	// deterministic order, fanned over the worker pool.
-	sols := make([]*machineSolve, len(keyStrs))
-	preSolved := make([]bool, len(keyStrs))
-	var missing []int
+	// Dirty-machine worklist: the shapes no prior pass has solved, in
+	// first-seen order, fanned over the worker pool.
+	sols := make([]*machineSolve, len(sh.hash))
+	preSolved := make([]bool, len(sh.hash))
+	var missing []int32
 	s.mu.Lock()
-	for id, k := range keyStrs {
-		if ms, ok := s.solves.Get(k); ok {
+	for id, h := range sh.hash {
+		if ms, ok := s.solves.Get(h); ok && ms.matches(p.members(int(sh.ref[id])), classOf, meta) {
 			sols[id] = ms
 			preSolved[id] = true
 		} else {
-			missing = append(missing, id)
+			missing = append(missing, int32(id))
 		}
 	}
 	s.mu.Unlock()
-	sort.Slice(missing, func(i, j int) bool { return keyStrs[missing[i]] < keyStrs[missing[j]] })
-	memoHits := len(keyStrs) - len(missing)
+	memoHits := len(sols) - len(missing)
 	if len(missing) > 0 {
 		workers := s.workers()
 		inner := 1
@@ -519,14 +511,14 @@ func (s *Solver) place(ctx context.Context, ts []*Tenant, seqs [][]seqEnt) (*Pla
 		}
 		if err := core.ParallelFor(ctx, workers, len(missing), func(_, i int) error {
 			id := missing[i]
-			slot := slotMembers(keyRef[id], classOfIdx, meta, ts)
-			specs := make([]*core.WorkloadSpec, len(slot))
-			repIDs := make([]int, len(slot))
-			for j, ti := range slot {
-				cm := &meta[classOfIdx[ti]]
-				specs[j], repIDs[j] = cm.rep.Spec, cm.repID
+			mem := p.members(int(sh.ref[id]))
+			specs := make([]*core.WorkloadSpec, len(mem))
+			ids := make([]int, len(mem))
+			for j, ti := range mem {
+				cm := &meta[classOf[ti]]
+				specs[j], ids[j] = cm.rep.Spec, cm.repID
 			}
-			ms, err := s.solveMachine(ctx, keyStrs[id], specs, repIDs, inner)
+			ms, err := s.solveMachine(ctx, specs, ids, inner)
 			if err != nil {
 				return err
 			}
@@ -537,7 +529,7 @@ func (s *Solver) place(ctx context.Context, ts []*Tenant, seqs [][]seqEnt) (*Pla
 		}
 		s.mu.Lock()
 		for _, id := range missing {
-			s.solves.Put(keyStrs[id], sols[id])
+			s.solves.Put(sh.hash[id], sols[id])
 		}
 		gSolveEntries.Set(float64(s.solves.Len()))
 		s.mu.Unlock()
@@ -547,36 +539,38 @@ func (s *Solver) place(ctx context.Context, ts []*Tenant, seqs [][]seqEnt) (*Pla
 
 	// Pick the cheapest order; ties break to the lowest order index, so
 	// the winner is a deterministic function of the tenant set.
-	bestOrder, bestTotal := -1, 0.0
-	for o, r := range results {
+	bestOrder, bestTotal, lo, hi := -1, 0.0, 0, 0
+	for o, end := range p.ends {
+		begin := 0
+		if o > 0 {
+			begin = p.ends[o-1]
+		}
 		total := 0.0
-		for _, id := range r.keyID {
-			total += sols[id].total
+		for m := begin; m < end; m++ {
+			total += sols[shape[m]].total
 		}
 		if bestOrder < 0 || total < bestTotal {
-			bestOrder, bestTotal = o, total
+			bestOrder, bestTotal, lo, hi = o, total, begin, end
 		}
 	}
-	win := results[bestOrder]
-	machines := make([]Machine, len(win.machines))
-	plSols := make([]*machineSolve, len(win.machines))
-	allSeats := make([]PlacedTenant, 0, len(ts)) // every machine's seats, one allocation
+	machines := make([]Machine, hi-lo)
+	plSols := make([]*machineSolve, hi-lo)
+	allSeats := make([]PlacedTenant, 0, n) // every machine's seats, one allocation
 	reused := 0
 	fleetTotal := 0.0
-	for mi, members := range win.machines {
-		id := win.keyID[mi]
+	for mi := range machines {
+		id := shape[lo+mi]
 		sol := sols[id]
-		slot := slotMembers(members, classOfIdx, meta, ts)
-		first := len(allSeats)
-		for i, ti := range slot {
+		at := len(allSeats)
+		for j, ti := range p.members(lo + mi) {
 			allSeats = append(allSeats, PlacedTenant{
 				Name:   ts[ti].Name,
-				Class:  int(classOfIdx[ti]),
-				Shares: sol.shares[i],
-				Cost:   sol.costs[i],
+				Class:  int(classOf[ti]),
+				Shares: sol.shares[j],
+				Cost:   sol.costs[j],
 			})
 		}
-		seats := allSeats[first:len(allSeats):len(allSeats)]
+		seats := allSeats[at:len(allSeats):len(allSeats)]
 		machines[mi] = Machine{ID: mi, Key: sol.display, Tenants: seats, TotalCost: sol.total}
 		plSols[mi] = sol
 		fleetTotal += sol.total
@@ -586,18 +580,18 @@ func (s *Solver) place(ctx context.Context, ts []*Tenant, seqs [][]seqEnt) (*Pla
 	}
 	mMachinesReused.Add(int64(reused))
 
-	infos := make([]ClassInfo, len(classes))
-	reps := make([]*core.WorkloadSpec, len(classes))
-	repIDs := make([]int, len(classes))
-	for i, c := range classes {
-		ms := classMembers[i]
-		members := make([]string, len(ms))
-		for j, ti := range ms {
-			members[j] = ts[ti].Name
+	infos := make([]ClassInfo, nc)
+	names := make([]string, n)
+	reps := make([]*core.WorkloadSpec, nc)
+	repIDs := make([]int, nc)
+	for c := range infos {
+		a, b := start[c], start[c+1]
+		for j, ti := range members[a:b] {
+			names[int(a)+j] = ts[ti].Name
 		}
-		infos[i] = ClassInfo{ID: c.id, Rep: c.leader.rep.Name, Size: len(members), Members: members}
-		reps[i] = c.leader.rep.Spec
-		repIDs[i] = meta[i].repID
+		infos[c] = ClassInfo{ID: c, Rep: meta[c].rep.Name, Size: int(b - a), Members: names[a:b:b]}
+		reps[c] = meta[c].rep.Spec
+		repIDs[c] = meta[c].repID
 	}
 
 	pl := &Placement{
@@ -606,20 +600,19 @@ func (s *Solver) place(ctx context.Context, ts []*Tenant, seqs [][]seqEnt) (*Pla
 		TotalCost: fleetTotal,
 		Order:     bestOrder,
 		Stats: SolveStats{
-			Tenants:        len(ts),
-			Classes:        len(classes),
+			Tenants:        n,
+			Classes:        nc,
 			Machines:       len(machines),
 			MachineSolves:  len(missing),
 			MemoHits:       memoHits,
 			ReusedMachines: reused,
 			Orders:         s.cfg.Orders,
 		},
-		solver:  s,
-		sols:    plSols,
-		repIDs:  repIDs,
-		tenants: ts,
-		seqs:    seqs,
-		reps:    reps,
+		solver:     s,
+		sols:       plSols,
+		repIDs:     repIDs,
+		reps:       reps,
+		fleetState: fleetState{ts: ts, feat: f.feat, fid: f.fid, seqs: seqs, fs: fs, gcls: gcls, lead: lead},
 	}
 	gTenants.Set(float64(pl.Stats.Tenants))
 	gClasses.Set(float64(pl.Stats.Classes))
