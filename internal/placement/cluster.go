@@ -25,8 +25,9 @@ func bySig(a, b *feature) int { return strings.Compare(a.sig, b.sig) }
 // new; groups left without members are dropped. It returns the table —
 // each group represented by the feature of its first member, the
 // lexicographically smallest name since feat is name-ordered — and each
-// group's first member.
-func regroup(feat []*feature, fid []int32, old []*feature) (fs []*feature, first []int32) {
+// group's first member, written over the arrays of fsBuf and firstBuf
+// (neither may share old's).
+func regroup(feat []*feature, fid []int32, old, fsBuf []*feature, firstBuf []int32) (fs []*feature, first []int32) {
 	var novel []*feature
 	for i, g := range fid {
 		if g < 0 {
@@ -46,7 +47,7 @@ func regroup(feat []*feature, fid []int32, old []*feature) (fs []*feature, first
 			remap[g] = int32(j)
 		}
 	}
-	first = make([]int32, len(fs))
+	first = reuse(&firstBuf, len(fs))
 	for g := range first {
 		first[g] = -1
 	}
@@ -85,7 +86,7 @@ func regroup(feat []*feature, fid []int32, old []*feature) (fs []*feature, first
 			fid[i] = remap[g]
 		}
 	}
-	fs = make([]*feature, len(first))
+	fs = reuse(&fsBuf, len(first))
 	for g, i := range first {
 		fs[g] = feat[i]
 	}
@@ -98,9 +99,10 @@ func regroup(feat []*feature, fid []int32, old []*feature) (fs []*feature, first
 // each group's class and each class's leader group. The outcome depends
 // only on the set of signatures present — never on tenant order, arrival
 // order, or multiplicity — which is what makes an incremental re-solve
-// bit-identical to a from-scratch one.
-func (s *Solver) clusterClasses(fs []*feature) (cls, leaders []int32) {
-	cls = make([]int32, len(fs))
+// bit-identical to a from-scratch one. The results are written over the
+// arrays of clsBuf and leadBuf.
+func (s *Solver) clusterClasses(fs []*feature, clsBuf, leadBuf []int32) (cls, leaders []int32) {
+	cls, leaders = reuse(&clsBuf, len(fs)), leadBuf[:0]
 	for g, f := range fs {
 		c := 0
 		for c < len(leaders) && s.distance(fs[leaders[c]], f) > s.cfg.Threshold {

@@ -14,7 +14,29 @@ import (
 // placement is appended to a byte slice directly — byte for byte what
 // encoding/json writes for the same structs (key order, number format,
 // HTML-safe string escaping) — and each solve's share of it is rendered
-// once and spliced thereafter.
+// once and spliced thereafter. Tenant names are rendered once too, when
+// the tenant joins the fleet, and spliced per seat and per class member.
+
+// quotedName is a tenant name beside its JSON string encoding. The
+// encoder splices json wherever a seat or class member still carries
+// name, and encodes the field itself otherwise.
+type quotedName struct{ name, json string }
+
+// quote returns s encoded as a JSON string. A typical name renders into
+// the stack buffer, so the string is the one allocation.
+func quote(s string) string {
+	var buf [64]byte
+	return string(appendString(buf[:0], s))
+}
+
+// appendName appends name as a JSON string: names[i]'s rendering when it
+// is name's, else a fresh encoding.
+func appendName(dst []byte, name string, names []quotedName, i int) []byte {
+	if i < len(names) && names[i].name == name {
+		return append(dst, names[i].json...)
+	}
+	return appendString(dst, name)
+}
 
 // solveFragments are the pieces of a machine's encoding that depend only
 // on its solve. ok is false when the solve holds a non-finite number,
@@ -58,14 +80,18 @@ func (ms *machineSolve) fragments() *solveFragments {
 func (pl *Placement) AppendJSON(dst []byte) ([]byte, error) {
 	dst = append(dst, `"stats":`...)
 	dst = pl.Stats.appendJSON(dst)
+	var seatNames, memberNames []quotedName
+	if pl.bufs != nil {
+		seatNames, memberNames = pl.bufs.seatNames, pl.bufs.memberNames
+	}
 	dst = append(dst, `,"classes":`...)
-	dst = appendClasses(dst, pl.Classes)
+	dst = appendClasses(dst, pl.Classes, memberNames)
 	dst = append(dst, `,"machines":`...)
 	sols := pl.sols
 	if len(sols) != len(pl.Machines) {
 		sols = nil
 	}
-	return appendMachines(dst, pl.Machines, sols)
+	return appendMachines(dst, pl.Machines, sols, seatNames)
 }
 
 func (st SolveStats) appendJSON(dst []byte) []byte {
@@ -87,10 +113,13 @@ func (st SolveStats) appendJSON(dst []byte) []byte {
 	return append(dst, '}')
 }
 
-func appendClasses(dst []byte, classes []ClassInfo) []byte {
+// appendClasses encodes the class list. names, if non-nil, runs parallel
+// to the classes' members in order; see appendName.
+func appendClasses(dst []byte, classes []ClassInfo, names []quotedName) []byte {
 	if classes == nil {
 		return append(dst, "null"...)
 	}
+	member := 0
 	dst = append(dst, '[')
 	for i := range classes {
 		c := &classes[i]
@@ -112,7 +141,8 @@ func appendClasses(dst []byte, classes []ClassInfo) []byte {
 				if j > 0 {
 					dst = append(dst, ',')
 				}
-				dst = appendString(dst, m)
+				dst = appendName(dst, m, names, member)
+				member++
 			}
 			dst = append(dst, ']')
 		}
@@ -124,12 +154,15 @@ func appendClasses(dst []byte, classes []ClassInfo) []byte {
 // appendMachines encodes the machine list. sols, if non-nil, is parallel
 // to machines; wherever a machine's field is bit-identical to its solve's
 // the solve's pre-rendered fragment is spliced in place of formatting it
-// again, so the output (and any error) depends on the machines alone.
-func appendMachines(dst []byte, machines []Machine, sols []*machineSolve) ([]byte, error) {
+// again. names, if non-nil, runs parallel to the machines' seats in order
+// and is spliced the same way (see appendName), so the output (and any
+// error) depends on the machines alone.
+func appendMachines(dst []byte, machines []Machine, sols []*machineSolve, names []quotedName) ([]byte, error) {
 	if machines == nil {
 		return append(dst, "null"...), nil
 	}
 	var err error
+	seat := 0
 	dst = append(dst, '[')
 	for mi := range machines {
 		m := &machines[mi]
@@ -162,7 +195,8 @@ func appendMachines(dst []byte, machines []Machine, sols []*machineSolve) ([]byt
 					dst = append(dst, ',')
 				}
 				dst = append(dst, `{"name":`...)
-				dst = appendString(dst, pt.Name)
+				dst = appendName(dst, pt.Name, names, seat)
+				seat++
 				dst = append(dst, `,"class":`...)
 				dst = strconv.AppendInt(dst, int64(pt.Class), 10)
 				dst = append(dst, ',')

@@ -112,18 +112,42 @@ func TestEncodeMatchesJSONOnEdgeRows(t *testing.T) {
 			t.Fatalf("%s: encoder differs from encoding/json:\n got %s\nwant %s", label, got, want)
 		}
 	}
-	check("classes", appendClasses(nil, classes), nil, classes)
-	check("nil classes", appendClasses(nil, nil), nil, []ClassInfo(nil))
-	check("empty classes", appendClasses(nil, []ClassInfo{}), nil, []ClassInfo{})
-	got, err := appendMachines(nil, machines, nil)
+	// Pre-rendered names parallel to the members and seats, some of them
+	// stale (the field was renamed after rendering) and the list short of
+	// the last: a stale or missing entry must be encoded from the field.
+	quotedOf := func(names []string) []quotedName {
+		var qs []quotedName
+		for i, n := range names {
+			q := quotedName{n, quote(n)}
+			if i%5 == 3 {
+				q = quotedName{"stale " + n, quote("stale " + n)}
+			}
+			qs = append(qs, q)
+		}
+		return qs[:len(qs)-1]
+	}
+	var memberNames, seatNames []string
+	for _, c := range classes {
+		memberNames = append(memberNames, c.Members...)
+	}
+	for _, m := range machines {
+		for _, pt := range m.Tenants {
+			seatNames = append(seatNames, pt.Name)
+		}
+	}
+	check("classes", appendClasses(nil, classes, nil), nil, classes)
+	check("classes via quoted names", appendClasses(nil, classes, quotedOf(memberNames)), nil, classes)
+	check("nil classes", appendClasses(nil, nil, nil), nil, []ClassInfo(nil))
+	check("empty classes", appendClasses(nil, []ClassInfo{}, nil), nil, []ClassInfo{})
+	got, err := appendMachines(nil, machines, nil, nil)
 	check("machines", got, err, machines)
 	for pass := 0; pass < 2; pass++ {
-		got, err = appendMachines(nil, machines, sols)
-		check("machines via fragments", got, err, machines)
+		got, err = appendMachines(nil, machines, sols, quotedOf(seatNames))
+		check("machines via fragments and quoted names", got, err, machines)
 	}
-	got, err = appendMachines(nil, nil, nil)
+	got, err = appendMachines(nil, nil, nil, nil)
 	check("nil machines", got, err, []Machine(nil))
-	got, err = appendMachines(nil, []Machine{}, nil)
+	got, err = appendMachines(nil, []Machine{}, nil, nil)
 	check("empty machines", got, err, []Machine{})
 	for _, f := range floats {
 		got, err := AppendFloat(nil, f)
@@ -141,11 +165,11 @@ func TestEncodeMatchesJSONOnEdgeRows(t *testing.T) {
 			t.Errorf("AppendFloat accepts %v", f)
 		}
 		bad := []Machine{{Tenants: []PlacedTenant{{Cost: f}}, TotalCost: 1}}
-		if _, err := appendMachines(nil, bad, nil); err == nil {
+		if _, err := appendMachines(nil, bad, nil, nil); err == nil {
 			t.Errorf("appendMachines accepts a seat costing %v", f)
 		}
 		sol := &machineSolve{shares: []vm.Shares{{}}, costs: []float64{f}, total: 1}
-		if _, err := appendMachines(nil, bad, []*machineSolve{sol}); err == nil {
+		if _, err := appendMachines(nil, bad, []*machineSolve{sol}, nil); err == nil {
 			t.Errorf("appendMachines accepts a solve costing %v", f)
 		}
 	}

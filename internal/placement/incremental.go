@@ -97,8 +97,15 @@ type ApplyStats struct {
 // and a long-lived solver converges on it (DESIGN.md §14). Every
 // solver-lifetime table is a memo.Gen, bounded at two generations.
 //
+// The pass writes into the placement's spare buffer set — the arrays of
+// the placement before this one — and on success the set that backed the
+// old placement becomes the spare, so a steady stream of events allocates
+// only a handful of objects per event.
+//
 // Apply is atomic: on error the placement is unchanged. On success the
-// receiver is updated in place.
+// receiver is updated in place, and slices taken from it before the call
+// (Classes, Machines and the Tenants and Members inside them) may be
+// overwritten by the next Apply; see Placement.
 func (pl *Placement) Apply(ctx context.Context, events ...Event) (*ApplyStats, error) {
 	start := time.Now()
 	s := pl.solver
@@ -111,18 +118,26 @@ func (pl *Placement) Apply(ctx context.Context, events ...Event) (*ApplyStats, e
 	sp := obs.StartSpan("placement.apply")
 	defer sp.End()
 
-	// Clone the per-tenant state, then patch it per event — O(n) memmoves
-	// instead of the fleet-wide sorts and featurization a cold Solve pays.
-	// An arrival or drift leaves its tenant unfeaturized (feature nil,
-	// group -1) for the pass to fill in.
+	// Copy the per-tenant state into the spare buffers — the arrays of the
+	// placement before this one, which no live slice of pl shares — then
+	// patch it per event: O(n) memmoves instead of the fleet-wide sorts and
+	// featurization a cold Solve pays. An arrival or drift leaves its
+	// tenant unfeaturized (feature nil, group -1) for the pass to fill in;
+	// an arrival's name is rendered for the encoder here, once.
+	b := pl.spare
+	if b == nil {
+		b = new(passBufs)
+		pl.spare = b
+	}
 	f := pl.fleetState
-	grow := len(pl.ts) + len(events)
-	f.ts = append(make([]*Tenant, 0, grow), pl.ts...)
-	f.feat = append(make([]*feature, 0, grow), pl.feat...)
-	f.fid = append(make([]int32, 0, grow), pl.fid...)
-	f.seqs = make([][]seqEnt, len(pl.seqs))
+	extra := len(events)
+	f.ts = refill(b.ts, pl.ts, extra)
+	f.feat = refill(b.feat, pl.feat, extra)
+	f.fid = refill(b.fid, pl.fid, extra)
+	f.quoted = refill(b.quoted, pl.quoted, extra)
+	f.seqs = reuse(&b.seqs, len(pl.seqs))
 	for o, sq := range pl.seqs {
-		f.seqs[o] = append(make([]seqEnt, 0, grow), sq...)
+		f.seqs[o] = refill(f.seqs[o], sq, extra)
 	}
 	for i, ev := range events {
 		switch ev.Type {
@@ -137,6 +152,7 @@ func (pl *Placement) Apply(ctx context.Context, events ...Event) (*ApplyStats, e
 			f.ts = slices.Insert(f.ts, p, ev.Tenant)
 			f.feat = slices.Insert(f.feat, p, nil)
 			f.fid = slices.Insert(f.fid, p, -1)
+			f.quoted = slices.Insert(f.quoted, p, quote(ev.Tenant.Name))
 			for o := range f.seqs {
 				f.seqs[o] = seqInsert(f.seqs[o], f.ts, s.cfg.Seed, uint64(o+1), int32(p))
 			}
@@ -155,6 +171,7 @@ func (pl *Placement) Apply(ctx context.Context, events ...Event) (*ApplyStats, e
 			f.ts = slices.Delete(f.ts, p, p+1)
 			f.feat = slices.Delete(f.feat, p, p+1)
 			f.fid = slices.Delete(f.fid, p, p+1)
+			f.quoted = slices.Delete(f.quoted, p, p+1)
 		case Drift:
 			if err := validTenant(ev.Tenant); err != nil {
 				return nil, fmt.Errorf("%w: event %d (drift): %v", ErrEvent, i, err)
@@ -163,7 +180,8 @@ func (pl *Placement) Apply(ctx context.Context, events ...Event) (*ApplyStats, e
 			if !ok {
 				return nil, fmt.Errorf("%w: event %d: drift %q: unknown tenant", ErrEvent, i, ev.Tenant.Name)
 			}
-			// Same name, same sequence positions; only the payload changes.
+			// Same name — same sequence positions, same quoted name; only
+			// the payload changes.
 			f.ts[p], f.feat[p], f.fid[p] = ev.Tenant, nil, -1
 		default:
 			return nil, fmt.Errorf("%w: event %d: unknown type %d", ErrEvent, i, int(ev.Type))
@@ -173,12 +191,15 @@ func (pl *Placement) Apply(ctx context.Context, events ...Event) (*ApplyStats, e
 		return nil, fmt.Errorf("%w: events empty the fleet", ErrEvent)
 	}
 
-	npl, err := s.place(ctx, f)
+	npl, err := s.place(ctx, f, b)
 	if err != nil {
 		return nil, err
 	}
-	*pl = *npl
-	stats := &ApplyStats{Events: len(events), SolveStats: npl.Stats}
+	// The buffers that backed the old placement are the next spare.
+	old := pl.bufs
+	*pl = npl
+	pl.spare = old
+	stats := &ApplyStats{Events: len(events), SolveStats: pl.Stats}
 	mApplyCount.Inc()
 	mDirtyMachines.Add(int64(stats.MachineSolves))
 	hApplySeconds.Observe(time.Since(start).Seconds())

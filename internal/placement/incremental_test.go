@@ -301,9 +301,11 @@ func TestSolverTablesBounded(t *testing.T) {
 }
 
 // TestApplyAllocsBounded pins a single-event Apply on a warm 1000-tenant
-// fleet at a fixed number of flat per-pass arrays: no allocation per
-// tenant or per machine (it was 1654 when every event re-derived the
-// fleet's features, groups, packings and string machine keys).
+// fleet at a small constant number of allocations: every per-pass array
+// lives in the placement's recycled buffers, so what is left is the
+// arrival's quoted name and the returned stats. It was 36 when each pass
+// allocated its arrays afresh, and 1654 when every event re-derived the
+// fleet's features, groups, packings and string machine keys.
 func TestApplyAllocsBounded(t *testing.T) {
 	ctx := context.Background()
 	f := newFleet()
@@ -325,8 +327,102 @@ func TestApplyAllocsBounded(t *testing.T) {
 		}
 	})
 	t.Logf("%.1f allocations per event", perPair/2)
-	if perEvent := perPair / 2; perEvent > 100 {
-		t.Fatalf("a single-event Apply on 1000 tenants allocates %.0f times, want at most 100", perEvent)
+	if perEvent := perPair / 2; perEvent > 8 {
+		t.Fatalf("a single-event Apply on 1000 tenants allocates %.1f times, want at most 8", perEvent)
+	}
+}
+
+// TestApplyRecyclesBuffers: Apply alternates between a placement's two
+// buffer sets. Successful single- and multi-event batches — among them a
+// batch that grows the fleet past every buffer's capacity and arrivals
+// whose names need escaping — are interleaved with rejected ones, some of
+// which patch the spare set before reaching their bad event. After every
+// success the wire bytes equal a fresh solve's of the same tenant set and
+// the old buffers are the spare; a rejected batch leaves the bytes and
+// the live buffers as they were.
+func TestApplyRecyclesBuffers(t *testing.T) {
+	ctx := context.Background()
+	f := newFleet()
+	live := map[string]*Tenant{}
+	for _, tn := range f.tenants(30) {
+		live[tn.Name] = tn
+	}
+	arrive := func(name, fam string) Event {
+		return Event{Type: Arrive, Tenant: &Tenant{Name: name, Spec: f.specs[fam]}}
+	}
+	drift := func(name, fam string) Event {
+		return Event{Type: Drift, Tenant: &Tenant{Name: name, Spec: f.specs[fam]}}
+	}
+	leave := func(name string) Event { return Event{Type: Leave, Name: name} }
+	var grow []Event
+	for i := 0; i < 25; i++ {
+		grow = append(grow, arrive(fmt.Sprintf("g%02d", i), []string{"alpha", "beta", "gamma", "delta", "eps"}[i%5]))
+	}
+	steps := []struct {
+		evs []Event
+		ok  bool
+	}{
+		{[]Event{arrive("x01", "alpha")}, true},
+		{[]Event{leave("nobody")}, false},
+		{[]Event{arrive(`x02 "quoted" <&>`, "beta"), leave("t0003"), drift("t0005", "gamma")}, true},
+		{[]Event{arrive("x03", "delta"), arrive("x01", "eps")}, false},
+		{[]Event{leave("x01")}, true},
+		{[]Event{leave("t0007"), drift("t0008", "eps"), leave("nobody")}, false},
+		{grow, true},
+		{[]Event{drift("t0010", "beta")}, true},
+		{[]Event{arrive("g03", "beta")}, false},
+		{[]Event{leave(`x02 "quoted" <&>`), leave("g04"), arrive("x04\u2028", "gamma")}, true},
+		{[]Event{arrive("x05", "alpha")}, true},
+	}
+	fleetOf := func() []*Tenant {
+		out := make([]*Tenant, 0, len(live))
+		for _, tn := range live {
+			out = append(out, tn)
+		}
+		return out
+	}
+	s, _ := newTestSolver(t, Config{})
+	pl, err := s.Solve(ctx, fleetOf())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, st := range steps {
+		before, bufs := placementJSON(t, pl, pl.Stats), pl.bufs
+		_, err := pl.Apply(ctx, st.evs...)
+		if !st.ok {
+			if !IsEventError(err) {
+				t.Fatalf("step %d: want an event error, got %v", i, err)
+			}
+			if !bytes.Equal(before, placementJSON(t, pl, pl.Stats)) || pl.bufs != bufs {
+				t.Fatalf("step %d: a rejected batch changed the placement", i)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		if pl.spare != bufs || pl.bufs == bufs {
+			t.Fatalf("step %d: the pass did not swap buffer sets", i)
+		}
+		for _, ev := range st.evs {
+			if ev.Type == Leave {
+				delete(live, ev.Name)
+			} else {
+				live[ev.Tenant.Name] = ev.Tenant
+			}
+		}
+		fresh, _ := newTestSolver(t, Config{})
+		ref, err := fresh.Solve(ctx, fleetOf())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(placementJSON(t, ref, ref.Stats), placementJSON(t, pl, ref.Stats)) {
+			t.Fatalf("step %d: wire bytes differ from a fresh solve's", i)
+		}
+		assertWireEqual(t, fmt.Sprintf("step %d", i), pl)
+		if err := pl.Verify(ctx); err != nil {
+			t.Fatalf("step %d: verify: %v", i, err)
+		}
 	}
 }
 

@@ -51,13 +51,13 @@ func (s *Solver) buildSeqs(ts []*Tenant) [][]seqEnt {
 	return seqs
 }
 
-// order0Sequence is the first-fit-decreasing item order (scalar demand
-// desc, class asc, name asc — the classic FFD heuristic), built in O(n)
-// from the class structure: scalar and class are constant within a class,
-// and members holds each class's name-sorted members at
-// members[start[c]:start[c+1]].
-func order0Sequence(members, start []int32, meta []classMeta) []int32 {
-	order := make([]int, len(meta))
+// order0Sequence writes into seq (one slot per tenant) the
+// first-fit-decreasing item order (scalar demand desc, class asc, name asc
+// — the classic FFD heuristic), built in O(n) from the class structure:
+// scalar and class are constant within a class, and members holds each
+// class's name-sorted members at members[start[c]:start[c+1]]. order (one
+// slot per class) is scratch.
+func order0Sequence(seq []int32, order []int, members, start []int32, meta []classMeta) {
 	for i := range order {
 		order[i] = i
 	}
@@ -70,11 +70,10 @@ func order0Sequence(members, start []int32, meta []classMeta) []int32 {
 		}
 		return a - b
 	})
-	seq := make([]int32, 0, len(members))
+	n := 0
 	for _, ci := range order {
-		seq = append(seq, members[start[ci]:start[ci+1]]...)
+		n += copy(seq[n:], members[start[ci]:start[ci+1]])
 	}
-	return seq
 }
 
 // packing holds every packing order's machines of one pass in a single
@@ -89,15 +88,16 @@ type packing struct {
 	loads [][3]float64 // the current order's per-machine demand, under capacity caps
 }
 
-func newPacking(k, n, orders int) *packing {
+// reset empties p for a pass of the given orders over n tenants at k per
+// machine, keeping its arrays.
+func (p *packing) reset(k, n, orders int) {
 	// Sized for the count-bound fleet; capacity caps only add machines.
 	hint := orders * ((n + k - 1) / k)
-	return &packing{
-		k:    k,
-		slab: make([]int32, 0, hint*k),
-		fill: make([]int32, 0, hint),
-		ends: make([]int, 0, orders),
-	}
+	p.k = k
+	p.slab = slices.Grow(p.slab[:0], hint*k)
+	p.fill = slices.Grow(p.fill[:0], hint)
+	p.ends = slices.Grow(p.ends[:0], orders)
+	p.loads = p.loads[:0]
 }
 
 // members returns machine m's tenants.
@@ -197,16 +197,16 @@ type shapes struct {
 	ref   []int32  // per shape, the first machine seen with it
 }
 
-func newShapes(machines int) *shapes {
+// reset empties sh for a pass over the given number of machines, keeping
+// its arrays.
+func (sh *shapes) reset(machines int) {
 	n := 8
 	for n < 2*machines {
 		n <<= 1
 	}
-	return &shapes{
-		table: make([]int32, n),
-		hash:  make([]uint64, 0, machines),
-		ref:   make([]int32, 0, machines),
-	}
+	clear(reuse(&sh.table, n))
+	sh.hash = slices.Grow(sh.hash[:0], machines)
+	sh.ref = slices.Grow(sh.ref[:0], machines)
 }
 
 // intern returns the id of machine m's shape; m's tenants are already in

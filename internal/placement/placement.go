@@ -286,6 +286,15 @@ type SolveStats struct {
 // Placement is a solved fleet: classes, machines, and the fleet objective
 // total (the sum of verified per-machine solver totals — TotalCost is
 // never synthesized from class counts alone).
+//
+// A placement owns two sets of pass buffers and Apply alternates between
+// them, so a steady stream of events allocates no per-tenant or
+// per-machine arrays. The price is an ownership rule: Classes, Machines
+// and the Tenants and Members slices inside them are valid only until the
+// next Apply on this placement, which may overwrite them in place. A
+// caller that keeps any of them across an Apply copies them first. A copy
+// of the Placement value shares its buffers, so only one of the two may be
+// applied to.
 type Placement struct {
 	Classes   []ClassInfo `json:"classes"`
 	Machines  []Machine   `json:"machines"`
@@ -302,6 +311,10 @@ type Placement struct {
 	repIDs []int
 	reps   []*core.WorkloadSpec // class id → representative spec
 	fleetState
+	// bufs backs every per-pass array of this placement, the exported
+	// slices included; spare is the set the next Apply writes into, nil
+	// until the first Apply.
+	bufs, spare *passBufs
 }
 
 // fleetState is the per-tenant state a placement pass starts from and leaves
@@ -309,13 +322,64 @@ type Placement struct {
 // pays no fleet-wide sorts or map lookups, featurizes only the tenants
 // the events brought, and re-clusters only when the set of groups changed.
 type fleetState struct {
-	ts   []*Tenant  // the fleet in sorted-name order
-	feat []*feature // per tenant, its feature; nil until featurized
-	fid  []int32    // per tenant, its group in fs; -1 until grouped
-	seqs [][]seqEnt // the shuffled packing sequences over ts; nil until built
-	fs   []*feature // per group, its first member's feature, signature-sorted
-	gcls []int32    // per group, its class
-	lead []int32    // per class, its leader group
+	ts     []*Tenant  // the fleet in sorted-name order
+	feat   []*feature // per tenant, its feature; nil until featurized
+	fid    []int32    // per tenant, its group in fs; -1 until grouped
+	quoted []string   // per tenant, its name as a JSON string
+	seqs   [][]seqEnt // the shuffled packing sequences over ts; nil until built
+	fs     []*feature // per group, its first member's feature, signature-sorted
+	gcls   []int32    // per group, its class
+	lead   []int32    // per class, its leader group
+}
+
+// passBufs holds every array one placement pass writes: the fleet state
+// the pass leaves (Apply copies the per-tenant part forward, a pass that
+// keeps its classes copies gcls and lead) and each intermediate and result
+// array of place. Arrays are reused at their capacity and grown only when
+// the fleet outgrows them, so with two sets per placement a steady-state
+// event's pass allocates nothing.
+type passBufs struct {
+	fleetState
+	first     []int32
+	meta      []classMeta
+	rankOrder []int
+	ffd       []int // order 0's class order
+	classOf   []int32
+	start     []int32
+	next      []int32
+	members   []int32
+	seq       []int32
+	p         packing
+	shape     []int32
+	sh        shapes
+	sols      []*machineSolve
+	preSolved []bool
+	missing   []int32
+	machines  []Machine
+	plSols    []*machineSolve
+	allSeats  []PlacedTenant
+	// seatNames and memberNames run parallel to the seats of machines and
+	// to the members of infos: what the encoder splices for each name.
+	seatNames   []quotedName
+	infos       []ClassInfo
+	names       []string
+	memberNames []quotedName
+	reps        []*core.WorkloadSpec
+	repIDs      []int
+}
+
+// reuse resizes *buf to n elements over its own array, reallocating only
+// when the capacity is short, and returns it. The elements are stale: the
+// caller writes every one (or clears them).
+func reuse[T any](buf *[]T, n int) []T {
+	*buf = slices.Grow((*buf)[:0], n)[:n]
+	return *buf
+}
+
+// refill returns buf's array holding a copy of src, with room for extra
+// more elements.
+func refill[T any](buf, src []T, extra int) []T {
+	return append(slices.Grow(buf[:0], len(src)+extra), src...)
 }
 
 // Tenants returns the placed tenant names in sorted order.
@@ -338,13 +402,15 @@ func (s *Solver) Solve(ctx context.Context, tenants []*Tenant) (*Placement, erro
 		return nil, err
 	}
 	fid := make([]int32, len(ts))
-	for i := range fid {
-		fid[i] = -1
+	quoted := make([]string, len(ts))
+	for i, t := range ts {
+		fid[i], quoted[i] = -1, quote(t.Name)
 	}
-	pl, err := s.place(ctx, fleetState{ts: ts, feat: make([]*feature, len(ts)), fid: fid})
+	npl, err := s.place(ctx, fleetState{ts: ts, feat: make([]*feature, len(ts)), fid: fid, quoted: quoted}, new(passBufs))
 	if err != nil {
 		return nil, err
 	}
+	pl := &npl
 	mSolveCount.Inc()
 	hSolveSeconds.Observe(time.Since(start).Seconds())
 	sp.SetArg("tenants", pl.Stats.Tenants)
@@ -398,25 +464,29 @@ func validTenant(t *Tenant) error {
 // solves — over a fleet state: a cold solve's (no tenant featurized, no
 // groups, no sequences) or the one Apply patched from its placement's. It
 // is the one core of Solve and Apply and a deterministic function of
-// (tenant contents, config); the memos and the carried state are
-// value-transparent. Every O(fleet) step is a flat pass over per-tenant
-// or per-machine arrays. place fills f.feat's nil entries and rewrites
-// f.fid; it only reads the rest of f.
-func (s *Solver) place(ctx context.Context, f fleetState) (*Placement, error) {
+// (tenant contents, config); the memos, the carried state and the buffers
+// are value-transparent. Every O(fleet) step is a flat pass over
+// per-tenant or per-machine arrays, each written into b and none
+// allocated once b has grown to the fleet. place fills f.feat's nil
+// entries and rewrites f.fid; it only reads the rest of f, which must not
+// share arrays with b's other fields.
+func (s *Solver) place(ctx context.Context, f fleetState, b *passBufs) (Placement, error) {
 	ts := f.ts
 	if err := s.features(ctx, ts, f.feat); err != nil {
-		return nil, err
+		return Placement{}, err
 	}
-	fs, first := regroup(f.feat, f.fid, f.fs)
-	gcls, lead := f.gcls, f.lead
-	if gcls == nil || !slices.Equal(fs, f.fs) {
-		gcls, lead = s.clusterClasses(fs)
+	b.fs, b.first = regroup(f.feat, f.fid, f.fs, b.fs, b.first)
+	if f.gcls == nil || !slices.Equal(b.fs, f.fs) {
+		b.gcls, b.lead = s.clusterClasses(b.fs, b.gcls, b.lead)
+	} else {
+		b.gcls, b.lead = refill(b.gcls, f.gcls, 0), refill(b.lead, f.lead, 0)
 	}
+	fs, first, gcls, lead := b.fs, b.first, b.gcls, b.lead
 
 	// Per-class packing/pricing metadata, priced by each class's leader
 	// group's first member.
 	nc := len(lead)
-	meta := make([]classMeta, nc)
+	meta := reuse(&b.meta, nc)
 	s.mu.Lock()
 	for c, g := range lead {
 		rep := ts[first[g]]
@@ -430,7 +500,7 @@ func (s *Solver) place(ctx context.Context, f fleetState) (*Placement, error) {
 		meta[c] = classMeta{repKey: rk, repID: id, rep: rep, demand: fs[g].demand, scalar: fs[g].scalar}
 	}
 	s.mu.Unlock()
-	rankOrder := make([]int, nc)
+	rankOrder := reuse(&b.rankOrder, nc)
 	for i := range rankOrder {
 		rankOrder[i] = i
 	}
@@ -448,8 +518,9 @@ func (s *Solver) place(ctx context.Context, f fleetState) (*Placement, error) {
 	// (ascending index == ascending name): the pack and seat loops never
 	// touch a map.
 	n := len(ts)
-	classOf := make([]int32, n)
-	start := make([]int32, nc+1)
+	classOf := reuse(&b.classOf, n)
+	start := reuse(&b.start, nc+1)
+	clear(start)
 	for i, g := range f.fid {
 		c := gcls[g]
 		classOf[i] = c
@@ -458,8 +529,9 @@ func (s *Solver) place(ctx context.Context, f fleetState) (*Placement, error) {
 	for c := 0; c < nc; c++ {
 		start[c+1] += start[c]
 	}
-	members := make([]int32, n)
-	next := slices.Clone(start[:nc])
+	members := reuse(&b.members, n)
+	next := reuse(&b.next, nc)
+	copy(next, start)
 	for i, c := range classOf {
 		members[next[c]] = int32(i)
 		next[c]++
@@ -471,8 +543,10 @@ func (s *Solver) place(ctx context.Context, f fleetState) (*Placement, error) {
 	}
 
 	// Try every packing order, then intern each machine's shape once.
-	p := newPacking(s.cfg.Machine.MaxTenants, n, s.cfg.Orders)
-	seq := order0Sequence(members, start, meta)
+	p := &b.p
+	p.reset(s.cfg.Machine.MaxTenants, n, s.cfg.Orders)
+	seq := reuse(&b.seq, n)
+	order0Sequence(seq, reuse(&b.ffd, nc), members, start, meta)
 	s.pack(p, seq, classOf, meta)
 	for _, sq := range seqs {
 		for i, e := range sq {
@@ -480,8 +554,9 @@ func (s *Solver) place(ctx context.Context, f fleetState) (*Placement, error) {
 		}
 		s.pack(p, seq, classOf, meta)
 	}
-	shape := make([]int32, len(p.fill))
-	sh := newShapes(len(p.fill))
+	shape := reuse(&b.shape, len(p.fill))
+	sh := &b.sh
+	sh.reset(len(p.fill))
 	for m := range shape {
 		slotOrder(p.members(m), classOf, meta)
 		shape[m] = sh.intern(p, m, classOf, meta)
@@ -489,9 +564,10 @@ func (s *Solver) place(ctx context.Context, f fleetState) (*Placement, error) {
 
 	// Dirty-machine worklist: the shapes no prior pass has solved, in
 	// first-seen order, fanned over the worker pool.
-	sols := make([]*machineSolve, len(sh.hash))
-	preSolved := make([]bool, len(sh.hash))
-	var missing []int32
+	sols := reuse(&b.sols, len(sh.hash))
+	preSolved := reuse(&b.preSolved, len(sh.hash))
+	clear(preSolved)
+	missing := b.missing[:0]
 	s.mu.Lock()
 	for id, h := range sh.hash {
 		if ms, ok := s.solves.Get(h); ok && ms.matches(p.members(int(sh.ref[id])), classOf, meta) {
@@ -502,6 +578,7 @@ func (s *Solver) place(ctx context.Context, f fleetState) (*Placement, error) {
 		}
 	}
 	s.mu.Unlock()
+	b.missing = missing
 	memoHits := len(sols) - len(missing)
 	if len(missing) > 0 {
 		workers := s.workers()
@@ -525,7 +602,7 @@ func (s *Solver) place(ctx context.Context, f fleetState) (*Placement, error) {
 			sols[id] = ms
 			return nil
 		}); err != nil {
-			return nil, err
+			return Placement{}, err
 		}
 		s.mu.Lock()
 		for _, id := range missing {
@@ -553,25 +630,29 @@ func (s *Solver) place(ctx context.Context, f fleetState) (*Placement, error) {
 			bestOrder, bestTotal, lo, hi = o, total, begin, end
 		}
 	}
-	machines := make([]Machine, hi-lo)
-	plSols := make([]*machineSolve, hi-lo)
-	allSeats := make([]PlacedTenant, 0, n) // every machine's seats, one allocation
-	reused := 0
+	// Every tenant has one seat on the winning order's machines.
+	machines := reuse(&b.machines, hi-lo)
+	plSols := reuse(&b.plSols, hi-lo)
+	allSeats := reuse(&b.allSeats, n)
+	seatNames := reuse(&b.seatNames, n)
+	at, reused := 0, 0
 	fleetTotal := 0.0
 	for mi := range machines {
 		id := shape[lo+mi]
 		sol := sols[id]
-		at := len(allSeats)
-		for j, ti := range p.members(lo + mi) {
-			allSeats = append(allSeats, PlacedTenant{
+		mem := p.members(lo + mi)
+		for j, ti := range mem {
+			allSeats[at+j] = PlacedTenant{
 				Name:   ts[ti].Name,
 				Class:  int(classOf[ti]),
 				Shares: sol.shares[j],
 				Cost:   sol.costs[j],
-			})
+			}
+			seatNames[at+j] = quotedName{ts[ti].Name, f.quoted[ti]}
 		}
-		seats := allSeats[at:len(allSeats):len(allSeats)]
-		machines[mi] = Machine{ID: mi, Key: sol.display, Tenants: seats, TotalCost: sol.total}
+		end := at + len(mem)
+		machines[mi] = Machine{ID: mi, Key: sol.display, Tenants: allSeats[at:end:end], TotalCost: sol.total}
+		at = end
 		plSols[mi] = sol
 		fleetTotal += sol.total
 		if preSolved[id] {
@@ -580,21 +661,27 @@ func (s *Solver) place(ctx context.Context, f fleetState) (*Placement, error) {
 	}
 	mMachinesReused.Add(int64(reused))
 
-	infos := make([]ClassInfo, nc)
-	names := make([]string, n)
-	reps := make([]*core.WorkloadSpec, nc)
-	repIDs := make([]int, nc)
+	infos := reuse(&b.infos, nc)
+	names := reuse(&b.names, n)
+	memberNames := reuse(&b.memberNames, n)
+	reps := reuse(&b.reps, nc)
+	repIDs := reuse(&b.repIDs, nc)
 	for c := range infos {
-		a, b := start[c], start[c+1]
-		for j, ti := range members[a:b] {
+		a, e := start[c], start[c+1]
+		for j, ti := range members[a:e] {
 			names[int(a)+j] = ts[ti].Name
+			memberNames[int(a)+j] = quotedName{ts[ti].Name, f.quoted[ti]}
 		}
-		infos[c] = ClassInfo{ID: c, Rep: meta[c].rep.Name, Size: int(b - a), Members: names[a:b:b]}
+		infos[c] = ClassInfo{ID: c, Rep: meta[c].rep.Name, Size: int(e - a), Members: names[a:e:e]}
 		reps[c] = meta[c].rep.Spec
 		repIDs[c] = meta[c].repID
 	}
+	b.ts, b.feat, b.fid, b.quoted, b.seqs = ts, f.feat, f.fid, f.quoted, seqs
 
-	pl := &Placement{
+	gTenants.Set(float64(n))
+	gClasses.Set(float64(nc))
+	gMachines.Set(float64(len(machines)))
+	return Placement{
 		Classes:   infos,
 		Machines:  machines,
 		TotalCost: fleetTotal,
@@ -612,12 +699,9 @@ func (s *Solver) place(ctx context.Context, f fleetState) (*Placement, error) {
 		sols:       plSols,
 		repIDs:     repIDs,
 		reps:       reps,
-		fleetState: fleetState{ts: ts, feat: f.feat, fid: f.fid, seqs: seqs, fs: fs, gcls: gcls, lead: lead},
-	}
-	gTenants.Set(float64(pl.Stats.Tenants))
-	gClasses.Set(float64(pl.Stats.Classes))
-	gMachines.Set(float64(pl.Stats.Machines))
-	return pl, nil
+		fleetState: b.fleetState,
+		bufs:       b,
+	}, nil
 }
 
 // Verify is the guarantee behind TotalCost: the fleet objective is never

@@ -13,6 +13,7 @@
 package telemetry
 
 import (
+	"slices"
 	"sort"
 )
 
@@ -145,7 +146,9 @@ func (t *TopK) Count(key string) int64 {
 // distributions, 1 for disjoint support. Retained counts are normalized
 // by each sketch's total mass, so streams of different lengths compare by
 // shape, not volume. Two empty sketches are identical (0); one empty
-// sketch is maximally distant (1) from any non-empty one.
+// sketch is maximally distant (1) from any non-empty one. The result is a
+// deterministic function of the two sketches' contents and symmetric to
+// the bit.
 func Distance(a, b *TopK) float64 {
 	aEmpty := a == nil || a.total == 0
 	bEmpty := b == nil || b.total == 0
@@ -155,15 +158,20 @@ func Distance(a, b *TopK) float64 {
 	if aEmpty || bEmpty {
 		return 1
 	}
-	keys := make(map[string]struct{}, len(a.counters)+len(b.counters))
+	keys := make([]string, 0, len(a.counters)+len(b.counters))
 	for k := range a.counters {
-		keys[k] = struct{}{}
+		keys = append(keys, k)
 	}
 	for k := range b.counters {
-		keys[k] = struct{}{}
+		if _, ok := a.counters[k]; !ok {
+			keys = append(keys, k)
+		}
 	}
+	// Sum in key order: float addition is not associative, so summing in
+	// map order would let equal inputs differ in the low bits.
+	slices.Sort(keys)
 	var d float64
-	for k := range keys {
+	for _, k := range keys {
 		fa := float64(a.Count(k)) / float64(a.total)
 		fb := float64(b.Count(k)) / float64(b.total)
 		if fa > fb {

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -141,6 +142,29 @@ func TestDriftScoreDeterministic(t *testing.T) {
 	a, b := run(), run()
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("drift scores differ across identical replays")
+	}
+}
+
+// TestDistanceBitDeterministic: the distance between two 20-key sketches
+// of inexact frequencies is one bit pattern however often it is taken and
+// in either argument order. Placement clustering and drift detection both
+// compare it against a threshold, so low bits that followed map order
+// could flip a decision between runs.
+func TestDistanceBitDeterministic(t *testing.T) {
+	a, b := NewTopK(20), NewTopK(20)
+	for i := 0; i < 20; i++ {
+		a.Update(fmt.Sprintf("SELECT c%d FROM t", i), int64(1+i%7))
+		b.Update(fmt.Sprintf("SELECT c%d FROM t", i+10), int64(1+(3*i)%11))
+	}
+	want := math.Float64bits(Distance(a, b))
+	if back := math.Float64bits(Distance(b, a)); back != want {
+		t.Fatalf("Distance(b, a) = %x, Distance(a, b) = %x", back, want)
+	}
+	for i := 0; i < 2000; i++ {
+		if got := math.Float64bits(Distance(a, b)); got != want {
+			t.Fatalf("call %d: Distance = %v (%x), first call %v (%x)",
+				i, math.Float64frombits(got), got, math.Float64frombits(want), want)
+		}
 	}
 }
 

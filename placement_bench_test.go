@@ -45,7 +45,8 @@ func newFleetSolver(b *testing.B, e *experiments.Env) *placement.Solver {
 //   - incremental: a single fleet event per iteration (alternating one
 //     tenant arrival and its departure) applied to a warm placement via
 //     Placement.Apply, which re-solves only the dirty machine shapes
-//     against the solver's memos.
+//     against the solver's memos. The first pair runs before the timer
+//     starts, so every timed event is a steady-state one.
 //
 // The ns/op ratio full/incremental is therefore the per-event speedup;
 // the CI placement-bench job asserts it stays >= 5x, and BENCH_9.json
@@ -86,11 +87,22 @@ func BenchmarkPlacementFleet(b *testing.B) {
 			b.Fatal(err)
 		}
 		extra[0].Name = "t-extra"
+		arrive := placement.Event{Type: placement.Arrive, Tenant: extra[0]}
+		leave := placement.Event{Type: placement.Leave, Name: "t-extra"}
+		// One untimed arrive/leave pair prices the shapes the arrival
+		// creates (~135 cold machine solves) and sizes the placement's
+		// spare buffers, so even a 10-iteration run times steady-state
+		// events.
+		for _, ev := range []placement.Event{arrive, leave} {
+			if _, err := pl.Apply(ctx, ev); err != nil {
+				b.Fatal(err)
+			}
+		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ev := placement.Event{Type: placement.Arrive, Tenant: extra[0]}
+			ev := arrive
 			if i%2 == 1 {
-				ev = placement.Event{Type: placement.Leave, Name: "t-extra"}
+				ev = leave
 			}
 			if _, err := pl.Apply(ctx, ev); err != nil {
 				b.Fatal(err)
