@@ -3,15 +3,12 @@ package autotune
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"dbvirt/internal/core"
 	"dbvirt/internal/engine"
-	"dbvirt/internal/memo"
 	"dbvirt/internal/obs"
 	"dbvirt/internal/telemetry"
 	"dbvirt/internal/vm"
@@ -52,9 +49,6 @@ const (
 )
 
 const (
-	// specCacheSize is the generation size of the interned derived-spec
-	// table: a stable mix keeps its spec pointers, churny mixes turn over.
-	specCacheSize = 64
 	// statementBudget bounds the statement count of a sketch-derived
 	// workload spec.
 	statementBudget = 12
@@ -180,7 +174,6 @@ type Loop struct {
 	enabled      bool
 	tick         int64
 	sinceResolve int
-	specCache    memo.Gen[string, *core.WorkloadSpec] // interned derived specs
 	log          []Decision
 	logSize      int // bound on log: decisionLogSize, smaller in tests
 	counts       struct {
@@ -232,12 +225,11 @@ func NewLoop(cfg Config) (*Loop, error) {
 		cfg.Clock = time.Now
 	}
 	l := &Loop{
-		cfg:       cfg,
-		dec:       NewDecider(cfg.Decider),
-		ctrl:      &core.Controller{Model: cfg.Model},
-		specCache: memo.Gen[string, *core.WorkloadSpec]{Cap: specCacheSize},
-		logSize:   decisionLogSize,
-		enabled:   cfg.StartEnabled,
+		cfg:     cfg,
+		dec:     NewDecider(cfg.Decider),
+		ctrl:    &core.Controller{Model: cfg.Model},
+		logSize: decisionLogSize,
+		enabled: cfg.StartEnabled,
 	}
 	l.counts.suppressed = make(map[string]int64)
 	if l.enabled {
@@ -432,11 +424,12 @@ func (l *Loop) tickLocked(ctx context.Context, manual bool) Decision {
 }
 
 // deriveSpecs builds the per-tenant workload specs from the sketch mixes
-// (falling back to the configured statements before any traffic), and
-// interns them: a stable mix yields pointer-identical specs across
-// ticks, so what the model keeps per spec — resolved statement handles,
-// a pointer-keyed SharedCostModel's entries — stays hot. Caller holds
-// l.mu.
+// (falling back to the configured statements before any traffic) through
+// core.Intern: a stable mix yields pointer-identical specs across ticks,
+// and two tenants with one mix over one database share one spec, so what
+// the model keeps per spec — resolved statement handles, a SharedCostModel's
+// entries — stays hot. A derived spec is labelled by its statements' hash;
+// weight and SLO are views of it. Caller holds l.mu.
 func (l *Loop) deriveSpecs() []*core.WorkloadSpec {
 	specs := make([]*core.WorkloadSpec, len(l.cfg.Tenants))
 	for i, t := range l.cfg.Tenants {
@@ -444,22 +437,10 @@ func (l *Loop) deriveSpecs() []*core.WorkloadSpec {
 		if len(stmts) == 0 {
 			stmts = t.Fallback
 		}
-		sig := specSignature(t.Name, stmts, t.Weight, t.SLOSeconds)
-		if sp, ok := l.specCache.Get(sig); ok {
-			specs[i] = sp
-			continue
+		specs[i] = core.Intern(fmt.Sprintf("at:%x", core.StatementsHash(stmts)), t.DB, stmts)
+		if t.Weight != 0 || t.SLOSeconds != 0 {
+			specs[i] = specs[i].WithObjective(t.Weight, t.SLOSeconds)
 		}
-		sp := &core.WorkloadSpec{
-			// The signature hash in the name keeps distinct derived mixes
-			// distinct in reports and under a name-keyed cost memo.
-			Name:       fmt.Sprintf("at:%s:%x", t.Name, fnvHash(sig)),
-			Statements: stmts,
-			DB:         t.DB,
-			Weight:     t.Weight,
-			SLOSeconds: t.SLOSeconds,
-		}
-		l.specCache.Put(sig, sp)
-		specs[i] = sp
 	}
 	return specs
 }
@@ -487,22 +468,6 @@ func mixStatements(entries []telemetry.TopKEntry, budget int) []string {
 		}
 	}
 	return out
-}
-
-func specSignature(tenant string, stmts []string, weight, slo float64) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s|w=%.9f|slo=%.9f", tenant, weight, slo)
-	for _, s := range stmts {
-		b.WriteByte('\x00')
-		b.WriteString(s)
-	}
-	return b.String()
-}
-
-func fnvHash(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return h.Sum64()
 }
 
 func currentAllocation(vms []*vm.VM) core.Allocation {

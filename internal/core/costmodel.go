@@ -167,79 +167,3 @@ func (m *MeasuredModel) Cost(ctx context.Context, w *WorkloadSpec, shares vm.Sha
 	}
 	return sess.RunWorkload(w.Statements)
 }
-
-// ProfiledModel is a simple baseline: it profiles the workload once at a
-// reference allocation, recording its CPU and I/O seconds, and predicts
-// other allocations by rescaling each component by the ratio of effective
-// resource rates. It captures first-order sensitivity but is blind to
-// plan changes, caching effects, and spills — the things the optimizer's
-// what-if mode models.
-type ProfiledModel struct {
-	Machine   vm.MachineConfig
-	Engine    engine.Config
-	Reference vm.Shares
-
-	profiles map[*WorkloadSpec]vm.Usage
-}
-
-// Name implements CostModel.
-func (m *ProfiledModel) Name() string { return "profiled" }
-
-// profile measures the workload once at the reference allocation.
-func (m *ProfiledModel) profile(w *WorkloadSpec) (vm.Usage, error) {
-	if m.profiles == nil {
-		m.profiles = make(map[*WorkloadSpec]vm.Usage)
-	}
-	if u, ok := m.profiles[w]; ok {
-		return u, nil
-	}
-	machine, err := vm.NewMachine(m.Machine)
-	if err != nil {
-		return vm.Usage{}, err
-	}
-	v, err := machine.NewVM(w.Name, m.Reference)
-	if err != nil {
-		return vm.Usage{}, err
-	}
-	sess, err := engine.NewSession(w.DB, v, m.Engine)
-	if err != nil {
-		return vm.Usage{}, err
-	}
-	// Warm then measure, matching the measured model's protocol.
-	if _, err := sess.RunWorkload(w.Statements); err != nil {
-		return vm.Usage{}, err
-	}
-	start := v.Snapshot()
-	if _, err := sess.RunWorkload(w.Statements); err != nil {
-		return vm.Usage{}, err
-	}
-	u := v.Since(start)
-	m.profiles[w] = u
-	return u, nil
-}
-
-// Cost implements CostModel.
-func (m *ProfiledModel) Cost(ctx context.Context, w *WorkloadSpec, shares vm.Shares) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	u, err := m.profile(w)
-	if err != nil {
-		return 0, err
-	}
-	// Rescale CPU and I/O seconds by effective-rate ratios, then blend
-	// with the machine's overlap model.
-	refCPU := effCPURate(m.Machine, m.Reference.CPU)
-	newCPU := effCPURate(m.Machine, shares.CPU)
-	cpuSec := u.CPUSeconds * refCPU / newCPU
-	ioSec := u.IOSeconds * m.Reference.IO / shares.IO
-	lo := cpuSec
-	if ioSec < lo {
-		lo = ioSec
-	}
-	return cpuSec + ioSec - m.Machine.Overlap*lo, nil
-}
-
-func effCPURate(cfg vm.MachineConfig, share float64) float64 {
-	return cfg.CPUOpsPerSec * share * (1 - cfg.SchedOverhead*(1-share))
-}

@@ -98,7 +98,7 @@ func TestWhatIfModelEndToEnd(t *testing.T) {
 	}
 }
 
-func TestMeasuredAndProfiledModels(t *testing.T) {
+func TestMeasuredModel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
@@ -117,36 +117,6 @@ func TestMeasuredAndProfiledModels(t *testing.T) {
 	}
 	if cLow <= cHigh {
 		t.Errorf("CPU-bound workload should slow down at low CPU: %.3f vs %.3f", cLow, cHigh)
-	}
-
-	profiled := &ProfiledModel{
-		Machine: machineCfg, Engine: engCfg,
-		Reference: vm.Shares{CPU: 0.5, Memory: 0.5, IO: 0.5},
-	}
-	pLow, err := profiled.Cost(context.Background(), q13, vm.Shares{CPU: 0.25, Memory: 0.5, IO: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pHigh, err := profiled.Cost(context.Background(), q13, vm.Shares{CPU: 0.75, Memory: 0.5, IO: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pLow <= pHigh {
-		t.Errorf("profiled model should track CPU sensitivity: %.3f vs %.3f", pLow, pHigh)
-	}
-	// The profiled prediction at the reference point equals the profile
-	// measurement (sanity of the rescaling).
-	pRef, err := profiled.Cost(context.Background(), q13, profiled.Reference)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mRef, err := measured.Cost(context.Background(), q13, profiled.Reference)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel := (pRef - mRef) / mRef
-	if rel < -0.3 || rel > 0.3 {
-		t.Errorf("profiled reference %.3fs vs measured %.3fs", pRef, mRef)
 	}
 }
 

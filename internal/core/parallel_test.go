@@ -267,6 +267,26 @@ func TestSharedCostModelIdentity(t *testing.T) {
 	}
 }
 
+// TestSharedCostModelViewsShareBase: under the nil key a WithObjective
+// view prices through its base's entry, since weight and SLO never enter
+// a cost.
+func TestSharedCostModelViewsShareBase(t *testing.T) {
+	var computed atomic.Int64
+	m := NewSharedCostModel(&funcModel{name: "count", f: func(w *WorkloadSpec, s vm.Shares) float64 {
+		computed.Add(1)
+		return s.CPU
+	}}, nil)
+	base := fakeSpecs("w")[0]
+	for _, w := range []*WorkloadSpec{base, base.WithObjective(2, 0), base.WithObjective(3, 0.5)} {
+		if _, err := m.Cost(context.Background(), w, vm.Shares{CPU: 0.5, Memory: 1, IO: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if computed.Load() != 1 || m.Len() != 1 {
+		t.Errorf("a spec and two views: %d model calls, %d entries; want 1 and 1", computed.Load(), m.Len())
+	}
+}
+
 // TestParallelSolversPropagateErrors checks that a failing cost model
 // surfaces the same (first, in candidate order) error at any parallelism.
 func TestParallelSolversPropagateErrors(t *testing.T) {

@@ -8,12 +8,12 @@
 //
 // subject to r_ij ≥ 0 and Σ_i r_ij = 1 for every resource j.
 //
-// The package provides the problem formulation, three cost models (the
-// paper's calibrated what-if optimizer model, a measured oracle, and a
-// profile-scaling baseline), and three search algorithms over the
-// discretized share simplex (exhaustive, dynamic programming, greedy),
-// plus the paper's Section 7 extensions: weighted/SLO objectives and an
-// online reconfiguration controller.
+// The package provides the problem formulation, two cost models (the
+// paper's calibrated what-if optimizer model and a measured oracle), a
+// workload-spec interner (cost identity by content), and three search
+// algorithms over the discretized share simplex (exhaustive, dynamic
+// programming, greedy), plus the paper's Section 7 extensions:
+// weighted/SLO objectives and an online reconfiguration controller.
 package core
 
 import (
@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,7 +80,8 @@ func (w *WorkloadSpec) WithObjective(weight, sloSeconds float64) *WorkloadSpec {
 }
 
 // Base returns the spec w is a view of, or w itself: the cost identity,
-// equal for specs that price identically whatever their objectives.
+// equal for specs that price identically whatever their objectives. For
+// specs from Intern it is identity by content.
 func (w *WorkloadSpec) Base() *WorkloadSpec {
 	if w.base != nil {
 		return w.base
@@ -87,10 +89,71 @@ func (w *WorkloadSpec) Base() *WorkloadSpec {
 	return w
 }
 
+// specGeneration bounds each database's interner: two generations of
+// this many specs.
+const specGeneration = 512
+
+// interner maps the hash of a statement list to the one spec that runs it
+// against one database. It lives on that database (engine.Database.Specs):
+// a process-wide table would keep every database it saw alive.
+type interner struct {
+	mu  sync.Mutex
+	gen memo.Gen[uint64, *WorkloadSpec]
+}
+
+// Intern returns the process's spec for the workload running stmts, as
+// given, against db: the cost identity is the content, whoever builds the
+// spec, so everything cached per spec is shared. The first caller's name
+// is the spec's label; weight and SLO are views (WithObjective). A new
+// spec holds a copy of stmts, so the caller keeps its slice. A spec the
+// bounded table evicted comes back as a new pointer that prices
+// identically; the rare list whose hash collides with a resident one, and
+// a nil db, get an un-interned spec.
+func Intern(name string, db *engine.Database, stmts []string) *WorkloadSpec {
+	if db == nil {
+		return &WorkloadSpec{Name: name, Statements: slices.Clone(stmts)}
+	}
+	in, _ := db.Specs.Load().(*interner)
+	if in == nil {
+		db.Specs.CompareAndSwap(nil, &interner{gen: memo.Gen[uint64, *WorkloadSpec]{Cap: specGeneration}})
+		in = db.Specs.Load().(*interner)
+	}
+	return in.intern(name, db, stmts)
+}
+
+func (in *interner) intern(name string, db *engine.Database, stmts []string) *WorkloadSpec {
+	h := StatementsHash(stmts)
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	sp, ok := in.gen.Get(h)
+	if !ok || !slices.Equal(sp.Statements, stmts) {
+		sp = &WorkloadSpec{Name: name, Statements: slices.Clone(stmts), DB: db}
+		if !ok {
+			in.gen.Put(h, sp)
+		}
+	}
+	return sp
+}
+
+// StatementsHash is a deterministic 64-bit hash (FNV-1a) of a statement
+// list, the content half of Intern's key. A run of one statement — the
+// paper's N copies of a query — reads its text once.
+func StatementsHash(stmts []string) uint64 {
+	h := uint64(fnvOffset)
+	for i, s := range stmts {
+		if i > 0 && s == stmts[i-1] {
+			h = (h ^ 0xfe) * fnvPrime
+		} else {
+			h = hashString(h, s)
+		}
+		h = (h ^ 0xff) * fnvPrime // 0xfe and 0xff are no UTF-8 bytes
+	}
+	return h
+}
+
 // NormalizedStatements returns the spec's statements in sql.Normalize
 // form, computed once per cost identity — the identity stream fed into
-// per-tenant workload sketches and the what-if model's lookup keys. Interned specs make the cache effective: every request naming the
-// same workload shares one normalization.
+// per-tenant workload sketches and the what-if model's lookup keys.
 func (w *WorkloadSpec) NormalizedStatements() []string {
 	w = w.Base()
 	w.normOnce.Do(func() {
@@ -104,10 +167,10 @@ func (w *WorkloadSpec) NormalizedStatements() []string {
 
 // PricingKey returns the spec's pricing identity, computed once per spec:
 // name, weight and SLO. Specs with equal keys MUST price identically under
-// a cost model (the name is the interned canonical workload form, over
-// one shared database); as a multiset it keys the fleet solver's machine
-// memo, where weight and SLO do shape the result. The fields it reads
-// must not change after the first call.
+// a cost model (no caller gives two contents over one database one
+// name); as a multiset it keys the fleet solver's machine memo, where
+// weight and SLO do shape the result. The fields it reads must not change
+// after the first call.
 func (w *WorkloadSpec) PricingKey() string {
 	w.keyOnce.Do(func() {
 		w.key = fmt.Sprintf("%s|w=%.9f|slo=%.9f", w.Name, w.Weight, w.SLOSeconds)
@@ -364,6 +427,14 @@ func newCostCache(inner CostModel) *costCache {
 }
 
 const fnvOffset, fnvPrime = 14695981039346656037, 1099511628211
+
+// hashString folds s into h (FNV-1a).
+func hashString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
+	}
+	return h
+}
 
 // hashShares folds quantized shares into h (FNV-1a) for the lock shards.
 func hashShares(h uint64, key [3]int64) uint64 {

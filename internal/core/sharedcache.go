@@ -32,7 +32,7 @@ var (
 // of the shared model, whose misses alone reach the inner model.
 type SharedCostModel struct {
 	costMemo[sharedKey]
-	keyFn func(*WorkloadSpec) string // nil: pointer identity
+	keyFn func(*WorkloadSpec) string // nil: the spec's cost identity, Base
 }
 
 // sharedGeneration bounds the memo: two generations of this many entries,
@@ -40,8 +40,8 @@ type SharedCostModel struct {
 const sharedGeneration = 1 << 16
 
 // sharedKey identifies one memo slot: the caller-scoped workload identity
-// plus the quantized shares. Under pointer identity spec is set and
-// decides; wk is then the spec's name, for the lock shards only.
+// plus the quantized shares. Under the nil key spec is set and decides;
+// wk is then the spec's name, for the lock shards only.
 type sharedKey struct {
 	wk   string
 	spec *WorkloadSpec
@@ -49,20 +49,15 @@ type sharedKey struct {
 }
 
 func (k sharedKey) hash() uint64 {
-	h := uint64(fnvOffset)
-	for i := 0; i < len(k.wk); i++ {
-		h = (h ^ uint64(k.wk[i])) * fnvPrime
-	}
-	return hashShares(h, k.key)
+	return hashShares(hashString(fnvOffset, k.wk), k.key)
 }
 
 // NewSharedCostModel wraps inner with a shared memo. key maps a workload
 // spec to its cache identity; workloads whose keys are equal MUST price
 // identically under the inner model (same statements against the same
 // database), or the cache will serve one workload's costs for another.
-// A nil key falls back to pointer identity, which is always sound but
-// only coalesces callers that share *WorkloadSpec values (interned specs,
-// as the server's registry hands out).
+// A nil key falls back to the spec's Base, which is always sound and
+// coalesces every caller of one interned spec (Intern) and its views.
 func NewSharedCostModel(inner CostModel, key func(*WorkloadSpec) string) *SharedCostModel {
 	return newSharedCostModel(inner, key, sharedGeneration)
 }
@@ -79,7 +74,7 @@ func (m *SharedCostModel) Name() string { return m.inner.Name() }
 // Cost implements CostModel with at-most-once evaluation per distinct
 // (workload key, quantized shares) pair the memo still holds.
 func (m *SharedCostModel) Cost(ctx context.Context, w *WorkloadSpec, shares vm.Shares) (float64, error) {
-	k := sharedKey{wk: w.Name, spec: w, key: quantizeShares(shares)}
+	k := sharedKey{wk: w.Name, spec: w.Base(), key: quantizeShares(shares)}
 	if m.keyFn != nil {
 		k.wk, k.spec = m.keyFn(w), nil
 	}

@@ -11,6 +11,7 @@ package engine
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"dbvirt/internal/buffer"
 	"dbvirt/internal/catalog"
@@ -35,6 +36,10 @@ type Database struct {
 
 	mvcc *mvccState
 	dur  *durability
+
+	// Specs holds core.Intern's table of the workload specs that run
+	// against this database, so that they are released with it.
+	Specs atomic.Value
 }
 
 // NewDatabase creates an empty database.

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"testing"
 
+	"dbvirt/internal/core"
 	"dbvirt/internal/engine"
 	"dbvirt/internal/vm"
 	"dbvirt/internal/workload"
@@ -108,4 +109,29 @@ func imageDigest(t *testing.T, db *engine.Database) [sha256.Size]byte {
 	var sum [sha256.Size]byte
 	h.Sum(sum[:0])
 	return sum
+}
+
+// TestFleetTenantsShareSpecs: two FleetTenants calls resolve every
+// workload shape to one interned spec, so tenants from separate calls —
+// a fleet and its later arrivals — share cost identity.
+func TestFleetTenantsShareSpecs(t *testing.T) {
+	env := NewEnv(workload.TinyScale(), vm.DefaultMachineConfig())
+	a, err := env.FleetTenants(40, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := env.FleetTenants(40, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byName := map[string]*core.WorkloadSpec{}
+	for i := range a {
+		if a[i].Spec != b[i].Spec {
+			t.Fatalf("tenant %s: the two calls returned distinct specs", a[i].Name)
+		}
+		if sp, ok := byName[a[i].Spec.Name]; ok && sp != a[i].Spec {
+			t.Fatalf("shape %s resolved to two specs in one call", sp.Name)
+		}
+		byName[a[i].Spec.Name] = a[i].Spec
+	}
 }

@@ -11,38 +11,28 @@ import (
 	"dbvirt/internal/workload"
 )
 
-// fleetQueries are the workload shapes the synthetic fleet cycles over;
-// each gets one shared database, so tenants of a shape share an interned
-// spec (the serving-side registry behavior).
+// fleetQueries are the workload shapes the synthetic fleet cycles over,
+// all over the environment's one database.
 var fleetQueries = []string{"Q1", "Q4", "Q6", "Q13"}
 
 // FleetTenants generates n deterministic synthetic tenants: each tenant
 // runs one of the fleet query shapes repeated 1–3 times, with the
 // (shape, repeat) pair drawn from a seeded hash of the tenant index.
-// Specs are interned per (shape, repeat), so the fleet has at most
+// Specs are interned (core.Intern), so the fleet has at most
 // len(fleetQueries)*3 distinct workload identities — the regime workload
-// compression exploits.
+// compression exploits — and every call shares them.
 func (e *Env) FleetTenants(n int, seed uint64) ([]*placement.Tenant, error) {
-	specs := make(map[string]*core.WorkloadSpec)
 	tenants := make([]*placement.Tenant, n)
 	for i := 0; i < n; i++ {
 		h := fleetMix(seed + uint64(i))
 		q := fleetQueries[h%uint64(len(fleetQueries))]
 		repeat := int(h>>8)%3 + 1
-		id := fmt.Sprintf("%sx%d", q, repeat)
-		spec, ok := specs[id]
-		if !ok {
-			db, err := e.DB("fleet-" + q)
-			if err != nil {
-				return nil, err
-			}
-			spec = &core.WorkloadSpec{
-				Name:       id,
-				Statements: workload.Repeat(id, workload.Query(q), repeat).Statements,
-				DB:         db,
-			}
-			specs[id] = spec
+		db, err := e.DB("fleet-" + q)
+		if err != nil {
+			return nil, err
 		}
+		id := fmt.Sprintf("%sx%d", q, repeat)
+		spec := core.Intern(id, db, workload.Repeat(id, workload.Query(q), repeat).Statements)
 		tenants[i] = &placement.Tenant{Name: fmt.Sprintf("t%05d", i), Spec: spec}
 	}
 	return tenants, nil

@@ -18,6 +18,8 @@ import (
 
 func bySig(a, b *feature) int { return strings.Compare(a.sig, b.sig) }
 
+func sameSig(a, b *feature) bool { return a.sig == b.sig }
+
 // regroup brings the group table old up to date with the tenants'
 // features and rewrites fid, the tenants' group indices, in place. A
 // tenant with fid < 0 (an arrival, a drift, or every tenant of a cold
@@ -40,7 +42,7 @@ func regroup(feat []*feature, fid []int32, old, fsBuf []*feature, firstBuf []int
 	if len(novel) > 0 {
 		fs = append(slices.Clone(old), novel...)
 		slices.SortFunc(fs, bySig)
-		fs = slices.CompactFunc(fs, func(a, b *feature) bool { return a.sig == b.sig })
+		fs = slices.CompactFunc(fs, sameSig)
 		remap = make([]int32, len(old))
 		for g, f := range old {
 			j, _ := slices.BinarySearchFunc(fs, f, bySig)
@@ -99,9 +101,11 @@ func regroup(feat []*feature, fid []int32, old, fsBuf []*feature, firstBuf []int
 // each group's class and each class's leader group. The outcome depends
 // only on the set of signatures present — never on tenant order, arrival
 // order, or multiplicity — which is what makes an incremental re-solve
-// bit-identical to a from-scratch one. The results are written over the
-// arrays of clsBuf and leadBuf.
+// bit-identical to a from-scratch one, and what lets place skip the pass
+// while the signatures are unchanged. The results are written over the
+// arrays of clsBuf and leadBuf; placement.recluster.count counts passes.
 func (s *Solver) clusterClasses(fs []*feature, clsBuf, leadBuf []int32) (cls, leaders []int32) {
+	mRecluster.Inc()
 	cls, leaders = reuse(&clsBuf, len(fs)), leadBuf[:0]
 	for g, f := range fs {
 		c := 0

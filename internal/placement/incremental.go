@@ -16,6 +16,10 @@ import (
 // servers map it to a client error.
 var ErrEvent = errors.New("placement: invalid event")
 
+// ErrDuplicateName marks a Solve refused for a tenant list that names one
+// tenant twice; servers map it to a client error.
+var ErrDuplicateName = errors.New("placement: duplicate tenant name")
+
 // IsEventError reports whether err is caller-caused (wraps ErrEvent).
 func IsEventError(err error) bool { return errors.Is(err, ErrEvent) }
 

@@ -435,3 +435,35 @@ func TestThresholdDefault(t *testing.T) {
 		}
 	}
 }
+
+// TestEqualContentArrivalKeepsClasses: an arrival whose spec equals a
+// fleet spec in content but is another pointer, and whose name sorts
+// first in its group, brings a new feature pointer with a known
+// signature. The pass keeps its classes — placement.recluster.count does
+// not move — and the placement still equals a fresh solve's.
+func TestEqualContentArrivalKeepsClasses(t *testing.T) {
+	ctx := context.Background()
+	f := newFleet()
+	s, _ := newTestSolver(t, Config{Parallelism: 1})
+	pl, err := s.Solve(ctx, f.tenants(30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	alpha := f.specs["alpha"]
+	twin := &core.WorkloadSpec{Name: alpha.Name, Statements: slices.Clone(alpha.Statements), DB: alpha.DB}
+	before := mRecluster.Value()
+	if _, err := pl.Apply(ctx, Event{Type: Arrive, Tenant: &Tenant{Name: "a-first", Spec: twin}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := mRecluster.Value() - before; got != 0 {
+		t.Fatalf("an equal-content arrival re-clustered the fleet %d times", got)
+	}
+	cold, _ := newTestSolver(t, Config{Parallelism: 1})
+	fresh, err := cold.Solve(ctx, append(f.tenants(30), &Tenant{Name: "a-first", Spec: twin}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(placementJSON(t, pl, SolveStats{}), placementJSON(t, fresh, SolveStats{})) {
+		t.Fatal("the placement after the arrival differs from a fresh solve")
+	}
+}

@@ -53,6 +53,7 @@ var (
 	mDirtyMachines   = obs.Global.Counter("placement.dirty.machines")
 	mMachinesReused  = obs.Global.Counter("placement.machines.reused")
 	mNormalizeReused = obs.Global.Counter("placement.normalize.reused")
+	mRecluster       = obs.Global.Counter("placement.recluster.count")
 	hSolveSeconds    = obs.Global.Histogram("placement.solve.seconds")
 	hApplySeconds    = obs.Global.Histogram("placement.apply.seconds")
 	gTenants         = obs.Global.Gauge("placement.tenants")
@@ -76,9 +77,8 @@ const solveGeneration = 4096
 // Tenant is one fleet tenant: a workload spec plus optional telemetry.
 // When Sketch or CostSummary are nil the solver derives them from the
 // spec (normalized-statement sketch, starvation-probe cost vector) and
-// memoizes the derivation per spec, so interned specs — as the server's
-// workload registry hands out — are featurized once per fleet, not once
-// per tenant. A placement featurizes a tenant when it is solved or
+// memoizes the derivation per spec, so interned specs (core.Intern) are
+// featurized once per fleet, not once per tenant. A placement featurizes a tenant when it is solved or
 // arrives, and again only when a Drift event replaces it, so a Tenant
 // must not change once placed.
 type Tenant struct {
@@ -435,7 +435,7 @@ func sortTenants(tenants []*Tenant) ([]*Tenant, error) {
 	slices.SortFunc(ts, func(a, b *Tenant) int { return strings.Compare(a.Name, b.Name) })
 	for i := 1; i < len(ts); i++ {
 		if ts[i].Name == ts[i-1].Name {
-			return nil, fmt.Errorf("placement: duplicate tenant name %q", ts[i].Name)
+			return nil, fmt.Errorf("%w %q", ErrDuplicateName, ts[i].Name)
 		}
 	}
 	return ts, nil
@@ -476,7 +476,7 @@ func (s *Solver) place(ctx context.Context, f fleetState, b *passBufs) (Placemen
 		return Placement{}, err
 	}
 	b.fs, b.first = regroup(f.feat, f.fid, f.fs, b.fs, b.first)
-	if f.gcls == nil || !slices.Equal(b.fs, f.fs) {
+	if f.gcls == nil || !slices.EqualFunc(b.fs, f.fs, sameSig) {
 		b.gcls, b.lead = s.clusterClasses(b.fs, b.gcls, b.lead)
 	} else {
 		b.gcls, b.lead = refill(b.gcls, f.gcls, 0), refill(b.lead, f.lead, 0)

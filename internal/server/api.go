@@ -13,10 +13,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"dbvirt/internal/core"
-	"dbvirt/internal/experiments"
 	"dbvirt/internal/vm"
 	"dbvirt/internal/workload"
 )
@@ -240,7 +238,7 @@ type errorResponse struct {
 }
 
 func validateRef(w WorkloadRef) error {
-	if _, ok := workload.Queries()[strings.ToUpper(strings.TrimSpace(w.Query))]; !ok {
+	if _, ok := workload.Lookup(strings.ToUpper(strings.TrimSpace(w.Query))); !ok {
 		var names []string
 		for k := range workload.Queries() {
 			names = append(names, k)
@@ -279,62 +277,33 @@ func refKey(w WorkloadRef) string {
 	return fmt.Sprintf("%sx%d|w=%.9f|slo=%.9f", q, n, w.Weight, w.SLOSeconds)
 }
 
-// workloadSet interns one *core.WorkloadSpec per cost identity — query ×
-// repeat, so at most queries × maxRepeat of them — backed by the
-// environment's one lazily built database. Interning is the server's session
-// model: every request naming the same workload prices through the same
-// spec and the same database, so the normalized statements, prepared
-// handles and cost atoms concentrate instead of fragmenting per request.
-// Weight and SLO are not cost identity: a reference carrying them gets a
-// view of the interned spec that lives as long as its request (or, in a
-// placement, its tenant).
-type workloadSet struct {
-	env   *experiments.Env
-	mu    sync.Mutex
-	specs map[string]*core.WorkloadSpec // by QUERYxN
-}
-
-func newWorkloadSet(env *experiments.Env) *workloadSet {
-	return &workloadSet{env: env, specs: make(map[string]*core.WorkloadSpec)}
-}
-
-// spec resolves one workload reference to its spec, building the
-// database on first use.
-func (s *workloadSet) spec(ref WorkloadRef) (*core.WorkloadSpec, error) {
+// spec resolves one workload reference to its interned spec over the
+// environment's one database (built on first use; see DESIGN, cost
+// identity). Weight and SLO are not cost identity: a reference carrying
+// them gets a view of the interned spec that lives as long as its request
+// (or, in a placement, its tenant).
+func (s *Server) spec(ref WorkloadRef) (*core.WorkloadSpec, error) {
 	qname, n := canonRef(ref)
-	name := fmt.Sprintf("%sx%d", qname, n)
-	s.mu.Lock()
-	sp, ok := s.specs[name]
-	s.mu.Unlock()
-	if !ok {
-		// env.DB builds the TPC-H database once and serializes the build;
-		// every query shares its catalog, statistics, and the prepared plan
-		// spaces derived from them.
-		db, err := s.env.DB("srv-" + qname)
-		if err != nil {
-			return nil, fmt.Errorf("server: building database for %s: %w", qname, err)
-		}
-		sp = &core.WorkloadSpec{
-			Name:       name,
-			Statements: workload.Repeat(qname, workload.Query(qname), n).Statements,
-			DB:         db,
-		}
-		s.mu.Lock()
-		if cur, ok := s.specs[name]; ok {
-			sp = cur // lost an intern race; keep the winner
-		} else {
-			s.specs[name] = sp
-		}
-		s.mu.Unlock()
+	db, err := s.cfg.Env.DB("srv")
+	if err != nil {
+		return nil, fmt.Errorf("server: building database for %s: %w", qname, err)
 	}
+	// Intern copies the statements only for a new spec, so a hit builds
+	// them on the stack.
+	var buf [maxRepeat]string
+	stmts, q := buf[:n], workload.Query(qname)
+	for i := range stmts {
+		stmts[i] = q
+	}
+	sp := core.Intern(fmt.Sprintf("%sx%d", qname, n), db, stmts)
 	if ref.Weight != 0 || ref.SLOSeconds != 0 {
 		return sp.WithObjective(ref.Weight, ref.SLOSeconds), nil
 	}
 	return sp, nil
 }
 
-// specs resolves a whole request's workload list.
-func (s *workloadSet) resolve(refs []WorkloadRef) ([]*core.WorkloadSpec, error) {
+// resolve resolves a whole request's workload list.
+func (s *Server) resolve(refs []WorkloadRef) ([]*core.WorkloadSpec, error) {
 	out := make([]*core.WorkloadSpec, len(refs))
 	for i, ref := range refs {
 		sp, err := s.spec(ref)

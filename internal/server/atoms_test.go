@@ -15,12 +15,13 @@ import (
 	"dbvirt/internal/core"
 	"dbvirt/internal/engine"
 	"dbvirt/internal/obs"
+	"dbvirt/internal/vm"
 )
 
 // TestWeightIsNotCostIdentity: a tenant that changes only its weight or
-// SLO is served from what the first request paid for — the intern table
-// holds one entry per query × repeat, the optimizer is not called again —
-// while placement's PricingKey reads as it always has.
+// SLO is served from what the first request paid for — every reference
+// resolves to the one interned spec of its content, the optimizer is not
+// called again — while placement's PricingKey reads as it always has.
 func TestWeightIsNotCostIdentity(t *testing.T) {
 	s := newTestServer(t, nil)
 	h := s.Handler()
@@ -46,19 +47,15 @@ func TestWeightIsNotCostIdentity(t *testing.T) {
 	if got := calls.Value() - before; got != 0 {
 		t.Errorf("50 re-weighted sweeps called the optimizer %d times, want 0", got)
 	}
-	if n := len(s.wl.specs); n != 2 {
-		t.Errorf("intern table holds %d specs after 51 requests over 2 cost identities", n)
-	}
-
-	base, err := s.wl.spec(WorkloadRef{Query: "Q13FULL", Repeat: 3})
+	base, err := s.spec(WorkloadRef{Query: "Q13FULL", Repeat: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, _ := s.wl.spec(WorkloadRef{Query: " q13full ", Repeat: 3})
-	if again != base {
+	again, _ := s.spec(WorkloadRef{Query: " q13full ", Repeat: 3})
+	if again != base || core.Intern("other", base.DB, base.Statements) != base {
 		t.Error("an unweighted reference did not resolve to the interned spec")
 	}
-	view, _ := s.wl.spec(WorkloadRef{Query: "Q13FULL", Repeat: 3, Weight: 2.5, SLOSeconds: 0.125})
+	view, _ := s.spec(WorkloadRef{Query: "Q13FULL", Repeat: 3, Weight: 2.5, SLOSeconds: 0.125})
 	if view == base || view.Base() != base || view.Weight != 2.5 || view.SLOSeconds != 0.125 {
 		t.Errorf("weighted reference: got %+v, want a view of the interned spec", view)
 	}
@@ -70,12 +67,23 @@ func TestWeightIsNotCostIdentity(t *testing.T) {
 	}
 }
 
+// brokenQ6Model prices Q6 workloads through the what-if model as a spec
+// whose database has no catalog, which panics inside the model.
+type brokenQ6Model struct{ core.CostModel }
+
+func (m brokenQ6Model) Cost(ctx context.Context, w *core.WorkloadSpec, sh vm.Shares) (float64, error) {
+	if strings.HasPrefix(w.Name, "Q6") {
+		w = &core.WorkloadSpec{Name: w.Name, Statements: []string{"SELECT 1"}, DB: &engine.Database{}}
+	}
+	return m.CostModel.Cost(ctx, w, sh)
+}
+
 // TestModelPanicIs500: a panic under the default cost model — here a spec
 // whose database has no catalog — fails the request with a 500 and the
 // job with an error; the connection is answered, not dropped.
 func TestModelPanicIs500(t *testing.T) {
-	s := newTestServer(t, nil)
-	s.wl.specs["Q6x1"] = &core.WorkloadSpec{Name: "Q6x1", Statements: []string{"SELECT 1"}, DB: &engine.Database{}}
+	_, grid := testEnv(t)
+	s := newTestServer(t, func(c *Config) { c.Model = brokenQ6Model{&core.WhatIfModel{Grid: grid}} })
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 

@@ -78,7 +78,7 @@ func (s *Server) initAutotune(opts *AutotuneOptions) error {
 	if err := opts.validate(); err != nil {
 		return err
 	}
-	specs, err := s.wl.resolve(opts.Workloads)
+	specs, err := s.resolve(opts.Workloads)
 	if err != nil {
 		return fmt.Errorf("autotune: resolving workloads: %w", err)
 	}

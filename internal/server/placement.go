@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -330,7 +331,10 @@ func (s *Server) computePlacement(ctx context.Context, req *PlacementRequest) ([
 		}
 	}
 	pl, err := solver.Solve(ctx, tenants)
-	if err != nil {
+	switch {
+	case errors.Is(err, placement.ErrDuplicateName):
+		return nil, badRequestError{err}
+	case err != nil:
 		return nil, err
 	}
 	if err := pl.Verify(ctx); err != nil {
@@ -416,7 +420,7 @@ func (s *Server) plStats() (placement.SolveStats, bool) {
 func (s *Server) resolvePlacementTenants(refs []PlacementTenantRef) ([]*placement.Tenant, error) {
 	var tenants []*placement.Tenant
 	for _, ref := range refs {
-		spec, err := s.wl.spec(ref.WorkloadRef)
+		spec, err := s.spec(ref.WorkloadRef)
 		if err != nil {
 			return nil, err
 		}
@@ -447,7 +451,7 @@ func (s *Server) resolvePlacementEvents(evs []PlacementEventDTO) ([]placement.Ev
 		}
 		e := placement.Event{Type: et, Name: strings.TrimSpace(ev.Name)}
 		if ev.Tenant != nil && et != placement.Leave {
-			spec, err := s.wl.spec(ev.Tenant.WorkloadRef)
+			spec, err := s.spec(ev.Tenant.WorkloadRef)
 			if err != nil {
 				return nil, fmt.Errorf("event %d: %w", i, err)
 			}

@@ -49,6 +49,10 @@ func TestPlacementValidation(t *testing.T) {
 		{"negative timeout", "/v1/placement", `{"tenants":[{"query":"Q4"}],"timeout_ms":-1}`, "timeout"},
 		{"bad threshold", "/v1/placement", `{"tenants":[{"query":"Q4"}],"threshold":2}`, "threshold"},
 		{"bad step", "/v1/placement", `{"tenants":[{"query":"Q4"}],"step":0.3}`, "step"},
+		{"duplicate names", "/v1/placement",
+			`{"tenants":[{"query":"Q4","name":"a"},{"query":"Q13","name":"a"}]}`, "duplicate tenant name"},
+		{"duplicate count blocks", "/v1/placement",
+			`{"tenants":[{"query":"Q4","count":2},{"query":"Q4","count":2}]}`, "duplicate tenant name"},
 		{"no events", "/v1/placement/events", `{"events":[]}`, "no events"},
 		{"unknown event type", "/v1/placement/events", `{"events":[{"type":"migrate"}]}`, "unknown type"},
 		{"leave without name", "/v1/placement/events", `{"events":[{"type":"leave"}]}`, "tenant name"},

@@ -128,7 +128,6 @@ func (c *Config) applyDefaults() error {
 // drain machinery. Create with New, expose via Handler, stop with Drain.
 type Server struct {
 	cfg     Config
-	wl      *workloadSet
 	col     *coalescer[whatIfAnswer]
 	jobs    *jobManager
 	lim     *limiter
@@ -167,7 +166,6 @@ func New(cfg Config) (*Server, error) {
 		started: time.Now(),
 		hWindow: obs.Global.Window("server.http.window.seconds", 6, cfg.RequestWindow/6),
 	}
-	s.wl = newWorkloadSet(cfg.Env)
 	s.jobs = newJobManager(cfg.JobWorkers, cfg.JobQueue, maxJobs, s.runSolve)
 	if cfg.Autotune != nil {
 		if err := s.initAutotune(cfg.Autotune); err != nil {
@@ -191,7 +189,7 @@ func New(cfg Config) (*Server, error) {
 // ahead of traffic, so first requests don't pay the build.
 func (s *Server) Prewarm(queries []string) error {
 	for _, q := range queries {
-		if _, err := s.wl.spec(WorkloadRef{Query: q}); err != nil {
+		if _, err := s.spec(WorkloadRef{Query: q}); err != nil {
 			return err
 		}
 	}
@@ -384,7 +382,7 @@ func tenantName(ref WorkloadRef) string {
 // entry, so coalesced and memoized hits count as tenant traffic too and
 // nobody decodes what was just encoded.
 func (s *Server) recordWhatIf(req *WhatIfRequest, costs [][]float64) {
-	specs, err := s.wl.resolve(req.Workloads)
+	specs, err := s.resolve(req.Workloads)
 	if err != nil {
 		return
 	}
@@ -403,7 +401,7 @@ func (s *Server) recordWhatIf(req *WhatIfRequest, costs [][]float64) {
 // response. The bytes are a deterministic function of the request, which
 // is what entitles the coalescer to replay them for identical requests.
 func (s *Server) computeWhatIf(ctx context.Context, req *WhatIfRequest) (whatIfAnswer, error) {
-	specs, err := s.wl.resolve(req.Workloads)
+	specs, err := s.resolve(req.Workloads)
 	if err != nil {
 		return whatIfAnswer{}, badRequestError{err}
 	}
@@ -432,7 +430,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// Resolve workloads synchronously so malformed problems fail with 400
 	// here, not as a failed job later; this also prices the database
 	// build before the job occupies a worker.
-	if _, err := s.wl.resolve(req.Workloads); err != nil {
+	if _, err := s.resolve(req.Workloads); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
@@ -465,7 +463,7 @@ func (s *Server) runSolve(ctx context.Context, j *job) (*SolveResult, error) {
 	j.sc.Annotate(sp)
 	sp.SetArg("job_id", j.id)
 	defer sp.End()
-	specs, err := s.wl.resolve(j.req.Workloads)
+	specs, err := s.resolve(j.req.Workloads)
 	if err != nil {
 		return nil, err
 	}

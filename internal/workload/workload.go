@@ -8,6 +8,7 @@ package workload
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"strings"
 
@@ -189,14 +190,16 @@ func comment(rng *rand.Rand, n int) string {
 	return strings.TrimSpace(sb.String()[:n])
 }
 
-// Queries returns the named query set. Q4 and Q13 are the paper's
-// experiment queries; the others round out the workload mix for the
-// search-algorithm and SLO experiments.
-func Queries() map[string]string {
-	return map[string]string{
-		// Q1-like: pricing summary — sequential scan of lineitem with
-		// heavy aggregation. Mixed CPU/IO profile.
-		"Q1": `SELECT l_returnflag, l_linestatus,
+// Queries returns a copy of the named query set. Q4 and Q13 are the
+// paper's experiment queries; the others round out the workload mix for
+// the search-algorithm and SLO experiments.
+func Queries() map[string]string { return maps.Clone(catalog) }
+
+// catalog is the named query set, read by Lookup and Query without a copy.
+var catalog = map[string]string{
+	// Q1-like: pricing summary — sequential scan of lineitem with
+	// heavy aggregation. Mixed CPU/IO profile.
+	"Q1": `SELECT l_returnflag, l_linestatus,
 			sum(l_quantity), sum(l_extendedprice),
 			sum(l_extendedprice * (1 - l_discount)),
 			avg(l_quantity), count(*)
@@ -205,8 +208,8 @@ func Queries() map[string]string {
 		GROUP BY l_returnflag, l_linestatus
 		ORDER BY l_returnflag, l_linestatus`,
 
-		// Q3-like: shipping priority — 3-way join with date filters.
-		"Q3": `SELECT o_orderkey, sum(l_extendedprice * (1 - l_discount)), o_orderdate
+	// Q3-like: shipping priority — 3-way join with date filters.
+	"Q3": `SELECT o_orderkey, sum(l_extendedprice * (1 - l_discount)), o_orderdate
 		FROM customer, orders, lineitem
 		WHERE c_mktsegment = 'BUILDING'
 		  AND c_custkey = o_custkey AND l_orderkey = o_orderkey
@@ -214,10 +217,10 @@ func Queries() map[string]string {
 		GROUP BY o_orderkey, o_orderdate
 		ORDER BY 2 DESC, o_orderdate LIMIT 10`,
 
-		// Q4-like: order priority checking. The paper's EXISTS subquery is
-		// rewritten as a join; the query scans the large lineitem relation
-		// and is I/O-bound (lineitem exceeds the buffer pool).
-		"Q4": `SELECT o_orderpriority, count(*)
+	// Q4-like: order priority checking. The paper's EXISTS subquery is
+	// rewritten as a join; the query scans the large lineitem relation
+	// and is I/O-bound (lineitem exceeds the buffer pool).
+	"Q4": `SELECT o_orderpriority, count(*)
 		FROM orders, lineitem
 		WHERE l_orderkey = o_orderkey
 		  AND o_orderdate >= date '1993-07-01' AND o_orderdate < date '1993-10-01'
@@ -225,26 +228,26 @@ func Queries() map[string]string {
 		GROUP BY o_orderpriority
 		ORDER BY o_orderpriority`,
 
-		// Q6-like: forecasting revenue change — selective scan arithmetic.
-		"Q6": `SELECT sum(l_extendedprice * l_discount)
+	// Q6-like: forecasting revenue change — selective scan arithmetic.
+	"Q6": `SELECT sum(l_extendedprice * l_discount)
 		FROM lineitem
 		WHERE l_shipdate >= date '1994-01-01' AND l_shipdate < date '1995-01-01'
 		  AND l_discount BETWEEN 0.05 AND 0.07 AND l_quantity < 24`,
 
-		// Q13-like: customer distribution. LEFT OUTER JOIN with a NOT LIKE
-		// over every order comment plus a large hash aggregation; orders
-		// and customer fit in the buffer pool, so the query is CPU-bound.
-		"Q13": `SELECT c_custkey, count(o_orderkey)
+	// Q13-like: customer distribution. LEFT OUTER JOIN with a NOT LIKE
+	// over every order comment plus a large hash aggregation; orders
+	// and customer fit in the buffer pool, so the query is CPU-bound.
+	"Q13": `SELECT c_custkey, count(o_orderkey)
 		FROM customer LEFT OUTER JOIN orders
 		  ON c_custkey = o_custkey
 		 AND o_comment NOT LIKE '%special%requests%'
 		GROUP BY c_custkey`,
 
-		// Q13 in TPC-H's exact published nested form: the per-customer
-		// counts inside a derived table, the distribution of counts
-		// outside. Same resource profile as Q13 plus a small outer
-		// aggregation.
-		"Q13FULL": `SELECT c_count, count(*) AS custdist
+	// Q13 in TPC-H's exact published nested form: the per-customer
+	// counts inside a derived table, the distribution of counts
+	// outside. Same resource profile as Q13 plus a small outer
+	// aggregation.
+	"Q13FULL": `SELECT c_count, count(*) AS custdist
 		FROM (SELECT c_custkey, count(o_orderkey) AS c_count
 		      FROM customer LEFT OUTER JOIN orders
 		        ON c_custkey = o_custkey
@@ -253,15 +256,20 @@ func Queries() map[string]string {
 		GROUP BY c_count
 		ORDER BY custdist DESC, c_count DESC`,
 
-		// A point-lookup OLTP-ish query (index heavy).
-		"QPOINT": `SELECT o_totalprice, o_orderdate FROM orders WHERE o_orderkey = 4242`,
-	}
+	// A point-lookup OLTP-ish query (index heavy).
+	"QPOINT": `SELECT o_totalprice, o_orderdate FROM orders WHERE o_orderkey = 4242`,
+}
+
+// Lookup returns the named query and whether the set has it.
+func Lookup(name string) (string, bool) {
+	q, ok := catalog[name]
+	return q, ok
 }
 
 // Query returns one named query or panics; experiment code uses known
 // names.
 func Query(name string) string {
-	q, ok := Queries()[name]
+	q, ok := Lookup(name)
 	if !ok {
 		panic("workload: unknown query " + name)
 	}

@@ -13,7 +13,7 @@ import (
 // from the table, so a new dependency between packages is a reviewed edit
 // of this table.
 var layers = map[string]string{
-	"autotune":    "core engine memo obs telemetry vm",
+	"autotune":    "core engine obs telemetry vm",
 	"buffer":      "storage vm",
 	"calibration": "engine faults linalg memo obs optimizer storage types vm wal",
 	"catalog":     "index storage types",

@@ -7,6 +7,7 @@ import (
 
 	"dbvirt/internal/core"
 	"dbvirt/internal/experiments"
+	"dbvirt/internal/obs"
 	"dbvirt/internal/placement"
 )
 
@@ -50,7 +51,9 @@ func newFleetSolver(b *testing.B, e *experiments.Env) *placement.Solver {
 //
 // The ns/op ratio full/incremental is therefore the per-event speedup;
 // the CI placement-bench job asserts it stays >= 5x, and BENCH_9.json
-// records the measured value.
+// records the measured value. incremental also reports reclusters/event,
+// the clustering passes per event: its arrival is interned to a fleet
+// spec, so the group signatures never change and CI gates it at 0.01.
 func BenchmarkPlacementFleet(b *testing.B) {
 	e := sharedEnv(b)
 	ctx := context.Background()
@@ -98,6 +101,8 @@ func BenchmarkPlacementFleet(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		reclusters := obs.Global.Counter("placement.recluster.count")
+		before := reclusters.Value()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			ev := arrive
@@ -108,6 +113,7 @@ func BenchmarkPlacementFleet(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		b.ReportMetric(float64(reclusters.Value()-before)/float64(b.N), "reclusters/event")
 	})
 
 	emit("placement", fmt.Sprintf("placement fleet: %d tenants\n", n))
