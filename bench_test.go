@@ -18,9 +18,11 @@ import (
 	"sync"
 	"testing"
 
+	"dbvirt/internal/calibration"
 	"dbvirt/internal/core"
 	"dbvirt/internal/experiments"
 	"dbvirt/internal/obs"
+	"dbvirt/internal/workload"
 )
 
 // TestMain dumps the process-global metrics registry after the run when
@@ -41,19 +43,19 @@ func TestMain(m *testing.M) {
 
 var (
 	envOnce sync.Once
-	env     *experiments.Env
+	env     *workload.Env
 )
 
 // sharedEnv builds the experiment environment once per process: the
 // workload databases and the calibration cache are shared by all
 // benchmarks, as they would be in the paper's test bed.
-func sharedEnv(b *testing.B) *experiments.Env {
+func sharedEnv(b *testing.B) *workload.Env {
 	b.Helper()
 	envOnce.Do(func() {
 		if testing.Short() {
-			env = experiments.QuickEnv()
+			env = workload.QuickEnv()
 		} else {
-			env = experiments.DefaultEnv()
+			env = workload.DefaultEnv()
 		}
 	})
 	return env
@@ -74,7 +76,7 @@ func emit(key, text string) {
 func BenchmarkFigure3CPUTupleCost(b *testing.B) {
 	e := sharedEnv(b)
 	for i := 0; i < b.N; i++ {
-		rows, err := e.Figure3([]float64{0.25, 0.5, 0.75}, []float64{0.25, 0.5, 0.75}, 0.5)
+		rows, err := experiments.Figure3(e, []float64{0.25, 0.5, 0.75}, []float64{0.25, 0.5, 0.75}, 0.5)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -92,7 +94,7 @@ func BenchmarkFigure3CPUTupleCost(b *testing.B) {
 func BenchmarkFigure4Sensitivity(b *testing.B) {
 	e := sharedEnv(b)
 	for i := 0; i < b.N; i++ {
-		res, err := e.Figure4([]float64{0.25, 0.5, 0.75})
+		res, err := experiments.Figure4(e, []float64{0.25, 0.5, 0.75})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -111,7 +113,7 @@ func BenchmarkFigure4Sensitivity(b *testing.B) {
 func BenchmarkFigure5WorkloadSplit(b *testing.B) {
 	e := sharedEnv(b)
 	for i := 0; i < b.N; i++ {
-		res, err := e.Figure5()
+		res, err := experiments.Figure5(e)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -135,12 +137,12 @@ func BenchmarkFigure5WorkloadSplit(b *testing.B) {
 // deterministic: no calibration runs, identical costs both ways.
 func BenchmarkWhatIfCostMatrix(b *testing.B) {
 	e := sharedEnv(b)
-	specs, err := e.MatrixWorkloads(3, 9)
+	specs, err := experiments.MatrixWorkloads(e, 3, 9)
 	if err != nil {
 		b.Fatal(err)
 	}
 	axis := []float64{0.25, 0.5, 0.75, 1.0}
-	g, err := experiments.SyntheticGrid(axis, axis, axis)
+	g, err := calibration.SyntheticGrid(axis, axis, axis)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -151,7 +153,7 @@ func BenchmarkWhatIfCostMatrix(b *testing.B) {
 		var out [][]float64
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			m, err := experiments.CostMatrix(ctx, model, specs, allocs)
+			m, err := core.CostMatrix(ctx, model, specs, allocs)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -183,7 +185,7 @@ func BenchmarkWhatIfCostMatrix(b *testing.B) {
 func BenchmarkAblationSearch(b *testing.B) {
 	e := sharedEnv(b)
 	for i := 0; i < b.N; i++ {
-		rows, err := e.AblationSearch(3, 0.25)
+		rows, err := experiments.AblationSearch(e, 3, 0.25)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -208,7 +210,7 @@ func BenchmarkAblationSearch(b *testing.B) {
 func BenchmarkAblationCalibrationGrid(b *testing.B) {
 	e := sharedEnv(b)
 	for i := 0; i < b.N; i++ {
-		rows, err := e.AblationCalibrationGrid()
+		rows, err := experiments.AblationCalibrationGrid(e)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -225,7 +227,7 @@ func BenchmarkAblationCalibrationGrid(b *testing.B) {
 func BenchmarkAblationOverlap(b *testing.B) {
 	e := sharedEnv(b)
 	for i := 0; i < b.N; i++ {
-		rows, err := e.AblationOverlap([]float64{0, 0.5, 0.75, 1})
+		rows, err := experiments.AblationOverlap(e, []float64{0, 0.5, 0.75, 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -243,7 +245,7 @@ func BenchmarkAblationOverlap(b *testing.B) {
 func BenchmarkDynamicReconfig(b *testing.B) {
 	e := sharedEnv(b)
 	for i := 0; i < b.N; i++ {
-		res, err := e.DynamicReconfig()
+		res, err := experiments.DynamicReconfig(e)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -259,7 +261,7 @@ func BenchmarkDynamicReconfig(b *testing.B) {
 func BenchmarkSLOWeighted(b *testing.B) {
 	e := sharedEnv(b)
 	for i := 0; i < b.N; i++ {
-		res, err := e.SLOWeighted()
+		res, err := experiments.SLOWeighted(e)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -276,7 +278,7 @@ func BenchmarkSLOWeighted(b *testing.B) {
 func BenchmarkMemoryDimension(b *testing.B) {
 	e := sharedEnv(b)
 	for i := 0; i < b.N; i++ {
-		res, err := e.MemoryDimension()
+		res, err := experiments.MemoryDimension(e)
 		if err != nil {
 			b.Fatal(err)
 		}

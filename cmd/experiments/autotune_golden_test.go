@@ -9,6 +9,7 @@ import (
 
 	"dbvirt/internal/experiments"
 	"dbvirt/internal/faults"
+	"dbvirt/internal/workload"
 )
 
 // goldenControl is the closed-loop payoff figure at quick scale. FigCRow
@@ -18,8 +19,8 @@ import (
 // actuation, and the predicted-cost drop it buys.
 func goldenControl(t *testing.T) []byte {
 	t.Helper()
-	env := experiments.QuickEnv()
-	rows, err := env.FigureControl(6, 10)
+	env := workload.QuickEnv()
+	rows, err := experiments.FigureControl(env, 6, 10)
 	if err != nil {
 		t.Fatalf("FigureControl: %v", err)
 	}

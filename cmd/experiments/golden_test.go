@@ -10,6 +10,7 @@ import (
 
 	"dbvirt/internal/experiments"
 	"dbvirt/internal/faults"
+	"dbvirt/internal/workload"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden figure snapshot")
@@ -22,12 +23,12 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden figure snapsho
 // golden diff, reviewed rather than silently shipped.
 func goldenFigures(t *testing.T) []byte {
 	t.Helper()
-	env := experiments.QuickEnv()
-	fig3, err := env.Figure3([]float64{0.25, 0.5, 0.75}, []float64{0.25, 0.5, 0.75}, 0.5)
+	env := workload.QuickEnv()
+	fig3, err := experiments.Figure3(env, []float64{0.25, 0.5, 0.75}, []float64{0.25, 0.5, 0.75}, 0.5)
 	if err != nil {
 		t.Fatalf("Figure3: %v", err)
 	}
-	fig4, err := env.Figure4([]float64{0.25, 0.5, 0.75})
+	fig4, err := experiments.Figure4(env, []float64{0.25, 0.5, 0.75})
 	if err != nil {
 		t.Fatalf("Figure4: %v", err)
 	}

@@ -17,6 +17,7 @@ import (
 
 	"dbvirt/internal/experiments"
 	"dbvirt/internal/obs"
+	"dbvirt/internal/workload"
 )
 
 func main() {
@@ -39,9 +40,9 @@ func main() {
 	root := obs.StartSpan("experiments")
 	obs.EnvSpanContext().Annotate(root)
 
-	env := experiments.DefaultEnv()
+	env := workload.DefaultEnv()
 	if *quick {
-		env = experiments.QuickEnv()
+		env = workload.QuickEnv()
 	}
 	env.Parallelism = *jobs
 
@@ -72,7 +73,7 @@ func main() {
 
 	if *fig == "3" || *fig == "all" {
 		run("figure 3", func() error {
-			rows, err := env.Figure3([]float64{0.25, 0.5, 0.75}, []float64{0.25, 0.5, 0.75}, 0.5)
+			rows, err := experiments.Figure3(env, []float64{0.25, 0.5, 0.75}, []float64{0.25, 0.5, 0.75}, 0.5)
 			if err != nil {
 				return err
 			}
@@ -83,7 +84,7 @@ func main() {
 	}
 	if *fig == "4" || *fig == "all" {
 		run("figure 4", func() error {
-			res, err := env.Figure4([]float64{0.25, 0.5, 0.75})
+			res, err := experiments.Figure4(env, []float64{0.25, 0.5, 0.75})
 			if err != nil {
 				return err
 			}
@@ -94,7 +95,7 @@ func main() {
 	}
 	if *fig == "5" || *fig == "all" {
 		run("figure 5", func() error {
-			res, err := env.Figure5()
+			res, err := experiments.Figure5(env)
 			if err != nil {
 				return err
 			}
@@ -106,7 +107,7 @@ func main() {
 
 	if *fig == "w" || *fig == "all" {
 		run("figure write", func() error {
-			res, err := env.FigureWrite([]float64{0.25, 0.5, 0.75})
+			res, err := experiments.FigureWrite(env, []float64{0.25, 0.5, 0.75})
 			if err != nil {
 				return err
 			}
@@ -122,7 +123,7 @@ func main() {
 			if *quick {
 				sizes = []int{60, 200}
 			}
-			rows, err := env.FigurePlacement(sizes)
+			rows, err := experiments.FigurePlacement(env, sizes)
 			if err != nil {
 				return err
 			}
@@ -134,7 +135,7 @@ func main() {
 
 	if *fig == "c" || *fig == "all" {
 		run("figure control", func() error {
-			rows, err := env.FigureControl(6, 10)
+			rows, err := experiments.FigureControl(env, 6, 10)
 			if err != nil {
 				return err
 			}
@@ -146,7 +147,7 @@ func main() {
 
 	if *ablations {
 		run("search ablation", func() error {
-			rows, err := env.AblationSearch(3, 0.25)
+			rows, err := experiments.AblationSearch(env, 3, 0.25)
 			if err != nil {
 				return err
 			}
@@ -155,7 +156,7 @@ func main() {
 			return nil
 		})
 		run("grid ablation", func() error {
-			rows, err := env.AblationCalibrationGrid()
+			rows, err := experiments.AblationCalibrationGrid(env)
 			if err != nil {
 				return err
 			}
@@ -164,7 +165,7 @@ func main() {
 			return nil
 		})
 		run("overlap ablation", func() error {
-			rows, err := env.AblationOverlap([]float64{0, 0.5, 0.75, 1})
+			rows, err := experiments.AblationOverlap(env, []float64{0, 0.5, 0.75, 1})
 			if err != nil {
 				return err
 			}
@@ -173,7 +174,7 @@ func main() {
 			return nil
 		})
 		run("dynamic extension", func() error {
-			res, err := env.DynamicReconfig()
+			res, err := experiments.DynamicReconfig(env)
 			if err != nil {
 				return err
 			}
@@ -182,7 +183,7 @@ func main() {
 			return nil
 		})
 		run("SLO extension", func() error {
-			res, err := env.SLOWeighted()
+			res, err := experiments.SLOWeighted(env)
 			if err != nil {
 				return err
 			}
@@ -191,7 +192,7 @@ func main() {
 			return nil
 		})
 		run("memory dimension", func() error {
-			res, err := env.MemoryDimension()
+			res, err := experiments.MemoryDimension(env)
 			if err != nil {
 				return err
 			}

@@ -9,6 +9,7 @@ import (
 
 	"dbvirt/internal/experiments"
 	"dbvirt/internal/faults"
+	"dbvirt/internal/workload"
 )
 
 // goldenPlacement is the fleet-placement figure at quick scale. FigPRow
@@ -17,8 +18,8 @@ import (
 // and the verified fleet cost at each size.
 func goldenPlacement(t *testing.T) []byte {
 	t.Helper()
-	env := experiments.QuickEnv()
-	rows, err := env.FigurePlacement([]int{60, 200})
+	env := workload.QuickEnv()
+	rows, err := experiments.FigurePlacement(env, []int{60, 200})
 	if err != nil {
 		t.Fatalf("FigurePlacement: %v", err)
 	}

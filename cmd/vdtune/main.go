@@ -18,11 +18,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"dbvirt/internal/core"
-	"dbvirt/internal/experiments"
 	"dbvirt/internal/obs"
 	"dbvirt/internal/telemetry"
 	"dbvirt/internal/vm"
@@ -64,7 +62,7 @@ func main() {
 		fail("need at least two -w workload specs, e.g. -w W1=Q4x3 -w W2=Q13x9")
 	}
 
-	env, err := experiments.EnvForScale(*scale)
+	env, err := workload.EnvForScale(*scale)
 	if err != nil {
 		fail("%v", err)
 	}
@@ -72,15 +70,19 @@ func main() {
 		// The tiny quick path runs on QuickEnv's 16 MiB machine: its
 		// calibration tables are a quarter the default machine's, so a
 		// tuning run takes a fraction of the time.
-		env = experiments.NewEnv(env.Scale, experiments.QuickEnv().Machine)
+		env = workload.NewEnv(env.Scale, workload.QuickEnv().Machine)
 	}
 
+	// Specs are interned by content, so two -w flags running the same
+	// workload share one spec; names keeps what each flag called it.
+	var names []string
 	var specs []*core.WorkloadSpec
 	for _, wf := range wflags {
-		spec, err := parseWorkload(env, wf)
+		name, spec, err := parseWorkload(env, wf)
 		if err != nil {
 			fail("%v", err)
 		}
+		names = append(names, name)
 		specs = append(specs, spec)
 	}
 
@@ -113,7 +115,7 @@ func main() {
 	// runs exactly as vdtuned does for served traffic.
 	hub := telemetry.NewHub(telemetry.Config{})
 	for i, spec := range specs {
-		ten := hub.Tenant(spec.Name)
+		ten := hub.Tenant(names[i])
 		for _, norm := range spec.NormalizedStatements() {
 			ten.ObserveQuery(norm)
 		}
@@ -121,8 +123,8 @@ func main() {
 	}
 
 	fmt.Printf("\nRecommended allocation (%s):\n", sol.Algorithm)
-	for i, spec := range specs {
-		fmt.Printf("  %-12s %v (predicted %.3fs)\n", spec.Name, sol.Allocation[i], sol.PredictedCosts[i])
+	for i, name := range names {
+		fmt.Printf("  %-12s %v (predicted %.3fs)\n", name, sol.Allocation[i], sol.PredictedCosts[i])
 	}
 	fmt.Printf("  predicted objective: %.3fs (%d cost-model evaluations)\n",
 		sol.PredictedTotal, sol.Evaluations)
@@ -139,11 +141,11 @@ func main() {
 		}
 		fmt.Printf("  %-12s %10s %10s\n", "workload", "equal", "chosen")
 		var se, sc float64
-		for i, spec := range specs {
+		for i, name := range names {
 			// Predicted-vs-measured is exactly a calibration residual:
 			// fold it into the per-workload drift gauges.
-			hub.Tenant(spec.Name).ObserveResidual(sol.PredictedCosts[i], chosen[i])
-			fmt.Printf("  %-12s %9.3fs %9.3fs\n", spec.Name, equal[i], chosen[i])
+			hub.Tenant(name).ObserveResidual(sol.PredictedCosts[i], chosen[i])
+			fmt.Printf("  %-12s %9.3fs %9.3fs\n", name, equal[i], chosen[i])
 			se += equal[i]
 			sc += chosen[i]
 		}
@@ -157,42 +159,23 @@ func main() {
 	}
 }
 
-func parseWorkload(env *experiments.Env, spec string) (*core.WorkloadSpec, error) {
-	name, rest, ok := strings.Cut(spec, "=")
+// parseWorkload parses one -w flag, name=QUERYxN, into its name and
+// interned spec.
+func parseWorkload(env *workload.Env, spec string) (string, *core.WorkloadSpec, error) {
+	name, ref, ok := strings.Cut(spec, "=")
 	if !ok {
-		return nil, fmt.Errorf("workload spec %q must be name=QUERYxN", spec)
+		return "", nil, fmt.Errorf("workload spec %q must be name=QUERYxN", spec)
 	}
-	qname, nstr, ok := strings.Cut(rest, "x")
-	n := 1
-	if ok {
-		var err error
-		n, err = strconv.Atoi(nstr)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad repetition count in %q", spec)
-		}
-	} else {
-		qname = rest
-	}
-	qname = strings.ToUpper(strings.TrimSpace(qname))
-	queries := workload.Queries()
-	q, found := queries[qname]
-	if !found {
-		var names []string
-		for k := range queries {
-			names = append(names, k)
-		}
-		return nil, fmt.Errorf("unknown query %q (have %s)", qname, strings.Join(names, ", "))
+	qname, n, err := workload.ParseRepeat(ref)
+	if err != nil {
+		return "", nil, err
 	}
 	fmt.Printf("Loading database for %s (%s x%d)...\n", name, qname, n)
 	db, err := env.DB("vdtune-" + name)
 	if err != nil {
-		return nil, err
+		return "", nil, err
 	}
-	return &core.WorkloadSpec{
-		Name:       name,
-		Statements: workload.Repeat(name, q, n).Statements,
-		DB:         db,
-	}, nil
+	return name, core.Intern(name, db, workload.Repeat(name, workload.Query(qname), n).Statements), nil
 }
 
 func fail(format string, args ...any) {

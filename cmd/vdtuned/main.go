@@ -32,17 +32,16 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"dbvirt/internal/calibration"
-	"dbvirt/internal/experiments"
 	"dbvirt/internal/faults"
 	"dbvirt/internal/obs"
 	"dbvirt/internal/server"
 	"dbvirt/internal/telemetry"
+	"dbvirt/internal/workload"
 )
 
 // defaultAxes is the lattice served when vdtuned calibrates or
@@ -86,7 +85,7 @@ func main() {
 		return
 	}
 
-	env, err := experiments.EnvForScale(*scale)
+	env, err := workload.EnvForScale(*scale)
 	if err != nil {
 		fail("%v", err)
 	}
@@ -176,7 +175,7 @@ func main() {
 }
 
 // loadGrid resolves the served calibration grid from the flag set.
-func loadGrid(env *experiments.Env, gridPath string, calibrate bool, faultSpec string) (*calibration.Grid, error) {
+func loadGrid(env *workload.Env, gridPath string, calibrate bool, faultSpec string) (*calibration.Grid, error) {
 	switch {
 	case gridPath != "":
 		f, err := os.Open(gridPath)
@@ -200,14 +199,12 @@ func loadGrid(env *experiments.Env, gridPath string, calibrate bool, faultSpec s
 		fmt.Println("vdtuned: calibrating grid (this can take a while)...")
 		return env.Calibrator().CalibrateGridOpts(context.Background(), defaultAxes, defaultAxes, defaultAxes, calibration.GridOptions{})
 	default:
-		return experiments.SyntheticGrid(defaultAxes, defaultAxes, defaultAxes)
+		return calibration.SyntheticGrid(defaultAxes, defaultAxes, defaultAxes)
 	}
 }
 
 // parseAutotuneWorkloads parses "-autotune-workloads" specs of the form
-// "name=QUERY" or "name=QUERYxN", comma-separated. The repeat suffix is
-// the last 'x' followed by digits, matching the canonical QUERYxN
-// tenant-naming convention used elsewhere in the API.
+// "name=QUERY" or "name=QUERYxN", comma-separated (workload.ParseRepeat).
 func parseAutotuneWorkloads(spec string) ([]server.WorkloadRef, error) {
 	if strings.TrimSpace(spec) == "" {
 		return nil, fmt.Errorf("-autotune requires -autotune-workloads (e.g. \"w1=Q4x2,w2=Q13x2\")")
@@ -215,17 +212,15 @@ func parseAutotuneWorkloads(spec string) ([]server.WorkloadRef, error) {
 	var refs []server.WorkloadRef
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
-		name, q, ok := strings.Cut(part, "=")
-		if !ok || name == "" || q == "" {
+		name, ref, ok := strings.Cut(part, "=")
+		if !ok || name == "" {
 			return nil, fmt.Errorf("-autotune-workloads: %q is not name=QUERY[xN]", part)
 		}
-		ref := server.WorkloadRef{Name: name, Query: q}
-		if i := strings.LastIndexByte(q, 'x'); i > 0 && i < len(q)-1 {
-			if n, err := strconv.Atoi(q[i+1:]); err == nil {
-				ref.Query, ref.Repeat = q[:i], n
-			}
+		q, n, err := workload.ParseRepeat(ref)
+		if err != nil {
+			return nil, fmt.Errorf("-autotune-workloads: %w", err)
 		}
-		refs = append(refs, ref)
+		refs = append(refs, server.WorkloadRef{Name: name, Query: q, Repeat: n})
 	}
 	return refs, nil
 }

@@ -17,13 +17,12 @@ import (
 	"log"
 
 	"dbvirt/internal/core"
-	"dbvirt/internal/experiments"
 	"dbvirt/internal/vm"
 	"dbvirt/internal/workload"
 )
 
 func main() {
-	env := experiments.QuickEnv()
+	env := workload.QuickEnv()
 
 	fmt.Println("Loading the two database servers' data...")
 	reportingDB, err := env.DB("reporting")

@@ -14,13 +14,12 @@ import (
 	"log"
 
 	"dbvirt/internal/core"
-	"dbvirt/internal/experiments"
 	"dbvirt/internal/vm"
 	"dbvirt/internal/workload"
 )
 
 func main() {
-	env := experiments.QuickEnv()
+	env := workload.QuickEnv()
 
 	fmt.Println("Loading workload databases...")
 	db1, err := env.DB("dyn-w1")

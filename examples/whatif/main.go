@@ -18,7 +18,7 @@ import (
 )
 
 func main() {
-	env := experiments.QuickEnv()
+	env := workload.QuickEnv()
 
 	fmt.Println("Loading the TPC-H-like database...")
 	db, err := env.DB("whatif")
@@ -48,11 +48,11 @@ func main() {
 	for _, name := range queries {
 		q := workload.Query(name)
 		for _, sh := range shares {
-			est, err := env.EstimateQuery(db, q, sh)
+			est, err := experiments.EstimateQuery(env, db, q, sh)
 			if err != nil {
 				log.Fatalf("%s: %v", name, err)
 			}
-			act, err := env.MeasureQuery(db, q, sh)
+			act, err := experiments.MeasureQuery(env, db, q, sh)
 			if err != nil {
 				log.Fatalf("%s: %v", name, err)
 			}

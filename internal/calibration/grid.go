@@ -96,6 +96,48 @@ func NewGrid(cpus, mems, ios []float64, points []optimizer.Params) (*Grid, error
 	return g, nil
 }
 
+// SyntheticGrid builds a deterministic parameter lattice over the given
+// share axes without running any calibration experiments. The parameter
+// surface is a plausible stand-in for a calibrated grid: CPU costs
+// (relative to one sequential page fetch) grow as the CPU share shrinks
+// or the I/O share grows, the cache assumption and work_mem scale with
+// the memory share, and the seconds-per-page conversion scales with the
+// inverse I/O share. The spread is wide enough to flip access paths and
+// join methods across the lattice, which is exactly what the what-if
+// re-costing benchmarks and differential tests need — reproducibly, and
+// with no dependence on calibration measurements.
+func SyntheticGrid(cpus, mems, ios []float64) (*Grid, error) {
+	points := make([]optimizer.Params, 0, len(cpus)*len(mems)*len(ios))
+	for _, c := range cpus {
+		for _, m := range mems {
+			for _, io := range ios {
+				points = append(points, syntheticParams(c, m, io))
+			}
+		}
+	}
+	return NewGrid(cpus, mems, ios, points)
+}
+
+// syntheticParams maps one allocation to a parameter vector. Each field
+// is a smooth monotone function of the shares, so trilinear
+// interpolation between lattice points stays well-behaved.
+func syntheticParams(cpu, mem, io float64) optimizer.Params {
+	p := optimizer.DefaultParams()
+	// Faster I/O makes a page fetch cheap in wall time, so CPU work costs
+	// more pages-worth; a bigger CPU share pushes the other way.
+	rel := io / cpu
+	p.CPUTupleCost = 0.01 * rel
+	p.CPUIndexTupleCost = 0.005 * rel
+	p.CPUOperatorCost = 0.0025 * rel
+	// Seeks amortize better at higher I/O shares (deeper queues).
+	p.RandomPageCost = 1 + 3/io
+	p.EffectiveCacheSizePages = int64(16384*mem + 0.5)
+	p.WorkMemBytes = int64(float64(16<<20)*mem + 0.5)
+	p.TimePerSeqPage = 1e-4 / io
+	p.Overlap = 0.3
+	return p
+}
+
 // Allocations returns every lattice point's allocation in the grid's
 // dense order (CPU-major, then memory, then I/O) — the order NewGrid
 // expects its points in. The slice is freshly allocated.

@@ -354,6 +354,25 @@ type CostModel interface {
 	Name() string
 }
 
+// CostMatrix prices every workload at every allocation through the model:
+// out[i][j] = Cost(specs[i], allocs[j]). It is the inner loop of the
+// paper's design search, and what vdtuned's /v1/whatif answers.
+func CostMatrix(ctx context.Context, model CostModel, specs []*WorkloadSpec, allocs []vm.Shares) ([][]float64, error) {
+	out := make([][]float64, len(specs))
+	for i, w := range specs {
+		row := make([]float64, len(allocs))
+		for j, sh := range allocs {
+			c, err := model.Cost(ctx, w, sh)
+			if err != nil {
+				return nil, err
+			}
+			row[j] = c
+		}
+		out[i] = row
+	}
+	return out, nil
+}
+
 // Result is a solved virtualization design.
 type Result struct {
 	Algorithm      string

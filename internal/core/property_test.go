@@ -12,8 +12,8 @@ import (
 	"math"
 	"testing"
 
+	"dbvirt/internal/calibration"
 	"dbvirt/internal/core"
-	"dbvirt/internal/experiments"
 	"dbvirt/internal/vm"
 	"dbvirt/internal/workload"
 )
@@ -24,11 +24,11 @@ import (
 func propertyModel(t *testing.T) (core.CostModel, []*core.WorkloadSpec) {
 	t.Helper()
 	axes := []float64{0.25, 0.5, 0.75, 1.0}
-	grid, err := experiments.SyntheticGrid(axes, axes, axes)
+	grid, err := calibration.SyntheticGrid(axes, axes, axes)
 	if err != nil {
 		t.Fatalf("SyntheticGrid: %v", err)
 	}
-	env := experiments.NewEnv(workload.TinyScale(), vm.DefaultMachineConfig())
+	env := workload.NewEnv(workload.TinyScale(), vm.DefaultMachineConfig())
 	var specs []*core.WorkloadSpec
 	for _, q := range []struct {
 		name   string
@@ -121,7 +121,7 @@ func TestCostPermutationInvariant(t *testing.T) {
 	ctx := context.Background()
 	allocs := sharesLattice([]float64{0.25, 0.5, 1.0})
 
-	base, err := experiments.CostMatrix(ctx, model, specs, allocs)
+	base, err := core.CostMatrix(ctx, model, specs, allocs)
 	if err != nil {
 		t.Fatalf("CostMatrix: %v", err)
 	}
@@ -135,7 +135,7 @@ func TestCostPermutationInvariant(t *testing.T) {
 		for i, j := range perm {
 			shuffled[i] = specs[j]
 		}
-		got, err := experiments.CostMatrix(ctx, model, shuffled, allocs)
+		got, err := core.CostMatrix(ctx, model, shuffled, allocs)
 		if err != nil {
 			t.Fatalf("CostMatrix(perm %v): %v", perm, err)
 		}

@@ -24,7 +24,7 @@ type SearchRow struct {
 // baseline) on an N-workload problem with heterogeneous resource
 // profiles, validating each algorithm's chosen allocation by actual
 // execution.
-func (e *Env) AblationSearch(n int, step float64) ([]SearchRow, error) {
+func AblationSearch(e *workload.Env, n int, step float64) ([]SearchRow, error) {
 	if n < 2 || n > 4 {
 		return nil, fmt.Errorf("experiments: search ablation supports 2..4 workloads, got %d", n)
 	}
@@ -110,7 +110,7 @@ type GridRow struct {
 // AblationCalibrationGrid quantifies the paper's §7 trade-off: fewer
 // calibration experiments (coarser grid) versus parameter accuracy,
 // evaluated against direct calibration at off-lattice CPU shares.
-func (e *Env) AblationCalibrationGrid() ([]GridRow, error) {
+func AblationCalibrationGrid(e *workload.Env) ([]GridRow, error) {
 	cal := e.Calibrator()
 	probeShares := []float64{0.35, 0.5, 0.65}
 	axes := [][]float64{
@@ -170,21 +170,21 @@ type OverlapRow struct {
 // AblationOverlap varies the machine's CPU/I-O overlap and measures how
 // sensitive the I/O-bound Q4 becomes to the CPU share: with full overlap
 // Q4 is flat, with no overlap (fully serial) its CPU component is exposed.
-func (e *Env) AblationOverlap(overlaps []float64) ([]OverlapRow, error) {
+func AblationOverlap(e *workload.Env, overlaps []float64) ([]OverlapRow, error) {
 	var rows []OverlapRow
 	for _, ov := range overlaps {
-		env := NewEnv(e.Scale, e.Machine)
+		env := workload.NewEnv(e.Scale, e.Machine)
 		env.Machine.Overlap = ov
 		env.Seed = e.Seed
 		db, err := env.DB("w-q4")
 		if err != nil {
 			return nil, err
 		}
-		lo, err := env.MeasureQuery(db, workload.Query("Q4"), vm.Shares{CPU: 0.25, Memory: 0.5, IO: 0.5})
+		lo, err := MeasureQuery(env, db, workload.Query("Q4"), vm.Shares{CPU: 0.25, Memory: 0.5, IO: 0.5})
 		if err != nil {
 			return nil, err
 		}
-		hi, err := env.MeasureQuery(db, workload.Query("Q4"), vm.Shares{CPU: 0.75, Memory: 0.5, IO: 0.5})
+		hi, err := MeasureQuery(env, db, workload.Query("Q4"), vm.Shares{CPU: 0.75, Memory: 0.5, IO: 0.5})
 		if err != nil {
 			return nil, err
 		}
@@ -216,7 +216,7 @@ type DynamicResult struct {
 // DynamicReconfig reproduces the paper's §7 dynamic scenario: the
 // controller re-solves the design problem when the workload changes phase
 // and reconfigures the running VMs.
-func (e *Env) DynamicReconfig() (*DynamicResult, error) {
+func DynamicReconfig(e *workload.Env) (*DynamicResult, error) {
 	q4db, err := e.DB("w-q4")
 	if err != nil {
 		return nil, err
@@ -337,8 +337,8 @@ type SLOResult struct {
 // SLOWeighted demonstrates the paper's §7 service-level-objective
 // extension: attaching a latency target to the I/O-bound workload forces
 // the search away from the throughput-optimal design.
-func (e *Env) SLOWeighted() (*SLOResult, error) {
-	specs, err := e.specs(3, 9)
+func SLOWeighted(e *workload.Env) (*SLOResult, error) {
+	specs, err := MatrixWorkloads(e, 3, 9)
 	if err != nil {
 		return nil, err
 	}
@@ -401,7 +401,7 @@ type MemoryDimensionResult struct {
 // sized so that the Q13 workload's hot orders relation does NOT fit its
 // buffer pool at the equal memory split but does at a 75% share — the
 // regime where the memory dimension matters.
-func (e *Env) MemoryDimension() (*MemoryDimensionResult, error) {
+func MemoryDimension(e *workload.Env) (*MemoryDimensionResult, error) {
 	q13db, err := e.DB("w-q13")
 	if err != nil {
 		return nil, err
@@ -417,13 +417,11 @@ func (e *Env) MemoryDimension() (*MemoryDimensionResult, error) {
 	// cached): pool(share) = share * BufferFrac * MemBytes / pageSize.
 	machine := e.Machine
 	machine.MemBytes = int64(ordersPages * 8192 * 1.8 / e.Engine.BufferFrac)
-	env := NewEnv(e.Scale, machine)
+	env := workload.NewEnv(e.Scale, machine)
 	env.Seed = e.Seed
-	env.mu.Lock()
-	env.dbs = e.dbs // reuse the already-built databases
-	env.mu.Unlock()
 
-	specs, err := env.specs(2, 6)
+	// The workloads run on e's already-built databases.
+	specs, err := MatrixWorkloads(e, 2, 6)
 	if err != nil {
 		return nil, err
 	}

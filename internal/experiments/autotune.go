@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"dbvirt/internal/autotune"
+	"dbvirt/internal/calibration"
 	"dbvirt/internal/core"
 	"dbvirt/internal/telemetry"
 	"dbvirt/internal/vm"
@@ -46,9 +47,9 @@ type FigCRow struct {
 // loop: preTicks ticks of symmetric Q4 traffic (the controller must
 // hold the equal split), then postTicks ticks with tenant w2 shifted to
 // QPOINT (the controller must move CPU to w1 exactly once).
-func (e *Env) FigureControl(preTicks, postTicks int) ([]FigCRow, error) {
+func FigureControl(e *workload.Env, preTicks, postTicks int) ([]FigCRow, error) {
 	axes := []float64{0.25, 0.5, 0.75, 1.0}
-	grid, err := SyntheticGrid(axes, axes, axes)
+	grid, err := calibration.SyntheticGrid(axes, axes, axes)
 	if err != nil {
 		return nil, err
 	}

@@ -12,9 +12,7 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
 
-	"dbvirt/internal/calibration"
 	"dbvirt/internal/core"
 	"dbvirt/internal/engine"
 	"dbvirt/internal/optimizer"
@@ -23,127 +21,21 @@ import (
 	"dbvirt/internal/workload"
 )
 
-// Env is one experiment environment: a machine model, a workload scale,
-// and a shared calibrator. Each workload gets its own VM and session;
-// the read-only TPC-H database is built once per (Scale, Seed) and shared.
-type Env struct {
-	Machine vm.MachineConfig
-	Engine  engine.Config
-	Scale   workload.Scale
-	CalCfg  calibration.Config
-	Seed    int64
-	// Parallelism is handed to the calibrator (grid fan-out) and to every
-	// design problem the harness solves; 0 means runtime.GOMAXPROCS(0).
-	// Results are identical at every setting.
-	Parallelism int
+// Deprecated: use workload.Env. Env, NewEnv and QuickEnv forward to
+// workload until bench/ moves there (ROADMAP 1(f), the next harness change).
+type Env = workload.Env
 
-	mu  sync.Mutex
-	dbs map[dbKey]*engine.Database
-	cal *calibration.Calibrator
-}
-
-// NewEnv creates an experiment environment. With zero values it uses the
-// default machine and the paper-regime experiment scale.
+// Deprecated: use workload.NewEnv (see Env).
 func NewEnv(scale workload.Scale, machine vm.MachineConfig) *Env {
-	calCfg := calibration.DefaultConfig()
-	calCfg.Machine = machine
-	// Size the calibration tables to the machine: the big table must
-	// exceed the largest possible buffer pool.
-	maxPoolPages := int(float64(machine.MemBytes) * 0.75 / 8192)
-	calCfg.BigRows = maxPoolPages * 2 * 16 // ~2x pool at ~16 rows/page
-	calCfg.NarrowRows = maxPoolPages * 4   // ~pool/57 pages: comfortably cached
-	if calCfg.NarrowRows > 20000 {
-		calCfg.NarrowRows = 20000
-	}
-	return &Env{
-		Machine: machine,
-		Engine:  engine.DefaultConfig(),
-		Scale:   scale,
-		CalCfg:  calCfg,
-		Seed:    7,
-		dbs:     make(map[dbKey]*engine.Database),
-	}
+	return workload.NewEnv(scale, machine)
 }
 
-// DefaultEnv is the environment of the paper-reproduction figures.
-func DefaultEnv() *Env {
-	return NewEnv(workload.ExperimentScale(), vm.DefaultMachineConfig())
-}
-
-// QuickEnv is a scaled-down environment for -short benchmark runs and CI.
-func QuickEnv() *Env {
-	cfg := vm.DefaultMachineConfig()
-	cfg.MemBytes = 16 << 20
-	return NewEnv(workload.SmallScale(), cfg)
-}
-
-// EnvForScale returns a fresh environment for a named database scale:
-// "tiny" (the tiny scale on the default machine), "small" (QuickEnv) or
-// "experiment" (DefaultEnv).
-func EnvForScale(name string) (*Env, error) {
-	switch name {
-	case "tiny":
-		return NewEnv(workload.TinyScale(), vm.DefaultMachineConfig()), nil
-	case "small":
-		return QuickEnv(), nil
-	case "experiment":
-		return DefaultEnv(), nil
-	}
-	return nil, fmt.Errorf("unknown scale %q (want tiny, small, or experiment)", name)
-}
-
-// Calibrator returns the shared (caching) calibrator.
-func (e *Env) Calibrator() *calibration.Calibrator {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.cal == nil {
-		cfg := e.CalCfg
-		if cfg.Parallelism == 0 {
-			cfg.Parallelism = e.Parallelism
-		}
-		e.cal = calibration.New(cfg)
-	}
-	return e.cal
-}
-
-// dbKey is what decides the contents of a workload database.
-type dbKey struct {
-	scale workload.Scale
-	seed  int64
-}
-
-// DB returns (building on first use) the TPC-H database of the current
-// Scale and Seed, shared by every caller; name only labels the build.
-func (e *Env) DB(name string) (*engine.Database, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	key := dbKey{e.Scale, e.Seed}
-	if db, ok := e.dbs[key]; ok {
-		return db, nil
-	}
-	m, err := vm.NewMachine(e.Machine)
-	if err != nil {
-		return nil, err
-	}
-	loader, err := m.NewVM(name+"-loader", vm.Shares{CPU: 1, Memory: 1, IO: 1})
-	if err != nil {
-		return nil, err
-	}
-	db := engine.NewDatabase()
-	s, err := engine.NewSession(db, loader, e.Engine)
-	if err != nil {
-		return nil, err
-	}
-	if err := workload.Build(s, e.Scale, e.Seed); err != nil {
-		return nil, fmt.Errorf("experiments: building %s: %w", name, err)
-	}
-	e.dbs[key] = db
-	return db, nil
-}
+// Deprecated: use workload.QuickEnv (see Env).
+func QuickEnv() *Env { return workload.QuickEnv() }
 
 // MeasureQuery runs one query in a fresh VM at the given shares (warm run
 // first) and returns the simulated elapsed seconds of the measured run.
-func (e *Env) MeasureQuery(db *engine.Database, query string, shares vm.Shares) (float64, error) {
+func MeasureQuery(e *workload.Env, db *engine.Database, query string, shares vm.Shares) (float64, error) {
 	m, err := vm.NewMachine(e.Machine)
 	if err != nil {
 		return 0, err
@@ -173,7 +65,7 @@ func (e *Env) MeasureQuery(db *engine.Database, query string, shares vm.Shares) 
 // is built by a full-share loader VM on the same machine; only the write
 // statements themselves are timed. Each statement is an autocommit
 // transaction, so flushes == len(w.Statements).
-func (e *Env) MeasureWrite(w workload.Workload, baseRows int, shares vm.Shares) (elapsed float64, logBytes int64, flushes int, err error) {
+func MeasureWrite(e *workload.Env, w workload.Workload, baseRows int, shares vm.Shares) (elapsed float64, logBytes int64, flushes int, err error) {
 	lm, err := vm.NewMachine(e.Machine)
 	if err != nil {
 		return 0, 0, 0, err
@@ -219,7 +111,7 @@ func (e *Env) MeasureWrite(w workload.Workload, baseRows int, shares vm.Shares) 
 
 // EstimateQuery plans one query under the calibrated P(shares) and
 // returns the estimated seconds.
-func (e *Env) EstimateQuery(db *engine.Database, query string, shares vm.Shares) (float64, error) {
+func EstimateQuery(e *workload.Env, db *engine.Database, query string, shares vm.Shares) (float64, error) {
 	p, err := e.Calibrator().Calibrate(context.Background(), shares)
 	if err != nil {
 		return 0, err
@@ -243,9 +135,9 @@ func estimateUnder(db *engine.Database, query string, p optimizer.Params) (float
 	return s.EstimateSeconds(query, p)
 }
 
-// specs builds the paper's two workloads: W1 = n4 copies of Q4 and W2 =
-// n13 copies of Q13.
-func (e *Env) specs(n4, n13 int) ([]*core.WorkloadSpec, error) {
+// MatrixWorkloads builds the paper's two workloads: W1 = n4 copies of Q4
+// and W2 = n13 copies of Q13.
+func MatrixWorkloads(e *workload.Env, n4, n13 int) ([]*core.WorkloadSpec, error) {
 	q4db, err := e.DB("w-q4")
 	if err != nil {
 		return nil, err

@@ -3,22 +3,24 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"dbvirt/internal/workload"
 )
 
 // The experiment harness tests run at the quick scale and assert the
 // paper's qualitative shapes, not absolute numbers.
 
-func quick(t *testing.T) *Env {
+func quick(t *testing.T) *workload.Env {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("experiment harness tests are not short")
 	}
-	return QuickEnv()
+	return workload.QuickEnv()
 }
 
 func TestFigure3Shape(t *testing.T) {
 	env := quick(t)
-	rows, err := env.Figure3([]float64{0.25, 0.5, 0.75}, []float64{0.5}, 0.5)
+	rows, err := Figure3(env, []float64{0.25, 0.5, 0.75}, []float64{0.5}, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +44,7 @@ func TestFigure3Shape(t *testing.T) {
 
 func TestFigure4Shape(t *testing.T) {
 	env := quick(t)
-	res, err := env.Figure4([]float64{0.25, 0.5, 0.75})
+	res, err := Figure4(env, []float64{0.25, 0.5, 0.75})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +80,7 @@ func TestFigure4Shape(t *testing.T) {
 
 func TestFigure5Shape(t *testing.T) {
 	env := quick(t)
-	res, err := env.Figure5()
+	res, err := Figure5(env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +102,7 @@ func TestFigure5Shape(t *testing.T) {
 
 func TestAblationSearchShape(t *testing.T) {
 	env := quick(t)
-	rows, err := env.AblationSearch(3, 0.25)
+	rows, err := AblationSearch(env, 3, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,14 +120,14 @@ func TestAblationSearchShape(t *testing.T) {
 		t.Errorf("dp measured %.3f should beat equal %.3f",
 			byName["dp"].MeasuredTotal, byName["equal"].MeasuredTotal)
 	}
-	if _, err := env.AblationSearch(9, 0.25); err == nil {
+	if _, err := AblationSearch(env, 9, 0.25); err == nil {
 		t.Error("workload count out of range should error")
 	}
 }
 
 func TestAblationOverlapShape(t *testing.T) {
 	env := quick(t)
-	rows, err := env.AblationOverlap([]float64{0, 1})
+	rows, err := AblationOverlap(env, []float64{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +143,7 @@ func TestAblationOverlapShape(t *testing.T) {
 
 func TestDynamicReconfigImproves(t *testing.T) {
 	env := quick(t)
-	res, err := env.DynamicReconfig()
+	res, err := DynamicReconfig(env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +157,7 @@ func TestDynamicReconfigImproves(t *testing.T) {
 
 func TestSLOForcesShares(t *testing.T) {
 	env := quick(t)
-	res, err := env.SLOWeighted()
+	res, err := SLOWeighted(env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +171,7 @@ func TestSLOForcesShares(t *testing.T) {
 
 func TestMemoryDimensionImproves(t *testing.T) {
 	env := quick(t)
-	res, err := env.MemoryDimension()
+	res, err := MemoryDimension(env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +187,7 @@ func TestMemoryDimensionImproves(t *testing.T) {
 
 func TestGridAblationShape(t *testing.T) {
 	env := quick(t)
-	rows, err := env.AblationCalibrationGrid()
+	rows, err := AblationCalibrationGrid(env)
 	if err != nil {
 		t.Fatal(err)
 	}

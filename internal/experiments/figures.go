@@ -22,7 +22,7 @@ type Fig3Row struct {
 // Figure3 calibrates the optimizer over the cross product of CPU and
 // memory shares (I/O fixed) and reports cpu_tuple_cost at each point — the
 // paper's Figure 3.
-func (e *Env) Figure3(cpuShares, memShares []float64, ioShare float64) ([]Fig3Row, error) {
+func Figure3(e *workload.Env, cpuShares, memShares []float64, ioShare float64) ([]Fig3Row, error) {
 	var rows []Fig3Row
 	for _, mem := range memShares {
 		for _, cpu := range cpuShares {
@@ -83,7 +83,7 @@ type Fig4Result struct {
 
 // Figure4 reproduces the paper's sensitivity experiment: estimate and
 // measure Q4 and Q13 at each CPU share with memory fixed at 50%.
-func (e *Env) Figure4(cpuShares []float64) (*Fig4Result, error) {
+func Figure4(e *workload.Env, cpuShares []float64) (*Fig4Result, error) {
 	q4db, err := e.DB("w-q4")
 	if err != nil {
 		return nil, err
@@ -97,16 +97,16 @@ func (e *Env) Figure4(cpuShares []float64) (*Fig4Result, error) {
 	for _, cpu := range cpuShares {
 		shares := vm.Shares{CPU: cpu, Memory: 0.5, IO: 0.5}
 		row := Fig4Row{CPUShare: cpu}
-		if row.EstQ4, err = e.EstimateQuery(q4db, workload.Query("Q4"), shares); err != nil {
+		if row.EstQ4, err = EstimateQuery(e, q4db, workload.Query("Q4"), shares); err != nil {
 			return nil, err
 		}
-		if row.ActQ4, err = e.MeasureQuery(q4db, workload.Query("Q4"), shares); err != nil {
+		if row.ActQ4, err = MeasureQuery(e, q4db, workload.Query("Q4"), shares); err != nil {
 			return nil, err
 		}
-		if row.EstQ13, err = e.EstimateQuery(q13db, workload.Query("Q13"), shares); err != nil {
+		if row.EstQ13, err = EstimateQuery(e, q13db, workload.Query("Q13"), shares); err != nil {
 			return nil, err
 		}
-		if row.ActQ13, err = e.MeasureQuery(q13db, workload.Query("Q13"), shares); err != nil {
+		if row.ActQ13, err = MeasureQuery(e, q13db, workload.Query("Q13"), shares); err != nil {
 			return nil, err
 		}
 		res.Rows = append(res.Rows, row)
@@ -163,8 +163,8 @@ func (r *Fig5Result) Improvement() (w2Gain, w1Loss float64) {
 // Q4, W2 = 9 copies of Q13. The what-if model drives a CPU-share search
 // (memory and I/O fixed 50/50); the chosen allocation and the default
 // equal split are then both actually executed.
-func (e *Env) Figure5() (*Fig5Result, error) {
-	specs, err := e.specs(3, 9)
+func Figure5(e *workload.Env) (*Fig5Result, error) {
+	specs, err := MatrixWorkloads(e, 3, 9)
 	if err != nil {
 		return nil, err
 	}
@@ -239,7 +239,7 @@ type FigWriteResult struct {
 // the read-bound Q4's sensitivity comes from page fetches alone. EstWrite
 // is the what-if write estimate EstimateWriteSeconds(LogBytes, Flushes)
 // under the calibrated P(shares).
-func (e *Env) FigureWrite(ioShares []float64) (*FigWriteResult, error) {
+func FigureWrite(e *workload.Env, ioShares []float64) (*FigWriteResult, error) {
 	const baseRows = 512
 	const nWrites = 96
 	inserts := workload.InsertHeavy("insert-heavy", baseRows, nWrites)
@@ -253,10 +253,10 @@ func (e *Env) FigureWrite(ioShares []float64) (*FigWriteResult, error) {
 	for _, io := range ioShares {
 		shares := vm.Shares{CPU: 0.5, Memory: 0.5, IO: io}
 		row := FigWriteRow{IOShare: io}
-		if row.ActWrite, row.LogBytes, row.Flushes, err = e.MeasureWrite(inserts, baseRows, shares); err != nil {
+		if row.ActWrite, row.LogBytes, row.Flushes, err = MeasureWrite(e, inserts, baseRows, shares); err != nil {
 			return nil, err
 		}
-		if row.ActUpdate, _, _, err = e.MeasureWrite(updates, baseRows, shares); err != nil {
+		if row.ActUpdate, _, _, err = MeasureWrite(e, updates, baseRows, shares); err != nil {
 			return nil, err
 		}
 		p, err := e.Calibrator().Calibrate(context.Background(), shares)
@@ -264,7 +264,7 @@ func (e *Env) FigureWrite(ioShares []float64) (*FigWriteResult, error) {
 			return nil, err
 		}
 		row.EstWrite = p.EstimateWriteSeconds(row.LogBytes, row.Flushes)
-		if row.ActRead, err = e.MeasureQuery(q4db, workload.Query("Q4"), shares); err != nil {
+		if row.ActRead, err = MeasureQuery(e, q4db, workload.Query("Q4"), shares); err != nil {
 			return nil, err
 		}
 		res.Rows = append(res.Rows, row)

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"dbvirt/internal/calibration"
 	"dbvirt/internal/core"
 	"dbvirt/internal/placement"
 	"dbvirt/internal/workload"
@@ -21,7 +22,7 @@ var fleetQueries = []string{"Q1", "Q4", "Q6", "Q13"}
 // Specs are interned (core.Intern), so the fleet has at most
 // len(fleetQueries)*3 distinct workload identities — the regime workload
 // compression exploits — and every call shares them.
-func (e *Env) FleetTenants(n int, seed uint64) ([]*placement.Tenant, error) {
+func FleetTenants(e *workload.Env, n int, seed uint64) ([]*placement.Tenant, error) {
 	tenants := make([]*placement.Tenant, n)
 	for i := 0; i < n; i++ {
 		h := fleetMix(seed + uint64(i))
@@ -73,16 +74,16 @@ type FigPRow struct {
 // cold baseline), a Verify pass, and then one incremental tenant arrival
 // on the warm state. TotalCost is only reported after Verify re-checks
 // every machine against the cost model.
-func (e *Env) FigurePlacement(sizes []int) ([]FigPRow, error) {
+func FigurePlacement(e *workload.Env, sizes []int) ([]FigPRow, error) {
 	ctx := context.Background()
 	axes := []float64{0.25, 0.5, 0.75, 1.0}
 	rows := make([]FigPRow, 0, len(sizes))
 	for _, n := range sizes {
-		tenants, err := e.FleetTenants(n, 11)
+		tenants, err := FleetTenants(e, n, 11)
 		if err != nil {
 			return nil, err
 		}
-		grid, err := SyntheticGrid(axes, axes, axes)
+		grid, err := calibration.SyntheticGrid(axes, axes, axes)
 		if err != nil {
 			return nil, err
 		}
@@ -104,7 +105,7 @@ func (e *Env) FigurePlacement(sizes []int) ([]FigPRow, error) {
 		if err := pl.Verify(ctx); err != nil {
 			return nil, fmt.Errorf("experiments: placement verify (%d tenants): %w", n, err)
 		}
-		arrival, err := e.FleetTenants(1, 997)
+		arrival, err := FleetTenants(e, 1, 997)
 		if err != nil {
 			return nil, err
 		}

@@ -11,6 +11,7 @@ import (
 	"dbvirt/internal/core"
 	"dbvirt/internal/obs"
 	"dbvirt/internal/vm"
+	"dbvirt/internal/workload"
 )
 
 // TestTracesReachEveryLayer installs the process sinks the way a CLI
@@ -25,13 +26,13 @@ func TestTracesReachEveryLayer(t *testing.T) {
 	}
 	defer obs.Close()
 
-	env := QuickEnv()
+	env := workload.QuickEnv()
 	half := []float64{0.5}
 	if _, err := env.Calibrator().CalibrateGridOpts(context.Background(),
 		[]float64{0.25, 0.75}, half, half, calibration.GridOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	specs, err := env.specs(1, 1)
+	specs, err := MatrixWorkloads(env, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,10 @@ import (
 	"context"
 	"testing"
 
+	"dbvirt/internal/calibration"
 	"dbvirt/internal/core"
 	"dbvirt/internal/obs"
+	"dbvirt/internal/workload"
 )
 
 // TestSyntheticGridMatrixEquivalence drives the full what-if matrix —
@@ -17,12 +19,12 @@ func TestSyntheticGridMatrixEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds workload databases")
 	}
-	e := QuickEnv()
-	specs, err := e.MatrixWorkloads(1, 2)
+	e := workload.QuickEnv()
+	specs, err := MatrixWorkloads(e, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := SyntheticGrid([]float64{0.25, 1.0}, []float64{0.5, 1.0}, []float64{0.25, 1.0})
+	g, err := calibration.SyntheticGrid([]float64{0.25, 1.0}, []float64{0.5, 1.0}, []float64{0.25, 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,11 +32,11 @@ func TestSyntheticGridMatrixEquivalence(t *testing.T) {
 
 	ctx := context.Background()
 	fastBefore := obs.Global.Counter("whatif.recost.fast").Value()
-	memo, err := CostMatrix(ctx, &core.WhatIfModel{Grid: g}, specs, allocs)
+	memo, err := core.CostMatrix(ctx, &core.WhatIfModel{Grid: g}, specs, allocs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := CostMatrix(ctx, &core.WhatIfModel{Grid: g, NoPrepare: true}, specs, allocs)
+	cold, err := core.CostMatrix(ctx, &core.WhatIfModel{Grid: g, NoPrepare: true}, specs, allocs)
 	if err != nil {
 		t.Fatal(err)
 	}

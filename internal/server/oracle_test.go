@@ -13,7 +13,6 @@ import (
 
 	"dbvirt/internal/calibration"
 	"dbvirt/internal/core"
-	"dbvirt/internal/experiments"
 	"dbvirt/internal/vm"
 	"dbvirt/internal/workload"
 )
@@ -24,7 +23,7 @@ import (
 // atoms. Sharing nothing, it also catches a bug in how the server builds
 // or shares databases, statistics or the grid.
 type oracle struct {
-	env   *experiments.Env
+	env   *workload.Env
 	grid  *calibration.Grid
 	model *core.WhatIfModel
 }
@@ -33,12 +32,12 @@ type oracle struct {
 func newOracle(t *testing.T) *oracle {
 	t.Helper()
 	axes := []float64{0.25, 0.5, 0.75, 1.0}
-	g, err := experiments.SyntheticGrid(axes, axes, axes)
+	g, err := calibration.SyntheticGrid(axes, axes, axes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return &oracle{
-		env:   experiments.NewEnv(workload.TinyScale(), vm.DefaultMachineConfig()),
+		env:   workload.NewEnv(workload.TinyScale(), vm.DefaultMachineConfig()),
 		grid:  g,
 		model: &core.WhatIfModel{Grid: g, NoPrepare: true},
 	}
@@ -90,7 +89,7 @@ func oracleMismatches(t *testing.T, h http.Handler, o *oracle) []string {
 	for _, q := range names {
 		body := fmt.Sprintf(`{"workloads":[{"query":%q,"repeat":2}],"allocations":[{"cpu":0.5,"memory":0.5,"io":0.5},{"cpu":0.3,"memory":0.8,"io":0.45}]}`, q)
 		rec := post(t, h, "/v1/whatif", body)
-		costs, err := experiments.CostMatrix(ctx, o.model, []*core.WorkloadSpec{o.spec(t, q, 2)}, allocs)
+		costs, err := core.CostMatrix(ctx, o.model, []*core.WorkloadSpec{o.spec(t, q, 2)}, allocs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +150,7 @@ func TestResponsesMatchIndependentOracle(t *testing.T) {
 // TestOracleCatchesWrongDatabase plants a bug on the server's side only:
 // its databases come from another seed. The oracle must notice.
 func TestOracleCatchesWrongDatabase(t *testing.T) {
-	env := experiments.NewEnv(workload.TinyScale(), vm.DefaultMachineConfig())
+	env := workload.NewEnv(workload.TinyScale(), vm.DefaultMachineConfig())
 	env.Seed++
 	s := newTestServer(t, func(c *Config) { c.Env = env })
 	if bad := oracleMismatches(t, s.Handler(), newOracle(t)); len(bad) == 0 {

@@ -17,11 +17,11 @@ import (
 	"dbvirt/internal/autotune"
 	"dbvirt/internal/calibration"
 	"dbvirt/internal/core"
-	"dbvirt/internal/experiments"
 	"dbvirt/internal/obs"
 	"dbvirt/internal/optimizer"
 	"dbvirt/internal/telemetry"
 	"dbvirt/internal/vm"
+	"dbvirt/internal/workload"
 )
 
 var (
@@ -34,10 +34,11 @@ var (
 // Config parameterizes a Server. The zero value is completed by New with
 // the defaults noted per field.
 type Config struct {
-	// Env is the experiment environment whose databases the workloads run
-	// on (default experiments.QuickEnv(); tests inject a prebuilt one so
-	// several servers share databases).
-	Env *experiments.Env
+	// Env is the environment whose databases the workloads run on
+	// (default workload.QuickEnv(); tests inject a prebuilt one so several
+	// servers share databases). The server reads its DB and Machine only
+	// and never writes it.
+	Env *workload.Env
 	// Grid answers calibration lookups and backs the default what-if
 	// model. Required unless both Model is set and /v1/calibration/grid
 	// may 404.
@@ -63,8 +64,7 @@ type Config struct {
 	// DefaultTimeout applies when a request carries no timeout_ms
 	// (default 30s).
 	DefaultTimeout time.Duration
-	// Parallelism is handed to the solvers and the environment; 0 means
-	// GOMAXPROCS.
+	// Parallelism is handed to the solvers; 0 means GOMAXPROCS.
 	Parallelism int
 	// Telemetry is the per-tenant workload-telemetry hub fed by every
 	// what-if request. Default: a hub with default sketch/drift parameters
@@ -92,7 +92,7 @@ const (
 
 func (c *Config) applyDefaults() error {
 	if c.Env == nil {
-		c.Env = experiments.QuickEnv()
+		c.Env = workload.QuickEnv()
 	}
 	if c.Model == nil {
 		if c.Grid == nil {
@@ -157,7 +157,6 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
 	}
-	cfg.Env.Parallelism = cfg.Parallelism
 	s := &Server{
 		cfg:     cfg,
 		col:     newCoalescer[whatIfAnswer](),
@@ -351,16 +350,18 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		s.writeComputeError(w, err)
 		return
 	}
-	s.recordWhatIf(&req, ans.costs)
+	s.recordWhatIf(&req, ans)
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(ans.body)
 }
 
 // whatIfAnswer is what the coalescer keeps of one answered sweep: the
-// marshaled response, and the cost matrix it encodes for the telemetry of
-// every request the entry answers.
+// marshaled response, and its specs and cost matrix for the telemetry of
+// every request the entry answers. The coalesce key holds each position's
+// query, repeat, weight and SLO, so those requests share the specs.
 type whatIfAnswer struct {
 	body  []byte
+	specs []*core.WorkloadSpec
 	costs [][]float64
 }
 
@@ -377,23 +378,17 @@ func tenantName(ref WorkloadRef) string {
 
 // recordWhatIf streams one answered what-if request into the per-tenant
 // telemetry: every statement's normalized SQL into the workload sketch
-// and the workload's predicted cost row into the reservoir. costs is the
-// matrix the response body encodes, kept beside it in the coalescer's
-// entry, so coalesced and memoized hits count as tenant traffic too and
-// nobody decodes what was just encoded.
-func (s *Server) recordWhatIf(req *WhatIfRequest, costs [][]float64) {
-	specs, err := s.resolve(req.Workloads)
-	if err != nil {
-		return
-	}
+// and the workload's predicted cost row into the reservoir. The specs and
+// costs are the ones the response body was computed from, kept beside it
+// in the coalescer's entry, so coalesced and memoized hits count as
+// tenant traffic too and nobody resolves or decodes again.
+func (s *Server) recordWhatIf(req *WhatIfRequest, ans whatIfAnswer) {
 	for i, ref := range req.Workloads {
 		ten := s.cfg.Telemetry.Tenant(tenantName(ref))
-		for _, norm := range specs[i].NormalizedStatements() {
+		for _, norm := range ans.specs[i].NormalizedStatements() {
 			ten.ObserveQuery(norm)
 		}
-		if i < len(costs) {
-			ten.ObserveCosts(costs[i])
-		}
+		ten.ObserveCosts(ans.costs[i])
 	}
 }
 
@@ -409,12 +404,12 @@ func (s *Server) computeWhatIf(ctx context.Context, req *WhatIfRequest) (whatIfA
 	for i, a := range req.Allocations {
 		allocs[i] = a.shares()
 	}
-	costs, err := experiments.CostMatrix(ctx, s.cfg.Model, specs, allocs)
+	costs, err := core.CostMatrix(ctx, s.cfg.Model, specs, allocs)
 	if err != nil {
 		return whatIfAnswer{}, err
 	}
 	body, err := json.Marshal(WhatIfResponse{Model: s.cfg.Model.Name(), Costs: costs})
-	return whatIfAnswer{body: body, costs: costs}, err
+	return whatIfAnswer{body: body, specs: specs, costs: costs}, err
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {

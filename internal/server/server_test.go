@@ -16,7 +16,6 @@ import (
 
 	"dbvirt/internal/calibration"
 	"dbvirt/internal/core"
-	"dbvirt/internal/experiments"
 	"dbvirt/internal/vm"
 	"dbvirt/internal/workload"
 )
@@ -25,16 +24,16 @@ import (
 // test time and every test reads, never mutates, the built databases.
 var (
 	envOnce    sync.Once
-	sharedEnv  *experiments.Env
+	sharedEnv  *workload.Env
 	sharedGrid *calibration.Grid
 )
 
-func testEnv(t *testing.T) (*experiments.Env, *calibration.Grid) {
+func testEnv(t *testing.T) (*workload.Env, *calibration.Grid) {
 	t.Helper()
 	envOnce.Do(func() {
-		sharedEnv = experiments.NewEnv(workload.TinyScale(), vm.DefaultMachineConfig())
+		sharedEnv = workload.NewEnv(workload.TinyScale(), vm.DefaultMachineConfig())
 		axes := []float64{0.25, 0.5, 0.75, 1.0}
-		g, err := experiments.SyntheticGrid(axes, axes, axes)
+		g, err := calibration.SyntheticGrid(axes, axes, axes)
 		if err != nil {
 			panic(err)
 		}
@@ -55,6 +54,22 @@ func newTestServer(t *testing.T, mut func(*Config)) *Server {
 		t.Fatalf("New: %v", err)
 	}
 	return s
+}
+
+// TestNewLeavesSharedEnvAlone: New reads its Env and never writes it, so
+// servers with different settings can share one Env and its databases.
+func TestNewLeavesSharedEnvAlone(t *testing.T) {
+	_, grid := testEnv(t)
+	env := workload.NewEnv(workload.TinyScale(), vm.DefaultMachineConfig())
+	env.Parallelism = 2
+	for _, p := range []int{0, 3} {
+		if _, err := New(Config{Env: env, Grid: grid, Parallelism: p}); err != nil {
+			t.Fatal(err)
+		}
+		if env.Parallelism != 2 {
+			t.Fatalf("New with Parallelism %d set the shared Env's Parallelism to %d", p, env.Parallelism)
+		}
+	}
 }
 
 // gateModel blocks every Cost call until released (or the call's ctx
@@ -174,7 +189,7 @@ func TestWhatIfMatchesDirectCostMatrix(t *testing.T) {
 			DB:         db,
 		})
 	}
-	want, err := experiments.CostMatrix(context.Background(), &core.WhatIfModel{Grid: grid}, specs,
+	want, err := core.CostMatrix(context.Background(), &core.WhatIfModel{Grid: grid}, specs,
 		[]vm.Shares{{CPU: 0.5, Memory: 0.5, IO: 0.5}, {CPU: 0.25, Memory: 0.75, IO: 0.5}})
 	if err != nil {
 		t.Fatal(err)
@@ -568,7 +583,7 @@ func TestDrainDeadlineCancelsJobs(t *testing.T) {
 func TestCheckpointGridServing(t *testing.T) {
 	// End to end: calibrate a small grid into a grid file, then serve
 	// /v1/calibration/grid straight from the file.
-	env := experiments.NewEnv(workload.TinyScale(), vm.DefaultMachineConfig())
+	env := workload.NewEnv(workload.TinyScale(), vm.DefaultMachineConfig())
 	axes := []float64{0.5, 1.0}
 	ck := t.TempDir() + "/grid.json"
 	g1, err := env.Calibrator().CalibrateGridOpts(context.Background(), axes, axes, axes,

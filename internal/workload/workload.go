@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"slices"
+	"strconv"
 	"strings"
 
 	"dbvirt/internal/engine"
@@ -274,6 +276,29 @@ func Query(name string) string {
 		panic("workload: unknown query " + name)
 	}
 	return q
+}
+
+// ParseRepeat parses a QUERYxN workload reference such as "Q4x3" into a
+// named query (case-insensitive) and a repeat count of at least one; a
+// bare QUERY repeats once. No query name contains an x, so the count
+// starts after the first one.
+func ParseRepeat(s string) (query string, n int, err error) {
+	query, count, found := strings.Cut(strings.ToUpper(strings.TrimSpace(s)), "X")
+	n = 1
+	if found {
+		if n, err = strconv.Atoi(count); err != nil || n < 1 {
+			return "", 0, fmt.Errorf("workload %q: bad repeat count %q", s, count)
+		}
+	}
+	if _, ok := catalog[query]; !ok {
+		var names []string
+		for name := range catalog {
+			names = append(names, name)
+		}
+		slices.Sort(names)
+		return "", 0, fmt.Errorf("workload %q: unknown query %q (have %s)", s, query, strings.Join(names, ", "))
+	}
+	return query, n, nil
 }
 
 // Workload is a named sequence of SQL statements, the W_i of the paper's

@@ -157,6 +157,37 @@ func TestRepeatAndMix(t *testing.T) {
 	}
 }
 
+// TestParseRepeat: the one QUERYxN parser both CLIs use.
+func TestParseRepeat(t *testing.T) {
+	for _, c := range []struct {
+		in    string
+		query string
+		n     int // 0: an error
+	}{
+		{"Q4x3", "Q4", 3},
+		{"q13x9", "Q13", 9},
+		{" Q13FULLx2 ", "Q13FULL", 2},
+		{"QPOINT", "QPOINT", 1},
+		{"Q4x", "", 0},
+		{"Q4x0", "", 0},
+		{"Q4x-1", "", 0},
+		{"Q4xy", "", 0},
+		{"Q99x2", "", 0},
+		{"", "", 0},
+	} {
+		q, n, err := ParseRepeat(c.in)
+		if c.n == 0 {
+			if err == nil {
+				t.Errorf("ParseRepeat(%q) = %q, %d; want an error", c.in, q, n)
+			}
+			continue
+		}
+		if err != nil || q != c.query || n != c.n {
+			t.Errorf("ParseRepeat(%q) = %q, %d, %v; want %q, %d", c.in, q, n, err, c.query, c.n)
+		}
+	}
+}
+
 func TestQueryPanicsOnUnknown(t *testing.T) {
 	defer func() {
 		if recover() == nil {

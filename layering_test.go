@@ -8,11 +8,19 @@ import (
 	"testing"
 )
 
-// layers lists, for every package under internal/, the internal packages
-// its non-test files import. TestLayering fails when the imports differ
-// from the table, so a new dependency between packages is a reviewed edit
-// of this table.
+// layers lists, for every package under internal/ and every command
+// under cmd/, the internal packages its non-test files import. TestLayering
+// fails when the imports differ from the table, so a new dependency
+// between packages is a reviewed edit of this table. No internal package
+// imports experiments, so the command rows pin what each binary links:
+// only cmd/experiments reaches the paper harness.
 var layers = map[string]string{
+	"cmd/calibrate":   "calibration faults obs vm",
+	"cmd/dbvshell":    "engine obs sql telemetry vm workload",
+	"cmd/experiments": "experiments obs workload",
+	"cmd/vdtune":      "core obs telemetry vm workload",
+	"cmd/vdtuned":     "calibration faults obs server telemetry workload",
+
 	"autotune":    "core engine obs telemetry vm",
 	"buffer":      "storage vm",
 	"calibration": "engine faults linalg memo obs optimizer storage types vm wal",
@@ -29,37 +37,43 @@ var layers = map[string]string{
 	"optimizer":   "catalog obs plan sql storage types",
 	"placement":   "core memo obs telemetry vm",
 	"plan":        "catalog sql types",
-	"server":      "autotune calibration core experiments memo obs optimizer placement telemetry vm workload",
+	"server":      "autotune calibration core memo obs optimizer placement telemetry vm workload",
 	"sql":         "types",
 	"storage":     "types",
 	"telemetry":   "obs",
 	"types":       "",
 	"vm":          "",
 	"wal":         "faults obs storage",
-	"workload":    "engine storage types",
+	"workload":    "calibration engine storage types vm",
 }
 
-// TestLayering checks the import graph of the internal packages against
-// layers.
+// TestLayering checks the import graph of the internal packages and the
+// commands against layers.
 func TestLayering(t *testing.T) {
 	const prefix = "dbvirt/internal/"
-	dirs, err := os.ReadDir("internal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[string]bool{}
-	for _, d := range dirs {
-		if !d.IsDir() {
-			continue
-		}
-		pkg, err := build.ImportDir(filepath.Join("internal", d.Name()), 0)
+	var dirs []string
+	for _, root := range []string{"internal", "cmd"} {
+		entries, err := os.ReadDir(root)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seen[d.Name()] = true
-		allowed, ok := layers[d.Name()]
+		for _, d := range entries {
+			if d.IsDir() {
+				dirs = append(dirs, filepath.Join(root, d.Name()))
+			}
+		}
+	}
+	seen := map[string]bool{}
+	for _, dir := range dirs {
+		pkg, err := build.ImportDir(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := strings.TrimPrefix(dir, "internal/")
+		seen[name] = true
+		allowed, ok := layers[name]
 		if !ok {
-			t.Errorf("internal/%s is not in the layering table", d.Name())
+			t.Errorf("%s is not in the layering table", dir)
 			continue
 		}
 		var got []string
@@ -69,12 +83,12 @@ func TestLayering(t *testing.T) {
 			}
 		}
 		if strings.Join(got, " ") != allowed {
-			t.Errorf("internal/%s imports %v; the layering table lists %q", d.Name(), got, allowed)
+			t.Errorf("%s imports %v; the layering table lists %q", dir, got, allowed)
 		}
 	}
 	for name := range layers {
 		if !seen[name] {
-			t.Errorf("the layering table lists internal/%s, which does not exist", name)
+			t.Errorf("the layering table lists %s, which does not exist", name)
 		}
 	}
 }

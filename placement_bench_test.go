@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"testing"
 
+	"dbvirt/internal/calibration"
 	"dbvirt/internal/core"
 	"dbvirt/internal/experiments"
 	"dbvirt/internal/obs"
 	"dbvirt/internal/placement"
+	"dbvirt/internal/workload"
 )
 
 // fleetSize is the BENCH_9 regime: >= 1,000 tenants at paper scale, a
@@ -24,10 +26,10 @@ func fleetSize() int {
 // what-if model (empty prepared-statement cache), fresh shared cost
 // memo — the from-scratch baseline an incremental Apply is measured
 // against.
-func newFleetSolver(b *testing.B, e *experiments.Env) *placement.Solver {
+func newFleetSolver(b *testing.B, e *workload.Env) *placement.Solver {
 	b.Helper()
 	axes := []float64{0.25, 0.5, 0.75, 1.0}
-	grid, err := experiments.SyntheticGrid(axes, axes, axes)
+	grid, err := calibration.SyntheticGrid(axes, axes, axes)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -58,7 +60,7 @@ func BenchmarkPlacementFleet(b *testing.B) {
 	e := sharedEnv(b)
 	ctx := context.Background()
 	n := fleetSize()
-	tenants, err := e.FleetTenants(n, 11)
+	tenants, err := experiments.FleetTenants(e, n, 11)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -85,7 +87,7 @@ func BenchmarkPlacementFleet(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		extra, err := e.FleetTenants(1, 997)
+		extra, err := experiments.FleetTenants(e, 1, 997)
 		if err != nil {
 			b.Fatal(err)
 		}
