@@ -87,8 +87,8 @@ type Config struct {
 	// Hub supplies per-tenant sketches and drift alarms.
 	Hub *telemetry.Hub
 	// Model prices workloads. The daemon hands its WhatIfModel here, whose
-	// cost atoms answer steady-state ticks; a measured model belongs behind
-	// a core.SharedCostModel so those ticks are memo hits.
+	// cost atoms answer steady-state ticks: a stable mix prices no
+	// statement twice under one P(R).
 	Model core.CostModel
 	// VMs are the controlled machines' VMs, positionally matched to
 	// Tenants.
@@ -427,8 +427,8 @@ func (l *Loop) tickLocked(ctx context.Context, manual bool) Decision {
 // (falling back to the configured statements before any traffic) through
 // core.Intern: a stable mix yields pointer-identical specs across ticks,
 // and two tenants with one mix over one database share one spec, so what
-// the model keeps per spec — resolved statement handles, a SharedCostModel's
-// entries — stays hot. A derived spec is labelled by its statements' hash;
+// the model keeps per spec — the what-if model's resolved statement
+// handles — stays hot. A derived spec is labelled by its statements' hash;
 // weight and SLO are views of it. Caller holds l.mu.
 func (l *Loop) deriveSpecs() []*core.WorkloadSpec {
 	specs := make([]*core.WorkloadSpec, len(l.cfg.Tenants))

@@ -2,13 +2,14 @@ package autotune
 
 // Loop-level unit tests: trigger plumbing, decision-log bounds, status
 // accounting, spec derivation from sketches, and the acceptance-bar
-// assertion that steady-state ticks are memo-dominated (the shared cost
-// cache, not the model, absorbs them).
+// assertion that steady-state ticks are memo-dominated (the what-if
+// model's cost atoms, not the optimizer, absorb them).
 
 import (
 	"context"
 	"testing"
 
+	"dbvirt/internal/calibration"
 	"dbvirt/internal/core"
 	"dbvirt/internal/engine"
 	"dbvirt/internal/obs"
@@ -183,12 +184,16 @@ func TestDecisionLogBounded(t *testing.T) {
 
 // TestSteadyStateTicksAreMemoDominated is the acceptance-bar assertion:
 // with a stable mix, the derived specs intern to the same pointers and
-// the SharedCostModel absorbs every pricing after warmup — the inner
-// model call count plateaus while core.shared.hit keeps growing.
+// the what-if model's cost atoms answer every pricing after warmup —
+// core.atom.miss (statements the optimizer priced) plateaus while
+// core.atom.hit keeps growing.
 func TestSteadyStateTicksAreMemoDominated(t *testing.T) {
-	inner := &synthModel{}
-	shared := core.NewSharedCostModel(inner, nil)
-	r := newRig(t, shared, 16, calmDecider())
+	axes := []float64{0.25, 0.5, 0.75, 1.0}
+	grid, err := calibration.SyntheticGrid(axes, axes, axes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newRig(t, &core.WhatIfModel{Grid: grid}, 16, calmDecider())
 	ctx := context.Background()
 
 	tickOnce := func() {
@@ -196,32 +201,36 @@ func TestSteadyStateTicksAreMemoDominated(t *testing.T) {
 		r.feed("t2", stationaryMix)
 		r.step(ctx)
 	}
+	counter := func(name string) func() int64 {
+		return func() int64 { return obs.Global.CounterValues()[name] }
+	}
+	misses, hits := counter("core.atom.miss"), counter("core.atom.hit")
 
-	// Warmup: first ticks populate the shared memo for every lattice
-	// point of the stable mix.
+	// Warmup: the first ticks price every statement of the stable mix at
+	// every lattice point once.
+	before := misses()
 	tickOnce()
 	tickOnce()
-	warm := inner.calls.Load()
-	if warm == 0 {
-		t.Fatal("inner model never called during warmup")
+	warm := misses()
+	if warm == before {
+		t.Fatal("no statement priced during warmup")
 	}
 
-	hits := func() int64 { return obs.Global.CounterValues()["core.shared.hit"] }
 	prevHits := hits()
 	for i := 0; i < 10; i++ {
 		tickOnce()
-		if got := inner.calls.Load(); got != warm {
-			t.Fatalf("steady-state tick %d re-invoked the inner model (%d calls, warmup %d) — memo not engaged", i+3, got, warm)
+		if got := misses(); got != warm {
+			t.Fatalf("steady-state tick %d priced statements again (core.atom.miss %d, %d after warmup) — atoms not engaged", i+3, got, warm)
 		}
 		if h := hits(); h <= prevHits {
-			t.Fatalf("steady-state tick %d: core.shared.hit stuck at %d — pricing not flowing through the shared memo", i+3, h)
+			t.Fatalf("steady-state tick %d: core.atom.hit stuck at %d — pricing not flowing through the atoms", i+3, h)
 		} else {
 			prevHits = h
 		}
 	}
 	st := r.loop.Status()
-	if st.Resolves < 12 {
-		t.Fatalf("resolves = %d, want every tick resolved", st.Resolves)
+	if st.Resolves < 12 || st.Errors != 0 {
+		t.Fatalf("resolves = %d, errors = %d; want every tick resolved and none failed", st.Resolves, st.Errors)
 	}
 }
 

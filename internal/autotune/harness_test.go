@@ -19,8 +19,9 @@ import (
 	"dbvirt/internal/vm"
 )
 
-// Synthetic statements with known CPU sensitivity. The strings are
-// arbitrary sketch keys; the synthetic model never parses them.
+// Synthetic statements with known CPU sensitivity. The synthetic model
+// never parses them; a what-if model binds them to each tenant's table
+// T (tableDB).
 const (
 	stmtFlat   = "SELECT F FROM T" // CPU-insensitive
 	stmtScan   = "SELECT S FROM T" // mildly CPU-sensitive
@@ -164,7 +165,7 @@ func newRig(t *testing.T, model core.CostModel, window int, dec DeciderConfig) *
 		r.vms = append(r.vms, v)
 		tenants = append(tenants, ManagedTenant{
 			Name:     name,
-			DB:       engine.NewDatabase(),
+			DB:       tableDB(t),
 			Fallback: []string{stmtScan, stmtFlat},
 		})
 	}
@@ -184,6 +185,31 @@ func newRig(t *testing.T, model core.CostModel, window int, dec DeciderConfig) *
 	}
 	r.loop = loop
 	return r
+}
+
+// tableDB returns a database holding a small analyzed table T(F, S, H),
+// enough for a what-if model to plan the synthetic statements.
+func tableDB(t *testing.T) *engine.Database {
+	t.Helper()
+	loader, err := vm.MustMachine(vm.DefaultMachineConfig()).NewVM("loader", vm.Shares{CPU: 1, Memory: 1, IO: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := engine.NewDatabase()
+	s, err := engine.NewSession(db, loader, engine.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stmt := range []string{
+		"CREATE TABLE T (F INT, S INT, H INT)",
+		"INSERT INTO T VALUES (1, 2, 3), (4, 5, 6), (7, 8, 9)",
+		"ANALYZE T",
+	} {
+		if _, err := s.Exec(stmt); err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+	}
+	return db
 }
 
 // chaosInjector returns the fault config the chaos tests run under: the

@@ -174,9 +174,7 @@ func TestExhaustiveMatchesSerialScan(t *testing.T) {
 
 // TestParallelSolversMatchSerial checks the headline determinism claim:
 // every solver returns a byte-identical Result regardless of the worker
-// count, including the Evaluations counter and tie-breaks — and regardless
-// of a SharedCostModel in front of the model that can keep one entry per
-// shard, so nearly every lookup across the solves evicts.
+// count, including the Evaluations counter and tie-breaks.
 func TestParallelSolversMatchSerial(t *testing.T) {
 	specs := fakeSpecs("w0", "w1", "w2", "w3")
 	// A bumpy deterministic cost surface with plateaus, so ties exist and
@@ -196,94 +194,52 @@ func TestParallelSolversMatchSerial(t *testing.T) {
 	}
 	for _, sv := range solvers {
 		t.Run(sv.name, func(t *testing.T) {
-			evicting := newSharedCostModel(model, nil, 1)
 			var results []*Result
-			for _, m := range []CostModel{model, evicting} {
-				for _, j := range []int{1, 2, 8} {
-					p := &Problem{
-						Workloads:   specs,
-						Resources:   []vm.Resource{vm.CPU, vm.IO},
-						Step:        0.25,
-						Parallelism: j,
-					}
-					r, err := sv.solve(context.Background(), p, m)
-					if err != nil {
-						t.Fatalf("j=%d: %v", j, err)
-					}
-					if r.Elapsed <= 0 {
-						t.Fatalf("j=%d: Elapsed not recorded", j)
-					}
-					// Elapsed is wall clock — the one documented
-					// non-deterministic field; everything else (including
-					// Evaluations and CacheHits) must match bit-for-bit.
-					r.Elapsed = 0
-					results = append(results, r)
+			for _, j := range []int{1, 2, 8} {
+				p := &Problem{
+					Workloads:   specs,
+					Resources:   []vm.Resource{vm.CPU, vm.IO},
+					Step:        0.25,
+					Parallelism: j,
 				}
+				r, err := sv.solve(context.Background(), p, model)
+				if err != nil {
+					t.Fatalf("j=%d: %v", j, err)
+				}
+				if r.Elapsed <= 0 {
+					t.Fatalf("j=%d: Elapsed not recorded", j)
+				}
+				// Elapsed is wall clock — the one documented
+				// non-deterministic field; everything else (including
+				// Evaluations and CacheHits) must match bit-for-bit.
+				r.Elapsed = 0
+				results = append(results, r)
 			}
 			for i := 1; i < len(results); i++ {
 				if !reflect.DeepEqual(results[0], results[i]) {
-					t.Fatalf("results diverge:\n  j=1: %+v\n  run %d (j=1,2,8 direct, then through the evicting memo): %+v", results[0], i, results[i])
+					t.Fatalf("results diverge:\n  j=1: %+v\n  run %d (j=1,2,8): %+v", results[0], i, results[i])
 				}
-			}
-			if n := evicting.Len(); n == 0 || n > 2*16 {
-				t.Fatalf("the capacity-1 shared memo holds %d entries, want 1..32", n)
 			}
 		})
 	}
 }
 
-// TestSharedCostModelIdentity pins what a SharedCostModel keys on: under a
-// key function, specs with equal keys share entries; under the nil key, a
-// spec shares only with itself, however it is named.
-func TestSharedCostModelIdentity(t *testing.T) {
-	twins := fakeSpecs("w", "w")
-	var computed atomic.Int64
-	inner := &funcModel{name: "count", f: func(w *WorkloadSpec, s vm.Shares) float64 {
-		computed.Add(1)
-		return s.CPU
-	}}
-	for _, c := range []struct {
-		name string
-		key  func(*WorkloadSpec) string
-		want int64
-	}{
-		{"by name", func(w *WorkloadSpec) string { return w.Name }, 3},
-		{"by pointer", nil, 6},
-	} {
-		computed.Store(0)
-		m := NewSharedCostModel(inner, c.key)
-		for round := 0; round < 2; round++ {
-			for _, w := range twins {
-				for _, cpu := range []float64{0.25, 0.5, 1} {
-					if got, err := m.Cost(context.Background(), w, vm.Shares{CPU: cpu, Memory: 1, IO: 1}); err != nil || got != cpu {
-						t.Fatalf("%s: Cost = %v, %v", c.name, got, err)
-					}
-				}
-			}
-		}
-		if got := computed.Load(); got != c.want || m.Len() != int(c.want) {
-			t.Errorf("%s: inner model called %d times, Len %d; want %d", c.name, got, m.Len(), c.want)
-		}
-	}
-}
-
-// TestSharedCostModelViewsShareBase: under the nil key a WithObjective
-// view prices through its base's entry, since weight and SLO never enter
-// a cost.
-func TestSharedCostModelViewsShareBase(t *testing.T) {
-	var computed atomic.Int64
+// TestSharedCostModelForwards: the deprecated wrapper calls its inner
+// model on every Cost, returns that model's answer, and holds no entries.
+func TestSharedCostModelForwards(t *testing.T) {
+	var calls atomic.Int64
 	m := NewSharedCostModel(&funcModel{name: "count", f: func(w *WorkloadSpec, s vm.Shares) float64 {
-		computed.Add(1)
-		return s.CPU
+		return float64(calls.Add(1)) * s.CPU
 	}}, nil)
-	base := fakeSpecs("w")[0]
-	for _, w := range []*WorkloadSpec{base, base.WithObjective(2, 0), base.WithObjective(3, 0.5)} {
-		if _, err := m.Cost(context.Background(), w, vm.Shares{CPU: 0.5, Memory: 1, IO: 1}); err != nil {
-			t.Fatal(err)
+	w := fakeSpecs("w")[0]
+	for i := 1; i <= 3; i++ {
+		got, err := m.Cost(context.Background(), w, vm.Shares{CPU: 0.25, Memory: 1, IO: 1})
+		if want := float64(i) * 0.25; err != nil || got != want {
+			t.Fatalf("call %d: Cost = %v, %v; want %v, the inner model's answer to call %d", i, got, err, want, i)
 		}
 	}
-	if computed.Load() != 1 || m.Len() != 1 {
-		t.Errorf("a spec and two views: %d model calls, %d entries; want 1 and 1", computed.Load(), m.Len())
+	if m.Len() != 0 {
+		t.Errorf("Len = %d, want 0", m.Len())
 	}
 }
 

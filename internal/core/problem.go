@@ -429,7 +429,8 @@ func (p *Problem) evaluateInto(ctx context.Context, m *costCache, alloc Allocati
 // one solve: an unbounded memo.Memo, so a pair is evaluated exactly once
 // however many workers race on it, plus the solve's own counts.
 type costCache struct {
-	costMemo[memoKey]
+	inner CostModel
+	memo  *memo.Memo[memoKey, float64]
 	evals atomic.Int64 // successful model invocations
 	hits  atomic.Int64 // lookups answered by an entry, completed or in flight
 }
@@ -441,8 +442,7 @@ type memoKey struct {
 
 func newCostCache(inner CostModel) *costCache {
 	hash := func(k memoKey) uint64 { return hashShares(uint64(k.wi)+fnvOffset, k.key) }
-	return &costCache{costMemo: costMemo[memoKey]{inner, mCacheMiss,
-		memo.New[memoKey, float64](0, hash, memo.Counters{Join: mCacheInWait})}}
+	return &costCache{inner: inner, memo: memo.New[memoKey, float64](0, hash, memo.Counters{Join: mCacheInWait})}
 }
 
 const fnvOffset, fnvPrime = 14695981039346656037, 1099511628211
@@ -468,41 +468,24 @@ func quantizeShares(s vm.Shares) [3]int64 {
 	return [3]int64{q(s.CPU), q(s.Memory), q(s.IO)}
 }
 
-// costMemo is what the per-solve cache and SharedCostModel share: a cost
-// model behind a memo.Memo keyed by K.
-type costMemo[K comparable] struct {
-	inner CostModel
-	miss  *obs.Counter // model calls that succeeded
-	memo  *memo.Memo[K, float64]
-}
-
-// cost prices (w, shares) under key k with one model call per key. hit
-// means answered by an entry, completed or in flight. A completed-entry
-// hit is the solvers' inner loop and allocates nothing: the closure does
-// not escape Do (TestCostCacheHitAllocatesNothing).
-func (m *costMemo[K]) cost(ctx context.Context, k K, w *WorkloadSpec, shares vm.Shares) (v float64, hit bool, err error) {
-	v, led, err := m.memo.Do(ctx, k, func() (float64, error) {
+// Cost returns the memoized cost of workload wi (== p.Workloads[wi])
+// under the given shares, computing it at most once per distinct key. A
+// hit on a completed entry is the solvers' inner loop and allocates
+// nothing: the closure does not escape Do (TestCostCacheHitAllocatesNothing).
+func (m *costCache) Cost(ctx context.Context, wi int, w *WorkloadSpec, shares vm.Shares) (float64, error) {
+	v, led, err := m.memo.Do(ctx, memoKey{wi: wi, key: quantizeShares(shares)}, func() (float64, error) {
 		start := time.Now()
 		c, err := m.inner.Cost(ctx, w, shares)
 		if err == nil {
-			m.miss.Inc()
+			m.evals.Add(1)
+			mCacheMiss.Inc()
 			hEvalSeconds.ObserveSince(start)
 		}
 		return c, err
 	})
-	return v, !led, err
-}
-
-// Cost returns the memoized cost of workload wi (== p.Workloads[wi])
-// under the given shares, computing it at most once per distinct key.
-func (m *costCache) Cost(ctx context.Context, wi int, w *WorkloadSpec, shares vm.Shares) (float64, error) {
-	k := memoKey{wi: wi, key: quantizeShares(shares)}
-	v, hit, err := m.cost(ctx, k, w, shares)
-	if hit {
+	if !led {
 		m.hits.Add(1)
 		mCacheHit.Inc()
-	} else if err == nil {
-		m.evals.Add(1)
 	}
 	return v, err
 }

@@ -53,7 +53,7 @@ func FigureControl(e *workload.Env, preTicks, postTicks int) ([]FigCRow, error) 
 	if err != nil {
 		return nil, err
 	}
-	model := core.NewSharedCostModel(&core.WhatIfModel{Grid: grid}, nil)
+	model := &core.WhatIfModel{Grid: grid}
 
 	db1, err := e.DB("at-w1")
 	if err != nil {

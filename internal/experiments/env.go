@@ -15,7 +15,6 @@ import (
 
 	"dbvirt/internal/core"
 	"dbvirt/internal/engine"
-	"dbvirt/internal/optimizer"
 	"dbvirt/internal/vm"
 	"dbvirt/internal/wal"
 	"dbvirt/internal/workload"
@@ -110,29 +109,11 @@ func MeasureWrite(e *workload.Env, w workload.Workload, baseRows int, shares vm.
 }
 
 // EstimateQuery plans one query under the calibrated P(shares) and
-// returns the estimated seconds.
+// returns the estimated seconds: the what-if model's cost of a
+// one-statement workload.
 func EstimateQuery(e *workload.Env, db *engine.Database, query string, shares vm.Shares) (float64, error) {
-	p, err := e.Calibrator().Calibrate(context.Background(), shares)
-	if err != nil {
-		return 0, err
-	}
-	return estimateUnder(db, query, p)
-}
-
-func estimateUnder(db *engine.Database, query string, p optimizer.Params) (float64, error) {
-	m, err := vm.NewMachine(vm.DefaultMachineConfig())
-	if err != nil {
-		return 0, err
-	}
-	v, err := m.NewVM("planner", vm.Shares{CPU: 1, Memory: 1, IO: 1})
-	if err != nil {
-		return 0, err
-	}
-	s, err := engine.NewSession(db, v, engine.DefaultConfig())
-	if err != nil {
-		return 0, err
-	}
-	return s.EstimateSeconds(query, p)
+	w := &core.WorkloadSpec{Name: "estimate", Statements: []string{query}, DB: db}
+	return (&core.WhatIfModel{Cal: e.Calibrator()}).Cost(context.Background(), w, shares)
 }
 
 // MatrixWorkloads builds the paper's two workloads: W1 = n4 copies of Q4

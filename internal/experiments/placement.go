@@ -87,10 +87,9 @@ func FigurePlacement(e *workload.Env, sizes []int) ([]FigPRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		model := core.NewSharedCostModel(&core.WhatIfModel{Grid: grid}, (*core.WorkloadSpec).PricingKey)
 		solver, err := placement.NewSolver(placement.Config{
 			Parallelism: e.Parallelism,
-		}, model)
+		}, &core.WhatIfModel{Grid: grid})
 		if err != nil {
 			return nil, err
 		}

@@ -5,7 +5,7 @@ package server
 // workload on a machine shaped like the environment's — and an
 // autotune.Loop that watches those workloads' telemetry tenants (the
 // same sketches every what-if request feeds), re-solves through the
-// server's shared cost model, and reconfigures the VMs. The HTTP surface
+// server's cost model, and reconfigures the VMs. The HTTP surface
 // is deliberately small: status (the decision log), enable/disable, and
 // a synchronous trigger that runs one tick and returns its decision —
 // the deterministic drive shaft of the e2e soak test.

@@ -25,8 +25,8 @@ const (
 // PlacementTenantRef names one fleet tenant (or, with count > 1, a block
 // of identical tenants) over the server's built-in workloads. The
 // underlying specs are interned exactly like what-if workloads, so the
-// placement solver's per-spec feature memo and the shared cost memo
-// concentrate across tenants and requests.
+// placement solver's per-spec feature memo and the what-if model's cost
+// atoms concentrate across tenants and requests.
 type PlacementTenantRef struct {
 	WorkloadRef
 	// Count expands this reference into count tenants named

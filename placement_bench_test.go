@@ -23,9 +23,8 @@ func fleetSize() int {
 }
 
 // newFleetSolver builds a cold fleet solver: fresh synthetic grid, fresh
-// what-if model (empty prepared-statement cache), fresh shared cost
-// memo — the from-scratch baseline an incremental Apply is measured
-// against.
+// what-if model (empty prepared-statement cache and cost atoms) — the
+// from-scratch baseline an incremental Apply is measured against.
 func newFleetSolver(b *testing.B, e *workload.Env) *placement.Solver {
 	b.Helper()
 	axes := []float64{0.25, 0.5, 0.75, 1.0}
@@ -33,8 +32,7 @@ func newFleetSolver(b *testing.B, e *workload.Env) *placement.Solver {
 	if err != nil {
 		b.Fatal(err)
 	}
-	model := core.NewSharedCostModel(&core.WhatIfModel{Grid: grid}, (*core.WorkloadSpec).PricingKey)
-	solver, err := placement.NewSolver(placement.Config{}, model)
+	solver, err := placement.NewSolver(placement.Config{}, &core.WhatIfModel{Grid: grid})
 	if err != nil {
 		b.Fatal(err)
 	}
