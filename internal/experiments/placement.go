@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"dbvirt/internal/calibration"
 	"dbvirt/internal/core"
@@ -48,8 +47,9 @@ func fleetMix(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// FigPRow is one fleet size of the placement-scaling figure. The timing
-// fields are excluded from JSON so golden snapshots stay deterministic.
+// FigPRow is one fleet size of the placement-scaling figure. It carries
+// no wall-clock column: at -quick scale such timings are resolution noise,
+// and the incremental speedup is measured by BenchmarkPlacementFleet.
 type FigPRow struct {
 	Tenants       int     `json:"tenants"`
 	Classes       int     `json:"classes"`
@@ -63,10 +63,6 @@ type FigPRow struct {
 	ApplyDirty    int  `json:"apply_dirty"`
 	ApplyMachines int  `json:"apply_machines"`
 	Verified      bool `json:"verified"`
-
-	FullSeconds  float64 `json:"-"`
-	ApplySeconds float64 `json:"-"`
-	Speedup      float64 `json:"-"`
 }
 
 // FigurePlacement runs the fleet-placement scaling experiment: for each
@@ -93,12 +89,10 @@ func FigurePlacement(e *workload.Env, sizes []int) ([]FigPRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		start := time.Now()
 		pl, err := solver.Solve(ctx, tenants)
 		if err != nil {
 			return nil, err
 		}
-		full := time.Since(start)
 		fullStats := pl.Stats
 		fullCost := pl.TotalCost
 		if err := pl.Verify(ctx); err != nil {
@@ -109,15 +103,9 @@ func FigurePlacement(e *workload.Env, sizes []int) ([]FigPRow, error) {
 			return nil, err
 		}
 		arrival[0].Name = "t-new"
-		start = time.Now()
 		stats, err := pl.Apply(ctx, placement.Event{Type: placement.Arrive, Tenant: arrival[0]})
 		if err != nil {
 			return nil, err
-		}
-		applyDur := time.Since(start)
-		speedup := 0.0
-		if applyDur > 0 {
-			speedup = float64(full) / float64(applyDur)
 		}
 		rows = append(rows, FigPRow{
 			Tenants:       n,
@@ -129,9 +117,6 @@ func FigurePlacement(e *workload.Env, sizes []int) ([]FigPRow, error) {
 			ApplyDirty:    stats.MachineSolves,
 			ApplyMachines: stats.Machines,
 			Verified:      true,
-			FullSeconds:   full.Seconds(),
-			ApplySeconds:  applyDur.Seconds(),
-			Speedup:       speedup,
 		})
 	}
 	return rows, nil
@@ -141,11 +126,10 @@ func FigurePlacement(e *workload.Env, sizes []int) ([]FigPRow, error) {
 func FormatFigurePlacement(rows []FigPRow) string {
 	var b strings.Builder
 	b.WriteString("Figure P: fleet placement scaling (cluster -> pack -> per-machine solve)\n")
-	b.WriteString("tenants  classes  machines  solves  memo  fleet-cost  full(s)  apply(s)  speedup\n")
+	b.WriteString("tenants  classes  machines  solves  memo  fleet-cost\n")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%7d  %7d  %8d  %6d  %4d  %10.3f  %7.3f  %8.4f  %7.1fx\n",
-			r.Tenants, r.Classes, r.Machines, r.MachineSolves, r.MemoHits,
-			r.TotalCost, r.FullSeconds, r.ApplySeconds, r.Speedup)
+		fmt.Fprintf(&b, "%7d  %7d  %8d  %6d  %4d  %10.3f\n",
+			r.Tenants, r.Classes, r.Machines, r.MachineSolves, r.MemoHits, r.TotalCost)
 	}
 	return b.String()
 }

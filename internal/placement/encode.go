@@ -87,11 +87,72 @@ func (pl *Placement) AppendJSON(dst []byte) ([]byte, error) {
 	dst = append(dst, `,"classes":`...)
 	dst = appendClasses(dst, pl.Classes, memberNames)
 	dst = append(dst, `,"machines":`...)
-	sols := pl.sols
-	if len(sols) != len(pl.Machines) {
-		sols = nil
+	return appendMachines(dst, pl.Machines, pl.solsForMachines(), seatNames)
+}
+
+// AppendDeltaJSON appends the same three members as AppendJSON, but as a
+// delta against the placement the last Apply replaced: the class list
+// without member names, and only the machines whose encoding differs from
+// the replaced placement's machine with the same id, each encoded as
+// AppendJSON encodes it. Stats.Machines is the new list's length, so a
+// client that replaces machines by id and truncates to it holds the
+// placement's machine list, and rebuilds each class's members (in name
+// order) from the seats.
+//
+// The replaced placement's machines are read from the spare buffer set,
+// which is intact only until the next Apply begins: call AppendDeltaJSON
+// right after a successful Apply. A placement never applied to lists
+// every machine.
+func (pl *Placement) AppendDeltaJSON(dst []byte) ([]byte, error) {
+	dst = append(dst, `"stats":`...)
+	dst = pl.Stats.appendJSON(dst)
+	dst = append(dst, `,"classes":[`...)
+	for i := range pl.Classes {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(appendClassHead(dst, &pl.Classes[i]), '}')
 	}
-	return appendMachines(dst, pl.Machines, sols, seatNames)
+	dst = append(dst, `],"machines":[`...)
+	var prev []Machine
+	var names []quotedName
+	if pl.spare != nil {
+		prev = pl.spare.machines
+	}
+	if pl.bufs != nil {
+		names = pl.bufs.seatNames
+	}
+	sols := pl.solsForMachines()
+	var err error
+	seat, sent := 0, 0
+	for mi := range pl.Machines {
+		m := &pl.Machines[mi]
+		if mi >= len(prev) || !sameMachine(m, &prev[mi]) {
+			if sent > 0 {
+				dst = append(dst, ',')
+			}
+			var sol *machineSolve
+			if sols != nil {
+				sol = sols[mi]
+			}
+			if dst, err = appendMachine(dst, m, sol, names, seat); err != nil {
+				return dst, err
+			}
+			sent++
+		}
+		seat += len(m.Tenants)
+	}
+	mDeltaMachines.Add(int64(sent))
+	return append(dst, ']'), nil
+}
+
+// solsForMachines returns the solves parallel to Machines, or nil when
+// the placement does not carry them.
+func (pl *Placement) solsForMachines() []*machineSolve {
+	if len(pl.sols) != len(pl.Machines) {
+		return nil
+	}
+	return pl.sols
 }
 
 func (st SolveStats) appendJSON(dst []byte) []byte {
@@ -126,12 +187,7 @@ func appendClasses(dst []byte, classes []ClassInfo, names []quotedName) []byte {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = append(dst, `{"id":`...)
-		dst = strconv.AppendInt(dst, int64(c.ID), 10)
-		dst = append(dst, `,"rep":`...)
-		dst = appendString(dst, c.Rep)
-		dst = append(dst, `,"size":`...)
-		dst = strconv.AppendInt(dst, int64(c.Size), 10)
+		dst = appendClassHead(dst, c)
 		dst = append(dst, `,"members":`...)
 		if c.Members == nil {
 			dst = append(dst, "null"...)
@@ -151,12 +207,20 @@ func appendClasses(dst []byte, classes []ClassInfo, names []quotedName) []byte {
 	return append(dst, ']')
 }
 
+// appendClassHead appends a class object up to its member list:
+// `{"id":…,"rep":…,"size":…`.
+func appendClassHead(dst []byte, c *ClassInfo) []byte {
+	dst = append(dst, `{"id":`...)
+	dst = strconv.AppendInt(dst, int64(c.ID), 10)
+	dst = append(dst, `,"rep":`...)
+	dst = appendString(dst, c.Rep)
+	dst = append(dst, `,"size":`...)
+	return strconv.AppendInt(dst, int64(c.Size), 10)
+}
+
 // appendMachines encodes the machine list. sols, if non-nil, is parallel
-// to machines; wherever a machine's field is bit-identical to its solve's
-// the solve's pre-rendered fragment is spliced in place of formatting it
-// again. names, if non-nil, runs parallel to the machines' seats in order
-// and is spliced the same way (see appendName), so the output (and any
-// error) depends on the machines alone.
+// to machines and names, if non-nil, to the machines' seats in order; see
+// appendMachine.
 func appendMachines(dst []byte, machines []Machine, sols []*machineSolve, names []quotedName) ([]byte, error) {
 	if machines == nil {
 		return append(dst, "null"...), nil
@@ -165,58 +229,89 @@ func appendMachines(dst []byte, machines []Machine, sols []*machineSolve, names 
 	seat := 0
 	dst = append(dst, '[')
 	for mi := range machines {
-		m := &machines[mi]
-		var sol *machineSolve // nil: nothing to splice for this machine
-		var frag *solveFragments
-		if sols != nil {
-			if frag = sols[mi].fragments(); frag.ok {
-				sol = sols[mi]
-			}
-		}
 		if mi > 0 {
 			dst = append(dst, ',')
 		}
-		dst = append(dst, `{"id":`...)
-		dst = strconv.AppendInt(dst, int64(m.ID), 10)
-		dst = append(dst, `,"key":`...)
-		if sol != nil && m.Key == sol.display {
-			dst = append(dst, frag.key...)
-		} else {
-			dst = appendString(dst, m.Key)
+		var sol *machineSolve
+		if sols != nil {
+			sol = sols[mi]
 		}
-		dst = append(dst, `,"tenants":`...)
-		if m.Tenants == nil {
-			dst = append(dst, "null"...)
-		} else {
-			dst = append(dst, '[')
-			for i := range m.Tenants {
-				pt := &m.Tenants[i]
-				if i > 0 {
-					dst = append(dst, ',')
-				}
-				dst = append(dst, `{"name":`...)
-				dst = appendName(dst, pt.Name, names, seat)
-				seat++
-				dst = append(dst, `,"class":`...)
-				dst = strconv.AppendInt(dst, int64(pt.Class), 10)
-				dst = append(dst, ',')
-				if sol != nil && i < len(sol.costs) && sameBits(pt.Cost, sol.costs[i]) && sameShares(pt.Shares, sol.shares[i]) {
-					dst = append(dst, frag.seats[i]...)
-				} else if dst, err = appendSeatTail(dst, pt.Shares, pt.Cost); err != nil {
-					return dst, err
-				}
-			}
-			dst = append(dst, ']')
-		}
-		dst = append(dst, `,"total_cost":`...)
-		if sol != nil && sameBits(m.TotalCost, sol.total) {
-			dst = append(dst, frag.total...)
-		} else if dst, err = AppendFloat(dst, m.TotalCost); err != nil {
+		if dst, err = appendMachine(dst, &machines[mi], sol, names, seat); err != nil {
 			return dst, err
 		}
-		dst = append(dst, '}')
+		seat += len(machines[mi].Tenants)
 	}
 	return append(dst, ']'), nil
+}
+
+// appendMachine encodes one machine. sol, if non-nil, is the solve it was
+// seated from: wherever a field is bit-identical to the solve's, the
+// solve's pre-rendered fragment is spliced in place of formatting it
+// again. names[seat:], if non-nil, runs parallel to the machine's seats
+// and is spliced the same way (see appendName), so the output (and any
+// error) depends on the machine alone.
+func appendMachine(dst []byte, m *Machine, sol *machineSolve, names []quotedName, seat int) ([]byte, error) {
+	var err error
+	var frag *solveFragments
+	if sol != nil {
+		if frag = sol.fragments(); !frag.ok {
+			sol = nil // nothing to splice for this machine
+		}
+	}
+	dst = append(dst, `{"id":`...)
+	dst = strconv.AppendInt(dst, int64(m.ID), 10)
+	dst = append(dst, `,"key":`...)
+	if sol != nil && m.Key == sol.display {
+		dst = append(dst, frag.key...)
+	} else {
+		dst = appendString(dst, m.Key)
+	}
+	dst = append(dst, `,"tenants":`...)
+	if m.Tenants == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i := range m.Tenants {
+			pt := &m.Tenants[i]
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, `{"name":`...)
+			dst = appendName(dst, pt.Name, names, seat+i)
+			dst = append(dst, `,"class":`...)
+			dst = strconv.AppendInt(dst, int64(pt.Class), 10)
+			dst = append(dst, ',')
+			if sol != nil && i < len(sol.costs) && sameBits(pt.Cost, sol.costs[i]) && sameShares(pt.Shares, sol.shares[i]) {
+				dst = append(dst, frag.seats[i]...)
+			} else if dst, err = appendSeatTail(dst, pt.Shares, pt.Cost); err != nil {
+				return dst, err
+			}
+		}
+		dst = append(dst, ']')
+	}
+	dst = append(dst, `,"total_cost":`...)
+	if sol != nil && sameBits(m.TotalCost, sol.total) {
+		dst = append(dst, frag.total...)
+	} else if dst, err = AppendFloat(dst, m.TotalCost); err != nil {
+		return dst, err
+	}
+	return append(dst, '}'), nil
+}
+
+// sameMachine reports whether a and b are equal field for field, floats
+// bit for bit, and so encode to the same bytes.
+func sameMachine(a, b *Machine) bool {
+	if a.ID != b.ID || a.Key != b.Key || !sameBits(a.TotalCost, b.TotalCost) ||
+		len(a.Tenants) != len(b.Tenants) || (a.Tenants == nil) != (b.Tenants == nil) {
+		return false
+	}
+	for i := range a.Tenants {
+		x, y := &a.Tenants[i], &b.Tenants[i]
+		if x.Name != y.Name || x.Class != y.Class || !sameBits(x.Cost, y.Cost) || !sameShares(x.Shares, y.Shares) {
+			return false
+		}
+	}
+	return true
 }
 
 // appendSeatTail appends what follows a seat's class: shares, cost and the

@@ -174,3 +174,98 @@ func TestEncodeMatchesJSONOnEdgeRows(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendDeltaJSON: right after Apply, the delta lists exactly the
+// machines whose encoding differs from the same-id machine before the pass
+// — checked against a copy of the machines taken before it — each encoded
+// as AppendJSON encodes it, and the classes without members. A placement
+// never applied to lists every machine, and computing the delta allocates
+// nothing beyond the destination's growth.
+func TestAppendDeltaJSON(t *testing.T) {
+	ctx := context.Background()
+	f := newFleet()
+	s, _ := newTestSolver(t, Config{})
+	pl, err := s.Solve(ctx, f.tenants(200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := func(b []byte) wireLists {
+		t.Helper()
+		var w wireLists
+		if err := json.Unmarshal(b, &w); err != nil {
+			t.Fatalf("delta does not decode: %v: %.200s", err, b)
+		}
+		return w
+	}
+	delta := func() []byte {
+		t.Helper()
+		b, err := pl.AppendDeltaJSON([]byte{'{'})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(b, '}')
+	}
+	if got := decode(delta()); len(got.Machines) != len(pl.Machines) {
+		t.Fatalf("an unapplied placement's delta lists %d of %d machines", len(got.Machines), len(pl.Machines))
+	}
+	steps := [][]Event{
+		{{Type: Arrive, Tenant: &Tenant{Name: "x01", Spec: f.specs["beta"]}}},
+		{{Type: Leave, Name: "t0100"}},
+		{{Type: Drift, Tenant: &Tenant{Name: "t0150", Spec: f.specs["alpha"]}}},
+		{{Type: Arrive, Tenant: &Tenant{Name: "x02", Spec: f.specs["eps"]}}, {Type: Leave, Name: "t0003"}, {Type: Leave, Name: "x01"}},
+	}
+	partial := false
+	for i, evs := range steps {
+		encoded := func(ms []Machine) [][]byte {
+			out := make([][]byte, len(ms))
+			for j := range ms {
+				out[j], _ = json.Marshal(&ms[j])
+			}
+			return out
+		}
+		before := encoded(pl.Machines)
+		if _, err := pl.Apply(ctx, evs...); err != nil {
+			t.Fatal(err)
+		}
+		want := wireLists{Stats: pl.Stats, Machines: []Machine{}}
+		for _, c := range pl.Classes {
+			c.Members = nil
+			want.Classes = append(want.Classes, c)
+		}
+		for j, enc := range encoded(pl.Machines) {
+			if j >= len(before) || !bytes.Equal(enc, before[j]) {
+				want.Machines = append(want.Machines, pl.Machines[j])
+			}
+		}
+		got := delta()
+		if w, g := mustMarshal(t, want), mustMarshal(t, decode(got)); !bytes.Equal(w, g) {
+			t.Fatalf("step %d: delta\n got %s\nwant %s", i, g, w)
+		}
+		for _, m := range want.Machines {
+			if enc := mustMarshal(t, m); !bytes.Contains(got, enc) {
+				t.Fatalf("step %d: machine %d is not encoded as encoding/json encodes it", i, m.ID)
+			}
+		}
+		partial = partial || len(want.Machines) < len(pl.Machines)
+	}
+	if !partial {
+		t.Fatal("every delta listed the whole fleet")
+	}
+	dst := make([]byte, 0, 1<<20)
+	if allocs := testing.AllocsPerRun(10, func() {
+		if _, err := pl.AppendDeltaJSON(dst[:0]); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("AppendDeltaJSON allocates %.1f times, want 0", allocs)
+	}
+}
+
+func mustMarshal(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}

@@ -51,6 +51,7 @@ var (
 	mMachineSolves   = obs.Global.Counter("placement.machine.solves")
 	mMachineMemoHits = obs.Global.Counter("placement.machine.memo_hits")
 	mDirtyMachines   = obs.Global.Counter("placement.dirty.machines")
+	mDeltaMachines   = obs.Global.Counter("placement.delta.machines")
 	mMachinesReused  = obs.Global.Counter("placement.machines.reused")
 	mNormalizeReused = obs.Global.Counter("placement.normalize.reused")
 	mRecluster       = obs.Global.Counter("placement.recluster.count")

@@ -47,7 +47,7 @@ type MachineCapsDTO struct {
 // tenants into workload classes, bin-pack them onto machines, and price
 // every machine with the single-machine solvers. A successful solve
 // becomes the server's current placement, the target of subsequent
-// /v1/placement/events calls.
+// /v1/placement/events calls and what GET /v1/placement returns.
 type PlacementRequest struct {
 	Tenants   []PlacementTenantRef `json:"tenants"`
 	Machine   *MachineCapsDTO      `json:"machine,omitempty"`
@@ -207,20 +207,31 @@ func (r *PlacementEventsRequest) validate() error {
 // solve re-evaluated through the cost model — Verified records that fact.
 // The type is the documented schema and what clients decode into; the
 // handlers write it with appendPlacementResponse.
+//
+// POST /v1/placement and GET /v1/placement answer with the full
+// placement. An events response is a delta against the placement before
+// its pass: Classes carry no Members, and Machines lists only the
+// machines whose encoding changed; a client replaces its machines by ID,
+// truncates the list to Stats.Machines and rebuilds each class's members,
+// in name order, from the seats. Version counts the passes applied to the
+// current placement since its POST /v1/placement (which is version 0), so
+// a client whose last body is not Version-1 resyncs with GET.
 type PlacementResponse struct {
 	TotalCost float64               `json:"total_cost"`
 	Order     int                   `json:"order"`
 	Verified  bool                  `json:"verified"`
 	Events    int                   `json:"events,omitempty"` // events applied (events endpoint only)
+	Version   int                   `json:"version,omitempty"`
 	Stats     placement.SolveStats  `json:"stats"`
 	Classes   []placement.ClassInfo `json:"classes"`
 	Machines  []placement.Machine   `json:"machines"`
 }
 
 // appendPlacementResponse appends the PlacementResponse of a verified
-// placement, byte for byte as encoding/json marshals the struct (events
-// omitted when zero, no trailing newline).
-func appendPlacementResponse(dst []byte, pl *placement.Placement, events int) ([]byte, error) {
+// placement: the full placement byte for byte as encoding/json marshals
+// the struct (events and version omitted when zero, no trailing newline),
+// or with delta its events-response form (Placement.AppendDeltaJSON).
+func appendPlacementResponse(dst []byte, pl *placement.Placement, events, version int, delta bool) ([]byte, error) {
 	dst = append(dst, `{"total_cost":`...)
 	dst, err := placement.AppendFloat(dst, pl.TotalCost)
 	if err != nil {
@@ -234,7 +245,17 @@ func appendPlacementResponse(dst []byte, pl *placement.Placement, events int) ([
 		dst = strconv.AppendInt(dst, int64(events), 10)
 		dst = append(dst, ',')
 	}
-	if dst, err = pl.AppendJSON(dst); err != nil {
+	if version != 0 {
+		dst = append(dst, `"version":`...)
+		dst = strconv.AppendInt(dst, int64(version), 10)
+		dst = append(dst, ',')
+	}
+	if delta {
+		dst, err = pl.AppendDeltaJSON(dst)
+	} else {
+		dst, err = pl.AppendJSON(dst)
+	}
+	if err != nil {
 		return nil, err
 	}
 	return append(dst, '}'), nil
@@ -253,9 +274,13 @@ type placementState struct {
 	cfgKey string
 	solver *placement.Solver
 	pl     *placement.Placement
+	// version counts the passes applied to pl since it was installed.
+	version int
 	// evBuf holds the last events response; the next one is encoded over
-	// it (events are applied, encoded and written under mu).
-	evBuf []byte
+	// it (events are applied, encoded and written under mu). fullLen is
+	// the length of the last full body, which sizes the next one.
+	evBuf   []byte
+	fullLen int
 }
 
 // solverFor returns the current solver if it was built for cfgKey.
@@ -268,13 +293,24 @@ func (ps *placementState) solverFor(cfgKey string) *placement.Solver {
 	return nil
 }
 
-// install makes pl the current placement and returns its response body
-// (encoded under the lock: a concurrent event updates pl in place).
+// install makes pl the current placement, at version 0, and returns its
+// response body.
 func (ps *placementState) install(cfgKey string, solver *placement.Solver, pl *placement.Placement) ([]byte, error) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	ps.cfgKey, ps.solver, ps.pl = cfgKey, solver, pl
-	return appendPlacementResponse(make([]byte, 0, len(ps.evBuf)+len(ps.evBuf)/8), pl, 0)
+	ps.cfgKey, ps.solver, ps.pl, ps.version = cfgKey, solver, pl, 0
+	return ps.fullBody()
+}
+
+// fullBody encodes the current placement in full, with its version; the
+// caller holds mu (an event updates the placement in place).
+func (ps *placementState) fullBody() ([]byte, error) {
+	body, err := appendPlacementResponse(make([]byte, 0, ps.fullLen+ps.fullLen/8), ps.pl, 0, ps.version, false)
+	if err != nil {
+		return nil, err
+	}
+	ps.fullLen = len(body)
+	return body, nil
 }
 
 func (s *Server) handlePlacement(w http.ResponseWriter, r *http.Request) {
@@ -389,17 +425,41 @@ func (s *Server) handlePlacementEvents(w http.ResponseWriter, r *http.Request) {
 		s.writeComputeError(w, err)
 		return
 	}
+	// The pass is applied whether or not it verifies: a failed one still
+	// takes its version, so the client sees the gap and resyncs.
+	s.plState.version++
 	if err := s.plState.pl.Verify(ctx); err != nil {
 		s.writeComputeError(w, fmt.Errorf("placement verification failed: %w", err))
 		return
 	}
-	body, err := appendPlacementResponse(s.plState.evBuf[:0], s.plState.pl, stats.Events)
+	// The delta reads the replaced placement from Apply's spare buffers,
+	// so it is encoded here, before any other pass can run.
+	body, err := appendPlacementResponse(s.plState.evBuf[:0], s.plState.pl, stats.Events, s.plState.version, true)
 	if err != nil {
 		s.writeComputeError(w, err)
 		return
 	}
 	body = append(body, '\n') // as json.Encoder ends a value
 	s.plState.evBuf = body
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(body)
+}
+
+// handlePlacementGet answers with the current placement in full, at its
+// version: what a client that missed a version resyncs from.
+func (s *Server) handlePlacementGet(w http.ResponseWriter, r *http.Request) {
+	s.plState.mu.Lock()
+	if s.plState.pl == nil {
+		s.plState.mu.Unlock()
+		writeError(w, http.StatusConflict, "no placement loaded (POST /v1/placement first)")
+		return
+	}
+	body, err := s.plState.fullBody()
+	s.plState.mu.Unlock()
+	if err != nil {
+		s.writeComputeError(w, err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(body)
 }

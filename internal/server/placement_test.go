@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"dbvirt/internal/obs"
+	"dbvirt/internal/placement"
 )
 
 const placementBody = `{"tenants":[{"query":"Q4","count":6},{"query":"Q13","name":"q13","count":6}]}`
@@ -126,13 +128,9 @@ func TestPlacementSolveAndEvents(t *testing.T) {
 	if rec.Code != 200 {
 		t.Fatalf("events: status %d: %s", rec.Code, rec.Body)
 	}
-	var after PlacementResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &after); err != nil {
-		t.Fatal(err)
-	}
-	if after.Events != 2 || !after.Verified || after.Stats.Tenants != 12 {
-		t.Fatalf("post-events placement: events=%d verified=%v tenants=%d",
-			after.Events, after.Verified, after.Stats.Tenants)
+	after := foldPlacement(t, resp, rec.Body.Bytes(), 2)
+	if !after.Verified || after.Stats.Tenants != 12 {
+		t.Fatalf("post-events placement: verified=%v tenants=%d", after.Verified, after.Stats.Tenants)
 	}
 
 	// The incrementally updated placement must be bit-identical to solving
@@ -311,9 +309,9 @@ func TestPlacementCoalesceInflightOnly(t *testing.T) {
 }
 
 // reflectResponse is the reflective reference the handlers' append
-// encoder must match byte for byte: the server's current placement
-// through encoding/json.
-func reflectResponse(s *Server, events int) *PlacementResponse {
+// encoder must match byte for byte: the server's current placement, at its
+// version, through encoding/json.
+func reflectResponse(s *Server) *PlacementResponse {
 	s.plState.mu.Lock()
 	defer s.plState.mu.Unlock()
 	pl := s.plState.pl
@@ -321,18 +319,94 @@ func reflectResponse(s *Server, events int) *PlacementResponse {
 		TotalCost: pl.TotalCost,
 		Order:     pl.Order,
 		Verified:  true,
-		Events:    events,
+		Version:   s.plState.version,
 		Stats:     pl.Stats,
 		Classes:   pl.Classes,
 		Machines:  pl.Machines,
 	}
 }
 
-// TestPlacementWireIdentity: every response of both placement endpoints
-// over a solve / events / re-solve sequence is byte-identical to what
-// encoding/json writes for PlacementResponse — json.Marshal for POST
-// /v1/placement, json.Encoder (trailing newline) for the events endpoint,
-// as before the handlers encoded by hand.
+// foldPlacement folds one events response into base, a client's copy of
+// the current placement (its last full body with every later delta folded
+// in), as PlacementResponse documents: head, version and stats replaced,
+// machines replaced by id and truncated to stats.machines, and each
+// class's members rebuilt from the seats in name order. The delta must
+// follow base's version, report events events, carry no member names,
+// and send only machines that differ from base's machine of the same id,
+// and every machine must be carried or sent.
+func foldPlacement(t *testing.T, base *PlacementResponse, body []byte, events int) *PlacementResponse {
+	t.Helper()
+	if !bytes.HasSuffix(body, []byte("\n")) {
+		t.Fatalf("events response does not end a JSON value with a newline: %.120s", body)
+	}
+	var d PlacementResponse
+	if err := json.Unmarshal(body, &d); err != nil {
+		t.Fatal(err)
+	}
+	if d.Events != events || d.Version != base.Version+1 {
+		t.Fatalf("delta reports events=%d version=%d, want events=%d version=%d", d.Events, d.Version, events, base.Version+1)
+	}
+	n := d.Stats.Machines
+	machines := make([]placement.Machine, n)
+	carried := copy(machines, base.Machines)
+	filled := make([]bool, n)
+	for i := range carried {
+		filled[i] = true
+	}
+	for _, m := range d.Machines {
+		if m.ID < 0 || m.ID >= n {
+			t.Fatalf("delta machine id %d outside stats.machines %d", m.ID, n)
+		}
+		if m.ID < len(base.Machines) {
+			was, _ := json.Marshal(base.Machines[m.ID])
+			now, _ := json.Marshal(m)
+			if bytes.Equal(was, now) {
+				t.Fatalf("delta sends machine %d unchanged", m.ID)
+			}
+		}
+		machines[m.ID], filled[m.ID] = m, true
+	}
+	for id, ok := range filled {
+		if !ok {
+			t.Fatalf("machine %d is neither carried nor sent", id)
+		}
+	}
+	classes := make([]placement.ClassInfo, len(d.Classes))
+	for i, c := range d.Classes {
+		if c.ID != i || c.Members != nil {
+			t.Fatalf("delta class %d: id %d, members %v", i, c.ID, c.Members)
+		}
+		c.Members = []string{}
+		classes[i] = c
+	}
+	for _, m := range machines {
+		for _, pt := range m.Tenants {
+			if pt.Class < 0 || pt.Class >= len(classes) {
+				t.Fatalf("seat %s: class %d of %d", pt.Name, pt.Class, len(classes))
+			}
+			classes[pt.Class].Members = append(classes[pt.Class].Members, pt.Name)
+		}
+	}
+	for i := range classes {
+		slices.Sort(classes[i].Members)
+	}
+	return &PlacementResponse{
+		TotalCost: d.TotalCost,
+		Order:     d.Order,
+		Verified:  d.Verified,
+		Version:   d.Version,
+		Stats:     d.Stats,
+		Classes:   classes,
+		Machines:  machines,
+	}
+}
+
+// TestPlacementWireIdentity: every POST /v1/placement response over a
+// solve / events / re-solve sequence is byte-identical to what
+// encoding/json writes for PlacementResponse, as before the handlers
+// encoded by hand; every events response, folded over the client's copy
+// of the placement, gives what encoding/json writes for the placement at
+// its new version, and so does GET /v1/placement.
 func TestPlacementWireIdentity(t *testing.T) {
 	s := newTestServer(t, nil)
 	h := s.Handler()
@@ -348,23 +422,33 @@ func TestPlacementWireIdentity(t *testing.T) {
 		{"/v1/placement", `{"tenants":[{"query":"Q4","count":3},{"query":"Q1"}],"algo":"dp","resources":["cpu","memory"],"step":0.25}`, 0},
 		{"/v1/placement/events", `{"events":[{"type":"leave","name":"Q1x1"}]}`, 1},
 	}
+	var client *PlacementResponse
 	for i, st := range steps {
 		rec := post(t, h, st.path, st.body)
 		if rec.Code != 200 {
 			t.Fatalf("step %d: status %d: %s", i, rec.Code, rec.Body)
 		}
-		var want bytes.Buffer
-		if st.events == 0 {
-			b, err := json.Marshal(reflectResponse(s, 0))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want.Write(b)
-		} else if err := json.NewEncoder(&want).Encode(reflectResponse(s, st.events)); err != nil {
+		want, err := json.Marshal(reflectResponse(s))
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
-			t.Fatalf("step %d (%s): response differs from encoding/json:\n got %s\nwant %s", i, st.path, rec.Body, want.Bytes())
+		got := rec.Body.Bytes()
+		if st.events == 0 {
+			client = new(PlacementResponse)
+			if err := json.Unmarshal(got, client); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			client = foldPlacement(t, client, got, st.events)
+			if got, err = json.Marshal(client); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("step %d (%s): response differs from encoding/json:\n got %s\nwant %s", i, st.path, got, want)
+		}
+		if full := get(t, h, "/v1/placement"); full.Code != 200 || !bytes.Equal(full.Body.Bytes(), want) {
+			t.Fatalf("step %d: GET /v1/placement (status %d) differs from encoding/json:\n got %s\nwant %s", i, full.Code, full.Body, want)
 		}
 		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
 			t.Fatalf("step %d: Content-Type %q", i, ct)
@@ -445,7 +529,8 @@ func TestPlacementConcurrentSolveAndEvents(t *testing.T) {
 			errs <- fmt.Errorf("status %d: %s", rec.Code, rec.Body)
 		} else if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 			errs <- err
-		} else if !resp.Verified || resp.Events != events || !(resp.TotalCost > 0) || len(resp.Machines) != resp.Stats.Machines {
+		} else if !resp.Verified || resp.Events != events || !(resp.TotalCost > 0) || len(resp.Machines) > resp.Stats.Machines ||
+			(events == 0 && len(resp.Machines) != resp.Stats.Machines) { // an events response sends the changed machines
 			errs <- fmt.Errorf("bad response: verified=%v events=%d cost=%v machines=%d/%d",
 				resp.Verified, resp.Events, resp.TotalCost, len(resp.Machines), resp.Stats.Machines)
 		}

@@ -203,6 +203,7 @@ func (s *Server) routes() {
 	s.mux.Handle("POST /v1/whatif", s.instrument("whatif", s.track(s.handleWhatIf)))
 	s.mux.Handle("POST /v1/solve", s.instrument("solve", s.track(s.handleSolve)))
 	s.mux.Handle("POST /v1/placement", s.instrument("placement", s.track(s.handlePlacement)))
+	s.mux.Handle("GET /v1/placement", s.instrument("placement_get", s.handlePlacementGet))
 	s.mux.Handle("POST /v1/placement/events", s.instrument("placement_events", s.track(s.handlePlacementEvents)))
 	s.mux.Handle("GET /v1/jobs/{id}", s.instrument("jobs", s.handleJobGet))
 	s.mux.Handle("DELETE /v1/jobs/{id}", s.instrument("jobs", s.track(s.handleJobCancel)))
