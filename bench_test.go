@@ -142,7 +142,7 @@ func BenchmarkWhatIfCostMatrix(b *testing.B) {
 		b.Fatal(err)
 	}
 	axis := []float64{0.25, 0.5, 0.75, 1.0}
-	g, err := calibration.SyntheticGrid(axis, axis, axis)
+	g, err := calibration.SyntheticGrid(axis, axis)
 	if err != nil {
 		b.Fatal(err)
 	}

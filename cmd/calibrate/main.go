@@ -1,7 +1,9 @@
 // Command calibrate runs the paper's optimizer calibration (Section 5)
-// over a lattice of resource allocations and prints the resulting
-// parameter vectors P(R). With -out it also writes the lattice to a grid
-// file, the one format calibration.LoadGrid and vdtuned -grid read.
+// over a CPU × I/O lattice of resource allocations and prints the
+// resulting parameter vectors P(R); memory is no lattice axis, since it
+// moves only the effective cache size and work_mem, which a grid derives
+// from the share. With -out it also writes the lattice to a grid file,
+// the one format calibration.LoadGrid and vdtuned -grid read.
 //
 // Long calibrations are interruptible and restartable: -timeout bounds
 // the whole run, the -out file is rewritten atomically after every
@@ -12,7 +14,7 @@
 //
 // Usage:
 //
-//	calibrate [-cpu 0.25,0.5,0.75] [-mem 0.5] [-io 0.5] [-quick]
+//	calibrate [-cpu 0.25,0.5,0.75] [-io 0.5] [-quick]
 //	          [-out file [-resume]] [-timeout 10m] [-faults spec] [-trials k]
 package main
 
@@ -38,7 +40,6 @@ func fail(format string, args ...any) {
 
 func main() {
 	cpus := flag.String("cpu", "0.25,0.5,0.75", "CPU shares to calibrate")
-	mems := flag.String("mem", "0.5", "memory shares to calibrate")
 	ios := flag.String("io", "0.5", "I/O shares to calibrate")
 	quick := flag.Bool("quick", false, "use a small machine and calibration database")
 	out := flag.String("out", "", "write the lattice to this grid file after every completed point")
@@ -79,7 +80,6 @@ func main() {
 	cal := calibration.New(cfg)
 
 	cpuAxis := parseAxis(*cpus)
-	memAxis := parseAxis(*mems)
 	ioAxis := parseAxis(*ios)
 
 	ctx := context.Background()
@@ -91,7 +91,7 @@ func main() {
 	if *resume && *out == "" {
 		fail("-resume requires -out")
 	}
-	grid, err := cal.CalibrateGridOpts(ctx, cpuAxis, memAxis, ioAxis, calibration.GridOptions{
+	grid, err := cal.CalibrateGrid(ctx, cpuAxis, ioAxis, calibration.GridOptions{
 		CheckpointPath: *out,
 		Resume:         *resume,
 	})
@@ -102,20 +102,17 @@ func main() {
 		fail("%v", err)
 	}
 
-	fmt.Printf("%-22s %9s %9s %9s %9s %9s %12s %8s\n",
-		"allocation", "cpu_tup", "cpu_op", "cpu_idx", "rand_pg", "overlap", "t_seq(ms)", "ecs(pg)")
-	for _, mem := range memAxis {
-		for _, io := range ioAxis {
-			for _, cpu := range cpuAxis {
-				sh := vm.Shares{CPU: cpu, Memory: mem, IO: io}
-				p, ok := grid.Lookup(sh)
-				if !ok {
-					fail("missing lattice point %v", sh)
-				}
-				fmt.Printf("%-22s %9.5f %9.5f %9.5f %9.2f %9.2f %12.3f %8d\n",
-					sh, p.CPUTupleCost, p.CPUOperatorCost, p.CPUIndexTupleCost,
-					p.RandomPageCost, p.Overlap, p.TimePerSeqPage*1000, p.EffectiveCacheSizePages)
+	fmt.Printf("%-16s %9s %9s %9s %9s %9s %12s\n",
+		"allocation", "cpu_tup", "cpu_op", "cpu_idx", "rand_pg", "overlap", "t_seq(ms)")
+	for _, io := range ioAxis {
+		for _, cpu := range cpuAxis {
+			p, ok := grid.Lookup(vm.Shares{CPU: cpu, Memory: 1, IO: io})
+			if !ok {
+				fail("missing lattice point cpu=%g io=%g", cpu, io)
 			}
+			fmt.Printf("%-16s %9.5f %9.5f %9.5f %9.2f %9.2f %12.3f\n",
+				fmt.Sprintf("cpu=%.0f%% io=%.0f%%", cpu*100, io*100), p.CPUTupleCost, p.CPUOperatorCost,
+				p.CPUIndexTupleCost, p.RandomPageCost, p.Overlap, p.TimePerSeqPage*1000)
 		}
 	}
 

@@ -197,9 +197,9 @@ func loadGrid(env *workload.Env, gridPath string, calibrate bool, faultSpec stri
 			env.CalCfg.Faults = faults.New(cfg)
 		}
 		fmt.Println("vdtuned: calibrating grid (this can take a while)...")
-		return env.Calibrator().CalibrateGridOpts(context.Background(), defaultAxes, defaultAxes, defaultAxes, calibration.GridOptions{})
+		return env.Calibrator().CalibrateGrid(context.Background(), defaultAxes, defaultAxes, calibration.GridOptions{})
 	default:
-		return calibration.SyntheticGrid(defaultAxes, defaultAxes, defaultAxes)
+		return calibration.SyntheticGrid(defaultAxes, defaultAxes)
 	}
 }
 

@@ -189,7 +189,7 @@ func TestDecisionLogBounded(t *testing.T) {
 // core.atom.hit keeps growing.
 func TestSteadyStateTicksAreMemoDominated(t *testing.T) {
 	axes := []float64{0.25, 0.5, 0.75, 1.0}
-	grid, err := calibration.SyntheticGrid(axes, axes, axes)
+	grid, err := calibration.SyntheticGrid(axes, axes)
 	if err != nil {
 		t.Fatal(err)
 	}

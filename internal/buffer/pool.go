@@ -84,11 +84,11 @@ func NewPool(disk *storage.DiskManager, v *vm.VM, numFrames int) (*Pool, error) 
 	}, nil
 }
 
-// PoolSizeForVM returns the number of frames a VM's memory share affords,
-// after reserving the given fraction of memory for working memory (sorts,
-// hash tables) and engine overhead.
-func PoolSizeForVM(v *vm.VM, bufferFrac float64) int {
-	n := int(float64(v.MemBytes()) * bufferFrac / storage.PageSize)
+// PoolSize returns the number of frames a VM holding memBytes of memory
+// affords when bufferFrac of it goes to the pool and the rest to working
+// memory (sorts, hash tables) and engine overhead.
+func PoolSize(memBytes int64, bufferFrac float64) int {
+	n := int(float64(memBytes) * bufferFrac / storage.PageSize)
 	if n < 8 {
 		n = 8
 	}

@@ -262,11 +262,11 @@ func TestPoolSizeForVM(t *testing.T) {
 	m := vm.MustMachine(cfg)
 	v, _ := m.NewVM("v", vm.Shares{CPU: 0.5, Memory: 0.5, IO: 0.5})
 	// 32 MiB * 0.75 / 8KiB = 3072 frames.
-	if got := PoolSizeForVM(v, 0.75); got != 3072 {
-		t.Errorf("PoolSizeForVM = %d, want 3072", got)
+	if got := PoolSize(v.MemBytes(), 0.75); got != 3072 {
+		t.Errorf("PoolSize = %d, want 3072", got)
 	}
 	tiny, _ := m.NewVM("tiny", vm.Shares{CPU: 0.01, Memory: 0.001, IO: 0.01})
-	if got := PoolSizeForVM(tiny, 0.1); got < 8 {
+	if got := PoolSize(tiny.MemBytes(), 0.1); got < 8 {
 		t.Errorf("pool floor violated: %d", got)
 	}
 }

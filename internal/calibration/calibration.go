@@ -21,7 +21,7 @@
 //
 // The resulting parameters are expressed as ratios to the sequential page
 // time, exactly like PostgreSQL's seq_page_cost=1 convention, and cached
-// per allocation. A Grid calibrates a lattice of allocations and
+// per CPU × I/O point. A Grid calibrates a CPU × I/O lattice and
 // interpolates between them — the paper's proposed remedy for the cost of
 // calibration experiments.
 //
@@ -100,7 +100,7 @@ type Config struct {
 	BigRows int
 	// Seed makes the synthetic database deterministic.
 	Seed int64
-	// Parallelism bounds the number of worker goroutines CalibrateGridOpts
+	// Parallelism bounds the number of worker goroutines CalibrateGrid
 	// fans lattice points out over; 0 (the default) means
 	// runtime.GOMAXPROCS(0), 1 forces serial calibration. Each worker owns
 	// its own calibration database and engine instances, so the simulated
@@ -208,9 +208,8 @@ type Calibrator struct {
 	data *calDB
 
 	measures atomic.Int64 // completed measure() runs, for tests/reporting
-	retries  atomic.Int64 // transient-fault retries, for tests/reporting
 
-	cache *memo.Memo[[3]int64, optimizer.Params] // per allocation, unbounded
+	cache *memo.Memo[[2]int64, optimizer.Params] // per CPU × I/O point, unbounded
 }
 
 // New creates a calibrator for the given configuration. A nil cfg.Faults
@@ -218,7 +217,7 @@ type Calibrator struct {
 func New(cfg Config) *Calibrator {
 	c := &Calibrator{
 		cfg:   cfg,
-		cache: memo.New[[3]int64, optimizer.Params](0, nil, memo.Counters{Hit: mCalHit, Join: mCalJoin}),
+		cache: memo.New[[2]int64, optimizer.Params](0, nil, memo.Counters{Hit: mCalHit, Join: mCalJoin}),
 	}
 	if cfg.Faults == nil {
 		inj, err := faults.FromEnv()
@@ -234,13 +233,6 @@ func New(cfg Config) *Calibrator {
 // Measurements returns how many full probe suites this calibrator has run
 // (cache hits and joined duplicate requests do not count).
 func (c *Calibrator) Measurements() int64 { return c.measures.Load() }
-
-// Retries returns how many transient-fault retries this calibrator has
-// performed across all measurements.
-func (c *Calibrator) Retries() int64 { return c.retries.Load() }
-
-// Config returns the calibrator's configuration.
-func (c *Calibrator) Config() Config { return c.cfg }
 
 // calDB is the synthetic calibration database and the facts about it
 // that the probe equations use.
@@ -372,9 +364,11 @@ func (c *Calibrator) build() (*calDB, error) {
 	return d, nil
 }
 
-// minMemShare is the smallest memory share the calibrator supports; the
-// narrow table must stay cached down to this share.
-const minMemShare = 0.2
+// minMemShare is the smallest memory share a measurement at full memory
+// is known to stand for (TestFittedParamsIgnoreMemory; at 0.2 the quick
+// configuration's random probe re-reads evicted heap pages), and the
+// narrow table must stay cached down to it.
+const minMemShare = 0.25
 
 // newMeasureSession creates a fresh session (cold buffer pool) on d, on a
 // fresh machine with the given shares.
@@ -415,10 +409,10 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 }
 
 // probeKey names one probe measurement stably for the fault injector:
-// stage, query, and allocation — never scheduling artifacts, so injected
-// faults are identical across worker counts and resumed runs.
+// stage, query, and the CPU and I/O shares — never scheduling artifacts,
+// so injected faults are identical across worker counts and resumed runs.
 func probeKey(stage, query string, shares vm.Shares) string {
-	return fmt.Sprintf("%s|%s|cpu=%.6f,mem=%.6f,io=%.6f", stage, query, shares.CPU, shares.Memory, shares.IO)
+	return fmt.Sprintf("%s|%s|cpu=%.6f,io=%.6f", stage, query, shares.CPU, shares.IO)
 }
 
 // runTrial executes one timed trial, consulting the fault injector and
@@ -438,7 +432,6 @@ func (c *Calibrator) runTrial(ctx context.Context, key string, run func() (float
 			mCalFault.Inc()
 			if out.Transient && attempt+1 < maxAttempts {
 				mCalRetry.Inc()
-				c.retries.Add(1)
 				hRetryBackoff.Observe(backoff.Seconds())
 				obs.Debug("calibration transient fault, retrying",
 					"key", key, "attempt", attempt, "backoff", backoff.String())
@@ -510,17 +503,24 @@ func requirePlanNode(s *engine.Session, query, nodeName string) error {
 	return nil
 }
 
-func cacheKey(shares vm.Shares) [3]int64 {
+func cacheKey(shares vm.Shares) [2]int64 {
 	q := func(f float64) int64 { return int64(math.Round(f * 1e6)) }
-	return [3]int64{q(shares.CPU), q(shares.Memory), q(shares.IO)}
+	return [2]int64{q(shares.CPU), q(shares.IO)}
+}
+
+// memory is the rule this configuration's sessions are sized by.
+func (c Config) memory() Memory {
+	return Memory{MemBytes: c.Machine.MemBytes, BufferFrac: c.Engine.BufferFrac, WorkMemFrac: c.Engine.WorkMemFrac}
 }
 
 // Calibrate measures and returns the optimizer parameters P for the given
-// resource allocation R. Results are cached per allocation; concurrent
-// calls for the same allocation share one measurement. The context
-// cancels a measurement between probes (and during retry backoff); a
-// joiner whose context is cancelled stops waiting without disturbing the
-// in-flight measurement it joined.
+// resource allocation R. Memory moves no fitted parameter, so they are
+// measured at full memory and cached per CPU × I/O point, and the memory
+// fields follow R's share as a session's do; concurrent calls for the
+// same point share one measurement. The context cancels a measurement
+// between probes (and during retry backoff); a joiner whose context is
+// cancelled stops waiting without disturbing the in-flight measurement it
+// joined.
 func (c *Calibrator) Calibrate(ctx context.Context, shares vm.Shares) (optimizer.Params, error) {
 	if c.envErr != nil {
 		return optimizer.Params{}, c.envErr
@@ -535,28 +535,23 @@ func (c *Calibrator) Calibrate(ctx context.Context, shares vm.Shares) (optimizer
 		sp := obs.StartSpan("calibrate.point")
 		defer sp.End()
 		sp.SetArg("cpu", shares.CPU)
-		sp.SetArg("mem", shares.Memory)
 		sp.SetArg("io", shares.IO)
 		start := time.Now()
 		d, err := c.database()
 		if err != nil {
 			return optimizer.Params{}, err
 		}
-		p, err := c.measureSafe(ctx, d, shares, sp)
+		p, err := c.measureSafe(ctx, d, vm.Shares{CPU: shares.CPU, Memory: 1, IO: shares.IO}, sp)
 		if err == nil {
 			mCalMeasure.Inc()
 			hMeasureSeconds.ObserveSince(start)
 		}
 		return p, err
 	})
-	return p, err
-}
-
-// prime inserts an already-measured parameter vector into the cache; used
-// when grid workers hand their lattice points back to the shared
-// calibrator.
-func (c *Calibrator) prime(shares vm.Shares, p optimizer.Params) {
-	c.cache.Put(cacheKey(shares), p)
+	if err != nil {
+		return optimizer.Params{}, err
+	}
+	return c.cfg.memory().params(p, shares.Memory), nil
 }
 
 // measureSafe runs measure under recover(), converting a panic in the
@@ -566,7 +561,7 @@ func (c *Calibrator) measureSafe(ctx context.Context, d *calDB, shares vm.Shares
 		if r := recover(); r != nil {
 			mCalPanic.Inc()
 			obs.Error("calibration measurement panicked",
-				"cpu", shares.CPU, "mem", shares.Memory, "io", shares.IO, "panic", fmt.Sprint(r))
+				"cpu", shares.CPU, "io", shares.IO, "panic", fmt.Sprint(r))
 			p = optimizer.Params{}
 			err = fmt.Errorf("calibration: measurement at %v panicked: %v", shares, r)
 		}
@@ -595,7 +590,7 @@ func (c *Calibrator) fitStage(stage string, rows [][]float64, rhs []float64, sha
 			mCalRobustFit.Inc()
 			robRes := relResidual(rows, rob, rhs)
 			obs.Warn("calibration fit residual above threshold; using robust IRLS fit",
-				"stage", stage, "cpu", shares.CPU, "mem", shares.Memory, "io", shares.IO,
+				"stage", stage, "cpu", shares.CPU, "io", shares.IO,
 				"residual", res, "robust_residual", robRes)
 			return rob, robRes, nil
 		}
@@ -661,7 +656,7 @@ func (c *Calibrator) measure(ctx context.Context, d *calDB, shares vm.Shares, sp
 	spA.SetArg("residual", resA)
 	spA.End()
 	obs.Debug("calibration CPU fit",
-		"cpu", shares.CPU, "mem", shares.Memory, "io", shares.IO,
+		"cpu", shares.CPU, "io", shares.IO,
 		"t_tuple", tTup, "t_op", tOp, "t_idx_tuple", tIdxTup, "residual", resA)
 
 	// --- Stage B: cold sequential scans of the big table ---
@@ -717,7 +712,7 @@ func (c *Calibrator) measure(ctx context.Context, d *calDB, shares vm.Shares, sp
 	spB.SetArg("residual", resB)
 	spB.End()
 	obs.Debug("calibration seq fit",
-		"cpu", shares.CPU, "mem", shares.Memory, "io", shares.IO,
+		"cpu", shares.CPU, "io", shares.IO,
 		"t_seq", tSeq, "gamma", gamma, "residual", resB)
 
 	// --- Stage C: cold random index probe ---
@@ -835,14 +830,10 @@ func (c *Calibrator) measure(ctx context.Context, d *calDB, shares vm.Shares, sp
 	spD.SetArg("write_amp", writeAmp)
 	spD.End()
 	obs.Debug("calibration write fit",
-		"cpu", shares.CPU, "mem", shares.Memory, "io", shares.IO,
+		"cpu", shares.CPU, "io", shares.IO,
 		"t_flush", tFlush, "write_amp", writeAmp)
 
 	// --- Assemble P(R) ---
-	sess, err := c.newMeasureSession(d, shares)
-	if err != nil {
-		return optimizer.Params{}, err
-	}
 	overlap := 1 - gamma
 	if overlap < 0 {
 		overlap = 0
@@ -850,19 +841,17 @@ func (c *Calibrator) measure(ctx context.Context, d *calDB, shares vm.Shares, sp
 	if overlap > 1 {
 		overlap = 1
 	}
-	p := optimizer.Params{
-		SeqPageCost:             1,
-		RandomPageCost:          tRand / tSeq,
-		CPUTupleCost:            tTup / tSeq,
-		CPUIndexTupleCost:       tIdxTup / tSeq,
-		CPUOperatorCost:         tOp / tSeq,
-		EffectiveCacheSizePages: sess.Params.EffectiveCacheSizePages,
-		WorkMemBytes:            sess.Params.WorkMemBytes,
-		TimePerSeqPage:          tSeq,
-		Overlap:                 overlap,
-		TimePerLogFlush:         tFlush,
-		WriteAmp:                writeAmp,
-	}
+	p := c.cfg.memory().params(optimizer.Params{
+		SeqPageCost:       1,
+		RandomPageCost:    tRand / tSeq,
+		CPUTupleCost:      tTup / tSeq,
+		CPUIndexTupleCost: tIdxTup / tSeq,
+		CPUOperatorCost:   tOp / tSeq,
+		TimePerSeqPage:    tSeq,
+		Overlap:           overlap,
+		TimePerLogFlush:   tFlush,
+		WriteAmp:          writeAmp,
+	}, shares.Memory)
 	if err := p.Validate(); err != nil {
 		return optimizer.Params{}, fmt.Errorf("calibration: %w", err)
 	}

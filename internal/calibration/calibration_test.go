@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"strings"
 	"sync"
 	"testing"
 
+	"dbvirt/internal/faults"
 	"dbvirt/internal/optimizer"
 	"dbvirt/internal/vm"
 )
@@ -162,10 +164,55 @@ func TestEffectiveCacheTracksMemoryShare(t *testing.T) {
 	}
 }
 
+// TestFittedParamsIgnoreMemory guards the premise that lets a grid hold
+// no memory axis and the calibrator measure at the full memory share:
+// measured directly, with no cache, at memory shares minMemShare, 0.5
+// and 1, a few CPU × I/O points of the quick configuration fit
+// bit-identical parameters, and only the effective cache size and
+// work_mem differ, each exactly what a session at that share gets. If a
+// change to the VM or the engine makes memory move a fitted parameter,
+// this fails, and the memory axis has to come back.
+func TestFittedParamsIgnoreMemory(t *testing.T) {
+	if testing.Short() {
+		t.Skip("calibration is slow in -short mode")
+	}
+	cfg := quickConfig()
+	cfg.Faults = faults.Disabled
+	c := New(cfg)
+	d, err := c.database()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pt := range [][2]float64{{0.25, 0.25}, {0.5, 1}, {1, 0.5}} {
+		var fitted optimizer.Params
+		for i, mem := range []float64{minMemShare, 0.5, 1} {
+			sh := vm.Shares{CPU: pt[0], Memory: mem, IO: pt[1]}
+			p, err := c.measure(context.Background(), d, sh, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := c.newMeasureSession(d, sh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.EffectiveCacheSizePages != s.Params.EffectiveCacheSizePages || p.WorkMemBytes != s.Params.WorkMemBytes {
+				t.Errorf("%v: ecs %d, work_mem %d; a session gets %d, %d", sh,
+					p.EffectiveCacheSizePages, p.WorkMemBytes, s.Params.EffectiveCacheSizePages, s.Params.WorkMemBytes)
+			}
+			p.EffectiveCacheSizePages, p.WorkMemBytes = 0, 0
+			if i == 0 {
+				fitted = p
+			} else if p != fitted {
+				t.Errorf("%v fits %+v; at memory %g it fits %+v", sh, p, minMemShare, fitted)
+			}
+		}
+	}
+}
+
 func TestGridCalibrationAndLookup(t *testing.T) {
 	c := New(testConfig())
 	axis := []float64{0.25, 0.75}
-	g, err := c.CalibrateGridOpts(context.Background(), axis, []float64{0.5}, []float64{0.5}, GridOptions{})
+	g, err := c.CalibrateGrid(context.Background(), axis, []float64{0.5}, GridOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +230,7 @@ func TestGridCalibrationAndLookup(t *testing.T) {
 
 func TestGridInterpolation(t *testing.T) {
 	c := New(testConfig())
-	g, err := c.CalibrateGridOpts(context.Background(), []float64{0.25, 0.75}, []float64{0.5}, []float64{0.5}, GridOptions{})
+	g, err := c.CalibrateGrid(context.Background(), []float64{0.25, 0.75}, []float64{0.5}, GridOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,11 +256,17 @@ func TestGridInterpolation(t *testing.T) {
 
 func TestGridValidation(t *testing.T) {
 	c := New(testConfig())
-	if _, err := c.CalibrateGridOpts(context.Background(), nil, []float64{0.5}, []float64{0.5}, GridOptions{}); err == nil {
+	if _, err := c.CalibrateGrid(context.Background(), nil, []float64{0.5}, GridOptions{}); err == nil {
 		t.Error("empty axis should fail")
 	}
-	if _, err := c.CalibrateGridOpts(context.Background(), []float64{0.75, 0.25}, []float64{0.5}, []float64{0.5}, GridOptions{}); err == nil {
+	if _, err := c.CalibrateGrid(context.Background(), []float64{0.75, 0.25}, []float64{0.5}, GridOptions{}); err == nil {
 		t.Error("unsorted axis should fail")
+	}
+	// The deprecated three-axis form checks the memory axis it drops.
+	for _, mems := range [][]float64{nil, {0.75, 0.25}, {0, 0.5}, {0.5, 1.5}} {
+		if _, err := c.CalibrateGridOpts(context.Background(), []float64{0.5}, mems, []float64{0.5}, GridOptions{}); err == nil {
+			t.Errorf("memory axis %v should fail", mems)
+		}
 	}
 }
 
@@ -232,7 +285,7 @@ func TestFinerGridReducesInterpolationError(t *testing.T) {
 		t.Fatal(err)
 	}
 	relErr := func(axis []float64) float64 {
-		g, err := c.CalibrateGridOpts(context.Background(), axis, []float64{0.5}, []float64{0.5}, GridOptions{})
+		g, err := c.CalibrateGrid(context.Background(), axis, []float64{0.5}, GridOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +324,7 @@ func TestGridReleasesDatabaseAndRebuildsOnDemand(t *testing.T) {
 		defer c.mu.Unlock()
 		return c.data != nil
 	}
-	if _, err := c.CalibrateGridOpts(ctx, cpus, fixed, fixed, GridOptions{}); err != nil {
+	if _, err := c.CalibrateGrid(ctx, cpus, fixed, GridOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if holds() {
@@ -304,7 +357,7 @@ func TestGridReleasesDatabaseAndRebuildsOnDemand(t *testing.T) {
 		defer wg.Done()
 		during, duringErr = c2.Calibrate(ctx, off)
 	}()
-	if _, err := c2.CalibrateGridOpts(ctx, cpus, fixed, fixed, GridOptions{}); err != nil {
+	if _, err := c2.CalibrateGrid(ctx, cpus, fixed, GridOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
@@ -315,7 +368,7 @@ func TestGridReleasesDatabaseAndRebuildsOnDemand(t *testing.T) {
 
 func TestGridSaveLoadRoundTrip(t *testing.T) {
 	c := New(testConfig())
-	g, err := c.CalibrateGridOpts(context.Background(), []float64{0.25, 0.75}, []float64{0.5}, []float64{0.25, 0.75}, GridOptions{})
+	g, err := c.CalibrateGrid(context.Background(), []float64{0.25, 0.75}, []float64{0.25, 0.75}, GridOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,15 +409,20 @@ func TestLoadGridRejectsBadInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unsorted := checkpointJSON{Version: 1, CPUs: []float64{0.75, 0.25}, Mems: []float64{0.5}, IOs: []float64{0.5},
+	mem := syntheticMemory
+	unsorted := checkpointJSON{Version: 2, CPUs: []float64{0.75, 0.25}, IOs: []float64{0.5}, Memory: mem,
 		Points: []checkpointPoint{{Idx: 0, Params: p}, {Idx: 1, Params: p}}}
 	sum, err := unsorted.checksum()
 	if err != nil {
 		t.Fatal(err)
 	}
-	unsortedFile := fmt.Sprintf(`{"version": 1, "checksum": %q, "cpus": [0.75, 0.25], "mems": [0.5], "ios": [0.5], "points": [
-	  {"idx": 0, "cpu_idx": 0, "mem_idx": 0, "io_idx": 0, "params": %s},
-	  {"idx": 1, "cpu_idx": 1, "mem_idx": 0, "io_idx": 0, "params": %s}]}`, sum, params, params)
+	memJSON, err := json.Marshal(mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unsortedFile := fmt.Sprintf(`{"version": 2, "checksum": %q, "cpus": [0.75, 0.25], "ios": [0.5], "memory": %s, "points": [
+	  {"idx": 0, "cpu_idx": 0, "io_idx": 0, "params": %s},
+	  {"idx": 1, "cpu_idx": 1, "io_idx": 0, "params": %s}]}`, sum, memJSON, params, params)
 
 	sealed := func(ck checkpointJSON) string {
 		sum, err := ck.checksum()
@@ -382,27 +440,67 @@ func TestLoadGridRejectsBadInput(t *testing.T) {
 	cases := []string{
 		"",
 		"not json",
-		`{"version": 2, "cpus": [0.5], "mems": [0.5], "ios": [0.5], "points": []}`,
-		`{"version": 1, "cpus": [], "mems": [0.5], "ios": [0.5], "points": []}`,
+		`{"version": 3, "cpus": [0.5], "ios": [0.5], "points": []}`,
+		`{"version": 2, "cpus": [], "ios": [0.5], "points": []}`,
 		// Missing lattice points.
-		`{"version": 1, "cpus": [0.25, 0.75], "mems": [0.5], "ios": [0.5], "points": []}`,
+		`{"version": 2, "cpus": [0.25, 0.75], "ios": [0.5], "points": []}`,
 		// Out-of-range index.
-		`{"version": 1, "cpus": [0.5], "mems": [0.5], "ios": [0.5],
-		  "points": [{"cpu_idx": 3, "mem_idx": 0, "io_idx": 0,
+		`{"version": 2, "cpus": [0.5], "ios": [0.5],
+		  "points": [{"cpu_idx": 3, "io_idx": 0,
 		    "params": {"SeqPageCost": 1, "RandomPageCost": 4, "WorkMemBytes": 1024}}]}`,
 		unsortedFile,
 		// Checksummed files, so each is refused for its own fault.
-		sealed(checkpointJSON{Version: 1, CPUs: []float64{}, Mems: []float64{0.5}, IOs: []float64{0.5}}),
-		sealed(checkpointJSON{Version: 1, CPUs: []float64{0.25, 0.75}, Mems: []float64{0.5}, IOs: []float64{0.5},
+		sealed(checkpointJSON{Version: 2, CPUs: []float64{}, IOs: []float64{0.5}, Memory: mem}),
+		sealed(checkpointJSON{Version: 2, CPUs: []float64{0.25, 0.75}, IOs: []float64{0.5}, Memory: mem,
 			Points: []checkpointPoint{{Idx: 1, Params: p}}}),
-		sealed(checkpointJSON{Version: 1, CPUs: []float64{0.5}, Mems: []float64{0.5}, IOs: []float64{0.5},
+		sealed(checkpointJSON{Version: 2, CPUs: []float64{0.5}, IOs: []float64{0.5}, Memory: mem,
 			Points: []checkpointPoint{{Idx: 0, Params: p}, {Idx: 3, Params: p}}}),
-		sealed(checkpointJSON{Version: 1, CPUs: []float64{0.5}, Mems: []float64{0.5}, IOs: []float64{0.5},
+		sealed(checkpointJSON{Version: 2, CPUs: []float64{0.5}, IOs: []float64{0.5}, Memory: mem,
 			Points: []checkpointPoint{{Idx: 0}}}),
+		// No memory rule: a grid could not size the cache or work_mem.
+		sealed(checkpointJSON{Version: 2, CPUs: []float64{0.5}, IOs: []float64{0.5},
+			Points: []checkpointPoint{{Idx: 0, Params: p}}}),
 	}
 	for i, c := range cases {
 		if _, err := LoadGrid(strings.NewReader(c)); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
 	}
+}
+
+// TestLoadGridRejectsVersion1 feeds LoadGrid a version-1 file, a
+// checksummed CPU × memory × I/O lattice: it is refused with an error that
+// names its version and says how to get a current file.
+func TestLoadGridRejectsVersion1(t *testing.T) {
+	_, err := LoadGrid(strings.NewReader(version1File(t)))
+	if err == nil || !strings.Contains(err.Error(), "version 1") || !strings.Contains(err.Error(), "re-run calibrate") {
+		t.Fatalf("LoadGrid of a version-1 file: %v, want an error naming version 1 and re-run calibrate", err)
+	}
+}
+
+// version1File is a complete one-point grid file in the version-1 format,
+// whose lattice had a memory axis and whose checksum covered it.
+func version1File(t testing.TB) string {
+	type v1 struct {
+		Version   int               `json:"version"`
+		Checksum  string            `json:"checksum"`
+		ConfigSig string            `json:"config_sig,omitempty"`
+		CPUs      []float64         `json:"cpus"`
+		Mems      []float64         `json:"mems"`
+		IOs       []float64         `json:"ios"`
+		Points    []checkpointPoint `json:"points"`
+	}
+	ck := v1{Version: 1, CPUs: []float64{0.5}, Mems: []float64{0.5}, IOs: []float64{0.5},
+		Points: []checkpointPoint{{Idx: 0, Params: syntheticParams(0.5, 0.5)}}}
+	b, err := json.Marshal(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(b)
+	ck.Checksum = fmt.Sprintf("%016x", h.Sum64())
+	if b, err = json.MarshalIndent(ck, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	return string(b) + "\n"
 }

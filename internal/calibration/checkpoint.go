@@ -18,28 +18,30 @@ import (
 // problems"), and its §7 remedy for calibration cost is to amortize one
 // lattice sweep across every later tuning problem. A grid file makes that
 // concrete, and it has one format: a versioned JSON document holding the
-// lattice axes, every point by dense index (see Grid.index), a checksum
-// (detecting torn or hand-edited files) and, in a sweep's file, a config
-// signature (detecting resumption under a different machine, engine,
-// fault, or axis configuration, any of which would change the measured
-// values). A sweep with a CheckpointPath writes that file, atomically via
-// rename, after every completed point, so a crash or cancellation near
-// the end forfeits nothing; the finished file is the grid that LoadGrid
-// reads in every later tuning session. Because measurements — even
+// CPU and I/O axes, the memory rule (see Memory), every point by dense
+// index (see Grid.index), a checksum (detecting torn or hand-edited
+// files) and, in a sweep's file, a config signature (detecting
+// resumption under a different machine, engine, fault, or axis
+// configuration, any of which would change the measured values). A sweep
+// with a CheckpointPath writes that file, atomically via rename, after
+// every completed point, so a crash or cancellation near the end forfeits
+// nothing; the finished file is the grid that LoadGrid reads in every
+// later tuning session. Because measurements — even
 // fault-injected ones — are deterministic functions of the calibration
 // config, a resumed run reproduces bit-for-bit the grid an uninterrupted
 // run would have produced.
 
-// checkpointVersion is bumped whenever the on-disk format changes.
-const checkpointVersion = 1
+// checkpointVersion is bumped whenever the on-disk format changes
+// (version 1 had a memory axis).
+const checkpointVersion = 2
 
 type checkpointJSON struct {
 	Version   int               `json:"version"`
 	Checksum  string            `json:"checksum"`
 	ConfigSig string            `json:"config_sig,omitempty"`
 	CPUs      []float64         `json:"cpus"`
-	Mems      []float64         `json:"mems"`
 	IOs       []float64         `json:"ios"`
+	Memory    Memory            `json:"memory"`
 	Points    []checkpointPoint `json:"points"`
 }
 
@@ -56,11 +58,11 @@ type checkpointPoint struct {
 // configuration (injected faults perturb measurements deterministically),
 // the trial count, and the lattice axes. Two runs with equal signatures
 // measure identical grids, which is what makes resuming sound.
-func (c Config) signature(cpus, mems, ios []float64) string {
+func (c Config) signature(cpus, ios []float64) string {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "machine=%+v|engine=%+v|narrow=%d|big=%d|rand=%d|seed=%d|faults=%s|trials=%d|cpus=%v|mems=%v|ios=%v",
+	fmt.Fprintf(h, "machine=%+v|engine=%+v|narrow=%d|big=%d|rand=%d|seed=%d|faults=%s|trials=%d|cpus=%v|ios=%v",
 		c.Machine, c.Engine, c.NarrowRows, c.BigRows, c.randRows(), c.Seed,
-		c.Faults.Config().String(), c.trials(), cpus, mems, ios)
+		c.Faults.Config().String(), c.trials(), cpus, ios)
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
@@ -85,8 +87,8 @@ func (g *Grid) marshal(sig string, done []bool) ([]byte, error) {
 		Version:   checkpointVersion,
 		ConfigSig: sig,
 		CPUs:      g.cpus,
-		Mems:      g.mems,
 		IOs:       g.ios,
+		Memory:    g.mem,
 	}
 	for idx := range g.points {
 		if done == nil || done[idx] {
@@ -135,7 +137,8 @@ func decodeGridFile(r io.Reader) (checkpointJSON, error) {
 		return ck, fmt.Errorf("decoding grid file: %w", err)
 	}
 	if ck.Version != checkpointVersion {
-		return ck, fmt.Errorf("grid file version %d, want %d", ck.Version, checkpointVersion)
+		return ck, fmt.Errorf("grid file version %d, want %d: re-run calibrate to write a version-%d grid file",
+			ck.Version, checkpointVersion, checkpointVersion)
 	}
 	want, err := ck.checksum()
 	if err != nil {
@@ -167,30 +170,34 @@ func (ck checkpointJSON) restore(points []optimizer.Params, done []bool) (int, e
 	return count, nil
 }
 
-// LoadGrid reads a grid file written by SaveJSON or by a CalibrateGridOpts
+// LoadGrid reads a grid file written by SaveJSON or by a CalibrateGrid
 // sweep, for serving: the daemon's /v1/calibration/grid endpoint and the
 // what-if model answer straight from it without re-running any
 // calibration. The version and checksum are verified, but — unlike
 // resumption — no config signature is required: serving only reads the
 // measured values. Every lattice point must be present; the file of an
 // interrupted sweep is an error naming how many points are missing. The
-// grid is built through NewGrid, so its axes must be non-empty and sorted.
+// grid is built through NewGrid, so its axes must be non-empty and sorted
+// and its memory rule valid.
 func LoadGrid(r io.Reader) (*Grid, error) {
 	ck, err := decodeGridFile(r)
 	if err != nil {
 		return nil, fmt.Errorf("calibration: %w", err)
 	}
-	n := len(ck.CPUs) * len(ck.Mems) * len(ck.IOs)
-	points := make([]optimizer.Params, n)
-	have, err := ck.restore(points, make([]bool, n))
-	if err != nil {
-		return nil, fmt.Errorf("calibration: %w", err)
+	n := len(ck.CPUs) * len(ck.IOs)
+	have := len(ck.Points) // bounds the points held, so n is not allocated for a short file
+	var points []optimizer.Params
+	if have >= n {
+		points = make([]optimizer.Params, n)
+		if have, err = ck.restore(points, make([]bool, n)); err != nil {
+			return nil, fmt.Errorf("calibration: %w", err)
+		}
 	}
 	if have != n {
 		return nil, fmt.Errorf("calibration: grid file is incomplete: %d of %d lattice points, %d missing (resume the calibration before serving it)",
 			have, n, n-have)
 	}
-	return NewGrid(ck.CPUs, ck.Mems, ck.IOs, points)
+	return NewGrid(ck.CPUs, ck.IOs, ck.Memory, points)
 }
 
 // loadCheckpoint restores completed points from path into g, marking them
@@ -213,7 +220,7 @@ func loadCheckpoint(path, sig string, g *Grid, completed []bool) (int, error) {
 	if ck.ConfigSig != sig {
 		return 0, fmt.Errorf("checkpoint was taken under a different calibration config or axes (signature %s, this run %s)", ck.ConfigSig, sig)
 	}
-	if !slices.Equal(ck.CPUs, g.cpus) || !slices.Equal(ck.Mems, g.mems) || !slices.Equal(ck.IOs, g.ios) {
+	if !slices.Equal(ck.CPUs, g.cpus) || !slices.Equal(ck.IOs, g.ios) {
 		return 0, fmt.Errorf("checkpoint axes do not match this run")
 	}
 	return ck.restore(g.points, completed)

@@ -44,12 +44,12 @@ func TestCalibrateRetriesTransientFaults(t *testing.T) {
 	cfg := testConfig()
 	cfg.Faults = faults.New(faults.Config{Seed: 7, Transient: 0.1, Noise: 0.05})
 	cfg.retryBackoff = -1 // keep the test fast: retry without sleeping
-	c := New(cfg)
-	p, err := c.Calibrate(context.Background(), half())
+	retries := mCalRetry.Value()
+	p, err := New(cfg).Calibrate(context.Background(), half())
 	if err != nil {
 		t.Fatalf("Calibrate under faults: %v", err)
 	}
-	if c.Retries() == 0 {
+	if mCalRetry.Value() == retries {
 		t.Fatal("no transient retries recorded; the injector should have fired at 10% transient rate")
 	}
 
@@ -112,7 +112,7 @@ func TestCalibrateGridCancellation(t *testing.T) {
 	done := make(chan error, 1)
 	cpus := []float64{0.25, 0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.6, 0.65, 0.7}
 	go func() {
-		_, err := c.CalibrateGridOpts(ctx, cpus, []float64{0.5}, []float64{0.5, 1}, GridOptions{})
+		_, err := c.CalibrateGrid(ctx, cpus, []float64{0.5, 1}, GridOptions{})
 		done <- err
 	}()
 
@@ -127,10 +127,10 @@ func TestCalibrateGridCancellation(t *testing.T) {
 	select {
 	case err := <-done:
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("CalibrateGridOpts error = %v, want context.Canceled", err)
+			t.Fatalf("CalibrateGrid error = %v, want context.Canceled", err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("CalibrateGridOpts did not return after cancellation")
+		t.Fatal("CalibrateGrid did not return after cancellation")
 	}
 
 	// All worker goroutines must wind down; poll briefly since the last
@@ -152,11 +152,11 @@ func TestFillBadPointsAveragesNeighbors(t *testing.T) {
 		return optimizer.Params{
 			SeqPageCost: 1, RandomPageCost: v, CPUTupleCost: v / 100,
 			CPUIndexTupleCost: v / 200, CPUOperatorCost: v / 400,
-			EffectiveCacheSizePages: int64(v * 10), WorkMemBytes: int64(v * 1000),
+			EffectiveCacheSizePages: 10, WorkMemBytes: 1000,
 			TimePerSeqPage: v * 1e-4, Overlap: 0.5,
 		}
 	}
-	g := newGrid([]float64{0.25, 0.5, 0.75}, []float64{0.5}, []float64{0.5})
+	g := newGrid([]float64{0.25, 0.5, 0.75}, []float64{0.5}, syntheticMemory)
 	g.points[0] = mk(2)
 	g.points[2] = mk(4)
 	errs := []error{nil, errors.New("boom"), nil}
@@ -168,7 +168,7 @@ func TestFillBadPointsAveragesNeighbors(t *testing.T) {
 
 	// Two adjacent bad points: each must fill from the single good point,
 	// not from the other's fill (order independence).
-	g2 := newGrid([]float64{0.25, 0.5, 0.75}, []float64{0.5}, []float64{0.5})
+	g2 := newGrid([]float64{0.25, 0.5, 0.75}, []float64{0.5}, syntheticMemory)
 	g2.points[0] = mk(2)
 	errs2 := []error{nil, errors.New("b1"), errors.New("b2")}
 	g2.fillBadPoints([]int{1, 2}, errs2)
@@ -186,9 +186,9 @@ func TestCalibrateGridTooManyBadPointsFails(t *testing.T) {
 	cfg.Faults = faults.New(faults.Config{Seed: 1, Hard: 1})
 	cfg.retryBackoff = -1
 	cfg.Parallelism = 1
-	_, err := New(cfg).CalibrateGridOpts(context.Background(), []float64{0.5}, []float64{0.5}, []float64{0.5, 1}, GridOptions{})
+	_, err := New(cfg).CalibrateGrid(context.Background(), []float64{0.5}, []float64{0.5, 1}, GridOptions{})
 	if err == nil {
-		t.Fatal("CalibrateGridOpts succeeded with every point failing")
+		t.Fatal("CalibrateGrid succeeded with every point failing")
 	}
 	if !strings.Contains(err.Error(), "grid points failed") {
 		t.Fatalf("error %q does not describe the failed points", err)
@@ -209,15 +209,15 @@ func TestCalibrateGridFillsBadPoints(t *testing.T) {
 	cfg := testConfig()
 	// Seed 1 at this rate deterministically fails one point of this axis
 	// (the injector is a pure function of seed and probe key).
-	cfg.Faults = faults.New(faults.Config{Seed: 1, Hard: 0.007})
+	cfg.Faults = faults.New(faults.Config{Seed: 1, Hard: 0.012})
 	cfg.retryBackoff = -1
 	cfg.Parallelism = 1
 	cpus := []float64{0.25, 0.5, 0.75, 1}
 	before := mCalBadPoint.Value()
 	path := filepath.Join(t.TempDir(), "grid.json")
-	g, err := New(cfg).CalibrateGridOpts(context.Background(), cpus, []float64{0.5}, []float64{0.5}, GridOptions{CheckpointPath: path})
+	g, err := New(cfg).CalibrateGrid(context.Background(), cpus, []float64{0.5}, GridOptions{CheckpointPath: path})
 	if err != nil {
-		t.Fatalf("CalibrateGridOpts: %v", err)
+		t.Fatalf("CalibrateGrid: %v", err)
 	}
 	if got := mCalBadPoint.Value() - before; got != 1 {
 		t.Fatalf("bad-point counter moved by %d, want 1 (did the probe suite change? re-hunt the seed)", got)
@@ -263,12 +263,11 @@ func TestCalibrateGridCheckpointResume(t *testing.T) {
 	cfg := faultFreeConfig()
 	cfg.Parallelism = 1
 	cpus := []float64{0.25, 0.5, 0.75, 1}
-	mems := []float64{0.5}
 	ios := []float64{0.5}
 
-	ref, err := New(cfg).CalibrateGridOpts(context.Background(), cpus, mems, ios, GridOptions{})
+	ref, err := New(cfg).CalibrateGrid(context.Background(), cpus, ios, GridOptions{})
 	if err != nil {
-		t.Fatalf("reference CalibrateGridOpts: %v", err)
+		t.Fatalf("reference CalibrateGrid: %v", err)
 	}
 
 	// Interrupted run: cancel as soon as the first checkpoint lands.
@@ -290,11 +289,11 @@ func TestCalibrateGridCheckpointResume(t *testing.T) {
 			}
 		}
 	}()
-	_, err = New(cfg).CalibrateGridOpts(ctx, cpus, mems, ios, GridOptions{CheckpointPath: path})
+	_, err = New(cfg).CalibrateGrid(ctx, cpus, ios, GridOptions{CheckpointPath: path})
 	cancel()
 	<-watcherDone
 	if err != nil && !errors.Is(err, context.Canceled) {
-		t.Fatalf("interrupted CalibrateGridOpts: %v", err)
+		t.Fatalf("interrupted CalibrateGrid: %v", err)
 	}
 	if _, statErr := os.Stat(path); statErr != nil {
 		t.Fatalf("no checkpoint was written: %v", statErr)
@@ -321,12 +320,12 @@ func TestCalibrateGridCheckpointResume(t *testing.T) {
 
 	// Resumed run: restores the checkpointed points, measures the rest.
 	c := New(cfg)
-	g, err := c.CalibrateGridOpts(context.Background(), cpus, mems, ios, GridOptions{
+	g, err := c.CalibrateGrid(context.Background(), cpus, ios, GridOptions{
 		CheckpointPath: path,
 		Resume:         true,
 	})
 	if err != nil {
-		t.Fatalf("resumed CalibrateGridOpts: %v", err)
+		t.Fatalf("resumed CalibrateGrid: %v", err)
 	}
 	if got := c.Measurements(); got >= int64(len(cpus)) {
 		t.Fatalf("resumed run measured %d points; want fewer than %d (the checkpoint held at least one)", got, len(cpus))
@@ -364,7 +363,7 @@ func TestCalibrateGridCheckpointResume(t *testing.T) {
 
 	// Resuming a complete file restores every point and measures none.
 	measuredBefore, resumedBefore := mCalMeasure.Value(), mCalCkptResume.Value()
-	if _, err := New(cfg).CalibrateGridOpts(context.Background(), cpus, mems, ios, GridOptions{
+	if _, err := New(cfg).CalibrateGrid(context.Background(), cpus, ios, GridOptions{
 		CheckpointPath: path,
 		Resume:         true,
 	}); err != nil {
@@ -389,9 +388,9 @@ func TestCheckpointRejectsTamperingAndConfigDrift(t *testing.T) {
 	cfg.Parallelism = 1
 	path := filepath.Join(t.TempDir(), "grid.ckpt.json")
 	axis := []float64{0.5}
-	if _, err := New(cfg).CalibrateGridOpts(context.Background(), axis, axis, axis,
+	if _, err := New(cfg).CalibrateGrid(context.Background(), axis, axis,
 		GridOptions{CheckpointPath: path}); err != nil {
-		t.Fatalf("CalibrateGridOpts: %v", err)
+		t.Fatalf("CalibrateGrid: %v", err)
 	}
 
 	// Tamper with a stored parameter value; the checksum must catch it.
@@ -417,7 +416,7 @@ func TestCheckpointRejectsTamperingAndConfigDrift(t *testing.T) {
 	if err := os.WriteFile(path, tampered, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(cfg).CalibrateGridOpts(context.Background(), axis, axis, axis,
+	if _, err := New(cfg).CalibrateGrid(context.Background(), axis, axis,
 		GridOptions{CheckpointPath: path, Resume: true}); err == nil {
 		t.Fatal("resume accepted a tampered checkpoint")
 	} else if !strings.Contains(err.Error(), "checksum") {
@@ -431,7 +430,7 @@ func TestCheckpointRejectsTamperingAndConfigDrift(t *testing.T) {
 	}
 	drifted := cfg
 	drifted.Seed++
-	if _, err := New(drifted).CalibrateGridOpts(context.Background(), axis, axis, axis,
+	if _, err := New(drifted).CalibrateGrid(context.Background(), axis, axis,
 		GridOptions{CheckpointPath: path, Resume: true}); err == nil {
 		t.Fatal("resume accepted a checkpoint from a different calibration config")
 	} else if !strings.Contains(err.Error(), "different calibration config") {
@@ -450,7 +449,7 @@ func TestCalibrateGridFailsWhenGridFileUnwritable(t *testing.T) {
 	cfg.Parallelism = 1
 	path := filepath.Join(t.TempDir(), "missing", "grid.json")
 	axis := []float64{0.5}
-	_, err := New(cfg).CalibrateGridOpts(context.Background(), axis, axis, axis,
+	_, err := New(cfg).CalibrateGrid(context.Background(), axis, axis,
 		GridOptions{CheckpointPath: path})
 	if err == nil {
 		t.Fatalf("sweep succeeded although %s was never written", path)

@@ -7,57 +7,66 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"dbvirt/internal/engine"
 	"dbvirt/internal/obs"
 	"dbvirt/internal/optimizer"
 	"dbvirt/internal/vm"
 )
 
-// Grid holds calibrated parameters on a lattice of resource allocations
-// and interpolates between them. Grid calibration plus interpolation is
-// the paper's proposed way to keep the number of calibration experiments
-// manageable (Section 7): calibrate a coarse lattice offline, answer any
-// allocation online. Points are stored in a dense slice (CPU-major,
-// memory, then I/O) and axes are searched with binary search, so lookups
-// are O(log axis) with no per-point map overhead. A populated Grid is
-// immutable and safe for concurrent use.
+// Grid holds calibrated parameters on a CPU × I/O lattice of resource
+// allocations and interpolates between them. Grid calibration plus
+// interpolation is the paper's proposed way to keep the number of
+// calibration experiments manageable (Section 7): calibrate a coarse
+// lattice offline, answer any allocation online; the memory share only
+// sets the memory fields (see Memory). Points are stored in a dense slice
+// (CPU-major, then I/O) and axes are searched with binary search, so
+// lookups are O(log axis) with no per-point map overhead. A populated
+// Grid is immutable and safe for concurrent use.
 type Grid struct {
-	cpus, mems, ios []float64
-	points          []optimizer.Params // dense; see Grid.index
+	cpus, ios []float64
+	mem       Memory
+	points    []optimizer.Params // dense; see Grid.index. No answer reads their memory fields.
+}
+
+// Memory derives P(R)'s memory fields from a memory share as
+// engine.MemoryParams sizes a session: on a machine of MemBytes, with
+// BufferFrac of the VM's memory in the pool and WorkMemFrac per sort.
+type Memory struct {
+	MemBytes    int64   `json:"mem_bytes"`
+	BufferFrac  float64 `json:"buffer_frac"`
+	WorkMemFrac float64 `json:"work_mem_frac"`
+}
+
+// syntheticMemory gives 16384·mem cache pages and 16 MiB·mem of work_mem.
+var syntheticMemory = Memory{MemBytes: 128 << 20, BufferFrac: 1, WorkMemFrac: 0.125}
+
+// params returns p with its memory fields set for the memory share.
+func (m Memory) params(p optimizer.Params, share float64) optimizer.Params {
+	frames, workMem := engine.MemoryParams(m.MemBytes, share, engine.Config{BufferFrac: m.BufferFrac, WorkMemFrac: m.WorkMemFrac})
+	p.EffectiveCacheSizePages, p.WorkMemBytes = int64(frames), workMem
+	return p
 }
 
 // index flattens lattice coordinates into the dense points slice.
-func (g *Grid) index(ic, im, ii int) int {
-	return (ic*len(g.mems)+im)*len(g.ios) + ii
-}
+func (g *Grid) index(ic, ii int) int { return ic*len(g.ios) + ii }
 
 // coords is the inverse of index.
-func (g *Grid) coords(idx int) (ic, im, ii int) {
-	ii = idx % len(g.ios)
-	im = (idx / len(g.ios)) % len(g.mems)
-	ic = idx / (len(g.ios) * len(g.mems))
-	return
-}
+func (g *Grid) coords(idx int) (ic, ii int) { return idx / len(g.ios), idx % len(g.ios) }
 
 // newGrid allocates an empty grid over copies of the given axes.
-func newGrid(cpus, mems, ios []float64) *Grid {
-	g := &Grid{
-		cpus: append([]float64(nil), cpus...),
-		mems: append([]float64(nil), mems...),
-		ios:  append([]float64(nil), ios...),
+func newGrid(cpus, ios []float64, mem Memory) *Grid {
+	return &Grid{
+		cpus:   append([]float64(nil), cpus...),
+		ios:    append([]float64(nil), ios...),
+		mem:    mem,
+		points: make([]optimizer.Params, len(cpus)*len(ios)),
 	}
-	g.points = make([]optimizer.Params, len(g.cpus)*len(g.mems)*len(g.ios))
-	return g
-}
-
-// latticeShares returns the allocation at lattice coordinates (ic, im, ii).
-func (g *Grid) latticeShares(ic, im, ii int) vm.Shares {
-	return vm.Shares{CPU: g.cpus[ic], Memory: g.mems[im], IO: g.ios[ii]}
 }
 
 // checkAxes requires every lattice axis to be non-empty and sorted
 // ascending, which Lookup and Interpolate search by.
-func checkAxes(cpus, mems, ios []float64) error {
-	for _, axis := range [][]float64{cpus, mems, ios} {
+func checkAxes(axes ...[]float64) error {
+	for _, axis := range axes {
 		if len(axis) == 0 {
 			return fmt.Errorf("calibration: empty grid axis")
 		}
@@ -68,28 +77,29 @@ func checkAxes(cpus, mems, ios []float64) error {
 	return nil
 }
 
-// NewGrid builds a grid directly from axes and pre-computed parameter
-// points, without running calibration experiments. Points are given in
-// the grid's dense order — CPU-major, then memory, then I/O, matching
-// Allocations — and their length must be the product of the axis
-// lengths. Axes must be non-empty and sorted ascending, and every
-// parameter vector must validate. Synthetic grids built this way drive
-// deterministic what-if benchmarks and tests that must not depend on
-// calibration measurements.
-func NewGrid(cpus, mems, ios []float64, points []optimizer.Params) (*Grid, error) {
-	if err := checkAxes(cpus, mems, ios); err != nil {
+// NewGrid builds a grid directly from axes, a memory rule and pre-computed
+// parameter points, without running calibration experiments. Points are
+// given in the grid's dense order — CPU-major, then I/O — and their length
+// must be the product of the axis lengths. Axes must be non-empty and
+// sorted ascending, the memory rule valid, and every parameter vector must
+// validate. Synthetic grids built this way drive deterministic what-if
+// benchmarks and tests that must not depend on calibration measurements.
+func NewGrid(cpus, ios []float64, mem Memory, points []optimizer.Params) (*Grid, error) {
+	if err := checkAxes(cpus, ios); err != nil {
 		return nil, err
 	}
-	g := newGrid(cpus, mems, ios)
+	if mem.MemBytes <= 0 || !(mem.BufferFrac > 0 && mem.BufferFrac <= 1) || !(mem.WorkMemFrac > 0 && mem.WorkMemFrac <= 1) {
+		return nil, fmt.Errorf("calibration: grid memory %+v: want positive bytes and fractions in (0,1]", mem)
+	}
+	g := newGrid(cpus, ios, mem)
 	if len(points) != len(g.points) {
-		return nil, fmt.Errorf("calibration: grid wants %d points (%d cpu x %d mem x %d io), got %d",
-			len(g.points), len(cpus), len(mems), len(ios), len(points))
+		return nil, fmt.Errorf("calibration: grid wants %d points (%d cpu x %d io), got %d",
+			len(g.points), len(cpus), len(ios), len(points))
 	}
 	for idx, p := range points {
 		if err := p.Validate(); err != nil {
-			ic, im, ii := g.coords(idx)
-			sh := g.latticeShares(ic, im, ii)
-			return nil, fmt.Errorf("calibration: grid point (%g,%g,%g): %w", sh.CPU, sh.Memory, sh.IO, err)
+			ic, ii := g.coords(idx)
+			return nil, fmt.Errorf("calibration: grid point (cpu %g, io %g): %w", g.cpus[ic], g.ios[ii], err)
 		}
 	}
 	copy(g.points, points)
@@ -100,28 +110,26 @@ func NewGrid(cpus, mems, ios []float64, points []optimizer.Params) (*Grid, error
 // share axes without running any calibration experiments. The parameter
 // surface is a plausible stand-in for a calibrated grid: CPU costs
 // (relative to one sequential page fetch) grow as the CPU share shrinks
-// or the I/O share grows, the cache assumption and work_mem scale with
-// the memory share, and the seconds-per-page conversion scales with the
-// inverse I/O share. The spread is wide enough to flip access paths and
-// join methods across the lattice, which is exactly what the what-if
-// re-costing benchmarks and differential tests need — reproducibly, and
-// with no dependence on calibration measurements.
-func SyntheticGrid(cpus, mems, ios []float64) (*Grid, error) {
-	points := make([]optimizer.Params, 0, len(cpus)*len(mems)*len(ios))
+// or the I/O share grows, the seconds-per-page conversion scales with the
+// inverse I/O share, and the cache assumption and work_mem scale with the
+// memory share (syntheticMemory). The spread is wide enough to flip
+// access paths and join methods across the lattice, which is exactly what
+// the what-if re-costing benchmarks and differential tests need —
+// reproducibly, and with no dependence on calibration measurements.
+func SyntheticGrid(cpus, ios []float64) (*Grid, error) {
+	points := make([]optimizer.Params, 0, len(cpus)*len(ios))
 	for _, c := range cpus {
-		for _, m := range mems {
-			for _, io := range ios {
-				points = append(points, syntheticParams(c, m, io))
-			}
+		for _, io := range ios {
+			points = append(points, syntheticParams(c, io))
 		}
 	}
-	return NewGrid(cpus, mems, ios, points)
+	return NewGrid(cpus, ios, syntheticMemory, points)
 }
 
 // syntheticParams maps one allocation to a parameter vector. Each field
-// is a smooth monotone function of the shares, so trilinear
-// interpolation between lattice points stays well-behaved.
-func syntheticParams(cpu, mem, io float64) optimizer.Params {
+// is a smooth monotone function of the shares, so bilinear interpolation
+// between lattice points stays well-behaved.
+func syntheticParams(cpu, io float64) optimizer.Params {
 	p := optimizer.DefaultParams()
 	// Faster I/O makes a page fetch cheap in wall time, so CPU work costs
 	// more pages-worth; a bigger CPU share pushes the other way.
@@ -131,22 +139,21 @@ func syntheticParams(cpu, mem, io float64) optimizer.Params {
 	p.CPUOperatorCost = 0.0025 * rel
 	// Seeks amortize better at higher I/O shares (deeper queues).
 	p.RandomPageCost = 1 + 3/io
-	p.EffectiveCacheSizePages = int64(16384*mem + 0.5)
-	p.WorkMemBytes = int64(float64(16<<20)*mem + 0.5)
 	p.TimePerSeqPage = 1e-4 / io
 	p.Overlap = 0.3
 	return p
 }
 
-// Allocations returns every lattice point's allocation in the grid's
-// dense order (CPU-major, then memory, then I/O) — the order NewGrid
-// expects its points in. The slice is freshly allocated.
+// Allocations returns the allocations of the cube whose memory axis is
+// the CPU axis — CPU × memory × I/O, CPU-major, then memory, then I/O —
+// for tests and benchmarks that sweep memory along with the lattice. The
+// slice is freshly allocated.
 func (g *Grid) Allocations() []vm.Shares {
-	out := make([]vm.Shares, 0, len(g.points))
-	for ic := range g.cpus {
-		for im := range g.mems {
-			for ii := range g.ios {
-				out = append(out, g.latticeShares(ic, im, ii))
+	out := make([]vm.Shares, 0, len(g.cpus)*len(g.points))
+	for _, c := range g.cpus {
+		for _, m := range g.cpus {
+			for _, io := range g.ios {
+				out = append(out, vm.Shares{CPU: c, Memory: m, IO: io})
 			}
 		}
 	}
@@ -174,9 +181,21 @@ type GridOptions struct {
 // the limit are filled from their neighbors.
 const maxBadPointFrac = 0.5
 
-// CalibrateGridOpts measures every lattice point (the cross product of
-// the three axes; axis values must be valid shares) and returns the grid,
-// with checkpoint/resume per opts and bad-point recovery.
+// CalibrateGridOpts checks mems as a memory axis and calibrates the
+// CPU × I/O plane of cpus and ios.
+//
+// Deprecated: use CalibrateGrid. The benchmark harness still calls this
+// form until its next stage (ROADMAP.md, item 1).
+func (c *Calibrator) CalibrateGridOpts(ctx context.Context, cpus, mems, ios []float64, opts GridOptions) (*Grid, error) {
+	if err := checkAxes(mems); err != nil || mems[0] <= 0 || mems[len(mems)-1] > 1 {
+		return nil, fmt.Errorf("calibration: invalid memory axis %v", mems)
+	}
+	return c.CalibrateGrid(ctx, cpus, ios, opts)
+}
+
+// CalibrateGrid measures every point of the CPU × I/O lattice (axis
+// values must be valid shares), each at full memory, and returns the
+// grid, with checkpoint/resume per opts and bad-point recovery.
 //
 // Lattice points are distributed over a bounded worker pool sized by
 // Config.Parallelism. Every worker owns a private Calibrator — its own
@@ -197,17 +216,17 @@ const maxBadPointFrac = 0.5
 // their good lattice neighbors — unless more than maxBadPointFrac of the
 // lattice failed, which fails the run with the first bad point's
 // error.
-func (c *Calibrator) CalibrateGridOpts(ctx context.Context, cpus, mems, ios []float64, opts GridOptions) (*Grid, error) {
+func (c *Calibrator) CalibrateGrid(ctx context.Context, cpus, ios []float64, opts GridOptions) (*Grid, error) {
 	if c.envErr != nil {
 		return nil, c.envErr
 	}
-	if err := checkAxes(cpus, mems, ios); err != nil {
+	if err := checkAxes(cpus, ios); err != nil {
 		return nil, err
 	}
-	g := newGrid(cpus, mems, ios)
+	g := newGrid(cpus, ios, c.cfg.memory())
 	n := len(g.points)
 	completed := make([]bool, n)
-	sig := c.cfg.signature(g.cpus, g.mems, g.ios)
+	sig := c.cfg.signature(g.cpus, g.ios)
 	resumed := 0
 	if opts.Resume && opts.CheckpointPath != "" {
 		var err error
@@ -294,8 +313,8 @@ func (c *Calibrator) CalibrateGridOpts(ctx context.Context, cpus, mems, ios []fl
 			if completed[idx] { // restored from a checkpoint
 				continue
 			}
-			ic, im, ii := g.coords(idx)
-			sh := g.latticeShares(ic, im, ii)
+			ic, ii := g.coords(idx)
+			sh := vm.Shares{CPU: g.cpus[ic], Memory: 1, IO: g.ios[ii]}
 			p, err := cal.Calibrate(ctx, sh)
 			if err != nil {
 				if ctx.Err() != nil {
@@ -306,7 +325,7 @@ func (c *Calibrator) CalibrateGridOpts(ctx context.Context, cpus, mems, ios []fl
 				errs[idx] = err
 				mCalBadPoint.Inc()
 				obs.Warn("grid point measurement failed",
-					"cpu", sh.CPU, "mem", sh.Memory, "io", sh.IO, "err", err.Error())
+					"cpu", sh.CPU, "io", sh.IO, "err", err.Error())
 				continue
 			}
 			g.points[idx] = p
@@ -324,12 +343,11 @@ func (c *Calibrator) CalibrateGridOpts(ctx context.Context, cpus, mems, ios []fl
 		}(w)
 	}
 	wg.Wait()
-	// The extra workers' measurements and retries count as this
-	// calibrator's: it ran the sweep.
+	// The extra workers' measurements count as this calibrator's: it ran
+	// the sweep.
 	for _, cal := range cals {
 		if cal != c {
 			c.measures.Add(cal.measures.Load())
-			c.retries.Add(cal.retries.Load())
 		}
 	}
 
@@ -353,10 +371,9 @@ func (c *Calibrator) CalibrateGridOpts(ctx context.Context, cpus, mems, ios []fl
 		// unfixable no matter what fraction the caller tolerates.
 		frac := float64(len(bad)) / float64(n)
 		if len(bad) == n || frac > maxBadPointFrac {
-			ic, im, ii := g.coords(bad[0])
-			sh := g.latticeShares(ic, im, ii)
-			return nil, fmt.Errorf("calibration: %d of %d grid points failed (above the %.0f%% limit); first failure at (%g,%g,%g): %w",
-				len(bad), n, maxBadPointFrac*100, sh.CPU, sh.Memory, sh.IO, errs[bad[0]])
+			ic, ii := g.coords(bad[0])
+			return nil, fmt.Errorf("calibration: %d of %d grid points failed (above the %.0f%% limit); first failure at (cpu %g, io %g): %w",
+				len(bad), n, maxBadPointFrac*100, g.cpus[ic], g.ios[ii], errs[bad[0]])
 		}
 		g.fillBadPoints(bad, errs)
 	}
@@ -372,18 +389,15 @@ func (c *Calibrator) CalibrateGridOpts(ctx context.Context, cpus, mems, ios []fl
 	// Hand every point back to the shared calibrator's cache so later
 	// direct Calibrate calls hit instead of re-measuring. With every point
 	// cached, the calibration database goes too: a miss rebuilds it.
-	for ic := range g.cpus {
-		for im := range g.mems {
-			for ii := range g.ios {
-				c.prime(g.latticeShares(ic, im, ii), g.points[g.index(ic, im, ii)])
-			}
-		}
+	for idx, p := range g.points {
+		ic, ii := g.coords(idx)
+		c.cache.Put(cacheKey(vm.Shares{CPU: g.cpus[ic], IO: g.ios[ii]}), p)
 	}
 	c.mu.Lock()
 	c.data = nil
 	c.mu.Unlock()
 	obs.Info("grid calibrated", "points", n, "workers", workers,
-		"cpu_axis", len(g.cpus), "mem_axis", len(g.mems), "io_axis", len(g.ios),
+		"cpu_axis", len(g.cpus), "io_axis", len(g.ios),
 		"resumed", resumed, "bad_points", len(bad))
 	return g, nil
 }
@@ -394,17 +408,17 @@ func (c *Calibrator) CalibrateGridOpts(ctx context.Context, cpus, mems, ios []fl
 // wins ties). Fills always read the original good mask — never other
 // fills — so the result is independent of fill order.
 func (g *Grid) fillBadPoints(bad []int, errs []error) {
-	nc, nm, ni := len(g.cpus), len(g.mems), len(g.ios)
+	nc, ni := len(g.cpus), len(g.ios)
 	good := func(idx int) bool { return errs[idx] == nil }
 	for _, idx := range bad {
-		ic, im, ii := g.coords(idx)
+		ic, ii := g.coords(idx)
 		var neigh []optimizer.Params
-		for _, d := range [][3]int{{-1, 0, 0}, {1, 0, 0}, {0, -1, 0}, {0, 1, 0}, {0, 0, -1}, {0, 0, 1}} {
-			jc, jm, ji := ic+d[0], im+d[1], ii+d[2]
-			if jc < 0 || jc >= nc || jm < 0 || jm >= nm || ji < 0 || ji >= ni {
+		for _, d := range [][2]int{{-1, 0}, {1, 0}, {0, -1}, {0, 1}} {
+			jc, ji := ic+d[0], ii+d[1]
+			if jc < 0 || jc >= nc || ji < 0 || ji >= ni {
 				continue
 			}
-			if j := g.index(jc, jm, ji); good(j) {
+			if j := g.index(jc, ji); good(j) {
 				neigh = append(neigh, g.points[j])
 			}
 		}
@@ -414,8 +428,8 @@ func (g *Grid) fillBadPoints(bad []int, errs []error) {
 				if !good(j) {
 					continue
 				}
-				jc, jm, ji := g.coords(j)
-				d := absInt(jc-ic) + absInt(jm-im) + absInt(ji-ii)
+				jc, ji := g.coords(j)
+				d := absInt(jc-ic) + absInt(ji-ii)
 				if d < bestD {
 					best, bestD = j, d
 				}
@@ -423,9 +437,8 @@ func (g *Grid) fillBadPoints(bad []int, errs []error) {
 			neigh = append(neigh, g.points[best])
 		}
 		g.points[idx] = avgParams(neigh)
-		sh := g.latticeShares(ic, im, ii)
 		obs.Warn("grid point filled from neighbors",
-			"cpu", sh.CPU, "mem", sh.Memory, "io", sh.IO, "neighbors", len(neigh))
+			"cpu", g.cpus[ic], "io", g.ios[ii], "neighbors", len(neigh))
 	}
 }
 
@@ -436,38 +449,34 @@ func absInt(v int) int {
 	return v
 }
 
-// avgParams is the component-wise mean of a set of parameter vectors.
+// avgParams is the component-wise mean of a set of parameter vectors;
+// their memory fields are the measuring share's, the same in every one.
 func avgParams(ps []optimizer.Params) optimizer.Params {
 	inv := 1 / float64(len(ps))
-	var out optimizer.Params
-	var cache, workMem float64
+	out := optimizer.Params{EffectiveCacheSizePages: ps[0].EffectiveCacheSizePages, WorkMemBytes: ps[0].WorkMemBytes}
 	for _, p := range ps {
 		out.SeqPageCost += p.SeqPageCost * inv
 		out.RandomPageCost += p.RandomPageCost * inv
 		out.CPUTupleCost += p.CPUTupleCost * inv
 		out.CPUIndexTupleCost += p.CPUIndexTupleCost * inv
 		out.CPUOperatorCost += p.CPUOperatorCost * inv
-		cache += float64(p.EffectiveCacheSizePages) * inv
-		workMem += float64(p.WorkMemBytes) * inv
 		out.TimePerSeqPage += p.TimePerSeqPage * inv
 		out.Overlap += p.Overlap * inv
 		out.TimePerLogFlush += p.TimePerLogFlush * inv
 		out.WriteAmp += p.WriteAmp * inv
 	}
-	out.EffectiveCacheSizePages = int64(cache + 0.5)
-	out.WorkMemBytes = int64(workMem + 0.5)
 	return out
 }
 
-// Lookup returns the parameters at an exact lattice point.
+// Lookup returns the parameters of an allocation whose CPU and I/O shares
+// lie on the lattice, at any memory share.
 func (g *Grid) Lookup(shares vm.Shares) (optimizer.Params, bool) {
 	ic, okC := indexOf(g.cpus, shares.CPU)
-	im, okM := indexOf(g.mems, shares.Memory)
 	ii, okI := indexOf(g.ios, shares.IO)
-	if !okC || !okM || !okI {
+	if !okC || !okI {
 		return optimizer.Params{}, false
 	}
-	return g.points[g.index(ic, im, ii)], true
+	return g.mem.params(g.points[g.index(ic, ii)], shares.Memory), true
 }
 
 // indexOf finds v on a sorted axis by binary search, within the usual
@@ -485,22 +494,17 @@ func approxEq(a, b float64) bool {
 	return d < 1e-9 && d > -1e-9
 }
 
-// Interpolate returns parameters for an arbitrary allocation by trilinear
-// interpolation over the lattice (clamped to the lattice's bounding box).
+// Interpolate returns parameters for an arbitrary allocation by bilinear
+// interpolation over the CPU × I/O lattice (clamped to its bounding box),
+// with the memory fields of its memory share.
 func (g *Grid) Interpolate(shares vm.Shares) optimizer.Params {
 	c0, c1, cf := bracket(g.cpus, shares.CPU)
-	m0, m1, mf := bracket(g.mems, shares.Memory)
 	i0, i1, fi := bracket(g.ios, shares.IO)
-
-	get := func(ic, im, ii int) optimizer.Params { return g.points[g.index(ic, im, ii)] }
-	// Interpolate along I/O, then memory, then CPU.
-	lerpIO := func(ic, im int) optimizer.Params {
-		return lerpParams(get(ic, im, i0), get(ic, im, i1), fi)
+	// Interpolate along I/O, then CPU.
+	lerpIO := func(ic int) optimizer.Params {
+		return lerpParams(g.points[g.index(ic, i0)], g.points[g.index(ic, i1)], fi)
 	}
-	lerpMem := func(ic int) optimizer.Params {
-		return lerpParams(lerpIO(ic, m0), lerpIO(ic, m1), mf)
-	}
-	return lerpParams(lerpMem(c0), lerpMem(c1), cf)
+	return g.mem.params(lerpParams(lerpIO(c0), lerpIO(c1), cf), shares.Memory)
 }
 
 // bracket finds the axis cell containing v and the interpolation fraction
@@ -524,21 +528,19 @@ func bracket(axis []float64, v float64) (lo, hi int, frac float64) {
 	return lo, hi, (v - axis[lo]) / span
 }
 
-// lerpParams interpolates every continuous parameter field; integer-like
-// fields (cache pages, work_mem) interpolate linearly and round.
+// lerpParams interpolates every fitted parameter field; the memory fields
+// are left zero for Memory.params to fill.
 func lerpParams(a, b optimizer.Params, f float64) optimizer.Params {
 	l := func(x, y float64) float64 { return x + (y-x)*f }
 	return optimizer.Params{
-		SeqPageCost:             l(a.SeqPageCost, b.SeqPageCost),
-		RandomPageCost:          l(a.RandomPageCost, b.RandomPageCost),
-		CPUTupleCost:            l(a.CPUTupleCost, b.CPUTupleCost),
-		CPUIndexTupleCost:       l(a.CPUIndexTupleCost, b.CPUIndexTupleCost),
-		CPUOperatorCost:         l(a.CPUOperatorCost, b.CPUOperatorCost),
-		EffectiveCacheSizePages: int64(l(float64(a.EffectiveCacheSizePages), float64(b.EffectiveCacheSizePages)) + 0.5),
-		WorkMemBytes:            int64(l(float64(a.WorkMemBytes), float64(b.WorkMemBytes)) + 0.5),
-		TimePerSeqPage:          l(a.TimePerSeqPage, b.TimePerSeqPage),
-		Overlap:                 l(a.Overlap, b.Overlap),
-		TimePerLogFlush:         l(a.TimePerLogFlush, b.TimePerLogFlush),
-		WriteAmp:                l(a.WriteAmp, b.WriteAmp),
+		SeqPageCost:       l(a.SeqPageCost, b.SeqPageCost),
+		RandomPageCost:    l(a.RandomPageCost, b.RandomPageCost),
+		CPUTupleCost:      l(a.CPUTupleCost, b.CPUTupleCost),
+		CPUIndexTupleCost: l(a.CPUIndexTupleCost, b.CPUIndexTupleCost),
+		CPUOperatorCost:   l(a.CPUOperatorCost, b.CPUOperatorCost),
+		TimePerSeqPage:    l(a.TimePerSeqPage, b.TimePerSeqPage),
+		Overlap:           l(a.Overlap, b.Overlap),
+		TimePerLogFlush:   l(a.TimePerLogFlush, b.TimePerLogFlush),
+		WriteAmp:          l(a.WriteAmp, b.WriteAmp),
 	}
 }

@@ -73,38 +73,35 @@ func TestCalibrateGridParallelMatchesSerial(t *testing.T) {
 		t.Skip("calibration is slow in -short mode")
 	}
 	cpuAxis := []float64{0.25, 0.75}
-	memAxis := []float64{0.5}
 	ioAxis := []float64{0.5, 1.0}
 
 	serialCfg := testConfig()
 	serialCfg.Parallelism = 1
-	serial, err := New(serialCfg).CalibrateGridOpts(context.Background(), cpuAxis, memAxis, ioAxis, GridOptions{})
+	serial, err := New(serialCfg).CalibrateGrid(context.Background(), cpuAxis, ioAxis, GridOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	parCfg := testConfig()
 	parCfg.Parallelism = 4
-	par, err := New(parCfg).CalibrateGridOpts(context.Background(), cpuAxis, memAxis, ioAxis, GridOptions{})
+	par, err := New(parCfg).CalibrateGrid(context.Background(), cpuAxis, ioAxis, GridOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	for ic := range cpuAxis {
-		for im := range memAxis {
-			for ii := range ioAxis {
-				sh := vm.Shares{CPU: cpuAxis[ic], Memory: memAxis[im], IO: ioAxis[ii]}
-				sp, ok := serial.Lookup(sh)
-				if !ok {
-					t.Fatalf("serial grid missing %v", sh)
-				}
-				pp, ok := par.Lookup(sh)
-				if !ok {
-					t.Fatalf("parallel grid missing %v", sh)
-				}
-				if sp != pp {
-					t.Fatalf("lattice point %v differs:\n  serial:   %+v\n  parallel: %+v", sh, sp, pp)
-				}
+	for _, cpu := range cpuAxis {
+		for _, io := range ioAxis {
+			sh := vm.Shares{CPU: cpu, Memory: 0.5, IO: io}
+			sp, ok := serial.Lookup(sh)
+			if !ok {
+				t.Fatalf("serial grid missing %v", sh)
+			}
+			pp, ok := par.Lookup(sh)
+			if !ok {
+				t.Fatalf("parallel grid missing %v", sh)
+			}
+			if sp != pp {
+				t.Fatalf("lattice point %v differs:\n  serial:   %+v\n  parallel: %+v", sh, sp, pp)
 			}
 		}
 	}
@@ -121,15 +118,15 @@ func TestCalibrateGridCountsEveryWorker(t *testing.T) {
 	cfg.Parallelism = 2
 	c := New(cfg)
 	axis := []float64{0.25, 0.75}
-	if _, err := c.CalibrateGridOpts(context.Background(), axis, axis, []float64{0.5}, GridOptions{}); err != nil {
+	if _, err := c.CalibrateGrid(context.Background(), axis, axis, GridOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if n := c.Measurements(); n != 4 {
-		t.Errorf("Measurements() = %d after a 2x2x1 sweep, want 4", n)
+		t.Errorf("Measurements() = %d after a 2x2 sweep, want 4", n)
 	}
 }
 
-// BenchmarkCalibrateGrid measures a 5x5x5 lattice calibration end to end
+// BenchmarkCalibrateGrid measures a 5x5 lattice calibration end to end
 // at worker counts 1 and 4. Each iteration uses a fresh calibrator so
 // every lattice point is actually measured (no cache hits). On a
 // multi-core host j=4 should be ~4x faster; results are identical.
@@ -141,7 +138,7 @@ func BenchmarkCalibrateGrid(b *testing.B) {
 			cfg.Parallelism = j
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := New(cfg).CalibrateGridOpts(context.Background(), axis, axis, axis, GridOptions{}); err != nil {
+				if _, err := New(cfg).CalibrateGrid(context.Background(), axis, axis, GridOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}

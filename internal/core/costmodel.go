@@ -21,7 +21,7 @@ import (
 type WhatIfModel struct {
 	// Cal calibrates on demand; used when Grid is nil or misses.
 	Cal *calibration.Calibrator
-	// Grid, if set, answers allocations by trilinear interpolation,
+	// Grid, if set, answers allocations by bilinear interpolation,
 	// avoiding new calibration experiments (the paper's §7 refinement).
 	Grid *calibration.Grid
 	// NoPrepare disables the prepared-statement cache and its cost atoms,

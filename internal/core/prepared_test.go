@@ -210,28 +210,25 @@ func TestPreparedCacheInvalidation(t *testing.T) {
 	}
 }
 
-// flipGrid is a 2×2×2 calibration grid whose corners differ enough to
-// flip plans.
+// flipGrid is a 2×2 calibration grid whose corners differ enough to flip
+// plans; its cache assumption and work_mem scale with the memory share
+// (8192·mem pages, 8 MiB·mem).
 func flipGrid(t testing.TB) *calibration.Grid {
 	t.Helper()
 	axes := []float64{0.25, 1.0}
-	points := make([]optimizer.Params, 0, 8)
+	points := make([]optimizer.Params, 0, 4)
 	for _, cpu := range axes {
-		for _, mem := range axes {
-			for _, io := range axes {
-				p := optimizer.DefaultParams()
-				p.RandomPageCost = 1 + 3/io
-				p.CPUTupleCost = 0.01 * io / cpu
-				p.CPUOperatorCost = 0.0025 * io / cpu
-				p.EffectiveCacheSizePages = int64(8192 * mem)
-				p.WorkMemBytes = int64(float64(8<<20) * mem)
-				p.TimePerSeqPage = 1e-4 / io
-				p.Overlap = 0.3
-				points = append(points, p)
-			}
+		for _, io := range axes {
+			p := optimizer.DefaultParams()
+			p.RandomPageCost = 1 + 3/io
+			p.CPUTupleCost = 0.01 * io / cpu
+			p.CPUOperatorCost = 0.0025 * io / cpu
+			p.TimePerSeqPage = 1e-4 / io
+			p.Overlap = 0.3
+			points = append(points, p)
 		}
 	}
-	g, err := calibration.NewGrid(axes, axes, axes, points)
+	g, err := calibration.NewGrid(axes, axes, calibration.Memory{MemBytes: 64 << 20, BufferFrac: 1, WorkMemFrac: 0.125}, points)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ import (
 func propertyModel(t *testing.T) (core.CostModel, []*core.WorkloadSpec) {
 	t.Helper()
 	axes := []float64{0.25, 0.5, 0.75, 1.0}
-	grid, err := calibration.SyntheticGrid(axes, axes, axes)
+	grid, err := calibration.SyntheticGrid(axes, axes)
 	if err != nil {
 		t.Fatalf("SyntheticGrid: %v", err)
 	}

@@ -10,7 +10,6 @@ import (
 	"sort"
 	"sync"
 
-	"dbvirt/internal/buffer"
 	"dbvirt/internal/catalog"
 	"dbvirt/internal/obs"
 	"dbvirt/internal/storage"
@@ -619,5 +618,3 @@ func (db *Database) Close() error {
 	db.dur = nil
 	return err
 }
-
-var _ = buffer.PoolSizeForVM // keep import symmetry for recoverySession sizing

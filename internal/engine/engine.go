@@ -113,24 +113,28 @@ func NewSession(db *Database, v *vm.VM, cfg Config) (*Session, error) {
 	if cfg.WorkMemFrac <= 0 || cfg.WorkMemFrac > 1 {
 		return nil, fmt.Errorf("engine: WorkMemFrac %g out of range", cfg.WorkMemFrac)
 	}
-	frames := buffer.PoolSizeForVM(v, cfg.BufferFrac)
+	frames, workMem := MemoryParams(v.Machine().Config().MemBytes, v.Shares().Memory, cfg)
 	pool, err := buffer.NewPool(db.Disk, v, frames)
 	if err != nil {
 		return nil, err
 	}
 	params := optimizer.DefaultParams()
 	params.EffectiveCacheSizePages = int64(frames)
-	params.WorkMemBytes = workMemFor(v, cfg)
+	params.WorkMemBytes = workMem
 	return &Session{DB: db, VM: v, Pool: pool, Config: cfg, Params: params,
 		stmts: memo.Gen[string, *stmtTemplate]{Cap: stmtCacheCap, Evict: mStmtEvict}}, nil
 }
 
-func workMemFor(v *vm.VM, cfg Config) int64 {
-	wm := int64(float64(v.MemBytes()) * cfg.WorkMemFrac)
-	if wm < 64<<10 {
-		wm = 64 << 10
+// MemoryParams sizes a session on a VM holding share of a machine's
+// memBytes: the buffer pool's frames (the planner's effective cache size)
+// and work_mem. Calibration grids fill P(R)'s memory fields from it too.
+func MemoryParams(memBytes int64, share float64, cfg Config) (frames int, workMem int64) {
+	vmBytes := int64(float64(memBytes) * share) // vm.VM.MemBytes
+	workMem = int64(float64(vmBytes) * cfg.WorkMemFrac)
+	if workMem < 64<<10 {
+		workMem = 64 << 10
 	}
-	return wm
+	return buffer.PoolSize(vmBytes, cfg.BufferFrac), workMem
 }
 
 // ExecContext builds the executor context for this session's statements:

@@ -120,7 +120,7 @@ func AblationCalibrationGrid(e *workload.Env) ([]GridRow, error) {
 	}
 	var rows []GridRow
 	for _, axis := range axes {
-		g, err := cal.CalibrateGridOpts(context.Background(), axis, []float64{0.5}, []float64{0.5}, calibration.GridOptions{})
+		g, err := cal.CalibrateGrid(context.Background(), axis, []float64{0.5}, calibration.GridOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -140,7 +140,7 @@ func AblationCalibrationGrid(e *workload.Env) ([]GridRow, error) {
 		}
 		rows = append(rows, GridRow{
 			AxisPoints:   len(axis),
-			Calibrations: len(axis), // one memory/io point
+			Calibrations: len(axis), // one I/O point
 			MaxRelErr:    maxErr,
 			MeanRelErr:   sumErr / float64(len(probeShares)),
 		})

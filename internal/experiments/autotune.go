@@ -49,7 +49,7 @@ type FigCRow struct {
 // QPOINT (the controller must move CPU to w1 exactly once).
 func FigureControl(e *workload.Env, preTicks, postTicks int) ([]FigCRow, error) {
 	axes := []float64{0.25, 0.5, 0.75, 1.0}
-	grid, err := calibration.SyntheticGrid(axes, axes, axes)
+	grid, err := calibration.SyntheticGrid(axes, axes)
 	if err != nil {
 		return nil, err
 	}

@@ -79,7 +79,7 @@ func FigurePlacement(e *workload.Env, sizes []int) ([]FigPRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		grid, err := calibration.SyntheticGrid(axes, axes, axes)
+		grid, err := calibration.SyntheticGrid(axes, axes)
 		if err != nil {
 			return nil, err
 		}

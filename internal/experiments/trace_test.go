@@ -28,8 +28,8 @@ func TestTracesReachEveryLayer(t *testing.T) {
 
 	env := workload.QuickEnv()
 	half := []float64{0.5}
-	if _, err := env.Calibrator().CalibrateGridOpts(context.Background(),
-		[]float64{0.25, 0.75}, half, half, calibration.GridOptions{}); err != nil {
+	if _, err := env.Calibrator().CalibrateGrid(context.Background(),
+		[]float64{0.25, 0.75}, half, calibration.GridOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	specs, err := MatrixWorkloads(env, 1, 1)

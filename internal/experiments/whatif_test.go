@@ -24,7 +24,7 @@ func TestSyntheticGridMatrixEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := calibration.SyntheticGrid([]float64{0.25, 1.0}, []float64{0.5, 1.0}, []float64{0.25, 1.0})
+	g, err := calibration.SyntheticGrid([]float64{0.25, 1.0}, []float64{0.25, 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}

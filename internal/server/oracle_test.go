@@ -32,7 +32,7 @@ type oracle struct {
 func newOracle(t *testing.T) *oracle {
 	t.Helper()
 	axes := []float64{0.25, 0.5, 0.75, 1.0}
-	g, err := calibration.SyntheticGrid(axes, axes, axes)
+	g, err := calibration.SyntheticGrid(axes, axes)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -498,8 +498,8 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 // GridResponse answers one calibration lookup: the parameter vector at
-// the requested allocation, and whether it was an exact lattice point or
-// a trilinear interpolation.
+// the requested allocation, and whether its CPU and I/O shares lie on the
+// lattice or were bilinearly interpolated.
 type GridResponse struct {
 	Exact  bool             `json:"exact"`
 	Params optimizer.Params `json:"params"`

@@ -33,7 +33,7 @@ func testEnv(t *testing.T) (*workload.Env, *calibration.Grid) {
 	envOnce.Do(func() {
 		sharedEnv = workload.NewEnv(workload.TinyScale(), vm.DefaultMachineConfig())
 		axes := []float64{0.25, 0.5, 0.75, 1.0}
-		g, err := calibration.SyntheticGrid(axes, axes, axes)
+		g, err := calibration.SyntheticGrid(axes, axes)
 		if err != nil {
 			panic(err)
 		}
@@ -586,10 +586,10 @@ func TestCheckpointGridServing(t *testing.T) {
 	env := workload.NewEnv(workload.TinyScale(), vm.DefaultMachineConfig())
 	axes := []float64{0.5, 1.0}
 	ck := t.TempDir() + "/grid.json"
-	g1, err := env.Calibrator().CalibrateGridOpts(context.Background(), axes, axes, axes,
+	g1, err := env.Calibrator().CalibrateGrid(context.Background(), axes, axes,
 		calibration.GridOptions{CheckpointPath: ck})
 	if err != nil {
-		t.Fatalf("CalibrateGridOpts: %v", err)
+		t.Fatalf("CalibrateGrid: %v", err)
 	}
 	f, err := os.Open(ck)
 	if err != nil {

@@ -28,7 +28,7 @@ func fleetSize() int {
 func newFleetSolver(b *testing.B, e *workload.Env) *placement.Solver {
 	b.Helper()
 	axes := []float64{0.25, 0.5, 0.75, 1.0}
-	grid, err := calibration.SyntheticGrid(axes, axes, axes)
+	grid, err := calibration.SyntheticGrid(axes, axes)
 	if err != nil {
 		b.Fatal(err)
 	}
