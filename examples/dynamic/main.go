@@ -80,7 +80,7 @@ func main() {
 	// The workload mix changes; the controller re-solves and reconfigures
 	// the running VMs.
 	fmt.Println("\n>>> workload phase change detected; reconfiguring...")
-	ctrl := &core.Controller{Machine: dep.Machine, Model: model}
+	ctrl := &core.Controller{Model: model}
 	newSol, err := ctrl.Reconfigure(context.Background(), problem(phase2), dep.VMs)
 	if err != nil {
 		log.Fatal(err)

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"log"
 
+	"dbvirt/internal/core"
 	"dbvirt/internal/experiments"
 	"dbvirt/internal/vm"
 	"dbvirt/internal/workload"
@@ -47,16 +48,17 @@ func main() {
 	fmt.Printf("\n%-8s %-26s %12s %12s\n", "query", "allocation", "estimated", "actual")
 	for _, name := range queries {
 		q := workload.Query(name)
+		spec := []*core.WorkloadSpec{{Name: name, Statements: []string{q}, DB: db}}
 		for _, sh := range shares {
 			est, err := experiments.EstimateQuery(env, db, q, sh)
 			if err != nil {
 				log.Fatalf("%s: %v", name, err)
 			}
-			act, err := experiments.MeasureQuery(env, db, q, sh)
+			act, err := core.MeasureAllocation(env.Machine, env.Engine, spec, core.Allocation{sh}, true)
 			if err != nil {
 				log.Fatalf("%s: %v", name, err)
 			}
-			fmt.Printf("%-8s %-26v %11.4fs %11.4fs\n", name, sh, est, act)
+			fmt.Printf("%-8s %-26v %11.4fs %11.4fs\n", name, sh, est, act[0])
 		}
 		fmt.Println()
 	}

@@ -166,9 +166,8 @@ type Status struct {
 // Loop is the closed-loop autotuner. All methods are safe for concurrent
 // use; ticks are serialized.
 type Loop struct {
-	cfg  Config
-	dec  *Decider
-	ctrl *core.Controller
+	cfg Config
+	dec *Decider
 
 	mu           sync.Mutex
 	enabled      bool
@@ -227,7 +226,6 @@ func NewLoop(cfg Config) (*Loop, error) {
 	l := &Loop{
 		cfg:     cfg,
 		dec:     NewDecider(cfg.Decider),
-		ctrl:    &core.Controller{Model: cfg.Model},
 		logSize: decisionLogSize,
 		enabled: cfg.StartEnabled,
 	}
@@ -253,13 +251,6 @@ func (l *Loop) Disable() {
 	l.enabled = false
 	l.mu.Unlock()
 	gEnabled.Set(0)
-}
-
-// Enabled reports whether the loop is active.
-func (l *Loop) Enabled() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.enabled
 }
 
 // Tick runs one scheduled evaluation: drift check, resolve if triggered,
@@ -399,19 +390,7 @@ func (l *Loop) tickLocked(ctx context.Context, manual bool) Decision {
 		return d
 	}
 
-	// Price the (possibly step-clamped) target so the controller history
-	// and decision log carry the costs of what was actually applied.
-	tgtRes := candRes
-	if v.StepScale < 1 {
-		tgtRes, err = core.EvaluateAllocation(ctx, p, l.cfg.Model, v.Target, "autotune.target")
-		if err != nil {
-			return fail(err)
-		}
-	}
-	l.ctrl.Solve = func(context.Context, *core.Problem, core.CostModel) (*core.Result, error) {
-		return tgtRes, nil
-	}
-	if _, err := l.ctrl.Reconfigure(ctx, p, l.cfg.VMs); err != nil {
+	if err := core.ApplyShares(l.cfg.VMs, v.Target); err != nil {
 		return fail(err)
 	}
 	d.Action = ActionApplied
@@ -509,12 +488,4 @@ func (l *Loop) Status() Status {
 		s.Tenants = append(s.Tenants, t.Name)
 	}
 	return s
-}
-
-// History exposes the underlying controller's reconfiguration history
-// (tests assert actuations and History agree).
-func (l *Loop) History() []core.ControllerStep {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]core.ControllerStep(nil), l.ctrl.History...)
 }

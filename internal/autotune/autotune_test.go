@@ -7,6 +7,7 @@ package autotune
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"dbvirt/internal/calibration"
@@ -108,8 +109,8 @@ func TestResolveCadence(t *testing.T) {
 
 // TestLoopShiftActuatesAndFeedsBack is the clean-model end-to-end:
 // symmetric traffic holds the equal split, a genuine shift actuates
-// within the hysteresis budget, the controller history matches, and the
-// next resolve reports a positive realized gain.
+// within the hysteresis budget, the decision log and the VMs' shares
+// agree on it, and the next resolve reports a positive realized gain.
 func TestLoopShiftActuatesAndFeedsBack(t *testing.T) {
 	r := newRig(t, nil, 16, calmDecider())
 	ctx := context.Background()
@@ -143,12 +144,20 @@ func TestLoopShiftActuatesAndFeedsBack(t *testing.T) {
 	if len(applied.Applied) != 2 || applied.Applied[0].CPU <= 0.5 {
 		t.Fatalf("applied allocation %+v does not favor the hungry tenant", applied.Applied)
 	}
-	hist := r.loop.History()
-	if len(hist) != 1 || !hist[0].Applied {
-		t.Fatalf("controller history %+v, want one applied step", hist)
+	st := r.loop.Status()
+	var logged int
+	for _, d := range st.Decisions {
+		if d.Action == ActionApplied {
+			logged++
+		}
 	}
-	if got := r.vms[0].Shares().CPU; got != applied.Applied[0].CPU {
-		t.Fatalf("VM share %g != applied %g", got, applied.Applied[0].CPU)
+	if logged != 1 || st.Actuations != 1 {
+		t.Fatalf("%d applied decisions logged, %d actuations counted; want one of each", logged, st.Actuations)
+	}
+	for i, v := range r.vms {
+		if got := v.Shares(); got != applied.Applied[i] {
+			t.Fatalf("VM %d shares %+v != applied %+v", i, got, applied.Applied[i])
+		}
 	}
 
 	// The resolve after an actuation prices the replaced allocation under
@@ -161,6 +170,62 @@ func TestLoopShiftActuatesAndFeedsBack(t *testing.T) {
 	}
 	if *next.RealizedGain <= 0 {
 		t.Fatalf("realized gain %g, want positive (the shift was real)", *next.RealizedGain)
+	}
+}
+
+// TestLoopConcurrentTicks runs scheduled and forced ticks from several
+// goroutines while a reader polls Status: ticks serialize under the
+// loop's mutex, so every actuation is one whole share transition and the
+// VMs end on the target of the last applied decision.
+func TestLoopConcurrentTicks(t *testing.T) {
+	r := newRig(t, nil, 16, calmDecider())
+	r.feed("t1", []feedEntry{{stmtHungry, 16}})
+	r.feed("t2", stationaryMix)
+	ctx := context.Background()
+	var (
+		mu        sync.Mutex
+		decisions []Decision
+		wg        sync.WaitGroup
+	)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				tick := r.loop.Tick
+				if (g+i)%2 == 0 {
+					tick = r.loop.Trigger
+				}
+				d := tick(ctx)
+				mu.Lock()
+				decisions = append(decisions, d)
+				mu.Unlock()
+			}
+		}(g)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 20; i++ {
+			r.loop.Status()
+		}
+	}()
+	wg.Wait()
+	<-done
+
+	var last *Decision
+	for i := range decisions {
+		if d := &decisions[i]; d.Action == ActionApplied && (last == nil || d.Tick > last.Tick) {
+			last = d
+		}
+	}
+	if last == nil {
+		t.Fatalf("no tick actuated; status: %+v", r.loop.Status())
+	}
+	for i, v := range r.vms {
+		if got := v.Shares(); got != last.Applied[i] {
+			t.Fatalf("VM %d shares %+v, last applied (tick %d) %+v", i, got, last.Tick, last.Applied[i])
+		}
 	}
 }
 

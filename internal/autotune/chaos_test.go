@@ -57,9 +57,6 @@ func TestChaosStationaryNoFlapping(t *testing.T) {
 		t.Fatalf("stationary workload under noise actuated %d times (flapping); decisions: %+v",
 			st.Actuations, lastDecisions(st, 6))
 	}
-	if len(r.loop.History()) != 0 {
-		t.Fatalf("controller history has %d steps, want 0", len(r.loop.History()))
-	}
 	// The loop must have genuinely evaluated, not skipped its way to zero:
 	// every tick resolves (ResolveEvery=1) unless the injector erred it.
 	if st.Resolves+st.Errors < ticks/2 {

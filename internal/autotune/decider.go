@@ -122,9 +122,6 @@ func NewDecider(cfg DeciderConfig) *Decider {
 	return &Decider{cfg: cfg}
 }
 
-// Config returns the decider's effective (defaulted) configuration.
-func (d *Decider) Config() DeciderConfig { return d.cfg }
-
 // Decide evaluates one candidate reallocation at the given tick. cur and
 // cand are the current and solver-proposed allocations; curCost and
 // candCost their predicted objective values. The decision order is

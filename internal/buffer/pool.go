@@ -101,9 +101,6 @@ func (p *Pool) NumFrames() int { return len(p.frames) }
 // Stats returns a copy of the pool's event counters.
 func (p *Pool) Stats() Stats { return p.stats }
 
-// VM returns the virtual machine this pool charges.
-func (p *Pool) VM() *vm.VM { return p.vm }
-
 // Fetch pins the page and returns its data, reading it from disk on a miss.
 func (p *Pool) Fetch(id storage.PageID, hint storage.AccessHint) (*storage.PageData, error) {
 	f, err := p.Pin(id, hint)
@@ -295,9 +292,6 @@ func (p *Pool) FlushAll() error {
 	return nil
 }
 
-// Resident reports whether a page is currently in the pool (for tests).
-func (p *Pool) Resident(id storage.PageID) bool { return p.lookup(id) >= 0 }
-
 // lookup returns the index of the frame holding the page, or -1.
 func (p *Pool) lookup(id storage.PageID) int {
 	if int(id.File) < len(p.table) {
@@ -319,17 +313,6 @@ func (p *Pool) setSlot(id storage.PageID, idx int) {
 		p.table[id.File] = t
 	}
 	t[id.Page] = int32(idx + 1)
-}
-
-// PinnedCount returns the number of frames with at least one pin.
-func (p *Pool) PinnedCount() int {
-	var n int
-	for i := range p.frames {
-		if p.frames[i].occupied && p.frames[i].pins > 0 {
-			n++
-		}
-	}
-	return n
 }
 
 var _ storage.Pager = (*Pool)(nil)

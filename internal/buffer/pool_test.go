@@ -78,7 +78,7 @@ func TestFetchHitAndMiss(t *testing.T) {
 
 func TestFetchChargesVM(t *testing.T) {
 	p, f := setup(t, 4, 3)
-	v := p.VM()
+	v := p.vm
 	before := v.Snapshot()
 	p.Fetch(storage.PageID{File: f, Page: 0}, storage.SeqHint)
 	p.Unpin(storage.PageID{File: f, Page: 0}, false)
@@ -128,8 +128,8 @@ func TestEvictionAndWriteBack(t *testing.T) {
 	if st.WriteBacks != 1 {
 		t.Errorf("writebacks = %d, want 1", st.WriteBacks)
 	}
-	if p.VM().Snapshot().Writes != 1 {
-		t.Errorf("VM writes = %d, want 1", p.VM().Snapshot().Writes)
+	if p.vm.Snapshot().Writes != 1 {
+		t.Errorf("VM writes = %d, want 1", p.vm.Snapshot().Writes)
 	}
 	// Refetch and confirm the modification survived eviction.
 	data, err := p.Fetch(id0, storage.RandHint)
@@ -207,8 +207,8 @@ func TestAllocateThroughPool(t *testing.T) {
 	if buf[7] != 0x77 {
 		t.Error("allocated page content not flushed")
 	}
-	if p.VM().Snapshot().Writes != 1 {
-		t.Errorf("flush charged %d writes, want 1", p.VM().Snapshot().Writes)
+	if p.vm.Snapshot().Writes != 1 {
+		t.Errorf("flush charged %d writes, want 1", p.vm.Snapshot().Writes)
 	}
 }
 
@@ -417,7 +417,7 @@ func TestPinIsFetchWithoutTheBytes(t *testing.T) {
 		if a, b := fetchPool.Stats(), pinPool.Stats(); a != b {
 			t.Fatalf("step %d: stats %+v, twin %+v", step, a, b)
 		}
-		if a, b := fetchPool.VM().Snapshot(), pinPool.VM().Snapshot(); a != b {
+		if a, b := fetchPool.vm.Snapshot(), pinPool.vm.Snapshot(); a != b {
 			t.Fatalf("step %d: VM usage %+v, twin %+v", step, a, b)
 		}
 		if fetchPool.hand != pinPool.hand || fetchPool.PinnedCount() != pinPool.PinnedCount() {
@@ -804,7 +804,7 @@ func TestPoolMatchesMapModel(t *testing.T) {
 				if p.stats != ref.stats || p.hand != ref.hand {
 					fail("stats %+v hand %d, reference %+v hand %d", p.stats, p.hand, ref.stats, ref.hand)
 				}
-				if a, b := p.VM().Snapshot(), ref.vm.Snapshot(); a != b {
+				if a, b := p.vm.Snapshot(), ref.vm.Snapshot(); a != b {
 					fail("VM usage %+v, reference %+v", a, b)
 				}
 				for i := range p.frames {

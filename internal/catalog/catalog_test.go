@@ -116,7 +116,7 @@ func TestCreateIndexAndSearch(t *testing.T) {
 	if err != nil || len(tids) != 1 {
 		t.Fatalf("index search: %v, %v", tids, err)
 	}
-	tup, err := tbl.Heap.Get(pg, tids[0])
+	tup, err := tbl.Heap.GetAt(pg, tids[0], storage.RandHint)
 	if err != nil || tup[0].I != 123 {
 		t.Fatalf("heap fetch through index: %v, %v", tup, err)
 	}

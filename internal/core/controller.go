@@ -13,8 +13,6 @@ import (
 // re-solves whenever the workloads change and reconfigures the running
 // VMs' shares on the fly.
 type Controller struct {
-	// Machine hosts the VMs being controlled.
-	Machine *vm.Machine
 	// Model predicts workload costs for candidate allocations.
 	Model CostModel
 	// Solve is the search algorithm (defaults to SolveDP).
@@ -22,12 +20,10 @@ type Controller struct {
 	// History records every reconfiguration decision.
 	History []ControllerStep
 
-	// mu serializes Reconfigure: the autotune loop's periodic actuation
-	// and vdtuned's manual trigger endpoint may call it concurrently, and
-	// both the History append and the lower-then-raise share transition
-	// assume exclusive access to the VMs. Configuration fields (Machine,
-	// Model, Solve) are not protected — set them before sharing the
-	// controller.
+	// mu serializes Reconfigure: both the History append and the
+	// lower-then-raise share transition assume exclusive access to the
+	// VMs. Configuration fields (Model, Solve) are not
+	// protected — set them before sharing the controller.
 	mu sync.Mutex
 }
 
@@ -57,7 +53,7 @@ func (c *Controller) Reconfigure(ctx context.Context, p *Problem, vms []*vm.VM) 
 	if err != nil {
 		return nil, err
 	}
-	if err := applyShares(vms, res.Allocation); err != nil {
+	if err := ApplyShares(vms, res.Allocation); err != nil {
 		c.History = append(c.History, ControllerStep{Result: res, Applied: false})
 		return res, err
 	}
@@ -65,10 +61,11 @@ func (c *Controller) Reconfigure(ctx context.Context, p *Problem, vms []*vm.VM) 
 	return res, nil
 }
 
-// applyShares transitions the VMs to the target allocation without ever
-// over-committing a resource: first every VM whose share shrinks is
-// lowered, then the grown shares are raised.
-func applyShares(vms []*vm.VM, alloc Allocation) error {
+// ApplyShares transitions the VMs, matched to alloc positionally, to the
+// target allocation without ever over-committing a resource: first every
+// VM whose share shrinks is lowered, then the grown shares are raised.
+// The caller serializes share changes on vms.
+func ApplyShares(vms []*vm.VM, alloc Allocation) error {
 	type change struct {
 		v      *vm.VM
 		target vm.Shares

@@ -34,7 +34,7 @@ func TestControllerConcurrentReconfigure(t *testing.T) {
 		c, _ := inner.Cost(context.Background(), w, s)
 		return c
 	}}
-	ctrl := &Controller{Machine: machine, Model: slow}
+	ctrl := &Controller{Model: slow}
 	p := cpuProblem(specs, 0.25)
 	p.Parallelism = 1
 

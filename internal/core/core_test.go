@@ -346,7 +346,7 @@ func TestControllerReconfigures(t *testing.T) {
 
 	specs := fakeSpecs("hungry", "flat")
 	p := cpuProblem(specs, 0.25)
-	ctrl := &Controller{Machine: m, Model: cpuHungryModel()}
+	ctrl := &Controller{Model: cpuHungryModel()}
 	res, err := ctrl.Reconfigure(context.Background(), p, []*vm.VM{v1, v2})
 	if err != nil {
 		t.Fatal(err)

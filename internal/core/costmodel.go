@@ -126,44 +126,3 @@ func estimateStatement(db *engine.Database, stmt string, p optimizer.Params) (fl
 	}
 	return pl.EstimatedSeconds(), nil
 }
-
-// MeasuredModel is the oracle cost model: it actually runs the workload
-// in a freshly provisioned VM at the candidate allocation and reports the
-// simulated elapsed time. It is far more expensive than the what-if model
-// and exists to validate it (and as the measurement harness for the
-// paper's "actual" bars).
-type MeasuredModel struct {
-	Machine vm.MachineConfig
-	Engine  engine.Config
-	// Warmup runs the workload once before measuring, as the paper does
-	// by including multiple query copies.
-	Warmup bool
-}
-
-// Name implements CostModel.
-func (m *MeasuredModel) Name() string { return "measured" }
-
-// Cost implements CostModel.
-func (m *MeasuredModel) Cost(ctx context.Context, w *WorkloadSpec, shares vm.Shares) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	machine, err := vm.NewMachine(m.Machine)
-	if err != nil {
-		return 0, err
-	}
-	v, err := machine.NewVM(w.Name, shares)
-	if err != nil {
-		return 0, err
-	}
-	sess, err := engine.NewSession(w.DB, v, m.Engine)
-	if err != nil {
-		return 0, err
-	}
-	if m.Warmup {
-		if _, err := sess.RunWorkload(w.Statements); err != nil {
-			return 0, err
-		}
-	}
-	return sess.RunWorkload(w.Statements)
-}

@@ -98,6 +98,32 @@ func TestWhatIfModelEndToEnd(t *testing.T) {
 	}
 }
 
+// MeasuredModel is the oracle cost model: it runs the workload alone in
+// a freshly provisioned VM at the candidate allocation and reports the
+// simulated elapsed time, validating the what-if model against the
+// engine it models.
+type MeasuredModel struct {
+	Machine vm.MachineConfig
+	Engine  engine.Config
+	// Warmup runs the workload once before measuring.
+	Warmup bool
+}
+
+// Name implements CostModel.
+func (m *MeasuredModel) Name() string { return "measured" }
+
+// Cost implements CostModel.
+func (m *MeasuredModel) Cost(ctx context.Context, w *WorkloadSpec, shares vm.Shares) (float64, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	secs, err := MeasureAllocation(m.Machine, m.Engine, []*WorkloadSpec{w}, Allocation{shares}, m.Warmup)
+	if err != nil {
+		return 0, err
+	}
+	return secs[0], nil
+}
+
 func TestMeasuredModel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")

@@ -331,7 +331,7 @@ func TestDeleteThenReinsertAndScan(t *testing.T) {
 
 func TestExplainAnalyze(t *testing.T) {
 	s := setupDML(t)
-	out, err := s.ExplainAnalyze("SELECT qty, count(*) FROM items WHERE id <= 50 GROUP BY qty")
+	out, err := s.Explain("EXPLAIN ANALYZE SELECT qty, count(*) FROM items WHERE id <= 50 GROUP BY qty")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +371,7 @@ func TestExplainAnalyzeStatement(t *testing.T) {
 
 func TestExplainAnalyzeLimitShortCircuits(t *testing.T) {
 	s := setupDML(t)
-	out, err := s.ExplainAnalyze("SELECT id FROM items LIMIT 3")
+	out, err := s.Explain("EXPLAIN ANALYZE SELECT id FROM items LIMIT 3")
 	if err != nil {
 		t.Fatal(err)
 	}

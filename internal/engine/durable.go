@@ -64,9 +64,6 @@ type durability struct {
 	pendingBytes int64 // appended but not yet flushed, for write-cost charging
 }
 
-// Durable reports whether the database has a write-ahead log attached.
-func (db *Database) Durable() bool { return db.dur != nil }
-
 // LogStats returns the records and bytes appended to the attached log
 // since it was opened or last reset; zeros without a log. The byte count
 // against the logical tuple bytes written is the measured write

@@ -370,16 +370,6 @@ func (s *Session) planSelect(sel *sql.SelectStmt, p optimizer.Params) (*optimize
 	return optimizer.Optimize(q, p)
 }
 
-// EstimateSeconds returns the optimizer's estimated execution time of a
-// SELECT under the given calibrated parameters.
-func (s *Session) EstimateSeconds(src string, p optimizer.Params) (float64, error) {
-	pl, err := s.Plan(src, p)
-	if err != nil {
-		return 0, err
-	}
-	return pl.EstimatedSeconds(), nil
-}
-
 // Query plans (under the session's parameters) and executes a SELECT.
 func (s *Session) Query(src string) (*executor.Result, error) {
 	pl, err := s.Plan(src, s.Params)
@@ -431,19 +421,6 @@ func (s *Session) Explain(src string) (string, error) {
 		return s.explainAnalyzePlan(trimmed, pl)
 	}
 	return pl.Explain(), nil
-}
-
-// ExplainAnalyze plans a SELECT under the session's parameters, executes
-// it (discarding result rows), and returns the plan annotated with actual
-// per-node row counts and simulated per-operator time next to the
-// estimates, plus the measured total resource usage — the engine's
-// EXPLAIN ANALYZE.
-func (s *Session) ExplainAnalyze(src string) (string, error) {
-	pl, err := s.Plan(src, s.Params)
-	if err != nil {
-		return "", err
-	}
-	return s.explainAnalyzePlan(src, pl)
 }
 
 // explainAnalyzePlan executes an already-optimized plan with statistics

@@ -409,13 +409,16 @@ func TestExplainAndWhatIf(t *testing.T) {
 	pFast.TimePerSeqPage = 0.0001
 	pSlow := s.Params
 	pSlow.TimePerSeqPage = 0.001
-	fast, err := s.EstimateSeconds("SELECT id FROM people WHERE age > 20", pFast)
+	fast, err := s.Plan("SELECT id FROM people WHERE age > 20", pFast)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, _ := s.EstimateSeconds("SELECT id FROM people WHERE age > 20", pSlow)
-	if math.Abs(slow/fast-10) > 1e-9 {
-		t.Errorf("estimates should scale with TimePerSeqPage: %g vs %g", fast, slow)
+	slow, err := s.Plan("SELECT id FROM people WHERE age > 20", pSlow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(slow.EstimatedSeconds()/fast.EstimatedSeconds()-10) > 1e-9 {
+		t.Errorf("estimates should scale with TimePerSeqPage: %g vs %g", fast.EstimatedSeconds(), slow.EstimatedSeconds())
 	}
 }
 

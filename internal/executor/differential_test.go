@@ -394,7 +394,7 @@ func TestExplainAnalyzeRowsExact(t *testing.T) {
 
 		// EXPLAIN ANALYZE prints exactly those actuals. (The reference runs
 		// once more too, so the two VM clocks stay in step.)
-		outB, err := sb.ExplainAnalyze(src)
+		outB, err := sb.Explain("EXPLAIN ANALYZE " + src)
 		if err != nil {
 			t.Fatalf("%s batch: %v", name, err)
 		}

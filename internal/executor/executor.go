@@ -58,11 +58,6 @@ type Visibility func(fid storage.FileID, tid storage.TID) bool
 // item 1).
 type Mode int
 
-// ModeBatch is the zero Mode.
-//
-// Deprecated: see Mode.
-const ModeBatch Mode = 0
-
 // Context carries the runtime environment of one query execution.
 type Context struct {
 	// Pool is the session's buffer pool; all page access flows through it.

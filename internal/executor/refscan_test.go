@@ -11,7 +11,7 @@ import (
 type seqScanIter struct {
 	ctx    *Context
 	node   *optimizer.SeqScan
-	heapIt *storage.Iterator
+	heapIt *heapIterator
 	pred   func(plan.Row) (bool, error)
 	closed bool
 }
@@ -24,7 +24,7 @@ func newSeqScanIter(n *optimizer.SeqScan, ctx *Context) (*seqScanIter, error) {
 	return &seqScanIter{
 		ctx:    ctx,
 		node:   n,
-		heapIt: n.Rel.Table.Heap.NewIterator(ctx.Pool),
+		heapIt: newHeapIterator(n.Rel.Table.Heap, ctx.Pool),
 		pred:   pred,
 	}, nil
 }
@@ -55,6 +55,72 @@ func (s *seqScanIter) Close() {
 	if !s.closed {
 		s.heapIt.Close()
 		s.closed = true
+	}
+}
+
+// heapIterator pulls the live tuples of a heap file in physical order,
+// pinning one page at a time with sequential hints.
+type heapIterator struct {
+	pg     storage.Pager
+	fid    storage.FileID
+	pages  uint32
+	pageNo uint32
+	slot   int
+	sp     *storage.SlottedPage
+	pinned bool
+	id     storage.PageID
+}
+
+func newHeapIterator(h *storage.HeapFile, pg storage.Pager) *heapIterator {
+	fid := h.FileID()
+	return &heapIterator{pg: pg, fid: fid, pages: pg.NumPages(fid)}
+}
+
+// Next returns the next live tuple, or ok=false at end of file.
+func (it *heapIterator) Next() (storage.TID, storage.Tuple, bool, error) {
+	for {
+		if !it.pinned {
+			if it.pageNo >= it.pages {
+				return storage.TID{}, nil, false, nil
+			}
+			it.id = storage.PageID{File: it.fid, Page: it.pageNo}
+			data, err := it.pg.Fetch(it.id, storage.SeqHint)
+			if err != nil {
+				return storage.TID{}, nil, false, err
+			}
+			it.sp = storage.NewSlottedPage(data)
+			it.pinned = true
+			it.slot = 0
+		}
+		for it.slot < it.sp.NumSlots() {
+			s := it.slot
+			it.slot++
+			rec, ok, err := it.sp.Get(uint16(s))
+			if err != nil {
+				it.Close()
+				return storage.TID{}, nil, false, err
+			}
+			if !ok {
+				continue
+			}
+			t, err := storage.DecodeTuple(rec)
+			if err != nil {
+				it.Close()
+				return storage.TID{}, nil, false, err
+			}
+			return storage.TID{Page: it.pageNo, Slot: uint16(s)}, t, true, nil
+		}
+		it.pg.Unpin(it.id, false)
+		it.pinned = false
+		it.pageNo++
+	}
+}
+
+// Close releases any pinned page; safe to call multiple times.
+func (it *heapIterator) Close() {
+	if it.pinned {
+		it.pg.Unpin(it.id, false)
+		it.pinned = false
 	}
 }
 

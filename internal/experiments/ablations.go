@@ -180,15 +180,16 @@ func AblationOverlap(e *workload.Env, overlaps []float64) ([]OverlapRow, error) 
 		if err != nil {
 			return nil, err
 		}
-		lo, err := MeasureQuery(env, db, workload.Query("Q4"), vm.Shares{CPU: 0.25, Memory: 0.5, IO: 0.5})
+		q4 := []*core.WorkloadSpec{{Name: "Q4", Statements: []string{workload.Query("Q4")}, DB: db}}
+		lo, err := core.MeasureAllocation(env.Machine, env.Engine, q4, core.Allocation{{CPU: 0.25, Memory: 0.5, IO: 0.5}}, true)
 		if err != nil {
 			return nil, err
 		}
-		hi, err := MeasureQuery(env, db, workload.Query("Q4"), vm.Shares{CPU: 0.75, Memory: 0.5, IO: 0.5})
+		hi, err := core.MeasureAllocation(env.Machine, env.Engine, q4, core.Allocation{{CPU: 0.75, Memory: 0.5, IO: 0.5}}, true)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, OverlapRow{Overlap: ov, Q4Sensitivity: lo / hi})
+		rows = append(rows, OverlapRow{Overlap: ov, Q4Sensitivity: lo[0] / hi[0]})
 	}
 	return rows, nil
 }
@@ -282,7 +283,7 @@ func DynamicReconfig(e *workload.Env) (*DynamicResult, error) {
 
 		reconfigured := false
 		if dynamic {
-			ctrl := &core.Controller{Machine: dep.Machine, Model: model}
+			ctrl := &core.Controller{Model: model}
 			if _, err := ctrl.Reconfigure(context.Background(), mkProblem(w1Phase2, w2Phase2), dep.VMs); err != nil {
 				return 0, false, err
 			}

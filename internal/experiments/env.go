@@ -32,31 +32,6 @@ func NewEnv(scale workload.Scale, machine vm.MachineConfig) *Env {
 // Deprecated: use workload.QuickEnv (see Env).
 func QuickEnv() *Env { return workload.QuickEnv() }
 
-// MeasureQuery runs one query in a fresh VM at the given shares (warm run
-// first) and returns the simulated elapsed seconds of the measured run.
-func MeasureQuery(e *workload.Env, db *engine.Database, query string, shares vm.Shares) (float64, error) {
-	m, err := vm.NewMachine(e.Machine)
-	if err != nil {
-		return 0, err
-	}
-	v, err := m.NewVM("measure", shares)
-	if err != nil {
-		return 0, err
-	}
-	s, err := engine.NewSession(db, v, e.Engine)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := s.RunStatement(query); err != nil { // warm the cache
-		return 0, err
-	}
-	start := v.Snapshot()
-	if _, err := s.RunStatement(query); err != nil {
-		return 0, err
-	}
-	return v.ElapsedSince(start), nil
-}
-
 // MeasureWrite executes a write workload against a fresh WAL-logged
 // database in a VM at the given shares and returns the simulated elapsed
 // seconds plus the workload's log footprint (bytes appended, group

@@ -92,6 +92,8 @@ func Figure4(e *workload.Env, cpuShares []float64) (*Fig4Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	q4 := []*core.WorkloadSpec{{Name: "Q4", Statements: []string{workload.Query("Q4")}, DB: q4db}}
+	q13 := []*core.WorkloadSpec{{Name: "Q13", Statements: []string{workload.Query("Q13")}, DB: q13db}}
 	res := &Fig4Result{}
 	var at50 *Fig4Row
 	for _, cpu := range cpuShares {
@@ -100,15 +102,18 @@ func Figure4(e *workload.Env, cpuShares []float64) (*Fig4Result, error) {
 		if row.EstQ4, err = EstimateQuery(e, q4db, workload.Query("Q4"), shares); err != nil {
 			return nil, err
 		}
-		if row.ActQ4, err = MeasureQuery(e, q4db, workload.Query("Q4"), shares); err != nil {
+		act, err := core.MeasureAllocation(e.Machine, e.Engine, q4, core.Allocation{shares}, true)
+		if err != nil {
 			return nil, err
 		}
+		row.ActQ4 = act[0]
 		if row.EstQ13, err = EstimateQuery(e, q13db, workload.Query("Q13"), shares); err != nil {
 			return nil, err
 		}
-		if row.ActQ13, err = MeasureQuery(e, q13db, workload.Query("Q13"), shares); err != nil {
+		if act, err = core.MeasureAllocation(e.Machine, e.Engine, q13, core.Allocation{shares}, true); err != nil {
 			return nil, err
 		}
+		row.ActQ13 = act[0]
 		res.Rows = append(res.Rows, row)
 		if cpu == 0.5 {
 			at50 = &res.Rows[len(res.Rows)-1]
@@ -248,6 +253,7 @@ func FigureWrite(e *workload.Env, ioShares []float64) (*FigWriteResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	q4 := []*core.WorkloadSpec{{Name: "Q4", Statements: []string{workload.Query("Q4")}, DB: q4db}}
 	res := &FigWriteResult{}
 	var at50 *FigWriteRow
 	for _, io := range ioShares {
@@ -264,9 +270,11 @@ func FigureWrite(e *workload.Env, ioShares []float64) (*FigWriteResult, error) {
 			return nil, err
 		}
 		row.EstWrite = p.EstimateWriteSeconds(row.LogBytes, row.Flushes)
-		if row.ActRead, err = MeasureQuery(e, q4db, workload.Query("Q4"), shares); err != nil {
+		act, err := core.MeasureAllocation(e.Machine, e.Engine, q4, core.Allocation{shares}, true)
+		if err != nil {
 			return nil, err
 		}
+		row.ActRead = act[0]
 		res.Rows = append(res.Rows, row)
 		if io == 0.5 {
 			at50 = &res.Rows[len(res.Rows)-1]

@@ -3,8 +3,6 @@ package faults
 import (
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
 )
 
 // Disk-fault injection for the durability layer. The WAL and snapshot
@@ -59,94 +57,6 @@ type DiskConfig struct {
 	PartialReadRate float64
 }
 
-// Validate checks rates and magnitudes.
-func (c DiskConfig) Validate() error {
-	if c.FsyncErrRate < 0 || c.FsyncErrRate > 1 {
-		return fmt.Errorf("faults: fsync-err=%g out of range [0,1]", c.FsyncErrRate)
-	}
-	if c.PartialReadRate < 0 || c.PartialReadRate > 1 {
-		return fmt.Errorf("faults: partial-read=%g out of range [0,1]", c.PartialReadRate)
-	}
-	if c.CrashAfterRecords < 0 {
-		return fmt.Errorf("faults: crash-record=%d must be non-negative", c.CrashAfterRecords)
-	}
-	if c.TornBytes < 0 {
-		return fmt.Errorf("faults: torn-bytes=%d must be non-negative", c.TornBytes)
-	}
-	return nil
-}
-
-// String renders the config in ParseDisk syntax.
-func (c DiskConfig) String() string {
-	parts := []string{fmt.Sprintf("seed=%d", c.Seed)}
-	if c.CrashAfterRecords != 0 {
-		parts = append(parts, fmt.Sprintf("crash-record=%d", c.CrashAfterRecords))
-	}
-	if c.TornBytes != 0 {
-		parts = append(parts, fmt.Sprintf("torn-bytes=%d", c.TornBytes))
-	}
-	if c.FsyncErrRate != 0 {
-		parts = append(parts, fmt.Sprintf("fsync-err=%g", c.FsyncErrRate))
-	}
-	if c.PartialReadRate != 0 {
-		parts = append(parts, fmt.Sprintf("partial-read=%g", c.PartialReadRate))
-	}
-	return strings.Join(parts, ",")
-}
-
-// ParseDisk reads a disk-fault spec of the form
-//
-//	seed=7,crash-record=12,torn-bytes=5,fsync-err=0.01,partial-read=0.05
-//
-// Unknown keys are rejected; omitted keys default to zero (seed defaults
-// to 1).
-func ParseDisk(spec string) (DiskConfig, error) {
-	cfg := DiskConfig{Seed: 1}
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		k, v, ok := strings.Cut(part, "=")
-		if !ok {
-			return DiskConfig{}, fmt.Errorf("faults: bad disk spec element %q (want key=value)", part)
-		}
-		k = strings.TrimSpace(k)
-		v = strings.TrimSpace(v)
-		switch k {
-		case "seed", "crash-record", "torn-bytes":
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				return DiskConfig{}, fmt.Errorf("faults: bad value %q for %s", v, k)
-			}
-			switch k {
-			case "seed":
-				cfg.Seed = n
-			case "crash-record":
-				cfg.CrashAfterRecords = n
-			case "torn-bytes":
-				cfg.TornBytes = n
-			}
-		case "fsync-err", "partial-read":
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				return DiskConfig{}, fmt.Errorf("faults: bad value %q for %s", v, k)
-			}
-			if k == "fsync-err" {
-				cfg.FsyncErrRate = f
-			} else {
-				cfg.PartialReadRate = f
-			}
-		default:
-			return DiskConfig{}, fmt.Errorf("faults: unknown disk spec key %q", k)
-		}
-	}
-	if err := cfg.Validate(); err != nil {
-		return DiskConfig{}, err
-	}
-	return cfg, nil
-}
-
 // DiskInjector draws deterministic disk-fault outcomes. Unlike Injector it
 // is stateful — the crash point is an absolute position in the device's
 // append history — but the state advances identically on every run, so the
@@ -167,14 +77,6 @@ func NewDisk(cfg DiskConfig) *DiskInjector {
 		return nil
 	}
 	return &DiskInjector{cfg: cfg}
-}
-
-// Config returns the injector's configuration (zero for nil).
-func (d *DiskInjector) Config() DiskConfig {
-	if d == nil {
-		return DiskConfig{}
-	}
-	return d.cfg
 }
 
 // Crashed reports whether the injected crash point has been reached.

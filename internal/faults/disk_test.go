@@ -2,39 +2,6 @@ package faults
 
 import "testing"
 
-func TestParseDiskRoundTrip(t *testing.T) {
-	specs := []string{
-		"seed=7,crash-record=12,torn-bytes=5,fsync-err=0.01,partial-read=0.05",
-		"seed=1,crash-record=3",
-		"seed=42,fsync-err=0.5",
-	}
-	for _, spec := range specs {
-		cfg, err := ParseDisk(spec)
-		if err != nil {
-			t.Fatalf("ParseDisk(%q): %v", spec, err)
-		}
-		cfg2, err := ParseDisk(cfg.String())
-		if err != nil {
-			t.Fatalf("re-parse of %q: %v", cfg.String(), err)
-		}
-		if cfg != cfg2 {
-			t.Errorf("round trip %q: %+v != %+v", spec, cfg, cfg2)
-		}
-	}
-	for _, bad := range []string{
-		"bogus=1",
-		"crash-record=x",
-		"fsync-err=2",
-		"partial-read=-0.5",
-		"crash-record=-1",
-		"seed",
-	} {
-		if _, err := ParseDisk(bad); err == nil {
-			t.Errorf("ParseDisk(%q) accepted", bad)
-		}
-	}
-}
-
 // diskTrace records every outcome of a fixed operation schedule.
 func diskTrace(cfg DiskConfig) []int64 {
 	d := NewDisk(cfg)

@@ -68,9 +68,6 @@ var ErrTransient = errors.New("faults: injected transient measurement error")
 // ErrHard is the injected permanent measurement failure.
 var ErrHard = errors.New("faults: injected hard failure")
 
-// IsTransient reports whether err is (or wraps) a retryable fault.
-func IsTransient(err error) bool { return errors.Is(err, ErrTransient) }
-
 // Config sets the per-measurement probability of each failure class. All
 // rates are probabilities in [0, 1] and are evaluated independently per
 // (key, attempt); zero disables that class.

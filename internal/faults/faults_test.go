@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -67,7 +68,7 @@ func TestRatesApproximatelyHonored(t *testing.T) {
 	for i := 0; i < n; i++ {
 		out := in.Measurement("rate-probe", i)
 		if out.Err != nil {
-			if !out.Transient || !IsTransient(out.Err) {
+			if !out.Transient || !errors.Is(out.Err, ErrTransient) {
 				t.Fatalf("expected transient error, got %+v", out)
 			}
 			transients++
@@ -106,7 +107,7 @@ func TestNilInjectorIsClean(t *testing.T) {
 func TestHardAndPanicClasses(t *testing.T) {
 	in := New(Config{Seed: 3, Hard: 1})
 	out := in.Measurement("k", 0)
-	if out.Err == nil || out.Transient || IsTransient(out.Err) {
+	if out.Err == nil || out.Transient || errors.Is(out.Err, ErrTransient) {
 		t.Fatalf("hard=1 gave %+v", out)
 	}
 	in = New(Config{Seed: 3, Panic: 1})

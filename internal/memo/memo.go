@@ -175,14 +175,3 @@ func (m *Memo[K, V]) do(ctx context.Context, k K, compute func() (V, error), kee
 	c.val, c.err = compute()
 	return
 }
-
-// Len reports the number of completed entries held.
-func (m *Memo[K, V]) Len() int {
-	n := 0
-	for i := range m.shards {
-		m.shards[i].mu.Lock()
-		n += m.shards[i].done.Len()
-		m.shards[i].mu.Unlock()
-	}
-	return n
-}

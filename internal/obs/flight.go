@@ -55,19 +55,6 @@ func (f *FlightRecorder) Record(rec FlightRecord) {
 	f.mu.Unlock()
 }
 
-// Len returns how many records are currently held (≤ capacity).
-func (f *FlightRecorder) Len() int {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.next < uint64(len(f.ring)) {
-		return int(f.next)
-	}
-	return len(f.ring)
-}
-
 // Snapshot returns the held records oldest-first.
 func (f *FlightRecorder) Snapshot() []FlightRecord {
 	if f == nil {

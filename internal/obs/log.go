@@ -68,11 +68,6 @@ func NewLogger(w io.Writer, min Level) *Logger {
 	return &Logger{w: w, min: min, now: time.Now}
 }
 
-// NewLoggerWithClock is NewLogger with an injectable clock for tests.
-func NewLoggerWithClock(w io.Writer, min Level, now func() time.Time) *Logger {
-	return &Logger{w: w, min: min, now: now}
-}
-
 // Enabled reports whether events at the given level would be written.
 func (l *Logger) Enabled(level Level) bool {
 	return l != nil && level >= l.min

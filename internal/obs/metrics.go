@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -140,14 +139,6 @@ func (h *Histogram) ObserveSince(start time.Time) {
 		return
 	}
 	h.Observe(time.Since(start).Seconds())
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
 }
 
 // Quantile estimates the q-th quantile (q in [0, 1]) by interpolating
@@ -314,18 +305,6 @@ func (r *Registry) SetExtra(key string, fn func() any) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.extras[key] = fn
-}
-
-// CounterNames returns the sorted names of all registered counters.
-func (r *Registry) CounterNames() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.counters))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // CounterValues returns a point-in-time copy of every counter, keyed by

@@ -73,7 +73,7 @@ func TestConcurrentSpans(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				sp := root.Fork("work")
+				sp := tr.Start("work")
 				sp.SetArg("worker", w)
 				child := sp.Child("inner")
 				child.End()
@@ -128,7 +128,6 @@ func TestNilTelemetryIsNoop(t *testing.T) {
 	}
 	sp.SetArg("k", 1)
 	sp.Child("c").End()
-	sp.Fork("f").End()
 	sp.End()
 	Debug("d")
 	Info("i", "k", 1)

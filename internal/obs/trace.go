@@ -45,8 +45,8 @@ func NewTracerWithClock(now func() time.Time) *Tracer {
 
 // Span is one in-flight trace interval. The nil span is a valid no-op,
 // so code instruments unconditionally and pays one branch when tracing
-// is off. A span is owned by one goroutine; children started with Fork
-// may end on other goroutines.
+// is off. A span is owned by one goroutine; work handed to another
+// goroutine starts its own root span.
 type Span struct {
 	tr    *Tracer
 	name  string
@@ -71,15 +71,6 @@ func (s *Span) Child(name string) *Span {
 		return nil
 	}
 	return &Span{tr: s.tr, name: name, tid: s.tid, start: s.tr.now()}
-}
-
-// Fork begins a child span on a fresh track, for work handed to another
-// goroutine (a calibration worker, a solver worker).
-func (s *Span) Fork(name string) *Span {
-	if s == nil {
-		return nil
-	}
-	return &Span{tr: s.tr, name: name, tid: s.tr.nextTID.Add(1), start: s.tr.now()}
 }
 
 // SetArg attaches a key/value argument shown in the trace viewer.
@@ -114,16 +105,6 @@ func (s *Span) End() {
 	t.mu.Lock()
 	t.events = append(t.events, ev)
 	t.mu.Unlock()
-}
-
-// Len returns the number of finished spans.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.events)
 }
 
 // chromeTrace is the container object the Chrome trace viewer expects.

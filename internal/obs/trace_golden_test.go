@@ -39,7 +39,7 @@ func TestChromeTraceGolden(t *testing.T) {
 	pt.End()
 	cal.End()
 	solve := root.Child("solve.dp")
-	worker := solve.Fork("worker")
+	worker := tr.Start("worker")
 	worker.End()
 	solve.SetArg("evaluations", 12)
 	solve.End()

@@ -42,9 +42,6 @@ func (sc SpanContext) TraceIDString() string { return hex.EncodeToString(sc.Trac
 // SpanIDString returns the 16-hex-digit span ID.
 func (sc SpanContext) SpanIDString() string { return hex.EncodeToString(sc.SpanID[:]) }
 
-// Sampled reports the sampled bit of the flags field.
-func (sc SpanContext) Sampled() bool { return sc.Flags&0x01 != 0 }
-
 // ParseTraceparent parses a W3C traceparent header value. It accepts any
 // known-length version whose version byte is not the reserved "ff",
 // lowercase hex only, and rejects all-zero trace or span IDs.

@@ -82,14 +82,6 @@ func (h *WindowedHistogram) Observe(v float64) {
 	h.mu.Unlock()
 }
 
-// ObserveSince records the wall-clock seconds elapsed since start.
-func (h *WindowedHistogram) ObserveSince(start time.Time) {
-	if h == nil {
-		return
-	}
-	h.Observe(h.now().Sub(start).Seconds())
-}
-
 // Snapshot merges the live slots (those whose epoch lies inside the
 // window ending now) into one summary.
 func (h *WindowedHistogram) Snapshot() HistogramSnapshot {

@@ -26,9 +26,6 @@ type Plan struct {
 	Root   Node
 	Query  *plan.Query
 	Params Params
-	// prep links back to the PreparedQuery that produced this plan, when
-	// any, so Recost can reuse its memoized plan space.
-	prep *PreparedQuery
 }
 
 // TotalCost returns the plan cost in seq-page units (additive, as used

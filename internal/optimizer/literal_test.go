@@ -282,7 +282,7 @@ func TestPreparedLiteralReplayAllocs(t *testing.T) {
 		if fast, full := recostCounts(); fast != fast0+1 || full != full0 || pl.Root == lt.pq.rec.Load().root {
 			t.Fatalf("%s: the measured calls were not literal replays", tc.src)
 		}
-		q := lt.pq.Query()
+		q := lt.pq.q
 		optimize := testing.AllocsPerRun(100, func() {
 			if _, err := Optimize(q, p); err != nil {
 				panic(err)

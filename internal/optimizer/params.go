@@ -171,11 +171,6 @@ type Cost struct {
 	CPU     float64
 }
 
-// Add returns c shifted by a flat amount on both components.
-func (c Cost) Add(extra float64) Cost {
-	return Cost{Startup: c.Startup + extra, Total: c.Total + extra, CPU: c.CPU}
-}
-
 // Fractional is the cost of producing the fraction f of the rows: the
 // startup cost plus f of the run cost, PostgreSQL's tuple_fraction. At
 // f = 1 it is Total itself, not a sum that rounds to it.

@@ -55,9 +55,6 @@ func Prepare(q *plan.Query, params []plan.Param) *PreparedQuery {
 	return pq
 }
 
-// Query returns the bound query.
-func (pq *PreparedQuery) Query() *plan.Query { return pq.q }
-
 // enumRecord is an immutable snapshot of one enumeration outcome: the
 // parameter vector and constants' values (lits) it is priced under,
 // every argmin the original search resolved (in bottom-up order), and
@@ -209,7 +206,7 @@ func (pq *PreparedQuery) optimize(p Params, fast, full *obs.Counter) (*Plan, *en
 		moved := !rec.sameLiterals(pq.params)
 		if !moved && p.planShapeEqual(rec.params) {
 			fast.Inc()
-			return &Plan{Root: rec.root, Query: pq.q, Params: p, prep: pq}, rec, nil
+			return &Plan{Root: rec.root, Query: pq.q, Params: p}, rec, nil
 		}
 		if !moved || len(pq.q.Rels) == 1 && pq.subs == nil {
 			if root, frac, ok := replay(rec, pq, p, moved); ok {
@@ -218,7 +215,7 @@ func (pq *PreparedQuery) optimize(p Params, fast, full *obs.Counter) (*Plan, *en
 					rec = &enumRecord{recorder: rec.recorder, params: p, lits: rec.lits, origRoot: rec.origRoot, root: root, frac: frac}
 					pq.rec.Store(rec)
 				}
-				return &Plan{Root: root, Query: pq.q, Params: p, prep: pq}, rec, nil
+				return &Plan{Root: root, Query: pq.q, Params: p}, rec, nil
 			}
 		}
 	}
@@ -229,7 +226,6 @@ func (pq *PreparedQuery) optimize(p Params, fast, full *obs.Counter) (*Plan, *en
 	if err != nil {
 		return nil, nil, err
 	}
-	pl.prep = pq
 	lits := make([]types.Value, len(pq.params))
 	for i, pm := range pq.params {
 		lits[i] = pm.Const.Val
@@ -237,19 +233,6 @@ func (pq *PreparedQuery) optimize(p Params, fast, full *obs.Counter) (*Plan, *en
 	next := &enumRecord{recorder: choices, params: p, lits: lits, origRoot: pl.Root, root: pl.Root, frac: pc.frac}
 	pq.rec.Store(next)
 	return pl, next, nil
-}
-
-// Recost re-prices the plan's query under a new parameter vector,
-// returning a plan identical to Optimize(pl.Query, p) but usually without
-// re-running join enumeration. Plans produced by a PreparedQuery keep
-// their plan-space memo; plans from the plain Optimize entry point fall
-// back to a full optimization.
-func (pl *Plan) Recost(p Params) (*Plan, error) {
-	if pl.prep != nil {
-		return pl.prep.Optimize(p)
-	}
-	mRecostFull.Inc()
-	return Optimize(pl.Query, p)
 }
 
 // replay re-resolves every recorded choice point under new parameters.

@@ -124,7 +124,7 @@ func TestRecostMatchesOptimize(t *testing.T) {
 			pq := prepareFor(t, tc.src)
 			fastBefore, fullBefore := mRecostFast.Value(), mRecostFull.Value()
 			for i, p := range lattice {
-				cold, err := Optimize(pq.Query(), p)
+				cold, err := Optimize(pq.q, p)
 				if err != nil {
 					t.Fatalf("optimize [%d]: %v", i, err)
 				}
@@ -182,7 +182,7 @@ func TestRecostRepeatedParams(t *testing.T) {
 	secondsOnly := p
 	secondsOnly.TimePerSeqPage = 5e-4
 	secondsOnly.Overlap = 0.9
-	cold, err := Optimize(pq.Query(), secondsOnly)
+	cold, err := Optimize(pq.q, secondsOnly)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,11 +247,11 @@ func TestRecostDerivedReplays(t *testing.T) {
 				t.Errorf("tier-1 re-cost of a derived shape allocates %.0f allocs/op; want O(1)", allocs)
 			}
 
-			cold, err := Optimize(pq.Query(), flip)
+			cold, err := Optimize(pq.q, flip)
 			if err != nil {
 				t.Fatal(err)
 			}
-			before, err := Optimize(pq.Query(), p1)
+			before, err := Optimize(pq.q, p1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -283,40 +283,6 @@ func planShape(pl *Plan) string {
 	return b.String()
 }
 
-// TestPlanRecost covers the Plan-level entry point: a plan from a
-// PreparedQuery re-costs through the shared memo; a plan from the plain
-// Optimize entry point falls back to a full optimization — both must
-// agree with from-scratch enumeration.
-func TestPlanRecost(t *testing.T) {
-	pq := prepareFor(t, recostQueries[2].src) // join2
-	p1 := DefaultParams()
-	p2 := DefaultParams()
-	p2.RandomPageCost = 1.05
-	p2.EffectiveCacheSizePages = 1 << 20
-
-	prepared, err := pq.Optimize(p1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := Optimize(pq.Query(), p1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Optimize(pq.Query(), p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pl := range []*Plan{prepared, plain} {
-		re, err := pl.Recost(p2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if re.TotalCost() != want.TotalCost() || re.Explain() != want.Explain() {
-			t.Errorf("Recost diverges from Optimize:\n%s\nvs\n%s", re.Explain(), want.Explain())
-		}
-	}
-}
-
 // TestRecostParallel hammers one shared PreparedQuery from many
 // goroutines, each walking the lattice from a different offset, and
 // checks every result against a serially computed expectation. Run with
@@ -336,7 +302,7 @@ func recostParallel(t *testing.T, src string) {
 	lattice := recostLattice()
 	want := make([]float64, len(lattice))
 	for i, p := range lattice {
-		cold, err := Optimize(pq.Query(), p)
+		cold, err := Optimize(pq.q, p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -383,15 +383,6 @@ func refill[T any](buf, src []T, extra int) []T {
 	return append(slices.Grow(buf[:0], len(src)+extra), src...)
 }
 
-// Tenants returns the placed tenant names in sorted order.
-func (pl *Placement) Tenants() []string {
-	names := make([]string, len(pl.ts))
-	for i, t := range pl.ts {
-		names[i] = t.Name
-	}
-	return names
-}
-
 // Solve places the tenant fleet from scratch (modulo the solver's memos,
 // which change speed, never results).
 func (s *Solver) Solve(ctx context.Context, tenants []*Tenant) (*Placement, error) {

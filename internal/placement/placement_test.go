@@ -480,8 +480,8 @@ func TestEventValidation(t *testing.T) {
 	}
 	// Emptying the fleet is rejected too.
 	evs := make([]Event, 0, 4)
-	for _, n := range pl.Tenants() {
-		evs = append(evs, Event{Type: Leave, Name: n})
+	for _, t := range pl.ts {
+		evs = append(evs, Event{Type: Leave, Name: t.Name})
 	}
 	if _, err := pl.Apply(ctx, evs...); err == nil {
 		t.Fatal("emptying the fleet was accepted")

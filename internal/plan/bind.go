@@ -90,17 +90,6 @@ type Query struct {
 	Distinct bool
 }
 
-// OutputNames returns the visible column names of the result.
-func (q *Query) OutputNames() []string {
-	var names []string
-	for _, c := range q.Select {
-		if !c.Hidden {
-			names = append(names, c.Name)
-		}
-	}
-	return names
-}
-
 // binder carries binding state.
 type binder struct {
 	cat    *catalog.Catalog

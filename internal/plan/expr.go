@@ -29,13 +29,6 @@ type CPUSink interface {
 	AccountCPU(ops float64)
 }
 
-// NullSink discards CPU accounting; used by tests and by the optimizer's
-// constant folding.
-type NullSink struct{}
-
-// AccountCPU implements CPUSink.
-func (NullSink) AccountCPU(float64) {}
-
 // Expr is a bound (resolved, type-checked) expression.
 type Expr interface {
 	// ResultKind is the expression's result type. Comparisons and logic
@@ -245,14 +238,8 @@ func NewRelSet(rels ...int) RelSet {
 // Has reports whether relation r is in the set.
 func (s RelSet) Has(r int) bool { return s&(1<<uint(r)) != 0 }
 
-// Union returns the union of two sets.
-func (s RelSet) Union(o RelSet) RelSet { return s | o }
-
 // SubsetOf reports whether s ⊆ o.
 func (s RelSet) SubsetOf(o RelSet) bool { return s&^o == 0 }
-
-// Intersects reports whether the sets share a relation.
-func (s RelSet) Intersects(o RelSet) bool { return s&o != 0 }
 
 // Count returns the number of relations in the set.
 func (s RelSet) Count() int {
@@ -295,38 +282,5 @@ func RelsOf(e Expr) RelSet {
 		return RelsOf(x.E)
 	default:
 		return 0
-	}
-}
-
-// NumOperators counts the operator nodes in an expression: the optimizer
-// multiplies it by cpu_operator_cost per input row.
-func NumOperators(e Expr) int {
-	switch x := e.(type) {
-	case *ColRef, *Const:
-		return 0
-	case *Bin:
-		return 1 + NumOperators(x.L) + NumOperators(x.R)
-	case *Not:
-		return 1 + NumOperators(x.E)
-	case *Neg:
-		return 1 + NumOperators(x.E)
-	case *Between:
-		return 2 + NumOperators(x.E) + NumOperators(x.Lo) + NumOperators(x.Hi)
-	case *In:
-		n := len(x.List) + NumOperators(x.E)
-		for _, l := range x.List {
-			n += NumOperators(l)
-		}
-		return n
-	case *Like:
-		// LIKE is far more expensive than a comparison; the optimizer
-		// models it as several operator units (the executor charges the
-		// true length-dependent cost). 4 units corresponds to a typical
-		// 90-byte string under types.LikeCostOps.
-		return 4 + NumOperators(x.E)
-	case *IsNull:
-		return 1 + NumOperators(x.E)
-	default:
-		return 1
 	}
 }

@@ -267,10 +267,7 @@ func FuzzPlacementRoutes(f *testing.F) {
 			default:
 				kind, rec = "G", get(t, h, "/v1/placement")
 			}
-			if code := rec.Code; code >= 500 && code != http.StatusServiceUnavailable &&
-				!(code == http.StatusGatewayTimeout && strings.Contains(body, "timeout_ms")) {
-				t.Fatalf("line %d (%s): status %d: %s", i, kind, code, rec.Body)
-			}
+			checkStatus(t, fmt.Sprintf("line %d (%s)", i, kind), body, rec)
 			switch {
 			case rec.Code >= 500:
 				// A request that ran out of its own deadline may or may not

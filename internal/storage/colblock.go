@@ -414,13 +414,3 @@ func (c *BlockCache) Clear() {
 	c.n = 0
 	c.mu.Unlock()
 }
-
-// Len returns the number of cached blocks.
-func (c *BlockCache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
-}

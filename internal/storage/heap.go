@@ -14,14 +14,6 @@ type TID struct {
 // String formats the TID for diagnostics.
 func (t TID) String() string { return fmt.Sprintf("(%d,%d)", t.Page, t.Slot) }
 
-// Less orders TIDs in physical (page, slot) order.
-func (t TID) Less(o TID) bool {
-	if t.Page != o.Page {
-		return t.Page < o.Page
-	}
-	return t.Slot < o.Slot
-}
-
 // HeapFile is an unordered collection of tuples stored in slotted pages.
 // The struct holds only immutable identity (file ID); all page access goes
 // through the Pager passed to each method, so one heap file can be read by
@@ -74,27 +66,9 @@ func (h *HeapFile) Insert(pg Pager, t Tuple) (TID, error) {
 	return TID{Page: id.Page, Slot: slot}, nil
 }
 
-// Get fetches the tuple at the given TID (a random access).
-func (h *HeapFile) Get(pg Pager, tid TID) (Tuple, error) {
-	id := PageID{File: h.fid, Page: tid.Page}
-	data, err := pg.Fetch(id, RandHint)
-	if err != nil {
-		return nil, err
-	}
-	defer pg.Unpin(id, false)
-	sp := NewSlottedPage(data)
-	rec, ok, err := sp.Get(tid.Slot)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("storage: tuple %v is deleted", tid)
-	}
-	return DecodeTuple(rec)
-}
-
-// GetAt is Get with a caller-chosen access hint; index scans over
-// well-correlated indexes use sequential hints.
+// GetAt fetches the tuple at the given TID under the caller's access
+// hint: RandHint for a random access, SeqHint for an index scan over a
+// well-correlated index.
 func (h *HeapFile) GetAt(pg Pager, tid TID, hint AccessHint) (Tuple, error) {
 	id := PageID{File: h.fid, Page: tid.Page}
 	data, err := pg.Fetch(id, hint)
@@ -148,71 +122,6 @@ func (h *HeapFile) Scan(pg Pager, fn func(TID, Tuple) error) error {
 		pg.Unpin(id, false)
 	}
 	return nil
-}
-
-// Iterator provides pull-based scanning for the executor's Volcano model.
-type Iterator struct {
-	h      *HeapFile
-	pg     Pager
-	pages  uint32
-	pageNo uint32
-	slot   int
-	sp     *SlottedPage
-	pinned bool
-	id     PageID
-}
-
-// NewIterator starts a sequential scan of the heap file.
-func (h *HeapFile) NewIterator(pg Pager) *Iterator {
-	return &Iterator{h: h, pg: pg, pages: pg.NumPages(h.fid)}
-}
-
-// Next returns the next live tuple, or ok=false at end of file.
-func (it *Iterator) Next() (TID, Tuple, bool, error) {
-	for {
-		if !it.pinned {
-			if it.pageNo >= it.pages {
-				return TID{}, nil, false, nil
-			}
-			it.id = PageID{File: it.h.fid, Page: it.pageNo}
-			data, err := it.pg.Fetch(it.id, SeqHint)
-			if err != nil {
-				return TID{}, nil, false, err
-			}
-			it.sp = NewSlottedPage(data)
-			it.pinned = true
-			it.slot = 0
-		}
-		for it.slot < it.sp.NumSlots() {
-			s := it.slot
-			it.slot++
-			rec, ok, err := it.sp.Get(uint16(s))
-			if err != nil {
-				it.Close()
-				return TID{}, nil, false, err
-			}
-			if !ok {
-				continue
-			}
-			t, err := DecodeTuple(rec)
-			if err != nil {
-				it.Close()
-				return TID{}, nil, false, err
-			}
-			return TID{Page: it.pageNo, Slot: uint16(s)}, t, true, nil
-		}
-		it.pg.Unpin(it.id, false)
-		it.pinned = false
-		it.pageNo++
-	}
-}
-
-// Close releases any pinned page; safe to call multiple times.
-func (it *Iterator) Close() {
-	if it.pinned {
-		it.pg.Unpin(it.id, false)
-		it.pinned = false
-	}
 }
 
 // Delete marks the tuple at tid dead.

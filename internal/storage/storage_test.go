@@ -306,7 +306,7 @@ func TestHeapFileInsertGetScan(t *testing.T) {
 	}
 	// Random access.
 	for _, i := range []int{0, 1, 250, 499} {
-		tup, err := h.Get(pg, tids[i])
+		tup, err := h.GetAt(pg, tids[i], RandHint)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -343,7 +343,7 @@ func TestHeapFileDelete(t *testing.T) {
 	if err := h.Delete(pg, t1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Get(pg, t1); err == nil {
+	if _, err := h.GetAt(pg, t1, RandHint); err == nil {
 		t.Error("deleted tuple should not be gettable")
 	}
 	var vals []int64
@@ -351,67 +351,11 @@ func TestHeapFileDelete(t *testing.T) {
 	if len(vals) != 1 || vals[0] != 2 {
 		t.Errorf("scan after delete = %v, want [2]", vals)
 	}
-	if tup, err := h.Get(pg, t2); err != nil || tup[0].I != 2 {
+	if tup, err := h.GetAt(pg, t2, RandHint); err != nil || tup[0].I != 2 {
 		t.Error("surviving tuple unreadable")
 	}
 	if pg.PinnedCount() != 0 {
 		t.Errorf("%d pages left pinned", pg.PinnedCount())
-	}
-}
-
-func TestHeapIterator(t *testing.T) {
-	d := NewDiskManager()
-	pg := NewDirectPager(d)
-	h := NewHeapFile(d.CreateFile())
-	const n = 300
-	for i := 0; i < n; i++ {
-		if _, err := h.Insert(pg, Tuple{types.NewInt(int64(i))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	it := h.NewIterator(pg)
-	count := 0
-	for {
-		_, tup, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		if tup[0].I != int64(count) {
-			t.Fatalf("iterator order broken at %d", count)
-		}
-		count++
-	}
-	it.Close()
-	if count != n {
-		t.Errorf("iterator saw %d, want %d", count, n)
-	}
-	if pg.PinnedCount() != 0 {
-		t.Errorf("%d pages left pinned after iterator", pg.PinnedCount())
-	}
-}
-
-func TestHeapIteratorEmptyAndEarlyClose(t *testing.T) {
-	d := NewDiskManager()
-	pg := NewDirectPager(d)
-	h := NewHeapFile(d.CreateFile())
-	it := h.NewIterator(pg)
-	if _, _, ok, err := it.Next(); ok || err != nil {
-		t.Error("empty heap iterator should report done")
-	}
-	it.Close()
-
-	for i := 0; i < 10; i++ {
-		h.Insert(pg, Tuple{types.NewInt(int64(i))})
-	}
-	it = h.NewIterator(pg)
-	it.Next()
-	it.Close()
-	it.Close() // double close must be safe
-	if pg.PinnedCount() != 0 {
-		t.Errorf("%d pages pinned after early close", pg.PinnedCount())
 	}
 }
 
@@ -422,18 +366,6 @@ func TestHeapRejectsGiantTuple(t *testing.T) {
 	big := Tuple{types.NewString(strings.Repeat("z", PageSize))}
 	if _, err := h.Insert(pg, big); err == nil {
 		t.Error("tuple larger than a page must be rejected")
-	}
-}
-
-func TestTIDLess(t *testing.T) {
-	if !(TID{1, 5}).Less(TID{2, 0}) {
-		t.Error("page ordering")
-	}
-	if !(TID{1, 1}).Less(TID{1, 2}) {
-		t.Error("slot ordering")
-	}
-	if (TID{1, 1}).Less(TID{1, 1}) {
-		t.Error("equal TIDs")
 	}
 }
 

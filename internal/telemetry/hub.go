@@ -201,14 +201,6 @@ type Tenant struct {
 	gRaw, gScore, gRelErr, gBias *obs.Gauge
 }
 
-// Name returns the tenant name.
-func (t *Tenant) Name() string {
-	if t == nil {
-		return ""
-	}
-	return t.name
-}
-
 // ObserveQuery streams one executed (or priced) statement, identified by
 // its sql.Normalize text, into the current sketch window. The sketch
 // counts concrete statements: two that differ only in a literal value are
@@ -247,19 +239,6 @@ func (t *Tenant) rotateLocked() {
 	if t.drift.Alarmed() {
 		t.hub.mAlarms.Inc()
 	}
-}
-
-// Rotate forces the current window closed regardless of fill — the hook
-// for callers that window by wall clock rather than update count. Empty
-// windows still rotate (an idle tenant drifts toward "no traffic").
-func (t *Tenant) Rotate() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.rotateLocked()
-	t.mu.Unlock()
-	t.hub.driftMax()
 }
 
 // ObserveCosts streams one predicted cost vector (the tenant's what-if

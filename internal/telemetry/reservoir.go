@@ -16,11 +16,9 @@ type Sample struct {
 // Reservoir is a bounded uniform sample of cost vectors using the
 // priority method (A-Res without weights): every arriving item draws a
 // deterministic pseudo-random priority from (seed, arrival index) and the
-// reservoir keeps the cap items with the highest priorities. Because
-// membership is a pure function of priorities, merging two reservoirs is
-// just a union-and-trim — deterministic and commutative, which windowed
-// and multi-process sketches rely on. Not safe for concurrent use;
-// Tenant serializes access.
+// reservoir keeps the cap items with the highest priorities, so
+// membership is a pure function of the seed and the stream. Not safe for
+// concurrent use; Tenant serializes access.
 type Reservoir struct {
 	cap   int
 	seed  uint64
@@ -89,23 +87,6 @@ func (r *Reservoir) insert(s Sample) {
 	r.items[i] = s
 	if len(r.items) > r.cap {
 		r.items = r.items[:r.cap]
-	}
-}
-
-// Merge folds other's samples into r: union, keep the cap highest
-// priorities. Commutative under the samples' total order.
-func (r *Reservoir) Merge(other *Reservoir) {
-	if other == nil {
-		return
-	}
-	for _, s := range other.items {
-		if len(r.items) >= r.cap && sampleLess(r.items[len(r.items)-1], s) {
-			continue
-		}
-		r.insert(s)
-	}
-	if other.seq > 0 {
-		r.seq += other.seq
 	}
 }
 

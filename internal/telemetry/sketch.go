@@ -86,32 +86,6 @@ func (t *TopK) Update(key string, n int64) {
 	t.counters[key] = &topkCounter{count: minC.count + n, err: minC.count}
 }
 
-// Merge folds other into t. Shared keys sum counts and errors; surplus
-// keys beyond capacity are trimmed by (count desc, err asc, key asc), a
-// total order, so Merge is commutative and associative up to the kept
-// set: merging A into B and B into A yield identical snapshots.
-func (t *TopK) Merge(other *TopK) {
-	if other == nil {
-		return
-	}
-	t.total += other.total
-	for k, oc := range other.counters {
-		if c, ok := t.counters[k]; ok {
-			c.count += oc.count
-			c.err += oc.err
-		} else {
-			t.counters[k] = &topkCounter{count: oc.count, err: oc.err}
-		}
-	}
-	if len(t.counters) <= t.k {
-		return
-	}
-	entries := t.entries()
-	for _, e := range entries[t.k:] {
-		delete(t.counters, e.Key)
-	}
-}
-
 // entries returns all counters ordered by (count desc, err asc, key asc).
 func (t *TopK) entries() []TopKEntry {
 	out := make([]TopKEntry, 0, len(t.counters))

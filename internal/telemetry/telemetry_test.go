@@ -17,30 +17,6 @@ func testHub(t *testing.T, cfg Config) *Hub {
 	return NewHub(cfg)
 }
 
-// TestTopKMergeCommutative merges two sketches built from different
-// deterministic streams in both orders and requires identical snapshots:
-// the property that makes windowed and multi-process sketches sound.
-func TestTopKMergeCommutative(t *testing.T) {
-	build := func(seed int64, n int) *TopK {
-		rng := rand.New(rand.NewSource(seed))
-		tk := NewTopK(8)
-		for i := 0; i < n; i++ {
-			tk.Update(fmt.Sprintf("q%d", rng.Intn(40)), 1+int64(rng.Intn(3)))
-		}
-		return tk
-	}
-	ab := build(1, 5000)
-	ab.Merge(build(2, 3000))
-	ba := build(2, 3000)
-	ba.Merge(build(1, 5000))
-	if ab.Total() != ba.Total() {
-		t.Fatalf("merge totals differ: %d vs %d", ab.Total(), ba.Total())
-	}
-	if !reflect.DeepEqual(ab.Snapshot(), ba.Snapshot()) {
-		t.Fatalf("merge not commutative:\nA+B: %+v\nB+A: %+v", ab.Snapshot(), ba.Snapshot())
-	}
-}
-
 // TestTopKZipfAccuracy checks the space-saving guarantees on a seeded
 // Zipf stream against exact counts: every key with true frequency above
 // N/K is retained, and each retained estimate brackets the true count
@@ -91,10 +67,9 @@ func TestTopKZipfAccuracy(t *testing.T) {
 	}
 }
 
-// TestReservoirDeterministicAndCommutative: identical streams produce
-// identical reservoirs (no wall-clock randomness), and merging two
-// reservoirs is order-independent.
-func TestReservoirDeterministicAndCommutative(t *testing.T) {
+// TestReservoirDeterministic: identical streams produce identical
+// reservoirs (no wall-clock randomness), filled to their cap.
+func TestReservoirDeterministic(t *testing.T) {
 	feed := func(r *Reservoir, seed int64, n int) {
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < n; i++ {
@@ -107,21 +82,8 @@ func TestReservoirDeterministicAndCommutative(t *testing.T) {
 	if !reflect.DeepEqual(a1.Snapshot(), a2.Snapshot()) {
 		t.Fatal("same stream, same seed, different reservoirs")
 	}
-	b := NewReservoir(16, 9)
-	feed(b, 4, 300)
-	ab, ba := NewReservoir(16, 7), NewReservoir(16, 9)
-	feed(ab, 3, 500)
-	feed(ba, 4, 300)
-	ab.Merge(b)
-	ba.Merge(a1)
-	if ab.Seen() != ba.Seen() {
-		t.Fatalf("merge seen differ: %d vs %d", ab.Seen(), ba.Seen())
-	}
-	if !reflect.DeepEqual(ab.Snapshot(), ba.Snapshot()) {
-		t.Fatal("reservoir merge not commutative")
-	}
-	if got := len(ab.Snapshot()); got != 16 {
-		t.Fatalf("merged reservoir holds %d, want cap 16", got)
+	if got := len(a1.Snapshot()); got != 16 {
+		t.Fatalf("reservoir holds %d, want cap 16", got)
 	}
 }
 
@@ -301,8 +263,7 @@ func TestNilSafety(t *testing.T) {
 	ten.ObserveQuery("SELECT 1")
 	ten.ObserveCosts([]float64{1})
 	ten.ObserveResidual(1, 2)
-	ten.Rotate()
-	if ten.DriftScore() != 0 || ten.Alarmed() || ten.Name() != "" {
+	if ten.DriftScore() != 0 || ten.Alarmed() {
 		t.Fatal("nil tenant not a clean no-op")
 	}
 	if h.Snapshot() != nil {

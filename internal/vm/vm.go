@@ -256,24 +256,6 @@ func MustMachine(cfg MachineConfig) *Machine {
 // Config returns the machine configuration.
 func (m *Machine) Config() MachineConfig { return m.cfg }
 
-// VMs returns the virtual machines created on this machine.
-func (m *Machine) VMs() []*VM {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]*VM(nil), m.vms...)
-}
-
-// ValidateShares reports an error if adding a VM with shares s would
-// over-commit any resource, taking the existing VMs into account.
-func (m *Machine) ValidateShares(s Shares) error {
-	if !s.Valid() {
-		return fmt.Errorf("vm: invalid shares %v", s)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.validateSharesLocked(s, nil)
-}
-
 // validateSharesLocked checks total shares with exclude's current shares
 // ignored (used when reconfiguring an existing VM).
 func (m *Machine) validateSharesLocked(s Shares, exclude *VM) error {
@@ -390,9 +372,6 @@ type VM struct {
 	flushMark int64
 }
 
-// Name returns the VM's name.
-func (v *VM) Name() string { return v.name }
-
 // Machine returns the physical machine hosting this VM.
 func (v *VM) Machine() *Machine { return v.machine }
 
@@ -441,12 +420,6 @@ func (v *VM) MemBytes() int64 {
 // the scheduler-overhead penalty for partial shares.
 func effCPURateFor(cfg MachineConfig, s float64) float64 {
 	return cfg.CPUOpsPerSec * s * (1 - cfg.SchedOverhead*(1-s))
-}
-
-// effCPURate returns the VM's effective CPU rate in ops/s under its
-// current shares.
-func (v *VM) effCPURate() float64 {
-	return effCPURateFor(v.machine.cfg, v.Shares().CPU)
 }
 
 // pendingLocked derives the CPU and I/O seconds of the work charged in the
@@ -528,33 +501,8 @@ func (v *VM) Snapshot() Usage {
 // Since returns the usage accumulated since the given snapshot.
 func (v *VM) Since(start Usage) Usage { return v.Snapshot().Sub(start) }
 
-// Elapsed returns the total simulated wall-clock seconds of the VM under
-// the machine's overlap model.
-func (v *VM) Elapsed() float64 { return v.Snapshot().Elapsed(v.machine.cfg.Overlap) }
-
 // ElapsedSince returns the simulated wall-clock seconds between the given
 // snapshot and now.
 func (v *VM) ElapsedSince(start Usage) float64 {
 	return v.Snapshot().Sub(start).Elapsed(v.machine.cfg.Overlap)
-}
-
-// Rates describes the effective resource rates a VM sees under its current
-// shares; used by the calibration analysis and by tests.
-type Rates struct {
-	CPUOpsPerSec     float64
-	SeqPagesPerSec   float64
-	RandPagesPerSec  float64
-	WritePagesPerSec float64
-}
-
-// EffectiveRates returns the VM's effective rates under its current shares.
-func (v *VM) EffectiveRates() Rates {
-	cfg := v.machine.cfg
-	s := v.Shares()
-	return Rates{
-		CPUOpsPerSec:     v.effCPURate(),
-		SeqPagesPerSec:   cfg.SeqPagesPerSec * s.IO,
-		RandPagesPerSec:  cfg.RandPagesPerSec * s.IO,
-		WritePagesPerSec: cfg.WritePagesPerSec * s.IO,
-	}
 }

@@ -99,7 +99,7 @@ func TestNewVMOverCommit(t *testing.T) {
 	if _, err := m.NewVM("b", Shares{0.4, 0.5, 0.5}); err != nil {
 		t.Fatalf("second VM within capacity: %v", err)
 	}
-	if got := len(m.VMs()); got != 2 {
+	if got := len(m.vms); got != 2 {
 		t.Errorf("len(VMs) = %d, want 2", got)
 	}
 }

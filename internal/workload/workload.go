@@ -27,9 +27,6 @@ type Scale struct {
 	CommentLen    int // orders comment length (drives Q13's CPU cost)
 }
 
-// Rows returns the approximate total row count.
-func (s Scale) Rows() int { return s.Customers + s.Orders + s.Orders*s.LinesPerOrder }
-
 // TinyScale is for unit tests.
 func TinyScale() Scale {
 	return Scale{Customers: 200, Orders: 1000, LinesPerOrder: 3, CommentLen: 60}
@@ -314,15 +311,6 @@ func Repeat(name, query string, n int) Workload {
 	stmts := make([]string, n)
 	for i := range stmts {
 		stmts[i] = query
-	}
-	return Workload{Name: name, Statements: stmts}
-}
-
-// Mix builds a workload interleaving the given queries n times.
-func Mix(name string, queries []string, n int) Workload {
-	var stmts []string
-	for i := 0; i < n; i++ {
-		stmts = append(stmts, queries...)
 	}
 	return Workload{Name: name, Statements: stmts}
 }

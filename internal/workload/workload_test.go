@@ -151,10 +151,6 @@ func TestRepeatAndMix(t *testing.T) {
 	if len(w.Statements) != 3 || w.Name != "w" {
 		t.Errorf("Repeat = %+v", w)
 	}
-	m := Mix("m", []string{"a", "b"}, 2)
-	if len(m.Statements) != 4 || m.Statements[2] != "a" {
-		t.Errorf("Mix = %+v", m)
-	}
 }
 
 // TestParseRepeat: the one QUERYxN parser both CLIs use.
