@@ -131,11 +131,11 @@ func main() {
 
 	if *measure {
 		fmt.Println("\nValidating by actual execution...")
-		chosen, err := core.MeasureAllocation(env.Machine, env.Engine, specs, sol.Allocation, true)
+		chosen, err := core.MeasureAllocation(env.Machine, env.Engine, specs, sol.Allocation)
 		if err != nil {
 			fail("measure chosen: %v", err)
 		}
-		equal, err := core.MeasureAllocation(env.Machine, env.Engine, specs, core.EqualAllocation(len(specs)), true)
+		equal, err := core.MeasureAllocation(env.Machine, env.Engine, specs, core.EqualAllocation(len(specs)))
 		if err != nil {
 			fail("measure equal: %v", err)
 		}

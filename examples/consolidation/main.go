@@ -61,11 +61,11 @@ func main() {
 	fmt.Printf("\nRecommended design: %v\n", sol.Allocation)
 
 	fmt.Println("\nValidating against the default equal split (actual execution):")
-	equal, err := core.MeasureAllocation(env.Machine, env.Engine, specs, core.EqualAllocation(2), true)
+	equal, err := core.MeasureAllocation(env.Machine, env.Engine, specs, core.EqualAllocation(2))
 	if err != nil {
 		log.Fatal(err)
 	}
-	chosen, err := core.MeasureAllocation(env.Machine, env.Engine, specs, sol.Allocation, true)
+	chosen, err := core.MeasureAllocation(env.Machine, env.Engine, specs, sol.Allocation)
 	if err != nil {
 		log.Fatal(err)
 	}

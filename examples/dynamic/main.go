@@ -77,12 +77,13 @@ func main() {
 	fmt.Println("\nPhase 1 (W1 I/O-bound, W2 CPU-bound):")
 	p1 := runPhase(phase1, "phase1")
 
-	// The workload mix changes; the controller re-solves and reconfigures
-	// the running VMs.
+	// The workload mix changes; re-solve and reconfigure the running VMs.
 	fmt.Println("\n>>> workload phase change detected; reconfiguring...")
-	ctrl := &core.Controller{Model: model}
-	newSol, err := ctrl.Reconfigure(context.Background(), problem(phase2), dep.VMs)
+	newSol, err := core.SolveDP(context.Background(), problem(phase2), model)
 	if err != nil {
+		log.Fatal(err)
+	}
+	if err := core.ApplyShares(dep.VMs, newSol.Allocation); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf(">>> new design: %v\n", newSol.Allocation)

@@ -54,7 +54,7 @@ func main() {
 			if err != nil {
 				log.Fatalf("%s: %v", name, err)
 			}
-			act, err := core.MeasureAllocation(env.Machine, env.Engine, spec, core.Allocation{sh}, true)
+			act, err := core.MeasureAllocation(env.Machine, env.Engine, spec, core.Allocation{sh})
 			if err != nil {
 				log.Fatalf("%s: %v", name, err)
 			}

@@ -56,6 +56,10 @@ const (
 	decisionLogSize = 256
 )
 
+// searched is the one dimension the loop optimizes, CPU, as in the
+// paper's illustrative setting; the others stay split equally.
+var searched = []vm.Resource{vm.CPU}
+
 // Decision actions.
 const (
 	ActionApplied    = "applied"
@@ -95,9 +99,6 @@ type Config struct {
 	VMs []*vm.VM
 	// Tenants describe the controlled workloads.
 	Tenants []ManagedTenant
-	// Resources lists the searched dimensions (default CPU only, the
-	// paper's illustrative setting).
-	Resources []vm.Resource
 	// Step is the solver grid quantum (default 0.25); it is also the
 	// smallest share a tenant may receive.
 	Step float64
@@ -210,9 +211,6 @@ func NewLoop(cfg Config) (*Loop, error) {
 		if len(t.Fallback) == 0 {
 			return nil, fmt.Errorf("autotune: tenant %s has no fallback statements", t.Name)
 		}
-	}
-	if len(cfg.Resources) == 0 {
-		cfg.Resources = []vm.Resource{vm.CPU}
 	}
 	if cfg.Step <= 0 {
 		cfg.Step = 0.25
@@ -345,7 +343,7 @@ func (l *Loop) tickLocked(ctx context.Context, manual bool) Decision {
 
 	p := &core.Problem{
 		Workloads:   l.deriveSpecs(),
-		Resources:   l.cfg.Resources,
+		Resources:   searched,
 		Step:        l.cfg.Step,
 		Parallelism: l.cfg.Parallelism,
 	}

@@ -88,18 +88,12 @@ var (
 type Config struct {
 	// Machine is the physical machine model to calibrate against.
 	Machine vm.MachineConfig
-	// Engine is the session configuration (buffer/work-mem split); it must
-	// match the configuration of the sessions the calibrated parameters
-	// will plan for.
-	Engine engine.Config
 	// NarrowRows sizes the warm-probe table (must fit the pool at every
 	// calibrated memory share).
 	NarrowRows int
 	// BigRows sizes the cold-probe table (must exceed the pool at every
 	// calibrated memory share).
 	BigRows int
-	// Seed makes the synthetic database deterministic.
-	Seed int64
 	// Parallelism bounds the number of worker goroutines CalibrateGrid
 	// fans lattice points out over; 0 (the default) means
 	// runtime.GOMAXPROCS(0), 1 forces serial calibration. Each worker owns
@@ -123,7 +117,14 @@ type Config struct {
 	retryBackoff  time.Duration
 }
 
+// engineConfig is the session configuration (buffer/work-mem split) of
+// every calibration session: the engine default, which is what the
+// sessions the calibrated parameters plan for run under.
+var engineConfig = engine.DefaultConfig()
+
 const (
+	// seed makes the synthetic database deterministic.
+	seed = 1
 	// randProbeRowsDefault is the target number of rows fetched by the
 	// random-I/O probe.
 	randProbeRowsDefault = 200
@@ -180,10 +181,8 @@ func (c Config) backoff() time.Duration {
 func DefaultConfig() Config {
 	return Config{
 		Machine:    vm.DefaultMachineConfig(),
-		Engine:     engine.DefaultConfig(),
 		NarrowRows: 20000,
 		BigRows:    130000,
-		Seed:       1,
 	}
 }
 
@@ -194,7 +193,7 @@ func DefaultConfig() Config {
 // concurrent Calibrate calls for the same allocation join one in-flight
 // measurement instead of repeating it. A grid sweep releases the database
 // once every lattice point is cached; a later miss rebuilds it, bit for
-// bit, from the seeded Config.
+// bit, from the Config and the fixed seed.
 type Calibrator struct {
 	cfg Config
 	// envErr records a malformed DBVIRT_FAULTS spec; surfacing it from
@@ -269,11 +268,11 @@ func (c *Calibrator) build() (*calDB, error) {
 		return nil, err
 	}
 	db := engine.NewDatabase()
-	s, err := engine.NewSession(db, loaderVM, c.cfg.Engine)
+	s, err := engine.NewSession(db, loaderVM, engineConfig)
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(c.cfg.Seed))
+	rng := rand.New(rand.NewSource(seed))
 
 	if _, err := s.Exec(`CREATE TABLE cal_narrow (a INT, b INT, c INT)`); err != nil {
 		return nil, err
@@ -347,7 +346,7 @@ func (c *Calibrator) build() (*calDB, error) {
 	// The cold-probe table must exceed the buffer pool even at a full
 	// memory share, or the stage B/C probes would not be I/O-bound and the
 	// fitted page times would be meaningless.
-	maxPool := float64(c.cfg.Machine.MemBytes) * c.cfg.Engine.BufferFrac / storage.PageSize
+	maxPool := float64(c.cfg.Machine.MemBytes) * engineConfig.BufferFrac / storage.PageSize
 	if d.bigPages <= 1.2*maxPool {
 		return nil, fmt.Errorf("calibration: big table (%d pages) must exceed the largest possible buffer pool (%d pages) by 20%%; increase BigRows or shrink the machine memory",
 			int(d.bigPages), int(maxPool))
@@ -381,7 +380,7 @@ func (c *Calibrator) newMeasureSession(d *calDB, shares vm.Shares) (*engine.Sess
 	if err != nil {
 		return nil, err
 	}
-	return engine.NewSession(d.db, v, c.cfg.Engine)
+	return engine.NewSession(d.db, v, engineConfig)
 }
 
 // timeQuery runs a query and returns its simulated elapsed seconds.
@@ -510,7 +509,7 @@ func cacheKey(shares vm.Shares) [2]int64 {
 
 // memory is the rule this configuration's sessions are sized by.
 func (c Config) memory() Memory {
-	return Memory{MemBytes: c.Machine.MemBytes, BufferFrac: c.Engine.BufferFrac, WorkMemFrac: c.Engine.WorkMemFrac}
+	return Memory{MemBytes: c.Machine.MemBytes, BufferFrac: engineConfig.BufferFrac, WorkMemFrac: engineConfig.WorkMemFrac}
 }
 
 // Calibrate measures and returns the optimizer parameters P for the given
@@ -771,7 +770,7 @@ func (c *Calibrator) measure(ctx context.Context, d *calDB, shares vm.Shares, sp
 		if err := wdb.EnableLogging(wal.NewMemDevice(), 1); err != nil {
 			return 0, err
 		}
-		ws, err := engine.NewSession(wdb, v, c.cfg.Engine)
+		ws, err := engine.NewSession(wdb, v, engineConfig)
 		if err != nil {
 			return 0, err
 		}

@@ -61,7 +61,7 @@ type checkpointPoint struct {
 func (c Config) signature(cpus, ios []float64) string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "machine=%+v|engine=%+v|narrow=%d|big=%d|rand=%d|seed=%d|faults=%s|trials=%d|cpus=%v|ios=%v",
-		c.Machine, c.Engine, c.NarrowRows, c.BigRows, c.randRows(), c.Seed,
+		c.Machine, engineConfig, c.NarrowRows, c.BigRows, c.randRows(), seed,
 		c.Faults.Config().String(), c.trials(), cpus, ios)
 	return fmt.Sprintf("%016x", h.Sum64())
 }

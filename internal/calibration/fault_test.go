@@ -429,7 +429,7 @@ func TestCheckpointRejectsTamperingAndConfigDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 	drifted := cfg
-	drifted.Seed++
+	drifted.NarrowRows++
 	if _, err := New(drifted).CalibrateGrid(context.Background(), axis, axis,
 		GridOptions{CheckpointPath: path, Resume: true}); err == nil {
 		t.Fatal("resume accepted a checkpoint from a different calibration config")

@@ -63,7 +63,6 @@ func (t *Table) IndexOn(col int) *Index {
 // Index is a secondary B+-tree index over one int64-sortable column.
 type Index struct {
 	Name  string
-	Table *Table
 	Col   int // column position in the table schema
 	Tree  *index.BTree
 	Stats *IndexStats // nil until Analyze
@@ -259,7 +258,7 @@ func (c *Catalog) CreateIndex(disk *storage.DiskManager, pg storage.Pager, name,
 	if err != nil {
 		return nil, fmt.Errorf("catalog: building index %q: %w", name, err)
 	}
-	ix := &Index{Name: name, Table: t, Col: col, Tree: tree}
+	ix := &Index{Name: name, Col: col, Tree: tree}
 	c.mu.Lock()
 	t.Indexes = append(t.Indexes, ix)
 	c.mu.Unlock()

@@ -1,71 +1,21 @@
 package core
 
 import (
-	"context"
 	"fmt"
-	"sync"
 
 	"dbvirt/internal/vm"
 )
 
-// Controller implements the paper's Section 7 dynamic extension: instead
-// of solving the virtualization design problem once at deployment time, it
-// re-solves whenever the workloads change and reconfigures the running
-// VMs' shares on the fly.
-type Controller struct {
-	// Model predicts workload costs for candidate allocations.
-	Model CostModel
-	// Solve is the search algorithm (defaults to SolveDP).
-	Solve func(context.Context, *Problem, CostModel) (*Result, error)
-	// History records every reconfiguration decision.
-	History []ControllerStep
-
-	// mu serializes Reconfigure: both the History append and the
-	// lower-then-raise share transition assume exclusive access to the
-	// VMs. Configuration fields (Model, Solve) are not
-	// protected — set them before sharing the controller.
-	mu sync.Mutex
-}
-
-// ControllerStep is one reconfiguration decision.
-type ControllerStep struct {
-	Result  *Result
-	Applied bool
-}
-
-// Reconfigure solves the design problem for the current workload
-// descriptions and applies the resulting shares to the VMs. VMs are
-// matched to workloads positionally. To avoid transient over-commitment,
-// shares are first lowered everywhere, then raised. A cancelled ctx
-// aborts the solve; shares are never half-applied from a cancelled solve.
-// Concurrent callers are serialized.
-func (c *Controller) Reconfigure(ctx context.Context, p *Problem, vms []*vm.VM) (*Result, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(vms) != len(p.Workloads) {
-		return nil, fmt.Errorf("core: %d VMs for %d workloads", len(vms), len(p.Workloads))
-	}
-	solve := c.Solve
-	if solve == nil {
-		solve = SolveDP
-	}
-	res, err := solve(ctx, p, c.Model)
-	if err != nil {
-		return nil, err
-	}
-	if err := ApplyShares(vms, res.Allocation); err != nil {
-		c.History = append(c.History, ControllerStep{Result: res, Applied: false})
-		return res, err
-	}
-	c.History = append(c.History, ControllerStep{Result: res, Applied: true})
-	return res, nil
-}
-
-// ApplyShares transitions the VMs, matched to alloc positionally, to the
-// target allocation without ever over-committing a resource: first every
-// VM whose share shrinks is lowered, then the grown shares are raised.
-// The caller serializes share changes on vms.
+// ApplyShares is the actuator of the paper's Section 7 dynamic
+// extension: after a re-solve for changed workloads it transitions the
+// running VMs, matched to alloc positionally, to the new allocation
+// without ever over-committing a resource: first every VM whose share
+// shrinks is lowered, then the grown shares are raised. The caller
+// serializes share changes on vms.
 func ApplyShares(vms []*vm.VM, alloc Allocation) error {
+	if len(vms) != len(alloc) {
+		return fmt.Errorf("core: %d VMs for %d workloads", len(vms), len(alloc))
+	}
 	type change struct {
 		v      *vm.VM
 		target vm.Shares

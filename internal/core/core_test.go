@@ -331,7 +331,10 @@ func TestEvaluateAllocationValidates(t *testing.T) {
 	}
 }
 
-func TestControllerReconfigures(t *testing.T) {
+// TestApplySharesSwapsShares: applying a re-solved allocation swaps the
+// running VMs' shares when the demand flips, without transiently
+// over-committing (SetShares rejects an over-commit).
+func TestApplySharesSwapsShares(t *testing.T) {
 	cfg := vm.DefaultMachineConfig()
 	cfg.SchedOverhead = 0
 	m := vm.MustMachine(cfg)
@@ -343,45 +346,36 @@ func TestControllerReconfigures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	specs := fakeSpecs("hungry", "flat")
-	p := cpuProblem(specs, 0.25)
-	ctrl := &Controller{Model: cpuHungryModel()}
-	res, err := ctrl.Reconfigure(context.Background(), p, []*vm.VM{v1, v2})
-	if err != nil {
-		t.Fatal(err)
+	p := cpuProblem(fakeSpecs("hungry", "flat"), 0.25)
+	apply := func(model CostModel) {
+		t.Helper()
+		res, err := SolveDP(context.Background(), p, model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ApplyShares([]*vm.VM{v1, v2}, res.Allocation); err != nil {
+			t.Fatal(err)
+		}
 	}
+	apply(cpuHungryModel())
 	if v1.Shares().CPU != 0.75 || v2.Shares().CPU != 0.25 {
-		t.Errorf("shares after reconfigure: %v %v", v1.Shares(), v2.Shares())
-	}
-	if len(ctrl.History) != 1 || !ctrl.History[0].Applied {
-		t.Errorf("history = %+v", ctrl.History)
-	}
-	if res.Algorithm != "dp" {
-		t.Errorf("default solver should be dp, got %s", res.Algorithm)
+		t.Errorf("shares after the first apply: %v %v", v1.Shares(), v2.Shares())
 	}
 
-	// Flip the demand: flat becomes hungry. Reconfiguration must swap
-	// shares without transiently over-committing (validated inside vm).
-	flip := &funcModel{name: "flip", f: func(w *WorkloadSpec, s vm.Shares) float64 {
+	// Flip the demand: flat becomes hungry.
+	apply(&funcModel{name: "flip", f: func(w *WorkloadSpec, s vm.Shares) float64 {
 		if w.Name == "flat" {
 			return 1 / s.CPU
 		}
 		return 1.0
-	}}
-	ctrl.Model = flip
-	if _, err := ctrl.Reconfigure(context.Background(), p, []*vm.VM{v1, v2}); err != nil {
-		t.Fatal(err)
-	}
+	}})
 	if v1.Shares().CPU != 0.25 || v2.Shares().CPU != 0.75 {
 		t.Errorf("shares after flip: %v %v", v1.Shares(), v2.Shares())
 	}
 }
 
-func TestControllerMismatchedVMs(t *testing.T) {
-	ctrl := &Controller{Model: cpuHungryModel()}
-	p := cpuProblem(fakeSpecs("a", "b"), 0.25)
-	if _, err := ctrl.Reconfigure(context.Background(), p, nil); err == nil {
+func TestApplySharesMismatchedVMs(t *testing.T) {
+	if err := ApplyShares(nil, EqualAllocation(2)); err == nil {
 		t.Error("expected VM count mismatch error")
 	}
 }
@@ -395,26 +389,6 @@ func TestAllocationString(t *testing.T) {
 	r := &Result{Algorithm: "dp", Allocation: a, PredictedTotal: 1.5}
 	if r.String() == "" {
 		t.Error("empty result string")
-	}
-}
-
-func TestMinShareOverride(t *testing.T) {
-	specs := fakeSpecs("hungry", "flat")
-	p := &Problem{
-		Workloads: specs,
-		Resources: []vm.Resource{vm.CPU},
-		Step:      0.05,
-		MinShare:  0.2,
-	}
-	res, err := SolveDP(context.Background(), p, cpuHungryModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Allocation[1].CPU < 0.2-1e-9 {
-		t.Errorf("min share violated: %v", res.Allocation)
-	}
-	if math.Abs(res.Allocation[0].CPU-0.8) > 1e-9 {
-		t.Errorf("hungry should get 0.8: %v", res.Allocation)
 	}
 }
 

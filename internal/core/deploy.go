@@ -10,7 +10,6 @@ import (
 // Deployment is a set of workloads running in VMs on one machine under a
 // chosen allocation.
 type Deployment struct {
-	Machine  *vm.Machine
 	VMs      []*vm.VM
 	Sessions []*engine.Session
 	Specs    []*WorkloadSpec
@@ -26,7 +25,7 @@ func Deploy(machineCfg vm.MachineConfig, engCfg engine.Config, specs []*Workload
 	if err != nil {
 		return nil, err
 	}
-	d := &Deployment{Machine: m, Specs: specs}
+	d := &Deployment{Specs: specs}
 	for i, spec := range specs {
 		v, err := m.NewVM(spec.Name, alloc[i])
 		if err != nil {
@@ -63,12 +62,12 @@ func (d *Deployment) MeasureWorkloads(warmup bool) ([]float64, error) {
 	return out, nil
 }
 
-// MeasureAllocation is the one-shot form: deploy, optionally warm up, and
-// measure every workload under the allocation.
-func MeasureAllocation(machineCfg vm.MachineConfig, engCfg engine.Config, specs []*WorkloadSpec, alloc Allocation, warmup bool) ([]float64, error) {
+// MeasureAllocation is the one-shot form: deploy, warm up, and measure
+// every workload under the allocation.
+func MeasureAllocation(machineCfg vm.MachineConfig, engCfg engine.Config, specs []*WorkloadSpec, alloc Allocation) ([]float64, error) {
 	d, err := Deploy(machineCfg, engCfg, specs, alloc)
 	if err != nil {
 		return nil, err
 	}
-	return d.MeasureWorkloads(warmup)
+	return d.MeasureWorkloads(true)
 }

@@ -79,11 +79,11 @@ func TestWhatIfModelEndToEnd(t *testing.T) {
 	// Validate with actual (simulated) execution: the chosen allocation
 	// must not be worse than equal shares in measured total time.
 	engCfg := engine.DefaultConfig()
-	chosen, err := MeasureAllocation(machineCfg, engCfg, specs, res.Allocation, true)
+	chosen, err := MeasureAllocation(machineCfg, engCfg, specs, res.Allocation)
 	if err != nil {
 		t.Fatal(err)
 	}
-	equal, err := MeasureAllocation(machineCfg, engCfg, specs, EqualAllocation(2), true)
+	equal, err := MeasureAllocation(machineCfg, engCfg, specs, EqualAllocation(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,14 +99,12 @@ func TestWhatIfModelEndToEnd(t *testing.T) {
 }
 
 // MeasuredModel is the oracle cost model: it runs the workload alone in
-// a freshly provisioned VM at the candidate allocation and reports the
-// simulated elapsed time, validating the what-if model against the
-// engine it models.
+// a freshly provisioned VM at the candidate allocation, after one warm-up
+// run, and reports the simulated elapsed time, validating the what-if
+// model against the engine it models.
 type MeasuredModel struct {
 	Machine vm.MachineConfig
 	Engine  engine.Config
-	// Warmup runs the workload once before measuring.
-	Warmup bool
 }
 
 // Name implements CostModel.
@@ -117,7 +115,7 @@ func (m *MeasuredModel) Cost(ctx context.Context, w *WorkloadSpec, shares vm.Sha
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	secs, err := MeasureAllocation(m.Machine, m.Engine, []*WorkloadSpec{w}, Allocation{shares}, m.Warmup)
+	secs, err := MeasureAllocation(m.Machine, m.Engine, []*WorkloadSpec{w}, Allocation{shares})
 	if err != nil {
 		return 0, err
 	}
@@ -131,7 +129,7 @@ func TestMeasuredModel(t *testing.T) {
 	machineCfg, specs := integrationEnv(t)
 	engCfg := engine.DefaultConfig()
 
-	measured := &MeasuredModel{Machine: machineCfg, Engine: engCfg, Warmup: true}
+	measured := &MeasuredModel{Machine: machineCfg, Engine: engCfg}
 	q13 := specs[1]
 	cLow, err := measured.Cost(context.Background(), q13, vm.Shares{CPU: 0.25, Memory: 0.5, IO: 0.5})
 	if err != nil {

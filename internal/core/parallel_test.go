@@ -137,7 +137,7 @@ func TestExhaustiveMatchesSerialScan(t *testing.T) {
 		return math.Round((1/(s.CPU+0.2)+0.5/(s.Memory+0.3))*float64(len(w.Name))*2) / 2
 	}}
 	p := &Problem{Workloads: specs, Resources: []vm.Resource{vm.CPU, vm.Memory}, Step: 0.1}
-	comps := compositions(len(specs), p.units(), p.minUnits())
+	comps := compositions(len(specs), p.units(), 1)
 	cache := newCostCache(model)
 	var want *Result
 	ties := 0

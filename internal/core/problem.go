@@ -228,11 +228,9 @@ type Problem struct {
 	// split equally. The paper's illustrative experiment optimizes CPU
 	// with memory fixed at 50/50.
 	Resources []vm.Resource
-	// Step is the share quantum of the search grid (e.g. 0.25 or 0.05).
-	Step float64
-	// MinShare is the smallest share any workload may receive of a
-	// searched resource; defaults to Step.
-	MinShare  float64
+	// Step is the share quantum of the search grid (e.g. 0.25 or 0.05),
+	// and the smallest share any workload receives of a searched resource.
+	Step      float64
 	Objective Objective
 	// Parallelism bounds the number of worker goroutines the solvers use
 	// to evaluate candidate allocations; 0 (the default) means
@@ -264,7 +262,7 @@ func (p *Problem) Validate() error {
 			return fmt.Errorf("core: workload %d (%s) has no statements", i, w.Name)
 		}
 	}
-	if err := ValidateShape(n, p.Resources, p.Step, p.minShare()); err != nil {
+	if err := ValidateShape(n, p.Resources, p.Step); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
 	return nil
@@ -272,10 +270,10 @@ func (p *Problem) Validate() error {
 
 // ValidateShape checks the part of a problem that callers know before
 // they resolve any workload: n workloads share the searched resources on
-// a grid of the given step, each receiving at least minShare. Every
+// a grid of the given step, each receiving at least one step. Every
 // layer that accepts a problem from outside checks it up front with this,
 // so a request the solver would reject is refused before it is queued.
-func ValidateShape(n int, resources []vm.Resource, step, minShare float64) error {
+func ValidateShape(n int, resources []vm.Resource, step float64) error {
 	if len(resources) == 0 {
 		return fmt.Errorf("no resources to optimize")
 	}
@@ -296,30 +294,14 @@ func ValidateShape(n int, resources []vm.Resource, step, minShare float64) error
 	if math.Abs(units-math.Round(units)) > 1e-9 {
 		return fmt.Errorf("step %g must divide 1 evenly", step)
 	}
-	if minShare*float64(n) > 1+1e-9 {
-		return fmt.Errorf("minimum share %g infeasible for %d workloads", minShare, n)
+	if step*float64(n) > 1+1e-9 {
+		return fmt.Errorf("minimum share %g infeasible for %d workloads", step, n)
 	}
 	return nil
 }
 
-func (p *Problem) minShare() float64 {
-	if p.MinShare > 0 {
-		return p.MinShare
-	}
-	return p.Step
-}
-
 // units returns the number of grid quanta per resource.
 func (p *Problem) units() int { return int(math.Round(1 / p.Step)) }
-
-// minUnits returns the per-workload floor in quanta.
-func (p *Problem) minUnits() int {
-	u := int(math.Ceil(p.minShare()/p.Step - 1e-9))
-	if u < 1 {
-		u = 1
-	}
-	return u
-}
 
 // searched reports whether resource r is being optimized.
 func (p *Problem) searched(r vm.Resource) bool {

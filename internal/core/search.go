@@ -140,7 +140,7 @@ func SolveExhaustive(ctx context.Context, p *Problem, model CostModel) (*Result,
 	perRes := make([][][]int, len(p.Resources))
 	numCands := 1
 	for ri := range p.Resources {
-		perRes[ri] = compositions(len(p.Workloads), p.units(), p.minUnits())
+		perRes[ri] = compositions(len(p.Workloads), p.units(), 1)
 		if len(perRes[ri]) == 0 {
 			return nil, fmt.Errorf("core: no feasible allocation at step %g", p.Step)
 		}
@@ -224,7 +224,7 @@ func SolveDP(ctx context.Context, p *Problem, model CostModel) (*Result, error) 
 	memo := newCostCache(model)
 	n := len(p.Workloads)
 	nr := len(p.Resources)
-	min := p.minUnits()
+	const min = 1 // every workload keeps at least one step
 
 	type state struct {
 		i   int
@@ -366,7 +366,7 @@ func SolveGreedy(ctx context.Context, p *Problem, model CostModel) (*Result, err
 	defer sp.End()
 	memo := newCostCache(model)
 	n := len(p.Workloads)
-	min := p.minUnits()
+	const min = 1 // every workload keeps at least one step
 	workers := p.workers()
 
 	// Equal start, snapped to the grid.

@@ -107,9 +107,6 @@ func (s *Session) logAppend(r *wal.Record) (wal.LSN, error) {
 	d.mu.Lock()
 	d.pendingBytes += n
 	d.mu.Unlock()
-	if s.txn != nil {
-		s.txn.walBytes += n
-	}
 	return lsn, nil
 }
 

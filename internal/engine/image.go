@@ -149,11 +149,15 @@ func LoadImage(r io.Reader) (*Database, error) {
 		if fid == 0 || fid > numFiles {
 			return nil, fmt.Errorf("engine: image file id %d outside 1..%d", fid, numFiles)
 		}
-		pages := make([]storage.PageData, n)
+		// n is untrusted: read page by page, so memory follows the bytes
+		// actually present rather than the count the header claims.
+		var pages []*storage.PageData
 		for p := uint32(0); p < n; p++ {
-			if _, err := io.ReadFull(br, pages[p][:]); err != nil {
-				return nil, fmt.Errorf("engine: reading pages of file %d: %w", fid, err)
+			page := new(storage.PageData)
+			if _, err := io.ReadFull(br, page[:]); err != nil {
+				return nil, fmt.Errorf("engine: reading page %d of %d of file %d: %w", p, n, fid, err)
 			}
+			pages = append(pages, page)
 		}
 		if err := db.Disk.RestoreFile(storage.FileID(fid), pages); err != nil {
 			return nil, err
@@ -163,6 +167,9 @@ func LoadImage(r io.Reader) (*Database, error) {
 	for _, it := range meta.Tables {
 		cols := make([]catalog.Column, len(it.Cols))
 		for i, c := range it.Cols {
+			if c.Kind > types.KindDate {
+				return nil, fmt.Errorf("engine: image column %s.%s has unknown kind %d", it.Name, c.Name, c.Kind)
+			}
 			cols[i] = catalog.Column{Name: c.Name, Kind: c.Kind}
 		}
 		t, err := db.Catalog.RestoreTable(it.Name, catalog.Schema{Cols: cols}, it.HeapFID)
@@ -171,8 +178,11 @@ func LoadImage(r io.Reader) (*Database, error) {
 		}
 		t.Stats = it.Stats
 		for _, ii := range it.Indexes {
+			if ii.Col < 0 || ii.Col >= len(cols) {
+				return nil, fmt.Errorf("engine: image index %s on column %d of %d-column table %s", ii.Name, ii.Col, len(cols), it.Name)
+			}
 			ix := &catalog.Index{
-				Name: ii.Name, Table: t, Col: ii.Col,
+				Name: ii.Name, Col: ii.Col,
 				Tree: index.Open(ii.FID), Stats: ii.Stats,
 			}
 			t.Indexes = append(t.Indexes, ix)

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"dbvirt/internal/types"
 	"dbvirt/internal/vm"
 )
 
@@ -138,6 +139,106 @@ func TestLoadImageRejectsFileIDOutOfRange(t *testing.T) {
 		_, err := LoadImage(&buf)
 		if err == nil || !strings.Contains(err.Error(), "outside 1..1") {
 			t.Errorf("file id %d: err = %v, want out of range", fid, err)
+		}
+	}
+}
+
+// TestLoadImageRejectsHugePageCount: a header that claims 2^32-1 pages
+// with none behind it is refused after the bytes run out, without first
+// allocating for the claim.
+func TestLoadImageRejectsHugePageCount(t *testing.T) {
+	var buf bytes.Buffer
+	buf.WriteString(imageMagic)
+	binary.Write(&buf, binary.LittleEndian, uint32(imageVersion))
+	if err := gob.NewEncoder(&buf).Encode(imageMeta{}); err != nil {
+		t.Fatal(err)
+	}
+	binary.Write(&buf, binary.LittleEndian, []uint32{1, 1, 0xFFFFFFFF}) // one file, no pages behind it
+	if _, err := LoadImage(&buf); err == nil || !strings.Contains(err.Error(), "reading page 0 of 4294967295") {
+		t.Fatalf("err = %v, want a short read of page 0", err)
+	}
+}
+
+// peopleImage is the image of a small database: one table with an index
+// and statistics.
+func peopleImage(tb testing.TB) []byte {
+	tb.Helper()
+	m := vm.MustMachine(vm.DefaultMachineConfig())
+	v, err := m.NewVM("image", vm.Shares{CPU: 1, Memory: 1, IO: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s, err := NewSession(NewDatabase(), v, DefaultConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, q := range []string{
+		"CREATE TABLE people (id INT, name TEXT, score FLOAT)",
+		"INSERT INTO people VALUES (1, 'alice', 85.5), (2, 'bob', NULL), (3, NULL, 78.25)",
+		"CREATE INDEX people_id ON people (id)",
+		"ANALYZE people",
+	} {
+		if _, err := s.Exec(q); err != nil {
+			tb.Fatalf("%s: %v", q, err)
+		}
+	}
+	if err := s.Checkpoint(); err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := s.DB.SaveImage(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzLoadImage: LoadImage never panics, and an image it accepts, saved
+// again, loads and saves to the same bytes.
+func FuzzLoadImage(f *testing.F) {
+	img := peopleImage(f)
+	f.Add(img)
+	f.Add(img[:len(img)/2])
+	f.Add(append([]byte("DBVIRTIMX"), img[len(imageMagic):]...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		db, err := LoadImage(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var once, twice bytes.Buffer
+		if err := db.SaveImage(&once); err != nil {
+			t.Fatalf("saving an accepted image: %v", err)
+		}
+		again, err := LoadImage(bytes.NewReader(once.Bytes()))
+		if err != nil {
+			t.Fatalf("a saved image does not load: %v", err)
+		}
+		if err := again.SaveImage(&twice); err != nil {
+			t.Fatalf("saving a reloaded image: %v", err)
+		}
+		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatalf("save, load, save is not stable: %d bytes, then %d", once.Len(), twice.Len())
+		}
+	})
+}
+
+// TestLoadImageRejectsBadSchema: a column of an unknown kind and an index
+// on a column the table does not have are refused on load rather than
+// left for the first query to trip over.
+func TestLoadImageRejectsBadSchema(t *testing.T) {
+	for want, meta := range map[string]imageMeta{
+		"unknown kind": {Tables: []imageTable{{Name: "t", Cols: []imageColumn{{Name: "a", Kind: types.KindDate + 1}}}}},
+		"index ix on column 1": {Tables: []imageTable{{Name: "t", Cols: []imageColumn{{Name: "a", Kind: types.KindInt}},
+			Indexes: []imageIndex{{Name: "ix", Col: 1}}}}},
+	} {
+		var buf bytes.Buffer
+		buf.WriteString(imageMagic)
+		binary.Write(&buf, binary.LittleEndian, uint32(imageVersion))
+		if err := gob.NewEncoder(&buf).Encode(meta); err != nil {
+			t.Fatal(err)
+		}
+		binary.Write(&buf, binary.LittleEndian, uint32(0)) // no files
+		if _, err := LoadImage(&buf); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("err = %v, want %q", err, want)
 		}
 	}
 }

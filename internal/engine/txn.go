@@ -232,8 +232,7 @@ type Txn struct {
 	snap     snapshot
 	undo     []txnOp
 	implicit bool
-	began    bool  // RecBegin written to the log
-	walBytes int64 // log bytes appended by this txn, for commit-flush cost
+	began    bool // RecBegin written to the log
 }
 
 // InTxn reports whether the session has an open explicit transaction.

@@ -26,7 +26,6 @@ type mergeJoinIter struct {
 	left, right iterator
 	leftRow     plan.Row
 	rightRow    plan.Row // next unconsumed right row (nil when exhausted)
-	rightDone   bool
 
 	group    []plan.Row // right rows sharing groupKey
 	groupKey plan.Row
@@ -199,7 +198,6 @@ func (j *mergeJoinIter) advanceRight() error {
 	}
 	if !ok {
 		j.rightRow = nil
-		j.rightDone = true
 		return nil
 	}
 	j.rightRow = cloneRow(row)

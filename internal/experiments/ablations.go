@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"dbvirt/internal/calibration"
@@ -69,7 +70,7 @@ func AblationSearch(e *workload.Env, n int, step float64) ([]SearchRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", s.name, err)
 		}
-		measured, err := core.MeasureAllocation(e.Machine, e.Engine, specs, res.Allocation, true)
+		measured, err := core.MeasureAllocation(e.Machine, e.Engine, specs, res.Allocation)
 		if err != nil {
 			return nil, err
 		}
@@ -101,10 +102,9 @@ func FormatSearch(rows []SearchRow) string {
 
 // GridRow reports interpolation error for one grid resolution.
 type GridRow struct {
-	AxisPoints   int
-	Calibrations int
-	MaxRelErr    float64 // max relative error of cpu_tuple_cost at probes
-	MeanRelErr   float64
+	AxisPoints int     // CPU points calibrated, at one I/O point
+	MaxRelErr  float64 // max relative error of cpu_tuple_cost at probes
+	MeanRelErr float64
 }
 
 // AblationCalibrationGrid quantifies the paper's §7 trade-off: fewer
@@ -139,10 +139,9 @@ func AblationCalibrationGrid(e *workload.Env) ([]GridRow, error) {
 			}
 		}
 		rows = append(rows, GridRow{
-			AxisPoints:   len(axis),
-			Calibrations: len(axis), // one I/O point
-			MaxRelErr:    maxErr,
-			MeanRelErr:   sumErr / float64(len(probeShares)),
+			AxisPoints: len(axis),
+			MaxRelErr:  maxErr,
+			MeanRelErr: sumErr / float64(len(probeShares)),
 		})
 	}
 	return rows, nil
@@ -181,11 +180,11 @@ func AblationOverlap(e *workload.Env, overlaps []float64) ([]OverlapRow, error) 
 			return nil, err
 		}
 		q4 := []*core.WorkloadSpec{{Name: "Q4", Statements: []string{workload.Query("Q4")}, DB: db}}
-		lo, err := core.MeasureAllocation(env.Machine, env.Engine, q4, core.Allocation{{CPU: 0.25, Memory: 0.5, IO: 0.5}}, true)
+		lo, err := core.MeasureAllocation(env.Machine, env.Engine, q4, core.Allocation{{CPU: 0.25, Memory: 0.5, IO: 0.5}})
 		if err != nil {
 			return nil, err
 		}
-		hi, err := core.MeasureAllocation(env.Machine, env.Engine, q4, core.Allocation{{CPU: 0.75, Memory: 0.5, IO: 0.5}}, true)
+		hi, err := core.MeasureAllocation(env.Machine, env.Engine, q4, core.Allocation{{CPU: 0.75, Memory: 0.5, IO: 0.5}})
 		if err != nil {
 			return nil, err
 		}
@@ -210,8 +209,8 @@ type DynamicResult struct {
 	// Phase 1: W1 is I/O-bound (Q4) and W2 CPU-bound (Q13); in phase 2
 	// the workloads swap profiles, inverting the optimal CPU split.
 	StaticTotal  float64 // static allocation solved for phase 1, used for both
-	DynamicTotal float64 // controller re-solves at the phase boundary
-	Reconfigured bool
+	DynamicTotal float64 // re-solved and re-applied at the phase boundary
+	Reconfigured bool    // the re-solve moved the shares
 }
 
 // DynamicReconfig reproduces the paper's §7 dynamic scenario: the
@@ -283,11 +282,14 @@ func DynamicReconfig(e *workload.Env) (*DynamicResult, error) {
 
 		reconfigured := false
 		if dynamic {
-			ctrl := &core.Controller{Model: model}
-			if _, err := ctrl.Reconfigure(context.Background(), mkProblem(w1Phase2, w2Phase2), dep.VMs); err != nil {
+			sol2, err := core.SolveDP(context.Background(), mkProblem(w1Phase2, w2Phase2), model)
+			if err != nil {
 				return 0, false, err
 			}
-			reconfigured = len(ctrl.History) == 1 && ctrl.History[0].Applied
+			if err := core.ApplyShares(dep.VMs, sol2.Allocation); err != nil {
+				return 0, false, err
+			}
+			reconfigured = !slices.Equal(sol2.Allocation, sol1.Allocation)
 		}
 		start2 := []vm.Usage{dep.VMs[0].Snapshot(), dep.VMs[1].Snapshot()}
 		if _, err := dep.Sessions[0].RunWorkload(w1Phase2.Statements); err != nil {
@@ -445,11 +447,11 @@ func MemoryDimension(e *workload.Env) (*MemoryDimensionResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	mc, err := core.MeasureAllocation(env.Machine, env.Engine, specs, cpuOnly.Allocation, true)
+	mc, err := core.MeasureAllocation(env.Machine, env.Engine, specs, cpuOnly.Allocation)
 	if err != nil {
 		return nil, err
 	}
-	mj, err := core.MeasureAllocation(env.Machine, env.Engine, specs, joint.Allocation, true)
+	mj, err := core.MeasureAllocation(env.Machine, env.Engine, specs, joint.Allocation)
 	if err != nil {
 		return nil, err
 	}

@@ -36,6 +36,13 @@ func TestFigure3Shape(t *testing.T) {
 	if ratio := rows[0].CPUTupleCost / rows[2].CPUTupleCost; ratio < 3 {
 		t.Errorf("25%%/75%% ratio = %.2f, want > 3 (super-linear)", ratio)
 	}
+	// Each row carries the whole calibrated parameter set it reports
+	// from (the golden figures pin it).
+	for _, r := range rows {
+		if r.Params.CPUTupleCost != r.CPUTupleCost || r.Params.SeqPageCost <= 0 {
+			t.Errorf("row at cpu %.2f: params %+v do not match cpu_tuple_cost %v", r.CPUShare, r.Params, r.CPUTupleCost)
+		}
+	}
 	out := FormatFigure3(rows)
 	if !strings.Contains(out, "cpu_tuple_cost") {
 		t.Error("format output missing header")
@@ -148,7 +155,7 @@ func TestDynamicReconfigImproves(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Reconfigured {
-		t.Fatal("controller did not reconfigure")
+		t.Fatal("the phase-2 re-solve did not move the shares")
 	}
 	if res.DynamicTotal >= res.StaticTotal {
 		t.Errorf("dynamic %.3fs should beat static %.3fs", res.DynamicTotal, res.StaticTotal)

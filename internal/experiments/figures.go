@@ -102,7 +102,7 @@ func Figure4(e *workload.Env, cpuShares []float64) (*Fig4Result, error) {
 		if row.EstQ4, err = EstimateQuery(e, q4db, workload.Query("Q4"), shares); err != nil {
 			return nil, err
 		}
-		act, err := core.MeasureAllocation(e.Machine, e.Engine, q4, core.Allocation{shares}, true)
+		act, err := core.MeasureAllocation(e.Machine, e.Engine, q4, core.Allocation{shares})
 		if err != nil {
 			return nil, err
 		}
@@ -110,7 +110,7 @@ func Figure4(e *workload.Env, cpuShares []float64) (*Fig4Result, error) {
 		if row.EstQ13, err = EstimateQuery(e, q13db, workload.Query("Q13"), shares); err != nil {
 			return nil, err
 		}
-		if act, err = core.MeasureAllocation(e.Machine, e.Engine, q13, core.Allocation{shares}, true); err != nil {
+		if act, err = core.MeasureAllocation(e.Machine, e.Engine, q13, core.Allocation{shares}); err != nil {
 			return nil, err
 		}
 		row.ActQ13 = act[0]
@@ -185,11 +185,11 @@ func Figure5(e *workload.Env) (*Fig5Result, error) {
 		return nil, err
 	}
 
-	def, err := core.MeasureAllocation(e.Machine, e.Engine, specs, core.EqualAllocation(2), true)
+	def, err := core.MeasureAllocation(e.Machine, e.Engine, specs, core.EqualAllocation(2))
 	if err != nil {
 		return nil, err
 	}
-	chosen, err := core.MeasureAllocation(e.Machine, e.Engine, specs, sol.Allocation, true)
+	chosen, err := core.MeasureAllocation(e.Machine, e.Engine, specs, sol.Allocation)
 	if err != nil {
 		return nil, err
 	}
@@ -270,7 +270,7 @@ func FigureWrite(e *workload.Env, ioShares []float64) (*FigWriteResult, error) {
 			return nil, err
 		}
 		row.EstWrite = p.EstimateWriteSeconds(row.LogBytes, row.Flushes)
-		act, err := core.MeasureAllocation(e.Machine, e.Engine, q4, core.Allocation{shares}, true)
+		act, err := core.MeasureAllocation(e.Machine, e.Engine, q4, core.Allocation{shares})
 		if err != nil {
 			return nil, err
 		}

@@ -59,9 +59,8 @@ func (g *Gen[K, V]) Len() int { return len(g.cur) + len(g.old) }
 // Counters are the caller's metrics for one Memo; a nil counter is not
 // counted. Every call is a hit, a join, or a computation it led.
 type Counters struct {
-	Hit   *obs.Counter // calls answered by a completed entry
-	Join  *obs.Counter // calls that joined a computation in flight
-	Evict *obs.Counter // completed entries dropped by generation turnover
+	Hit  *obs.Counter // calls answered by a completed entry
+	Join *obs.Counter // calls that joined a computation in flight
 }
 
 // shardCount spreads a hashed Memo's lock so concurrent solver workers
@@ -100,7 +99,7 @@ func New[K comparable, V any](capacity int, hash func(K) uint64, c Counters) *Me
 	}
 	m := &Memo[K, V]{hash: hash, shards: make([]shard[K, V], n), c: c}
 	for i := range m.shards {
-		m.shards[i].done = Gen[K, V]{Cap: (capacity + n - 1) / n, Evict: c.Evict}
+		m.shards[i].done = Gen[K, V]{Cap: (capacity + n - 1) / n}
 	}
 	return m
 }

@@ -23,7 +23,10 @@ type rig struct {
 
 func newRig(t *testing.T, capacity int, hash func(int) uint64) *rig {
 	r := &rig{t: t, runs: map[int]int{}}
-	r.m = New[int, int](capacity, hash, Counters{Hit: &r.hit, Join: &r.join, Evict: &r.evict})
+	r.m = New[int, int](capacity, hash, Counters{Hit: &r.hit, Join: &r.join})
+	for i := range r.m.shards {
+		r.m.shards[i].done.Evict = &r.evict // turnover, seen through the generations
+	}
 	return r
 }
 

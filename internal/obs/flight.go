@@ -11,17 +11,14 @@ import (
 // recorder: enough to reconstruct what the server was doing just before
 // an incident without storing bodies or unbounded detail.
 type FlightRecord struct {
-	Seq      uint64    `json:"seq"`
-	Time     time.Time `json:"time"`
-	TraceID  string    `json:"trace_id,omitempty"`
-	SpanID   string    `json:"span_id,omitempty"`
-	Method   string    `json:"method,omitempty"`
-	Path     string    `json:"path,omitempty"`
-	Status   int       `json:"status,omitempty"`
-	Tenant   string    `json:"tenant,omitempty"`
-	Micros   int64     `json:"micros"`
-	Detail   string    `json:"detail,omitempty"`
-	Coalesce string    `json:"coalesce,omitempty"`
+	Seq     uint64    `json:"seq"`
+	Time    time.Time `json:"time"`
+	TraceID string    `json:"trace_id,omitempty"`
+	SpanID  string    `json:"span_id,omitempty"`
+	Method  string    `json:"method,omitempty"`
+	Path    string    `json:"path,omitempty"`
+	Status  int       `json:"status,omitempty"`
+	Micros  int64     `json:"micros"`
 }
 
 // FlightRecorder is a bounded ring buffer of the most recent

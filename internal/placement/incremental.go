@@ -31,8 +31,8 @@ const (
 	Arrive EventType = iota
 	// Leave removes a tenant by name.
 	Leave
-	// Drift replaces an existing tenant's workload (new spec, sketch, or
-	// cost summary) under the same name.
+	// Drift replaces an existing tenant's workload spec under the same
+	// name.
 	Drift
 )
 

@@ -11,28 +11,16 @@ import (
 
 	"dbvirt/internal/core"
 	"dbvirt/internal/engine"
-	"dbvirt/internal/telemetry"
 )
 
-// observedTenant is a tenant carrying telemetry. Its sketch draws a few
-// statement keys from a small shared pool and its cost summary, when it
-// has one, from a few levels, so a stream of them repeats signatures
-// (distinct features, equal content) and lands near-identical ones within
-// a merging threshold.
-func observedTenant(rng *rand.Rand, name string, spec *core.WorkloadSpec) *Tenant {
-	t := &Tenant{Name: name, Spec: spec, Sketch: observedSketch(rng)}
-	if rng.Intn(2) == 0 {
-		t.CostSummary = []float64{1 + 0.25*float64(rng.Intn(3)), 2, 3}
-	}
-	return t
-}
-
-func observedSketch(rng *rand.Rand) *telemetry.TopK {
-	sk := telemetry.NewTopK(8)
-	for j := 0; j < 3; j++ {
-		sk.Update(fmt.Sprintf("SELECT q%d FROM t", rng.Intn(3)), int64(1+rng.Intn(2)))
-	}
-	return sk
+// twinTenant is a tenant on a twin of spec: the same statements under one
+// of a few other names, on a spec of its own. The stub model prices by
+// name, so twins share a sketch and differ in cost; a stream of them
+// repeats signatures (distinct features, equal content) and lands
+// near-identical ones within a merging threshold.
+func twinTenant(rng *rand.Rand, name string, spec *core.WorkloadSpec) *Tenant {
+	twin := &core.WorkloadSpec{Name: fmt.Sprintf("%s'%d", spec.Name, rng.Intn(3)), Statements: spec.Statements, DB: spec.DB}
+	return &Tenant{Name: name, Spec: twin}
 }
 
 // placementJSON is the placement's wire encoding with its stats replaced
@@ -51,14 +39,14 @@ func placementJSON(t *testing.T, pl *Placement, st SolveStats) []byte {
 
 // TestApplyMatchesFreshSolveProperty: seeded random event streams — single
 // events and batches, among them arrive-then-leave and arrive-then-drift
-// of one name in one batch, drifts that change only a tenant's sketch, and
+// of one name in one batch, drifts that change only a tenant's price, and
 // batches an invalid last event rejects — leave after every step exactly
 // the classes, machines, seats and wire bytes a fresh solver computes for
 // the same tenant set. The configurations cover capacity caps on every
 // resource (the capped first-fit branch), one and three tenants per
 // machine, one and five packing orders and a threshold that merges
-// distinct features; the fleets mix tenants featurized from their specs
-// with tenants carrying observed sketches and cost summaries. A second
+// distinct features; the fleets mix tenants on the family specs with
+// tenants on twins of them. A second
 // placement, on a solver whose every table keeps one entry a generation,
 // takes the same events and must match too: eviction only recomputes.
 func TestApplyMatchesFreshSolveProperty(t *testing.T) {
@@ -72,8 +60,8 @@ func TestApplyMatchesFreshSolveProperty(t *testing.T) {
 		{"solo", Config{Machine: MachineCaps{MaxTenants: 1}}},
 		{"three-per-machine-five-orders", Config{Machine: MachineCaps{MaxTenants: 3}, Orders: 5}},
 		{"one-order", Config{Orders: 1}},
-		// Sketch and cost distances here are ratios of small integers; a
-		// threshold that is none keeps float rounding off the boundary.
+		// Cost distances here are ratios of small integers; a threshold
+		// that is none keeps float rounding off the boundary.
 		{"merging", Config{Threshold: 0.4321}},
 	}
 	fams := []string{"alpha", "beta", "gamma", "delta", "eps"}
@@ -87,7 +75,7 @@ func TestApplyMatchesFreshSolveProperty(t *testing.T) {
 				name := fmt.Sprintf("n%03d", born)
 				spec := f.specs[fams[rng.Intn(len(fams))]]
 				if rng.Intn(3) == 0 {
-					return observedTenant(rng, name, spec)
+					return twinTenant(rng, name, spec)
 				}
 				return &Tenant{Name: name, Spec: spec}
 			}
@@ -117,8 +105,7 @@ func TestApplyMatchesFreshSolveProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 			es, _ := newTestSolver(t, tc.cfg)
-			es.sketches.Cap, es.probes.Cap, es.feats.Cap = 1, 1, 1
-			es.dists.Cap, es.repIDs.Cap, es.solves.Cap = 1, 1, 1
+			es.feats.Cap, es.dists.Cap, es.repIDs.Cap, es.solves.Cap = 1, 1, 1, 1
 			tight, err := es.Solve(ctx, fleetOf(live))
 			if err != nil {
 				t.Fatal(err)
@@ -147,9 +134,9 @@ func TestApplyMatchesFreshSolveProperty(t *testing.T) {
 						name := pick(next)
 						old := next[name]
 						var tn *Tenant
-						if old.Sketch != nil && rng.Intn(2) == 0 {
-							// The sketch alone drifts: same spec, same summary.
-							tn = &Tenant{Name: name, Spec: old.Spec, Sketch: observedSketch(rng), CostSummary: old.CostSummary}
+						if rng.Intn(2) == 0 {
+							// The price alone drifts: same statements, a twin's name.
+							tn = twinTenant(rng, name, old.Spec)
 						} else {
 							tn = newTenant()
 							tn.Name = name
@@ -230,10 +217,11 @@ func TestApplyMatchesFreshSolveProperty(t *testing.T) {
 // clustering is not the identity on groups.
 func TestMergingThresholdMergesDistinctFeatures(t *testing.T) {
 	f := newFleet()
+	fams := []string{"alpha", "beta", "gamma", "delta", "eps"}
 	rng := rand.New(rand.NewSource(5))
 	var tenants []*Tenant
 	for i := 0; i < 24; i++ {
-		tenants = append(tenants, observedTenant(rng, fmt.Sprintf("o%02d", i), f.specs["alpha"]))
+		tenants = append(tenants, twinTenant(rng, fmt.Sprintf("o%02d", i), f.specs[fams[i%len(fams)]]))
 	}
 	s, _ := newTestSolver(t, Config{Threshold: 0.4321})
 	pl, err := s.Solve(context.Background(), tenants)
@@ -246,7 +234,7 @@ func TestMergingThresholdMergesDistinctFeatures(t *testing.T) {
 }
 
 // TestSolverTablesBounded: a stream of fresh tenants — most carrying
-// observed sketches, each on a spec never seen before — turns every
+// twin specs, each on a spec never seen before — turns every
 // solver-lifetime table over many times and leaves each at most two
 // generations.
 func TestSolverTablesBounded(t *testing.T) {
@@ -254,12 +242,10 @@ func TestSolverTablesBounded(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(9))
 	s, _ := newTestSolver(t, Config{})
-	s.sketches.Cap, s.probes.Cap, s.feats.Cap = bound, bound, bound
-	s.dists.Cap, s.repIDs.Cap, s.solves.Cap = bound, bound, bound
+	s.feats.Cap, s.dists.Cap, s.repIDs.Cap, s.solves.Cap = bound, bound, bound, bound
 	tables := func() map[string]int {
 		return map[string]int{
-			"sketches": s.sketches.Len(), "probes": s.probes.Len(), "feats": s.feats.Len(),
-			"dists": s.dists.Len(), "repIDs": s.repIDs.Len(), "solves": s.solves.Len(),
+			"feats": s.feats.Len(), "dists": s.dists.Len(), "repIDs": s.repIDs.Len(), "solves": s.solves.Len(),
 		}
 	}
 	fresh := func(i int) *Tenant {
@@ -267,7 +253,7 @@ func TestSolverTablesBounded(t *testing.T) {
 		if i%4 == 0 {
 			return &Tenant{Name: fmt.Sprintf("f%04d", i), Spec: spec}
 		}
-		return observedTenant(rng, fmt.Sprintf("f%04d", i), spec)
+		return twinTenant(rng, fmt.Sprintf("f%04d", i), spec)
 	}
 	var names []string
 	var tenants []*Tenant

@@ -39,7 +39,6 @@ import (
 	"dbvirt/internal/core"
 	"dbvirt/internal/memo"
 	"dbvirt/internal/obs"
-	"dbvirt/internal/telemetry"
 	"dbvirt/internal/vm"
 )
 
@@ -68,31 +67,23 @@ var (
 	mSolveEvict   = obs.Global.Counter("placement.solves.evict")
 )
 
-// solveGeneration bounds every solver-lifetime table — per-spec sketches,
-// probes and features, rep ids, feature distances and machine solves — at
+// solveGeneration bounds every solver-lifetime table — per-spec features,
+// rep ids, feature distances and machine solves — at
 // two generations of this many entries. A 1000-tenant fleet converges on
 // ~1400 machine shapes, so its working set never turns over; turnover
 // would only recompute.
 const solveGeneration = 4096
 
-// Tenant is one fleet tenant: a workload spec plus optional telemetry.
-// When Sketch or CostSummary are nil the solver derives them from the
-// spec (normalized-statement sketch, starvation-probe cost vector) and
-// memoizes the derivation per spec, so interned specs (core.Intern) are
-// featurized once per fleet, not once per tenant. A placement featurizes a tenant when it is solved or
-// arrives, and again only when a Drift event replaces it, so a Tenant
-// must not change once placed.
+// Tenant is one fleet tenant: a named workload spec. The solver derives
+// its feature from the spec (normalized-statement sketch, starvation-probe
+// cost vector) and memoizes the derivation per spec, so interned specs
+// (core.Intern) are featurized once per fleet, not once per tenant. A
+// placement featurizes a tenant when it is solved or arrives, and again
+// only when a Drift event replaces it, so a Tenant must not change once
+// placed.
 type Tenant struct {
 	Name string
 	Spec *core.WorkloadSpec
-	// Sketch, if non-nil, is the tenant's observed normalized-statement
-	// heavy-hitter sketch (internal/telemetry top-k), e.g. from the
-	// serving-side telemetry hub.
-	Sketch *telemetry.TopK
-	// CostSummary, if non-empty, is the tenant's observed predicted-cost
-	// summary (e.g. a telemetry reservoir mean vector). Tenants whose
-	// summaries differ never share a class.
-	CostSummary []float64
 }
 
 // MachineCaps bounds one machine. CPU/Memory/IO are capacities in demand
@@ -179,14 +170,14 @@ func (c Config) validate() error {
 		return fmt.Errorf("placement: orders %d out of range [1, 64]", c.Orders)
 	}
 	// A full machine is one per-machine design problem.
-	if err := core.ValidateShape(c.Machine.MaxTenants, c.Resources, c.Step, c.Step); err != nil {
+	if err := core.ValidateShape(c.Machine.MaxTenants, c.Resources, c.Step); err != nil {
 		return fmt.Errorf("placement: %w", err)
 	}
 	return nil
 }
 
-// Solver owns the fleet-placement memos: per-spec feature derivations
-// (sketch + probe costs), feature distances and per-shape machine solves.
+// Solver owns the fleet-placement memos: per-spec features (sketch and
+// probe costs), feature distances and per-shape machine solves.
 // It is safe for concurrent use; one Solver should live as long as its
 // cost model so arrivals/departures re-price only what changed. Every
 // table is a memo.Gen of solveGeneration entries a generation.
@@ -194,11 +185,9 @@ type Solver struct {
 	cfg   Config
 	model core.CostModel
 
-	mu       sync.Mutex
-	sketches memo.Gen[*core.WorkloadSpec, *telemetry.TopK]
-	probes   memo.Gen[*core.WorkloadSpec, []float64]
-	feats    memo.Gen[*core.WorkloadSpec, *feature]
-	dists    memo.Gen[[2]*feature, float64]
+	mu    sync.Mutex
+	feats memo.Gen[*core.WorkloadSpec, *feature]
+	dists memo.Gen[[2]*feature, float64]
 	// repIDs interns class-representative pricing keys
 	// (core.WorkloadSpec.PricingKey — specs with equal keys MUST price
 	// identically under the cost model) to ids that are never reused:
@@ -223,14 +212,12 @@ func NewSolver(cfg Config, model core.CostModel) (*Solver, error) {
 		return nil, fmt.Errorf("placement: nil cost model")
 	}
 	return &Solver{
-		cfg:      cfg,
-		model:    model,
-		sketches: memo.Gen[*core.WorkloadSpec, *telemetry.TopK]{Cap: solveGeneration},
-		probes:   memo.Gen[*core.WorkloadSpec, []float64]{Cap: solveGeneration},
-		feats:    memo.Gen[*core.WorkloadSpec, *feature]{Cap: solveGeneration},
-		dists:    memo.Gen[[2]*feature, float64]{Cap: solveGeneration},
-		repIDs:   memo.Gen[string, int]{Cap: solveGeneration},
-		solves:   memo.Gen[uint64, *machineSolve]{Cap: solveGeneration, Evict: mSolveEvict},
+		cfg:    cfg,
+		model:  model,
+		feats:  memo.Gen[*core.WorkloadSpec, *feature]{Cap: solveGeneration},
+		dists:  memo.Gen[[2]*feature, float64]{Cap: solveGeneration},
+		repIDs: memo.Gen[string, int]{Cap: solveGeneration},
+		solves: memo.Gen[uint64, *machineSolve]{Cap: solveGeneration, Evict: mSolveEvict},
 	}, nil
 }
 

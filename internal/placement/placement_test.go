@@ -395,11 +395,11 @@ func TestApplyDirtyBounded(t *testing.T) {
 func TestCapacityPacking(t *testing.T) {
 	f := newFleet()
 	probeDemand := func(s *Solver, spec *core.WorkloadSpec) [3]float64 {
-		costs, err := s.probedCosts(context.Background(), spec)
+		f, err := s.buildFeature(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return [3]float64{costs[1], costs[2], costs[3]}
+		return f.demand
 	}
 	uncapped, _ := newTestSolver(t, Config{})
 	plFree, err := uncapped.Solve(context.Background(), f.tenants(40))

@@ -181,7 +181,7 @@ func (r *SolveRequest) validate() error {
 	if err != nil {
 		return err
 	}
-	if err := core.ValidateShape(len(r.Workloads), resources, r.Step, r.Step); err != nil {
+	if err := core.ValidateShape(len(r.Workloads), resources, r.Step); err != nil {
 		return err
 	}
 	if r.TimeoutMS < 0 {

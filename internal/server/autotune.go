@@ -30,8 +30,6 @@ type AutotuneOptions struct {
 	// Interval is the background tick period; 0 means no background
 	// ticker (ticks only via POST /v1/autotune/trigger).
 	Interval time.Duration
-	// Resources to search (default cpu).
-	Resources []string
 	// Step is the solver grid quantum (default 0.25).
 	Step float64
 	// ResolveEvery re-solves every Nth tick absent a drift alarm.
@@ -63,11 +61,6 @@ func (o *AutotuneOptions) validate() error {
 			return fmt.Errorf("autotune: duplicate tenant %q (two VMs cannot share one telemetry stream)", name)
 		}
 		seen[name] = true
-	}
-	for _, r := range o.Resources {
-		if _, err := vm.ParseResource(r); err != nil {
-			return fmt.Errorf("autotune: %w", err)
-		}
 	}
 	return nil
 }
@@ -105,17 +98,12 @@ func (s *Server) initAutotune(opts *AutotuneOptions) error {
 			Fallback: specs[i].NormalizedStatements(),
 		}
 	}
-	resources := make([]vm.Resource, len(opts.Resources))
-	for i, r := range opts.Resources {
-		resources[i], _ = vm.ParseResource(r) // validated above
-	}
 	loop, err := autotune.NewLoop(autotune.Config{
-		Hub:       s.cfg.Telemetry,
-		Model:     s.cfg.Model,
-		VMs:       vms,
-		Tenants:   tenants,
-		Resources: resources,
-		Step:      opts.Step,
+		Hub:     s.cfg.Telemetry,
+		Model:   s.cfg.Model,
+		VMs:     vms,
+		Tenants: tenants,
+		Step:    opts.Step,
 		Decider: autotune.DeciderConfig{
 			MinGain:       opts.MinGain,
 			ConfirmTicks:  opts.ConfirmTicks,

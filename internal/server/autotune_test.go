@@ -41,7 +41,6 @@ func TestAutotuneOptionsValidation(t *testing.T) {
 		"one workload":     func(o *AutotuneOptions) { o.Workloads = o.Workloads[:1] },
 		"duplicate tenant": func(o *AutotuneOptions) { o.Workloads[1] = o.Workloads[0] },
 		"unknown query":    func(o *AutotuneOptions) { o.Workloads[0].Query = "Q99" },
-		"bad resource":     func(o *AutotuneOptions) { o.Resources = []string{"gpu"} },
 	} {
 		opts := autotuneOpts()
 		mut(opts)

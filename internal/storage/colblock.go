@@ -43,11 +43,10 @@ type ColBlock struct {
 	Zones []Zone
 	// RowData holds decoded rows when the page is irregular.
 	RowData []Tuple
-	// Err, when non-nil, is a decode error hit at slot ErrSlot: the rows
-	// before it are valid and a scan must yield them before failing,
-	// exactly as a tuple-at-a-time scan would.
-	Err     error
-	ErrSlot int
+	// Err, when non-nil, is a decode error hit after the block's rows:
+	// they are valid and a scan must yield them before failing, exactly as
+	// a tuple-at-a-time scan would.
+	Err error
 }
 
 // colBuilder accumulates one column during page decode, preferring a typed
@@ -210,7 +209,7 @@ func (cb *colBuilder) finish() types.Vec {
 }
 
 // BuildColBlock decodes one slotted page into columnar form. It never
-// fails: decode problems are recorded in Err/ErrSlot so scans can
+// fails: a decode problem is recorded in Err so scans can
 // reproduce tuple-at-a-time error positions.
 func BuildColBlock(sp *SlottedPage) *ColBlock {
 	blk := &ColBlock{}
@@ -220,7 +219,7 @@ func BuildColBlock(sp *SlottedPage) *ColBlock {
 	for slot := 0; slot < numSlots; slot++ {
 		rec, ok, err := sp.Get(uint16(slot))
 		if err != nil {
-			blk.Err, blk.ErrSlot = err, slot
+			blk.Err = err
 			break
 		}
 		if !ok {
@@ -229,7 +228,7 @@ func BuildColBlock(sp *SlottedPage) *ColBlock {
 		if irregular {
 			t, err := DecodeTuple(rec)
 			if err != nil {
-				blk.Err, blk.ErrSlot = err, slot
+				blk.Err = err
 				break
 			}
 			blk.RowData = append(blk.RowData, t)
@@ -239,14 +238,14 @@ func BuildColBlock(sp *SlottedPage) *ColBlock {
 		}
 		arity, err := decodeRecord(rec, &builders, blk.Rows)
 		if err != nil {
-			blk.Err, blk.ErrSlot = err, slot
+			blk.Err = err
 			break
 		}
 		if builders == nil || arity != len(builders) {
 			if blk.Rows == 0 && builders == nil {
 				builders = make([]colBuilder, arity)
 				if _, err := decodeRecord(rec, &builders, 0); err != nil {
-					blk.Err, blk.ErrSlot = err, slot
+					blk.Err = err
 					break
 				}
 			} else {
@@ -263,7 +262,7 @@ func BuildColBlock(sp *SlottedPage) *ColBlock {
 				}
 				t, err := DecodeTuple(rec)
 				if err != nil {
-					blk.Err, blk.ErrSlot = err, slot
+					blk.Err = err
 					break
 				}
 				blk.RowData = append(blk.RowData, t)

@@ -154,20 +154,15 @@ func (d *DiskManager) Files() []FileID {
 	return out
 }
 
-// RestoreFile recreates file id with the given page contents; used by
-// image import. It fails if the file already exists.
-func (d *DiskManager) RestoreFile(id FileID, pages []PageData) error {
+// RestoreFile recreates file id with the given pages, which it takes
+// over; used by image import. It fails if the file already exists.
+func (d *DiskManager) RestoreFile(id FileID, pages []*PageData) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if _, exists := d.files[id]; exists {
 		return fmt.Errorf("storage: file %d already exists", id)
 	}
-	stored := make([]*PageData, len(pages))
-	for i := range pages {
-		p := pages[i]
-		stored[i] = &p
-	}
-	d.files[id] = stored
+	d.files[id] = pages
 	if id >= d.next {
 		d.next = id + 1
 	}

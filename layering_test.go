@@ -128,6 +128,24 @@ var surfaceAllow = map[string]string{
 	"wal.NewFaultDevice":              "engine's crash-recovery tests inject faults under the log",
 }
 
+// fieldAllow lists the exported struct fields that no program both sets
+// and reads, as "pkg.Type.Field", or every such field of a fixture type,
+// as "pkg.Type". A field cannot move into a _test.go file, so a test of
+// its own package counts as a user here; so does bench/, whose
+// forwarders ROADMAP 1(f) retires. TestProgramSurface fails on an entry
+// that programs set and read, or that no test and no bench file uses.
+var fieldAllow = map[string]string{
+	"catalog.IndexStats.NumEntries": "catalog's and engine's image tests check the analyzed entry count",
+	"core.Result.Rounds":            "core's greedy allocation test bounds allocations per round",
+	"core.WhatIfModel.NoPrepare":    "the unprepared reference path of the differential tests in core, server and experiments",
+	"engine.Config.Executor":        "a bench forwarder: bench/olap.go reads it into executor.Context.Mode",
+	"executor.Context.Mode":         "a bench forwarder: bench/olap.go sets it",
+	"experiments.Fig3Row.Params":    "the calibrated parameters that golden_figures.json pins",
+	"faults.DiskConfig":             "the config of faults.NewDisk, an allow-listed fixture",
+	"obs.PromSample":                "the result of obs.ParsePrometheusText, an allow-listed fixture",
+	"optimizer.NodeCost":            "the rows of optimizer.Plan.CostBreakdown, an allow-listed fixture",
+}
+
 // surfaceIfaces are the interfaces outside the module whose methods
 // count as used on every type of the module that satisfies them.
 var surfaceIfaces = [][2]string{
@@ -152,7 +170,10 @@ type surfacePkg struct {
 // that a module interface, error or one of surfaceIfaces requires of its
 // receiver counts as used. Test-only helpers belong in the package's
 // _test.go files; fixtures that other packages' tests share belong in
-// surfaceAllow.
+// surfaceAllow. It also fails on an exported field of an exported struct
+// type of such a package that no program sets, or that no program reads
+// (see fieldUses); a field with a struct tag is encoding/json's to set
+// and read. fieldAllow lists the exceptions.
 func TestProgramSurface(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs := map[string]*surfacePkg{} // by import path
@@ -228,7 +249,12 @@ func TestProgramSurface(t *testing.T) {
 		if sp.types != nil {
 			return sp.types
 		}
-		sp.info = &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+		sp.info = &types.Info{
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		}
 		conf := types.Config{Importer: imp}
 		tp, err := conf.Check(sp.path, fset, sp.files, sp.info)
 		if err != nil {
@@ -242,24 +268,37 @@ func TestProgramSurface(t *testing.T) {
 	}
 
 	used := map[types.Object]bool{}
+	set, read := map[types.Object]bool{}, map[types.Object]bool{}
+	benchUsed := map[types.Object]bool{}
 	for _, sp := range order {
 		for _, f := range sp.files {
 			for _, decl := range f.Decls {
 				markUses(decl, sp.info, used)
 			}
 		}
+		fieldUses(sp.files, sp.info, set, read)
+		if strings.HasPrefix(sp.name, "bench") {
+			for _, obj := range sp.info.Uses {
+				benchUsed[origin(obj)] = true
+			}
+		}
 	}
 	exempt := ifaceMethods(t, order, gc)
 
-	// What the tests use of other packages. An external test that uses
-	// an export_test.go name fails to resolve it against the non-test
-	// package; that leaves only uses of its own package unresolved,
-	// which do not count here.
+	// What the tests use of other packages, and every field they name.
+	// An external test that uses an export_test.go name fails to resolve
+	// it against the non-test package; that leaves only uses of its own
+	// package unresolved, which do not count here.
 	testUsed := map[types.Object]bool{}
+	testFields := map[token.Pos]bool{} // fields any test names, its own package's too
 	for _, sp := range testDirs {
 		for i, files := range [][]*ast.File{sp.tests, sp.xtests} {
 			if len(files) == 0 {
 				continue
+			}
+			inTest := map[*token.File]bool{}
+			for _, f := range files {
+				inTest[fset.File(f.Pos())] = true
 			}
 			tpath := sp.path + "_test"
 			if i == 0 {
@@ -269,8 +308,15 @@ func TestProgramSurface(t *testing.T) {
 			info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
 			conf := types.Config{Importer: imp, Error: func(error) {}}
 			conf.Check(tpath, fset, files, info)
-			for _, obj := range info.Uses {
-				if obj = origin(obj); obj.Pkg() != nil && obj.Pkg().Path() != sp.path {
+			for id, obj := range info.Uses {
+				if !inTest[fset.File(id.Pos())] {
+					continue // a use in the package's own non-test files
+				}
+				obj = origin(obj)
+				if v, ok := obj.(*types.Var); ok && v.IsField() {
+					testFields[v.Pos()] = true // an in-package test re-declares the field
+				}
+				if obj.Pkg() != nil && obj.Pkg().Path() != sp.path {
 					testUsed[obj] = true
 				}
 			}
@@ -325,6 +371,177 @@ func TestProgramSurface(t *testing.T) {
 		if !seen[key] {
 			t.Errorf("the allow-list names %s, which is not an exported name", key)
 		}
+	}
+
+	for _, sp := range order {
+		if sp.types.Name() == "main" {
+			continue
+		}
+		scope := sp.types.Scope()
+		for _, n := range scope.Names() {
+			tn, ok := scope.Lookup(n).(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			tkey := sp.name + "." + tn.Name()
+			_, whole := fieldAllow[tkey]
+			dead, tested := 0, testUsed[tn] || benchUsed[tn]
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				if !f.Exported() || f.Embedded() {
+					continue
+				}
+				if st.Tag(i) != "" {
+					continue
+				}
+				key := tkey + "." + f.Name()
+				var miss string
+				switch {
+				case !set[f] && !read[f]:
+					miss = "no program sets or reads it"
+				case !set[f]:
+					miss = "no program sets it"
+				case !read[f]:
+					miss = "no program reads it"
+				}
+				if _, ok := fieldAllow[key]; ok {
+					seen[key] = true
+					switch {
+					case miss == "":
+						t.Errorf("%s is on the field allow-list but programs set and read it", key)
+					case !testFields[f.Pos()] && !benchUsed[f]:
+						t.Errorf("%s is on the field allow-list but no test and no bench file uses it", key)
+					}
+					continue
+				}
+				switch {
+				case miss == "":
+				case whole:
+					dead++
+					tested = tested || testFields[f.Pos()]
+				default:
+					t.Errorf("%s: exported field %s: %s", fset.Position(f.Pos()), key, miss)
+				}
+			}
+			if whole {
+				seen[tkey] = true
+				switch {
+				case dead == 0:
+					t.Errorf("%s is on the field allow-list but programs set and read all its fields", tkey)
+				case !tested:
+					t.Errorf("%s is on the field allow-list but no test and no bench file uses it", tkey)
+				}
+			}
+		}
+	}
+	for key := range fieldAllow {
+		if !seen[key] {
+			t.Errorf("the field allow-list names %s, which is not an exported struct type or field", key)
+		}
+	}
+}
+
+// fieldUses records in set and read the struct fields that files set
+// and read. A composite-literal element, the left side of = or op= and
+// the operand of ++ or -- set a field without reading it; &x.F, x.F[:]
+// on an array and a pointer-receiver method call on x.F set and read
+// it; any other selector reads it. Setting x.F.G or x.F[i] sets x.F too
+// when x.F is a struct or an array rather than a pointer.
+func fieldUses(files []*ast.File, info *types.Info, set, read map[types.Object]bool) {
+	setOnly := map[*ast.SelectorExpr]bool{}
+	field := func(e ast.Expr) (*ast.SelectorExpr, types.Object) {
+		sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+		if !ok {
+			return nil, nil
+		}
+		if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+			return sel, origin(s.Obj())
+		}
+		return nil, nil
+	}
+	isArray := func(e ast.Expr) bool {
+		_, ok := info.TypeOf(e).Underlying().(*types.Array)
+		return ok
+	}
+	var mark func(e ast.Expr, only bool)
+	mark = func(e ast.Expr, only bool) {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.SelectorExpr:
+			sel, f := field(x)
+			if f == nil {
+				return
+			}
+			set[f] = true
+			if only {
+				setOnly[sel] = true
+			}
+			if _, ptr := info.TypeOf(x.X).Underlying().(*types.Pointer); !ptr {
+				mark(x.X, only)
+			}
+		case *ast.IndexExpr:
+			if isArray(x.X) {
+				mark(x.X, only)
+			}
+		}
+	}
+	for _, file := range files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				if n.Tok != token.DEFINE {
+					for _, l := range n.Lhs {
+						mark(l, true)
+					}
+				}
+			case *ast.IncDecStmt:
+				mark(n.X, true)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					mark(n.X, false)
+				}
+			case *ast.SliceExpr:
+				if isArray(n.X) {
+					mark(n.X, false)
+				}
+			case *ast.CallExpr:
+				fun, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr)
+				if s := info.Selections[fun]; ok && s != nil && s.Kind() == types.MethodVal {
+					recv := s.Obj().Type().(*types.Signature).Recv().Type()
+					_, ptrRecv := recv.(*types.Pointer)
+					_, ptrX := info.TypeOf(fun.X).Underlying().(*types.Pointer)
+					if ptrRecv && !ptrX {
+						mark(fun.X, false)
+					}
+				}
+			case *ast.CompositeLit:
+				t := info.TypeOf(n)
+				if p, ok := t.Underlying().(*types.Pointer); ok {
+					t = p.Elem()
+				}
+				st, ok := t.Underlying().(*types.Struct)
+				if !ok {
+					break
+				}
+				for i, el := range n.Elts {
+					if kv, ok := el.(*ast.KeyValueExpr); ok {
+						if f := info.Uses[kv.Key.(*ast.Ident)]; f != nil {
+							set[origin(f)] = true
+						}
+					} else {
+						set[origin(st.Field(i))] = true
+					}
+				}
+			case *ast.SelectorExpr:
+				if sel, f := field(n); f != nil && !setOnly[sel] {
+					read[f] = true
+				}
+			}
+			return true
+		})
 	}
 }
 
