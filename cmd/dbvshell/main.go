@@ -33,14 +33,13 @@ import (
 )
 
 // execObserver bridges the engine's per-statement execution records into
-// the shell's telemetry tenant: predicted-vs-actual residuals and the
-// actual-seconds sample stream. Sketch updates happen in the statement
-// loop (every statement counts, not only the paths the engine observes).
+// the shell's telemetry tenant: predicted-vs-actual residuals. Sketch
+// updates happen in the statement loop (every statement counts, not only
+// the paths the engine observes).
 type execObserver struct{ ten *telemetry.Tenant }
 
 func (o execObserver) ObserveExec(sql string, predicted, actual float64) {
 	o.ten.ObserveResidual(predicted, actual)
-	o.ten.ObserveCosts([]float64{actual})
 }
 
 func main() {

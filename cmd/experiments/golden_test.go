@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"os"
 	"path/filepath"
 	"testing"
@@ -13,67 +12,71 @@ import (
 	"dbvirt/internal/workload"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the golden figure snapshot")
+// paperRecord is the committed quick-scale paper record that
+// internal/experiments pins with TestPaperGolden.
+var paperRecord = filepath.Join("..", "..", "internal", "experiments", "testdata", "paper.json")
 
-// goldenFigures is the e2e regression snapshot: the Figure 3 and Figure 4
-// outputs at quick scale, marshaled to indented JSON. Every layer the
-// figures cross — workload build, calibration, plan costing, the what-if
-// model — must stay bit-for-bit deterministic for this to pass, so a
-// change in any of them that shifts published numbers shows up as a
-// golden diff, reviewed rather than silently shipped.
-func goldenFigures(t *testing.T) []byte {
+// checkGolden runs `experiments -quick -fig NAME` for each name and
+// checks two things: the rows of that entry, run on a fresh QuickEnv,
+// equal its member of the committed paper record value for value; and
+// the command prints exactly the text rendering of those rows. The
+// command and the direct run each start from a fresh environment, so
+// the second check is also a reproducibility check within a process.
+func checkGolden(t *testing.T, names ...string) {
 	t.Helper()
-	env := workload.QuickEnv()
-	fig3, err := experiments.Figure3(env, []float64{0.25, 0.5, 0.75}, []float64{0.25, 0.5, 0.75}, 0.5)
-	if err != nil {
-		t.Fatalf("Figure3: %v", err)
-	}
-	fig4, err := experiments.Figure4(env, []float64{0.25, 0.5, 0.75})
-	if err != nil {
-		t.Fatalf("Figure4: %v", err)
-	}
-	b, err := json.MarshalIndent(map[string]any{
-		"figure3": fig3,
-		"figure4": fig4,
-	}, "", "  ")
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	return append(b, '\n')
-}
-
-func TestFiguresGolden(t *testing.T) {
 	if os.Getenv(faults.EnvVar) != "" {
 		// Injected measurement faults perturb calibrated values by design;
-		// the snapshot pins the fault-free configuration.
-		t.Skipf("%s is set; golden figures are defined for fault-free runs", faults.EnvVar)
+		// the record pins the fault-free configuration.
+		t.Skipf("%s is set; the paper record is defined for fault-free runs", faults.EnvVar)
 	}
-	got := goldenFigures(t)
-
-	path := filepath.Join("testdata", "golden_figures.json")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", path, len(got))
-		return
-	}
-	want, err := os.ReadFile(path)
+	b, err := os.ReadFile(paperRecord)
 	if err != nil {
-		t.Fatalf("reading golden file (run `go test ./cmd/experiments -run TestFiguresGolden -update` to create it): %v", err)
+		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("figure outputs diverge from %s\nIf the change is intentional, regenerate with -update and commit the diff.\ngot %d bytes, want %d bytes", path, len(got), len(want))
+	var golden map[string]json.RawMessage
+	if err := json.Unmarshal(b, &golden); err != nil {
+		t.Fatalf("%s: %v", paperRecord, err)
 	}
+	byName := map[string]experiments.Experiment{}
+	for _, x := range experiments.Paper {
+		byName[x.Name] = x
+	}
+	for _, name := range names {
+		x, ok := byName[name]
+		if !ok {
+			t.Fatalf("%s is not an entry of experiments.Paper", name)
+		}
+		rows, err := x.Run(workload.QuickEnv())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := json.Marshal(rows)
+		if err != nil {
+			t.Fatalf("%s: marshal: %v", name, err)
+		}
+		var want bytes.Buffer
+		if err := json.Compact(&want, golden[name]); err != nil {
+			t.Fatalf("%s: member of %s: %v", name, paperRecord, err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("%s diverges from its member of %s\nIf the change is intentional, regenerate with `go test ./internal/experiments -run TestPaperGolden -update` and commit the diff.\ngot  %d bytes, want %d bytes", name, paperRecord, len(got), want.Len())
+		}
 
-	// A second complete run from a fresh environment must be
-	// byte-identical: nothing in the first run (global metrics, pooled
-	// state, scheduling) may leak into the numbers of the second.
-	again := goldenFigures(t)
-	if !bytes.Equal(got, again) {
-		t.Fatalf("figure outputs are not reproducible within a process: first run %d bytes, second %d bytes", len(got), len(again))
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-quick", "-fig", name}, &stdout, &stderr); code != 0 {
+			t.Fatalf("experiments -quick -fig %s: exit status %d: %s", name, code, stderr.String())
+		}
+		if text := x.Text(rows); stdout.String() != text {
+			t.Errorf("experiments -quick -fig %s printed\n%s\nwant the rendering of the recorded rows\n%s", name, stdout.String(), text)
+		}
 	}
 }
+
+// TestFiguresGolden pins Figures 3 and 4 at quick scale.
+func TestFiguresGolden(t *testing.T) { checkGolden(t, "figure3", "figure4") }
+
+// TestPlacementFigureGolden pins the placement figure at quick scale.
+func TestPlacementFigureGolden(t *testing.T) { checkGolden(t, "figure_placement") }
+
+// TestControlFigureGolden pins the control-loop figure at quick scale.
+func TestControlFigureGolden(t *testing.T) { checkGolden(t, "figure_control") }

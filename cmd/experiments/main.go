@@ -1,19 +1,24 @@
-// Command experiments regenerates every data-bearing figure of the paper
-// (Figures 3, 4, 5) plus the ablation and extension studies listed in
-// DESIGN.md, printing the same rows/series the paper reports.
+// Command experiments regenerates the paper record: every data-bearing
+// figure of the paper (Figures 3, 4, 5) plus the extension figures and
+// the ablation studies listed in DESIGN.md, printing the same
+// rows/series the paper reports.
 //
 // Usage:
 //
-//	experiments [-fig 3|4|5|w|p|all] [-ablations] [-quick]
+//	experiments [-fig NAME|all] [-quick]
 //
-// -quick runs at a reduced scale (smaller machine and dataset); the
-// shapes are preserved.
+// NAME is one entry of experiments.Paper (figure3, figure4, figure5,
+// figure_write, figure_placement, figure_control, search, grid, overlap,
+// dynamic, slo, memory). -quick runs at a reduced scale (smaller machine
+// and dataset); the shapes are preserved.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"dbvirt/internal/experiments"
 	"dbvirt/internal/obs"
@@ -21,21 +26,46 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "which figure to regenerate: 3, 4, 5, w (write sensitivity), p (fleet placement), c (closed-loop control), or all")
-	ablations := flag.Bool("ablations", false, "also run the ablation and extension studies")
-	quick := flag.Bool("quick", false, "run at reduced scale")
-	jobs := flag.Int("j", 0, "worker-pool size for calibration and search (0 = GOMAXPROCS)")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its arguments and output streams passed in; it
+// returns the exit status: 2 for a usage error, 1 for a failed run.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fig := fs.String("fig", "all", "which experiment to run: an experiments.Paper name, or all")
+	quick := fs.Bool("quick", false, "run at reduced scale")
+	jobs := fs.Int("j", 0, "worker-pool size for calibration and search (0 = GOMAXPROCS)")
 	var oflags obs.Flags
-	oflags.Register(flag.CommandLine)
-	flag.Parse()
+	oflags.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+
+	var names []string
+	var selected []experiments.Experiment
+	for _, x := range experiments.Paper {
+		names = append(names, x.Name)
+		if *fig == x.Name || *fig == "all" {
+			selected = append(selected, x)
+		}
+	}
+	if len(selected) == 0 {
+		fmt.Fprintf(stderr, "experiments: unknown -fig %q (want all or one of %s)\n", *fig, strings.Join(names, ", "))
+		return 2
+	}
 
 	handled, err := oflags.Setup("experiments")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "experiments: %v\n", err)
+		return 1
 	}
 	if handled {
-		return
+		return 0
 	}
 	root := obs.StartSpan("experiments")
 	obs.EnvSpanContext().Annotate(root)
@@ -46,164 +76,39 @@ func main() {
 	}
 	env.Parallelism = *jobs
 
-	// Per-figure machine-readable summary: counter deltas per experiment,
-	// embedded in the -metrics-out JSON under extra.figures.
+	// Per-experiment machine-readable summary: counter deltas per
+	// experiment, embedded in the -metrics-out JSON under extra.figures.
 	summary := map[string]map[string]int64{}
 	reg := obs.Global
 	reg.SetExtra("figures", func() any { return summary })
 
-	run := func(name string, fn func() error) {
-		sp := root.Child(name)
-		defer sp.End()
+	for i, x := range selected {
+		sp := root.Child(x.Name)
 		before := reg.CounterValues()
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", name, err)
+		rows, err := x.Run(env)
+		if err != nil {
+			fmt.Fprintf(stderr, "experiments: %s: %v\n", x.Name, err)
 			obs.Close() // best-effort flush
-			os.Exit(1)
+			return 1
 		}
-		after := reg.CounterValues()
+		if i > 0 {
+			fmt.Fprintln(stdout)
+		}
+		fmt.Fprint(stdout, x.Text(rows))
 		delta := map[string]int64{}
-		for k, v := range after {
+		for k, v := range reg.CounterValues() {
 			if d := v - before[k]; d != 0 {
 				delta[k] = d
 			}
 		}
-		summary[name] = delta
-	}
-
-	if *fig == "3" || *fig == "all" {
-		run("figure 3", func() error {
-			rows, err := experiments.Figure3(env, []float64{0.25, 0.5, 0.75}, []float64{0.25, 0.5, 0.75}, 0.5)
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiments.FormatFigure3(rows))
-			fmt.Println()
-			return nil
-		})
-	}
-	if *fig == "4" || *fig == "all" {
-		run("figure 4", func() error {
-			res, err := experiments.Figure4(env, []float64{0.25, 0.5, 0.75})
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiments.FormatFigure4(res))
-			fmt.Println()
-			return nil
-		})
-	}
-	if *fig == "5" || *fig == "all" {
-		run("figure 5", func() error {
-			res, err := experiments.Figure5(env)
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiments.FormatFigure5(res))
-			fmt.Println()
-			return nil
-		})
-	}
-
-	if *fig == "w" || *fig == "all" {
-		run("figure write", func() error {
-			res, err := experiments.FigureWrite(env, []float64{0.25, 0.5, 0.75})
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiments.FormatFigureWrite(res))
-			fmt.Println()
-			return nil
-		})
-	}
-
-	if *fig == "p" || *fig == "all" {
-		run("figure placement", func() error {
-			sizes := []int{100, 300, 1000}
-			if *quick {
-				sizes = []int{60, 200}
-			}
-			rows, err := experiments.FigurePlacement(env, sizes)
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiments.FormatFigurePlacement(rows))
-			fmt.Println()
-			return nil
-		})
-	}
-
-	if *fig == "c" || *fig == "all" {
-		run("figure control", func() error {
-			rows, err := experiments.FigureControl(env, 6, 10)
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiments.FormatFigureControl(rows))
-			fmt.Println()
-			return nil
-		})
-	}
-
-	if *ablations {
-		run("search ablation", func() error {
-			rows, err := experiments.AblationSearch(env, 3, 0.25)
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiments.FormatSearch(rows))
-			fmt.Println()
-			return nil
-		})
-		run("grid ablation", func() error {
-			rows, err := experiments.AblationCalibrationGrid(env)
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiments.FormatGrid(rows))
-			fmt.Println()
-			return nil
-		})
-		run("overlap ablation", func() error {
-			rows, err := experiments.AblationOverlap(env, []float64{0, 0.5, 0.75, 1})
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiments.FormatOverlap(rows))
-			fmt.Println()
-			return nil
-		})
-		run("dynamic extension", func() error {
-			res, err := experiments.DynamicReconfig(env)
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiments.FormatDynamic(res))
-			fmt.Println()
-			return nil
-		})
-		run("SLO extension", func() error {
-			res, err := experiments.SLOWeighted(env)
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiments.FormatSLO(res))
-			fmt.Println()
-			return nil
-		})
-		run("memory dimension", func() error {
-			res, err := experiments.MemoryDimension(env)
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiments.FormatMemoryDimension(res))
-			return nil
-		})
+		summary[x.Name] = delta
+		sp.End()
 	}
 
 	root.End()
 	if err := obs.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: telemetry: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "experiments: telemetry: %v\n", err)
+		return 1
 	}
+	return 0
 }

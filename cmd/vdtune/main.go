@@ -110,16 +110,15 @@ func main() {
 	}
 
 	// Stream the solved problem into per-workload telemetry: the sketch
-	// records what each workload runs, the reservoir its predicted cost —
-	// so -metrics-out / -debug-addr expose telemetry.* for one-shot tuning
-	// runs exactly as vdtuned does for served traffic.
+	// records what each workload runs, so -metrics-out / -debug-addr
+	// expose telemetry.* for one-shot tuning runs exactly as vdtuned does
+	// for served traffic.
 	hub := telemetry.NewHub(telemetry.Config{})
 	for i, spec := range specs {
 		ten := hub.Tenant(names[i])
 		for _, norm := range spec.NormalizedStatements() {
 			ten.ObserveQuery(norm)
 		}
-		ten.ObserveCosts([]float64{sol.PredictedCosts[i]})
 	}
 
 	fmt.Printf("\nRecommended allocation (%s):\n", sol.Algorithm)

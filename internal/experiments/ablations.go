@@ -169,22 +169,23 @@ type OverlapRow struct {
 // AblationOverlap varies the machine's CPU/I-O overlap and measures how
 // sensitive the I/O-bound Q4 becomes to the CPU share: with full overlap
 // Q4 is flat, with no overlap (fully serial) its CPU component is exposed.
+// The database does not depend on the machine, so every overlap runs on
+// e's.
 func AblationOverlap(e *workload.Env, overlaps []float64) ([]OverlapRow, error) {
+	db, err := e.DB("w-q4")
+	if err != nil {
+		return nil, err
+	}
+	q4 := []*core.WorkloadSpec{{Name: "Q4", Statements: []string{workload.Query("Q4")}, DB: db}}
 	var rows []OverlapRow
 	for _, ov := range overlaps {
-		env := workload.NewEnv(e.Scale, e.Machine)
-		env.Machine.Overlap = ov
-		env.Seed = e.Seed
-		db, err := env.DB("w-q4")
+		machine := e.Machine
+		machine.Overlap = ov
+		lo, err := core.MeasureAllocation(machine, e.Engine, q4, core.Allocation{{CPU: 0.25, Memory: 0.5, IO: 0.5}})
 		if err != nil {
 			return nil, err
 		}
-		q4 := []*core.WorkloadSpec{{Name: "Q4", Statements: []string{workload.Query("Q4")}, DB: db}}
-		lo, err := core.MeasureAllocation(env.Machine, env.Engine, q4, core.Allocation{{CPU: 0.25, Memory: 0.5, IO: 0.5}})
-		if err != nil {
-			return nil, err
-		}
-		hi, err := core.MeasureAllocation(env.Machine, env.Engine, q4, core.Allocation{{CPU: 0.75, Memory: 0.5, IO: 0.5}})
+		hi, err := core.MeasureAllocation(machine, e.Engine, q4, core.Allocation{{CPU: 0.75, Memory: 0.5, IO: 0.5}})
 		if err != nil {
 			return nil, err
 		}

@@ -5,8 +5,9 @@
 // workload under the default 50/50 CPU split versus the 25/75 split the
 // what-if model selects), plus the ablation studies listed in DESIGN.md.
 //
-// The harness returns structured rows; cmd/experiments and the benchmark
-// suite format them.
+// The harness returns structured rows. Paper lists every experiment with
+// the arguments it runs at and its text rendering; cmd/experiments prints
+// it, and testdata/paper.json pins it at quick scale.
 package experiments
 
 import (
@@ -32,14 +33,14 @@ func NewEnv(scale workload.Scale, machine vm.MachineConfig) *Env {
 // Deprecated: use workload.QuickEnv (see Env).
 func QuickEnv() *Env { return workload.QuickEnv() }
 
-// MeasureWrite executes a write workload against a fresh WAL-logged
+// measureWrite executes a write workload against a fresh WAL-logged
 // database in a VM at the given shares and returns the simulated elapsed
 // seconds plus the workload's log footprint (bytes appended, group
 // fsyncs) — the inputs of the write-path what-if estimate. The base table
-// is built by a full-share loader VM on the same machine; only the write
-// statements themselves are timed. Each statement is an autocommit
-// transaction, so flushes == len(w.Statements).
-func MeasureWrite(e *workload.Env, w workload.Workload, baseRows int, shares vm.Shares) (elapsed float64, logBytes int64, flushes int, err error) {
+// is built by a full-share loader VM on a machine of its own; only the
+// write statements themselves are measured, through core.Deploy. Each
+// statement is an autocommit transaction, so flushes == len(w.Statements).
+func measureWrite(e *workload.Env, w workload.Workload, baseRows int, shares vm.Shares) (elapsed float64, logBytes int64, flushes int, err error) {
 	lm, err := vm.NewMachine(e.Machine)
 	if err != nil {
 		return 0, 0, 0, err
@@ -59,28 +60,18 @@ func MeasureWrite(e *workload.Env, w workload.Workload, baseRows int, shares vm.
 	if err := workload.BuildWriteBase(ls, baseRows, e.Seed); err != nil {
 		return 0, 0, 0, fmt.Errorf("experiments: building write base: %w", err)
 	}
-	m, err := vm.NewMachine(e.Machine)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	v, err := m.NewVM("write", shares)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	s, err := engine.NewSession(db, v, e.Engine)
+	spec := &core.WorkloadSpec{Name: w.Name, Statements: w.Statements, DB: db}
+	dep, err := core.Deploy(e.Machine, e.Engine, []*core.WorkloadSpec{spec}, core.Allocation{shares})
 	if err != nil {
 		return 0, 0, 0, err
 	}
 	_, before := db.LogStats()
-	start := v.Snapshot()
-	for _, stmt := range w.Statements {
-		if _, err := s.RunStatement(stmt); err != nil {
-			return 0, 0, 0, fmt.Errorf("experiments: %s: %w", w.Name, err)
-		}
+	measured, err := dep.MeasureWorkloads(false)
+	if err != nil {
+		return 0, 0, 0, err
 	}
-	elapsed = v.ElapsedSince(start)
 	_, after := db.LogStats()
-	return elapsed, after - before, len(w.Statements), nil
+	return measured[0], after - before, len(w.Statements), nil
 }
 
 // EstimateQuery plans one query under the calibrated P(shares) and

@@ -7,25 +7,29 @@ import (
 	"dbvirt/internal/workload"
 )
 
-// The experiment harness tests run at the quick scale and assert the
-// paper's qualitative shapes, not absolute numbers.
+// The shape tests read their rows from the quick-scale paper record that
+// TestPaperGolden pins, and assert the paper's qualitative shapes, not
+// absolute numbers.
 
-func quick(t *testing.T) *workload.Env {
+func paperRows[R any](t *testing.T, name string) R {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("experiment harness tests are not short")
 	}
-	return workload.QuickEnv()
+	rows, _ := record(t)
+	return rows[name].(R)
 }
 
 func TestFigure3Shape(t *testing.T) {
-	env := quick(t)
-	rows, err := Figure3(env, []float64{0.25, 0.5, 0.75}, []float64{0.5}, 0.5)
-	if err != nil {
-		t.Fatal(err)
+	all := paperRows[[]Fig3Row](t, "figure3")
+	var rows []Fig3Row
+	for _, r := range all {
+		if r.MemShare == 0.5 {
+			rows = append(rows, r)
+		}
 	}
 	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
+		t.Fatalf("rows at memory 50%% = %d", len(rows))
 	}
 	// cpu_tuple_cost decreases monotonically with the CPU share and the
 	// 25%/75% ratio is super-linear (> 3) due to scheduler overhead.
@@ -37,24 +41,20 @@ func TestFigure3Shape(t *testing.T) {
 		t.Errorf("25%%/75%% ratio = %.2f, want > 3 (super-linear)", ratio)
 	}
 	// Each row carries the whole calibrated parameter set it reports
-	// from (the golden figures pin it).
-	for _, r := range rows {
+	// from (paper.json pins it).
+	for _, r := range all {
 		if r.Params.CPUTupleCost != r.CPUTupleCost || r.Params.SeqPageCost <= 0 {
 			t.Errorf("row at cpu %.2f: params %+v do not match cpu_tuple_cost %v", r.CPUShare, r.Params, r.CPUTupleCost)
 		}
 	}
-	out := FormatFigure3(rows)
+	out := FormatFigure3(all)
 	if !strings.Contains(out, "cpu_tuple_cost") {
 		t.Error("format output missing header")
 	}
 }
 
 func TestFigure4Shape(t *testing.T) {
-	env := quick(t)
-	res, err := Figure4(env, []float64{0.25, 0.5, 0.75})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := paperRows[*Fig4Result](t, "figure4")
 	// Q4 (I/O-bound) is nearly flat: within 15% of its 50% value at both
 	// extremes, in estimate and measurement.
 	for i := range res.Rows {
@@ -86,11 +86,7 @@ func TestFigure4Shape(t *testing.T) {
 }
 
 func TestFigure5Shape(t *testing.T) {
-	env := quick(t)
-	res, err := Figure5(env)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := paperRows[*Fig5Result](t, "figure5")
 	// The search must give W2 (Q13) more CPU than W1 (Q4).
 	if res.ChosenAllocation[1].CPU <= res.ChosenAllocation[0].CPU {
 		t.Fatalf("search should favor the CPU-bound workload: %v", res.ChosenAllocation)
@@ -108,11 +104,7 @@ func TestFigure5Shape(t *testing.T) {
 }
 
 func TestAblationSearchShape(t *testing.T) {
-	env := quick(t)
-	rows, err := AblationSearch(env, 3, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := paperRows[[]SearchRow](t, "search")
 	byName := map[string]SearchRow{}
 	for _, r := range rows {
 		byName[r.Algorithm] = r
@@ -127,33 +119,29 @@ func TestAblationSearchShape(t *testing.T) {
 		t.Errorf("dp measured %.3f should beat equal %.3f",
 			byName["dp"].MeasuredTotal, byName["equal"].MeasuredTotal)
 	}
-	if _, err := AblationSearch(env, 9, 0.25); err == nil {
+	if _, err := AblationSearch(workload.QuickEnv(), 9, 0.25); err == nil {
 		t.Error("workload count out of range should error")
 	}
 }
 
 func TestAblationOverlapShape(t *testing.T) {
-	env := quick(t)
-	rows, err := AblationOverlap(env, []float64{0, 1})
-	if err != nil {
-		t.Fatal(err)
+	rows := paperRows[[]OverlapRow](t, "overlap")
+	serial, full := rows[0], rows[len(rows)-1]
+	if serial.Overlap != 0 || full.Overlap != 1 {
+		t.Fatalf("overlap sweep should run from 0 to 1: %v", rows)
 	}
 	// Q4's CPU sensitivity shrinks as overlap grows; at full overlap the
 	// query is perfectly flat.
-	if rows[0].Q4Sensitivity <= rows[1].Q4Sensitivity {
+	if serial.Q4Sensitivity <= full.Q4Sensitivity {
 		t.Errorf("overlap should hide CPU: %v", rows)
 	}
-	if rows[1].Q4Sensitivity > 1.02 {
-		t.Errorf("full overlap should make Q4 flat, got %.3f", rows[1].Q4Sensitivity)
+	if full.Q4Sensitivity > 1.02 {
+		t.Errorf("full overlap should make Q4 flat, got %.3f", full.Q4Sensitivity)
 	}
 }
 
 func TestDynamicReconfigImproves(t *testing.T) {
-	env := quick(t)
-	res, err := DynamicReconfig(env)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := paperRows[*DynamicResult](t, "dynamic")
 	if !res.Reconfigured {
 		t.Fatal("the phase-2 re-solve did not move the shares")
 	}
@@ -163,11 +151,7 @@ func TestDynamicReconfigImproves(t *testing.T) {
 }
 
 func TestSLOForcesShares(t *testing.T) {
-	env := quick(t)
-	res, err := SLOWeighted(env)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := paperRows[*SLOResult](t, "slo")
 	// Under the SLO, W1's predicted cost must meet (or get much closer
 	// to) the target than the unconstrained design.
 	if res.W1CostConstrained > res.W1CostUnconstrained {
@@ -177,11 +161,7 @@ func TestSLOForcesShares(t *testing.T) {
 }
 
 func TestMemoryDimensionImproves(t *testing.T) {
-	env := quick(t)
-	res, err := MemoryDimension(env)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := paperRows[*MemoryDimensionResult](t, "memory")
 	// The joint design shifts memory toward the cacheable workload and
 	// must win in actual execution.
 	if res.Joint[1].Memory <= res.Joint[0].Memory {
@@ -193,11 +173,7 @@ func TestMemoryDimensionImproves(t *testing.T) {
 }
 
 func TestGridAblationShape(t *testing.T) {
-	env := quick(t)
-	rows, err := AblationCalibrationGrid(env)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := paperRows[[]GridRow](t, "grid")
 	if len(rows) < 2 {
 		t.Fatal("need at least two grid resolutions")
 	}

@@ -259,10 +259,10 @@ func FigureWrite(e *workload.Env, ioShares []float64) (*FigWriteResult, error) {
 	for _, io := range ioShares {
 		shares := vm.Shares{CPU: 0.5, Memory: 0.5, IO: io}
 		row := FigWriteRow{IOShare: io}
-		if row.ActWrite, row.LogBytes, row.Flushes, err = MeasureWrite(e, inserts, baseRows, shares); err != nil {
+		if row.ActWrite, row.LogBytes, row.Flushes, err = measureWrite(e, inserts, baseRows, shares); err != nil {
 			return nil, err
 		}
-		if row.ActUpdate, _, _, err = MeasureWrite(e, updates, baseRows, shares); err != nil {
+		if row.ActUpdate, _, _, err = measureWrite(e, updates, baseRows, shares); err != nil {
 			return nil, err
 		}
 		p, err := e.Calibrator().Calibrate(context.Background(), shares)

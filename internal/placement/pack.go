@@ -162,8 +162,8 @@ func (s *Solver) pack(p *packing, seq []int32, classOf []int32, meta []classMeta
 	p.ends = append(p.ends, len(p.fill))
 }
 
-// shuffleKey is a splitmix64-style hash of (seed, order, tenant name) —
-// the same deterministic-shuffle idiom as the telemetry reservoir.
+// shuffleKey is a splitmix64-style hash of (seed, order, tenant name): a
+// deterministic shuffle, with no global RNG and no clock.
 func shuffleKey(seed, order uint64, name string) uint64 {
 	h := seed ^ (order+1)*0x9e3779b97f4a7c15
 	for i := 0; i < len(name); i++ {

@@ -357,13 +357,12 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 }
 
 // whatIfAnswer is what the coalescer keeps of one answered sweep: the
-// marshaled response, and its specs and cost matrix for the telemetry of
-// every request the entry answers. The coalesce key holds each position's
-// query, repeat, weight and SLO, so those requests share the specs.
+// marshaled response, and its specs for the telemetry of every request
+// the entry answers. The coalesce key holds each position's query,
+// repeat, weight and SLO, so those requests share the specs.
 type whatIfAnswer struct {
 	body  []byte
 	specs []*core.WorkloadSpec
-	costs [][]float64
 }
 
 // tenantName maps one workload reference onto its telemetry tenant: the
@@ -378,18 +377,16 @@ func tenantName(ref WorkloadRef) string {
 }
 
 // recordWhatIf streams one answered what-if request into the per-tenant
-// telemetry: every statement's normalized SQL into the workload sketch
-// and the workload's predicted cost row into the reservoir. The specs and
-// costs are the ones the response body was computed from, kept beside it
-// in the coalescer's entry, so coalesced and memoized hits count as
-// tenant traffic too and nobody resolves or decodes again.
+// telemetry: every statement's normalized SQL into the workload sketch.
+// The specs are the ones the response body was computed from, kept
+// beside it in the coalescer's entry, so coalesced and memoized hits
+// count as tenant traffic too and nobody resolves again.
 func (s *Server) recordWhatIf(req *WhatIfRequest, ans whatIfAnswer) {
 	for i, ref := range req.Workloads {
 		ten := s.cfg.Telemetry.Tenant(tenantName(ref))
 		for _, norm := range ans.specs[i].NormalizedStatements() {
 			ten.ObserveQuery(norm)
 		}
-		ten.ObserveCosts(ans.costs[i])
 	}
 }
 
@@ -410,7 +407,7 @@ func (s *Server) computeWhatIf(ctx context.Context, req *WhatIfRequest) (whatIfA
 		return whatIfAnswer{}, err
 	}
 	body, err := json.Marshal(WhatIfResponse{Model: s.cfg.Model.Name(), Costs: costs})
-	return whatIfAnswer{body: body, specs: specs, costs: costs}, err
+	return whatIfAnswer{body: body, specs: specs}, err
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {

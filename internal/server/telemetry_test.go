@@ -35,7 +35,7 @@ func postHdr(t *testing.T, h http.Handler, path, body string, hdr map[string]str
 }
 
 // TestWhatIfFeedsTelemetry drives named and unnamed what-if traffic and
-// checks that the per-tenant sketches, reservoirs, and /debug/telemetry
+// checks that the per-tenant sketches and /debug/telemetry
 // reflect it — including for coalesced repeats of an identical request.
 func TestWhatIfFeedsTelemetry(t *testing.T) {
 	hub := telemetry.NewHub(telemetry.Config{Registry: obs.NewRegistry()})
@@ -66,9 +66,6 @@ func TestWhatIfFeedsTelemetry(t *testing.T) {
 	// memoized repeats) must all count.
 	if acme.Updates != 6 {
 		t.Fatalf("acme sketch updates = %d, want 6", acme.Updates)
-	}
-	if acme.SamplesSeen == 0 || acme.SamplesKept == 0 {
-		t.Fatalf("acme reservoir empty: %+v", acme)
 	}
 	// Unnamed workloads land under their canonical QUERYxN identity.
 	if _, ok := byName["Q4x2"]; !ok {

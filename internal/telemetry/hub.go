@@ -22,8 +22,6 @@ type Config struct {
 }
 
 const (
-	// sampleCap bounds the per-tenant cost-vector reservoir.
-	sampleCap = 64
 	// driftAlpha is the drift EWMA smoothing factor.
 	driftAlpha = 0.5
 	// driftThreshold is the smoothed drift score above which a tenant
@@ -31,8 +29,6 @@ const (
 	driftThreshold = 0.25
 	// residualAlpha smooths the model-residual EWMAs.
 	residualAlpha = 0.2
-	// reservoirSeed derives every reservoir priority.
-	reservoirSeed = 1
 	// maxTenants bounds the tenant table; tenants beyond it collapse into
 	// a shared "other" tenant so memory stays bounded under tenant churn.
 	maxTenants = 256
@@ -111,7 +107,6 @@ func (h *Hub) newTenantLocked(name string) *Tenant {
 		name:     name,
 		window:   h.cfg.Window,
 		cur:      NewTopK(h.cfg.TopK),
-		sample:   NewReservoir(sampleCap, reservoirSeed),
 		drift:    NewDriftDetector(driftAlpha, driftThreshold),
 		residual: NewResidualTracker(residualAlpha),
 		gRaw:     r.Gauge("telemetry.drift.raw." + name),
@@ -151,8 +146,6 @@ type TenantSnapshot struct {
 	ResidualRelErr float64     `json:"residual_relerr"`
 	ResidualBias   float64     `json:"residual_bias"`
 	TopK           []TopKEntry `json:"topk"`
-	SamplesSeen    uint64      `json:"samples_seen"`
-	SamplesKept    int         `json:"samples_kept"`
 }
 
 // Snapshot captures every tenant in name order — the deterministic body
@@ -194,7 +187,6 @@ type Tenant struct {
 	windows  int
 	prev     *TopK
 	cur      *TopK
-	sample   *Reservoir
 	drift    *DriftDetector
 	residual *ResidualTracker
 
@@ -239,17 +231,6 @@ func (t *Tenant) rotateLocked() {
 	if t.drift.Alarmed() {
 		t.hub.mAlarms.Inc()
 	}
-}
-
-// ObserveCosts streams one predicted cost vector (the tenant's what-if
-// row: one entry per candidate allocation) into the seeded reservoir.
-func (t *Tenant) ObserveCosts(vec []float64) {
-	if t == nil || len(vec) == 0 {
-		return
-	}
-	t.mu.Lock()
-	t.sample.Add(vec)
-	t.mu.Unlock()
 }
 
 // ObserveResidual folds one predicted-vs-actual execution-time pair into
@@ -328,7 +309,5 @@ func (t *Tenant) Snapshot() TenantSnapshot {
 		ResidualRelErr: t.residual.RelErr(),
 		ResidualBias:   t.residual.Bias(),
 		TopK:           t.cur.Snapshot(),
-		SamplesSeen:    t.sample.Seen(),
-		SamplesKept:    len(t.sample.Snapshot()),
 	}
 }

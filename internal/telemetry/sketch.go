@@ -1,7 +1,6 @@
 // Package telemetry is the per-tenant workload observability layer: each
-// tenant's query traffic streams into bounded sketches — a space-saving
-// top-k heavy-hitter summary over normalized SQL and a deterministic
-// priority reservoir of predicted cost vectors — and consecutive sketch
+// tenant's query traffic streams into a bounded sketch — a space-saving
+// top-k heavy-hitter summary over normalized SQL — and consecutive sketch
 // windows are scored for drift, so a controller can see *that* a tenant's
 // workload has shifted (and how badly the cost model is tracking it)
 // without retaining the traffic itself.

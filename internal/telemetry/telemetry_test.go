@@ -67,26 +67,6 @@ func TestTopKZipfAccuracy(t *testing.T) {
 	}
 }
 
-// TestReservoirDeterministic: identical streams produce identical
-// reservoirs (no wall-clock randomness), filled to their cap.
-func TestReservoirDeterministic(t *testing.T) {
-	feed := func(r *Reservoir, seed int64, n int) {
-		rng := rand.New(rand.NewSource(seed))
-		for i := 0; i < n; i++ {
-			r.Add([]float64{rng.Float64(), rng.Float64()})
-		}
-	}
-	a1, a2 := NewReservoir(16, 7), NewReservoir(16, 7)
-	feed(a1, 3, 500)
-	feed(a2, 3, 500)
-	if !reflect.DeepEqual(a1.Snapshot(), a2.Snapshot()) {
-		t.Fatal("same stream, same seed, different reservoirs")
-	}
-	if got := len(a1.Snapshot()); got != 16 {
-		t.Fatalf("reservoir holds %d, want cap 16", got)
-	}
-}
-
 // TestDriftScoreDeterministic replays the same update sequence through
 // two independent hubs and requires bit-identical drift scores — run
 // under -race in CI, so the locking is exercised too.
@@ -143,7 +123,6 @@ func TestTenantConcurrentUpdates(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				ten.ObserveQuery(fmt.Sprintf("SELECT %d", (g+i)%5))
-				ten.ObserveCosts([]float64{float64(i)})
 				ten.ObserveResidual(1.0, 1.1)
 			}
 		}(g)
@@ -152,9 +131,6 @@ func TestTenantConcurrentUpdates(t *testing.T) {
 	snap := ten.Snapshot()
 	if snap.Updates != goroutines*per {
 		t.Fatalf("updates %d, want %d", snap.Updates, goroutines*per)
-	}
-	if snap.SamplesSeen != goroutines*per {
-		t.Fatalf("samples seen %d, want %d", snap.SamplesSeen, goroutines*per)
 	}
 	if snap.ResidualCount != goroutines*per {
 		t.Fatalf("residuals %d, want %d", snap.ResidualCount, goroutines*per)
@@ -261,7 +237,6 @@ func TestNilSafety(t *testing.T) {
 	var h *Hub
 	ten := h.Tenant("x")
 	ten.ObserveQuery("SELECT 1")
-	ten.ObserveCosts([]float64{1})
 	ten.ObserveResidual(1, 2)
 	if ten.DriftScore() != 0 || ten.Alarmed() {
 		t.Fatal("nil tenant not a clean no-op")

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"dbvirt/internal/engine"
-	"dbvirt/internal/experiments"
 	"dbvirt/internal/vm"
 	"dbvirt/internal/workload"
 )
@@ -43,45 +42,11 @@ func TestEnvDBSharesByContent(t *testing.T) {
 		t.Error("restoring Scale and Seed did not return the first database")
 	}
 
-	if testing.Short() {
-		t.Skip("runs every figure and ablation")
-	}
-	env := workload.QuickEnv()
-	shared = db(env, "w-q4")
+	// The paper record's tests (internal/experiments) check that by the
+	// image digest after every experiment. The digest sees a write that
+	// reaches the disk: one inserted row.
 	before := imageDigest(t, shared)
-	runs := []struct {
-		name string
-		run  func() error
-	}{
-		{"Figure3", func() error {
-			_, err := experiments.Figure3(env, []float64{0.25, 0.75}, []float64{0.5}, 0.5)
-			return err
-		}},
-		{"Figure4", func() error { _, err := experiments.Figure4(env, []float64{0.25, 0.5, 0.75}); return err }},
-		{"Figure5", func() error { _, err := experiments.Figure5(env); return err }},
-		{"AblationSearch", func() error { _, err := experiments.AblationSearch(env, 3, 0.25); return err }},
-		{"AblationCalibrationGrid", func() error { _, err := experiments.AblationCalibrationGrid(env); return err }},
-		{"AblationOverlap", func() error { _, err := experiments.AblationOverlap(env, []float64{0, 1}); return err }},
-		{"DynamicReconfig", func() error { _, err := experiments.DynamicReconfig(env); return err }},
-		{"SLOWeighted", func() error { _, err := experiments.SLOWeighted(env); return err }},
-		{"MemoryDimension", func() error { _, err := experiments.MemoryDimension(env); return err }},
-		{"FleetTenants", func() error { _, err := experiments.FleetTenants(env, 64, 1); return err }},
-		{"FigureControl", func() error { _, err := experiments.FigureControl(env, 6, 10); return err }},
-	}
-	for _, r := range runs {
-		if err := r.run(); err != nil {
-			t.Fatalf("%s: %v", r.name, err)
-		}
-		if got := imageDigest(t, shared); got != before {
-			t.Fatalf("%s changed the shared database's pages or statistics", r.name)
-		}
-		if db(env, "srv-"+r.name) != shared {
-			t.Fatalf("after %s, Env.DB no longer returns the shared database", r.name)
-		}
-	}
-
-	// The digest sees a write that reaches the disk: one inserted row.
-	m, err := vm.NewMachine(env.Machine)
+	m, err := vm.NewMachine(tiny.Machine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +54,7 @@ func TestEnvDBSharesByContent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := engine.NewSession(shared, v, env.Engine)
+	s, err := engine.NewSession(shared, v, tiny.Engine)
 	if err != nil {
 		t.Fatal(err)
 	}

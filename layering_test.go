@@ -140,7 +140,7 @@ var fieldAllow = map[string]string{
 	"core.WhatIfModel.NoPrepare":    "the unprepared reference path of the differential tests in core, server and experiments",
 	"engine.Config.Executor":        "a bench forwarder: bench/olap.go reads it into executor.Context.Mode",
 	"executor.Context.Mode":         "a bench forwarder: bench/olap.go sets it",
-	"experiments.Fig3Row.Params":    "the calibrated parameters that golden_figures.json pins",
+	"experiments.Fig3Row.Params":    "the calibrated parameters that internal/experiments/testdata/paper.json pins",
 	"faults.DiskConfig":             "the config of faults.NewDisk, an allow-listed fixture",
 	"obs.PromSample":                "the result of obs.ParsePrometheusText, an allow-listed fixture",
 	"optimizer.NodeCost":            "the rows of optimizer.Plan.CostBreakdown, an allow-listed fixture",

@@ -2,7 +2,6 @@ package dbvirt_test
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"dbvirt/internal/calibration"
@@ -115,6 +114,4 @@ func BenchmarkPlacementFleet(b *testing.B) {
 		}
 		b.ReportMetric(float64(reclusters.Value()-before)/float64(b.N), "reclusters/event")
 	})
-
-	emit("placement", fmt.Sprintf("placement fleet: %d tenants\n", n))
 }
